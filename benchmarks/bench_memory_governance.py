@@ -6,7 +6,8 @@ pool, one lease/release pair, and — only when chunking actually happens —
 staging transfers.  For a batch that fits comfortably this must be
 bookkeeping, not work.  This benchmark times a paper-scale ``gbsv_batch``
 workload (batch 1000, n=256, kl=ku=8, fp64) on the governed path versus
-the same call with governance suppressed, checks that the two produce
+the same operands run through the layers below governance directly
+(``repro.core.stack.heal``), checks that the two produce
 bit-identical factors/solutions, and asserts the overhead stays under 5%.
 
 Runnable standalone (``python benchmarks/bench_memory_governance.py
@@ -24,7 +25,10 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).parent))
 
 from repro.band.generate import random_band_batch, random_rhs
-from repro.core import gbsv_batch, memory_plan
+from repro.core import gbsv_batch
+from repro.core.batch_args import as_rhs_list
+from repro.core.gbsv import GBSV
+from repro.core.stack import ExecConfig, Operands, heal
 from repro.gpusim.memory import reset_memory_pools
 
 from _util import emit, run_once
@@ -45,9 +49,11 @@ def _run(governed, a, b, n, kl, ku, batch):
         piv, info = gbsv_batch(n, kl, ku, NRHS, mats, None, rhs,
                                batch=batch)
     else:
-        with memory_plan._suppress_governance():
-            piv, info = gbsv_batch(n, kl, ku, NRHS, mats, None, rhs,
-                                   batch=batch)
+        piv = [np.zeros(n, dtype=np.int64) for _ in range(batch)]
+        info = np.zeros(batch, dtype=np.int64)
+        heal(GBSV, ExecConfig(), Operands(
+            n, n, kl, ku, list(mats), piv, info, nrhs=NRHS,
+            rhs=as_rhs_list(rhs, batch, n, NRHS, arg_pos=7), a_src=mats))
     dt = perf_counter() - t0
     assert (np.asarray(info) == 0).all()
     return dt, mats, rhs, np.stack(piv)

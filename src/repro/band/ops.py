@@ -11,14 +11,8 @@ import numpy as np
 
 from ..errors import check_arg
 from ..types import Trans
-from .layout import BandLayout
 
 __all__ = ["gbmv", "gbmm", "band_norm_inf", "band_norm_1", "solve_residual"]
-
-
-def _band_rows_cols(layout: BandLayout, factor_layout: bool):
-    offset = layout.kv if factor_layout else layout.ku
-    return offset
 
 
 def gbmv(trans: Trans | str, m: int, kl: int, ku: int,

@@ -38,15 +38,18 @@ import numpy as np
 from ..errors import check_arg
 from ..gpusim.stream import Stream
 from ..types import Trans
-from .gbtrf import gbtrf_batch
+from .gbsv import gbsv_batch, run_gbsv
+from .gbtrf import gbtrf_batch, run_gbtrf
 from .gbtrs import gbtrs_batch
-from .gbsv import gbsv_batch
+from .resilience import merge_reports
+from .stack import ExecConfig
+from .verify import as_verify_policy
 
 __all__ = [
     "sgbtrf_batch", "dgbtrf_batch", "cgbtrf_batch", "zgbtrf_batch",
     "sgbtrs_batch", "dgbtrs_batch", "cgbtrs_batch", "zgbtrs_batch",
     "sgbsv_batch", "dgbsv_batch", "cgbsv_batch", "zgbsv_batch",
-    "gbtrf_vbatch", "gbsv_vbatch",
+    "gbtrf_vbatch", "gbsv_vbatch", "run_gbtrf_vbatch",
 ]
 
 
@@ -61,13 +64,6 @@ def _check_dtype(arrays, dtype, pos):
         check_arg(np.asarray(a).dtype == np.dtype(dtype), pos,
                   f"matrix {k} has dtype {np.asarray(a).dtype}, "
                   f"expected {np.dtype(dtype).name}")
-
-
-def _check_ld(arrays, ld, pos, name):
-    check_arg(ld >= 1, pos, f"{name} must be >= 1, got {ld}")
-    for k, a in enumerate(arrays):
-        check_arg(np.asarray(a).shape[0] >= min(ld, np.asarray(a).shape[0]),
-                  pos, f"matrix {k} rows < {name}={ld}")
 
 
 def _make_gbtrf(prefix: str, dtype):
@@ -147,11 +143,42 @@ zgbsv_batch = _make_gbsv("z", np.complex128)
 
 # --- Non-uniform batches (paper Section 9, future work) --------------------
 
-def _group_indices(keys) -> dict:
+def _vbatch_config(device, stream, execute, **knobs) -> ExecConfig:
+    from ..gpusim.device import H100_PCIE
+    device = device or (stream.device if stream is not None else H100_PCIE)
+    # A resilient call always executes (the ladder needs real results).
+    execute = execute or knobs["resilient"]
+    knobs["verify"] = as_verify_policy(knobs["verify"])
+    return ExecConfig(device=device, stream=stream, execute=execute, **knobs)
+
+
+def _run_groups(op: str, cfg: ExecConfig, keys, info, run_group):
+    """Run each uniform group of a vbatch; returns the merged report.
+
+    ``keys[k]`` is problem ``k``'s configuration; ``run_group(key, idxs,
+    sub_info)`` runs the problems ``idxs`` sharing ``key`` and returns
+    their report.  Lanes of the merged report are global problem indices.
+    """
     groups: dict = defaultdict(list)
     for idx, key in enumerate(keys):
         groups[key].append(idx)
-    return groups
+    parts = []
+    for key, idxs in groups.items():
+        sub_info = np.zeros(len(idxs), dtype=np.int64)
+        parts.append((idxs, run_group(key, idxs, sub_info)))
+        for j, i in enumerate(idxs):
+            info[i] = sub_info[j]
+    if not cfg.reports:
+        return None
+    report = merge_reports(op, len(keys), parts)
+    report.info = info
+    return report
+
+
+def _check_lengths(batch, named) -> None:
+    for pos, (name, seq) in enumerate(named, 1):
+        check_arg(len(seq) == batch, pos,
+                  f"{name} has {len(seq)} entries, expected {batch}")
 
 
 def gbtrf_vbatch(ms, ns, kls, kus, a_array, pv_array=None, info=None, *,
@@ -209,15 +236,27 @@ def gbtrf_vbatch(ms, ns, kls, kus, a_array, pv_array=None, info=None, *,
     per-group verification fields merged back to global lane indices.
     Requires square problems (``ms[k] == ns[k]``).
     """
-    from ..gpusim.device import H100_PCIE
-    device = device or (stream.device if stream is not None else H100_PCIE)
+    cfg = _vbatch_config(
+        device, stream, execute, vectorize=vectorize, resilient=resilient,
+        policy=policy, max_resident_bytes=max_resident_bytes,
+        chunk_hint=chunk_hint, streams=streams, devices=devices,
+        overlap=overlap, layout=layout, verify=verify)
+    pivots, info, report = run_gbtrf_vbatch(cfg, ms, ns, kls, kus, a_array,
+                                            pv_array, info)
+    return (pivots, info, report) if cfg.reports else (pivots, info)
+
+
+def run_gbtrf_vbatch(cfg, ms, ns, kls, kus, a_array, pv_array=None,
+                     info=None):
+    """:func:`gbtrf_vbatch` under a prepared :class:`ExecConfig`.
+
+    Returns ``(pivots, info, report)`` (``report`` is ``None`` unless
+    resilient or verified).
+    """
     batch = len(a_array)
-    for name, seq, pos in (("ms", ms, 1), ("ns", ns, 2), ("kls", kls, 3),
-                           ("kus", kus, 4)):
-        check_arg(len(seq) == batch, pos,
-                  f"{name} has {len(seq)} entries, expected {batch}")
+    _check_lengths(batch, (("ms", ms), ("ns", ns), ("kls", kls),
+                           ("kus", kus)))
     mats = [np.asarray(a) for a in a_array]
-    pivots: list = [None] * batch
     if pv_array is not None:
         pivots = list(pv_array)
     else:
@@ -228,36 +267,16 @@ def gbtrf_vbatch(ms, ns, kls, kus, a_array, pv_array=None, info=None, *,
     # Storage shape joins the key so every group stacks uniformly on the
     # batch-interleaved path (same (m, n, kl, ku) may arrive with
     # different ldab padding).
-    groups = _group_indices(
-        (int(ms[k]), int(ns[k]), int(kls[k]), int(kus[k]), mats[k].shape)
-        for k in range(batch))
-    verified = verify is not None and verify is not False
-    parts = []
-    for (m, n, kl, ku, _shape), idxs in groups.items():
-        sub_info = np.zeros(len(idxs), dtype=np.int64)
-        kwargs = dict(batch=len(idxs), device=device, stream=stream,
-                      vectorize=vectorize,
-                      max_resident_bytes=max_resident_bytes,
-                      chunk_hint=chunk_hint, streams=streams,
-                      devices=devices, overlap=overlap, layout=layout)
-        if resilient:
-            kwargs.update(resilient=True, policy=policy)
-        else:
-            kwargs.update(execute=execute)
-        if verified:
-            kwargs.update(verify=verify)
-        out = gbtrf_batch(m, n, kl, ku, [mats[i] for i in idxs],
-                          [pivots[i] for i in idxs], sub_info, **kwargs)
-        if resilient or verified:
-            parts.append((idxs, out[-1]))
-        for j, i in enumerate(idxs):
-            info[i] = sub_info[j]
-    if resilient or verified:
-        from .resilience import merge_reports
-        report = merge_reports("gbtrf", batch, parts)
-        report.info = info
-        return pivots, info, report
-    return pivots, info
+    keys = [(int(ms[k]), int(ns[k]), int(kls[k]), int(kus[k]),
+             mats[k].shape) for k in range(batch)]
+
+    def run_group(key, idxs, sub_info):
+        m, n, kl, ku, _shape = key
+        return run_gbtrf(cfg, m, n, kl, ku, [mats[i] for i in idxs],
+                         [pivots[i] for i in idxs], sub_info,
+                         batch=len(idxs))[2]
+
+    return pivots, info, _run_groups("gbtrf", cfg, keys, info, run_group)
 
 
 def gbsv_vbatch(ns, kls, kus, nrhss, a_array, b_array, pv_array=None,
@@ -290,13 +309,14 @@ def gbsv_vbatch(ns, kls, kus, nrhss, a_array, b_array, pv_array=None,
     (:mod:`repro.core.verify`) and returns ``(pivots, info, report)``
     with the merged verification fields.
     """
-    from ..gpusim.device import H100_PCIE
-    device = device or (stream.device if stream is not None else H100_PCIE)
+    cfg = _vbatch_config(
+        device, stream, execute, vectorize=vectorize, resilient=resilient,
+        policy=policy, max_resident_bytes=max_resident_bytes,
+        chunk_hint=chunk_hint, streams=streams, devices=devices,
+        overlap=overlap, layout=layout, verify=verify)
     batch = len(a_array)
-    for name, seq, pos in (("ns", ns, 1), ("kls", kls, 2), ("kus", kus, 3),
-                           ("nrhss", nrhss, 4)):
-        check_arg(len(seq) == batch, pos,
-                  f"{name} has {len(seq)} entries, expected {batch}")
+    _check_lengths(batch, (("ns", ns), ("kls", kls), ("kus", kus),
+                           ("nrhss", nrhss)))
     mats = [np.asarray(a) for a in a_array]
     rhs = [np.asarray(b) for b in b_array]
     rhs = [b[:, None] if b.ndim == 1 else b for b in rhs]
@@ -306,34 +326,14 @@ def gbsv_vbatch(ns, kls, kus, nrhss, a_array, b_array, pv_array=None,
         pivots = [np.zeros(int(ns[k]), dtype=np.int64) for k in range(batch)]
     if info is None:
         info = np.zeros(batch, dtype=np.int64)
-    groups = _group_indices(
-        (int(ns[k]), int(kls[k]), int(kus[k]), int(nrhss[k]), mats[k].shape)
-        for k in range(batch))
-    verified = verify is not None and verify is not False
-    parts = []
-    for (n, kl, ku, nrhs, _shape), idxs in groups.items():
-        sub_info = np.zeros(len(idxs), dtype=np.int64)
-        kwargs = dict(batch=len(idxs), device=device, stream=stream,
-                      vectorize=vectorize,
-                      max_resident_bytes=max_resident_bytes,
-                      chunk_hint=chunk_hint, streams=streams,
-                      devices=devices, overlap=overlap, layout=layout)
-        if resilient:
-            kwargs.update(resilient=True, policy=policy)
-        else:
-            kwargs.update(execute=execute)
-        if verified:
-            kwargs.update(verify=verify)
-        out = gbsv_batch(n, kl, ku, nrhs, [mats[i] for i in idxs],
-                         [pivots[i] for i in idxs], [rhs[i] for i in idxs],
-                         sub_info, **kwargs)
-        if resilient or verified:
-            parts.append((idxs, out[-1]))
-        for j, i in enumerate(idxs):
-            info[i] = sub_info[j]
-    if resilient or verified:
-        from .resilience import merge_reports
-        report = merge_reports("gbsv", batch, parts)
-        report.info = info
-        return pivots, info, report
-    return pivots, info
+    keys = [(int(ns[k]), int(kls[k]), int(kus[k]), int(nrhss[k]),
+             mats[k].shape) for k in range(batch)]
+
+    def run_group(key, idxs, sub_info):
+        n, kl, ku, nrhs, _shape = key
+        return run_gbsv(cfg, n, kl, ku, nrhs, [mats[i] for i in idxs],
+                        [pivots[i] for i in idxs], [rhs[i] for i in idxs],
+                        sub_info, batch=len(idxs))[2]
+
+    report = _run_groups("gbsv", cfg, keys, info, run_group)
+    return (pivots, info, report) if cfg.reports else (pivots, info)

@@ -14,7 +14,6 @@ import numpy as np
 
 from ..band.layout import normalize_layout
 from ..errors import check_arg
-from ..gpusim.kernel import note_layout_conversion
 from ..types import Trans
 from .batch_args import (
     as_matrix_list,
@@ -126,8 +125,7 @@ def gbcon_batch(norm: str, n: int, kl: int, ku: int, a_array, pv_array,
         conv = convert_batch_layout(normalize_layout(layout), (a_array,),
                                     batch=batch, outputs=(False,))
         if conv is not None:
-            (a_conv,), _writeback, moved = conv
-            note_layout_conversion(moved)
+            (a_conv,), _writeback, _moved = conv
             return gbcon_batch(norm, n, kl, ku, a_conv, pv_array, anorms,
                                batch=batch)
     mats = as_matrix_list(a_array, batch, arg_pos=5)

@@ -28,10 +28,6 @@ __all__ = ["gbequ", "laqgb", "gbequ_batch", "laqgb_batch"]
 THRESH = 0.1
 
 
-def _band_cols(n: int, kl: int, ku: int, j: int) -> tuple[int, int]:
-    return max(0, j - ku), min(n, j + kl + 1)
-
-
 def gbequ(m: int, n: int, kl: int, ku: int, ab: np.ndarray, *,
           factor_layout: bool = True):
     """Compute equilibration scalings for one band matrix.

@@ -20,7 +20,6 @@ from ..band.layout import normalize_layout
 from ..band.ops import gbmv
 from ..errors import SingularMatrixError, check_arg
 from ..gpusim.device import H100_PCIE, DeviceSpec
-from ..gpusim.kernel import note_layout_conversion
 from ..types import Trans
 from .batch_args import (
     as_matrix_list,
@@ -30,8 +29,6 @@ from .batch_args import (
     ensure_info,
     ensure_pivots,
 )
-from .gbtrf import gbtrf_batch
-from .gbtrs import gbtrs_batch
 from .solve_blocks import gbtrs_unblocked
 
 __all__ = ["RefinementResult", "gbrfs", "gbrfs_batch",
@@ -131,8 +128,7 @@ def gbrfs_batch(n: int, kl: int, ku: int, nrhs: int, a_orig_array,
             (a_orig_array, a_fact_array, b_array, x_array), batch=batch,
             outputs=(False, False, False, True))
         if conv is not None:
-            (orig_c, fact_c, b_c, x_c), writeback, moved = conv
-            note_layout_conversion(moved)
+            (orig_c, fact_c, b_c, x_c), writeback, _moved = conv
             out = gbrfs_batch(n, kl, ku, nrhs, orig_c, fact_c, pv_array,
                               b_c, x_c, batch=batch, max_iter=max_iter)
             writeback()
@@ -167,6 +163,8 @@ def gbsv_refined_batch(n: int, kl: int, ku: int, nrhs: int, a_array,
     drivers this routine promises a solution, so it cannot silently return
     one problem unsolved.
     """
+    from .gbtrf import gbtrf_batch
+    from .gbtrs import gbtrs_batch
     if batch is None:
         batch = len(a_array)
     mats = as_matrix_list(a_array, batch, arg_pos=5)

@@ -15,27 +15,28 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..band.layout import normalize_layout
 from ..errors import check_arg
 from ..gpusim.device import H100_PCIE, DeviceSpec
-from ..gpusim.kernel import launch, note_layout_conversion
+from ..gpusim.kernel import launch
 from ..tuning.defaults import FUSED_GBSV_CUTOFF
 from ..types import Trans
 from .batch_args import (
     as_matrix_list,
     as_rhs_list,
     check_gb_args,
-    convert_batch_layout,
     ensure_info,
     ensure_pivots,
 )
 from .gbsv_fused import FusedGbsvKernel
 from .gbtf2 import gbtf2
-from .gbtrf import gbtrf_batch
-from .gbtrs import gbtrs_batch
+from .gbtrf import GBTRF
+from .gbtrs import GBTRS
 from .solve_blocks import gbtrs_unblocked
+from .stack import INOUT, OUT, ExecConfig, Operands, OpSpec, \
+    check_execution, run
+from .verify import as_verify_policy, gate_gbsv
 
-__all__ = ["gbsv", "gbsv_batch", "select_gbsv_method"]
+__all__ = ["gbsv", "gbsv_batch", "run_gbsv", "select_gbsv_method", "GBSV"]
 
 _METHODS = ("auto", "fused", "standard")
 
@@ -123,51 +124,25 @@ def gbsv_batch(n: int, kl: int, ku: int, nrhs: int, a_array, pv_array,
     """
     check_arg(method in _METHODS, 12,
               f"method must be one of {_METHODS}, got {method!r}")
-    if verify is not None and verify is not False:
-        from .verify import verified_gbsv_batch
-        return verified_gbsv_batch(
-            n, kl, ku, nrhs, a_array, pv_array, b_array, info,
-            batch=batch, verify=verify, device=device, stream=stream,
-            method=method, execute=execute, max_blocks=max_blocks,
-            vectorize=vectorize, resilient=resilient, policy=policy,
-            max_resident_bytes=max_resident_bytes, chunk_hint=chunk_hint,
-            streams=streams, devices=devices, overlap=overlap,
-            layout=layout)
-    if normalize_layout(layout) is not None:
-        conv = convert_batch_layout(
-            normalize_layout(layout), (a_array, b_array),
-            batch=len(a_array) if batch is None else batch)
-        if conv is not None:
-            (a_conv, b_conv), writeback, moved = conv
-            note_layout_conversion(moved)
-            res = gbsv_batch(
-                n, kl, ku, nrhs, a_conv, pv_array, b_conv, info,
-                batch=batch, device=device, stream=stream, method=method,
-                execute=execute, max_blocks=max_blocks,
-                vectorize=vectorize, resilient=resilient, policy=policy,
-                max_resident_bytes=max_resident_bytes,
-                chunk_hint=chunk_hint, streams=streams, devices=devices,
-                overlap=overlap)
-            writeback()
-            return res
-    from . import memory_plan
-    if memory_plan.governance_active(execute=execute,
-                                     max_blocks=max_blocks, stream=stream):
-        return memory_plan.gbsv_batch_governed(
-            n, kl, ku, nrhs, a_array, pv_array, b_array, info,
-            batch=batch, device=device, stream=stream, method=method,
-            vectorize=vectorize, resilient=resilient, policy=policy,
-            max_resident_bytes=max_resident_bytes, chunk_hint=chunk_hint,
-            streams=streams, devices=devices, overlap=overlap)
-    if resilient:
-        check_arg(execute and max_blocks is None, 13,
-                  "resilient=True requires full functional execution "
-                  "(execute=True, max_blocks=None)")
-        from .resilience import gbsv_batch_resilient
-        return gbsv_batch_resilient(
-            n, kl, ku, nrhs, a_array, pv_array, b_array, info,
-            batch=batch, device=device, stream=stream, method=method,
-            vectorize=vectorize, policy=policy)
+    cfg = ExecConfig(
+        device=device, stream=stream, method=method, execute=execute,
+        max_blocks=max_blocks, vectorize=vectorize, resilient=resilient,
+        policy=policy, max_resident_bytes=max_resident_bytes,
+        chunk_hint=chunk_hint, streams=streams, devices=devices,
+        overlap=overlap, layout=layout, verify=as_verify_policy(verify))
+    pivots, info, report = run_gbsv(cfg, n, kl, ku, nrhs, a_array, pv_array,
+                                    b_array, info, batch)
+    return (pivots, info, report) if cfg.reports else (pivots, info)
+
+
+def run_gbsv(cfg, n, kl, ku, nrhs, a_array, pv_array, b_array, info=None,
+             batch=None):
+    """Validate one ``gbsv`` call and run it through the layer stack.
+
+    Returns ``(pivots, info, report)``; ``report`` is ``None`` unless the
+    configuration is resilient or verified.
+    """
+    check_execution(cfg, 13)
     check_arg(nrhs >= 0, 4, f"nrhs must be non-negative, got {nrhs}")
     if batch is None:
         batch = len(a_array)
@@ -176,40 +151,67 @@ def gbsv_batch(n: int, kl: int, ku: int, nrhs: int, a_array, pv_array,
     pivots = ensure_pivots(pv_array, batch, n, arg_pos=6, zero=True)
     rhs = as_rhs_list(b_array, batch, n, nrhs, arg_pos=7)
     info = ensure_info(info, batch, arg_pos=8)
-    if batch == 0 or n == 0:
-        return pivots, info
+    report = run(GBSV, cfg, Operands(
+        n, n, kl, ku, mats, pivots, info, nrhs=nrhs, rhs=rhs, a_src=a_array,
+        b_src=b_array))
+    return pivots, info, report
 
+
+def _resolve(device, ops):
+    return select_gbsv_method(device, ops.n, ops.kl, ops.ku, ops.nrhs,
+                              ops.mats[0].dtype.itemsize)
+
+
+def _fused(method, device, ops) -> bool:
     if method == "auto":
-        method = select_gbsv_method(device, n, kl, ku, nrhs,
-                                    mats[0].dtype.itemsize)
+        method = _resolve(device, ops)
+    return method == "fused" and ops.nrhs >= 1
 
-    if method == "fused" and nrhs >= 1:
-        kernel = FusedGbsvKernel(n, kl, ku, nrhs, mats, pivots, rhs, info)
-        launch(device, kernel, stream=stream, execute=execute,
-               max_blocks=max_blocks, vectorize=vectorize)
-        return pivots, info
 
-    gbtrf_batch(n, n, kl, ku, mats, pivots, info, batch=batch,
-                device=device, stream=stream, execute=execute,
-                max_blocks=max_blocks, vectorize=vectorize)
-    if nrhs == 0:
-        return pivots, info
-    ok = [k for k in range(batch) if info[k] == 0]
-    if len(ok) == batch:
-        gbtrs_batch(Trans.NO_TRANS, n, kl, ku, nrhs, mats, pivots, rhs,
-                    batch=batch, device=device, stream=stream,
-                    execute=execute, max_blocks=max_blocks,
-                    vectorize=vectorize)
+def _kernels(device, method, cfg, ops):
+    """The fused kernel, or the factor + solve stages' kernels."""
+    if _fused(method, device, ops):
+        return [FusedGbsvKernel(ops.n, ops.kl, ops.ku, ops.nrhs, ops.mats,
+                                ops.pivots, ops.rhs, ops.info)]
+    kernels = GBTRF.kernels(device, "auto", cfg, ops) or []
+    if ops.nrhs:
+        kernels += GBTRS.kernels(device, "auto", cfg, ops)
+    return kernels
+
+
+def _dispatch(method, cfg, ops, vectorize):
+    if _fused(method, cfg.device, ops):
+        launch(cfg.device, _kernels(cfg.device, "fused", cfg, ops)[0],
+               stream=cfg.stream, execute=cfg.execute,
+               max_blocks=cfg.max_blocks, vectorize=vectorize,
+               conversion=ops.call.conversion)
+        return
+    GBTRF.dispatch("auto", cfg, ops, vectorize)
+    if ops.nrhs == 0:
+        return
+    ok = [k for k in range(ops.batch) if ops.info[k] == 0]
+    if len(ok) == ops.batch:
+        GBTRS.dispatch("auto", cfg, ops, vectorize)
     elif ok:
         # Solve only the non-singular problems (LAPACK leaves B of a
         # singular problem unchanged).  The scattered sub-batch is no
         # longer a contiguous stack; the gather/pack stage stages it for
         # the batch-interleaved path.
-        sub_mats = [mats[k] for k in ok]
-        sub_piv = [pivots[k] for k in ok]
-        sub_rhs = [rhs[k] for k in ok]
-        gbtrs_batch(Trans.NO_TRANS, n, kl, ku, nrhs, sub_mats, sub_piv,
-                    sub_rhs, batch=len(ok), device=device, stream=stream,
-                    execute=execute, max_blocks=max_blocks,
-                    vectorize=vectorize)
-    return pivots, info
+        GBTRS.dispatch("auto", cfg, ops.take(ok), vectorize)
+
+
+def _host(ops):
+    """Host reference: ``gbtf2``, then ``gbtrs_unblocked`` when regular."""
+    for j, (a, p) in enumerate(zip(ops.mats, ops.pivots)):
+        _, ops.info[j] = gbtf2(ops.n, ops.n, ops.kl, ops.ku, a, p)
+        if ops.info[j] == 0 and ops.nrhs:
+            gbtrs_unblocked(Trans.NO_TRANS, ops.n, ops.kl, ops.ku, a, p,
+                            ops.rhs[j])
+
+
+#: Factor-and-solve: the fused kernel, degrading to gbtrf then gbtrs.
+GBSV = OpSpec(
+    name="gbsv",
+    roles={"a": INOUT, "pivots": OUT, "b": INOUT, "info": OUT},
+    designs=("fused", "standard"), resolve=_resolve, kernels=_kernels,
+    dispatch=_dispatch, host=_host, gate=gate_gbsv, stages=(GBTRF, GBTRS))

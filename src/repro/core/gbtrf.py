@@ -18,24 +18,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..band.layout import normalize_layout
-from ..errors import SharedMemoryError, check_arg
+from ..errors import check_arg
 from ..gpusim.device import H100_PCIE, DeviceSpec
-from ..gpusim.kernel import launch, note_layout_conversion
+from ..gpusim.kernel import launch
 from ..tuning.defaults import FUSED_CUTOFF, window_params
-from .batch_args import (
-    as_matrix_list,
-    check_gb_args,
-    convert_batch_layout,
-    ensure_info,
-    ensure_pivots,
-)
+from .batch_args import as_matrix_list, check_gb_args, ensure_info, \
+    ensure_pivots
 from .gbtf2 import gbtf2
 from .gbtrf_fused import FusedGbtrfKernel
 from .gbtrf_reference import gbtrf_reference_batch
 from .gbtrf_window import SlidingWindowGbtrfKernel
+from .stack import INOUT, OUT, ExecConfig, Operands, OpSpec, \
+    check_execution, run
+from .verify import as_verify_policy, gate_gbtrf
 
-__all__ = ["gbtrf", "gbtrf_batch", "select_gbtrf_method"]
+__all__ = ["gbtrf", "gbtrf_batch", "run_gbtrf", "select_gbtrf_method",
+           "GBTRF"]
 
 _METHODS = ("auto", "fused", "window", "reference")
 
@@ -176,88 +174,92 @@ def gbtrf_batch(m: int, n: int, kl: int, ku: int, a_array,
     -------
     (pivots, info):
         List of per-problem pivot vectors and the info array (plus the
-        report when ``resilient=True``).
+        report when ``resilient=True`` or ``verify`` is set).
     """
     check_arg(method in _METHODS, 14,
               f"method must be one of {_METHODS}, got {method!r}")
-    if verify is not None and verify is not False:
-        from .verify import verified_gbtrf_batch
-        return verified_gbtrf_batch(
-            m, n, kl, ku, a_array, pv_array, info, batch=batch,
-            verify=verify, device=device, stream=stream, method=method,
-            nb=nb, threads=threads, execute=execute,
-            max_blocks=max_blocks, vectorize=vectorize,
-            resilient=resilient, policy=policy,
-            max_resident_bytes=max_resident_bytes, chunk_hint=chunk_hint,
-            streams=streams, devices=devices, overlap=overlap,
-            layout=layout)
-    if normalize_layout(layout) is not None:
-        conv = convert_batch_layout(
-            normalize_layout(layout), (a_array,),
-            batch=len(a_array) if batch is None else batch)
-        if conv is not None:
-            (a_conv,), writeback, moved = conv
-            note_layout_conversion(moved)
-            res = gbtrf_batch(
-                m, n, kl, ku, a_conv, pv_array, info, batch=batch,
-                device=device, stream=stream, method=method, nb=nb,
-                threads=threads, execute=execute, max_blocks=max_blocks,
-                vectorize=vectorize, resilient=resilient, policy=policy,
-                max_resident_bytes=max_resident_bytes,
-                chunk_hint=chunk_hint, streams=streams, devices=devices,
-                overlap=overlap)
-            writeback()
-            return res
-    from . import memory_plan
-    if memory_plan.governance_active(execute=execute,
-                                     max_blocks=max_blocks, stream=stream):
-        return memory_plan.gbtrf_batch_governed(
-            m, n, kl, ku, a_array, pv_array, info, batch=batch,
-            device=device, stream=stream, method=method, nb=nb,
-            threads=threads, vectorize=vectorize, resilient=resilient,
-            policy=policy, max_resident_bytes=max_resident_bytes,
-            chunk_hint=chunk_hint, streams=streams, devices=devices,
-            overlap=overlap)
-    if resilient:
-        check_arg(execute and max_blocks is None, 15,
-                  "resilient=True requires full functional execution "
-                  "(execute=True, max_blocks=None)")
-        from .resilience import gbtrf_batch_resilient
-        return gbtrf_batch_resilient(
-            m, n, kl, ku, a_array, pv_array, info, batch=batch,
-            device=device, stream=stream, method=method, nb=nb,
-            threads=threads, vectorize=vectorize, policy=policy)
+    cfg = ExecConfig(
+        device=device, stream=stream, method=method, nb=nb, threads=threads,
+        execute=execute, max_blocks=max_blocks, vectorize=vectorize,
+        resilient=resilient, policy=policy,
+        max_resident_bytes=max_resident_bytes, chunk_hint=chunk_hint,
+        streams=streams, devices=devices, overlap=overlap, layout=layout,
+        verify=as_verify_policy(verify))
+    pivots, info, report = run_gbtrf(cfg, m, n, kl, ku, a_array, pv_array,
+                                     info, batch)
+    return (pivots, info, report) if cfg.reports else (pivots, info)
+
+
+def run_gbtrf(cfg, m, n, kl, ku, a_array, pv_array=None, info=None,
+              batch=None):
+    """Validate one ``gbtrf`` call and run it through the layer stack.
+
+    Returns ``(pivots, info, report)``; ``report`` is ``None`` unless the
+    configuration is resilient or verified.
+    """
+    check_execution(cfg, 15)
+    if cfg.verify is not None:
+        check_arg(m == n, 1,
+                  f"verify requires square matrices, got m={m}, n={n}")
     if batch is None:
         batch = len(a_array)
     mats = as_matrix_list(a_array, batch, arg_pos=5)
     check_gb_args(m, n, kl, ku, mats, batch=batch)
-    mn = min(m, n)
-    pivots = ensure_pivots(pv_array, batch, mn, arg_pos=7, zero=True)
+    pivots = ensure_pivots(pv_array, batch, min(m, n), arg_pos=7, zero=True)
     info = ensure_info(info, batch, arg_pos=8)
-    if batch == 0 or mn == 0:
-        return pivots, info
+    report = run(GBTRF, cfg, Operands(m, n, kl, ku, mats, pivots, info,
+                                      a_src=a_array))
+    return pivots, info, report
 
+
+def _resolve(device, ops):
+    return select_gbtrf_method(device, ops.m, ops.n, ops.kl, ops.ku,
+                               ops.mats[0].dtype.itemsize)
+
+
+def _kernels(device, method, cfg, ops):
+    """The kernels of one factorization design (``None``: fork-join)."""
+    m, n, kl, ku = ops.m, ops.n, ops.kl, ops.ku
     if method == "auto":
-        method = select_gbtrf_method(device, m, n, kl, ku,
-                                     mats[0].dtype.itemsize)
-
+        method = _resolve(device, ops)
     if method == "fused":
-        kernel = FusedGbtrfKernel(m, n, kl, ku, mats, pivots, info,
-                                  threads=threads)
-        launch(device, kernel, stream=stream, execute=execute,
-               max_blocks=max_blocks, vectorize=vectorize)
-    elif method == "window":
+        return [FusedGbtrfKernel(m, n, kl, ku, ops.mats, ops.pivots,
+                                 ops.info, threads=cfg.threads)]
+    if method == "window":
         nb_d, th_d = window_params(device, kl, ku)
-        kernel = SlidingWindowGbtrfKernel(
-            m, n, kl, ku, mats, pivots, info,
-            nb=nb_d if nb is None else nb,
-            threads=th_d if threads is None else threads)
-        launch(device, kernel, stream=stream, execute=execute,
-               max_blocks=max_blocks, vectorize=vectorize)
-    else:
+        return [SlidingWindowGbtrfKernel(
+            m, n, kl, ku, ops.mats, ops.pivots, ops.info,
+            nb=nb_d if cfg.nb is None else cfg.nb,
+            threads=th_d if cfg.threads is None else cfg.threads)]
+    return None
+
+
+def _dispatch(method, cfg, ops, vectorize):
+    kernels = _kernels(cfg.device, method, cfg, ops)
+    if kernels is None:
         check_arg(not vectorize, 17,
                   "method='reference' (fork-join per-column kernels) has "
                   "no batch-interleaved path; use vectorize=None or False")
-        gbtrf_reference_batch(m, n, kl, ku, mats, pivots, info, device,
-                              stream, execute=execute, max_blocks=max_blocks)
-    return pivots, info
+        gbtrf_reference_batch(ops.m, ops.n, ops.kl, ops.ku, ops.mats,
+                              ops.pivots, ops.info, cfg.device, cfg.stream,
+                              execute=cfg.execute, max_blocks=cfg.max_blocks,
+                              conversion=ops.call.conversion)
+        return
+    for kernel in kernels:
+        launch(cfg.device, kernel, stream=cfg.stream, execute=cfg.execute,
+               max_blocks=cfg.max_blocks, vectorize=vectorize,
+               conversion=ops.call.conversion)
+
+
+def _host(ops):
+    """Host reference (``gbtf2``, bit-identical to the reference kernels)."""
+    for j, (a, p) in enumerate(zip(ops.mats, ops.pivots)):
+        _, ops.info[j] = gbtf2(ops.m, ops.n, ops.kl, ops.ku, a, p)
+
+
+#: The factorization as the layer stack sees it.
+GBTRF = OpSpec(
+    name="gbtrf",
+    roles={"a": INOUT, "pivots": OUT, "info": OUT},
+    designs=("fused", "window", "reference"), resolve=_resolve,
+    kernels=_kernels, dispatch=_dispatch, host=_host, gate=gate_gbtrf)

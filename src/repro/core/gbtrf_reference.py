@@ -139,14 +139,17 @@ def gbtrf_reference_batch(m: int, n: int, kl: int, ku: int,
                           pivots: list[np.ndarray], info: np.ndarray,
                           device: DeviceSpec, stream=None, *,
                           execute: bool = True,
-                          max_blocks: int | None = None) -> None:
+                          max_blocks: int | None = None,
+                          conversion=None) -> None:
     """Fork-join reference factorization: 2 kernel launches per column."""
     threads = max(kl + 1, 32)
     state = _FactorState(m, n, kl, ku, mats, pivots, info, threads)
     launch(device, FactorInitKernel(state), stream=stream,
-           execute=execute, max_blocks=max_blocks)
+           execute=execute, max_blocks=max_blocks, conversion=conversion)
     for j in range(min(m, n)):
         launch(device, ColumnPivotKernel(state, j), stream=stream,
-               execute=execute, max_blocks=max_blocks)
+               execute=execute, max_blocks=max_blocks,
+               conversion=conversion)
         launch(device, ColumnUpdateKernel(state, j), stream=stream,
-               execute=execute, max_blocks=max_blocks)
+               execute=execute, max_blocks=max_blocks,
+               conversion=conversion)

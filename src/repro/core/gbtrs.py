@@ -12,16 +12,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..band.layout import normalize_layout
 from ..errors import check_arg
 from ..gpusim.device import H100_PCIE, DeviceSpec
-from ..gpusim.kernel import launch, note_layout_conversion
+from ..gpusim.kernel import launch
 from ..types import Trans
 from .batch_args import (
     as_matrix_list,
     as_rhs_list,
     check_gb_args,
-    convert_batch_layout,
     ensure_info,
     ensure_pivots,
 )
@@ -33,8 +31,11 @@ from .gbtrs_blocked import (
 )
 from .gbtrs_reference import gbtrs_reference_batch
 from .solve_blocks import gbtrs_unblocked
+from .stack import IN, INOUT, OUT, ExecConfig, Operands, OpSpec, \
+    check_execution, run
+from .verify import as_verify_policy, gate_gbtrs
 
-__all__ = ["gbtrs", "gbtrs_batch"]
+__all__ = ["gbtrs", "gbtrs_batch", "run_gbtrs", "GBTRS"]
 
 _METHODS = ("auto", "blocked", "reference")
 
@@ -118,56 +119,32 @@ def gbtrs_batch(trans: Trans | str, n: int, kl: int, ku: int, nrhs: int,
     trans = Trans.from_any(trans)
     check_arg(method in _METHODS, 14,
               f"method must be one of {_METHODS}, got {method!r}")
-    if verify is not None and verify is not False:
-        from .verify import verified_gbtrs_batch
-        return verified_gbtrs_batch(
-            trans, n, kl, ku, nrhs, a_array, pv_array, b_array, info,
-            batch=batch, verify=verify, device=device, stream=stream,
-            method=method, nb=nb, threads=threads, rhs_tile=rhs_tile,
-            execute=execute, max_blocks=max_blocks, vectorize=vectorize,
-            resilient=resilient, policy=policy,
-            max_resident_bytes=max_resident_bytes, chunk_hint=chunk_hint,
-            streams=streams, devices=devices, overlap=overlap,
-            layout=layout)
-    if normalize_layout(layout) is not None:
-        conv = convert_batch_layout(
-            normalize_layout(layout), (a_array, b_array),
-            batch=len(a_array) if batch is None else batch,
-            outputs=(False, True))   # factors are pure inputs here
-        if conv is not None:
-            (a_conv, b_conv), writeback, moved = conv
-            note_layout_conversion(moved)
-            res = gbtrs_batch(
-                trans, n, kl, ku, nrhs, a_conv, pv_array, b_conv, info,
-                batch=batch, device=device, stream=stream, method=method,
-                nb=nb, threads=threads, rhs_tile=rhs_tile,
-                execute=execute, max_blocks=max_blocks,
-                vectorize=vectorize, resilient=resilient, policy=policy,
-                max_resident_bytes=max_resident_bytes,
-                chunk_hint=chunk_hint, streams=streams, devices=devices,
-                overlap=overlap)
-            writeback()
-            return res
-    from . import memory_plan
-    if memory_plan.governance_active(execute=execute,
-                                     max_blocks=max_blocks, stream=stream):
-        return memory_plan.gbtrs_batch_governed(
-            trans, n, kl, ku, nrhs, a_array, pv_array, b_array, info,
-            batch=batch, device=device, stream=stream, method=method,
-            nb=nb, threads=threads, rhs_tile=rhs_tile,
-            vectorize=vectorize, resilient=resilient, policy=policy,
-            max_resident_bytes=max_resident_bytes, chunk_hint=chunk_hint,
-            streams=streams, devices=devices, overlap=overlap)
-    if resilient:
-        check_arg(execute and max_blocks is None, 15,
-                  "resilient=True requires full functional execution "
-                  "(execute=True, max_blocks=None)")
-        from .resilience import gbtrs_batch_resilient
-        return gbtrs_batch_resilient(
-            trans, n, kl, ku, nrhs, a_array, pv_array, b_array, info,
-            batch=batch, device=device, stream=stream, method=method,
-            nb=nb, threads=threads, rhs_tile=rhs_tile,
-            vectorize=vectorize, policy=policy)
+    cfg = ExecConfig(
+        device=device, stream=stream, method=method, nb=nb, threads=threads,
+        rhs_tile=rhs_tile, execute=execute, max_blocks=max_blocks,
+        vectorize=vectorize, resilient=resilient, policy=policy,
+        max_resident_bytes=max_resident_bytes, chunk_hint=chunk_hint,
+        streams=streams, devices=devices, overlap=overlap, layout=layout,
+        verify=as_verify_policy(verify))
+    info, report = run_gbtrs(cfg, trans, n, kl, ku, nrhs, a_array, pv_array,
+                             b_array, info, batch)
+    return (info, report) if cfg.reports else info
+
+
+def run_gbtrs(cfg, trans, n, kl, ku, nrhs, a_array, pv_array, b_array,
+              info=None, batch=None):
+    """Validate one ``gbtrs`` call and run it through the layer stack.
+
+    Returns ``(info, report)``; ``report`` is ``None`` unless the
+    configuration is resilient or verified.
+    """
+    trans = Trans.from_any(trans)
+    check_execution(cfg, 15)
+    if cfg.verify is not None:
+        check_arg(trans is Trans.NO_TRANS, 1,
+                  "verify supports trans='N' solves (the reconstruction "
+                  "replays forward elimination); use verify=None for "
+                  "transposed solves")
     check_arg(nrhs >= 0, 5, f"nrhs must be non-negative, got {nrhs}")
     if batch is None:
         batch = len(a_array)
@@ -176,38 +153,57 @@ def gbtrs_batch(trans: Trans | str, n: int, kl: int, ku: int, nrhs: int,
     pivots = ensure_pivots(pv_array, batch, n, arg_pos=8)
     rhs = as_rhs_list(b_array, batch, n, nrhs, arg_pos=9)
     info = ensure_info(info, batch, arg_pos=11)
-    if batch == 0 or n == 0 or nrhs == 0:
-        return info
+    report = run(GBTRS, cfg, Operands(
+        n, n, kl, ku, mats, pivots, info, nrhs=nrhs, rhs=rhs, trans=trans,
+        a_src=a_array, b_src=b_array))
+    return info, report
 
-    if method == "auto":
-        method = "blocked"
 
-    if method == "blocked":
-        if trans is Trans.NO_TRANS:
-            kernels = [
-                BlockedForwardKernel(n, kl, ku, nrhs, mats, pivots, rhs,
-                                     nb=nb, threads=threads,
-                                     rhs_tile=rhs_tile),
-                BlockedBackwardKernel(n, kl, ku, nrhs, mats, pivots, rhs,
-                                      nb=nb, threads=threads,
-                                      rhs_tile=rhs_tile),
-            ]
-        else:
-            conj = trans is Trans.CONJ_TRANS
-            kernels = [
-                BlockedTransUKernel(n, kl, ku, nrhs, mats, pivots, rhs,
-                                    nb=nb, threads=threads, conj=conj),
-                BlockedTransLKernel(n, kl, ku, nrhs, mats, pivots, rhs,
-                                    nb=nb, threads=threads, conj=conj),
-            ]
-        for kernel in kernels:
-            launch(device, kernel, stream=stream, execute=execute,
-                   max_blocks=max_blocks, vectorize=vectorize)
-    else:
+def _kernels(device, method, cfg, ops):
+    """The two kernels of the blocked solve (``None``: reference)."""
+    if method == "reference":
+        return None
+    args = (ops.n, ops.kl, ops.ku, ops.nrhs, ops.mats, ops.pivots, ops.rhs)
+    if ops.trans is Trans.NO_TRANS:
+        return [BlockedForwardKernel(*args, nb=cfg.nb, threads=cfg.threads,
+                                     rhs_tile=cfg.rhs_tile),
+                BlockedBackwardKernel(*args, nb=cfg.nb, threads=cfg.threads,
+                                      rhs_tile=cfg.rhs_tile)]
+    conj = ops.trans is Trans.CONJ_TRANS
+    return [BlockedTransUKernel(*args, nb=cfg.nb, threads=cfg.threads,
+                                conj=conj),
+            BlockedTransLKernel(*args, nb=cfg.nb, threads=cfg.threads,
+                                conj=conj)]
+
+
+def _dispatch(method, cfg, ops, vectorize):
+    kernels = _kernels(cfg.device, method, cfg, ops)
+    if kernels is None:
         check_arg(not vectorize, 16,
                   "method='reference' (per-column kernels) has no "
                   "batch-interleaved path; use vectorize=None or False")
-        gbtrs_reference_batch(trans, n, kl, ku, nrhs, mats, pivots, rhs,
-                              device, stream, execute=execute,
-                              max_blocks=max_blocks)
-    return info
+        gbtrs_reference_batch(ops.trans, ops.n, ops.kl, ops.ku, ops.nrhs,
+                              ops.mats, ops.pivots, ops.rhs, cfg.device,
+                              cfg.stream, execute=cfg.execute,
+                              max_blocks=cfg.max_blocks,
+                              conversion=ops.call.conversion)
+        return
+    for kernel in kernels:
+        launch(cfg.device, kernel, stream=cfg.stream, execute=cfg.execute,
+               max_blocks=cfg.max_blocks, vectorize=vectorize,
+               conversion=ops.call.conversion)
+
+
+def _host(ops):
+    """Host reference (``gbtrs_unblocked``)."""
+    for a, p, b in zip(ops.mats, ops.pivots, ops.rhs):
+        gbtrs_unblocked(ops.trans, ops.n, ops.kl, ops.ku, a, p, b)
+
+
+#: The solve as the layer stack sees it: factors and pivots are inputs.
+GBTRS = OpSpec(
+    name="gbtrs",
+    roles={"a": IN, "pivots": IN, "b": INOUT, "info": OUT},
+    designs=("blocked", "reference"),
+    resolve=lambda device, ops: "blocked",
+    kernels=_kernels, dispatch=_dispatch, host=_host, gate=gate_gbtrs)

@@ -100,7 +100,8 @@ def gbtrs_reference_batch(trans: Trans | str, n: int, kl: int, ku: int,
                           nrhs: int, mats, pivots, rhs,
                           device: DeviceSpec, stream=None, *,
                           execute: bool = True,
-                          max_blocks: int | None = None) -> None:
+                          max_blocks: int | None = None,
+                          conversion=None) -> None:
     """Fork-join reference solve: per-column kernel launches.
 
     The transposed solves have no per-column GPU decomposition in the paper
@@ -120,9 +121,11 @@ def gbtrs_reference_batch(trans: Trans | str, n: int, kl: int, ku: int,
     if kl > 0:
         for j in range(n - 1):
             launch(device, RhsSwapKernel(state, j), stream=stream,
-                   execute=execute, max_blocks=max_blocks)
+                   execute=execute, max_blocks=max_blocks,
+                   conversion=conversion)
             launch(device, RhsUpdateKernel(state, j), stream=stream,
-                   execute=execute, max_blocks=max_blocks)
+                   execute=execute, max_blocks=max_blocks,
+                   conversion=conversion)
     for j in range(n - 1, -1, -1):
         launch(device, BackwardColumnKernel(state, j), stream=stream,
-               execute=execute, max_blocks=max_blocks)
+               execute=execute, max_blocks=max_blocks, conversion=conversion)

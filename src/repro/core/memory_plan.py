@@ -7,11 +7,10 @@ cannot assume that.  This module makes every batched driver OOM-safe:
   from its actual operands, compares it against the device
   :class:`~repro.gpusim.memory.MemoryPool` budget (optionally tightened by
   ``max_resident_bytes``), and decides how many lanes fit at once;
-* the governed drivers (:func:`gbtrf_batch_governed`,
-  :func:`gbtrs_batch_governed`, :func:`gbsv_batch_governed`, reached
-  transparently through the plain drivers) lease each chunk's footprint
-  from the pool, stream it upload -> solve -> download, and release the
-  lease so the next chunk reuses the same residency — an oversized batch
+* the governance layer (:func:`run_governed`, reached transparently
+  through every batched driver) leases each chunk's footprint from the
+  pool, streams it upload -> solve -> download, and releases the lease
+  so the next chunk reuses the same residency — an oversized batch
   completes bit-identically to an unchunked run because every lane's
   result is independent of sub-batch composition (the same contract the
   resilient quarantine path relies on);
@@ -25,8 +24,8 @@ cannot assume that.  This module makes every batched driver OOM-safe:
 
 Governance applies only to outermost functional calls: timing-only
 (``execute=False``), sampled (``max_blocks``), and graph-capturing calls
-are exempt, and calls the governed executor makes on its own behalf are
-suppressed so a chunk is never re-chunked.
+are exempt, and a chunk is never re-chunked: each chunk runs the layers
+below governance directly.
 
 Fault-injection semantics: allocation faults strike at chunk boundaries
 (the lease points), and the executor opens a
@@ -37,8 +36,6 @@ how the batch is chunked — the determinism the fault-plan tests pin.
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,25 +43,13 @@ import numpy as np
 from ..band.layout import ldab_for_factor
 from ..errors import DeviceMemoryError, check_arg
 from ..gpusim.device import H100_PCIE, DeviceSpec
-from ..gpusim.faults import active_injector
 from ..gpusim.memory import memory_pool
-from ..gpusim.transfer import stage_chunk
-from ..types import Trans
-from .batch_args import (
-    as_matrix_list,
-    as_rhs_list,
-    check_gb_args,
-    ensure_info,
-    ensure_pivots,
-)
-from .gbtf2 import gbtf2
 from .resilience import (
     HOST_FALLBACK,
     BatchReport,
     ResiliencePolicy,
     merge_reports,
 )
-from .solve_blocks import gbtrs_unblocked
 
 __all__ = [
     "MemoryPlan",
@@ -72,9 +57,7 @@ __all__ = [
     "estimate_vbatch_footprint",
     "plan_batch",
     "governance_active",
-    "gbtrf_batch_governed",
-    "gbtrs_batch_governed",
-    "gbsv_batch_governed",
+    "run_governed",
 ]
 
 #: Bytes of one device pointer (pointer-array entries for each operand).
@@ -82,35 +65,16 @@ POINTER_BYTES = 8
 #: Bytes of one ``info`` entry resident on the device.
 INFO_BYTES = 8
 
-# Governance re-entrancy depth, tracked per host thread.  The governed
-# executor re-enters the plain drivers to run each chunk; those inner calls
-# (and everything they call — resilience ladders, gbsv's two stages) must
-# not plan/lease again.  Thread-local because the pipelined executor
-# (:mod:`repro.core.pipeline`) runs one worker thread per device shard,
-# each entering its own suppression scope.
-_GOVERNANCE = threading.local()
-
-
-@contextmanager
-def _suppress_governance():
-    depth = getattr(_GOVERNANCE, "depth", 0)
-    _GOVERNANCE.depth = depth + 1
-    try:
-        yield
-    finally:
-        _GOVERNANCE.depth = depth
-
 
 def governance_active(*, execute: bool = True, max_blocks=None,
                       stream=None) -> bool:
     """Should a driver call entering now take the governed path?
 
-    False inside the governed executor itself (a chunk is never
-    re-chunked), for timing-only or sampled calls, and while a stream is
-    capturing a graph (replay must not re-plan).
+    False for timing-only or sampled calls, and while a stream is
+    capturing a graph (replay must not re-plan).  (A chunk is never
+    re-chunked: the governance layer calls the layers below it directly.)
     """
-    if (getattr(_GOVERNANCE, "depth", 0) > 0 or not execute
-            or max_blocks is not None):
+    if not execute or max_blocks is not None:
         return False
     if stream is not None and getattr(stream, "_capturing", False):
         return False
@@ -127,7 +91,7 @@ def estimate_footprint(op: str, *, batch: int, n: int, kl: int, ku: int,
     Counts, per lane: the band matrix in factor layout (``ldab = 2*kl +
     ku + 1`` rows), the pivot vector, the ``info`` entry, the right-hand
     sides (``gbtrs``/``gbsv``), and one device pointer per operand array.
-    This is the shape-based mirror of what the governed drivers charge
+    This is the shape-based mirror of what the governance layer charges
     from the actual operands.
     """
     check_arg(op in ("gbtrf", "gbtrs", "gbsv"), 1,
@@ -236,89 +200,6 @@ def plan_batch(batch: int, lane_bytes: int, *,
 
 # --- chunked execution -----------------------------------------------------
 
-def _execute_governed(op: str, batch: int, plan: MemoryPlan,
-                      device: DeviceSpec, stream, resilient: bool,
-                      policy: ResiliencePolicy | None, run_chunk,
-                      run_host):
-    """Run the batch in leased chunks with the OOM degradation ladder.
-
-    ``run_chunk(start, stop)`` executes lanes ``[start, stop)`` through
-    the plain driver (under suppression) and returns the chunk's
-    :class:`BatchReport` when resilient, else None.  ``run_host(start,
-    stop)`` finishes lanes on the host net.  Returns ``(parts, chunks,
-    oom, events, backoff)``.
-    """
-    pool = memory_pool(device)
-    injector = active_injector(device)
-    policy = policy or ResiliencePolicy()
-    parts, chunks, events = [], [], []
-    oom = 0
-    backoff_total = 0.0
-    chunk = plan.chunk
-    if plan.chunked or not plan.admitted:
-        events.append({"action": "split", "chunk": int(chunk),
-                       "footprint": int(plan.footprint),
-                       "budget": int(plan.budget)})
-    start = 0
-    attempt = 0
-    while start < batch:
-        stop = min(start + chunk, batch)
-        nbytes = (stop - start) * plan.lane_bytes
-        try:
-            # The lease honours the planned budget, not just the pool: a
-            # caller-imposed max_resident_bytes below one lane must reach
-            # the ladder's host rung, not silently run on the device.
-            if nbytes > plan.budget:
-                raise DeviceMemoryError(nbytes, pool.in_use, plan.budget,
-                                        device=device.name)
-            pool.alloc(nbytes, label=f"{op}-chunk")
-        except DeviceMemoryError as exc:
-            if not resilient:
-                raise
-            oom += 1
-            if chunk > 1:
-                attempt += 1
-                delay = policy.backoff(attempt)
-                backoff_total += delay
-                new_chunk = max(1, chunk // 2)
-                events.append({"action": "halve", "from": int(chunk),
-                               "to": int(new_chunk),
-                               "requested": int(exc.requested),
-                               "budget": int(exc.capacity),
-                               "injected": bool(exc.injected)})
-                chunk = new_chunk
-                continue
-            # Final rung: even one lane cannot be leased — finish every
-            # remaining lane on the host reference algorithm.
-            events.append({"action": "host", "start": int(start),
-                           "stop": int(batch),
-                           "requested": int(exc.requested),
-                           "budget": int(exc.capacity),
-                           "injected": bool(exc.injected)})
-            rep = run_host(start, batch)
-            if rep is not None:
-                parts.append((list(range(start, batch)), rep))
-            break
-        staged = (stop - start) < batch
-        try:
-            if staged:
-                stage_chunk(device, nbytes, direction="h2d", stream=stream)
-            if injector is not None:
-                with injector.lane_window(start):
-                    rep = run_chunk(start, stop)
-            else:
-                rep = run_chunk(start, stop)
-            if staged:
-                stage_chunk(device, nbytes, direction="d2h", stream=stream)
-        finally:
-            pool.free(nbytes)
-        if rep is not None:
-            parts.append((list(range(start, stop)), rep))
-        chunks.append(stop - start)
-        start = stop
-    return parts, tuple(chunks), oom, events, backoff_total
-
-
 def _admit_or_raise(plan: MemoryPlan, resilient: bool,
                     device: DeviceSpec) -> None:
     """Admission control for the plain (non-resilient) path.
@@ -333,428 +214,102 @@ def _admit_or_raise(plan: MemoryPlan, resilient: bool,
                                 device=device.name)
 
 
-def _attach(report: BatchReport, plan: MemoryPlan, chunks, oom, events,
-            backoff) -> None:
-    report.footprint_bytes = plan.footprint
-    report.budget_bytes = plan.budget
+# --- the governance layer --------------------------------------------------
+
+def run_governed(spec, cfg, ops):
+    """Lease, chunk and stream one batch; returns its report when resilient.
+
+    Each chunk runs the layers below (:func:`repro.core.stack.heal`) on
+    its lane range, on the caller's device and stream — or, with
+    ``streams``/``devices``/``overlap``, on a shard's device and compute
+    stream under the pipelined executor (:mod:`repro.core.pipeline`).
+    The host net keeps LAPACK singularity semantics.  Same contract as
+    an ungoverned call: ``resilient`` chunk reports merge into one.
+    """
+    from dataclasses import replace
+    from .pipeline import (
+        _resolve_devices,
+        execute_pipelined,
+        pipeline_requested,
+    )
+    from .stack import heal
+    batch = ops.batch
+    resilient = cfg.resilient
+
+    def run_chunk(start, stop, device=cfg.device, stream=cfg.stream):
+        c = cfg
+        if device is not cfg.device or stream is not cfg.stream:
+            c = replace(cfg, device=device, stream=stream)
+        return heal(spec, c, ops.take(range(start, stop)))
+
+    def run_host(start, stop):
+        sub = ops.take(range(start, stop))
+        spec.host(sub)
+        if not resilient:
+            return None
+        rep = BatchReport(spec.name, stop - start,
+                          method_requested=cfg.method,
+                          methods={s.name: HOST_FALLBACK
+                                   for s in spec.stages or (spec,)},
+                          info=np.array(sub.info, copy=True))
+        rep.fallbacks.append((spec.name, "chunked", HOST_FALLBACK))
+        rep.quarantined = rep.singular = tuple(
+            int(j) for j in np.flatnonzero(sub.info > 0))
+        return rep
+
+    lane_bytes = spec.lane_bytes(ops)
+    presult = None
+    if pipeline_requested(streams=cfg.streams, devices=cfg.devices,
+                          overlap=cfg.overlap):
+        # Chunks orphaned by a device outage or hang (the device fault
+        # domain, armed only when resilient) rewind to the call's
+        # pristine snapshot — verify's, or one taken here — before they
+        # re-shard; hedging copies the primary's outputs first.
+        if resilient and ops.call.pristine is None:
+            ops.call.pristine = spec.snapshot(ops, inputs=True)
+        ops.call.escalate = resilient and len(
+            _resolve_devices(cfg.device, cfg.devices)) > 1
+        parts, chunks, oom, events, backoff, plan, presult = \
+            execute_pipelined(
+                spec.name, batch, lane_bytes, device=cfg.device,
+                stream=cfg.stream, streams=cfg.streams, devices=cfg.devices,
+                overlap=cfg.overlap, resilient=resilient, policy=cfg.policy,
+                run_chunk=run_chunk, run_host=run_host,
+                max_resident_bytes=cfg.max_resident_bytes,
+                chunk_hint=cfg.chunk_hint,
+                probe_stages=lambda dev: spec.probe_stages(dev, cfg, ops),
+                snapshot=lambda start, stop: spec.snapshot(
+                    ops.take(range(start, stop))),
+                restore=lambda start, stop, snap: spec.restore(
+                    ops.take(range(start, stop)), snap),
+                pristine=lambda start, stop: ops.call.pristine.take(
+                    ops.lanes[start:stop]))
+    else:
+        from .pipeline import _run_shard
+        plan = plan_batch(batch, lane_bytes, device=cfg.device,
+                          max_resident_bytes=cfg.max_resident_bytes,
+                          chunk_hint=cfg.chunk_hint)
+        _admit_or_raise(plan, resilient, cfg.device)
+        # The sequential executor: one buffer on the caller's stream.
+        out = _run_shard(spec.name, cfg.device, [(0, batch)], plan, batch, 1,
+                         resilient, cfg.policy or ResiliencePolicy(),
+                         run_chunk, run_host, streams=(cfg.stream,) * 3,
+                         label=f"{spec.name}-chunk", tag=False)
+        parts, chunks, oom, events, backoff = (
+            out.parts, out.chunks, out.oom, out.events, out.backoff)
+    if not resilient:
+        return None
+    report = merge_reports(spec.name, batch, parts)
+    report.method_requested, report.info = cfg.method, ops.info
+    report.footprint_bytes, report.budget_bytes = plan.footprint, plan.budget
     report.chunks = tuple(chunks)
     report.oom_failures += oom
     report.chunk_events.extend(events)
     report.backoff_total += backoff
-
-
-def _merge(op: str, batch: int, method: str, parts, info) -> BatchReport:
-    if parts:
-        report = merge_reports(op, batch, parts)
-    else:
-        report = BatchReport(op, batch)
-    report.method_requested = method
-    report.info = info
-    return report
-
-
-# --- throughput probes (pipelined multi-device balancing) ------------------
-
-def _probe_triple(kernel) -> tuple:
-    return (kernel.block_cost(), kernel.threads(), kernel.smem_bytes())
-
-
-def _gbtrf_stages(dev, method, m, n, kl, ku, mats, pivots, info, nb,
-                  threads) -> list:
-    """Representative factorization stage(s) on ``dev``, as cost triples.
-
-    Builds a one-lane kernel with the design the dispatcher (or the
-    caller) would pick *on that device*, so per-device tuning tables
-    (window size, thread count) flow into the throughput weights.  The
-    reference design has no single representative kernel; an empty list
-    makes :func:`~repro.gpusim.multidevice.throughput_weights` fall back
-    to its bandwidth proxy.
-    """
-    from ..tuning.defaults import window_params
-    from .gbtrf import select_gbtrf_method
-    from .gbtrf_fused import FusedGbtrfKernel
-    from .gbtrf_window import SlidingWindowGbtrfKernel
-    meth = method
-    if meth == "auto":
-        meth = select_gbtrf_method(dev, m, n, kl, ku,
-                                   mats[0].dtype.itemsize)
-    if meth == "fused":
-        return [_probe_triple(FusedGbtrfKernel(
-            m, n, kl, ku, mats[:1], pivots[:1], info[:1],
-            threads=threads))]
-    if meth == "window":
-        nb_d, th_d = window_params(dev, kl, ku)
-        return [_probe_triple(SlidingWindowGbtrfKernel(
-            m, n, kl, ku, mats[:1], pivots[:1], info[:1],
-            nb=nb_d if nb is None else nb,
-            threads=th_d if threads is None else threads))]
-    return []
-
-
-def _gbtrs_stages(dev, method, trans, n, kl, ku, nrhs, mats, pivots, rhs,
-                  nb, threads, rhs_tile) -> list:
-    """Representative solve stages on ``dev`` (two kernels per solve)."""
-    from .gbtrs_blocked import (
-        BlockedBackwardKernel,
-        BlockedForwardKernel,
-        BlockedTransLKernel,
-        BlockedTransUKernel,
-    )
-    if method == "reference":
-        return []
-    if trans is not Trans.NO_TRANS:
-        conj = trans is Trans.CONJ_TRANS
-        kernels = [
-            BlockedTransUKernel(n, kl, ku, nrhs, mats[:1], pivots[:1],
-                                rhs[:1], nb=nb, threads=threads,
-                                conj=conj),
-            BlockedTransLKernel(n, kl, ku, nrhs, mats[:1], pivots[:1],
-                                rhs[:1], nb=nb, threads=threads,
-                                conj=conj),
-        ]
-    else:
-        kernels = [
-            BlockedForwardKernel(n, kl, ku, nrhs, mats[:1], pivots[:1],
-                                 rhs[:1], nb=nb, threads=threads,
-                                 rhs_tile=rhs_tile),
-            BlockedBackwardKernel(n, kl, ku, nrhs, mats[:1], pivots[:1],
-                                  rhs[:1], nb=nb, threads=threads,
-                                  rhs_tile=rhs_tile),
-        ]
-    return [_probe_triple(k) for k in kernels]
-
-
-# --- governed execution dispatch -------------------------------------------
-
-def _run_governed(op, batch, lane_bytes, *, device, stream, resilient,
-                  policy, run_chunk, run_host, max_resident_bytes,
-                  chunk_hint, streams, devices, overlap, probe_stages,
-                  snapshot=None, restore=None):
-    """Route one governed call to the sequential or pipelined executor.
-
-    Returns ``(parts, chunks, oom, events, backoff, plan, pipeline_result)``
-    — ``pipeline_result`` is None on the sequential path.  ``snapshot`` /
-    ``restore`` capture and rewind a lane range's operand slices; the
-    pipelined executor uses them to recover chunks orphaned by a device
-    outage or watchdog hang (the device fault domain) and to hedge
-    straggler chunks.
-    """
-    from .pipeline import execute_pipelined, pipeline_requested
-    if pipeline_requested(streams=streams, devices=devices,
-                          overlap=overlap):
-        return execute_pipelined(
-            op, batch, lane_bytes, device=device, stream=stream,
-            streams=streams, devices=devices, overlap=overlap,
-            resilient=resilient, policy=policy, run_chunk=run_chunk,
-            run_host=run_host, max_resident_bytes=max_resident_bytes,
-            chunk_hint=chunk_hint, probe_stages=probe_stages,
-            snapshot=snapshot, restore=restore)
-    plan = plan_batch(batch, lane_bytes, device=device,
-                      max_resident_bytes=max_resident_bytes,
-                      chunk_hint=chunk_hint)
-    _admit_or_raise(plan, resilient, device)
-    parts, chunks, oom, events, backoff = _execute_governed(
-        op, batch, plan, device, stream, resilient, policy, run_chunk,
-        run_host)
-    return parts, chunks, oom, events, backoff, plan, None
-
-
-def _attach_pipeline(report: BatchReport, presult) -> None:
     if presult is not None:
         report.devices = presult.devices
         report.makespan = presult.makespan
         report.device_events.extend(dict(e) for e in presult.device_events)
         report.failovers += presult.failovers
         report.hedges += presult.hedges
-
-
-# --- governed drivers ------------------------------------------------------
-
-def gbtrf_batch_governed(m, n, kl, ku, a_array, pv_array=None, info=None,
-                         *, batch=None, device: DeviceSpec = H100_PCIE,
-                         stream=None, method: str = "auto", nb=None,
-                         threads=None, vectorize=None,
-                         resilient: bool = False, policy=None,
-                         max_resident_bytes: int | None = None,
-                         chunk_hint: int | None = None,
-                         streams: int | None = None, devices=None,
-                         overlap: bool | None = None):
-    """Memory-governed :func:`~repro.core.gbtrf.gbtrf_batch`.
-
-    Same contract as the plain driver (``(pivots, info)``, plus the
-    report when resilient); the batch is leased from the device pool and
-    chunked when it does not fit (or when ``chunk_hint`` caps residency).
-    ``streams``/``devices``/``overlap`` route the chunks through the
-    pipelined executor (:mod:`repro.core.pipeline`), bit-identically.
-    """
-    from .gbtrf import gbtrf_batch
-    if batch is None:
-        batch = len(a_array)
-    mats = as_matrix_list(a_array, batch, arg_pos=5)
-    check_gb_args(m, n, kl, ku, mats, batch=batch)
-    mn = min(m, n)
-    pivots = ensure_pivots(pv_array, batch, mn, arg_pos=7, zero=True)
-    info = ensure_info(info, batch, arg_pos=8)
-    if batch == 0 or mn == 0:
-        if resilient:
-            return pivots, info, BatchReport("gbtrf", batch,
-                                             method_requested=method,
-                                             info=info)
-        return pivots, info
-
-    def run_chunk(start, stop, device=device, stream=stream):
-        with _suppress_governance():
-            res = gbtrf_batch(m, n, kl, ku, mats[start:stop],
-                              pivots[start:stop], info[start:stop],
-                              batch=stop - start, device=device,
-                              stream=stream, method=method, nb=nb,
-                              threads=threads, vectorize=vectorize,
-                              resilient=resilient, policy=policy)
-        return res[2] if resilient else None
-
-    def probe_stages(dev):
-        return _gbtrf_stages(dev, method, m, n, kl, ku, mats, pivots,
-                             info, nb, threads)
-
-    def snapshot(start, stop):
-        # Factorization mutates the band, pivots and info in place — all
-        # three must rewind for a failed chunk to replay cleanly.
-        return ([mats[k].copy() for k in range(start, stop)],
-                [pivots[k].copy() for k in range(start, stop)],
-                np.array(info[start:stop], copy=True))
-
-    def restore(start, stop, snap):
-        s_m, s_p, s_i = snap
-        for j, k in enumerate(range(start, stop)):
-            mats[k][...] = s_m[j]
-            pivots[k][...] = s_p[j]
-        info[start:stop] = s_i
-
-    def run_host(start, stop):
-        sub_info = np.zeros(stop - start, dtype=np.int64)
-        for j, k in enumerate(range(start, stop)):
-            _, inf = gbtf2(m, n, kl, ku, mats[k], pivots[k])
-            sub_info[j] = inf
-            info[k] = inf
-        if not resilient:
-            return None
-        rep = BatchReport("gbtrf", stop - start, method_requested=method,
-                          methods={"gbtrf": HOST_FALLBACK}, info=sub_info)
-        rep.fallbacks.append(("gbtrf", "chunked", HOST_FALLBACK))
-        bad = tuple(int(j) for j in np.flatnonzero(sub_info > 0))
-        rep.quarantined = rep.singular = bad
-        return rep
-
-    parts, chunks, oom, events, backoff, plan, presult = _run_governed(
-        "gbtrf", batch, _lane_bytes(mats[0], pivots[0]), device=device,
-        stream=stream, resilient=resilient, policy=policy,
-        run_chunk=run_chunk, run_host=run_host,
-        max_resident_bytes=max_resident_bytes, chunk_hint=chunk_hint,
-        streams=streams, devices=devices, overlap=overlap,
-        probe_stages=probe_stages, snapshot=snapshot, restore=restore)
-    if not resilient:
-        return pivots, info
-    report = _merge("gbtrf", batch, method, parts, info)
-    _attach(report, plan, chunks, oom, events, backoff)
-    _attach_pipeline(report, presult)
-    return pivots, info, report
-
-
-def gbtrs_batch_governed(trans, n, kl, ku, nrhs, a_array, pv_array,
-                         b_array, info=None, *, batch=None,
-                         device: DeviceSpec = H100_PCIE, stream=None,
-                         method: str = "auto", nb=None, threads=None,
-                         rhs_tile=None, vectorize=None,
-                         resilient: bool = False, policy=None,
-                         max_resident_bytes: int | None = None,
-                         chunk_hint: int | None = None,
-                         streams: int | None = None, devices=None,
-                         overlap: bool | None = None):
-    """Memory-governed :func:`~repro.core.gbtrs.gbtrs_batch`.
-
-    Returns ``info`` (plus the report when resilient), chunking the
-    factors + pivots + right-hand sides through the device pool.
-    ``streams``/``devices``/``overlap`` route the chunks through the
-    pipelined executor (:mod:`repro.core.pipeline`), bit-identically.
-    """
-    from .gbtrs import gbtrs_batch
-    trans = Trans.from_any(trans)
-    check_arg(nrhs >= 0, 5, f"nrhs must be non-negative, got {nrhs}")
-    if batch is None:
-        batch = len(a_array)
-    mats = as_matrix_list(a_array, batch, arg_pos=6)
-    check_gb_args(n, n, kl, ku, mats, batch=batch, ldab_pos=7)
-    pivots = ensure_pivots(pv_array, batch, n, arg_pos=8)
-    rhs = as_rhs_list(b_array, batch, n, nrhs, arg_pos=9)
-    info = ensure_info(info, batch, arg_pos=11)
-    if batch == 0 or n == 0 or nrhs == 0:
-        if resilient:
-            return info, BatchReport("gbtrs", batch,
-                                     method_requested=method, info=info)
-        return info
-
-    def run_chunk(start, stop, device=device, stream=stream):
-        with _suppress_governance():
-            res = gbtrs_batch(trans, n, kl, ku, nrhs, mats[start:stop],
-                              pivots[start:stop], rhs[start:stop],
-                              info[start:stop], batch=stop - start,
-                              device=device, stream=stream, method=method,
-                              nb=nb, threads=threads, rhs_tile=rhs_tile,
-                              vectorize=vectorize, resilient=resilient,
-                              policy=policy)
-        return res[1] if resilient else None
-
-    def snapshot(start, stop):
-        # A solve mutates only the right-hand sides and info.
-        return ([rhs[k].copy() for k in range(start, stop)],
-                np.array(info[start:stop], copy=True))
-
-    def restore(start, stop, snap):
-        s_r, s_i = snap
-        for j, k in enumerate(range(start, stop)):
-            rhs[k][...] = s_r[j]
-        info[start:stop] = s_i
-
-    def run_host(start, stop):
-        for k in range(start, stop):
-            gbtrs_unblocked(trans, n, kl, ku, mats[k], pivots[k], rhs[k])
-        if not resilient:
-            return None
-        rep = BatchReport("gbtrs", stop - start, method_requested=method,
-                          methods={"gbtrs": HOST_FALLBACK},
-                          info=np.zeros(stop - start, dtype=np.int64))
-        rep.fallbacks.append(("gbtrs", "chunked", HOST_FALLBACK))
-        return rep
-
-    def probe_stages(dev):
-        return _gbtrs_stages(dev, method, trans, n, kl, ku, nrhs, mats,
-                             pivots, rhs, nb, threads, rhs_tile)
-
-    parts, chunks, oom, events, backoff, plan, presult = _run_governed(
-        "gbtrs", batch, _lane_bytes(mats[0], pivots[0], rhs[0]),
-        device=device, stream=stream, resilient=resilient, policy=policy,
-        run_chunk=run_chunk, run_host=run_host,
-        max_resident_bytes=max_resident_bytes, chunk_hint=chunk_hint,
-        streams=streams, devices=devices, overlap=overlap,
-        probe_stages=probe_stages, snapshot=snapshot, restore=restore)
-    if not resilient:
-        return info
-    report = _merge("gbtrs", batch, method, parts, info)
-    _attach(report, plan, chunks, oom, events, backoff)
-    _attach_pipeline(report, presult)
-    return info, report
-
-
-def gbsv_batch_governed(n, kl, ku, nrhs, a_array, pv_array, b_array,
-                        info=None, *, batch=None,
-                        device: DeviceSpec = H100_PCIE, stream=None,
-                        method: str = "auto", vectorize=None,
-                        resilient: bool = False, policy=None,
-                        max_resident_bytes: int | None = None,
-                        chunk_hint: int | None = None,
-                        streams: int | None = None, devices=None,
-                        overlap: bool | None = None):
-    """Memory-governed :func:`~repro.core.gbsv.gbsv_batch`.
-
-    Returns ``(pivots, info)`` (plus the report when resilient).  The
-    host net keeps LAPACK singularity semantics: factors and pivots are
-    written, ``info > 0``, and that lane's ``B`` is left unchanged.
-    ``streams``/``devices``/``overlap`` route the chunks through the
-    pipelined executor (:mod:`repro.core.pipeline`), bit-identically.
-    """
-    from .gbsv import gbsv_batch
-    check_arg(nrhs >= 0, 4, f"nrhs must be non-negative, got {nrhs}")
-    if batch is None:
-        batch = len(a_array)
-    mats = as_matrix_list(a_array, batch, arg_pos=5)
-    check_gb_args(n, n, kl, ku, mats, batch=batch)
-    pivots = ensure_pivots(pv_array, batch, n, arg_pos=6, zero=True)
-    rhs = as_rhs_list(b_array, batch, n, nrhs, arg_pos=7)
-    info = ensure_info(info, batch, arg_pos=8)
-    if batch == 0 or n == 0:
-        if resilient:
-            return pivots, info, BatchReport("gbsv", batch,
-                                             method_requested=method,
-                                             info=info)
-        return pivots, info
-
-    def run_chunk(start, stop, device=device, stream=stream):
-        with _suppress_governance():
-            res = gbsv_batch(n, kl, ku, nrhs, mats[start:stop],
-                             pivots[start:stop], rhs[start:stop],
-                             info[start:stop], batch=stop - start,
-                             device=device, stream=stream, method=method,
-                             vectorize=vectorize, resilient=resilient,
-                             policy=policy)
-        return res[2] if resilient else None
-
-    def snapshot(start, stop):
-        # A combined factor+solve mutates everything it touches.
-        return ([mats[k].copy() for k in range(start, stop)],
-                [pivots[k].copy() for k in range(start, stop)],
-                [rhs[k].copy() for k in range(start, stop)] if nrhs
-                else None,
-                np.array(info[start:stop], copy=True))
-
-    def restore(start, stop, snap):
-        s_m, s_p, s_r, s_i = snap
-        for j, k in enumerate(range(start, stop)):
-            mats[k][...] = s_m[j]
-            pivots[k][...] = s_p[j]
-            if s_r is not None:
-                rhs[k][...] = s_r[j]
-        info[start:stop] = s_i
-
-    def run_host(start, stop):
-        sub_info = np.zeros(stop - start, dtype=np.int64)
-        for j, k in enumerate(range(start, stop)):
-            _, inf = gbtf2(n, n, kl, ku, mats[k], pivots[k])
-            sub_info[j] = inf
-            info[k] = inf
-            if inf == 0 and nrhs:
-                gbtrs_unblocked(Trans.NO_TRANS, n, kl, ku, mats[k],
-                                pivots[k], rhs[k])
-        if not resilient:
-            return None
-        rep = BatchReport("gbsv", stop - start, method_requested=method,
-                          methods={"gbtrf": HOST_FALLBACK,
-                                   "gbtrs": HOST_FALLBACK},
-                          info=sub_info)
-        rep.fallbacks.append(("gbsv", "chunked", HOST_FALLBACK))
-        bad = tuple(int(j) for j in np.flatnonzero(sub_info > 0))
-        rep.quarantined = rep.singular = bad
-        return rep
-
-    def probe_stages(dev):
-        from .gbsv import select_gbsv_method
-        from .gbsv_fused import FusedGbsvKernel
-        meth = method
-        if meth == "auto":
-            meth = select_gbsv_method(dev, n, kl, ku, nrhs,
-                                      mats[0].dtype.itemsize)
-        if meth == "fused" and nrhs >= 1:
-            return [_probe_triple(FusedGbsvKernel(
-                n, kl, ku, nrhs, mats[:1], pivots[:1], rhs[:1],
-                info[:1]))]
-        stages = _gbtrf_stages(dev, "auto", n, n, kl, ku, mats, pivots,
-                               info, None, None)
-        if nrhs:
-            stages += _gbtrs_stages(dev, "auto", Trans.NO_TRANS, n, kl,
-                                    ku, nrhs, mats, pivots, rhs, None,
-                                    None, None)
-        return stages
-
-    parts, chunks, oom, events, backoff, plan, presult = _run_governed(
-        "gbsv", batch,
-        _lane_bytes(mats[0], pivots[0], rhs[0] if nrhs else None),
-        device=device, stream=stream, resilient=resilient, policy=policy,
-        run_chunk=run_chunk, run_host=run_host,
-        max_resident_bytes=max_resident_bytes, chunk_hint=chunk_hint,
-        streams=streams, devices=devices, overlap=overlap,
-        probe_stages=probe_stages, snapshot=snapshot, restore=restore)
-    if not resilient:
-        return pivots, info
-    report = _merge("gbsv", batch, method, parts, info)
-    _attach(report, plan, chunks, oom, events, backoff)
-    _attach_pipeline(report, presult)
-    return pivots, info, report
+    return report

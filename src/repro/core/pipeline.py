@@ -204,13 +204,16 @@ class PipelineResult:
         }
 
 
-_LAST: PipelineResult | None = None
-_LAST_LOCK = threading.Lock()
+_LAST = threading.local()
 
 
 def last_pipeline_result() -> PipelineResult | None:
-    """The :class:`PipelineResult` of the most recent pipelined call."""
-    return _LAST
+    """The :class:`PipelineResult` of this thread's most recent pipelined
+    call (``None`` before the thread's first one).
+
+    Per thread, so concurrent callers each see their own call's account.
+    """
+    return getattr(_LAST, "result", None)
 
 
 def _resolve_devices(device: DeviceSpec, devices) -> list[DeviceSpec]:
@@ -317,16 +320,41 @@ class _ShardOutcome:
         self.failure = None  # {"kind", "device", "start", "stop", ...}
 
 
+def _dispatch_chunk(dev, streams, start, stop, nbytes, staged, run_chunk):
+    """Stage one chunk in, run it on the compute stream, stage it out.
+
+    The fault injector's lane window opens at the chunk's global start, so
+    fault placement cannot depend on chunking or sharding.
+    """
+    s_h2d, s_cmp, s_d2h = streams
+    injector = active_injector(dev)
+    if staged:
+        stage_chunk(dev, nbytes, direction="h2d", stream=s_h2d)
+        if s_cmp is not s_h2d:
+            s_cmp.wait_event(s_h2d.record_event())
+    with (injector.lane_window(start) if injector is not None
+          else nullcontext()):
+        rep = run_chunk(start, stop, device=dev, stream=s_cmp)
+    if staged:
+        if s_d2h is not s_cmp:
+            s_d2h.wait_event(s_cmp.record_event())
+        stage_chunk(dev, nbytes, direction="d2h", stream=s_d2h)
+    return rep
+
+
 def _run_shard(op, dev, ranges, plan, total_batch, nbuf, resilient, policy,
                run_chunk, run_host, *, watchdog=None, failover=False,
-               snapshot=None, restore=None, keep_snaps=False, role="full"):
+               snapshot=None, restore=None, keep_snaps=False, role="full",
+               streams=None, label=None, tag=True):
     """Run one shard's lane ranges through the double-buffered triple.
 
-    Mirrors the sequential executor's OOM ladder with one extra rung in
-    front: an allocation failure first *drains* the pipeline (frees the
-    completed chunks' live buffers) and retries, because under double
-    buffering the squeeze may come from our own in-flight leases rather
-    than a genuinely too-large chunk.  Lane indices are global throughout
+    A mid-run allocation failure walks the OOM ladder under
+    ``resilient``: halve the chunk with the policy's capped backoff, and
+    once even one lane cannot be leased, finish the remaining lanes on
+    the host net.  With live double buffers a failure first *drains* the
+    pipeline (frees the completed chunks' leases) and retries, because
+    the squeeze may come from our own in-flight leases rather than a
+    genuinely too-large chunk.  Lane indices are global throughout
     — ``run_chunk`` slices the caller's operand lists directly and the
     fault injector's lane window is opened at the chunk's global start —
     so results and fault placement cannot depend on the sharding.
@@ -340,12 +368,17 @@ def _run_shard(op, dev, ranges, plan, total_batch, nbuf, resilient, policy,
     completed is returned as an orphan range for the coordinator to
     re-shard.  Breaker bookkeeping happens on the coordinator thread, not
     here, which keeps failover decisions deterministic.
+
+    The sequential governed executor is this runner with one buffer, the
+    caller's stream as the whole triple (``streams``), an unsuffixed lease
+    ``label`` and untagged (``tag=False``) chunk events.
     """
     out = _ShardOutcome()
     pool = memory_pool(dev)
-    injector = active_injector(dev)
-    s_h2d, s_cmp, s_d2h = _shard_streams(dev, nbuf, watchdog=watchdog)
-    label = f"{op}-chunk@{dev.name}"
+    triple = streams or _shard_streams(dev, nbuf, watchdog=watchdog)
+    s_cmp = triple[1]
+    label = label or f"{op}-chunk@{dev.name}"
+    where = {"device": dev.name} if tag else {}
     h2d_bytes = d2h_bytes = 0
     chunk = plan.chunk
     shard_count = sum(stop - start for start, stop in ranges)
@@ -353,13 +386,8 @@ def _run_shard(op, dev, ranges, plan, total_batch, nbuf, resilient, policy,
         out.events.append({"action": "split", "chunk": int(chunk),
                            "footprint": int(plan.footprint),
                            "budget": int(plan.budget),
-                           "device": dev.name,
-                           "start": int(ranges[0][0]),
-                           "stop": int(ranges[-1][1])})
-    guard = nullcontext
-    if failover:
-        from .resilience import escalate_device_faults
-        guard = escalate_device_faults
+                           **(dict(where, start=int(ranges[0][0]),
+                                   stop=int(ranges[-1][1])) if tag else {})})
     live: deque = deque()       # nbytes of completed chunks' live leases
     pending = deque(ranges)
     attempt = 0
@@ -394,7 +422,7 @@ def _run_shard(op, dev, ranges, plan, total_batch, nbuf, resilient, policy,
                                            "requested": int(exc.requested),
                                            "budget": int(exc.capacity),
                                            "injected": bool(exc.injected),
-                                           "device": dev.name})
+                                           **where})
                         continue
                     if chunk > 1:
                         attempt += 1
@@ -407,7 +435,7 @@ def _run_shard(op, dev, ranges, plan, total_batch, nbuf, resilient, policy,
                                            "requested": int(exc.requested),
                                            "budget": int(exc.capacity),
                                            "injected": bool(exc.injected),
-                                           "device": dev.name})
+                                           **where})
                         chunk = new_chunk
                         continue
                     # Host rung: this range's tail plus every range not
@@ -421,43 +449,26 @@ def _run_shard(op, dev, ranges, plan, total_batch, nbuf, resilient, policy,
                                            "requested": int(exc.requested),
                                            "budget": int(exc.capacity),
                                            "injected": bool(exc.injected),
-                                           "device": dev.name})
+                                           **where})
                         rep = run_host(h_start, h_stop)
                         if rep is not None:
                             out.parts.append(
                                 (list(range(h_start, h_stop)), rep))
                     start = rstop
                     break
-                snap = None
-                if failover and snapshot is not None:
-                    snap = snapshot(start, stop)
+                snap = snapshot(start, stop) if failover else None
                 staged = (stop - start) < total_batch
-                t0 = s_cmp.elapsed
+                t0 = s_cmp.elapsed if s_cmp is not None else 0.0
                 try:
-                    if staged:
-                        stage_chunk(dev, nbytes, direction="h2d",
-                                    stream=s_h2d)
-                        h2d_bytes += nbytes
-                        s_cmp.wait_event(s_h2d.record_event())
-                    with guard():
-                        if injector is not None:
-                            with injector.lane_window(start):
-                                rep = run_chunk(start, stop, device=dev,
-                                                stream=s_cmp)
-                        else:
-                            rep = run_chunk(start, stop, device=dev,
-                                            stream=s_cmp)
-                    if staged:
-                        s_d2h.wait_event(s_cmp.record_event())
-                        stage_chunk(dev, nbytes, direction="d2h",
-                                    stream=s_d2h)
-                        d2h_bytes += nbytes
+                    h2d_bytes += nbytes if staged else 0
+                    rep = _dispatch_chunk(dev, triple, start, stop, nbytes,
+                                          staged, run_chunk)
+                    d2h_bytes += nbytes if staged else 0
                 except (DeviceLostError, KernelHangError) as exc:
                     pool.free(nbytes, label=label)
                     if not failover:
                         raise
-                    if snap is not None and restore is not None:
-                        restore(start, stop, snap)
+                    restore(start, stop, snap)
                     kind = ("device-lost"
                             if isinstance(exc, DeviceLostError) else "hang")
                     out.failure = {
@@ -476,7 +487,8 @@ def _run_shard(op, dev, ranges, plan, total_batch, nbuf, resilient, policy,
                     out.parts.append((list(range(start, stop)), rep))
                 out.chunks.append(stop - start)
                 out.spans.append({"start": int(start), "stop": int(stop),
-                                  "duration": s_cmp.elapsed - t0,
+                                  "duration": (s_cmp.elapsed - t0
+                                               if s_cmp is not None else 0.0),
                                   "nbytes": int(nbytes),
                                   "staged": bool(staged),
                                   "snap": snap if keep_snaps else None})
@@ -488,8 +500,8 @@ def _run_shard(op, dev, ranges, plan, total_batch, nbuf, resilient, policy,
     hull_stop = max(r[1] for r in ranges)
     out.shard = ShardResult(
         partition=DevicePartition(dev, hull_start, hull_stop),
-        streams=(s_h2d, s_cmp, s_d2h),
-        h2d_bytes=h2d_bytes, d2h_bytes=d2h_bytes, role=role)
+        streams=triple, h2d_bytes=h2d_bytes, d2h_bytes=d2h_bytes,
+        role=role)
     return out
 
 
@@ -509,62 +521,53 @@ def _run_hedge(op, dev, span, nbuf, run_chunk, snapshot, restore,
     nbytes = span["nbytes"]
     out_snap = snapshot(start, stop)
     pool = memory_pool(dev)
-    injector = active_injector(dev)
-    s_h2d, s_cmp, s_d2h = _shard_streams(dev, nbuf, watchdog=watchdog)
+    triple = _shard_streams(dev, nbuf, watchdog=watchdog)
     label = f"{op}-hedge@{dev.name}"
-    h2d = d2h = 0
+    staged = span["staged"]
     try:
         pool.alloc(nbytes, label=label)
     except DeviceMemoryError:
         return None, 0.0, False     # no room to hedge: not an error
     restore(start, stop, span["snap"])
     ok = True
+    h2d = d2h = 0
     try:
-        from .resilience import escalate_device_faults
-        with escalate_device_faults():
-            if span["staged"]:
-                stage_chunk(dev, nbytes, direction="h2d", stream=s_h2d)
-                h2d = nbytes
-                s_cmp.wait_event(s_h2d.record_event())
-            if injector is not None:
-                with injector.lane_window(start):
-                    run_chunk(start, stop, device=dev, stream=s_cmp)
-            else:
-                run_chunk(start, stop, device=dev, stream=s_cmp)
-            if span["staged"]:
-                s_d2h.wait_event(s_cmp.record_event())
-                stage_chunk(dev, nbytes, direction="d2h", stream=s_d2h)
-                d2h = nbytes
+        h2d = nbytes if staged else 0
+        _dispatch_chunk(dev, triple, start, stop, nbytes, staged, run_chunk)
+        d2h = nbytes if staged else 0
     except (DeviceError, DeviceMemoryError):
         restore(start, stop, out_snap)   # primary's results stand
         ok = False
     finally:
         pool.free(nbytes, label=label)
     shard = ShardResult(partition=DevicePartition(dev, start, stop),
-                        streams=(s_h2d, s_cmp, s_d2h),
-                        h2d_bytes=h2d, d2h_bytes=d2h, role="hedge")
-    dur = max(s.elapsed for s in {s_h2d, s_cmp, s_d2h}) if ok else 0.0
+                        streams=triple, h2d_bytes=h2d, d2h_bytes=d2h,
+                        role="hedge")
+    dur = max(s.elapsed for s in set(triple)) if ok else 0.0
     return shard, dur, ok
 
 
 def execute_pipelined(op, batch, lane_bytes, *, device, stream, streams,
                       devices, overlap, resilient, policy, run_chunk,
                       run_host, max_resident_bytes, chunk_hint,
-                      probe_stages, snapshot=None, restore=None):
+                      probe_stages, snapshot, restore, pristine):
     """Run a governed batched call through the pipelined executor.
 
-    Same contract as the sequential ``_execute_governed``: returns
+    Same contract as the sequential executor: returns
     ``(parts, chunks, oom, events, backoff, plan, result)`` where
     ``plan`` is an aggregate :class:`~repro.core.memory_plan.MemoryPlan`
     for report attachment and ``result`` is the :class:`PipelineResult`
-    (also retrievable via :func:`last_pipeline_result`).  ``run_chunk``
+    (also retrievable, on the calling thread, via
+    :func:`last_pipeline_result`).  ``run_chunk``
     and ``run_host`` take global lane ranges; ``run_chunk`` additionally
     accepts ``device=`` / ``stream=`` overrides so a shard's chunks
     execute on the shard's device and compute stream.
 
-    ``snapshot(start, stop)`` / ``restore(start, stop, snap)`` capture and
-    rewind the operand slices of a lane range.  When both are supplied,
-    ``resilient=True`` and more than one device is in play, the **device
+    ``snapshot(start, stop)`` / ``restore(start, stop, snap)`` copy and
+    rewind the operand slices of a lane range; ``pristine(start, stop)``
+    returns a range's pre-dispatch state without copying (the call's
+    pristine snapshot; resilient calls only).  When ``resilient=True``
+    and more than one device is in play, the **device
     fault domain** arms: execution becomes a sequence of dispatch rounds
     governed by a per-device :class:`~repro.gpusim.multidevice.
     CircuitBreaker` (``policy.breaker`` or a fresh one), chunks orphaned
@@ -577,14 +580,12 @@ def execute_pipelined(op, batch, lane_bytes, *, device, stream, streams,
     """
     from .memory_plan import MemoryPlan, _admit_or_raise, plan_batch
     from .resilience import ResiliencePolicy
-    global _LAST
     policy = policy or ResiliencePolicy()
     devs = _resolve_devices(device, devices)
     nbuf = _resolve_buffers(streams, overlap)
     watchdog = getattr(policy, "watchdog", None)
     hedge_ratio = getattr(policy, "hedge_ratio", None)
-    failover = (bool(resilient) and len(devs) > 1
-                and snapshot is not None and restore is not None)
+    failover = bool(resilient) and len(devs) > 1
     hedge_on = failover and hedge_ratio is not None
     breaker = None
     if failover:
@@ -631,8 +632,8 @@ def execute_pipelined(op, batch, lane_bytes, *, device, stream, streams,
                 outs[i] = _run_shard(
                     op, dev, ranges, plan, batch, nbuf, resilient, policy,
                     run_chunk, run_host, watchdog=watchdog,
-                    failover=failover, snapshot=snapshot, restore=restore,
-                    keep_snaps=hedge_on, role=role)
+                    failover=failover, snapshot=pristine,
+                    restore=restore, keep_snaps=hedge_on, role=role)
             except BaseException as exc:  # re-raised on the coordinator
                 errs[i] = exc
 
@@ -791,8 +792,7 @@ def execute_pipelined(op, batch, lane_bytes, *, device, stream, streams,
         round_makespans=tuple(round_makespans),
         device_events=tuple(device_events),
         failovers=failovers, hedges=hedges)
-    with _LAST_LOCK:
-        _LAST = result
+    _LAST.result = result
     if stream is not None and batch:
         # One summary record on the caller's stream: the pipeline occupied
         # the device(s) for the modeled makespan.  Traffic was already

@@ -3,11 +3,10 @@
 The paper's dispatcher (paper Section 5.4) already expresses a degradation
 order — fused for tiny orders, sliding-window as the workhorse, and the
 fork-join reference design "as a safeguard".  This module turns that order
-into an actual fault-tolerance ladder.  The resilient drivers
-(:func:`gbtrf_batch_resilient`, :func:`gbtrs_batch_resilient`,
-:func:`gbsv_batch_resilient`, reachable as ``resilient=True`` on the plain
-drivers) wrap each kernel stage so that a batch survives the failure modes
-the fault-injection harness (:mod:`repro.gpusim.faults`) models:
+into an actual fault-tolerance ladder.  The resilience layer
+(:func:`run_resilient`, reached as ``resilient=True`` on every batched
+driver) wraps each kernel stage so that a batch survives the failure
+modes the fault-injection harness (:mod:`repro.gpusim.faults`) models:
 
 * **transient launch failures** (:class:`~repro.errors.DeviceError`) are
   retried in place, up to :attr:`ResiliencePolicy.max_retries` times per
@@ -46,10 +45,10 @@ re-raises the last device error.
 
 from __future__ import annotations
 
-import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields as _dataclass_fields
+from dataclasses import dataclass, field, fields as _dataclass_fields, \
+    replace
 
 import numpy as np
 
@@ -60,75 +59,20 @@ from ..errors import (
     DeviceMemoryError,
     KernelHangError,
     SharedMemoryError,
-    check_arg,
-)
-from ..gpusim.device import H100_PCIE, DeviceSpec
-from ..types import Trans
-from .batch_args import (
-    as_matrix_list,
-    as_rhs_list,
-    check_gb_args,
-    ensure_info,
-    ensure_pivots,
 )
 from .gbrfs import gbrfs
-from .gbtf2 import gbtf2
-from .gbtrf import gbtrf_batch, select_gbtrf_method
-from .gbtrs import gbtrs_batch
-from .gbsv import gbsv_batch, select_gbsv_method
-from .solve_blocks import gbtrs_unblocked
+from .stack import IN
 
 __all__ = [
     "ResiliencePolicy",
     "BatchReport",
     "merge_reports",
-    "escalate_device_faults",
-    "device_fault_escalation_active",
-    "gbtrf_batch_resilient",
-    "gbtrs_batch_resilient",
-    "gbsv_batch_resilient",
+    "run_resilient",
 ]
-
-_GBTRF_LADDER = ("fused", "window", "reference")
-_GBTRS_LADDER = ("blocked", "reference")
 
 #: Marker used in :attr:`BatchReport.fallbacks` when a quarantine re-run
 #: abandoned the reference *kernels* for the host reference *algorithm*.
 HOST_FALLBACK = "host"
-
-# Thread-local escalation switch for the pipelined executor's fault
-# domains.  Inside an `escalate_device_faults()` scope, the retry ladder
-# re-raises whole-device failures (DeviceLostError) and watchdog hangs
-# (KernelHangError) immediately instead of retrying or absorbing them
-# into the host net — the pipeline coordinator owns those errors: it
-# trips the circuit breaker and re-shards the chunk onto a surviving
-# device.  Outside the scope (a plain sequential resilient call with no
-# other device to fail over to) the old absorb-into-host behaviour
-# stands.
-_ESCALATE = threading.local()
-
-
-def device_fault_escalation_active() -> bool:
-    """True inside an :func:`escalate_device_faults` scope (this thread)."""
-    return getattr(_ESCALATE, "depth", 0) > 0
-
-
-@contextmanager
-def escalate_device_faults():
-    """Scope in which device-lost and kernel-hang errors escalate.
-
-    The pipelined executor wraps each chunk's kernel work in this scope so
-    :class:`~repro.errors.DeviceLostError` and
-    :class:`~repro.errors.KernelHangError` propagate to the coordinator
-    (which owns failover) rather than being retried on the dying device or
-    silently finished on the host.
-    """
-    _ESCALATE.depth = getattr(_ESCALATE, "depth", 0) + 1
-    try:
-        yield
-    finally:
-        _ESCALATE.depth -= 1
-
 
 @dataclass(frozen=True)
 class ResiliencePolicy:
@@ -367,50 +311,11 @@ class BatchReport:
         derived ``ok`` / ``faults_tolerated`` properties are included for
         log consumers; :meth:`from_dict` ignores them on the way back.
         """
-        return {
-            "operation": self.operation,
-            "batch": int(self.batch),
-            "method_requested": self.method_requested,
-            "methods": {str(k): str(v) for k, v in self.methods.items()},
-            "retries": int(self.retries),
-            "launch_failures": int(self.launch_failures),
-            "smem_rejections": int(self.smem_rejections),
-            "backoff_total": float(self.backoff_total),
-            "fallbacks": [list(f) for f in self.fallbacks],
-            "quarantined": [int(k) for k in self.quarantined],
-            "singular": [int(k) for k in self.singular],
-            "corrupted": [int(k) for k in self.corrupted],
-            "refined": [int(k) for k in self.refined],
-            "unrecovered": [int(k) for k in self.unrecovered],
-            "footprint_bytes": int(self.footprint_bytes),
-            "budget_bytes": (None if self.budget_bytes is None
-                             else int(self.budget_bytes)),
-            "chunks": [int(c) for c in self.chunks],
-            "oom_failures": int(self.oom_failures),
-            "chunk_events": [dict(e) for e in self.chunk_events],
-            "devices": [str(d) for d in self.devices],
-            "makespan": float(self.makespan),
-            "device_events": [dict(e) for e in self.device_events],
-            "failovers": int(self.failovers),
-            "hedges": int(self.hedges),
-            "verify_mode": self.verify_mode,
-            "verified_lanes": int(self.verified_lanes),
-            "sdc_detected": [int(k) for k in self.sdc_detected],
-            "sdc_recovered": [int(k) for k in self.sdc_recovered],
-            "digest_mismatches": [int(k) for k in self.digest_mismatches],
-            "ill_conditioned": [int(k) for k in self.ill_conditioned],
-            "recomputes": int(self.recomputes),
-            "residual_max": float(self.residual_max),
-            "growth_max": float(self.growth_max),
-            "berr_max": float(self.berr_max),
-            "ferr_max": float(self.ferr_max),
-            "rcond_min": (None if self.rcond_min is None
-                          else float(self.rcond_min)),
-            "info": (None if self.info is None
-                     else [int(i) for i in np.asarray(self.info)]),
-            "ok": bool(self.ok),
-            "faults_tolerated": int(self.faults_tolerated),
-        }
+        out = {f.name: _plain(getattr(self, f.name))
+               for f in _dataclass_fields(self)}
+        out["ok"] = bool(self.ok)
+        out["faults_tolerated"] = int(self.faults_tolerated)
+        return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "BatchReport":
@@ -420,18 +325,43 @@ class BatchReport:
         a newer version still loads), as are the derived properties
         :meth:`to_dict` includes for log consumers.
         """
-        known = {f.name for f in _dataclass_fields(cls)}
-        d = {k: v for k, v in data.items() if k in known}
-        for name in ("quarantined", "singular", "corrupted", "refined",
-                     "unrecovered", "chunks", "devices", "sdc_detected",
-                     "sdc_recovered", "digest_mismatches",
-                     "ill_conditioned"):
-            d[name] = tuple(d.get(name, ()))
+        d = {}
+        for f in _dataclass_fields(cls):
+            if f.default == ():
+                d[f.name] = tuple(data.get(f.name, ()))
+            elif f.name in data:
+                d[f.name] = data[f.name]
         d["fallbacks"] = [tuple(f) for f in d.get("fallbacks", [])]
-        d["device_events"] = [dict(e) for e in d.get("device_events", [])]
         if d.get("info") is not None:
             d["info"] = np.asarray(d["info"], dtype=np.int64)
         return cls(**d)
+
+
+def _plain(value):
+    """JSON-safe copy: numpy → Python scalars, tuples → lists."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, dict):
+        return {str(k): _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value.item() if isinstance(value, np.generic) else value
+
+
+# Report fields merged across vbatch groups by addition (counters, event
+# logs, chunk sizes) and by maximum (worst-case figures).
+_SUMMED = ("retries", "launch_failures", "smem_rejections", "backoff_total",
+           "fallbacks", "footprint_bytes", "chunks", "oom_failures",
+           "chunk_events", "device_events", "failovers", "hedges",
+           "verified_lanes", "recomputes")
+_MAXED = ("makespan", "residual_max", "growth_max", "berr_max", "ferr_max")
+_LANES = ("quarantined", "singular", "corrupted", "refined", "unrecovered",
+          "sdc_detected", "sdc_recovered", "digest_mismatches",
+          "ill_conditioned")
+
+
+def _min_of(a, b):
+    return b if a is None else a if b is None else min(a, b)
 
 
 def merge_reports(operation: str, batch: int, parts) -> BatchReport:
@@ -444,60 +374,29 @@ def merge_reports(operation: str, batch: int, parts) -> BatchReport:
     info = np.zeros(batch, dtype=np.int64)
     for idxs, rep in parts:
         merged.method_requested = rep.method_requested
-        merged.retries += rep.retries
-        merged.launch_failures += rep.launch_failures
-        merged.smem_rejections += rep.smem_rejections
-        merged.backoff_total += rep.backoff_total
-        merged.fallbacks.extend(rep.fallbacks)
-        merged.footprint_bytes += rep.footprint_bytes
-        if rep.budget_bytes is not None:
-            merged.budget_bytes = (rep.budget_bytes
-                                   if merged.budget_bytes is None
-                                   else min(merged.budget_bytes,
-                                            rep.budget_bytes))
-        merged.chunks += rep.chunks
-        merged.oom_failures += rep.oom_failures
-        merged.chunk_events.extend(rep.chunk_events)
+        for name in _SUMMED:
+            setattr(merged, name, getattr(merged, name) + getattr(rep, name))
+        for name in _MAXED:
+            setattr(merged, name, max(getattr(merged, name),
+                                      getattr(rep, name)))
+        for name in _LANES:
+            setattr(merged, name, getattr(merged, name) + tuple(
+                int(idxs[k]) for k in getattr(rep, name)))
+        merged.budget_bytes = _min_of(merged.budget_bytes, rep.budget_bytes)
+        merged.rcond_min = _min_of(merged.rcond_min, rep.rcond_min)
         merged.devices += tuple(d for d in rep.devices
                                 if d not in merged.devices)
-        merged.makespan = max(merged.makespan, rep.makespan)
-        merged.device_events.extend(rep.device_events)
-        merged.failovers += rep.failovers
-        merged.hedges += rep.hedges
-        if rep.verify_mode:
-            merged.verify_mode = rep.verify_mode
-        merged.verified_lanes += rep.verified_lanes
-        merged.recomputes += rep.recomputes
-        merged.residual_max = max(merged.residual_max, rep.residual_max)
-        merged.growth_max = max(merged.growth_max, rep.growth_max)
-        merged.berr_max = max(merged.berr_max, rep.berr_max)
-        merged.ferr_max = max(merged.ferr_max, rep.ferr_max)
-        if rep.rcond_min is not None:
-            merged.rcond_min = (rep.rcond_min
-                                if merged.rcond_min is None
-                                else min(merged.rcond_min, rep.rcond_min))
+        merged.verify_mode = rep.verify_mode or merged.verify_mode
         for stage, meth in rep.methods.items():
             prev = merged.methods.get(stage)
             if prev is None:
                 merged.methods[stage] = meth
             elif meth not in prev.split("+"):
                 merged.methods[stage] = prev + "+" + meth
-        remap = lambda lanes: tuple(int(idxs[k]) for k in lanes)
-        merged.quarantined += remap(rep.quarantined)
-        merged.singular += remap(rep.singular)
-        merged.corrupted += remap(rep.corrupted)
-        merged.refined += remap(rep.refined)
-        merged.unrecovered += remap(rep.unrecovered)
-        merged.sdc_detected += remap(rep.sdc_detected)
-        merged.sdc_recovered += remap(rep.sdc_recovered)
-        merged.digest_mismatches += remap(rep.digest_mismatches)
-        merged.ill_conditioned += remap(rep.ill_conditioned)
         if rep.info is not None:
             for j, i in enumerate(idxs):
                 info[i] = rep.info[j]
-    for name in ("quarantined", "singular", "corrupted", "refined",
-                 "unrecovered", "sdc_detected", "sdc_recovered",
-                 "digest_mismatches", "ill_conditioned"):
+    for name in _LANES:
         setattr(merged, name, tuple(sorted(getattr(merged, name))))
     merged.info = info
     return merged
@@ -506,7 +405,7 @@ def merge_reports(operation: str, batch: int, parts) -> BatchReport:
 # --- ladder execution ------------------------------------------------------
 
 def _run_ladder(report: BatchReport, stage: str, ladder, call, restore,
-                policy: ResiliencePolicy) -> str:
+                policy: ResiliencePolicy, escalate: bool) -> str:
     """Run ``call(method)`` down the design ladder until one rung succeeds.
 
     ``restore()`` rewinds the operands to their pristine snapshots; it runs
@@ -516,6 +415,12 @@ def _run_ladder(report: BatchReport, stage: str, ladder, call, restore,
     retried on the same rung; :class:`~repro.errors.SharedMemoryError`
     falls straight to the next rung (re-asking for the same allocation
     cannot succeed).  Raises the last error when the ladder is exhausted.
+
+    With ``escalate`` (the call runs under the pipelined executor's device
+    fault domain), whole-device failures and watchdog hangs are raised at
+    once: the pipeline coordinator owns them — it trips the circuit
+    breaker and re-shards the chunk onto a surviving device — instead of
+    their being retried on a dying device or absorbed into the host net.
     """
     last: Exception | None = None
     dirty = False
@@ -530,11 +435,7 @@ def _run_ladder(report: BatchReport, stage: str, ladder, call, restore,
                 report.methods[stage] = meth
                 return meth
             except (DeviceError, DeviceMemoryError) as exc:
-                # Whole-device failures and watchdog hangs escalate to the
-                # pipeline coordinator (which owns failover) instead of
-                # being retried on a device that just died.
-                if (isinstance(exc, (DeviceLostError, KernelHangError))
-                        and device_fault_escalation_active()):
+                if _escalates(exc, escalate):
                     raise
                 last = exc
                 # Allocation failures (injected or genuine pressure) are
@@ -563,20 +464,20 @@ def _run_ladder(report: BatchReport, stage: str, ladder, call, restore,
 
 
 def _ladder_with_host(report: BatchReport, stage: str, ladder, call,
-                      restore, policy: ResiliencePolicy, host) -> None:
+                      restore, policy: ResiliencePolicy, host,
+                      escalate: bool) -> None:
     """Run the kernel ladder with the host reference algorithm as the net.
 
     When every rung is exhausted — a storm that rejects even the
     reference kernels — the stage finishes on the host (``gbtf2`` /
     ``gbtrs_unblocked``), which the design-equivalence tests pin as
     bit-identical to the reference kernels.  With the net in place the
-    resilient drivers raise only for argument errors.
+    resilience layer raises only for argument errors.
     """
     try:
-        _run_ladder(report, stage, ladder, call, restore, policy)
+        _run_ladder(report, stage, ladder, call, restore, policy, escalate)
     except (DeviceError, DeviceMemoryError, SharedMemoryError) as exc:
-        if (isinstance(exc, (DeviceLostError, KernelHangError))
-                and device_fault_escalation_active()):
+        if _escalates(exc, escalate):
             raise
         restore()
         host()
@@ -594,433 +495,141 @@ def _vec_for(method: str, vectorize):
     return None if (vectorize and method == "reference") else vectorize
 
 
-def _gbtrf_ladder(method: str, device, m, n, kl, ku, itemsize):
-    if method == "auto":
-        method = select_gbtrf_method(device, m, n, kl, ku, itemsize)
-    return _GBTRF_LADDER[_GBTRF_LADDER.index(method):]
+def _escalates(exc, escalate: bool) -> bool:
+    return escalate and isinstance(exc, (DeviceLostError, KernelHangError))
 
 
-def _gbtrs_ladder(method: str):
-    if method == "auto":
-        method = "blocked"
-    return _GBTRS_LADDER[_GBTRS_LADDER.index(method):]
+def _heal_stage(report, spec, ladder, cfg, ops, snap, policy,
+                stage=None) -> None:
+    """One stage down its design ladder, with the host reference as net."""
+    _ladder_with_host(
+        report, stage or spec.name, ladder,
+        lambda meth: spec.dispatch(meth, cfg, ops,
+                                   _vec_for(meth, cfg.vectorize)),
+        lambda: spec.restore(ops, snap), policy, lambda: spec.host(ops),
+        ops.call.escalate)
 
 
-# --- lane health -----------------------------------------------------------
+def _heal_composed(report, spec, cfg, ops, snap, policy) -> None:
+    """A composed op: its single-kernel designs, else stage by stage.
 
-def _lane_nonfinite(mat, kl: int, ku: int) -> bool:
-    """Non-finite anywhere in the factor-relevant rows of one band matrix.
-
-    Rows past ``2*kl + ku + 1`` are caller padding the kernels never
-    touch; scanning them would quarantine lanes for garbage we did not
-    produce.
+    A fused ``gbsv`` that fails degrades to the standard path; the
+    factorization stage then runs its own ladder, and the solve stage
+    runs on the lanes it left healthy (per-lane results do not depend on
+    sub-batch composition, so the sub-batch is bit-identical).
     """
-    rows = ldab_for_factor(kl, ku)
-    return not bool(np.all(np.isfinite(mat[:rows])))
-
-
-def _pivot_growth(fact, orig, kl: int, ku: int) -> float:
-    """Pivot growth ``max|U| / max|A|`` of one factored lane.
-
-    ``U`` occupies rows ``0 .. kl+ku`` of the factor layout.  Returns 0
-    for an all-zero input; NaN factors yield NaN, which compares False
-    against any threshold (those lanes are already quarantined as
-    corrupted).
-    """
-    rows = ldab_for_factor(kl, ku)
-    denom = float(np.max(np.abs(orig[:rows]))) if orig.size else 0.0
-    if denom == 0.0:
-        return 0.0
-    return float(np.max(np.abs(fact[:kl + ku + 1])) / denom)
-
-
-# --- quarantine re-runs ----------------------------------------------------
-
-def _reference_refactor(report, stage, m, n, kl, ku, sub_mats, sub_piv,
-                        sub_info, sub_snap, device, stream, policy):
-    """Re-factor quarantined lanes through the reference design.
-
-    Tries the reference kernels (with the usual retry budget); if the
-    fault storm takes those down too, the host net of
-    :func:`_ladder_with_host` finishes the lanes.
-    """
-    def restore():
-        for a, s in zip(sub_mats, sub_snap):
-            a[...] = s
-        for p in sub_piv:
-            p[...] = 0
-        sub_info[...] = 0
-
-    def attempt(meth):
-        gbtrf_batch(m, n, kl, ku, sub_mats, sub_piv, sub_info,
-                    batch=len(sub_mats), device=device, stream=stream,
-                    method="reference", vectorize=None)
-
-    def host():
-        for j, (a, p) in enumerate(zip(sub_mats, sub_piv)):
-            _, inf = gbtf2(m, n, kl, ku, a, p)
-            sub_info[j] = inf
-
-    _ladder_with_host(report, stage, ("reference",), attempt, restore,
-                      policy, host)
-
-
-def _reference_resolve(report, stage, trans, n, kl, ku, nrhs, sub_mats,
-                       sub_piv, sub_rhs, sub_snap_b, device, stream, policy):
-    """Re-solve recovered lanes through the reference design (or host)."""
-    def restore():
-        for b, s in zip(sub_rhs, sub_snap_b):
-            b[...] = s
-
-    def attempt(meth):
-        gbtrs_batch(trans, n, kl, ku, nrhs, sub_mats, sub_piv, sub_rhs,
-                    batch=len(sub_mats), device=device, stream=stream,
-                    method="reference", vectorize=None)
-
-    def host():
-        for a, p, b in zip(sub_mats, sub_piv, sub_rhs):
-            gbtrs_unblocked(trans, n, kl, ku, a, p, b)
-
-    _ladder_with_host(report, stage, ("reference",), attempt, restore,
-                      policy, host)
-
-
-# --- resilient drivers -----------------------------------------------------
-
-def gbtrf_batch_resilient(m, n, kl, ku, a_array, pv_array=None, info=None, *,
-                          batch: int | None = None,
-                          device: DeviceSpec = H100_PCIE, stream=None,
-                          method: str = "auto", nb: int | None = None,
-                          threads: int | None = None,
-                          vectorize: bool | None = None,
-                          policy: ResiliencePolicy | None = None):
-    """Self-healing :func:`~repro.core.gbtrf.gbtrf_batch`.
-
-    Returns ``(pivots, info, report)``.  Healthy lanes are bit-identical
-    to a fault-free call (every gbtrf design is bit-identical, and retries
-    restore the operands from snapshots before re-running).
-    """
-    policy = policy or ResiliencePolicy()
-    check_arg(method in ("auto",) + _GBTRF_LADDER, 14,
-              f"method must be one of {('auto',) + _GBTRF_LADDER}, "
-              f"got {method!r}")
-    if batch is None:
-        batch = len(a_array)
-    mats = as_matrix_list(a_array, batch, arg_pos=5)
-    check_gb_args(m, n, kl, ku, mats, batch=batch)
-    mn = min(m, n)
-    pivots = ensure_pivots(pv_array, batch, mn, arg_pos=7, zero=True)
-    info = ensure_info(info, batch, arg_pos=8)
-    report = BatchReport("gbtrf", batch, method_requested=method, info=info)
-    if batch == 0 or mn == 0:
-        return pivots, info, report
-
-    snap_a = [a.copy() for a in mats]
-    ladder = _gbtrf_ladder(method, device, m, n, kl, ku,
-                           mats[0].dtype.itemsize)
-
-    def restore():
-        for a, s in zip(mats, snap_a):
-            a[...] = s
-        for p in pivots:
-            p[...] = 0
-        info[...] = 0
-
-    def attempt(meth):
-        gbtrf_batch(m, n, kl, ku, mats, pivots, info, batch=batch,
-                    device=device, stream=stream, method=meth, nb=nb,
-                    threads=threads, vectorize=_vec_for(meth, vectorize))
-
-    def host():
-        for j, (a, p) in enumerate(zip(mats, pivots)):
-            _, inf = gbtf2(m, n, kl, ku, a, p)
-            info[j] = inf
-
-    _ladder_with_host(report, "gbtrf", ladder, attempt, restore, policy,
-                      host)
-
-    singular = [k for k in range(batch) if info[k] > 0]
-    corrupted = [k for k in range(batch)
-                 if info[k] <= 0 and _lane_nonfinite(mats[k], kl, ku)]
-    bad = sorted(singular + corrupted)
-    if bad:
-        report.quarantined = tuple(bad)
-        report.singular = tuple(singular)
-        report.corrupted = tuple(corrupted)
-        # Rewind the quarantined lanes to their pristine inputs before the
-        # reference re-run (the gbsv/gbtrs drivers do the same); without
-        # this a poisoned lane would be re-factored from its NaNs.
-        for k in bad:
-            mats[k][...] = snap_a[k]
-            pivots[k][...] = 0
-        sub_info = np.zeros(len(bad), dtype=np.int64)
-        _reference_refactor(report, "quarantine:gbtrf", m, n, kl, ku,
-                            [mats[k] for k in bad],
-                            [pivots[k] for k in bad], sub_info,
-                            [snap_a[k] for k in bad], device, stream, policy)
-        unrecovered = []
-        for j, k in enumerate(bad):
-            info[k] = sub_info[j]
-            if sub_info[j] == 0 and _lane_nonfinite(mats[k], kl, ku):
-                unrecovered.append(k)
-        report.unrecovered = tuple(unrecovered)
-        report.singular = tuple(k for k in bad if info[k] > 0)
-    return pivots, info, report
-
-
-def gbtrs_batch_resilient(trans, n, kl, ku, nrhs, a_array, pv_array,
-                          b_array, info=None, *, batch: int | None = None,
-                          device: DeviceSpec = H100_PCIE, stream=None,
-                          method: str = "auto", nb: int | None = None,
-                          threads: int | None = None,
-                          rhs_tile: int | None = None,
-                          vectorize: bool | None = None,
-                          policy: ResiliencePolicy | None = None):
-    """Self-healing :func:`~repro.core.gbtrs.gbtrs_batch`.
-
-    Returns ``(info, report)``.  Lanes whose solution comes back
-    non-finite are restored and re-solved through the reference design;
-    a lane that stays non-finite (its factors or RHS are themselves
-    non-finite) is reported as unrecovered — ``info`` keeps LAPACK
-    semantics (``gbtrs`` never signals numerical singularity).
-    """
-    policy = policy or ResiliencePolicy()
-    trans = Trans.from_any(trans)
-    check_arg(method in ("auto",) + _GBTRS_LADDER, 14,
-              f"method must be one of {('auto',) + _GBTRS_LADDER}, "
-              f"got {method!r}")
-    if batch is None:
-        batch = len(a_array)
-    mats = as_matrix_list(a_array, batch, arg_pos=6)
-    check_gb_args(n, n, kl, ku, mats, batch=batch, ldab_pos=7)
-    pivots = ensure_pivots(pv_array, batch, n, arg_pos=8)
-    rhs = as_rhs_list(b_array, batch, n, nrhs, arg_pos=9)
-    info = ensure_info(info, batch, arg_pos=11)
-    report = BatchReport("gbtrs", batch, method_requested=method, info=info)
-    if batch == 0 or n == 0 or nrhs == 0:
-        return info, report
-
-    # Factors and pivots are read-only inputs to the solve, but a memory
-    # fault can still corrupt them mid-flight; snapshot both operands so
-    # quarantined lanes can be restored wholesale.
-    snap_a = [a.copy() for a in mats]
-    snap_b = [b.copy() for b in rhs]
-
-    def restore():
-        for b, s in zip(rhs, snap_b):
-            b[...] = s
-
-    def attempt(meth):
-        gbtrs_batch(trans, n, kl, ku, nrhs, mats, pivots, rhs, batch=batch,
-                    device=device, stream=stream, method=meth, nb=nb,
-                    threads=threads, rhs_tile=rhs_tile,
-                    vectorize=_vec_for(meth, vectorize))
-
-    def host():
-        for a, p, b in zip(mats, pivots, rhs):
-            gbtrs_unblocked(trans, n, kl, ku, a, p, b)
-
-    _ladder_with_host(report, "gbtrs", _gbtrs_ladder(method), attempt,
-                      restore, policy, host)
-
-    bad = [k for k in range(batch)
-           if not bool(np.all(np.isfinite(rhs[k])))
-           or _lane_nonfinite(mats[k], kl, ku)]
-    if bad:
-        report.quarantined = tuple(bad)
-        report.corrupted = tuple(bad)
-        for k in bad:
-            mats[k][...] = snap_a[k]
-            rhs[k][...] = snap_b[k]
-        _reference_resolve(report, "quarantine:gbtrs", trans, n, kl, ku,
-                           nrhs, [mats[k] for k in bad],
-                           [pivots[k] for k in bad],
-                           [rhs[k] for k in bad],
-                           [snap_b[k] for k in bad], device, stream, policy)
-        report.unrecovered = tuple(
-            k for k in bad if not bool(np.all(np.isfinite(rhs[k]))))
-    return info, report
-
-
-def gbsv_batch_resilient(n, kl, ku, nrhs, a_array, pv_array, b_array,
-                         info=None, *, batch: int | None = None,
-                         device: DeviceSpec = H100_PCIE, stream=None,
-                         method: str = "auto",
-                         vectorize: bool | None = None,
-                         policy: ResiliencePolicy | None = None):
-    """Self-healing :func:`~repro.core.gbsv.gbsv_batch`.
-
-    Returns ``(pivots, info, report)``.  The fused single-kernel path
-    (when selected) degrades to the standard two-stage path on failure;
-    each stage of the standard path runs its own retry/fallback ladder.
-    Quarantined lanes are re-run from snapshots through the reference
-    design; recovered lanes quarantined for non-finite output — or whose
-    pivot growth exceeds ``policy.growth_threshold`` — get one
-    :func:`~repro.core.gbrfs.gbrfs` refinement pass.  Singular lanes keep
-    LAPACK semantics: factors and pivots are written, ``info > 0``, and
-    ``B`` is left unchanged.
-    """
-    policy = policy or ResiliencePolicy()
-    check_arg(method in ("auto", "fused", "standard"), 12,
-              f"method must be one of ('auto', 'fused', 'standard'), "
-              f"got {method!r}")
-    check_arg(nrhs >= 0, 4, f"nrhs must be non-negative, got {nrhs}")
-    if batch is None:
-        batch = len(a_array)
-    mats = as_matrix_list(a_array, batch, arg_pos=5)
-    check_gb_args(n, n, kl, ku, mats, batch=batch)
-    pivots = ensure_pivots(pv_array, batch, n, arg_pos=6, zero=True)
-    rhs = as_rhs_list(b_array, batch, n, nrhs, arg_pos=7)
-    info = ensure_info(info, batch, arg_pos=8)
-    report = BatchReport("gbsv", batch, method_requested=method, info=info)
-    if batch == 0 or n == 0:
-        return pivots, info, report
-
-    snap_a = [a.copy() for a in mats]
-    snap_b = [b.copy() for b in rhs]
-    if method == "auto":
-        method = select_gbsv_method(device, n, kl, ku, nrhs,
-                                    mats[0].dtype.itemsize)
-
-    def restore_all():
-        for a, s in zip(mats, snap_a):
-            a[...] = s
-        for b, s in zip(rhs, snap_b):
-            b[...] = s
-        for p in pivots:
-            p[...] = 0
-        info[...] = 0
-
-    fused_done = False
-    if method == "fused" and nrhs >= 1:
-        def attempt_fused(meth):
-            gbsv_batch(n, kl, ku, nrhs, mats, pivots, rhs, info,
-                       batch=batch, device=device, stream=stream,
-                       method="fused", vectorize=vectorize)
-
+    ladder = spec.ladder(cfg.method, cfg.device, ops)
+    if len(ladder) > 1 and ops.nrhs >= 1:
         try:
-            _run_ladder(report, "gbsv", ("fused",), attempt_fused,
-                        restore_all, policy)
-            fused_done = True
+            _run_ladder(report, spec.name, ladder[:-1],
+                        lambda meth: spec.dispatch(meth, cfg, ops,
+                                                   cfg.vectorize),
+                        lambda: spec.restore(ops, snap), policy,
+                        ops.call.escalate)
+            return
         except (DeviceError, DeviceMemoryError, SharedMemoryError) as exc:
-            if (isinstance(exc, (DeviceLostError, KernelHangError))
-                    and device_fault_escalation_active()):
+            if _escalates(exc, ops.call.escalate):
                 raise
-            report.fallbacks.append(("gbsv", "fused", "standard"))
-            restore_all()
+            report.fallbacks.append((spec.name, ladder[0], ladder[-1]))
+            spec.restore(ops, snap)
+    factor, solve = spec.stages
+    _heal_stage(report, factor, factor.ladder("auto", cfg.device, ops),
+                cfg, ops, snap, policy)
+    if ops.nrhs:
+        ok = [k for k in range(ops.batch)
+              if ops.info[k] == 0 and ops.finite_factors(k)]
+        if ok:
+            _heal_stage(report, solve, solve.designs, cfg, ops.take(ok),
+                        snap.take(ok), policy)
 
-    if not fused_done:
-        ladder = _gbtrf_ladder("auto", device, n, n, kl, ku,
-                               mats[0].dtype.itemsize)
 
-        def restore_f():
-            for a, s in zip(mats, snap_a):
-                a[...] = s
-            for p in pivots:
-                p[...] = 0
-            info[...] = 0
+def _rerun_reference(report, spec, cfg, ops, snap, policy) -> None:
+    """Re-run quarantined lanes through the reference design (or host)."""
+    _heal_stage(report, spec, ("reference",), replace(cfg, vectorize=None),
+                ops, snap, policy, stage=f"quarantine:{spec.name}")
 
-        def attempt_f(meth):
-            gbtrf_batch(n, n, kl, ku, mats, pivots, info, batch=batch,
-                        device=device, stream=stream, method=meth,
-                        vectorize=_vec_for(meth, vectorize))
 
-        def host_f():
-            for j, (a, p) in enumerate(zip(mats, pivots)):
-                _, inf = gbtf2(n, n, kl, ku, a, p)
-                info[j] = inf
+def _quarantine(report, spec, cfg, ops, snap, policy) -> None:
+    """Pull singular and corrupted lanes off the fast path and re-run them.
 
-        _ladder_with_host(report, "gbtrf", ladder, attempt_f, restore_f,
-                          policy, host_f)
-
-        if nrhs:
-            # Solve only the lanes the factorization left healthy; the
-            # singular and corrupted ones go through quarantine below.
-            # (Per-lane results do not depend on sub-batch composition —
-            # both execution paths are lane-independent by contract.)
-            ok = [k for k in range(batch)
-                  if info[k] == 0 and not _lane_nonfinite(mats[k], kl, ku)]
-            if ok:
-                sub_m = [mats[k] for k in ok]
-                sub_p = [pivots[k] for k in ok]
-                sub_b = [rhs[k] for k in ok]
-
-                def restore_s():
-                    for k in ok:
-                        rhs[k][...] = snap_b[k]
-
-                def attempt_s(meth):
-                    gbtrs_batch(Trans.NO_TRANS, n, kl, ku, nrhs, sub_m,
-                                sub_p, sub_b, batch=len(ok), device=device,
-                                stream=stream, method=meth,
-                                vectorize=_vec_for(meth, vectorize))
-
-                def host_s():
-                    for a, p, b in zip(sub_m, sub_p, sub_b):
-                        gbtrs_unblocked(Trans.NO_TRANS, n, kl, ku, a, p, b)
-
-                _ladder_with_host(report, "gbtrs", _GBTRS_LADDER,
-                                  attempt_s, restore_s, policy, host_s)
-
-    # -- quarantine ---------------------------------------------------------
-    singular = [k for k in range(batch) if info[k] > 0]
-    corrupted = []
-    for k in range(batch):
-        if info[k] > 0:
-            continue
-        if _lane_nonfinite(mats[k], kl, ku):
-            corrupted.append(k)
-        elif nrhs and not bool(np.all(np.isfinite(rhs[k]))):
-            corrupted.append(k)
+    Any lane whose ``info > 0`` (singular) or whose outputs are
+    non-finite is rewound to its pristine inputs and re-run through the
+    reference design; healthy lanes keep their fast-path results.
+    Recovered factor-and-solve lanes quarantined for corruption — or
+    whose pivot growth exceeds the policy threshold — get one
+    :func:`~repro.core.gbrfs.gbrfs` refinement pass.
+    """
+    info = ops.info
+    singular = [k for k in range(ops.batch) if info[k] > 0]
+    corrupted = [k for k in range(ops.batch) if info[k] <= 0 and not (
+        ops.finite_factors(k) and ops.finite_solution(k))]
     bad = sorted(singular + corrupted)
     if not bad:
-        return pivots, info, report
+        return
     report.quarantined = tuple(bad)
     report.singular = tuple(singular)
     report.corrupted = tuple(corrupted)
-
-    for k in bad:
-        mats[k][...] = snap_a[k]
-        pivots[k][...] = 0
-        rhs[k][...] = snap_b[k]
-    sub_info = np.zeros(len(bad), dtype=np.int64)
-    _reference_refactor(report, "quarantine:gbtrf", n, n, kl, ku,
-                        [mats[k] for k in bad], [pivots[k] for k in bad],
-                        sub_info, [snap_a[k] for k in bad], device, stream,
-                        policy)
-    unrecovered = []
-    recovered = []
-    for j, k in enumerate(bad):
-        info[k] = sub_info[j]
-        if sub_info[j] > 0:
-            # Genuinely singular: factors + pivots stand, B stays as the
-            # caller supplied it (LAPACK semantics).
-            rhs[k][...] = snap_b[k]
-        elif _lane_nonfinite(mats[k], kl, ku):
-            unrecovered.append(k)
-        else:
-            recovered.append(k)
-    if nrhs and recovered:
-        _reference_resolve(report, "quarantine:gbtrs", Trans.NO_TRANS, n,
-                           kl, ku, nrhs, [mats[k] for k in recovered],
-                           [pivots[k] for k in recovered],
-                           [rhs[k] for k in recovered],
-                           [snap_b[k] for k in recovered], device, stream,
-                           policy)
-        refined = []
-        corrupt_set = set(corrupted)
-        for k in recovered:
-            if not bool(np.all(np.isfinite(rhs[k]))):
-                unrecovered.append(k)
-                continue
-            if not policy.refine:
-                continue
-            growth = _pivot_growth(mats[k], snap_a[k], kl, ku)
-            if k in corrupt_set or growth > policy.growth_threshold:
-                gbrfs(n, kl, ku, snap_a[k], mats[k], pivots[k], snap_b[k],
-                      rhs[k], max_iter=1)
-                refined.append(k)
-        report.refined = tuple(refined)
+    spec.restore(ops, snap, bad, inputs=True)
+    factor, solve = spec.stages or (spec, spec)
+    recovered, unrecovered = bad, []
+    if factor.roles["pivots"] != IN:       # a pure solve factors nothing
+        sub = ops.take(bad)
+        _rerun_reference(report, factor, cfg, sub, snap.take(bad), policy)
+        for j, k in enumerate(bad):
+            info[k] = sub.info[j]
+        live = [k for k in bad if info[k] == 0]
+        unrecovered = [k for k in live if not ops.finite_factors(k)]
+        recovered = [k for k in live if ops.finite_factors(k)]
+    if ops.rhs is not None and ops.nrhs and recovered:
+        _rerun_reference(report, solve, cfg, ops.take(recovered),
+                         snap.take(recovered), policy)
+        unrecovered += [k for k in recovered if not ops.finite_solution(k)]
+        if spec.stages and policy.refine:
+            report.refined = _refine(spec, ops, snap, policy, [
+                k for k in recovered if ops.finite_solution(k)],
+                set(corrupted))
     report.unrecovered = tuple(sorted(unrecovered))
     report.singular = tuple(k for k in bad if info[k] > 0)
-    return pivots, info, report
+
+
+def _refine(spec, ops, snap, policy, lanes, corrupted) -> tuple:
+    """One gbrfs pass on lanes that were corrupted or grew too much."""
+    from .verify import pivot_growth_batch
+    if not lanes:
+        return ()
+    rows = ldab_for_factor(ops.kl, ops.ku)
+    growth = pivot_growth_batch(np.stack([ops.mats[k] for k in lanes]),
+                                snap["a"][lanes][:, :rows], ops.kl, ops.ku)
+    refined = []
+    for k, g in zip(lanes, growth):
+        if k in corrupted or g > policy.growth_threshold:
+            gbrfs(ops.n, ops.kl, ops.ku, snap["a"][k], ops.mats[k],
+                  ops.pivots[k], snap["b"][k], ops.rhs[k], max_iter=1)
+            refined.append(k)
+    return tuple(refined)
+
+
+# --- the resilience layer --------------------------------------------------
+
+def run_resilient(spec, cfg, ops) -> BatchReport:
+    """Self-healing dispatch of one (sub-)batch; returns its report.
+
+    Healthy lanes are bit-identical to a fault-free call: every design of
+    a stage is bit-identical, and every retry rewinds the operands from
+    one pristine snapshot per call (verify's, when verification is on).
+    Singular lanes keep LAPACK semantics — factors and pivots written,
+    ``info > 0``, ``B`` left unchanged.
+    """
+    policy = cfg.policy or ResiliencePolicy()
+    report = BatchReport(spec.name, ops.batch, method_requested=cfg.method,
+                         info=ops.info)
+    pristine = ops.call.pristine
+    snap = (pristine.take(ops.lanes) if pristine is not None
+            else spec.snapshot(ops, inputs=True))
+    if spec.stages:
+        _heal_composed(report, spec, cfg, ops, snap, policy)
+    else:
+        _heal_stage(report, spec, spec.ladder(cfg.method, cfg.device, ops),
+                    cfg, ops, snap, policy)
+    _quarantine(report, spec, cfg, ops, snap, policy)
+    return report

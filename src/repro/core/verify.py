@@ -54,16 +54,14 @@ import numpy as np
 from ..band.layout import ldab_for_factor
 from ..band.ops import band_norm_1, solve_residual
 from ..errors import DataCorruptionError, check_arg
-from ..gpusim.device import H100_PCIE, DeviceSpec
 from ..types import Trans
-from .batch_args import as_matrix_list, as_rhs_list, check_gb_args, \
-    ensure_info, ensure_pivots
 from .gbcon import gbcon
 from .gbequ import gbequ, laqgb
 from .gbrfs import gbrfs
 from .gbtf2 import gbtf2
 from .resilience import BatchReport
 from .solve_blocks import gbtrs_unblocked
+from .stack import ExecConfig, convert_layout, govern, stacked
 
 __all__ = [
     "VerifyPolicy",
@@ -74,9 +72,10 @@ __all__ = [
     "factor_norms_inf",
     "pivot_growth_batch",
     "operand_digest",
-    "verified_gbtrf_batch",
-    "verified_gbtrs_batch",
-    "verified_gbsv_batch",
+    "run_verified",
+    "gate_gbtrf",
+    "gate_gbtrs",
+    "gate_gbsv",
 ]
 
 _MODES = ("cheap", "full")
@@ -294,11 +293,15 @@ def pivot_growth_batch(fact3: np.ndarray, orig3: np.ndarray, kl: int,
     """Per-lane pivot growth ``max|U| / max|A|``, 0 for all-zero inputs."""
     if fact3.shape[0] == 0 or fact3.shape[2] == 0:
         return np.zeros(fact3.shape[0])
-    # max|x| as max(max, -min): two allocation-free reductions instead
-    # of materialising |stack| (tens of MB at paper scale).
     sub = fact3[:, :kl + ku + 1]
-    num = np.maximum(sub.max(axis=(1, 2)), -sub.min(axis=(1, 2)))
-    den = np.maximum(orig3.max(axis=(1, 2)), -orig3.min(axis=(1, 2)))
+    if np.iscomplexobj(sub) or np.iscomplexobj(orig3):
+        num = np.abs(sub).max(axis=(1, 2))
+        den = np.abs(orig3).max(axis=(1, 2))
+    else:
+        # max|x| as max(max, -min): two allocation-free reductions instead
+        # of materialising |stack| (tens of MB at paper scale).
+        num = np.maximum(sub.max(axis=(1, 2)), -sub.min(axis=(1, 2)))
+        den = np.maximum(orig3.max(axis=(1, 2)), -orig3.min(axis=(1, 2)))
     with np.errstate(divide="ignore", invalid="ignore"):
         growth = np.where(den > 0, num / den, 0.0)
     return growth
@@ -318,39 +321,15 @@ def operand_digest(*arrays) -> str:
     return h.hexdigest()
 
 
-def _snap_rows(array, mats, rows) -> np.ndarray:
-    """Contiguous ``(batch, rows, n)`` copy of every lane's band rows.
+def _band_rows(ops, rows) -> np.ndarray:
+    """``(batch, rows, n)`` band rows of every lane, for reductions only.
 
-    A 3-D ndarray batch (lane-major stack or an interleaved logical
-    view) is sliced wholesale — at paper scale, stacking 1000 per-lane
-    views costs more than the residual gate itself.  Other containers
-    (`PointerArray`, per-lane sequences) take the per-lane path.
+    A view of the caller's stack when there is one: at paper scale,
+    stacking 1000 per-lane views costs more than the residual gate itself.
     """
-    if (isinstance(array, np.ndarray) and array.ndim == 3
-            and len(mats) <= array.shape[0] and array.shape[1] >= rows):
-        # np.array (not ascontiguousarray): these are snapshots, and a
-        # full-height contiguous slice would alias the live batch.
-        return np.array(array[:len(mats), :rows], order="C")
-    return np.stack([np.asarray(m)[:rows] for m in mats])
-
-
-def _lane_rows_view(array, mats, rows) -> np.ndarray:
-    """Like :func:`_snap_rows` but returns a read-only logical view when
-    the batch is a 3-D ndarray — for reduction-only consumers that never
-    outlive the call."""
-    if (isinstance(array, np.ndarray) and array.ndim == 3
-            and len(mats) <= array.shape[0] and array.shape[1] >= rows):
-        return array[:len(mats), :rows]
-    return np.stack([np.asarray(m)[:rows] for m in mats])
-
-
-def _snap_lanes(array, lanes) -> np.ndarray:
-    """Contiguous ``(batch, ...)`` copy of per-lane arrays (RHS stacks)."""
-    if (isinstance(array, np.ndarray) and array.ndim == 3
-            and len(lanes) <= array.shape[0] and len(lanes) > 0
-            and array.shape[1:] == np.asarray(lanes[0]).shape):
-        return np.array(array[:len(lanes)], order="C")
-    return np.stack([np.asarray(x) for x in lanes])
+    if ops.a_src is not None:
+        return ops.a_src[:, :rows]
+    return np.stack([np.asarray(m)[:rows] for m in ops.mats])
 
 
 # --- shared ladder pieces --------------------------------------------------
@@ -363,29 +342,35 @@ def _finite_max(values, mask=None) -> float:
     return float(vals.max()) if vals.size else 0.0
 
 
+def _ratio(num, denom) -> np.ndarray:
+    """Scaled residuals ``num / denom``; ``num`` where ``denom`` is 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(denom > 0, num / denom, num)
+
+
 def _failing(scaled: np.ndarray, tol: float, eligible) -> list[int]:
     """Lanes whose gate fails: residual above tolerance or non-finite."""
-    out = []
-    for k in eligible:
-        s = scaled[k]
+    return [int(k) for k in eligible
+            if not np.isfinite(scaled[k]) or scaled[k] > tol]
+
+
+def _over(tol, residuals, lanes, scaled) -> list[int]:
+    """Record each lane's new residual; return the lanes still failing."""
+    still = []
+    for k, s in zip(lanes, scaled):
+        residuals[k] = float(s)
         if not np.isfinite(s) or s > tol:
-            out.append(int(k))
-    return out
+            still.append(k)
+    return still
 
 
-def _stamp_condition(report, policy, n, kl, ku, mats, pivots, anorms1,
-                     info, rows):
+def _stamp_condition(report, ops, anorm1, rows):
     """Full-mode condition stamping: ``rcond`` for every healthy lane."""
-    rconds = []
-    for k in range(len(mats)):
-        if info[k] != 0:
-            continue
-        rconds.append(gbcon("1", n, kl, ku, mats[k][:rows], pivots[k],
-                            float(anorms1[k])))
+    rconds = [gbcon("1", ops.n, ops.kl, ops.ku, ops.mats[k][:rows],
+                    ops.pivots[k], float(anorm1(k)))
+              for k in range(ops.batch) if ops.info[k] == 0]
     if rconds:
-        rmin = float(min(rconds))
-        report.rcond_min = (rmin if report.rcond_min is None
-                            else min(report.rcond_min, rmin))
+        _lower_rcond(report, rconds)
 
 
 def _rcond_of(n, kl, ku, fact, piv, anorm1) -> float:
@@ -404,153 +389,134 @@ def _classify(report, policy, op, device, failing, residuals, growth,
         ill_cond = (rconds.get(k, 1.0) < floor
                     or (np.isfinite(g) and g > policy.growth_threshold))
         (ill if ill_cond else corrupt).append(k)
-    report.ill_conditioned = tuple(
-        sorted(set(report.ill_conditioned) | set(ill)))
+    _add_lanes(report, "ill_conditioned", ill)
     if corrupt:
         worst = _finite_max([residuals[k] for k in corrupt])
         if policy.on_fail == "raise":
             raise DataCorruptionError(op, sorted(corrupt),
                                       device=device.name, residual=worst)
-        report.unrecovered = tuple(
-            sorted(set(report.unrecovered) | set(corrupt)))
+        _add_lanes(report, "unrecovered", corrupt)
     return ill, corrupt
 
 
-def _base_report(op, batch, method, info, inner) -> BatchReport:
-    if inner is not None:
-        return inner
-    return BatchReport(op, batch, method_requested=method, info=info)
+def _lower_rcond(report, rconds) -> None:
+    rmin = min(rconds)
+    report.rcond_min = (rmin if report.rcond_min is None
+                        else min(report.rcond_min, rmin))
 
 
-_VERIFY_EXEC_MSG = ("verify requires full functional execution "
-                    "(execute=True, max_blocks=None)")
+def _add_lanes(report, field: str, lanes) -> None:
+    """Union ``lanes`` into one of the report's sorted lane tuples."""
+    setattr(report, field,
+            tuple(sorted(set(getattr(report, field)) | set(lanes))))
 
 
-# --- verified drivers ------------------------------------------------------
+def _recompute(report, spec, cfg, ops, snap, failing, reverify) -> list:
+    """The exact rungs of the escalation ladder; returns lanes still failing.
 
-def verified_gbsv_batch(n, kl, ku, nrhs, a_array, pv_array, b_array,
-                        info=None, *, batch=None, verify=True,
-                        device: DeviceSpec = H100_PCIE, stream=None,
-                        method: str = "auto", execute: bool = True,
-                        max_blocks=None, vectorize=None,
-                        resilient: bool = False, policy=None,
-                        max_resident_bytes=None, chunk_hint=None,
-                        streams=None, devices=None, overlap=None,
-                        layout=None):
-    """:func:`~repro.core.gbsv.gbsv_batch` behind the residual gate.
-
-    Runs the driver unchanged (all knobs — governance, pipelining,
-    layout, resilience — forwarded), then verifies every healthy lane's
-    solution against pristine snapshots of ``A`` and ``b`` and escalates
-    failing lanes through the recovery ladder.  Returns ``(pivots, info,
-    report)``; healthy lanes are bit-identical to an unverified call.
+    Rung 1 re-runs the failing lanes from their pristine snapshots through
+    the plain stack (every design is bit-identical); rung 2 finishes the
+    lanes that still fail on the host reference (``gbtf2`` /
+    ``gbtrs_unblocked``, bit-identical to the reference kernels).
     """
-    vp = as_verify_policy(verify) or VerifyPolicy()
-    check_arg(execute and max_blocks is None, 13, _VERIFY_EXEC_MSG)
-    if batch is None:
-        batch = len(a_array)
-    mats = as_matrix_list(a_array, batch, arg_pos=5)
-    check_gb_args(n, n, kl, ku, mats, batch=batch)
-    pivots = ensure_pivots(pv_array, batch, n, arg_pos=6, zero=True)
-    rhs = as_rhs_list(b_array, batch, n, nrhs, arg_pos=7)
-    info = ensure_info(info, batch, arg_pos=8)
-    rows = ldab_for_factor(kl, ku)
-    active = batch > 0 and n > 0 and nrhs > 0
+    spec.restore(ops, snap, failing, inputs=True)
+    sub = ops.take(failing)
+    govern(spec, ExecConfig(device=cfg.device, stream=cfg.stream,
+                            method=cfg.method), sub)
+    ops.info[failing] = sub.info
+    report.recomputes += len(failing)
+    still = reverify(failing)
+    if still:
+        spec.restore(ops, snap, still, inputs=True)
+        sub = ops.take(still)
+        spec.host(sub)
+        ops.info[still] = sub.info
+        report.recomputes += len(still)
+        still = reverify(still)
+    return still
+
+
+def _stamp_gate(report, scaled, eligible, growth=None) -> None:
+    mask = np.zeros(len(scaled), dtype=bool)
+    mask[eligible] = True
+    report.verified_lanes += len(eligible)
+    report.residual_max = max(report.residual_max,
+                              _finite_max(scaled, mask))
+    if growth is not None:
+        report.growth_max = max(report.growth_max,
+                                _finite_max(growth, mask))
+
+
+# --- the verify layer --------------------------------------------------------
+
+def run_verified(spec, cfg, ops):
+    """Run the layers below behind ``spec``'s residual gate.
+
+    Snapshots the pristine operands once — the resilience quarantine and
+    the pipeline failover reuse the same copy — runs the call unchanged
+    (layout, governance, pipelining and resilience included), then gates
+    every healthy lane and escalates failing ones.  Healthy lanes are
+    bit-identical to an unverified call.  Returns the call's report.
+    """
+    vp = cfg.verify
+    active = not spec.empty(ops) and (ops.rhs is None or ops.nrhs > 0)
     if active:
-        snap_a = _snap_rows(a_array, mats, rows)
-        snap_b = _snap_lanes(b_array, rhs)
-
-    from .gbsv import gbsv_batch
-    kwargs = dict(batch=batch, device=device, stream=stream, method=method,
-                  vectorize=vectorize, max_resident_bytes=max_resident_bytes,
-                  chunk_hint=chunk_hint, streams=streams, devices=devices,
-                  overlap=overlap, layout=layout)
-    if resilient:
-        _, _, report = gbsv_batch(n, kl, ku, nrhs, mats, pivots, rhs, info,
-                                  resilient=True, policy=policy, **kwargs)
-    else:
-        gbsv_batch(n, kl, ku, nrhs, mats, pivots, rhs, info, **kwargs)
-        report = _base_report("gbsv", batch, method, info, None)
+        snap = ops.call.pristine = spec.snapshot(ops, inputs=True)
+    report = convert_layout(spec, cfg, ops)
+    if report is None:
+        report = BatchReport(spec.name, ops.batch,
+                             method_requested=cfg.method, info=ops.info)
     report.verify_mode = vp.mode
-    if not active:
-        return pivots, info, report
+    if active:
+        # Non-finite lanes (singular factors, poisoned results) are what
+        # the gate exists to classify, not floating-point accidents.
+        with np.errstate(invalid="ignore", over="ignore"):
+            spec.gate(spec, report, cfg, ops, snap)
+    return report
 
+
+def gate_gbsv(spec, report, cfg, ops, snap) -> None:
+    """``gbsv`` gate: ``||A x - b||`` against the pristine ``A`` and ``b``.
+
+    Failing lanes escalate through recompute → reference path →
+    equilibrated refactor → iterative refinement.
+    """
+    vp, n, kl, ku, batch = cfg.verify, ops.n, ops.kl, ops.ku, ops.batch
+    info, mats, pivots, rhs = ops.info, ops.mats, ops.pivots, ops.rhs
+    rows = ldab_for_factor(kl, ku)
+    snap_a, snap_b = snap["a"][:, :rows], snap["b"]
     tol = vp.tol_for(n, snap_a.dtype)
     floor = vp.floor_for(n, snap_a.dtype)
-    fact3 = _lane_rows_view(a_array, mats, rows)
-    x3 = _snap_lanes(b_array, rhs)
+    fact3 = _band_rows(ops, rows)
+    x3 = stacked(ops.b_src, rhs)
     anorms = band_norms_inf(snap_a, n, kl, ku)
     r3 = band_mv_batch(snap_a, x3, n, kl, ku) - snap_b
     rmax = np.abs(r3).reshape(batch, -1).max(axis=1)
     xmax = np.abs(x3).reshape(batch, -1).max(axis=1)
     bmax = np.abs(snap_b).reshape(batch, -1).max(axis=1)
-    denom = anorms * xmax + bmax
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = np.where(denom > 0, rmax / denom, rmax)
+    scaled = _ratio(rmax, anorms * xmax + bmax)
     growth = pivot_growth_batch(fact3, snap_a, kl, ku)
 
     skip = set(report.unrecovered)
     eligible = [k for k in range(batch) if info[k] == 0 and k not in skip]
-    report.verified_lanes += len(eligible)
-    report.residual_max = max(report.residual_max,
-                              _finite_max(scaled, [k in eligible
-                                                   for k in range(batch)]))
-    report.growth_max = max(report.growth_max,
-                            _finite_max(growth, [k in eligible
-                                                 for k in range(batch)]))
-    anorms1 = None
+    _stamp_gate(report, scaled, eligible, growth)
+    anorm1 = lambda k: band_norm_1(snap_a[k], n, kl, ku)
     if vp.condition_enabled:
-        anorms1 = [band_norm_1(snap_a[k], n, kl, ku) for k in range(batch)]
-        _stamp_condition(report, vp, n, kl, ku, mats, pivots, anorms1,
-                         info, rows)
+        _stamp_condition(report, ops, anorm1, rows)
 
     failing = _failing(scaled, tol, eligible)
     if not failing:
-        return pivots, info, report
-    report.sdc_detected = tuple(
-        sorted(set(report.sdc_detected) | set(failing)))
+        return
+    _add_lanes(report, "sdc_detected", failing)
     residuals = {k: float(scaled[k]) for k in failing}
 
-    def restore(ks):
-        for k in ks:
-            mats[k][:rows] = snap_a[k]
-            pivots[k][...] = 0
-            rhs[k][...] = snap_b[k]
-
     def reverify(ks):
-        still = []
-        for k in ks:
-            if info[k] != 0:
-                continue
-            s = solve_residual(snap_a[k], rhs[k], snap_b[k], kl, ku)
-            residuals[k] = s
-            if not np.isfinite(s) or s > tol:
-                still.append(k)
-        return still
+        live = [k for k in ks if info[k] == 0]
+        return _over(tol, residuals, live, [
+            solve_residual(snap_a[k], rhs[k], snap_b[k], kl, ku)
+            for k in live])
 
-    # Rung 1: exact recompute through the driver (bit-identical designs).
-    restore(failing)
-    sub_info = np.zeros(len(failing), dtype=np.int64)
-    gbsv_batch(n, kl, ku, nrhs, [mats[k] for k in failing],
-               [pivots[k] for k in failing], [rhs[k] for k in failing],
-               sub_info, batch=len(failing), device=device, stream=stream,
-               method=method, vectorize=None)
-    report.recomputes += len(failing)
-    for j, k in enumerate(failing):
-        info[k] = sub_info[j]
-    still = reverify(failing)
-
-    # Rung 2: host reference net (bit-identical to the reference kernels).
-    if still:
-        restore(still)
-        for k in still:
-            _, inf = gbtf2(n, n, kl, ku, mats[k], pivots[k])
-            info[k] = int(inf)
-            if inf == 0:
-                gbtrs_unblocked(Trans.NO_TRANS, n, kl, ku, mats[k],
-                                pivots[k], rhs[k])
-        report.recomputes += len(still)
-        still = reverify(still)
+    still = _recompute(report, spec, cfg, ops, snap, failing, reverify)
 
     # Rung 3: gbequ equilibrate + refactor on scratch copies.  The
     # caller's factors keep the rung-2 state (factors of the original A);
@@ -592,90 +558,36 @@ def verified_gbsv_batch(n, kl, ku, nrhs, a_array, pv_array, b_array,
             res = gbrfs(n, kl, ku, snap_a[k], mats[k][:rows], pivots[k],
                         snap_b[k], rhs[k], max_iter=vp.max_refine)
             refined.append(k)
-            report.berr_max = max(report.berr_max,
-                                  _finite_max(res.berr))
+            report.berr_max = max(report.berr_max, _finite_max(res.berr))
         if refined:
-            report.refined = tuple(
-                sorted(set(report.refined) | set(refined)))
-            if anorms1 is None:
-                anorms1 = [band_norm_1(snap_a[k], n, kl, ku)
-                           for k in range(batch)]
+            _add_lanes(report, "refined", refined)
             eps = float(np.finfo(snap_a.dtype).eps)
             for k in refined:
                 rc = _rcond_of(n, kl, ku, mats[k][:rows], pivots[k],
-                               anorms1[k])
-                report.rcond_min = (rc if report.rcond_min is None
-                                    else min(report.rcond_min, rc))
+                               anorm1(k))
+                _lower_rcond(report, [rc])
                 if report.berr_max > 0:
                     report.ferr_max = max(
                         report.ferr_max, report.berr_max / max(rc, eps))
         still = reverify(still)
 
-    recovered = [k for k in failing
-                 if k not in still and info[k] == 0]
-    report.sdc_recovered = tuple(
-        sorted(set(report.sdc_recovered) | set(recovered)))
-    if still:
-        if anorms1 is None:
-            anorms1 = {k: band_norm_1(snap_a[k], n, kl, ku) for k in still}
-        rconds = {k: _rcond_of(n, kl, ku, mats[k][:rows], pivots[k],
-                               anorms1[k]) for k in still}
-        rmin = min(rconds.values())
-        report.rcond_min = (rmin if report.rcond_min is None
-                            else min(report.rcond_min, rmin))
-        _classify(report, vp, "gbsv", device, still, residuals, growth,
-                  rconds, floor)
-    return pivots, info, report
+    _settle(report, cfg, ops, failing, still, residuals, growth,
+            floor, lambda k: _rcond_of(n, kl, ku, mats[k][:rows],
+                                       pivots[k], anorm1(k)))
 
 
-def verified_gbtrf_batch(m, n, kl, ku, a_array, pv_array=None, info=None,
-                         *, batch=None, verify=True,
-                         device: DeviceSpec = H100_PCIE, stream=None,
-                         method: str = "auto", nb=None, threads=None,
-                         execute: bool = True, max_blocks=None,
-                         vectorize=None, resilient: bool = False,
-                         policy=None, max_resident_bytes=None,
-                         chunk_hint=None, streams=None, devices=None,
-                         overlap=None, layout=None):
-    """:func:`~repro.core.gbtrf.gbtrf_batch` behind the factor probe.
+def gate_gbtrf(spec, report, cfg, ops, snap) -> None:
+    """``gbtrf`` gate: the factor probe.
 
     With no right-hand side to check, the factors are verified directly:
     ``P L U`` (reconstructed by :func:`plu_apply_batch`) applied to a
     deterministic probe vector must reproduce ``A`` applied to the same
-    vector to within the residual tolerance.  Returns ``(pivots, info,
-    report)``.
+    vector to within the residual tolerance.
     """
-    vp = as_verify_policy(verify) or VerifyPolicy()
-    check_arg(execute and max_blocks is None, 15, _VERIFY_EXEC_MSG)
-    check_arg(m == n, 1,
-              f"verify requires square matrices, got m={m}, n={n}")
-    if batch is None:
-        batch = len(a_array)
-    mats = as_matrix_list(a_array, batch, arg_pos=5)
-    check_gb_args(m, n, kl, ku, mats, batch=batch)
-    pivots = ensure_pivots(pv_array, batch, min(m, n), arg_pos=7, zero=True)
-    info = ensure_info(info, batch, arg_pos=8)
+    vp, n, kl, ku, batch = cfg.verify, ops.n, ops.kl, ops.ku, ops.batch
+    info, mats, pivots = ops.info, ops.mats, ops.pivots
     rows = ldab_for_factor(kl, ku)
-    active = batch > 0 and n > 0
-    if active:
-        snap_a = _snap_rows(a_array, mats, rows)
-
-    from .gbtrf import gbtrf_batch
-    kwargs = dict(batch=batch, device=device, stream=stream, method=method,
-                  nb=nb, threads=threads, vectorize=vectorize,
-                  max_resident_bytes=max_resident_bytes,
-                  chunk_hint=chunk_hint, streams=streams, devices=devices,
-                  overlap=overlap, layout=layout)
-    if resilient:
-        _, _, report = gbtrf_batch(m, n, kl, ku, mats, pivots, info,
-                                   resilient=True, policy=policy, **kwargs)
-    else:
-        gbtrf_batch(m, n, kl, ku, mats, pivots, info, **kwargs)
-        report = _base_report("gbtrf", batch, method, info, None)
-    report.verify_mode = vp.mode
-    if not active:
-        return pivots, info, report
-
+    snap_a = snap["a"][:, :rows]
     tol = vp.tol_for(n, snap_a.dtype)
     floor = vp.floor_for(n, snap_a.dtype)
     # Deterministic probe (gbcon's alternating ramp): exercises every
@@ -690,9 +602,8 @@ def verified_gbtrf_batch(m, n, kl, ku, a_array, pv_array=None, info=None,
         """Scaled probe residuals ``|PLU w - A w|`` for the given lanes."""
         idx = list(ks)
         if len(idx) == batch:       # the common all-lanes gate
-            f3 = _lane_rows_view(a_array, mats, rows)
-            p2 = np.asarray(pivots) if isinstance(pivots, np.ndarray) \
-                else np.stack([np.asarray(p) for p in pivots])
+            f3 = _band_rows(ops, rows)
+            p2 = np.stack([np.asarray(p) for p in pivots])
         else:
             f3 = np.stack([np.asarray(mats[k])[:rows] for k in idx])
             p2 = np.stack([np.asarray(pivots[k]) for k in idx])
@@ -701,168 +612,58 @@ def verified_gbtrf_batch(m, n, kl, ku, a_array, pv_array=None, info=None,
         unorms = factor_norms_inf(f3, n, kl, ku)
         anorms = band_norms_inf(snap_a[idx], n, kl, ku)
         num = np.abs(got - ref).reshape(len(idx), -1).max(axis=1)
-        denom = ((1.0 + kl) * unorms + anorms) * wmax
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(denom > 0, num / denom, num)
+        return _ratio(num, ((1.0 + kl) * unorms + anorms) * wmax)
 
     skip = set(report.unrecovered)
     eligible = [k for k in range(batch) if info[k] == 0 and k not in skip]
-    report.verified_lanes += len(eligible)
     scaled = np.zeros(batch)
     if eligible:
-        scaled_el = probe_scaled(eligible)
-        for j, k in enumerate(eligible):
-            scaled[k] = scaled_el[j]
-    fact3 = _lane_rows_view(a_array, mats, rows)
-    growth = pivot_growth_batch(fact3, snap_a, kl, ku)
-    report.residual_max = max(report.residual_max,
-                              _finite_max(scaled, [k in eligible
-                                                   for k in range(batch)]))
-    report.growth_max = max(report.growth_max,
-                            _finite_max(growth, [k in eligible
-                                                 for k in range(batch)]))
-    anorms1 = None
+        scaled[eligible] = probe_scaled(eligible)
+    growth = pivot_growth_batch(_band_rows(ops, rows), snap_a, kl, ku)
+    _stamp_gate(report, scaled, eligible, growth)
+    anorm1 = lambda k: band_norm_1(snap_a[k], n, kl, ku)
     if vp.condition_enabled:
-        anorms1 = [band_norm_1(snap_a[k], n, kl, ku) for k in range(batch)]
-        _stamp_condition(report, vp, n, kl, ku, mats, pivots, anorms1,
-                         info, rows)
+        _stamp_condition(report, ops, anorm1, rows)
 
     failing = _failing(scaled, tol, eligible)
     if not failing:
-        return pivots, info, report
-    report.sdc_detected = tuple(
-        sorted(set(report.sdc_detected) | set(failing)))
+        return
+    _add_lanes(report, "sdc_detected", failing)
     residuals = {k: float(scaled[k]) for k in failing}
-
-    def restore(ks):
-        for k in ks:
-            mats[k][:rows] = snap_a[k]
-            pivots[k][...] = 0
 
     def reverify(ks):
         live = [k for k in ks if info[k] == 0]
-        if not live:
-            return []
-        s = probe_scaled(live)
-        still = []
-        for j, k in enumerate(live):
-            residuals[k] = float(s[j])
-            if not np.isfinite(s[j]) or s[j] > tol:
-                still.append(k)
-        return still
+        return _over(tol, residuals, live, probe_scaled(live) if live
+                     else [])
 
-    # Rung 1: exact recompute through the driver.
-    restore(failing)
-    sub_info = np.zeros(len(failing), dtype=np.int64)
-    gbtrf_batch(m, n, kl, ku, [mats[k] for k in failing],
-                [pivots[k] for k in failing], sub_info,
-                batch=len(failing), device=device, stream=stream,
-                method=method, vectorize=None)
-    report.recomputes += len(failing)
-    for j, k in enumerate(failing):
-        info[k] = sub_info[j]
-    still = reverify(failing)
-
-    # Rung 2: host reference net.
-    if still:
-        restore(still)
-        for k in still:
-            _, inf = gbtf2(m, n, kl, ku, mats[k], pivots[k])
-            info[k] = int(inf)
-        report.recomputes += len(still)
-        still = reverify(still)
-
-    recovered = [k for k in failing if k not in still and info[k] == 0]
-    report.sdc_recovered = tuple(
-        sorted(set(report.sdc_recovered) | set(recovered)))
-    if still:
-        if anorms1 is None:
-            anorms1 = {k: band_norm_1(snap_a[k], n, kl, ku) for k in still}
-        rconds = {k: _rcond_of(n, kl, ku, mats[k][:rows], pivots[k],
-                               anorms1[k]) for k in still}
-        rmin = min(rconds.values())
-        report.rcond_min = (rmin if report.rcond_min is None
-                            else min(report.rcond_min, rmin))
-        _classify(report, vp, "gbtrf", device, still, residuals, growth,
-                  rconds, floor)
-    return pivots, info, report
+    still = _recompute(report, spec, cfg, ops, snap, failing, reverify)
+    _settle(report, cfg, ops, failing, still, residuals, growth,
+            floor, lambda k: _rcond_of(n, kl, ku, mats[k][:rows],
+                                       pivots[k], anorm1(k)))
 
 
-def verified_gbtrs_batch(trans, n, kl, ku, nrhs, a_array, pv_array,
-                         b_array, info=None, *, batch=None, verify=True,
-                         device: DeviceSpec = H100_PCIE, stream=None,
-                         method: str = "auto", nb=None, threads=None,
-                         rhs_tile=None, execute: bool = True,
-                         max_blocks=None, vectorize=None,
-                         resilient: bool = False, policy=None,
-                         max_resident_bytes=None, chunk_hint=None,
-                         streams=None, devices=None, overlap=None,
-                         layout=None):
-    """:func:`~repro.core.gbtrs.gbtrs_batch` behind the residual gate.
+def gate_gbtrs(spec, report, cfg, ops, snap) -> None:
+    """``gbtrs`` gate: ``P L U x`` from the pristine factors against ``b``.
 
     Without the original ``A``, the residual is checked against the
-    reconstructed operator: ``P L U x`` (from pristine factor snapshots)
-    must reproduce the pristine ``b``.  In ``'full'`` mode (or with
+    reconstructed operator.  In ``'full'`` mode (or with
     ``check_digests=True``) the read-only factors and pivots are also
-    fingerprinted before the stage and re-verified after it; a mismatch
-    restores the snapshot and is attributed in
-    ``BatchReport.digest_mismatches``.  Returns ``(info, report)``.
+    fingerprinted across the stage; a mismatch restores them from the
+    snapshot and is attributed in ``BatchReport.digest_mismatches``.
     """
-    vp = as_verify_policy(verify) or VerifyPolicy()
-    trans = Trans.from_any(trans)
-    check_arg(execute and max_blocks is None, 15, _VERIFY_EXEC_MSG)
-    check_arg(trans is Trans.NO_TRANS, 1,
-              "verify supports trans='N' solves (the reconstruction "
-              "replays forward elimination); use verify=None for "
-              "transposed solves")
-    if batch is None:
-        batch = len(a_array)
-    mats = as_matrix_list(a_array, batch, arg_pos=6)
-    check_gb_args(n, n, kl, ku, mats, batch=batch, ldab_pos=7)
-    pivots = ensure_pivots(pv_array, batch, n, arg_pos=8)
-    rhs = as_rhs_list(b_array, batch, n, nrhs, arg_pos=9)
-    info = ensure_info(info, batch, arg_pos=11)
+    vp, n, kl, ku, batch = cfg.verify, ops.n, ops.kl, ops.ku, ops.batch
+    mats, pivots, rhs = ops.mats, ops.pivots, ops.rhs
     rows = ldab_for_factor(kl, ku)
-    active = batch > 0 and n > 0 and nrhs > 0
-    if active:
-        snap_a = _snap_rows(a_array, mats, rows)
-        snap_p = (np.array(pivots) if isinstance(pivots, np.ndarray)
-                  else np.stack([np.asarray(p) for p in pivots]))
-        snap_b = _snap_lanes(b_array, rhs)
-        digests = None
-        if vp.digests_enabled:
-            digests = [operand_digest(mats[k][:rows], pivots[k])
-                       for k in range(batch)]
-
-    from .gbtrs import gbtrs_batch
-    kwargs = dict(batch=batch, device=device, stream=stream, method=method,
-                  nb=nb, threads=threads, rhs_tile=rhs_tile,
-                  vectorize=vectorize,
-                  max_resident_bytes=max_resident_bytes,
-                  chunk_hint=chunk_hint, streams=streams, devices=devices,
-                  overlap=overlap, layout=layout)
-    if resilient:
-        _, report = gbtrs_batch(trans, n, kl, ku, nrhs, mats, pivots, rhs,
-                                info, resilient=True, policy=policy,
-                                **kwargs)
-    else:
-        gbtrs_batch(trans, n, kl, ku, nrhs, mats, pivots, rhs, info,
-                    **kwargs)
-        report = _base_report("gbtrs", batch, method, info, None)
-    report.verify_mode = vp.mode
-    if not active:
-        return info, report
+    snap_a, snap_p, snap_b = snap["a"][:, :rows], snap["pivots"], snap["b"]
 
     # Digest re-verification of the read-only operands.
-    if vp.digests_enabled and digests is not None:
+    if vp.digests_enabled:
         mismatched = [k for k in range(batch)
                       if operand_digest(mats[k][:rows], pivots[k])
-                      != digests[k]]
+                      != operand_digest(snap_a[k], snap_p[k])]
         if mismatched:
-            report.digest_mismatches = tuple(
-                sorted(set(report.digest_mismatches) | set(mismatched)))
-            report.sdc_detected = tuple(
-                sorted(set(report.sdc_detected) | set(mismatched)))
+            _add_lanes(report, "digest_mismatches", mismatched)
+            _add_lanes(report, "sdc_detected", mismatched)
             for k in mismatched:
                 if mats[k].flags.writeable:
                     mats[k][:rows] = snap_a[k]
@@ -871,95 +672,56 @@ def verified_gbtrs_batch(trans, n, kl, ku, nrhs, a_array, pv_array,
 
     tol = vp.tol_for(n, snap_a.dtype)
     floor = vp.floor_for(n, snap_a.dtype)
-    x3 = _snap_lanes(b_array, rhs)
-    got = plu_apply_batch(snap_a, snap_p, x3, n, kl, ku)
     unorms = factor_norms_inf(snap_a, n, kl, ku)
-    rmax = np.abs(got - snap_b).reshape(batch, -1).max(axis=1)
-    xmax = np.abs(x3).reshape(batch, -1).max(axis=1)
     bmax = np.abs(snap_b).reshape(batch, -1).max(axis=1)
-    denom = (1.0 + kl) * unorms * xmax + bmax
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = np.where(denom > 0, rmax / denom, rmax)
+
+    def scaled_of(idx, x):
+        """Scaled residuals ``|PLU x - b|`` of lanes ``idx``."""
+        got = plu_apply_batch(snap_a[idx], snap_p[idx], x, n, kl, ku)
+        num = np.abs(got - snap_b[idx]).reshape(len(x), -1).max(axis=1)
+        xm = np.abs(x).reshape(len(x), -1).max(axis=1)
+        return _ratio(num, (1.0 + kl) * unorms[idx] * xm + bmax[idx])
+
+    scaled = scaled_of(slice(None), stacked(ops.b_src, rhs))
 
     skip = set(report.unrecovered)
     eligible = [k for k in range(batch) if k not in skip]
-    report.verified_lanes += len(eligible)
-    report.residual_max = max(report.residual_max,
-                              _finite_max(scaled, [k in eligible
-                                                   for k in range(batch)]))
+    _stamp_gate(report, scaled, eligible)
 
     failing = _failing(scaled, tol, eligible)
     # Digest-only mismatches (result fine, operand corrupted in flight)
     # were already repaired above; residual failures escalate below.
     if not failing:
-        return info, report
-    report.sdc_detected = tuple(
-        sorted(set(report.sdc_detected) | set(failing)))
+        return
+    _add_lanes(report, "sdc_detected", failing)
     residuals = {k: float(scaled[k]) for k in failing}
-
-    def restore(ks):
-        # Read-only factor/pivot operands (e.g. the serve layer's cached
-        # factorizations) cannot have been corrupted in place — any
-        # in-place write would have raised — so only writable ones are
-        # rewound.
-        for k in ks:
-            if mats[k].flags.writeable:
-                mats[k][:rows] = snap_a[k]
-            if pivots[k].flags.writeable:
-                pivots[k][...] = snap_p[k]
-            rhs[k][...] = snap_b[k]
 
     def reverify(ks):
         if not ks:
             return []
-        idx = list(ks)
-        x = np.stack([np.asarray(rhs[k]) for k in idx])
-        g = plu_apply_batch(snap_a[idx], snap_p[idx], x, n, kl, ku)
-        num = np.abs(g - snap_b[idx]).reshape(len(idx), -1).max(axis=1)
-        xm = np.abs(x).reshape(len(idx), -1).max(axis=1)
-        den = (1.0 + kl) * unorms[idx] * xm + bmax[idx]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = np.where(den > 0, num / den, num)
-        still = []
-        for j, k in enumerate(idx):
-            residuals[k] = float(s[j])
-            if not np.isfinite(s[j]) or s[j] > tol:
-                still.append(k)
-        return still
+        x = np.stack([np.asarray(rhs[k]) for k in ks])
+        return _over(tol, residuals, ks, scaled_of(list(ks), x))
 
-    # Rung 1: exact recompute through the driver.
-    restore(failing)
-    sub_info = np.zeros(len(failing), dtype=np.int64)
-    gbtrs_batch(trans, n, kl, ku, nrhs, [mats[k] for k in failing],
-                [pivots[k] for k in failing], [rhs[k] for k in failing],
-                sub_info, batch=len(failing), device=device, stream=stream,
-                method=method, vectorize=None)
-    report.recomputes += len(failing)
-    still = reverify(failing)
+    still = _recompute(report, spec, cfg, ops, snap, failing, reverify)
 
-    # Rung 2: host reference net.
+    # No original A here: bound ||A||_1 by (1+kl)·||U||_1 (unit
+    # multipliers) for the condition classification.
+    def rcond(k):
+        anorm1 = (1.0 + kl) * band_norm_1(snap_a[k], n, 0, kl + ku,
+                                          factor_layout=False)
+        return _rcond_of(n, kl, ku, snap_a[k], snap_p[k], anorm1)
+
+    _settle(report, cfg, ops, failing, still, residuals,
+            np.zeros(batch), floor, rcond)
+
+
+def _settle(report, cfg, ops, failing, still, residuals, growth, floor,
+            rcond) -> None:
+    """Stamp the recovered lanes and classify the ones still failing."""
+    recovered = [k for k in failing if k not in still and ops.info[k] == 0]
+    _add_lanes(report, "sdc_recovered", recovered)
     if still:
-        restore(still)
-        for k in still:
-            gbtrs_unblocked(trans, n, kl, ku, mats[k], pivots[k], rhs[k])
-        report.recomputes += len(still)
-        still = reverify(still)
-
-    recovered = [k for k in failing if k not in still]
-    report.sdc_recovered = tuple(
-        sorted(set(report.sdc_recovered) | set(recovered)))
-    if still:
-        # No original A here: bound ||A||_1 by (1+kl)·||U||_1 (unit
-        # multipliers) for the condition classification.
-        growth = np.full(batch, 0.0)
-        rconds = {}
-        for k in still:
-            anorm1 = (1.0 + kl) * band_norm_1(snap_a[k], n, 0, kl + ku,
-                                              factor_layout=False)
-            rconds[k] = _rcond_of(n, kl, ku, snap_a[k], snap_p[k], anorm1)
-        rmin = min(rconds.values())
-        report.rcond_min = (rmin if report.rcond_min is None
-                            else min(report.rcond_min, rmin))
-        _classify(report, vp, "gbtrs", device, still, residuals, growth,
-                  rconds, floor)
-    return info, report
+        rconds = {k: rcond(k) for k in still}
+        _lower_rcond(report, list(rconds.values()))
+        _classify(report, cfg.verify, report.operation, cfg.device, still,
+                  residuals, growth, rconds, floor)

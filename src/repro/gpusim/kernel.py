@@ -16,6 +16,7 @@ held to.
 from __future__ import annotations
 
 import abc
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,22 +26,35 @@ from .costmodel import BlockCost, KernelTiming, estimate_kernel_time
 from .device import DeviceSpec, device_health
 
 __all__ = ["SharedMemory", "Kernel", "LaunchRecord", "launch",
-           "note_layout_conversion"]
+           "ConversionCharge"]
 
-# Bytes moved by a pending batch-boundary layout conversion (see
-# repro.core.batch_args.convert_batch_layout).  The driver notes the
-# round-trip traffic once, before its launches; the *first* launch that
-# follows absorbs it into its record (``soa_bytes``), mirroring how
-# ``pack_bytes`` attributes the gather/pack staging — and proving the
-# one-conversion-per-batch contract in traces: later launches of the
-# same call (and every chunk of a governed run) carry zero.
-_pending_convert_bytes = 0
+class ConversionCharge:
+    """Layout-conversion traffic of one driver call, awaiting attribution.
 
+    A driver that converts its batch at the boundary (see
+    :func:`repro.core.batch_args.convert_batch_layout`) adds the round-trip
+    bytes here; the *first* launch of that call absorbs them into its
+    record (``soa_bytes``), mirroring how ``pack_bytes`` attributes the
+    gather/pack staging — and proving the one-conversion-per-batch
+    contract in traces: later launches of the same call (and every chunk
+    of a governed run) carry zero.  The charge belongs to the call, so a
+    call that fails before launching leaves nothing behind for the next
+    one, and pipeline workers of one call share it safely.
+    """
 
-def note_layout_conversion(nbytes: int) -> None:
-    """Register layout-conversion traffic for the next launch record."""
-    global _pending_convert_bytes
-    _pending_convert_bytes += int(nbytes)
+    def __init__(self):
+        self.nbytes = 0
+        self._lock = threading.Lock()
+
+    def add(self, nbytes: int) -> None:
+        with self._lock:
+            self.nbytes += int(nbytes)
+
+    def take(self) -> int:
+        """Return the pending bytes and reset them to zero."""
+        with self._lock:
+            nbytes, self.nbytes = self.nbytes, 0
+        return nbytes
 
 
 class SharedMemory:
@@ -258,7 +272,8 @@ class LaunchRecord:
 
 def launch(device: DeviceSpec, kernel: Kernel, *, stream=None,
            execute: bool = True, max_blocks: int | None = None,
-           vectorize: bool | None = None) -> LaunchRecord:
+           vectorize: bool | None = None,
+           conversion: ConversionCharge | None = None) -> LaunchRecord:
     """Launch ``kernel`` on ``device``.
 
     Parameters
@@ -288,6 +303,9 @@ def launch(device: DeviceSpec, kernel: Kernel, *, stream=None,
         :class:`~repro.errors.DeviceError` if the kernel (or its current
         inputs) cannot take it even with packing.  Both paths are
         bit-identical by contract.
+    conversion:
+        The calling driver's :class:`ConversionCharge`; pending
+        layout-conversion bytes land on this launch's ``soa_bytes``.
 
     Raises
     ------
@@ -390,8 +408,7 @@ def launch(device: DeviceSpec, kernel: Kernel, *, stream=None,
         hang_time, hang_events = injector.injected_hang(device, kernel)
         if hang_events:
             faults = tuple(faults) + tuple(hang_events)
-    global _pending_convert_bytes
-    soa_bytes, _pending_convert_bytes = _pending_convert_bytes, 0
+    soa_bytes = conversion.take() if conversion is not None else 0
     record = LaunchRecord(
         kernel_name=kernel.name,
         grid=grid,

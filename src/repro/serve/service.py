@@ -41,8 +41,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.batched import gbtrf_vbatch
-from ..core.gbtrs import gbtrs_batch
+from ..core.batched import run_gbtrf_vbatch
+from ..core.gbtrs import run_gbtrs
+from ..core.memory_plan import INFO_BYTES, POINTER_BYTES
+from ..core.stack import ExecConfig
+from ..core.verify import as_verify_policy
 from ..errors import (
     DeviceMemoryError,
     RequestShedError,
@@ -56,11 +59,6 @@ from .cache import FactorCache, operand_digest
 from .report import ServiceReport
 
 __all__ = ["BatchingPolicy", "SolveHandle", "SolverService"]
-
-#: Device bytes of one ``info`` entry / one device pointer (mirrors
-#: :mod:`repro.core.memory_plan`).
-_INFO_BYTES = 8
-_POINTER_BYTES = 8
 
 
 @dataclass(frozen=True)
@@ -204,7 +202,7 @@ class _Pending:
     def lane_bytes(self) -> int:
         """Resident device footprint of this request when dispatched."""
         return (self.ab.nbytes + self.n * 8 + self.b.nbytes
-                + _INFO_BYTES + 3 * _POINTER_BYTES)
+                + INFO_BYTES + 3 * POINTER_BYTES)
 
 
 class SolverService:
@@ -260,20 +258,17 @@ class SolverService:
                  auto_poll_interval: float | None = None,
                  clock=time.monotonic):
         self.device = device
-        self.stream = stream
         self.policy = policy or BatchingPolicy()
         self.cache = FactorCache(max_entries=cache_entries,
                                  max_bytes=cache_bytes, device=device)
-        self.vectorize = vectorize
-        self.resilient = resilient
-        self.resilience_policy = resilience_policy
-        self.max_resident_bytes = max_resident_bytes
-        self.chunk_hint = chunk_hint
-        self.streams = streams
-        self.devices = devices
-        self.overlap = overlap
-        self.layout = layout
-        self.verify = verify
+        # Every dispatched factorization and solve runs under this one
+        # configuration of the execution stack.
+        self._cfg = ExecConfig(
+            device=device, stream=stream, vectorize=vectorize,
+            resilient=resilient, policy=resilience_policy,
+            max_resident_bytes=max_resident_bytes, chunk_hint=chunk_hint,
+            streams=streams, devices=devices, overlap=overlap,
+            layout=layout, verify=as_verify_policy(verify))
         self._clock = clock
         self._report = ServiceReport()
         self._pending: list[_Pending] = []
@@ -451,8 +446,8 @@ class SolverService:
         # Cached factorizations are reclaimable (the flush evicts them
         # for headroom), so they count toward what a dispatch could get.
         budget = memory_pool(self.device).available + self.cache.nbytes
-        if self.max_resident_bytes is not None:
-            budget = min(budget, int(self.max_resident_bytes))
+        if self._cfg.max_resident_bytes is not None:
+            budget = min(budget, int(self._cfg.max_resident_bytes))
         if self.policy.max_pending_bytes is not None:
             budget = min(budget, int(self.policy.max_pending_bytes))
         return budget
@@ -472,7 +467,7 @@ class SolverService:
             self._report.backpressure_flushes += 1
             self._flush_locked("footprint")
             budget = self._admission_budget()
-        if req.lane_bytes > budget and not self.resilient:
+        if req.lane_bytes > budget and not self._cfg.resilient:
             pool = memory_pool(self.device)
             raise DeviceMemoryError(req.lane_bytes, pool.in_use, budget,
                                     device=self.device.name)
@@ -492,15 +487,9 @@ class SolverService:
             if self._pending:
                 self._flush_locked("manual")
 
-    def _driver_knobs(self) -> dict:
-        return dict(device=self.device, stream=self.stream,
-                    vectorize=self.vectorize,
-                    max_resident_bytes=self.max_resident_bytes,
-                    chunk_hint=self.chunk_hint, streams=self.streams,
-                    devices=self.devices, overlap=self.overlap,
-                    layout=self.layout)
-
     def _absorb_batch_report(self, rep) -> None:
+        if rep is None:
+            return
         self._report.batch_reports.append(rep.to_dict())
         self._report.faults_tolerated += rep.faults_tolerated
         self._report.device_events.extend(
@@ -519,22 +508,12 @@ class SolverService:
 
     def _healthy_fraction(self) -> float:
         """Fraction of the dispatch device pool the breaker still trusts."""
-        breaker = getattr(self.resilience_policy, "breaker", None)
+        breaker = getattr(self._cfg.policy, "breaker", None)
         if breaker is None:
             return 1.0
-        devs = self.devices
-        if devs is None:
-            names = [self.device.name]
-        elif isinstance(devs, int):
-            if devs <= 1:
-                names = [self.device.name]
-            else:
-                from ..gpusim.multidevice import replicate_device
-                names = [d.name
-                         for d in replicate_device(self.device, devs)]
-        else:
-            names = [d.name for d in devs]
-        return breaker.healthy_fraction(names)
+        from ..core.pipeline import _resolve_devices
+        return breaker.healthy_fraction(
+            [d.name for d in _resolve_devices(self.device, self._cfg.devices)])
 
     def _shed_one(self, req: _Pending, reason: str, now: float) -> None:
         self._report.shed += 1
@@ -600,7 +579,7 @@ class SolverService:
         # pending request already holding their factors).
         self.cache.ensure_headroom(sum(r.lane_bytes for r in pending))
 
-        verified = self.verify is not None and self.verify is not False
+        verified = self._cfg.verify is not None
 
         # 1. Cache lookup per request; deduplicate the misses by digest.
         #    A verified service re-checks each hit's content fingerprint
@@ -629,19 +608,9 @@ class SolverService:
             dims = ([r.n for r in rep_list], [r.kl for r in rep_list],
                     [r.ku for r in rep_list])
             mats = [r.ab for r in rep_list]
-            kwargs = self._driver_knobs()
-            if self.resilient:
-                kwargs.update(resilient=True,
-                              policy=self.resilience_policy)
-            if verified:
-                kwargs.update(verify=self.verify)
-            if self.resilient or verified:
-                pivots, finfo, brep = gbtrf_vbatch(dims[0], *dims, mats,
-                                                   **kwargs)
-                self._absorb_batch_report(brep)
-            else:
-                pivots, finfo = gbtrf_vbatch(dims[0], *dims, mats,
-                                             **kwargs)
+            pivots, finfo, brep = run_gbtrf_vbatch(self._cfg, dims[0],
+                                                   *dims, mats)
+            self._absorb_batch_report(brep)
             self._report.factorizations += len(rep_list)
             for j, r in enumerate(rep_list):
                 r.factors, r.pivots = r.ab, np.asarray(pivots[j])
@@ -667,26 +636,15 @@ class SolverService:
                 # array; the pack stage needs disjoint storage, so give
                 # duplicates their own copy unless per-block execution
                 # was forced.
-                if id(f) in seen and self.vectorize is not False:
+                if id(f) in seen and self._cfg.vectorize is not False:
                     f = np.array(f)
                 seen.add(id(f))
                 mats.append(f)
                 pivs.append(req.pivots)
                 rhs.append(req.b)
-            kwargs = self._driver_knobs()
-            if self.resilient:
-                kwargs.update(resilient=True,
-                              policy=self.resilience_policy)
-            if verified:
-                kwargs.update(verify=self.verify)
-            if self.resilient or verified:
-                _, brep = gbtrs_batch(
-                    Trans.NO_TRANS, n, kl, ku, nrhs, mats, pivs, rhs,
-                    batch=len(reqs), **kwargs)
-                self._absorb_batch_report(brep)
-            else:
-                gbtrs_batch(Trans.NO_TRANS, n, kl, ku, nrhs, mats, pivs,
-                            rhs, batch=len(reqs), **kwargs)
+            _, brep = run_gbtrs(self._cfg, Trans.NO_TRANS, n, kl, ku, nrhs,
+                                mats, pivs, rhs, batch=len(reqs))
+            self._absorb_batch_report(brep)
             self._report.dispatch_groups += 1
             self._report.group_sizes[len(reqs)] = (
                 self._report.group_sizes.get(len(reqs), 0) + 1)

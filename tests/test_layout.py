@@ -21,6 +21,9 @@ The contracts under test (docs/LAYOUTS.md):
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,7 +56,7 @@ from repro.core.batch_args import (
     soa_stageable,
     stack_view,
 )
-from repro.errors import ArgumentError
+from repro.errors import ArgumentError, DeviceMemoryError
 from repro.gpusim import H100_PCIE, Stream
 from repro.gpusim.faults import FaultPlan, fault_injection
 
@@ -411,6 +414,56 @@ class TestLayoutKnob:
         mats = [np.zeros((8, 4)), np.zeros((8, 5))]
         with pytest.raises(ArgumentError, match="uniform"):
             convert_batch_layout(INTERLEAVED, (mats,), batch=2)
+
+    def test_failed_call_leaves_no_conversion_charge_behind(self):
+        """The conversion charge belongs to its call: a call that converts
+        and then fails before launching (here: admission control rejects
+        it) must not charge its bytes to the next call's first launch."""
+        a = random_band_batch(32, 32, 2, 3, seed=0)
+        with pytest.raises(DeviceMemoryError):
+            gbtrf_batch(32, 32, 2, 3, a, layout="soa", max_resident_bytes=1)
+        stream = Stream(H100_PCIE)
+        gbtrf_batch(32, 32, 2, 3, random_band_batch(32, 32, 2, 3, seed=1),
+                    stream=stream)
+        recs = _launches(stream)
+        assert recs and [r.soa_bytes for r in recs] == [0] * len(recs)
+
+    def test_concurrent_calls_charge_only_their_own_conversion(self):
+        """Threads converting at once each see exactly one charge of
+        their own size on their own stream (no lost or stolen bytes)."""
+        calls, nthreads = 6, 4
+        errors = []
+
+        def work(seed):
+            try:
+                for i in range(calls):
+                    a, b = self._problem()
+                    if i % 2:          # different sizes per call
+                        a, b = a[:3], b[:3]
+                    stream = Stream(H100_PCIE)
+                    # Small chunks keep the threads' concurrent leases
+                    # inside a squeezed device pool.
+                    gbsv_batch(self.N, self.KL, self.KU, self.NRHS, a, None,
+                               b, stream=stream, layout="soa", chunk_hint=2)
+                    charged = [r.soa_bytes for r in _launches(stream)
+                               if r.soa_bytes]
+                    assert charged == [2 * (a.nbytes + b.nbytes)]
+            except Exception as exc:   # re-raised on the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(k,))
+                       for k in range(nthreads)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert not errors, errors[0]
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ Pins the contracts of :mod:`repro.core.pipeline`:
 """
 
 import contextlib
+import threading
 
 import numpy as np
 import pytest
@@ -136,6 +137,34 @@ class TestKnobs:
         d = res.to_dict()
         assert d["devices"] == list(res.devices)
         assert d["makespan"] == pytest.approx(res.makespan)
+
+    def test_last_pipeline_result_is_per_thread(self):
+        """Two threads pipelining concurrently each see their own call."""
+        n, kl, ku, batch = 16, 2, 2, 12
+        done = threading.Barrier(2)
+        seen, errors = {}, []
+
+        def work(ndev):
+            try:
+                a = random_band_batch(batch, n, kl, ku, seed=ndev)
+                b = random_rhs(n, 1, batch=batch, seed=ndev + 1)
+                gbsv_batch(n, kl, ku, 1, a, None, b, devices=ndev,
+                           chunk_hint=3)
+                done.wait(timeout=30)      # both calls have finished
+                seen[ndev] = last_pipeline_result().devices
+            except Exception as exc:       # re-raised on the main thread
+                errors.append(exc)
+
+        workers = [threading.Thread(target=work, args=(d,)) for d in (2, 3)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+        assert not any(w.is_alive() for w in workers)
+        assert not errors
+        for ndev in (2, 3):
+            assert seen[ndev] == tuple(
+                d.name for d in replicate_device(H100_PCIE, ndev))
 
 
 # Knob combinations swept by the bit-identity tests.
