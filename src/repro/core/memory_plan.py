@@ -294,7 +294,7 @@ def run_governed(spec, cfg, ops):
         out = _run_shard(spec.name, cfg.device, [(0, batch)], plan, batch, 1,
                          resilient, cfg.policy or ResiliencePolicy(),
                          run_chunk, run_host, streams=(cfg.stream,) * 3,
-                         label=f"{spec.name}-chunk", tag=False)
+                         tag=False)
         parts, chunks, oom, events, backoff = (
             out.parts, out.chunks, out.oom, out.events, out.backoff)
     if not resilient:

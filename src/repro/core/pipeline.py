@@ -345,7 +345,7 @@ def _dispatch_chunk(dev, streams, start, stop, nbytes, staged, run_chunk):
 def _run_shard(op, dev, ranges, plan, total_batch, nbuf, resilient, policy,
                run_chunk, run_host, *, watchdog=None, failover=False,
                snapshot=None, restore=None, keep_snaps=False, role="full",
-               streams=None, label=None, tag=True):
+               streams=None, tag=True):
     """Run one shard's lane ranges through the double-buffered triple.
 
     A mid-run allocation failure walks the OOM ladder under
@@ -369,15 +369,16 @@ def _run_shard(op, dev, ranges, plan, total_batch, nbuf, resilient, policy,
     re-shard.  Breaker bookkeeping happens on the coordinator thread, not
     here, which keeps failover decisions deterministic.
 
-    The sequential governed executor is this runner with one buffer, the
-    caller's stream as the whole triple (``streams``), an unsuffixed lease
-    ``label`` and untagged (``tag=False``) chunk events.
+    ``streams`` and ``tag`` exist for the sequential governed executor,
+    which is this runner with one buffer: it passes the caller's stream as
+    the whole triple, and ``tag=False`` keeps its chunk events without the
+    device and lane-range keys the pipeline adds.
     """
     out = _ShardOutcome()
     pool = memory_pool(dev)
     triple = streams or _shard_streams(dev, nbuf, watchdog=watchdog)
     s_cmp = triple[1]
-    label = label or f"{op}-chunk@{dev.name}"
+    label = f"{op}-chunk@{dev.name}"
     where = {"device": dev.name} if tag else {}
     h2d_bytes = d2h_bytes = 0
     chunk = plan.chunk

@@ -238,13 +238,7 @@ def plu_apply_batch(fact3: np.ndarray, piv2: np.ndarray,
     O(n·k) per lane, vectorized across the batch.
     """
     kv = kl + ku
-    y = np.zeros(x3.shape, dtype=np.result_type(fact3.dtype, x3.dtype))
-    for d in range(0, kv + 1):
-        row = kv - d
-        lo, hi = max(0, d), n + min(0, d)
-        if hi <= lo:
-            continue
-        y[:, lo - d:hi - d, :] += fact3[:, row, lo:hi, None] * x3[:, lo:hi, :]
+    y = band_mv_batch(fact3, x3, n, 0, kv, offset=kv)
     if kl > 0:
         bidx = np.arange(fact3.shape[0])
         for j in range(n - 2, -1, -1):

@@ -149,7 +149,7 @@ class FaultPlan:
     alloc_labels:
         Substring filter on the allocation label for allocation failures
         (``""`` matches every allocation; the governed drivers label their
-        chunk leases ``"<op>-chunk"``).
+        chunk leases ``"<op>-chunk@<device>"``).
     capacity_squeezes:
         Number of allocations that see the pool capacity transiently
         multiplied by ``squeeze_fraction``; each squeeze is consumed once

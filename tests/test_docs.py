@@ -15,8 +15,13 @@ REPO = Path(__file__).resolve().parent.parent
 
 def _env():
     """Make sure the subprocess can import repro even when the suite runs
-    without an installed package (PYTHONPATH=src invocation)."""
+    without an installed package (PYTHONPATH=src invocation).
+
+    The samples document the default device memory, so a
+    ``REPRO_GLOBAL_MEM_BYTES`` squeeze set for the rest of the suite is
+    not passed on."""
     env = dict(os.environ)
+    env.pop("REPRO_GLOBAL_MEM_BYTES", None)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO / "src"), env.get("PYTHONPATH")) if p)
     return env
