@@ -82,7 +82,7 @@ def measure(*, n=N, kl=KL, ku=KU, batch=BATCH, repeats=3):
     stream = Stream(H100_PCIE)
     configs = {
         "sequential": dict(stream=stream),
-        "pipe-1dev-1stream": dict(devices=1, overlap=False),
+        "pipe-1dev-1stream": dict(devices=1, streams=1),
         "overlap": dict(streams=3),
         "2dev": dict(devices=2),
     }

@@ -188,7 +188,6 @@ def gbtrf_vbatch(ms, ns, kls, kus, a_array, pv_array=None, info=None, *,
                  max_resident_bytes: int | None = None,
                  chunk_hint: int | None = None,
                  streams: int | None = None, devices=None,
-                 overlap: bool | None = None,
                  layout: str | None = None,
                  verify=None):
     """Non-uniform batch band LU: per-problem ``(m, n, kl, ku)``.
@@ -219,7 +218,7 @@ def gbtrf_vbatch(ms, ns, kls, kus, a_array, pv_array=None, info=None, *,
     (each group plans against the shared device pool, so the caps bound
     every group's resident footprint).
 
-    ``streams`` / ``devices`` / ``overlap`` are the pipelined-execution
+    ``streams`` / ``devices`` are the pipelined-execution
     knobs (see :func:`repro.core.gbtrf.gbtrf_batch`), applied per
     uniform group: each group's chunks stream through double-buffered
     copy/compute streams and shard across devices, bit-identically.
@@ -240,7 +239,7 @@ def gbtrf_vbatch(ms, ns, kls, kus, a_array, pv_array=None, info=None, *,
         device, stream, execute, vectorize=vectorize, resilient=resilient,
         policy=policy, max_resident_bytes=max_resident_bytes,
         chunk_hint=chunk_hint, streams=streams, devices=devices,
-        overlap=overlap, layout=layout, verify=verify)
+        layout=layout, verify=verify)
     pivots, info, report = run_gbtrf_vbatch(cfg, ms, ns, kls, kus, a_array,
                                             pv_array, info)
     return (pivots, info, report) if cfg.reports else (pivots, info)
@@ -286,7 +285,6 @@ def gbsv_vbatch(ns, kls, kus, nrhss, a_array, b_array, pv_array=None,
                 max_resident_bytes: int | None = None,
                 chunk_hint: int | None = None,
                 streams: int | None = None, devices=None,
-                overlap: bool | None = None,
                 layout: str | None = None,
                 verify=None):
     """Non-uniform batch factorize-and-solve: per-problem ``(n, kl, ku, nrhs)``.
@@ -301,7 +299,7 @@ def gbsv_vbatch(ns, kls, kus, nrhss, a_array, b_array, pv_array=None,
     :class:`~repro.core.resilience.BatchReport`.
     ``max_resident_bytes`` / ``chunk_hint`` bound each uniform group's
     resident device footprint (:mod:`repro.core.memory_plan`);
-    ``streams`` / ``devices`` / ``overlap`` pipeline each group's chunks
+    ``streams`` / ``devices`` pipeline each group's chunks
     (see :func:`repro.core.gbtrf.gbtrf_batch`); ``layout`` stages each
     uniform group into the requested storage layout once before it
     executes (see :func:`gbtrf_vbatch` and docs/LAYOUTS.md); ``verify``
@@ -313,7 +311,7 @@ def gbsv_vbatch(ns, kls, kus, nrhss, a_array, b_array, pv_array=None,
         device, stream, execute, vectorize=vectorize, resilient=resilient,
         policy=policy, max_resident_bytes=max_resident_bytes,
         chunk_hint=chunk_hint, streams=streams, devices=devices,
-        overlap=overlap, layout=layout, verify=verify)
+        layout=layout, verify=verify)
     batch = len(a_array)
     _check_lengths(batch, (("ns", ns), ("kls", kls), ("kus", kus),
                            ("nrhss", nrhss)))

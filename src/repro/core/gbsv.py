@@ -76,7 +76,6 @@ def gbsv_batch(n: int, kl: int, ku: int, nrhs: int, a_array, pv_array,
                max_resident_bytes: int | None = None,
                chunk_hint: int | None = None,
                streams: int | None = None, devices=None,
-               overlap: bool | None = None,
                layout: str | None = None,
                verify=None):
     """Factor and solve a uniform batch of band systems (paper's top API).
@@ -99,7 +98,7 @@ def gbsv_batch(n: int, kl: int, ku: int, nrhs: int, a_array, pv_array,
     footprint exceeds the device pool budget (or either cap) is streamed
     through the device in chunks, bit-identically to an unchunked run.
 
-    ``streams`` / ``devices`` / ``overlap`` are the pipelined-execution
+    ``streams`` / ``devices`` are the pipelined-execution
     knobs (see :func:`repro.core.gbtrf.gbtrf_batch`): chunks stream
     through double-buffered copy/compute streams and shard across
     devices, bit-identically to the sequential single-device path.
@@ -129,7 +128,7 @@ def gbsv_batch(n: int, kl: int, ku: int, nrhs: int, a_array, pv_array,
         max_blocks=max_blocks, vectorize=vectorize, resilient=resilient,
         policy=policy, max_resident_bytes=max_resident_bytes,
         chunk_hint=chunk_hint, streams=streams, devices=devices,
-        overlap=overlap, layout=layout, verify=as_verify_policy(verify))
+        layout=layout, verify=as_verify_policy(verify))
     pivots, info, report = run_gbsv(cfg, n, kl, ku, nrhs, a_array, pv_array,
                                     b_array, info, batch)
     return (pivots, info, report) if cfg.reports else (pivots, info)

@@ -75,7 +75,6 @@ def gbtrf_batch(m: int, n: int, kl: int, ku: int, a_array,
                 max_resident_bytes: int | None = None,
                 chunk_hint: int | None = None,
                 streams: int | None = None, devices=None,
-                overlap: bool | None = None,
                 layout: str | None = None,
                 verify=None):
     """LU-factorize a uniform batch of band matrices on the simulated GPU.
@@ -129,12 +128,12 @@ def gbtrf_batch(m: int, n: int, kl: int, ku: int, a_array,
         below the pool budget; ``chunk_hint`` caps the lanes per chunk.
         A batch over either cap is streamed through the device in chunks,
         bit-identically to an unchunked run.
-    streams, devices, overlap:
+    streams, devices:
         Pipelined-execution knobs (:mod:`repro.core.pipeline`).
         ``streams`` (1–3) sets the per-device stream count — 3 gives the
         full h2d/compute/d2h double-buffered pipeline, 2 a shared copy
-        stream, 1 sequential staging; ``overlap=True`` is shorthand for
-        ``streams=3`` and ``overlap=False`` forces sequential staging.
+        stream, 1 sequential staging; with ``devices`` set and
+        ``streams`` unset each device runs all three.
         ``devices`` shards the batch across devices — an int replicates
         ``device`` that many times, or pass a list of uniquely-named
         :class:`~repro.gpusim.device.DeviceSpec`; shards are weighted by
@@ -183,7 +182,7 @@ def gbtrf_batch(m: int, n: int, kl: int, ku: int, a_array,
         execute=execute, max_blocks=max_blocks, vectorize=vectorize,
         resilient=resilient, policy=policy,
         max_resident_bytes=max_resident_bytes, chunk_hint=chunk_hint,
-        streams=streams, devices=devices, overlap=overlap, layout=layout,
+        streams=streams, devices=devices, layout=layout,
         verify=as_verify_policy(verify))
     pivots, info, report = run_gbtrf(cfg, m, n, kl, ku, a_array, pv_array,
                                      info, batch)

@@ -65,7 +65,6 @@ def gbtrs_batch(trans: Trans | str, n: int, kl: int, ku: int, nrhs: int,
                 max_resident_bytes: int | None = None,
                 chunk_hint: int | None = None,
                 streams: int | None = None, devices=None,
-                overlap: bool | None = None,
                 layout: str | None = None,
                 verify=None):
     """Solve a uniform batch of factored band systems on the simulated GPU.
@@ -95,7 +94,7 @@ def gbtrs_batch(trans: Trans | str, n: int, kl: int, ku: int, nrhs: int,
     footprint exceeds the device pool budget (or either cap) is streamed
     through the device in chunks, bit-identically to an unchunked run.
 
-    ``streams`` / ``devices`` / ``overlap`` are the pipelined-execution
+    ``streams`` / ``devices`` are the pipelined-execution
     knobs (see :func:`repro.core.gbtrf.gbtrf_batch`): chunks stream
     through double-buffered copy/compute streams and shard across
     devices, bit-identically to the sequential single-device path.
@@ -124,7 +123,7 @@ def gbtrs_batch(trans: Trans | str, n: int, kl: int, ku: int, nrhs: int,
         rhs_tile=rhs_tile, execute=execute, max_blocks=max_blocks,
         vectorize=vectorize, resilient=resilient, policy=policy,
         max_resident_bytes=max_resident_bytes, chunk_hint=chunk_hint,
-        streams=streams, devices=devices, overlap=overlap, layout=layout,
+        streams=streams, devices=devices, layout=layout,
         verify=as_verify_policy(verify))
     info, report = run_gbtrs(cfg, trans, n, kl, ku, nrhs, a_array, pv_array,
                              b_array, info, batch)

@@ -38,23 +38,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..band.layout import ldab_for_factor
 from ..errors import DeviceMemoryError, check_arg
 from ..gpusim.device import H100_PCIE, DeviceSpec
 from ..gpusim.memory import memory_pool
-from .resilience import (
-    HOST_FALLBACK,
-    BatchReport,
-    ResiliencePolicy,
-    merge_reports,
-)
+from .resilience import merge_reports
 
 __all__ = [
     "MemoryPlan",
     "estimate_footprint",
     "estimate_vbatch_footprint",
+    "lane_footprint",
     "plan_batch",
     "governance_active",
     "run_governed",
@@ -119,14 +113,12 @@ def estimate_vbatch_footprint(op: str, ns, kls, kus, *, ms=None,
     return total
 
 
-def _lane_bytes(mat, piv=None, rhs=None) -> int:
-    """Exact per-lane residency from the call's actual operands."""
-    total = int(np.asarray(mat).nbytes) + INFO_BYTES + POINTER_BYTES
-    if piv is not None:
-        total += int(np.asarray(piv).nbytes) + POINTER_BYTES
-    if rhs is not None:
-        total += int(np.asarray(rhs).nbytes) + POINTER_BYTES
-    return total
+def lane_footprint(*operand_nbytes: int) -> int:
+    """Exact resident device bytes of one lane whose operand arrays
+    (matrix, pivots, right-hand sides) hold ``operand_nbytes`` bytes:
+    the arrays, the ``info`` entry and one device pointer per operand."""
+    return (sum(operand_nbytes) + INFO_BYTES
+            + POINTER_BYTES * len(operand_nbytes))
 
 
 # --- the plan --------------------------------------------------------------
@@ -200,18 +192,23 @@ def plan_batch(batch: int, lane_bytes: int, *,
 
 # --- chunked execution -----------------------------------------------------
 
-def _admit_or_raise(plan: MemoryPlan, resilient: bool,
-                    device: DeviceSpec) -> None:
-    """Admission control for the plain (non-resilient) path.
+def _plan_admitted(cfg, device: DeviceSpec, batch: int, lane_bytes: int,
+                   buffers: int = 1) -> MemoryPlan:
+    """Plan ``batch`` lanes on ``device`` under ``cfg``'s caps.
 
-    Without a recovery ladder there is nothing to degrade to: a call
-    whose single lane exceeds the budget fails structurally *before* any
-    work touches the operands.
+    Admission control for the plain (non-resilient) path: without a
+    recovery ladder there is nothing to degrade to, so a call whose
+    single lane exceeds the budget fails structurally *before* any work
+    touches the operands.
     """
-    if not resilient and plan.lane_bytes > plan.budget:
+    plan = plan_batch(batch, lane_bytes, device=device,
+                      max_resident_bytes=cfg.max_resident_bytes,
+                      chunk_hint=cfg.chunk_hint, buffers=buffers)
+    if not cfg.resilient and plan.lane_bytes > plan.budget:
         raise DeviceMemoryError(plan.lane_bytes,
                                 memory_pool(device).in_use, plan.budget,
                                 device=device.name)
+    return plan
 
 
 # --- the governance layer --------------------------------------------------
@@ -221,91 +218,32 @@ def run_governed(spec, cfg, ops):
 
     Each chunk runs the layers below (:func:`repro.core.stack.heal`) on
     its lane range, on the caller's device and stream — or, with
-    ``streams``/``devices``/``overlap``, on a shard's device and compute
-    stream under the pipelined executor (:mod:`repro.core.pipeline`).
-    The host net keeps LAPACK singularity semantics.  Same contract as
-    an ungoverned call: ``resilient`` chunk reports merge into one.
+    ``streams``/``devices``, on a shard's device and compute stream under
+    the pipelined executor (:mod:`repro.core.pipeline`).  Same contract
+    as an ungoverned call: ``resilient`` chunk reports merge into one.
     """
-    from dataclasses import replace
-    from .pipeline import (
-        _resolve_devices,
-        execute_pipelined,
-        pipeline_requested,
-    )
-    from .stack import heal
+    from . import pipeline
     batch = ops.batch
-    resilient = cfg.resilient
-
-    def run_chunk(start, stop, device=cfg.device, stream=cfg.stream):
-        c = cfg
-        if device is not cfg.device or stream is not cfg.stream:
-            c = replace(cfg, device=device, stream=stream)
-        return heal(spec, c, ops.take(range(start, stop)))
-
-    def run_host(start, stop):
-        sub = ops.take(range(start, stop))
-        spec.host(sub)
-        if not resilient:
-            return None
-        rep = BatchReport(spec.name, stop - start,
-                          method_requested=cfg.method,
-                          methods={s.name: HOST_FALLBACK
-                                   for s in spec.stages or (spec,)},
-                          info=np.array(sub.info, copy=True))
-        rep.fallbacks.append((spec.name, "chunked", HOST_FALLBACK))
-        rep.quarantined = rep.singular = tuple(
-            int(j) for j in np.flatnonzero(sub.info > 0))
-        return rep
-
     lane_bytes = spec.lane_bytes(ops)
     presult = None
-    if pipeline_requested(streams=cfg.streams, devices=cfg.devices,
-                          overlap=cfg.overlap):
-        # Chunks orphaned by a device outage or hang (the device fault
-        # domain, armed only when resilient) rewind to the call's
-        # pristine snapshot — verify's, or one taken here — before they
-        # re-shard; hedging copies the primary's outputs first.
-        if resilient and ops.call.pristine is None:
-            ops.call.pristine = spec.snapshot(ops, inputs=True)
-        ops.call.escalate = resilient and len(
-            _resolve_devices(cfg.device, cfg.devices)) > 1
-        parts, chunks, oom, events, backoff, plan, presult = \
-            execute_pipelined(
-                spec.name, batch, lane_bytes, device=cfg.device,
-                stream=cfg.stream, streams=cfg.streams, devices=cfg.devices,
-                overlap=cfg.overlap, resilient=resilient, policy=cfg.policy,
-                run_chunk=run_chunk, run_host=run_host,
-                max_resident_bytes=cfg.max_resident_bytes,
-                chunk_hint=cfg.chunk_hint,
-                probe_stages=lambda dev: spec.probe_stages(dev, cfg, ops),
-                snapshot=lambda start, stop: spec.snapshot(
-                    ops.take(range(start, stop))),
-                restore=lambda start, stop, snap: spec.restore(
-                    ops.take(range(start, stop)), snap),
-                pristine=lambda start, stop: ops.call.pristine.take(
-                    ops.lanes[start:stop]))
+    if pipeline.pipeline_requested(streams=cfg.streams, devices=cfg.devices):
+        out, budget, presult = pipeline.execute_pipelined(spec, cfg, ops,
+                                                          lane_bytes)
     else:
-        from .pipeline import _run_shard
-        plan = plan_batch(batch, lane_bytes, device=cfg.device,
-                          max_resident_bytes=cfg.max_resident_bytes,
-                          chunk_hint=cfg.chunk_hint)
-        _admit_or_raise(plan, resilient, cfg.device)
         # The sequential executor: one buffer on the caller's stream.
-        out = _run_shard(spec.name, cfg.device, [(0, batch)], plan, batch, 1,
-                         resilient, cfg.policy or ResiliencePolicy(),
-                         run_chunk, run_host, streams=(cfg.stream,) * 3,
-                         tag=False)
-        parts, chunks, oom, events, backoff = (
-            out.parts, out.chunks, out.oom, out.events, out.backoff)
-    if not resilient:
+        plan = _plan_admitted(cfg, cfg.device, batch, lane_bytes)
+        out = pipeline._run_shard(spec, cfg, ops, cfg.device, [(0, batch)],
+                                  plan)
+        budget = plan.budget
+    if not cfg.resilient:
         return None
-    report = merge_reports(spec.name, batch, parts)
+    report = merge_reports(spec.name, batch, out.parts)
     report.method_requested, report.info = cfg.method, ops.info
-    report.footprint_bytes, report.budget_bytes = plan.footprint, plan.budget
-    report.chunks = tuple(chunks)
-    report.oom_failures += oom
-    report.chunk_events.extend(events)
-    report.backoff_total += backoff
+    report.footprint_bytes, report.budget_bytes = batch * lane_bytes, budget
+    report.chunks = tuple(out.chunks)
+    report.oom_failures += out.oom
+    report.chunk_events.extend(out.events)
+    report.backoff_total += out.backoff
     if presult is not None:
         report.devices = presult.devices
         report.makespan = presult.makespan

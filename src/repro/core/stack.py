@@ -28,6 +28,7 @@ their LAPACK-style return values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Callable
 
 import numpy as np
@@ -69,7 +70,6 @@ class ExecConfig:
     chunk_hint: int | None = None
     streams: int | None = None
     devices: object = None
-    overlap: bool | None = None
     layout: str | None = None
     verify: object = None
 
@@ -79,8 +79,17 @@ class ExecConfig:
         return self.resilient or self.verify is not None
 
 
+def _positive_int(x) -> bool:
+    return isinstance(x, Integral) and not isinstance(x, bool) and x >= 1
+
+
 def check_execution(cfg: ExecConfig, pos: int) -> None:
-    """Verified and resilient calls need full functional execution."""
+    """Validate the execution knobs once, whatever route the call takes.
+
+    Verified and resilient calls need full functional execution; the
+    governance knobs must be valid even on routes that ignore them
+    (``execute=False``, sampled or graph-captured calls).
+    """
     full = cfg.execute and cfg.max_blocks is None
     if cfg.verify is not None:
         check_arg(full, pos, "verify requires full functional execution "
@@ -88,6 +97,21 @@ def check_execution(cfg: ExecConfig, pos: int) -> None:
     if cfg.resilient:
         check_arg(full, pos, "resilient=True requires full functional "
                              "execution (execute=True, max_blocks=None)")
+    for name in ("max_resident_bytes", "chunk_hint", "streams"):
+        value = getattr(cfg, name)
+        check_arg(value is None or _positive_int(value), pos,
+                  f"{name} must be a positive integer, got {value!r}")
+    devices = cfg.devices
+    if devices is None or _positive_int(devices):
+        return
+    check_arg(not isinstance(devices, (Integral, float, str)), pos,
+              f"devices must be a positive integer or a list of "
+              f"devices, got {devices!r}")
+    names = [d.name for d in devices]
+    check_arg(len(names) >= 1, pos, "devices must not be empty")
+    check_arg(len(set(names)) == len(names), pos,
+              f"device names must be unique (pools and fault injectors "
+              f"key on them), got {names}")
 
 
 class _Call:
@@ -284,9 +308,11 @@ class OpSpec:
 
     def lane_bytes(self, ops) -> int:
         """Exact resident device bytes of one lane of ``ops``."""
-        from .memory_plan import _lane_bytes
+        from .memory_plan import lane_footprint
         rhs = ops.rhs[0] if ops.rhs is not None and ops.nrhs else None
-        return _lane_bytes(ops.mats[0], ops.pivots[0], rhs)
+        return lane_footprint(*(np.asarray(x).nbytes for x in
+                                (ops.mats[0], ops.pivots[0], rhs)
+                                if x is not None))
 
     def empty(self, ops) -> bool:
         """Nothing to compute: LAPACK quick return."""

@@ -23,8 +23,8 @@ the ingress layer between the two:
   same contract that makes every layer below bit-identical to the layer
   beneath it;
 * the ``vectorize`` / ``resilient`` / ``streams`` / ``devices`` /
-  ``overlap`` / ``max_resident_bytes`` / ``chunk_hint`` knobs of the
-  batched drivers pass through unchanged.
+  ``max_resident_bytes`` / ``chunk_hint`` knobs of the batched drivers
+  pass through unchanged.
 
 Everything observable lands in a :class:`~repro.serve.report.
 ServiceReport` (flush reasons, group-size histogram, cache hit/miss/
@@ -43,8 +43,8 @@ import numpy as np
 
 from ..core.batched import run_gbtrf_vbatch
 from ..core.gbtrs import run_gbtrs
-from ..core.memory_plan import INFO_BYTES, POINTER_BYTES
-from ..core.stack import ExecConfig
+from ..core.memory_plan import lane_footprint
+from ..core.stack import ExecConfig, check_execution
 from ..core.verify import as_verify_policy
 from ..errors import (
     DeviceMemoryError,
@@ -181,7 +181,7 @@ class _Pending:
     """Internal per-request record (snapshot + routing state)."""
 
     __slots__ = ("seq", "n", "kl", "ku", "nrhs", "ab", "b", "b_was_1d",
-                 "key", "handle", "factors", "pivots", "finfo")
+                 "key", "handle", "factors", "pivots", "finfo", "lane_bytes")
 
     def __init__(self, seq, n, kl, ku, nrhs, ab, b, b_was_1d, key, handle):
         self.seq = seq
@@ -197,12 +197,9 @@ class _Pending:
         self.factors = None
         self.pivots = None
         self.finfo = 0
-
-    @property
-    def lane_bytes(self) -> int:
-        """Resident device footprint of this request when dispatched."""
-        return (self.ab.nbytes + self.n * 8 + self.b.nbytes
-                + INFO_BYTES + 3 * POINTER_BYTES)
+        # Resident device footprint when dispatched: the matrix, int64
+        # pivots and right-hand sides, as the drivers charge them.
+        self.lane_bytes = lane_footprint(ab.nbytes, n * 8, b.nbytes)
 
 
 class SolverService:
@@ -218,7 +215,7 @@ class SolverService:
         Bounds for the :class:`~repro.serve.cache.FactorCache`
         (``cache_entries=0`` disables caching).
     vectorize, resilient, resilience_policy, max_resident_bytes,
-    chunk_hint, streams, devices, overlap, layout:
+    chunk_hint, streams, devices, layout:
         Passed through to every dispatched driver call unchanged — the
         service inherits the whole execution stack below it (``layout``
         is the storage-layout selector of docs/LAYOUTS.md; cache keys
@@ -252,7 +249,6 @@ class SolverService:
                  max_resident_bytes: int | None = None,
                  chunk_hint: int | None = None,
                  streams: int | None = None, devices=None,
-                 overlap: bool | None = None,
                  layout: str | None = None,
                  verify=None,
                  auto_poll_interval: float | None = None,
@@ -267,8 +263,9 @@ class SolverService:
             device=device, stream=stream, vectorize=vectorize,
             resilient=resilient, policy=resilience_policy,
             max_resident_bytes=max_resident_bytes, chunk_hint=chunk_hint,
-            streams=streams, devices=devices, overlap=overlap,
+            streams=streams, devices=devices,
             layout=layout, verify=as_verify_policy(verify))
+        check_execution(self._cfg, 9)
         self._clock = clock
         self._report = ServiceReport()
         self._pending: list[_Pending] = []

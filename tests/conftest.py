@@ -37,6 +37,23 @@ def _fresh_device_health():
     reset_device_health()
 
 
+@pytest.fixture(autouse=True)
+def _pipeline_round_accounting(monkeypatch):
+    """Every pipelined call, healthy or failed over, accounts one modeled
+    makespan per dispatch round, and its makespan is their sum."""
+    from repro.core import pipeline
+    execute = pipeline.execute_pipelined
+
+    def checked(*args, **kwargs):
+        out = execute(*args, **kwargs)
+        result = out[-1]
+        assert len(result.round_makespans) == result.rounds, result
+        assert result.makespan == sum(result.round_makespans), result
+        return out
+
+    monkeypatch.setattr(pipeline, "execute_pipelined", checked)
+
+
 def scipy_gbtrf(ab: np.ndarray, kl: int, ku: int, m: int, n: int):
     """Ground-truth LAPACK factorization via scipy (0-based pivots)."""
     from scipy.linalg import lapack

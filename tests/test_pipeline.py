@@ -97,11 +97,51 @@ class TestKnobs:
     def test_pipeline_requested(self):
         assert not pipeline_requested()
         assert not pipeline_requested(streams=1)
-        assert not pipeline_requested(overlap=False)
+        assert not pipeline_requested(streams=None, devices=None)
         assert pipeline_requested(streams=2)
-        assert pipeline_requested(overlap=True)
+        assert pipeline_requested(streams=3)
         assert pipeline_requested(devices=1)
         assert pipeline_requested(devices=[H100_PCIE, MI250X_GCD])
+
+    def test_healthy_call_is_one_round(self):
+        """A healthy call runs the rounds loop once: one round, one
+        makespan entry, equal to the slowest shard's."""
+        n, kl, ku, batch = 16, 2, 2, 24
+        for knobs in (dict(streams=3), dict(devices=2),
+                      dict(devices=2, resilient=True)):
+            a = random_band_batch(batch, n, kl, ku, seed=0)
+            b = random_rhs(n, 1, batch=batch, seed=1)
+            gbsv_batch(n, kl, ku, 1, a, None, b, chunk_hint=6, **knobs)
+            res = last_pipeline_result()
+            assert res.rounds == 1
+            assert res.round_makespans == (
+                max(s.makespan for s in res.shards),)
+            assert res.makespan == res.round_makespans[0]
+            assert res.to_dict()["round_makespans"] == [res.makespan]
+
+    def test_busy_time_sums_in_stream_order(self):
+        """Aliased streams count once, summed in (h2d, compute, d2h)
+        order: the float result cannot depend on object addresses."""
+        from repro.core.pipeline import ShardResult
+        from repro.gpusim.multidevice import DevicePartition
+
+        class FakeStream:
+            def __init__(self, busy):
+                self.busy_time = self.elapsed = busy
+
+        # (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3) in binary floating point.
+        assert (0.1 + 0.2) + 0.3 != (0.2 + 0.3) + 0.1
+        part = DevicePartition(H100_PCIE, 0, 1)
+        for _ in range(200):
+            triple = (FakeStream(0.1), FakeStream(0.2), FakeStream(0.3))
+            shard = ShardResult(partition=part, streams=triple,
+                                h2d_bytes=0, d2h_bytes=0)
+            assert shard.busy_time == (0.1 + 0.2) + 0.3
+            assert shard.makespan == 0.3
+        one = FakeStream(0.1)
+        shard = ShardResult(partition=part, streams=(one, one, one),
+                            h2d_bytes=0, d2h_bytes=0)
+        assert shard.busy_time == 0.1
 
     def test_replicate_device_names(self):
         devs = replicate_device(H100_PCIE, 3)
@@ -119,7 +159,7 @@ class TestKnobs:
         with pytest.raises(ArgumentError):
             gbsv_batch(n, kl, ku, 1, a, None, b, devices=0)
         with pytest.raises(ArgumentError):
-            gbsv_batch(n, kl, ku, 1, a, None, b, streams=0, overlap=True)
+            gbsv_batch(n, kl, ku, 1, a, None, b, streams=0)
 
     def test_last_pipeline_result_populated(self):
         n, kl, ku, batch = 16, 2, 2, 24
@@ -167,12 +207,58 @@ class TestKnobs:
                 d.name for d in replicate_device(H100_PCIE, ndev))
 
 
+# Invalid governance knobs, rejected on every route.
+BAD_KNOBS = [
+    dict(streams=0),
+    dict(streams=-3),
+    dict(streams=2.5),
+    dict(chunk_hint=0),
+    dict(max_resident_bytes=-1),
+    dict(devices=0),
+    dict(devices=[]),
+]
+BAD_IDS = ["streams0", "streams-3", "streams2.5", "chunk_hint0",
+           "max_resident_bytes-1", "devices0", "devices-empty"]
+
+
+@pytest.mark.parametrize("bad", BAD_KNOBS, ids=BAD_IDS)
+@pytest.mark.parametrize("route", [
+    dict(),
+    dict(chunk_hint=4),
+    dict(devices=2, streams=2),
+    dict(execute=False),
+], ids=["plain", "chunked", "pipelined", "execute-false"])
+def test_invalid_knobs_rejected_on_every_route(route, bad):
+    """Governance knobs are validated once, before any route is chosen."""
+    n, kl, ku, batch = 16, 2, 2, 8
+    a = random_band_batch(batch, n, kl, ku, seed=0)
+    b = random_rhs(n, 1, batch=batch, seed=1)
+    a0, b0 = a.copy(), b.copy()
+    knobs = {**route, **bad}
+    with pytest.raises(ArgumentError):
+        gbsv_batch(n, kl, ku, 1, a, None, b, **knobs)
+    with pytest.raises(ArgumentError):
+        gbtrf_batch(n, n, kl, ku, a, **knobs)
+    with pytest.raises(ArgumentError):
+        gbsv_vbatch([n] * batch, [kl] * batch, [ku] * batch, [1] * batch,
+                    list(a), list(b), **knobs)
+    # Rejected before anything ran.
+    assert a.tobytes() == a0.tobytes() and b.tobytes() == b0.tobytes()
+
+
+@pytest.mark.parametrize("bad", BAD_KNOBS, ids=BAD_IDS)
+def test_invalid_knobs_rejected_by_service(bad):
+    from repro.serve import SolverService
+    with pytest.raises(ArgumentError):
+        SolverService(**bad)
+
+
 # Knob combinations swept by the bit-identity tests.
 KNOBS = [
     dict(streams=3),
     dict(streams=2),
-    dict(overlap=True),
-    dict(devices=2, overlap=False),
+    dict(devices=1),
+    dict(devices=2, streams=1),
     dict(devices=2),
     dict(devices=3, streams=2),
     dict(devices=[H100_PCIE, MI250X_GCD]),
@@ -298,7 +384,7 @@ class TestMakespan:
     def test_two_devices_beat_one(self):
         a, b = self._problem()
         gbsv_batch(self.n, self.kl, self.ku, 1, a, None, b,
-                   chunk_hint=8, overlap=True)
+                   chunk_hint=8, streams=3)
         one = last_pipeline_result().makespan
 
         a, b = self._problem()
@@ -309,7 +395,7 @@ class TestMakespan:
         assert one / two > 1.5
 
     def test_no_overlap_matches_sequential_model(self):
-        """devices=1 + overlap=False pipelines nothing: same makespan."""
+        """devices=1 + streams=1 pipelines nothing: same makespan."""
         a, b = self._problem()
         seq = Stream(H100_PCIE)
         gbsv_batch(self.n, self.kl, self.ku, 1, a, None, b,
@@ -318,7 +404,7 @@ class TestMakespan:
 
         a, b = self._problem()
         gbsv_batch(self.n, self.kl, self.ku, 1, a, None, b,
-                   chunk_hint=8, devices=1, overlap=False)
+                   chunk_hint=8, devices=1, streams=1)
         res = last_pipeline_result()
         assert res.streams == 1
         assert res.makespan == pytest.approx(sequential, rel=1e-9)
@@ -489,8 +575,8 @@ class TestTrafficAgreement:
         assert staged == counted
         # All chunks were staged (every shard was chunked smaller than
         # the batch), so both directions moved the full footprint.
-        from repro.core.memory_plan import _lane_bytes
-        lane = _lane_bytes(a[0], piv[0])
+        from repro.core.memory_plan import lane_footprint
+        lane = lane_footprint(a[0].nbytes, piv[0].nbytes)
         assert res.h2d_bytes == self.batch * lane
         assert res.d2h_bytes == self.batch * lane
 
