@@ -58,9 +58,8 @@ def gbtrs_batch(trans: Trans | str, n: int, kl: int, ku: int, nrhs: int,
                 a_array, pv_array, b_array, info=None, *,
                 batch: int | None = None, device: DeviceSpec = H100_PCIE,
                 stream=None, method: str = "auto", nb: int | None = None,
-                threads: int | None = None, rhs_tile: int | None = None,
-                execute: bool = True, max_blocks: int | None = None,
-                vectorize: bool | None = None,
+                threads: int | None = None, execute: bool = True,
+                max_blocks: int | None = None, vectorize: bool | None = None,
                 resilient: bool = False, policy=None,
                 max_resident_bytes: int | None = None,
                 chunk_hint: int | None = None,
@@ -120,7 +119,7 @@ def gbtrs_batch(trans: Trans | str, n: int, kl: int, ku: int, nrhs: int,
               f"method must be one of {_METHODS}, got {method!r}")
     cfg = ExecConfig(
         device=device, stream=stream, method=method, nb=nb, threads=threads,
-        rhs_tile=rhs_tile, execute=execute, max_blocks=max_blocks,
+        execute=execute, max_blocks=max_blocks,
         vectorize=vectorize, resilient=resilient, policy=policy,
         max_resident_bytes=max_resident_bytes, chunk_hint=chunk_hint,
         streams=streams, devices=devices, layout=layout,
@@ -164,10 +163,8 @@ def _kernels(device, method, cfg, ops):
         return None
     args = (ops.n, ops.kl, ops.ku, ops.nrhs, ops.mats, ops.pivots, ops.rhs)
     if ops.trans is Trans.NO_TRANS:
-        return [BlockedForwardKernel(*args, nb=cfg.nb, threads=cfg.threads,
-                                     rhs_tile=cfg.rhs_tile),
-                BlockedBackwardKernel(*args, nb=cfg.nb, threads=cfg.threads,
-                                      rhs_tile=cfg.rhs_tile)]
+        return [BlockedForwardKernel(*args, nb=cfg.nb, threads=cfg.threads),
+                BlockedBackwardKernel(*args, nb=cfg.nb, threads=cfg.threads)]
     conj = ops.trans is Trans.CONJ_TRANS
     return [BlockedTransUKernel(*args, nb=cfg.nb, threads=cfg.threads,
                                 conj=conj),

@@ -75,12 +75,9 @@ def default_gbtrs_threads(kl: int, ku: int, nrhs: int) -> int:
 class _BlockedSolveBase(Kernel):
     def __init__(self, n: int, kl: int, ku: int, nrhs: int,
                  mats: list[np.ndarray], pivots, rhs: list[np.ndarray], *,
-                 nb: int | None = None, threads: int | None = None,
-                 rhs_tile: int | None = None):
+                 nb: int | None = None, threads: int | None = None):
         if nb is not None and nb < 1:
             raise ValueError(f"solve block size nb must be >= 1, got {nb}")
-        if rhs_tile is not None and rhs_tile < 1:
-            raise ValueError(f"rhs_tile must be >= 1, got {rhs_tile}")
         self.n, self.kl, self.ku, self.nrhs = n, kl, ku, nrhs
         self.mats = mats
         self.pivots = pivots
@@ -88,16 +85,7 @@ class _BlockedSolveBase(Kernel):
         self.nb = default_gbtrs_nb(kl, ku) if nb is None else nb
         self.nthreads = (default_gbtrs_threads(kl, ku, nrhs)
                          if threads is None else threads)
-        # RHS tiling: wide RHS blocks are processed `rhs_tile` columns at a
-        # time, bounding the shared-memory window at the price of extra
-        # passes over the factor columns.  Default: all columns in one pass.
-        self.rhs_tile = nrhs if rhs_tile is None else min(rhs_tile,
-                                                          max(nrhs, 1))
         self.itemsize = mats[0].dtype.itemsize if mats else 8
-
-    def _rhs_slices(self):
-        for c0 in range(0, self.nrhs, self.rhs_tile):
-            yield slice(c0, min(c0 + self.rhs_tile, self.nrhs))
 
     def grid(self) -> int:
         return len(self.mats)
@@ -144,83 +132,67 @@ class BlockedForwardKernel(_BlockedSolveBase):
     name = "gbtrs_fwd_blocked"
 
     def smem_bytes(self) -> int:
-        return (self.nb + self.kl) * self.rhs_tile * self.itemsize
+        return (self.nb + self.kl) * self.nrhs * self.itemsize
 
     def block_cost(self) -> BlockCost:
-        base = gbtrs_forward_cost(self.n, self.kl, self.ku, self.nrhs,
+        return gbtrs_forward_cost(self.n, self.kl, self.ku, self.nrhs,
                                   self.nb, self.nthreads, self.itemsize)
-        passes = -(-self.nrhs // self.rhs_tile) if self.nrhs else 1
-        if passes <= 1:
-            return base
-        # Each extra pass re-reads the kl factor rows and re-pays the
-        # per-column control flow.
-        extra = BlockCost(
-            dram_traffic=(passes - 1) * self.kl * self.n * self.itemsize,
-            syncs=(passes - 1) * 2 * self.n, threads=self.nthreads)
-        return base + extra
 
     def run_block(self, block_id: int, smem: SharedMemory) -> None:
         n, kl, ku, nb = self.n, self.kl, self.ku, self.nb
         ab = self.mats[block_id]
         piv = self.pivots[block_id]
+        b = self.rhs[block_id]
         if kl == 0:
             return  # L is the identity: nothing to do
-        rw_full = smem.alloc((nb + kl, self.rhs_tile),
-                             dtype=self.rhs[block_id].dtype)
-        for cs in self._rhs_slices():
-            b = self.rhs[block_id][:, cs]
-            rw = rw_full[:, :b.shape[1]]
-            cached = min(nb + kl, n)
-            rw[:cached] = b[:cached]
-            jbeg = 0
-            while jbeg < n:
-                jend = min(jbeg + nb, n)
-                for j in range(jbeg, jend):
-                    forward_step(ab, n, kl, ku, j, piv, rw, row0=jbeg)
-                b[jbeg:jend] = rw[:jend - jbeg]        # final rows out
-                if jend >= n:
-                    break
-                done = jend - jbeg
-                rem = cached - done
-                rw[:rem] = rw[done:cached].copy()      # shift up
-                lo = jbeg + cached
-                hi = min(jend + nb + kl, n)
-                if hi > lo:
-                    rw[rem:rem + (hi - lo)] = b[lo:hi]  # next rows in
-                cached = rem + max(0, hi - lo)
-                jbeg = jend
+        rw = smem.alloc((nb + kl, self.nrhs), dtype=b.dtype)
+        cached = min(nb + kl, n)
+        rw[:cached] = b[:cached]
+        jbeg = 0
+        while jbeg < n:
+            jend = min(jbeg + nb, n)
+            for j in range(jbeg, jend):
+                forward_step(ab, n, kl, ku, j, piv, rw, row0=jbeg)
+            b[jbeg:jend] = rw[:jend - jbeg]        # final rows out
+            if jend >= n:
+                break
+            done = jend - jbeg
+            rem = cached - done
+            rw[:rem] = rw[done:cached].copy()      # shift up
+            lo = jbeg + cached
+            hi = min(jend + nb + kl, n)
+            if hi > lo:
+                rw[rem:rem + (hi - lo)] = b[lo:hi]  # next rows in
+            cached = rem + max(0, hi - lo)
+            jbeg = jend
 
     def run_batch_vectorized(self, nblocks: int, smem: SharedMemory) -> None:
         n, kl, ku, nb = self.n, self.kl, self.ku, self.nb
         if kl == 0:
             return  # L is the identity: nothing to do
-        abst, pivs, btall = self._stage_batch(nblocks)
-        rw_full = smem.alloc((nblocks, nb + kl, self.rhs_tile),
-                             dtype=btall.dtype)
-        for cs in self._rhs_slices():
-            bt = btall[:, :, cs]
-            rw = rw_full[:, :, :bt.shape[2]]
-            cached = min(nb + kl, n)
-            rw[:, :cached] = bt[:, :cached]
-            jbeg = 0
-            while jbeg < n:
-                jend = min(jbeg + nb, n)
-                for j in range(jbeg, jend):
-                    forward_swap_batched(rw, j, pivs[:, j], row0=jbeg)
-                    forward_update_batched(abst, n, kl, ku, j, rw, row0=jbeg)
-                bt[:, jbeg:jend] = rw[:, :jend - jbeg]   # final rows out
-                if jend >= n:
-                    break
-                done = jend - jbeg
-                rem = cached - done
-                rw[:, :rem] = rw[:, done:cached].copy()  # shift up
-                lo = jbeg + cached
-                hi = min(jend + nb + kl, n)
-                if hi > lo:
-                    rw[:, rem:rem + (hi - lo)] = bt[:, lo:hi]
-                cached = rem + max(0, hi - lo)
-                jbeg = jend
-        self._writeback_rhs(btall, nblocks)
+        abst, pivs, bt = self._stage_batch(nblocks)
+        rw = smem.alloc((nblocks, nb + kl, self.nrhs), dtype=bt.dtype)
+        cached = min(nb + kl, n)
+        rw[:, :cached] = bt[:, :cached]
+        jbeg = 0
+        while jbeg < n:
+            jend = min(jbeg + nb, n)
+            for j in range(jbeg, jend):
+                forward_swap_batched(rw, j, pivs[:, j], row0=jbeg)
+                forward_update_batched(abst, n, kl, ku, j, rw, row0=jbeg)
+            bt[:, jbeg:jend] = rw[:, :jend - jbeg]   # final rows out
+            if jend >= n:
+                break
+            done = jend - jbeg
+            rem = cached - done
+            rw[:, :rem] = rw[:, done:cached].copy()  # shift up
+            lo = jbeg + cached
+            hi = min(jend + nb + kl, n)
+            if hi > lo:
+                rw[:, rem:rem + (hi - lo)] = bt[:, lo:hi]
+            cached = rem + max(0, hi - lo)
+            jbeg = jend
+        self._writeback_rhs(bt, nblocks)
 
 
 class BlockedTransUKernel(_BlockedSolveBase):
@@ -373,77 +345,62 @@ class BlockedBackwardKernel(_BlockedSolveBase):
     name = "gbtrs_bwd_blocked"
 
     def smem_bytes(self) -> int:
-        return (self.nb + self.kl + self.ku) * self.rhs_tile * self.itemsize
+        return (self.nb + self.kl + self.ku) * self.nrhs * self.itemsize
 
     def block_cost(self) -> BlockCost:
-        base = gbtrs_backward_cost(self.n, self.kl, self.ku, self.nrhs,
+        return gbtrs_backward_cost(self.n, self.kl, self.ku, self.nrhs,
                                    self.nb, self.nthreads, self.itemsize)
-        passes = -(-self.nrhs // self.rhs_tile) if self.nrhs else 1
-        if passes <= 1:
-            return base
-        extra = BlockCost(
-            dram_traffic=(passes - 1) * (self.kl + self.ku + 1) * self.n
-            * self.itemsize,
-            syncs=(passes - 1) * 2 * self.n, threads=self.nthreads)
-        return base + extra
 
     def run_block(self, block_id: int, smem: SharedMemory) -> None:
         n, kl, ku, nb = self.n, self.kl, self.ku, self.nb
         kv = kl + ku
         ab = self.mats[block_id]
-        rw_full = smem.alloc((nb + kv, self.rhs_tile),
-                             dtype=self.rhs[block_id].dtype)
-        for cs in self._rhs_slices():
-            b = self.rhs[block_id][:, cs]
-            rw = rw_full[:, :b.shape[1]]
-            jend = n
-            jbeg = max(n - nb, 0)
-            base = max(jbeg - kv, 0)
-            rw[:jend - base] = b[base:jend]
-            while True:
-                for j in range(jend - 1, jbeg - 1, -1):
-                    backward_step(ab, n, kl, ku, j, rw, row0=base)
-                b[jbeg:jend] = rw[jbeg - base:jend - base]  # solved rows
-                if jbeg == 0:
-                    break
-                jend2 = jbeg
-                jbeg2 = max(jend2 - nb, 0)
-                base2 = max(jbeg2 - kv, 0)
-                keep = jend2 - base                 # updated rows to keep
-                off = base - base2
-                if keep > 0:
-                    rw[off:off + keep] = rw[:keep].copy()   # shift down
-                if off > 0:
-                    rw[:off] = b[base2:base]        # stream next rows in
-                jend, jbeg, base = jend2, jbeg2, base2
+        b = self.rhs[block_id]
+        rw = smem.alloc((nb + kv, self.nrhs), dtype=b.dtype)
+        jend = n
+        jbeg = max(n - nb, 0)
+        base = max(jbeg - kv, 0)
+        rw[:jend - base] = b[base:jend]
+        while True:
+            for j in range(jend - 1, jbeg - 1, -1):
+                backward_step(ab, n, kl, ku, j, rw, row0=base)
+            b[jbeg:jend] = rw[jbeg - base:jend - base]  # solved rows
+            if jbeg == 0:
+                break
+            jend2 = jbeg
+            jbeg2 = max(jend2 - nb, 0)
+            base2 = max(jbeg2 - kv, 0)
+            keep = jend2 - base                 # updated rows to keep
+            off = base - base2
+            if keep > 0:
+                rw[off:off + keep] = rw[:keep].copy()   # shift down
+            if off > 0:
+                rw[:off] = b[base2:base]        # stream next rows in
+            jend, jbeg, base = jend2, jbeg2, base2
 
     def run_batch_vectorized(self, nblocks: int, smem: SharedMemory) -> None:
         n, kl, ku, nb = self.n, self.kl, self.ku, self.nb
         kv = kl + ku
-        abst, _, btall = self._stage_batch(nblocks)
-        rw_full = smem.alloc((nblocks, nb + kv, self.rhs_tile),
-                             dtype=btall.dtype)
-        for cs in self._rhs_slices():
-            bt = btall[:, :, cs]
-            rw = rw_full[:, :, :bt.shape[2]]
-            jend = n
-            jbeg = max(n - nb, 0)
-            base = max(jbeg - kv, 0)
-            rw[:, :jend - base] = bt[:, base:jend]
-            while True:
-                for j in range(jend - 1, jbeg - 1, -1):
-                    backward_step_batched(abst, n, kl, ku, j, rw, row0=base)
-                bt[:, jbeg:jend] = rw[:, jbeg - base:jend - base]
-                if jbeg == 0:
-                    break
-                jend2 = jbeg
-                jbeg2 = max(jend2 - nb, 0)
-                base2 = max(jbeg2 - kv, 0)
-                keep = jend2 - base                 # updated rows to keep
-                off = base - base2
-                if keep > 0:
-                    rw[:, off:off + keep] = rw[:, :keep].copy()  # shift down
-                if off > 0:
-                    rw[:, :off] = bt[:, base2:base]
-                jend, jbeg, base = jend2, jbeg2, base2
-        self._writeback_rhs(btall, nblocks)
+        abst, _, bt = self._stage_batch(nblocks)
+        rw = smem.alloc((nblocks, nb + kv, self.nrhs), dtype=bt.dtype)
+        jend = n
+        jbeg = max(n - nb, 0)
+        base = max(jbeg - kv, 0)
+        rw[:, :jend - base] = bt[:, base:jend]
+        while True:
+            for j in range(jend - 1, jbeg - 1, -1):
+                backward_step_batched(abst, n, kl, ku, j, rw, row0=base)
+            bt[:, jbeg:jend] = rw[:, jbeg - base:jend - base]
+            if jbeg == 0:
+                break
+            jend2 = jbeg
+            jbeg2 = max(jend2 - nb, 0)
+            base2 = max(jbeg2 - kv, 0)
+            keep = jend2 - base                 # updated rows to keep
+            off = base - base2
+            if keep > 0:
+                rw[:, off:off + keep] = rw[:, :keep].copy()  # shift down
+            if off > 0:
+                rw[:, :off] = bt[:, base2:base]
+            jend, jbeg, base = jend2, jbeg2, base2
+        self._writeback_rhs(bt, nblocks)

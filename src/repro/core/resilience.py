@@ -404,43 +404,87 @@ def merge_reports(operation: str, batch: int, parts) -> BatchReport:
 
 # --- ladder execution ------------------------------------------------------
 
-def _run_ladder(report: BatchReport, stage: str, ladder, call, restore,
-                policy: ResiliencePolicy, escalate: bool) -> str:
-    """Run ``call(method)`` down the design ladder until one rung succeeds.
+def _vec_for(method: str, vectorize):
+    """Downgrade ``vectorize=True`` on the reference rung.
 
-    ``restore()`` rewinds the operands to their pristine snapshots; it runs
-    before every attempt except the very first (whose operands are already
-    pristine), which is what keeps the zero-fault overhead to one snapshot
-    copy.  Transient :class:`~repro.errors.DeviceError` launches are
-    retried on the same rung; :class:`~repro.errors.SharedMemoryError`
-    falls straight to the next rung (re-asking for the same allocation
-    cannot succeed).  Raises the last error when the ladder is exhausted.
-
-    With ``escalate`` (the call runs under the pipelined executor's device
-    fault domain), whole-device failures and watchdog hangs are raised at
-    once: the pipeline coordinator owns them — it trips the circuit
-    breaker and re-shards the chunk onto a surviving device — instead of
-    their being retried on a dying device or absorbed into the host net.
+    The reference designs have no batch-interleaved path and reject
+    ``vectorize=True`` eagerly; a fallback that lands there must not turn
+    a recoverable device fault into an argument error.
     """
-    last: Exception | None = None
+    return None if (vectorize and method == "reference") else vectorize
+
+
+def _run_ladder(report, spec, cfg, ops, snap, policy, rungs,
+                stage=None) -> None:
+    """Run ``spec`` down the design ladder ``rungs`` until one succeeds,
+    else rewind once and run its net.
+
+    The operands are rewound to their pristine snapshots before every
+    attempt except the very first (whose operands are already pristine),
+    which is what keeps the zero-fault overhead to one snapshot copy.
+    Transient :class:`~repro.errors.DeviceError` launches are retried on
+    the same rung; :class:`~repro.errors.SharedMemoryError` falls straight
+    to the next rung (re-asking for the same allocation cannot succeed).
+    Each exhausted rung records a fallback to the next rung or the net.
+
+    The net of a stage is the host reference algorithm (``gbtf2`` /
+    ``gbtrs_unblocked``, which the design-equivalence tests pin as
+    bit-identical to the reference kernels), so a storm that rejects even
+    the reference kernels still finishes and the resilience layer raises
+    only for argument errors.  The net of a composed op is its stages:
+    the factorization runs its own ladder, and the solve runs on the
+    lanes it left healthy (per-lane results do not depend on sub-batch
+    composition, so the sub-batch is bit-identical).
+
+    When the call runs under the pipelined executor's device fault domain
+    (``ops.call.escalate``), whole-device failures and watchdog hangs are
+    raised at once: the pipeline coordinator owns them — it trips the
+    circuit breaker and re-shards the chunk onto a surviving device —
+    instead of their being retried on a dying device or absorbed into the
+    net.
+    """
+    stage = stage or spec.name
+    if spec.stages:
+        rungs = rungs if ops.nrhs else rungs[-1:]   # fused needs a rhs
+
+        def net():
+            factor, solve = spec.stages
+            _run_ladder(report, factor, cfg, ops, snap, policy,
+                        factor.ladder("auto", cfg.device, ops))
+            if not ops.nrhs:
+                return
+            ok = [k for k in range(ops.batch)
+                  if ops.info[k] == 0 and ops.finite_factors(k)]
+            if ok:
+                _run_ladder(report, solve, cfg, ops.take(ok),
+                            snap.take(ok), policy, solve.designs)
+    else:
+        rungs = (*rungs, HOST_FALLBACK)
+
+        def net():
+            spec.host(ops)
+            report.methods[stage] = HOST_FALLBACK
     dirty = False
-    for pos, meth in enumerate(ladder):
+    for pos, meth in enumerate(rungs[:-1]):     # the last names the net
         attempt = 0
         while True:
             try:
                 if dirty:
-                    restore()
+                    spec.restore(ops, snap)
                 dirty = True
-                call(meth)
+                spec.dispatch(meth, cfg, ops, _vec_for(meth, cfg.vectorize))
                 report.methods[stage] = meth
-                return meth
-            except (DeviceError, DeviceMemoryError) as exc:
-                if _escalates(exc, escalate):
+                return
+            except (DeviceError, DeviceMemoryError, SharedMemoryError) as exc:
+                if ops.call.escalate and isinstance(
+                        exc, (DeviceLostError, KernelHangError)):
                     raise
-                last = exc
+                if isinstance(exc, SharedMemoryError):
+                    report.smem_rejections += 1
+                    break
                 # Allocation failures (injected or genuine pressure) are
                 # transient like launch failures: retry the rung, then
-                # fall down the ladder toward the host net.
+                # fall down the ladder toward the net.
                 if isinstance(exc, DeviceMemoryError):
                     report.oom_failures += 1
                 else:
@@ -453,100 +497,16 @@ def _run_ladder(report: BatchReport, stage: str, ladder, call, restore,
                 if delay > 0:
                     report.backoff_total += delay
                     time.sleep(delay)
-            except SharedMemoryError as exc:
-                last = exc
-                report.smem_rejections += 1
-                break
-        if pos + 1 < len(ladder):
-            report.fallbacks.append((stage, meth, ladder[pos + 1]))
-    assert last is not None
-    raise last
-
-
-def _ladder_with_host(report: BatchReport, stage: str, ladder, call,
-                      restore, policy: ResiliencePolicy, host,
-                      escalate: bool) -> None:
-    """Run the kernel ladder with the host reference algorithm as the net.
-
-    When every rung is exhausted — a storm that rejects even the
-    reference kernels — the stage finishes on the host (``gbtf2`` /
-    ``gbtrs_unblocked``), which the design-equivalence tests pin as
-    bit-identical to the reference kernels.  With the net in place the
-    resilience layer raises only for argument errors.
-    """
-    try:
-        _run_ladder(report, stage, ladder, call, restore, policy, escalate)
-    except (DeviceError, DeviceMemoryError, SharedMemoryError) as exc:
-        if _escalates(exc, escalate):
-            raise
-        restore()
-        host()
-        report.fallbacks.append((stage, ladder[-1], HOST_FALLBACK))
-        report.methods[stage] = HOST_FALLBACK
-
-
-def _vec_for(method: str, vectorize):
-    """Downgrade ``vectorize=True`` on the reference rung.
-
-    The reference designs have no batch-interleaved path and reject
-    ``vectorize=True`` eagerly; a fallback that lands there must not turn
-    a recoverable device fault into an argument error.
-    """
-    return None if (vectorize and method == "reference") else vectorize
-
-
-def _escalates(exc, escalate: bool) -> bool:
-    return escalate and isinstance(exc, (DeviceLostError, KernelHangError))
-
-
-def _heal_stage(report, spec, ladder, cfg, ops, snap, policy,
-                stage=None) -> None:
-    """One stage down its design ladder, with the host reference as net."""
-    _ladder_with_host(
-        report, stage or spec.name, ladder,
-        lambda meth: spec.dispatch(meth, cfg, ops,
-                                   _vec_for(meth, cfg.vectorize)),
-        lambda: spec.restore(ops, snap), policy, lambda: spec.host(ops),
-        ops.call.escalate)
-
-
-def _heal_composed(report, spec, cfg, ops, snap, policy) -> None:
-    """A composed op: its single-kernel designs, else stage by stage.
-
-    A fused ``gbsv`` that fails degrades to the standard path; the
-    factorization stage then runs its own ladder, and the solve stage
-    runs on the lanes it left healthy (per-lane results do not depend on
-    sub-batch composition, so the sub-batch is bit-identical).
-    """
-    ladder = spec.ladder(cfg.method, cfg.device, ops)
-    if len(ladder) > 1 and ops.nrhs >= 1:
-        try:
-            _run_ladder(report, spec.name, ladder[:-1],
-                        lambda meth: spec.dispatch(meth, cfg, ops,
-                                                   cfg.vectorize),
-                        lambda: spec.restore(ops, snap), policy,
-                        ops.call.escalate)
-            return
-        except (DeviceError, DeviceMemoryError, SharedMemoryError) as exc:
-            if _escalates(exc, ops.call.escalate):
-                raise
-            report.fallbacks.append((spec.name, ladder[0], ladder[-1]))
-            spec.restore(ops, snap)
-    factor, solve = spec.stages
-    _heal_stage(report, factor, factor.ladder("auto", cfg.device, ops),
-                cfg, ops, snap, policy)
-    if ops.nrhs:
-        ok = [k for k in range(ops.batch)
-              if ops.info[k] == 0 and ops.finite_factors(k)]
-        if ok:
-            _heal_stage(report, solve, solve.designs, cfg, ops.take(ok),
-                        snap.take(ok), policy)
+        report.fallbacks.append((stage, meth, rungs[pos + 1]))
+    if dirty:
+        spec.restore(ops, snap)
+    net()
 
 
 def _rerun_reference(report, spec, cfg, ops, snap, policy) -> None:
     """Re-run quarantined lanes through the reference design (or host)."""
-    _heal_stage(report, spec, ("reference",), replace(cfg, vectorize=None),
-                ops, snap, policy, stage=f"quarantine:{spec.name}")
+    _run_ladder(report, spec, replace(cfg, vectorize=None), ops, snap,
+                policy, ("reference",), stage=f"quarantine:{spec.name}")
 
 
 def _quarantine(report, spec, cfg, ops, snap, policy) -> None:
@@ -626,10 +586,7 @@ def run_resilient(spec, cfg, ops) -> BatchReport:
     pristine = ops.call.pristine
     snap = (pristine.take(ops.lanes) if pristine is not None
             else spec.snapshot(ops, inputs=True))
-    if spec.stages:
-        _heal_composed(report, spec, cfg, ops, snap, policy)
-    else:
-        _heal_stage(report, spec, spec.ladder(cfg.method, cfg.device, ops),
-                    cfg, ops, snap, policy)
+    _run_ladder(report, spec, cfg, ops, snap, policy,
+                spec.ladder(cfg.method, cfg.device, ops))
     _quarantine(report, spec, cfg, ops, snap, policy)
     return report

@@ -60,7 +60,6 @@ class ExecConfig:
     method: str = "auto"
     nb: int | None = None
     threads: int | None = None
-    rhs_tile: int | None = None
     execute: bool = True
     max_blocks: int | None = None
     vectorize: bool | None = None
@@ -104,9 +103,10 @@ def check_execution(cfg: ExecConfig, pos: int) -> None:
     devices = cfg.devices
     if devices is None or _positive_int(devices):
         return
-    check_arg(not isinstance(devices, (Integral, float, str)), pos,
-              f"devices must be a positive integer or a list of "
-              f"devices, got {devices!r}")
+    check_arg(not isinstance(devices, (Integral, float, str)) and all(
+        isinstance(d, DeviceSpec) for d in devices), pos,
+        f"devices must be a positive integer or a list of devices, got "
+        f"{devices!r}")
     names = [d.name for d in devices]
     check_arg(len(names) >= 1, pos, "devices must not be empty")
     check_arg(len(set(names)) == len(names), pos,
@@ -238,10 +238,13 @@ class OpSpec:
     the design ``'auto'`` means on a device, ``kernels`` builds a design's
     kernels (for dispatch and the multi-device throughput probes),
     ``dispatch`` runs one design, ``host`` is the host reference over
-    every lane, and ``gate`` is the verify layer's residual gate with its
-    recompute rungs.  A composed operation (``gbsv``) lists its ``stages``
-    (factor, then solve on the ``info == 0`` lanes); its own ``designs``
-    hold the single-kernel alternative that degrades to them.
+    every lane, and ``gate`` is the operation's part of the verify
+    layer's residual gate (every lane's scaled residual, a re-score
+    function, pivot growth, a per-lane ``rcond`` and the op's own rungs;
+    see :mod:`repro.core.verify`).  A composed operation (``gbsv``) lists
+    its ``stages`` (factor, then solve on the ``info == 0`` lanes); its
+    own ``designs`` hold the single-kernel alternative that degrades to
+    them.
     """
 
     name: str

@@ -61,7 +61,7 @@ from .gbrfs import gbrfs
 from .gbtf2 import gbtf2
 from .resilience import BatchReport
 from .solve_blocks import gbtrs_unblocked
-from .stack import ExecConfig, convert_layout, govern, stacked
+from .stack import IN, ExecConfig, convert_layout, govern, stacked
 
 __all__ = [
     "VerifyPolicy",
@@ -108,12 +108,6 @@ class VerifyPolicy:
     growth_threshold:
         Pivot-growth ratio ``max|U| / max|A|`` above which a failing lane
         is classified *expected*-inaccurate rather than corrupted.
-    check_digests:
-        Master switch for operand digests; ``None`` follows the mode
-        (on for ``'full'``).
-    condition:
-        Stamp ``gbcon`` estimates on every lane (not just failing ones);
-        ``None`` follows the mode (on for ``'full'``).
     rcond_floor:
         ``rcond`` below which a failing lane is classified
         ill-conditioned.  ``None`` (default) uses ``n * eps``.
@@ -132,8 +126,6 @@ class VerifyPolicy:
     mode: str = "cheap"
     residual_tol: float | None = None
     growth_threshold: float = 1e8
-    check_digests: bool | None = None
-    condition: bool | None = None
     rcond_floor: float | None = None
     refine: bool = True
     max_refine: int = 2
@@ -155,18 +147,6 @@ class VerifyPolicy:
         if self.max_refine < 1:
             raise ValueError(
                 f"max_refine must be >= 1, got {self.max_refine}")
-
-    @property
-    def digests_enabled(self) -> bool:
-        if self.check_digests is None:
-            return self.mode == "full"
-        return bool(self.check_digests)
-
-    @property
-    def condition_enabled(self) -> bool:
-        if self.condition is None:
-            return self.mode == "full"
-        return bool(self.condition)
 
     def tol_for(self, n: int, dtype) -> float:
         if self.residual_tol is not None:
@@ -328,10 +308,8 @@ def _band_rows(ops, rows) -> np.ndarray:
 
 # --- shared ladder pieces --------------------------------------------------
 
-def _finite_max(values, mask=None) -> float:
+def _finite_max(values) -> float:
     vals = np.asarray(values, dtype=np.float64)
-    if mask is not None:
-        vals = vals[np.asarray(mask)]
     vals = vals[np.isfinite(vals)]
     return float(vals.max()) if vals.size else 0.0
 
@@ -342,14 +320,9 @@ def _ratio(num, denom) -> np.ndarray:
         return np.where(denom > 0, num / denom, num)
 
 
-def _failing(scaled: np.ndarray, tol: float, eligible) -> list[int]:
-    """Lanes whose gate fails: residual above tolerance or non-finite."""
-    return [int(k) for k in eligible
-            if not np.isfinite(scaled[k]) or scaled[k] > tol]
-
-
 def _over(tol, residuals, lanes, scaled) -> list[int]:
-    """Record each lane's new residual; return the lanes still failing."""
+    """Record each lane's residual; return the lanes failing the gate
+    (residual above tolerance or non-finite)."""
     still = []
     for k, s in zip(lanes, scaled):
         residuals[k] = float(s)
@@ -358,39 +331,11 @@ def _over(tol, residuals, lanes, scaled) -> list[int]:
     return still
 
 
-def _stamp_condition(report, ops, anorm1, rows):
-    """Full-mode condition stamping: ``rcond`` for every healthy lane."""
-    rconds = [gbcon("1", ops.n, ops.kl, ops.ku, ops.mats[k][:rows],
-                    ops.pivots[k], float(anorm1(k)))
-              for k in range(ops.batch) if ops.info[k] == 0]
-    if rconds:
-        _lower_rcond(report, rconds)
-
-
-def _rcond_of(n, kl, ku, fact, piv, anorm1) -> float:
+def _rcond_of(rcond, k) -> float:
     try:
-        return gbcon("1", n, kl, ku, fact, piv, float(anorm1))
+        return rcond(k)
     except Exception:
         return 0.0
-
-
-def _classify(report, policy, op, device, failing, residuals, growth,
-              rconds, floor):
-    """Split still-failing lanes into expected-inaccurate vs corrupted."""
-    ill, corrupt = [], []
-    for k in failing:
-        g = growth[k]
-        ill_cond = (rconds.get(k, 1.0) < floor
-                    or (np.isfinite(g) and g > policy.growth_threshold))
-        (ill if ill_cond else corrupt).append(k)
-    _add_lanes(report, "ill_conditioned", ill)
-    if corrupt:
-        worst = _finite_max([residuals[k] for k in corrupt])
-        if policy.on_fail == "raise":
-            raise DataCorruptionError(op, sorted(corrupt),
-                                      device=device.name, residual=worst)
-        _add_lanes(report, "unrecovered", corrupt)
-    return ill, corrupt
 
 
 def _lower_rcond(report, rconds) -> None:
@@ -405,40 +350,15 @@ def _add_lanes(report, field: str, lanes) -> None:
             tuple(sorted(set(getattr(report, field)) | set(lanes))))
 
 
-def _recompute(report, spec, cfg, ops, snap, failing, reverify) -> list:
-    """The exact rungs of the escalation ladder; returns lanes still failing.
-
-    Rung 1 re-runs the failing lanes from their pristine snapshots through
-    the plain stack (every design is bit-identical); rung 2 finishes the
-    lanes that still fail on the host reference (``gbtf2`` /
-    ``gbtrs_unblocked``, bit-identical to the reference kernels).
-    """
-    spec.restore(ops, snap, failing, inputs=True)
-    sub = ops.take(failing)
-    govern(spec, ExecConfig(device=cfg.device, stream=cfg.stream,
-                            method=cfg.method), sub)
-    ops.info[failing] = sub.info
-    report.recomputes += len(failing)
-    still = reverify(failing)
-    if still:
-        spec.restore(ops, snap, still, inputs=True)
-        sub = ops.take(still)
-        spec.host(sub)
-        ops.info[still] = sub.info
-        report.recomputes += len(still)
-        still = reverify(still)
-    return still
-
-
-def _stamp_gate(report, scaled, eligible, growth=None) -> None:
-    mask = np.zeros(len(scaled), dtype=bool)
-    mask[eligible] = True
-    report.verified_lanes += len(eligible)
-    report.residual_max = max(report.residual_max,
-                              _finite_max(scaled, mask))
-    if growth is not None:
-        report.growth_max = max(report.growth_max,
-                                _finite_max(growth, mask))
+def _recompute(report, spec, ops, snap, run):
+    """An exact rung: rewind lanes to their pristine inputs, re-run them."""
+    def rung(ks):
+        spec.restore(ops, snap, ks, inputs=True)
+        sub = ops.take(ks)
+        run(sub)
+        ops.info[ks] = sub.info
+        report.recomputes += len(ks)
+    return rung
 
 
 # --- the verify layer --------------------------------------------------------
@@ -465,59 +385,119 @@ def run_verified(spec, cfg, ops):
         # Non-finite lanes (singular factors, poisoned results) are what
         # the gate exists to classify, not floating-point accidents.
         with np.errstate(invalid="ignore", over="ignore"):
-            spec.gate(spec, report, cfg, ops, snap)
+            _gate(spec, report, cfg, ops, snap)
     return report
 
 
-def gate_gbsv(spec, report, cfg, ops, snap) -> None:
+def _gate(spec, report, cfg, ops, snap) -> None:
+    """The residual gate and its escalation ladder, for any operation.
+
+    ``spec.gate`` supplies what differs per operation (see
+    :class:`~repro.core.stack.OpSpec`); everything else happens here.
+    Lanes are eligible when not already unrecovered and, for an op that
+    factors, ``info == 0``.  Failing lanes walk the exact rungs — a
+    recompute from their pristine snapshots through the plain stack
+    (every design is bit-identical), then the host reference (``gbtf2`` /
+    ``gbtrs_unblocked``, bit-identical to the reference kernels) — and
+    then the op's own rungs, re-scored after each.  Lanes that still fail
+    are classified with ``gbcon``: ill-conditioned (``rcond`` below the
+    floor, or pivot growth past the threshold) or corrupted.
+    """
+    vp, info = cfg.verify, ops.info
+    scaled, rescore, growth, rcond, rungs = spec.gate(report, cfg, ops, snap)
+    factors = spec.roles["pivots"] != IN
+    live = lambda ks: [k for k in ks if not factors or info[k] == 0]
+    healthy = live(range(ops.batch))
+    skip = set(report.unrecovered)
+    eligible = [k for k in healthy if k not in skip]
+    report.verified_lanes += len(eligible)
+    report.residual_max = max(report.residual_max,
+                              _finite_max(scaled[eligible]))
+    report.growth_max = max(report.growth_max, _finite_max(growth[eligible]))
+    if factors and vp.mode == "full" and healthy:
+        _lower_rcond(report, [rcond(k) for k in healthy])
+
+    tol = vp.tol_for(ops.n, snap["a"].dtype)
+    residuals = {}
+    failing = _over(tol, residuals, eligible, scaled[eligible])
+    if not failing:
+        return
+    _add_lanes(report, "sdc_detected", failing)
+    plain = ExecConfig(device=cfg.device, stream=cfg.stream,
+                       method=cfg.method)
+    still = failing
+    for rung in (_recompute(report, spec, ops, snap,
+                            lambda sub: govern(spec, plain, sub)),
+                 _recompute(report, spec, ops, snap, spec.host), *rungs):
+        rung(still)
+        ks = live(still)
+        still = _over(tol, residuals, ks, rescore(ks) if ks else [])
+        if not still:
+            break
+
+    recovered = [k for k in failing if k not in still and info[k] == 0]
+    _add_lanes(report, "sdc_recovered", recovered)
+    if not still:
+        return
+    rconds = {k: _rcond_of(rcond, k) for k in still}
+    _lower_rcond(report, list(rconds.values()))
+    floor = vp.floor_for(ops.n, snap["a"].dtype)
+    ill = [k for k in still if rconds[k] < floor or (
+        np.isfinite(growth[k]) and growth[k] > vp.growth_threshold)]
+    corrupt = [k for k in still if k not in ill]
+    _add_lanes(report, "ill_conditioned", ill)
+    if not corrupt:
+        return
+    if vp.on_fail == "raise":
+        raise DataCorruptionError(
+            report.operation, sorted(corrupt), device=cfg.device.name,
+            residual=_finite_max([residuals[k] for k in corrupt]))
+    _add_lanes(report, "unrecovered", corrupt)
+
+
+# --- the per-operation gates -------------------------------------------------
+#
+# Each returns ``(scaled, rescore, growth, rcond, rungs)``: every lane's
+# scaled residual, ``rescore(lanes)`` for the residuals of lanes after a
+# rung, every lane's pivot growth, ``rcond(lane)`` and the op's own rungs
+# after the exact ones (each ``rung(lanes)`` works on the failing lanes).
+
+def _factor_terms(ops, snap_a):
+    """Pivot growth of every lane and the ``gbcon`` estimate of one, from
+    the factors in ``ops`` and the pristine band rows ``snap_a``."""
+    n, kl, ku = ops.n, ops.kl, ops.ku
+    rows = ldab_for_factor(kl, ku)
+    growth = pivot_growth_batch(_band_rows(ops, rows), snap_a, kl, ku)
+    return growth, lambda k: gbcon(
+        "1", n, kl, ku, ops.mats[k][:rows], ops.pivots[k],
+        float(band_norm_1(snap_a[k], n, kl, ku)))
+
+
+def gate_gbsv(report, cfg, ops, snap):
     """``gbsv`` gate: ``||A x - b||`` against the pristine ``A`` and ``b``.
 
-    Failing lanes escalate through recompute → reference path →
-    equilibrated refactor → iterative refinement.
+    After the exact rungs, failing lanes escalate through an equilibrated
+    refactor and then iterative refinement.
     """
     vp, n, kl, ku, batch = cfg.verify, ops.n, ops.kl, ops.ku, ops.batch
-    info, mats, pivots, rhs = ops.info, ops.mats, ops.pivots, ops.rhs
+    mats, pivots, rhs = ops.mats, ops.pivots, ops.rhs
     rows = ldab_for_factor(kl, ku)
     snap_a, snap_b = snap["a"][:, :rows], snap["b"]
     tol = vp.tol_for(n, snap_a.dtype)
-    floor = vp.floor_for(n, snap_a.dtype)
-    fact3 = _band_rows(ops, rows)
     x3 = stacked(ops.b_src, rhs)
     anorms = band_norms_inf(snap_a, n, kl, ku)
     r3 = band_mv_batch(snap_a, x3, n, kl, ku) - snap_b
     rmax = np.abs(r3).reshape(batch, -1).max(axis=1)
     xmax = np.abs(x3).reshape(batch, -1).max(axis=1)
     bmax = np.abs(snap_b).reshape(batch, -1).max(axis=1)
-    scaled = _ratio(rmax, anorms * xmax + bmax)
-    growth = pivot_growth_batch(fact3, snap_a, kl, ku)
+    growth, rcond = _factor_terms(ops, snap_a)
 
-    skip = set(report.unrecovered)
-    eligible = [k for k in range(batch) if info[k] == 0 and k not in skip]
-    _stamp_gate(report, scaled, eligible, growth)
-    anorm1 = lambda k: band_norm_1(snap_a[k], n, kl, ku)
-    if vp.condition_enabled:
-        _stamp_condition(report, ops, anorm1, rows)
-
-    failing = _failing(scaled, tol, eligible)
-    if not failing:
-        return
-    _add_lanes(report, "sdc_detected", failing)
-    residuals = {k: float(scaled[k]) for k in failing}
-
-    def reverify(ks):
-        live = [k for k in ks if info[k] == 0]
-        return _over(tol, residuals, live, [
-            solve_residual(snap_a[k], rhs[k], snap_b[k], kl, ku)
-            for k in live])
-
-    still = _recompute(report, spec, cfg, ops, snap, failing, reverify)
-
-    # Rung 3: gbequ equilibrate + refactor on scratch copies.  The
-    # caller's factors keep the rung-2 state (factors of the original A);
-    # only an equilibrated solution that actually passes the gate is
-    # written back.
-    if still:
-        for k in list(still):
+    def equilibrate(ks):
+        """gbequ equilibrate + refactor on scratch copies.  The caller's
+        factors keep the host rung's state (factors of the original A);
+        only an equilibrated solution that passes the gate is written
+        back."""
+        for k in ks:
             scratch = snap_a[k].copy()
             r, c, rowcnd, colcnd, _amax, einfo = gbequ(n, n, kl, ku,
                                                        scratch)
@@ -540,37 +520,30 @@ def gate_gbsv(spec, report, cfg, ops, snap) -> None:
             s = solve_residual(snap_a[k], y, snap_b[k], kl, ku)
             if np.isfinite(s) and s <= tol:
                 rhs[k][...] = y.astype(snap_b.dtype, copy=False)
-                residuals[k] = s
-        still = reverify(still)
 
-    # Rung 4: gbrfs iterative refinement against the pristine operands.
-    if still and vp.refine:
-        refined = []
-        for k in still:
-            if info[k] != 0:
-                continue
+    def refine(ks):
+        """gbrfs iterative refinement against the pristine operands."""
+        for k in ks:
             res = gbrfs(n, kl, ku, snap_a[k], mats[k][:rows], pivots[k],
                         snap_b[k], rhs[k], max_iter=vp.max_refine)
-            refined.append(k)
             report.berr_max = max(report.berr_max, _finite_max(res.berr))
-        if refined:
-            _add_lanes(report, "refined", refined)
-            eps = float(np.finfo(snap_a.dtype).eps)
-            for k in refined:
-                rc = _rcond_of(n, kl, ku, mats[k][:rows], pivots[k],
-                               anorm1(k))
-                _lower_rcond(report, [rc])
-                if report.berr_max > 0:
-                    report.ferr_max = max(
-                        report.ferr_max, report.berr_max / max(rc, eps))
-        still = reverify(still)
+        _add_lanes(report, "refined", ks)
+        eps = float(np.finfo(snap_a.dtype).eps)
+        for k in ks:
+            rc = _rcond_of(rcond, k)
+            _lower_rcond(report, [rc])
+            if report.berr_max > 0:
+                report.ferr_max = max(
+                    report.ferr_max, report.berr_max / max(rc, eps))
 
-    _settle(report, cfg, ops, failing, still, residuals, growth,
-            floor, lambda k: _rcond_of(n, kl, ku, mats[k][:rows],
-                                       pivots[k], anorm1(k)))
+    return (_ratio(rmax, anorms * xmax + bmax),
+            lambda ks: [solve_residual(snap_a[k], rhs[k], snap_b[k], kl, ku)
+                        for k in ks],
+            growth, rcond, (equilibrate, refine) if vp.refine
+            else (equilibrate,))
 
 
-def gate_gbtrf(spec, report, cfg, ops, snap) -> None:
+def gate_gbtrf(report, cfg, ops, snap):
     """``gbtrf`` gate: the factor probe.
 
     With no right-hand side to check, the factors are verified directly:
@@ -578,12 +551,10 @@ def gate_gbtrf(spec, report, cfg, ops, snap) -> None:
     deterministic probe vector must reproduce ``A`` applied to the same
     vector to within the residual tolerance.
     """
-    vp, n, kl, ku, batch = cfg.verify, ops.n, ops.kl, ops.ku, ops.batch
-    info, mats, pivots = ops.info, ops.mats, ops.pivots
+    n, kl, ku, batch = ops.n, ops.kl, ops.ku, ops.batch
+    mats, pivots = ops.mats, ops.pivots
     rows = ldab_for_factor(kl, ku)
     snap_a = snap["a"][:, :rows]
-    tol = vp.tol_for(n, snap_a.dtype)
-    floor = vp.floor_for(n, snap_a.dtype)
     # Deterministic probe (gbcon's alternating ramp): exercises every
     # column with O(1) dynamic range, so a flipped element anywhere in
     # the factors perturbs the probe image proportionally.
@@ -608,50 +579,28 @@ def gate_gbtrf(spec, report, cfg, ops, snap) -> None:
         num = np.abs(got - ref).reshape(len(idx), -1).max(axis=1)
         return _ratio(num, ((1.0 + kl) * unorms + anorms) * wmax)
 
-    skip = set(report.unrecovered)
-    eligible = [k for k in range(batch) if info[k] == 0 and k not in skip]
-    scaled = np.zeros(batch)
-    if eligible:
-        scaled[eligible] = probe_scaled(eligible)
-    growth = pivot_growth_batch(_band_rows(ops, rows), snap_a, kl, ku)
-    _stamp_gate(report, scaled, eligible, growth)
-    anorm1 = lambda k: band_norm_1(snap_a[k], n, kl, ku)
-    if vp.condition_enabled:
-        _stamp_condition(report, ops, anorm1, rows)
-
-    failing = _failing(scaled, tol, eligible)
-    if not failing:
-        return
-    _add_lanes(report, "sdc_detected", failing)
-    residuals = {k: float(scaled[k]) for k in failing}
-
-    def reverify(ks):
-        live = [k for k in ks if info[k] == 0]
-        return _over(tol, residuals, live, probe_scaled(live) if live
-                     else [])
-
-    still = _recompute(report, spec, cfg, ops, snap, failing, reverify)
-    _settle(report, cfg, ops, failing, still, residuals, growth,
-            floor, lambda k: _rcond_of(n, kl, ku, mats[k][:rows],
-                                       pivots[k], anorm1(k)))
+    return (probe_scaled(range(batch)), probe_scaled,
+            *_factor_terms(ops, snap_a), ())
 
 
-def gate_gbtrs(spec, report, cfg, ops, snap) -> None:
+def gate_gbtrs(report, cfg, ops, snap):
     """``gbtrs`` gate: ``P L U x`` from the pristine factors against ``b``.
 
     Without the original ``A``, the residual is checked against the
-    reconstructed operator.  In ``'full'`` mode (or with
-    ``check_digests=True``) the read-only factors and pivots are also
+    reconstructed operator, and there is no pivot growth to monitor.  In
+    ``'full'`` mode the read-only factors and pivots are also
     fingerprinted across the stage; a mismatch restores them from the
     snapshot and is attributed in ``BatchReport.digest_mismatches``.
     """
-    vp, n, kl, ku, batch = cfg.verify, ops.n, ops.kl, ops.ku, ops.batch
+    n, kl, ku, batch = ops.n, ops.kl, ops.ku, ops.batch
     mats, pivots, rhs = ops.mats, ops.pivots, ops.rhs
     rows = ldab_for_factor(kl, ku)
     snap_a, snap_p, snap_b = snap["a"][:, :rows], snap["pivots"], snap["b"]
 
-    # Digest re-verification of the read-only operands.
-    if vp.digests_enabled:
+    # Digest re-verification of the read-only operands.  Digest-only
+    # mismatches (result fine, operand corrupted in flight) are repaired
+    # here; residual failures escalate through the ladder.
+    if cfg.verify.mode == "full":
         mismatched = [k for k in range(batch)
                       if operand_digest(mats[k][:rows], pivots[k])
                       != operand_digest(snap_a[k], snap_p[k])]
@@ -664,8 +613,6 @@ def gate_gbtrs(spec, report, cfg, ops, snap) -> None:
                 if pivots[k].flags.writeable:
                     pivots[k][...] = snap_p[k]
 
-    tol = vp.tol_for(n, snap_a.dtype)
-    floor = vp.floor_for(n, snap_a.dtype)
     unorms = factor_norms_inf(snap_a, n, kl, ku)
     bmax = np.abs(snap_b).reshape(batch, -1).max(axis=1)
 
@@ -676,46 +623,14 @@ def gate_gbtrs(spec, report, cfg, ops, snap) -> None:
         xm = np.abs(x).reshape(len(x), -1).max(axis=1)
         return _ratio(num, (1.0 + kl) * unorms[idx] * xm + bmax[idx])
 
-    scaled = scaled_of(slice(None), stacked(ops.b_src, rhs))
-
-    skip = set(report.unrecovered)
-    eligible = [k for k in range(batch) if k not in skip]
-    _stamp_gate(report, scaled, eligible)
-
-    failing = _failing(scaled, tol, eligible)
-    # Digest-only mismatches (result fine, operand corrupted in flight)
-    # were already repaired above; residual failures escalate below.
-    if not failing:
-        return
-    _add_lanes(report, "sdc_detected", failing)
-    residuals = {k: float(scaled[k]) for k in failing}
-
-    def reverify(ks):
-        if not ks:
-            return []
-        x = np.stack([np.asarray(rhs[k]) for k in ks])
-        return _over(tol, residuals, ks, scaled_of(list(ks), x))
-
-    still = _recompute(report, spec, cfg, ops, snap, failing, reverify)
-
     # No original A here: bound ||A||_1 by (1+kl)·||U||_1 (unit
     # multipliers) for the condition classification.
     def rcond(k):
         anorm1 = (1.0 + kl) * band_norm_1(snap_a[k], n, 0, kl + ku,
                                           factor_layout=False)
-        return _rcond_of(n, kl, ku, snap_a[k], snap_p[k], anorm1)
+        return gbcon("1", n, kl, ku, snap_a[k], snap_p[k], float(anorm1))
 
-    _settle(report, cfg, ops, failing, still, residuals,
-            np.zeros(batch), floor, rcond)
-
-
-def _settle(report, cfg, ops, failing, still, residuals, growth, floor,
-            rcond) -> None:
-    """Stamp the recovered lanes and classify the ones still failing."""
-    recovered = [k for k in failing if k not in still and ops.info[k] == 0]
-    _add_lanes(report, "sdc_recovered", recovered)
-    if still:
-        rconds = {k: rcond(k) for k in still}
-        _lower_rcond(report, list(rconds.values()))
-        _classify(report, cfg.verify, report.operation, cfg.device, still,
-                  residuals, growth, rconds, floor)
+    return (scaled_of(slice(None), stacked(ops.b_src, rhs)),
+            lambda ks: scaled_of(ks, np.stack([np.asarray(rhs[k])
+                                               for k in ks])),
+            np.zeros(batch), rcond, ())

@@ -135,42 +135,3 @@ class TestTbtrsBatch:
         assert info[0] == 0
         assert np.isfinite(b[0]).all()
 
-
-class TestRhsTiling:
-    def test_all_tiles_bitwise_equal(self):
-        from repro.band.generate import random_band_batch, random_rhs
-        from repro.core.gbtrf import gbtrf_batch
-        from repro.core.gbtrs import gbtrs_batch
-        n, kl, ku, nrhs = 33, 3, 2, 7
-        a = random_band_batch(2, n, kl, ku, seed=24)
-        b = random_rhs(n, nrhs, batch=2, seed=25)
-        piv, _ = gbtrf_batch(n, n, kl, ku, a)
-        full = b.copy()
-        gbtrs_batch("N", n, kl, ku, nrhs, a, piv, full)
-        for tile in (1, 2, 3, 7, 100):
-            x = b.copy()
-            gbtrs_batch("N", n, kl, ku, nrhs, a, piv, x, rhs_tile=tile)
-            np.testing.assert_allclose(x, full, atol=0)
-
-    def test_tiling_shrinks_smem_and_adds_passes(self):
-        from repro.band.generate import random_band_batch, random_rhs
-        from repro.core.gbtrs_blocked import BlockedForwardKernel
-        n, kl, ku, nrhs = 32, 2, 3, 8
-        a = random_band_batch(1, n, kl, ku, seed=26)
-        piv = [np.zeros(n, dtype=np.int64)]
-        b = [random_rhs(n, nrhs, seed=27)]
-        tiled = BlockedForwardKernel(n, kl, ku, nrhs, list(a), piv, b,
-                                     rhs_tile=2)
-        full = BlockedForwardKernel(n, kl, ku, nrhs, list(a), piv, b)
-        assert tiled.smem_bytes() == full.smem_bytes() // 4
-        assert tiled.block_cost().dram_traffic > \
-            full.block_cost().dram_traffic
-
-    def test_invalid_tile(self):
-        from repro.band.generate import random_band_batch
-        from repro.core.gbtrs_blocked import BlockedForwardKernel
-        a = random_band_batch(1, 8, 1, 1, seed=28)
-        with pytest.raises(ValueError, match="rhs_tile"):
-            BlockedForwardKernel(8, 1, 1, 1, list(a),
-                                 [np.zeros(8, dtype=np.int64)],
-                                 [np.zeros((8, 1))], rhs_tile=0)

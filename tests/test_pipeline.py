@@ -216,9 +216,13 @@ BAD_KNOBS = [
     dict(max_resident_bytes=-1),
     dict(devices=0),
     dict(devices=[]),
+    dict(devices=[1, 2]),
+    dict(devices=["a", "b"]),
+    dict(devices={"x": 1}),
 ]
 BAD_IDS = ["streams0", "streams-3", "streams2.5", "chunk_hint0",
-           "max_resident_bytes-1", "devices0", "devices-empty"]
+           "max_resident_bytes-1", "devices0", "devices-empty",
+           "devices-ints", "devices-strs", "devices-dict"]
 
 
 @pytest.mark.parametrize("bad", BAD_KNOBS, ids=BAD_IDS)

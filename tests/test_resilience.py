@@ -155,6 +155,47 @@ class TestLadderFallback:
         gbsv_batch(n, 2, 3, 1, a2, None, b2, method="standard")
         assert np.allclose(b, b2, atol=1e-12)
 
+    def test_exhausted_gbsv_ladder_order(self):
+        """Every rung rejected: fused -> standard, then each stage down its
+        own ladder to the host net, recorded in order."""
+        n = 24                                 # fused-eligible
+        a, b = _system(n=n)
+        a_ref, b_ref = a.copy(), b.copy()
+        gbsv_batch(n, 2, 3, 1, a_ref, None, b_ref, method="standard")
+        plan = FaultPlan(seed=0, launch_failure_rate=1.0)
+        with fault_injection(H100_PCIE, plan):
+            piv, info, report = gbsv_batch(n, 2, 3, 1, a, None, b,
+                                           resilient=True)
+        assert report.fallbacks == [
+            ("gbsv", "fused", "standard"),
+            ("gbtrf", "fused", "window"),
+            ("gbtrf", "window", "reference"),
+            ("gbtrf", "reference", "host"),
+            ("gbtrs", "blocked", "reference"),
+            ("gbtrs", "reference", "host"),
+        ]
+        assert report.methods == {"gbtrf": "host", "gbtrs": "host"}
+        assert (info == 0).all() and report.ok
+        assert a.tobytes() == a_ref.tobytes()   # host == reference kernels
+        assert b.tobytes() == b_ref.tobytes()
+
+    def test_exhausted_gbtrf_ladder_order(self):
+        a, _ = _system()
+        base = a.copy()
+        gbtrf_batch(48, 48, 2, 3, base)
+        plan = FaultPlan(seed=0, launch_failure_rate=1.0)
+        with fault_injection(H100_PCIE, plan):
+            piv, info, report = gbtrf_batch(48, 48, 2, 3, a,
+                                            resilient=True)
+        assert report.fallbacks == [
+            ("gbtrf", "fused", "window"),
+            ("gbtrf", "window", "reference"),
+            ("gbtrf", "reference", "host"),
+        ]
+        assert report.methods == {"gbtrf": "host"}
+        assert report.retries == 3 * ResiliencePolicy().max_retries
+        assert a.tobytes() == base.tobytes()
+
     def test_vectorize_true_downgraded_on_reference_rung(self):
         """A forced-vectorized call must not crash when the ladder lands
         on the reference design (which has no vectorized path)."""

@@ -79,20 +79,48 @@ def _bytes_equal(*pairs):
 # ---------------------------------------------------------------------------
 
 
+def _mode_behaviour(mode):
+    """A healthy verified ``gbsv`` call, and a verified ``gbtrs`` call whose
+    read-only factors are flipped in lane 5 after the stage; returns both
+    reports and whether the caller's factors came back intact."""
+    a, b = _problem(seed=26)
+    *_, sv_report = gbsv_batch(N, KL, KU, 1, a.copy(), None, b.copy(),
+                               verify=mode)
+    piv, info = gbtrf_batch(N, N, KL, KU, a)
+    fact_ref = a.copy()
+    plan = FaultPlan(seed=27, sdc_lanes=(5,), sdc_after="gbtrs",
+                     sdc_operand=0)
+    with fault_injection(H100_PCIE, plan) as inj:
+        _, trs_report = gbtrs_batch("N", N, KL, KU, 1, a, piv, b,
+                                    verify=mode)
+    assert inj.exhausted
+    return sv_report, trs_report, a.tobytes() == fact_ref.tobytes()
+
+
 class TestVerifyPolicy:
     def test_defaults(self):
         vp = VerifyPolicy()
         assert vp.mode == "cheap" and vp.on_fail == "raise"
-        assert not vp.digests_enabled and not vp.condition_enabled
         assert vp.refine and vp.max_refine == 2
 
     def test_full_mode_enables_digests_and_condition(self):
-        vp = VerifyPolicy(mode="full")
-        assert vp.digests_enabled and vp.condition_enabled
-        # Explicit switches override the mode default in both directions.
-        assert not VerifyPolicy(mode="full",
-                                check_digests=False).digests_enabled
-        assert VerifyPolicy(check_digests=True).digests_enabled
+        """'full' stamps a condition estimate on a healthy call and
+        repairs a digest mismatch of the read-only factors."""
+        sv_report, trs_report, intact = _mode_behaviour("full")
+        assert sv_report.rcond_min is not None
+        assert trs_report.digest_mismatches == (5,)
+        assert trs_report.sdc_detected == (5,)
+        assert intact
+
+    def test_cheap_mode_skips_digests_and_condition(self):
+        """'cheap' does neither: no condition estimate on a healthy call,
+        and a flip of the read-only factors that leaves the solution
+        right goes unseen."""
+        sv_report, trs_report, intact = _mode_behaviour("cheap")
+        assert sv_report.rcond_min is None
+        assert trs_report.digest_mismatches == ()
+        assert trs_report.sdc_detected == ()
+        assert not intact
 
     def test_tol_and_floor_defaults_scale_with_n(self):
         vp = VerifyPolicy()
