@@ -6,11 +6,10 @@ Guards the layout contract of docs/LAYOUTS.md (docs/PERFORMANCE.md
 * **>= 1.15x host wall-clock win for an interleaved batch** over the
   same lane-major batch on the classic ``[vec]`` route, at the paper's
   large configuration (``gbsv_batch``, batch=1000, n=256, kl=ku=8).
-  The batch-interleaved body stages lane-major batches with an
-  ``np.stack`` gather and a per-lane scatter (~50 MB each way per launch
-  at this scale); an interleaved batch is staged as a zero-copy strided
-  view instead, so the whole gather/scatter traffic disappears while the
-  arithmetic stays bit-identical;
+  Both stage as zero-copy strided views of the caller's stack; the
+  interleaved one makes the copies between that stack and the
+  batch-minor sliding window lane-contiguous, while the arithmetic
+  stays bit-identical;
 * **<= 1.3x wall-clock for ``layout='soa'`` on lane-major input** —
   converting at the batch boundary costs one gather + one scatter total
   (trace-attributed to the first launch's ``soa_bytes``), after which

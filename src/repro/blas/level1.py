@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["iamax", "iamax_batched", "swap", "scal", "scal_batched",
+__all__ = ["iamax", "swap", "scal", "scal_batched",
            "stable_mul", "axpy", "dot", "nrm2", "asum"]
 
 
@@ -57,28 +57,11 @@ def iamax(x: np.ndarray) -> int:
     if x.size == 0:
         return 0
     if np.iscomplexobj(x):
-        mag = np.abs(x.real) + np.abs(x.imag)
+        with np.errstate(invalid="ignore"):     # signaling-NaN entries
+            mag = np.abs(x.real) + np.abs(x.imag)
     else:
         mag = np.abs(x)
     return int(np.argmax(mag))
-
-
-def iamax_batched(x: np.ndarray) -> np.ndarray:
-    """Batch-interleaved IAMAX: one pivot search per row of ``x``.
-
-    ``x`` has shape ``(batch, k)``; returns a ``(batch,)`` int64 vector of
-    0-based indices, each computed with exactly the semantics of
-    :func:`iamax` (``|real| + |imag|`` magnitude, first-occurrence ties).
-    One ``argmax`` call advances the whole batch — the Python analogue of
-    the one-instruction-stream-per-column interleaved layout.
-    """
-    if x.shape[-1] == 0:
-        return np.zeros(x.shape[0], dtype=np.int64)
-    if np.iscomplexobj(x):
-        mag = np.abs(x.real) + np.abs(x.imag)
-    else:
-        mag = np.abs(x)
-    return np.argmax(mag, axis=-1).astype(np.int64)
 
 
 def swap(x: np.ndarray, y: np.ndarray) -> None:

@@ -41,6 +41,7 @@ __all__ = [
     "stack_view",
     "stage_stack",
     "soa_stageable",
+    "all_uniform",
     "convert_batch_layout",
 ]
 
@@ -96,93 +97,111 @@ def is_interleaved_stack(mats) -> bool:
     never address the same element.  Consecutive sub-slices of an
     interleaved batch (as the chunked executor takes) stay detectable,
     which is what keeps governance, pipelining and resilience
-    layout-native with zero extra conversions.
+    layout-native with zero extra conversions.  The proof needs only the
+    first two lanes and runs before the walk over the rest, so
+    lane-major and scattered lists are rejected without a walk.
     """
     nlanes = len(mats)
     if nlanes < 2:
         return False
-    first = mats[0]
-    if not isinstance(first, np.ndarray) or first.base is None:
+    first, second = mats[0], mats[1]
+    if (not isinstance(first, np.ndarray) or first.base is None
+            or not isinstance(second, np.ndarray)
+            or second.base is not first.base):
         return False
-    base = first.base
     shape, dtype, strides = first.shape, first.dtype, first.strides
     ptr0 = first.__array_interface__["data"][0]
-    prev = ptr0
-    d = None
-    for mk in mats[1:]:
-        if (not isinstance(mk, np.ndarray) or mk.base is not base
-                or mk.shape != shape or mk.dtype != dtype
-                or mk.strides != strides):
-            return False
-        ptr = mk.__array_interface__["data"][0]
-        if d is None:
-            d = ptr - prev
-            if d <= 0:
-                return False
-        elif ptr - prev != d:
-            return False
-        prev = ptr
+    d = second.__array_interface__["data"][0] - ptr0
+    if d <= 0:
+        return False
     # Lane disjointness: strides along extents > 1 must share a common
     # divisor g that is a multiple of d and covers all nlanes offsets.
     live = [abs(s) for s, e in zip(strides, shape) if e > 1]
-    if not live:
-        return d >= dtype.itemsize
-    g = math.gcd(*live)
-    return g % d == 0 and g // d >= nlanes
+    if live:
+        g = math.gcd(*live)
+        if g % d or g // d < nlanes:
+            return False
+    elif d < dtype.itemsize:
+        return False
+    base = first.base
+    for k, mk in enumerate(mats[1:], 1):
+        if (not isinstance(mk, np.ndarray) or mk.base is not base
+                or mk.shape != shape or mk.dtype != dtype
+                or mk.strides != strides
+                or mk.__array_interface__["data"][0] != ptr0 + k * d):
+            return False
+    return True
 
 
-def stack_view(mats) -> np.ndarray:
-    """Writable ``(batch, ...)`` view over an interleaved lane list.
+def stack_view(mats, nlanes: int | None = None) -> np.ndarray:
+    """Writable ``(nlanes, ...)`` view over a uniform or interleaved list.
 
-    Only valid when :func:`is_interleaved_stack` returned True: the view
-    aliases exactly the union of the per-lane views (lane ``k`` of the
-    result *is* ``mats[k]``'s memory), so kernels can execute on it in
-    place — no gather, no scatter.
+    Only valid when :func:`is_uniform_stack` or
+    :func:`is_interleaved_stack` returned True for ``mats``: the view
+    aliases exactly the union of the first ``nlanes`` per-lane views
+    (default: all of them; lane ``k`` of the result *is* ``mats[k]``'s
+    memory), so kernels can execute on it in place — no gather, no
+    scatter.  Only the first two lanes are read.
     """
+    if nlanes is None:
+        nlanes = len(mats)
     first = mats[0]
+    if nlanes == 1:
+        return first[None]
     d = (mats[1].__array_interface__["data"][0]
          - first.__array_interface__["data"][0])
     return np.lib.stride_tricks.as_strided(
-        first, shape=(len(mats),) + first.shape,
+        first, shape=(nlanes,) + first.shape,
         strides=(d,) + first.strides)
 
 
-def stage_stack(seq, nblocks: int, *, rows: int | None = None):
+def stage_stack(seq, nblocks: int, *, packed: bool,
+                rows: int | None = None) -> np.ndarray:
     """Stage the first ``nblocks`` operands as a ``(nblocks, ...)`` stack.
 
-    Returns ``(stack, inplace)``.  An interleaved lane list stages as a
-    writable zero-copy view (``inplace=True`` — mutations land directly
-    in the caller's storage, no write-back needed); anything else is
-    gathered with :func:`numpy.stack` (``inplace=False`` — the kernel
-    must scatter results back).  ``rows`` optionally trims each operand
-    to its first ``rows`` rows (the factor-layout ``ldab`` slice).
+    ``packed`` is the rung the launcher chose.  On the direct and soa
+    rungs (``packed=False``) every operand list is a uniform lane-major
+    or an interleaved stack, and it stages as a writable zero-copy view:
+    the kernel's results land in the caller's storage, with no gather
+    and no write-back, and the list is not walked again.  On the pack
+    rung (``packed=True``) the operands are gathered with
+    :func:`numpy.stack` and the kernel must scatter its results back.
+    ``rows`` optionally trims each operand to its first ``rows`` rows
+    (the factor-layout ``ldab`` slice).
     """
-    sub = list(seq[:nblocks])
-    if is_interleaved_stack(sub):
-        view = stack_view(sub)
+    if packed:
+        sub = seq[:nblocks]
         if rows is not None:
-            view = view[:, :rows, :]
-        return view, True
-    if rows is not None:
-        sub = [a[:rows, :] for a in sub]
-    return np.stack(sub), False
+            sub = [a[:rows, :] for a in sub]
+        return np.stack(sub)
+    view = stack_view(seq, nblocks)
+    return view if rows is None else view[:, :rows, :]
 
 
 def soa_stageable(*seqs) -> bool:
     """SoA-route eligibility across several operand lists.
 
-    True when every operand batch can be staged for the batch-interleaved
-    body — interleaved lanes stage as zero-copy views, uniform lane-major
-    stacks gather as before — and at least one of them is actually
-    interleaved (otherwise the classic ``[vec]`` route already applies).
+    True when every operand batch can be staged in place for the
+    batch-interleaved body (interleaved lanes or a uniform lane-major
+    stack) and at least one of them is actually interleaved (otherwise
+    the classic ``[vec]`` route already applies).  Each list is walked
+    at most once: a lane-major list fails the interleaving proof before
+    its walk.
     """
-    any_soa = False
-    for seq in seqs:
-        if is_interleaved_stack(seq):
-            any_soa = True
-        elif not is_uniform_stack(seq):
-            return False
-    return any_soa
+    soa = [is_interleaved_stack(seq) for seq in seqs]
+    return any(soa) and all(
+        i or is_uniform_stack(seq) for i, seq in zip(soa, seqs))
+
+
+def all_uniform(*seqs) -> bool:
+    """True when every operand list is a uniform lane-major stack.
+
+    The two-lane prefix of every list is checked before any full walk,
+    so an interleaved or scattered list rejects the batch without the
+    others being walked.
+    """
+    return (all(is_uniform_stack(seq[:2]) for seq in seqs)
+            and all(is_uniform_stack(seq) for seq in seqs))
 
 
 def convert_batch_layout(layout: str, operands, *, batch: int,

@@ -16,8 +16,8 @@ still written back but ``B`` is left unchanged in global memory.
 The kernel also implements the batch-interleaved path
 (:meth:`~repro.gpusim.kernel.Kernel.run_batch_vectorized`): uniform
 contiguous ``[A|B]`` batches run every column step (paper Section 5.1 building
-blocks plus the paper Section 6 solve steps) across the whole batch at once
-with per-lane ``active`` masks for singular problems, bit-identical to
+blocks plus the paper Section 6 solve steps) across the whole batch at once,
+with singular problems skipping their steps lane by lane, bit-identical to
 the per-block body (see ``docs/PERFORMANCE.md``).
 """
 
@@ -28,23 +28,19 @@ import numpy as np
 from ..band.layout import BandLayout
 from ..gpusim.costmodel import BlockCost
 from ..gpusim.kernel import Kernel, SharedMemory
-from .batch_args import is_uniform_stack, soa_stageable, stage_stack
+from .batch_args import all_uniform, soa_stageable, stage_stack
 from .costs import gbsv_fused_cost
 from .gbtf2 import (
+    ColumnWork,
+    gbtf2_step_batched,
     init_fillin,
     init_fillin_batched,
     pivot_search,
-    pivot_search_batched,
     rank_one_update,
-    rank_one_update_batched,
     scale_column,
-    scale_column_batched,
     set_fillin,
-    set_fillin_batched,
     swap_right,
-    swap_right_batched,
     update_bound,
-    update_bound_batched,
 )
 from .gbtrf_fused import default_fused_threads
 from .solve_blocks import (
@@ -133,7 +129,7 @@ class FusedGbsvKernel(Kernel):
         b[...] = bt
 
     def can_batch_vectorize(self) -> bool:
-        return is_uniform_stack(self.mats) and is_uniform_stack(self.rhs)
+        return all_uniform(self.mats, self.rhs)
 
     def can_soa_vectorize(self) -> bool:
         return soa_stageable(self.mats, self.rhs)
@@ -141,56 +137,36 @@ class FusedGbsvKernel(Kernel):
     def pack_operands(self) -> tuple:
         return (self.mats, self.rhs)
 
-    def run_batch_vectorized(self, nblocks: int, smem: SharedMemory) -> None:
+    def run_batch_vectorized(self, nblocks: int, smem: SharedMemory, *,
+                             packed: bool = True) -> None:
         n, kl, ku = self.n, self.kl, self.ku
-        kv = kl + ku
         ldab = self.layout.ldab_factor
-        dtype = self.mats[0].dtype
+        abst = stage_stack(self.mats, nblocks, packed=packed, rows=ldab)
+        btst = stage_stack(self.rhs, nblocks, packed=packed)
+        # Batch-minor shared tiles: whole-stack copies in and out, and
+        # lane-contiguous column steps.
+        tiles = np.moveaxis(
+            smem.alloc((ldab, n, nblocks), dtype=abst.dtype), 2, 0)
+        bts = np.moveaxis(
+            smem.alloc((n, self.nrhs, nblocks), dtype=btst.dtype), 2, 0)
+        tiles[...] = abst
+        bts[...] = btst
 
-        # Interleaved operands stage whole-stack (lane-contiguous copy);
-        # lane-major batches keep the per-lane staging loop.
-        abst, a_inplace = stage_stack(self.mats, nblocks, rows=ldab)
-        btst, b_inplace = stage_stack(self.rhs, nblocks)
-        soa = a_inplace or b_inplace
-        if soa:
-            tiles = np.moveaxis(
-                smem.alloc((ldab, n, nblocks), dtype=dtype), 2, 0)
-            bts = np.moveaxis(
-                smem.alloc((n, self.nrhs, nblocks),
-                           dtype=self.rhs[0].dtype), 2, 0)
-            tiles[...] = abst
-            bts[...] = btst
-        else:
-            tiles = smem.alloc((nblocks, ldab, n), dtype=dtype)
-            bts = smem.alloc((nblocks, n, self.nrhs),
-                             dtype=self.rhs[0].dtype)
-            for k in range(nblocks):
-                tiles[k] = self.mats[k][:ldab, :]
-                bts[k] = self.rhs[k]
-
-        bidx = np.arange(nblocks)
         pivs = np.zeros((nblocks, n), dtype=np.int64)
         info = np.zeros(nblocks, dtype=np.int64)
         init_fillin_batched(tiles, n, kl, ku)
         ju = np.full(nblocks, -1, dtype=np.int64)
+        work = ColumnWork(tiles, kl, ku)
         for j in range(n):
-            set_fillin_batched(tiles, n, kl, ku, j)
-            jp = pivot_search_batched(tiles, n, kl, ku, j)
-            pivs[:, j] = j + jp
-            active = tiles[bidx, kv + jp, j] != 0
-            ju = update_bound_batched(n, kl, ku, j, jp, ju, active)
-            swap_right_batched(tiles, kl, ku, j, jp, ju, active=active)
+            ju, jp, active = gbtf2_step_batched(tiles, n, n, kl, ku, j, ju,
+                                                pivs, info, work=work)
             forward_swap_batched(bts, j, np.where(active, j + jp, j))
-            scale_column_batched(tiles, n, kl, ku, j, active=active)
-            rank_one_update_batched(tiles, n, kl, ku, j, ju, active=active)
             forward_update_batched(tiles, n, kl, ku, j, bts, active=active)
-            info[...] = np.where(~active & (info == 0), j + 1, info)
 
-        if soa and a_inplace:
-            abst[...] = tiles
+        abst[...] = tiles
         for k in range(nblocks):
-            if not (soa and a_inplace):
-                self.mats[k][:ldab, :] = tiles[k]
+            if packed:
+                self.mats[k][:ldab, :] = abst[k]
             self.pivots[k][:] = pivs[k]
         self.info[:nblocks] = info
         ok = info == 0
@@ -202,8 +178,8 @@ class FusedGbsvKernel(Kernel):
         sub_b = bts[ok]
         for j in range(n - 1, -1, -1):
             backward_step_batched(sub_t, n, kl, ku, j, sub_b)
-        if soa and b_inplace and bool(ok.all()):
-            btst[...] = sub_b
+        if not packed:
+            btst[ok] = sub_b
             return
         for i, k in enumerate(np.flatnonzero(ok)):
             self.rhs[k][...] = sub_b[i]

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..blas.level1 import iamax, iamax_batched, scal_batched, stable_mul
+from ..blas.level1 import iamax, scal_batched, stable_mul
 
 __all__ = [
     "pivot_search",
@@ -57,6 +57,7 @@ __all__ = [
     "scale_column",
     "rank_one_update",
     "gbtf2",
+    "ColumnWork",
     "pivot_search_batched",
     "update_bound_batched",
     "init_fillin_batched",
@@ -64,6 +65,7 @@ __all__ = [
     "swap_right_batched",
     "scale_column_batched",
     "rank_one_update_batched",
+    "gbtf2_step_batched",
     "gbtf2_batched",
 ]
 
@@ -156,7 +158,11 @@ def scale_column(ab: np.ndarray, m: int, kl: int, ku: int, j: int,
     if km > 0:
         jj = j - col0
         col = ab[kv + 1:kv + km + 1, jj]
-        col[...] = stable_mul(col, 1.0 / ab[kv, jj])
+        # A signaling-NaN or subnormal pivot raises no IEEE flag either.
+        with np.errstate(invalid="ignore", over="ignore"):
+            inv = 1.0 / ab[kv, jj]
+            col[...] = (stable_mul(col, inv) if np.iscomplexobj(col)
+                        else col * inv)
 
 
 def rank_one_update(ab: np.ndarray, m: int, kl: int, ku: int, j: int,
@@ -176,7 +182,12 @@ def rank_one_update(ab: np.ndarray, m: int, kl: int, ku: int, j: int,
     l = ab[kv + 1:kv + km + 1, j - col0]          # multipliers of column j
     rows = np.arange(j + 1, j + km + 1)
     band_rows = kv + rows[:, None] - cols[None, :]
-    ab[band_rows, c[None, :]] -= stable_mul(l[:, None], u[None, :])
+    # Non-finite entries evaluate inf - inf and inf * 0 here (and may
+    # overflow); LAPACK raises no IEEE flags for them, so neither do we.
+    with np.errstate(invalid="ignore", over="ignore"):
+        prod = (stable_mul(l[:, None], u[None, :]) if np.iscomplexobj(ab)
+                else l[:, None] * u[None, :])
+        ab[band_rows, c[None, :]] -= prod
 
 
 def gbtf2(m: int, n: int, kl: int, ku: int, ab: np.ndarray,
@@ -227,11 +238,53 @@ def gbtf2(m: int, n: int, kl: int, ku: int, ab: np.ndarray,
 # --- Batch-interleaved variants ---------------------------------------------
 #
 # Same blocks, vectorized over the leading batch axis of a
-# ``(batch, ldab, ncols)`` stack.  ``jp`` and ``ju`` become per-batch
-# vectors; ``active`` masks out problems whose current pivot is exactly
-# zero (those skip the swap/scale/update, LAPACK semantics).  Masked lanes
-# are written back with their original bits, so divergence never perturbs
-# a single element.
+# ``(batch, ldab, ncols)`` stack.  ``jp`` and ``ju`` become per-lane
+# vectors, and the control data built from them is lane-last: masks and
+# index planes are ``(cols, batch)``, so their inner loops run along the
+# batch, which is contiguous in the batch-minor stacks the kernels factor.
+# The swap and the rank-one update take this step's per-lane bound (the
+# second result of :func:`update_bound_batched`): a lane whose pivot is
+# exactly zero gets ``j - 1`` and so skips both, as in LAPACK.  No block
+# uses a masked ufunc, and lanes or columns outside a lane's bound keep
+# their exact bits.
+
+
+class ColumnWork:
+    """Reused workspace of the batched column step on one stack.
+
+    ``flat`` is a 1-D view of the stack's buffer starting at element
+    ``[0, 0, 0]`` and ``strides`` are the stack's strides in elements.
+    ``steps`` holds the column offsets ``0..kv`` as a ``(kv + 1, 1)``
+    column, ``diag[t, k]`` the flat offset of ``abst[k, r - t, c + t]``
+    from ``abst[0, r, c]`` (lane ``k``, ``t`` dense columns right along
+    one dense row), and ``prod`` receives the rank-one products.  Built
+    once per factorization, so the column blocks allocate no index
+    planes and no product buffers.
+    """
+
+    def __init__(self, abst: np.ndarray, kl: int, ku: int):
+        isz = abst.itemsize
+        if any(s < 0 or s % isz for s in abst.strides):
+            raise ValueError("batched gbtf2 needs non-negative strides "
+                             "that are multiples of the item size")
+        self.strides = sb, sr, sc = tuple(s // isz for s in abst.strides)
+        span = 0
+        if abst.size:
+            span = 1 + sum((e - 1) * s
+                           for e, s in zip(abst.shape, self.strides))
+        self.flat = np.lib.stride_tricks.as_strided(
+            abst, shape=(span,), strides=(isz,))
+        kv = kl + ku
+        self.steps = np.arange(kv + 1)[:, None]
+        self.diag = self.steps * (sc - sr) + np.arange(abst.shape[0]) * sb
+        self.prod = np.empty((kl, kv, abst.shape[0]), dtype=abst.dtype)
+
+    def view(self, offset: int, shape: tuple, strides: tuple) -> np.ndarray:
+        """Writable view of the stack; ``offset``/``strides`` in elements."""
+        isz = self.flat.itemsize
+        return np.ndarray(shape, self.flat.dtype, buffer=self.flat,
+                          offset=offset * isz,
+                          strides=tuple(s * isz for s in strides))
 
 
 def init_fillin_batched(abst: np.ndarray, n: int, kl: int, ku: int,
@@ -246,21 +299,39 @@ def init_fillin_batched(abst: np.ndarray, n: int, kl: int, ku: int,
 
 
 def pivot_search_batched(abst: np.ndarray, m: int, kl: int, ku: int, j: int,
-                         *, col0: int = 0) -> np.ndarray:
-    """Batched :func:`pivot_search`: per-batch IAMAX over one 2-D slab.
+                         *, col0: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Batched :func:`pivot_search` over the lane-last pivot column.
 
-    Returns the ``(batch,)`` vector of pivot offsets ``jp``.
+    Returns ``(jp, active)``: the ``(batch,)`` pivot offsets (IAMAX
+    semantics: ``|real| + |imag|``, first maximal entry) and whether each
+    lane's pivot is nonzero.  The pivot is zero exactly when the largest
+    magnitude is; a NaN magnitude selects a NaN pivot, which is nonzero.
     """
     kv = kl + ku
     km = min(kl, m - j - 1)
-    return iamax_batched(abst[:, kv:kv + km + 1, j - col0])
+    x = abst[:, kv:kv + km + 1, j - col0].T
+    if np.iscomplexobj(x):
+        with np.errstate(invalid="ignore"):     # signaling-NaN entries
+            mag = np.abs(x.real) + np.abs(x.imag)
+    else:
+        mag = np.abs(x)
+    return mag.argmax(axis=0), mag.max(axis=0) != 0
 
 
 def update_bound_batched(n: int, kl: int, ku: int, j: int, jp: np.ndarray,
-                         ju: np.ndarray, active: np.ndarray) -> np.ndarray:
-    """Batched :func:`update_bound` with the zero-pivot lanes left as-is."""
-    cand = np.minimum(j + ku + jp, n - 1)
-    return np.where(active, np.maximum(ju, cand), ju)
+                         ju: np.ndarray, active: np.ndarray | None = None
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """Batched :func:`update_bound`.
+
+    Returns ``(ju, bound)``: the carried bound (zero-pivot lanes keep
+    theirs) and this step's per-lane bound for the swap and the update
+    (``j - 1`` on zero-pivot lanes, so they skip both).  ``active=None``
+    means every lane's pivot is nonzero.
+    """
+    new = np.maximum(ju, np.minimum(jp + (j + ku), n - 1))
+    if active is None:
+        return new, new
+    return np.where(active, new, ju), np.where(active, new, j - 1)
 
 
 def set_fillin_batched(abst: np.ndarray, n: int, kl: int, ku: int, j: int,
@@ -274,41 +345,29 @@ def set_fillin_batched(abst: np.ndarray, n: int, kl: int, ku: int, j: int,
 
 def swap_right_batched(abst: np.ndarray, kl: int, ku: int, j: int,
                        jp: np.ndarray, ju: np.ndarray, *, col0: int = 0,
-                       active: np.ndarray | None = None) -> None:
-    """Batched :func:`swap_right`: gather/scatter with per-batch pivots.
+                       work: ColumnWork | None = None) -> None:
+    """Batched :func:`swap_right` with per-lane pivots and bounds.
 
-    Lanes with ``jp == 0``, inactive lanes, and columns beyond a lane's
-    ``ju`` rewrite their original values, leaving them bit-identical.
+    Lane ``k`` exchanges dense rows ``j`` and ``j + jp[k]`` over columns
+    ``[j, ju[k]]`` (none when ``ju[k] < j``).  Row ``j`` is a band
+    anti-diagonal, a strided view; row ``j + jp`` lies ``jp`` band rows
+    below it, so one flat index plane addresses it.  Outside a lane's
+    bound that plane points back at row ``j``, and those entries swap
+    with themselves: exact bit copies, no mask.
     """
-    kv = kl + ku
-    jumax = int(ju.max())
-    if jumax < j:
+    hi = int(ju.max())
+    if kl == 0 or hi < j:           # kl == 0: the pivot is the diagonal
         return
-    cols = np.arange(j, jumax + 1)
-    mask = (cols[None, :] <= ju[:, None]) & (jp[:, None] != 0)
-    if active is not None:
-        mask = mask & active[:, None]
-    if not bool(mask.any()):
-        return
-    ncols = cols.size
-    jj = j - col0
-    batch = abst.shape[0]
-    sb, sr, sc = abst.strides
-    # Dense row j lives on the band anti-diagonal abst[k, kv - t, jj + t]
-    # — a plain strided view (see rank_one_update_batched).  Row j + jp
-    # sits ``jp`` band rows below it, per lane, so that side stays a
-    # gather/scatter.
-    v1 = np.lib.stride_tricks.as_strided(
-        abst[:, kv:, jj:], shape=(batch, ncols), strides=(sb, sc - sr))
-    r2 = (kv + j - cols)[None, :] + jp[:, None]
-    c = (cols - col0)[None, :]
-    bidx = np.arange(batch)[:, None]
-    a2 = abst[bidx, r2, c]
-    # Scatter first (it reads the still-intact row j through ``v1``);
-    # unmasked lanes rewrite their original bits.  Then pull the pivot
-    # rows up into row j.
-    abst[bidx, r2, c] = np.where(mask, v1, a2)
-    np.copyto(v1, a2, where=mask)
+    if work is None:
+        work = ColumnWork(abst, kl, ku)
+    sb, sr, sc = work.strides
+    w = hi - j + 1
+    corner = (kl + ku) * sr + (j - col0) * sc       # dense (j, j)
+    row_j = work.view(corner, (w, abst.shape[0]), (sc - sr, sb))
+    row_p = work.diag[:w] + corner + (work.steps[:w] <= ju - j) * (jp * sr)
+    a_p = work.flat.take(row_p)
+    work.flat[row_p] = row_j
+    row_j[...] = a_p
 
 
 def scale_column_batched(abst: np.ndarray, m: int, kl: int, ku: int, j: int,
@@ -318,7 +377,8 @@ def scale_column_batched(abst: np.ndarray, m: int, kl: int, ku: int, j: int,
 
     Matches the scalar block's ``*= 1.0 / pivot`` exactly: the reciprocal
     is formed per problem in the array dtype and multiplied in, which is
-    the identical per-element operation sequence.
+    the identical per-element operation sequence.  ``active=None`` means
+    every lane scales.
     """
     kv = kl + ku
     km = min(kl, m - j - 1)
@@ -327,66 +387,101 @@ def scale_column_batched(abst: np.ndarray, m: int, kl: int, ku: int, j: int,
     jj = j - col0
     col = abst[:, kv + 1:kv + km + 1, jj]
     piv = abst[:, kv, jj]
-    if active is None or bool(active.all()):
-        scal_batched(1.0 / piv, col)
-    else:
-        inv = 1.0 / np.where(active, piv, piv.dtype.type(1))
-        col[...] = np.where(active[:, None],
-                            stable_mul(col, inv[:, None]), col)
+    with np.errstate(invalid="ignore", over="ignore"):
+        if active is None:
+            scal_batched(1.0 / piv, col)
+        else:
+            inv = 1.0 / np.where(active, piv, piv.dtype.type(1))
+            col[...] = np.where(active[:, None],
+                                stable_mul(col, inv[:, None]), col)
+
+
+def _bits(x: np.ndarray) -> tuple:
+    """Unsigned-integer views of ``x``'s bits (complex128 as two halves)."""
+    if x.dtype.itemsize == 16:
+        return x.real.view(np.uint64), x.imag.view(np.uint64)
+    return (x.view(f"u{x.dtype.itemsize}"),)
 
 
 def rank_one_update_batched(abst: np.ndarray, m: int, kl: int, ku: int,
                             j: int, ju: np.ndarray, *, col0: int = 0,
-                            active: np.ndarray | None = None) -> None:
-    """Batched :func:`rank_one_update`: broadcast outer products + masking.
+                            work: ColumnWork | None = None) -> None:
+    """Batched :func:`rank_one_update` with per-lane bounds.
 
-    The update slab of every problem is gathered into a dense
-    ``(batch, km, ncols)`` cube, updated with one fused broadcast multiply
-    (the batched GER), and scattered back; columns past a lane's ``ju``
-    and inactive lanes get their original bits.
+    Lane ``k`` updates columns ``j+1 .. ju[k]`` (none when
+    ``ju[k] <= j``).  The products of every lane land in the workspace
+    (``out=``).  A plain subtract covers the columns every lane updates;
+    on the remaining tail columns each element takes its new or its old
+    bits through an XOR/AND select on unsigned views.
     """
     kv = kl + ku
     km = min(kl, m - j - 1)
-    if km <= 0:
+    hi = int(ju.max())
+    if km <= 0 or hi <= j:
         return
-    jumax = int(ju.max())
-    if jumax <= j:
-        return
-    nc = jumax - j
-    jj = j - col0
+    if work is None:
+        work = ColumnWork(abst, kl, ku)
+    sb, sr, sc = work.strides
     batch = abst.shape[0]
-    sb, sr, sc = abst.strides
-    # In factor layout, dense element (r, c) lives at band row kv + r - c:
-    # stepping one dense column right moves ``sc - sr`` bytes.  The update
-    # slab A[j+1:j+km+1, j+1:jumax+1] and the pivot row segment
-    # U[j, j+1:jumax+1] are therefore plain strided views of the band
-    # array — no gather/scatter needed (every (row, col) pair is a valid
-    # in-bounds element of ``abst``, so the views stay inside the buffer).
-    slab = np.lib.stride_tricks.as_strided(
-        abst[:, kv:, jj + 1:], shape=(batch, km, nc),
-        strides=(sb, sr, sc - sr))
-    u = np.lib.stride_tricks.as_strided(
-        abst[:, kv - 1:, jj + 1:], shape=(batch, nc),
-        strides=(sb, sc - sr))
-    l = abst[:, kv + 1:kv + km + 1, jj]
-    if np.iscomplexobj(abst):
-        upd = stable_mul(l[:, :, None], u[:, None, :])
-    else:
-        # Real multiply is correctly rounded whatever the loop order, so
-        # we can let the product land in a buffer whose axis order matches
-        # ``slab`` (contiguous inner loop when the stack is batch-minor).
-        upd = np.empty_like(slab)
-        np.multiply(l[:, :, None], u[:, None, :], out=upd)
-    cols = np.arange(j + 1, jumax + 1)
-    mask = cols[None, :] <= ju[:, None]
-    if active is not None:
-        mask = mask & active[:, None]
-    if bool(mask.all()):
-        slab -= upd
-    else:
-        # ufunc masking updates only the in-bound active elements in one
-        # pass; everything else keeps its exact bits.
-        np.subtract(slab, upd, out=slab, where=mask[:, None, :])
+    nc = hi - j
+    nh = min(max(int(ju.min()) - j, 0), nc)
+    # Dense (r, c) lives at band row kv + r - c, so one dense column right
+    # is ``sc - sr`` elements: the slab A[j+1:j+km+1, j+1:hi+1], the
+    # multipliers A[j+1:j+km+1, j] and U's row A[j, j+1:hi+1] are plain
+    # strided views of the stack, taken lane-last.
+    corner = kv * sr + (j + 1 - col0) * sc          # dense (j+1, j+1)
+    d = sc - sr
+    slab = work.view(corner, (km, nc, batch), (sr, d, sb))
+    l = work.view(corner + sr - sc, (km, 1, batch), (sr, 0, sb))
+    u = work.view(corner - sr, (1, nc, batch), (0, d, sb))
+    # Non-finite lanes evaluate inf - inf and inf * 0 here (and may
+    # overflow); LAPACK raises no IEEE flags for them, so neither do we.
+    with np.errstate(invalid="ignore", over="ignore"):
+        if np.iscomplexobj(abst):
+            prod = stable_mul(l, u)
+        else:
+            prod = np.multiply(l, u, out=work.prod[:km, :nc])
+        if nh:
+            head = slab[:, :nh]
+            np.subtract(head, prod[:, :nh], out=head)
+        if nh == nc:
+            return
+        old, new = slab[:, nh:], prod[:, nh:]
+        np.subtract(old, new, out=new)
+        keep = np.subtract(0, work.steps[nh + 1:nc + 1] <= ju - j,
+                           dtype=_bits(old)[0].dtype)   # all ones: update
+    for o, p in zip(_bits(old), _bits(new)):
+        np.bitwise_xor(p, o, out=p)
+        np.bitwise_and(p, keep, out=p)
+        np.bitwise_xor(o, p, out=o)
+
+
+def gbtf2_step_batched(abst: np.ndarray, m: int, n: int, kl: int, ku: int,
+                       j: int, ju: np.ndarray, ipiv: np.ndarray,
+                       info: np.ndarray, *, col0: int = 0,
+                       work: ColumnWork | None = None
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One column of the batched factorization, on every lane, in place.
+
+    Runs SET_FILLIN, IAMAX, GET_UPDATE_BOUND, SWAP, SCAL and
+    RANK_ONE_UPDATE for column ``j``, writes the pivot rows to
+    ``ipiv[:, j]`` and ``j + 1`` to ``info`` of lanes whose first zero
+    pivot this is.  ``ju`` is the carried per-lane update bound.  Returns
+    ``(ju, jp, active)``: the new bound, the pivot offsets and which
+    lanes had a nonzero pivot.
+    """
+    set_fillin_batched(abst, n, kl, ku, j, col0=col0)
+    jp, active = pivot_search_batched(abst, m, kl, ku, j, col0=col0)
+    ipiv[:, j] = jp + j
+    lanes = None if active.all() else active
+    ju, bound = update_bound_batched(n, kl, ku, j, jp, ju, lanes)
+    swap_right_batched(abst, kl, ku, j, jp, bound, col0=col0, work=work)
+    scale_column_batched(abst, m, kl, ku, j, col0=col0, active=lanes)
+    rank_one_update_batched(abst, m, kl, ku, j, bound, col0=col0,
+                            work=work)
+    if lanes is not None:
+        info[(info == 0) & ~active] = j + 1
+    return ju, jp, active
 
 
 def gbtf2_batched(m: int, n: int, kl: int, ku: int, abst: np.ndarray,
@@ -418,18 +513,10 @@ def gbtf2_batched(m: int, n: int, kl: int, ku: int, abst: np.ndarray,
         info = np.zeros(batch, dtype=np.int64)
     else:
         info[...] = 0          # pure output, like LAPACK's INFO
-    kv = kl + ku
-    bidx = np.arange(batch)
     init_fillin_batched(abst, n, kl, ku)
     ju = np.full(batch, -1, dtype=np.int64)
+    work = ColumnWork(abst, kl, ku)
     for j in range(mn):
-        set_fillin_batched(abst, n, kl, ku, j)
-        jp = pivot_search_batched(abst, m, kl, ku, j)
-        ipiv[:, j] = j + jp
-        active = abst[bidx, kv + jp, j] != 0
-        ju = update_bound_batched(n, kl, ku, j, jp, ju, active)
-        swap_right_batched(abst, kl, ku, j, jp, ju, active=active)
-        scale_column_batched(abst, m, kl, ku, j, active=active)
-        rank_one_update_batched(abst, m, kl, ku, j, ju, active=active)
-        info[...] = np.where(~active & (info == 0), j + 1, info)
+        ju, _, _ = gbtf2_step_batched(abst, m, n, kl, ku, j, ju, ipiv, info,
+                                      work=work)
     return ipiv, info

@@ -89,28 +89,20 @@ class FusedGbtrfKernel(Kernel):
     def pack_operands(self) -> tuple:
         return (self.mats,)
 
-    def run_batch_vectorized(self, nblocks: int, smem: SharedMemory) -> None:
+    def run_batch_vectorized(self, nblocks: int, smem: SharedMemory, *,
+                             packed: bool = True) -> None:
         ldab = self.layout.ldab_factor
-        abst, inplace = stage_stack(self.mats, nblocks, rows=ldab)
-        if inplace:
-            # Interleaved (SoA) batch: stage the shared tile batch-minor
-            # so the global<->shared copies stay lane-contiguous, and
-            # move them as single whole-stack assignments.
-            tiles = np.moveaxis(
-                smem.alloc((ldab, self.n, nblocks), dtype=self.itemdtype),
-                2, 0)
-            tiles[...] = abst                         # global -> shared
-        else:
-            tiles = smem.alloc((nblocks, ldab, self.n),
-                               dtype=self.itemdtype)
-            for k in range(nblocks):
-                tiles[k] = self.mats[k][:ldab, :]     # global -> shared
+        abst = stage_stack(self.mats, nblocks, packed=packed, rows=ldab)
+        # The shared tile is batch-minor: the global<->shared copies are
+        # whole-stack assignments and the column steps run lane-contiguous.
+        tiles = np.moveaxis(
+            smem.alloc((ldab, self.n, nblocks), dtype=self.itemdtype), 2, 0)
+        tiles[...] = abst                             # global -> shared
         pivs = np.zeros((nblocks, min(self.m, self.n)), dtype=np.int64)
         gbtf2_batched(self.m, self.n, self.kl, self.ku, tiles, pivs,
                       self.info[:nblocks])
-        if inplace:
-            abst[...] = tiles                         # shared -> global
+        abst[...] = tiles                             # shared -> global
         for k in range(nblocks):
-            if not inplace:
-                self.mats[k][:ldab, :] = tiles[k]     # shared -> global
+            if packed:
+                self.mats[k][:ldab, :] = abst[k]
             self.pivots[k][:] = pivs[k]

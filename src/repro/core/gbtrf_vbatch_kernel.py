@@ -124,7 +124,8 @@ class VbatchGbtrfKernel(Kernel):
                 return False
         return True
 
-    def run_batch_vectorized(self, nblocks: int, smem: SharedMemory) -> None:
+    def run_batch_vectorized(self, nblocks: int, smem: SharedMemory, *,
+                             packed: bool = True) -> None:
         """Bucketed vectorization: each same-configuration bucket advances
         through the window schedule batch-interleaved; singleton buckets
         run the scalar body.  Problems are independent, so per-bucket

@@ -26,20 +26,16 @@ from ..gpusim.kernel import Kernel, SharedMemory
 from .batch_args import is_interleaved_stack, is_uniform_stack, stage_stack
 from .costs import gbtrf_window_cost
 from .gbtf2 import (
+    ColumnWork,
+    gbtf2_step_batched,
     init_fillin,
     init_fillin_batched,
     pivot_search,
-    pivot_search_batched,
     rank_one_update,
-    rank_one_update_batched,
     scale_column,
-    scale_column_batched,
     set_fillin,
-    set_fillin_batched,
     swap_right,
-    swap_right_batched,
     update_bound,
-    update_bound_batched,
 )
 
 __all__ = ["SlidingWindowGbtrfKernel", "window_factor_steps",
@@ -129,12 +125,10 @@ def sliding_window_factor_batched(abst: np.ndarray, pivs: np.ndarray,
     on each problem in turn.
     """
     batch = abst.shape[0]
-    kv = kl + ku
     mn = min(m, n)
     layout = BandLayout(m, n, kl, ku)
     ldab = layout.ldab_factor
     wcols = layout.window_cols(nb)
-    bidx = np.arange(batch)
 
     # Stage the window batch-minor (lane axis innermost in memory): every
     # per-column block then runs its elementwise work with a contiguous
@@ -148,6 +142,7 @@ def sliding_window_factor_batched(abst: np.ndarray, pivs: np.ndarray,
     win[:, :, :loaded] = abst[:, :ldab, :loaded]
     init_fillin_batched(win, n, kl, ku, ncols=loaded)
 
+    work = ColumnWork(win, kl, ku)
     c0 = 0
     ju = np.full(batch, -1, dtype=np.int64)
     info[...] = 0
@@ -155,17 +150,8 @@ def sliding_window_factor_batched(abst: np.ndarray, pivs: np.ndarray,
     while j < mn:
         jend = min(j + nb, mn)
         for jj in range(j, jend):
-            set_fillin_batched(win, n, kl, ku, jj, col0=c0)
-            jp = pivot_search_batched(win, m, kl, ku, jj, col0=c0)
-            pivs[:, jj] = jj + jp
-            active = win[bidx, kv + jp, jj - c0] != 0
-            ju = update_bound_batched(n, kl, ku, jj, jp, ju, active)
-            swap_right_batched(win, kl, ku, jj, jp, ju, col0=c0,
-                               active=active)
-            scale_column_batched(win, m, kl, ku, jj, col0=c0, active=active)
-            rank_one_update_batched(win, m, kl, ku, jj, ju, col0=c0,
-                                    active=active)
-            info[...] = np.where(~active & (info == 0), jj + 1, info)
+            ju, _, _ = gbtf2_step_batched(win, m, n, kl, ku, jj, ju, pivs,
+                                          info, col0=c0, work=work)
         abst[:, :ldab, j:jend] = win[:, :, j - c0:jend - c0]
         if jend >= mn:
             tail_hi = min(c0 + wcols, n)
@@ -235,17 +221,18 @@ class SlidingWindowGbtrfKernel(Kernel):
     def pack_operands(self) -> tuple:
         return (self.mats,)
 
-    def run_batch_vectorized(self, nblocks: int, smem: SharedMemory) -> None:
+    def run_batch_vectorized(self, nblocks: int, smem: SharedMemory, *,
+                             packed: bool = True) -> None:
         ldab = self.layout.ldab_factor
-        # Interleaved (SoA) batches stage as a zero-copy in-place view:
-        # no gather/scatter, and the global<->window copies below run
-        # lane-contiguous against the batch-minor window.
-        abst, inplace = stage_stack(self.mats, nblocks, rows=ldab)
+        # Uniform and interleaved batches stage as a zero-copy view of the
+        # caller's stack: the window reads and writes it in place.  Only
+        # the pack rung gathers and scatters back.
+        abst = stage_stack(self.mats, nblocks, packed=packed, rows=ldab)
         pivs = np.zeros((nblocks, min(self.m, self.n)), dtype=np.int64)
         sliding_window_factor_batched(
             abst, pivs, self.info[:nblocks],
             self.m, self.n, self.kl, self.ku, self.nb, smem)
         for k in range(nblocks):
-            if not inplace:
+            if packed:
                 self.mats[k][:ldab, :] = abst[k]
             self.pivots[k][:] = pivs[k]

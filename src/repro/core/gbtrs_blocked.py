@@ -35,7 +35,7 @@ import numpy as np
 from ..band.layout import BandLayout
 from ..gpusim.costmodel import BlockCost
 from ..gpusim.kernel import Kernel, SharedMemory
-from .batch_args import is_uniform_stack, soa_stageable, stage_stack
+from .batch_args import all_uniform, soa_stageable, stage_stack
 from .costs import gbtrs_backward_cost, gbtrs_forward_cost
 from .solve_blocks import (
     backward_step,
@@ -93,29 +93,29 @@ class _BlockedSolveBase(Kernel):
     def threads(self) -> int:
         return self.nthreads
 
-    def _stage_batch(self, nblocks: int):
+    def _stage_batch(self, nblocks: int, packed: bool):
         """Stage factors, pivots and RHS of the first ``nblocks`` problems
         as ``(batch, ...)`` stacks for the batch-interleaved path.
 
-        Interleaved (SoA) operands stage as zero-copy in-place views —
-        the factors are read straight from the caller's storage and
-        solved RHS rows land there directly, so :meth:`_writeback_rhs`
-        becomes a no-op for them.
+        On the direct and soa rungs (``packed=False``) the factors and
+        RHS stage as zero-copy views: the factors are read straight from
+        the caller's storage and solved RHS rows land there directly, so
+        :meth:`_writeback_rhs` only scatters on the pack rung.
         """
-        abst, _ = stage_stack(self.mats, nblocks)
+        abst = stage_stack(self.mats, nblocks, packed=packed)
         pivs = (np.stack([np.asarray(p) for p in self.pivots[:nblocks]])
                 if self.pivots is not None else None)
-        btall, self._rhs_inplace = stage_stack(self.rhs, nblocks)
+        btall = stage_stack(self.rhs, nblocks, packed=packed)
         return abst, pivs, btall
 
-    def _writeback_rhs(self, btall: np.ndarray, nblocks: int) -> None:
-        if getattr(self, "_rhs_inplace", False):
-            return                      # solved in place on the SoA view
-        for k in range(nblocks):
-            self.rhs[k][...] = btall[k]
+    def _writeback_rhs(self, btall: np.ndarray, nblocks: int,
+                       packed: bool) -> None:
+        if packed:
+            for k in range(nblocks):
+                self.rhs[k][...] = btall[k]
 
     def can_batch_vectorize(self) -> bool:
-        return is_uniform_stack(self.mats) and is_uniform_stack(self.rhs)
+        return all_uniform(self.mats, self.rhs)
 
     def can_soa_vectorize(self) -> bool:
         return soa_stageable(self.mats, self.rhs)
@@ -166,11 +166,12 @@ class BlockedForwardKernel(_BlockedSolveBase):
             cached = rem + max(0, hi - lo)
             jbeg = jend
 
-    def run_batch_vectorized(self, nblocks: int, smem: SharedMemory) -> None:
+    def run_batch_vectorized(self, nblocks: int, smem: SharedMemory, *,
+                             packed: bool = True) -> None:
         n, kl, ku, nb = self.n, self.kl, self.ku, self.nb
         if kl == 0:
             return  # L is the identity: nothing to do
-        abst, pivs, bt = self._stage_batch(nblocks)
+        abst, pivs, bt = self._stage_batch(nblocks, packed)
         rw = smem.alloc((nblocks, nb + kl, self.nrhs), dtype=bt.dtype)
         cached = min(nb + kl, n)
         rw[:, :cached] = bt[:, :cached]
@@ -192,7 +193,7 @@ class BlockedForwardKernel(_BlockedSolveBase):
                 rw[:, rem:rem + (hi - lo)] = bt[:, lo:hi]
             cached = rem + max(0, hi - lo)
             jbeg = jend
-        self._writeback_rhs(bt, nblocks)
+        self._writeback_rhs(bt, nblocks, packed)
 
 
 class BlockedTransUKernel(_BlockedSolveBase):
@@ -244,10 +245,11 @@ class BlockedTransUKernel(_BlockedSolveBase):
             base = base2
             jbeg = jend
 
-    def run_batch_vectorized(self, nblocks: int, smem: SharedMemory) -> None:
+    def run_batch_vectorized(self, nblocks: int, smem: SharedMemory, *,
+                             packed: bool = True) -> None:
         n, kl, ku, nb = self.n, self.kl, self.ku, self.nb
         kv = kl + ku
-        abst, _, btall = self._stage_batch(nblocks)
+        abst, _, btall = self._stage_batch(nblocks, packed)
         conj = self.conj and np.iscomplexobj(abst)
         rw = smem.alloc((nblocks, nb + kv, self.nrhs), dtype=btall.dtype)
         jbeg = 0
@@ -269,7 +271,7 @@ class BlockedTransUKernel(_BlockedSolveBase):
             rw[:, keep:keep + (hi - jend)] = btall[:, jend:hi]
             base = base2
             jbeg = jend
-        self._writeback_rhs(btall, nblocks)
+        self._writeback_rhs(btall, nblocks, packed)
 
 
 class BlockedTransLKernel(_BlockedSolveBase):
@@ -319,11 +321,12 @@ class BlockedTransLKernel(_BlockedSolveBase):
             b[jbeg:hi] = rw[:hi - jbeg]
             jend = jbeg
 
-    def run_batch_vectorized(self, nblocks: int, smem: SharedMemory) -> None:
+    def run_batch_vectorized(self, nblocks: int, smem: SharedMemory, *,
+                             packed: bool = True) -> None:
         n, kl, ku, nb = self.n, self.kl, self.ku, self.nb
         if kl == 0:
             return                      # L is the identity
-        abst, pivs, btall = self._stage_batch(nblocks)
+        abst, pivs, btall = self._stage_batch(nblocks, packed)
         conj = self.conj and np.iscomplexobj(abst)
         rw = smem.alloc((nblocks, nb + kl, self.nrhs), dtype=btall.dtype)
         jend = n
@@ -336,7 +339,7 @@ class BlockedTransLKernel(_BlockedSolveBase):
                                     conj=conj, row0=jbeg)
             btall[:, jbeg:hi] = rw[:, :hi - jbeg]
             jend = jbeg
-        self._writeback_rhs(btall, nblocks)
+        self._writeback_rhs(btall, nblocks, packed)
 
 
 class BlockedBackwardKernel(_BlockedSolveBase):
@@ -378,10 +381,11 @@ class BlockedBackwardKernel(_BlockedSolveBase):
                 rw[:off] = b[base2:base]        # stream next rows in
             jend, jbeg, base = jend2, jbeg2, base2
 
-    def run_batch_vectorized(self, nblocks: int, smem: SharedMemory) -> None:
+    def run_batch_vectorized(self, nblocks: int, smem: SharedMemory, *,
+                             packed: bool = True) -> None:
         n, kl, ku, nb = self.n, self.kl, self.ku, self.nb
         kv = kl + ku
-        abst, _, bt = self._stage_batch(nblocks)
+        abst, _, bt = self._stage_batch(nblocks, packed)
         rw = smem.alloc((nblocks, nb + kv, self.nrhs), dtype=bt.dtype)
         jend = n
         jbeg = max(n - nb, 0)
@@ -403,4 +407,4 @@ class BlockedBackwardKernel(_BlockedSolveBase):
             if off > 0:
                 rw[:, :off] = bt[:, base2:base]
             jend, jbeg, base = jend2, jbeg2, base2
-        self._writeback_rhs(bt, nblocks)
+        self._writeback_rhs(bt, nblocks, packed)

@@ -39,6 +39,19 @@ __all__ = [
 ]
 
 
+def _sub_mul(dst: np.ndarray, x, y) -> None:
+    """``dst -= x * y`` in place, rounded as :func:`stable_mul` rounds.
+
+    Non-finite lanes evaluate ``inf - inf`` (and may overflow) here;
+    LAPACK raises no IEEE flags for them, so neither do we.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        if np.iscomplexobj(x) or np.iscomplexobj(y):
+            dst -= stable_mul(x, y)
+        else:
+            dst -= x * y
+
+
 def forward_swap(b: np.ndarray, j: int, piv: int, *, row0: int = 0) -> None:
     """Row interchange ``b[j] <-> b[piv]`` (the pivot kernel of a column)."""
     if piv != j:
@@ -59,8 +72,8 @@ def forward_update(ab: np.ndarray, n: int, kl: int, ku: int, j: int,
     lm = min(kl, n - j - 1)
     if lm > 0:
         jj = j - row0
-        b[jj + 1:jj + lm + 1] -= stable_mul(ab[kv + 1:kv + lm + 1, j][:, None],
-                                            b[jj][None, :])
+        _sub_mul(b[jj + 1:jj + lm + 1], ab[kv + 1:kv + lm + 1, j][:, None],
+                 b[jj][None, :])
 
 
 def forward_step(ab: np.ndarray, n: int, kl: int, ku: int, j: int,
@@ -83,11 +96,11 @@ def backward_step(ab: np.ndarray, n: int, kl: int, ku: int, j: int,
     jj = j - row0
     # LAPACK DGBTRS does not guard this division; a zero U(j, j) must
     # propagate inf/NaN silently (the caller's guard is gbtrf's info).
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         b[jj] = b[jj] / ab[kv, j]
     lm = min(kv, j)
     if lm > 0:
-        b[jj - lm:jj] -= stable_mul(ab[kv - lm:kv, j][:, None], b[jj][None, :])
+        _sub_mul(b[jj - lm:jj], ab[kv - lm:kv, j][:, None], b[jj][None, :])
 
 
 def transU_step(ab: np.ndarray, n: int, kl: int, ku: int, j: int,
@@ -109,10 +122,10 @@ def transU_step(ab: np.ndarray, n: int, kl: int, ku: int, j: int,
     lm = min(kv, j)
     for t in range(lm, 0, -1):
         coeff = np.conj(ab[kv - t, j]) if conj else ab[kv - t, j]
-        b[jj] -= stable_mul(coeff, b[jj - t])
+        _sub_mul(b[jj], coeff, b[jj - t])
     pivot = np.conj(ab[kv, j]) if conj else ab[kv, j]
     # Unguarded like LAPACK: zero pivots propagate inf/NaN silently.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         b[jj] = b[jj] / pivot
 
 
@@ -132,7 +145,7 @@ def transL_step(ab: np.ndarray, n: int, kl: int, ku: int, j: int,
     lm = min(kl, n - j - 1)
     for t in range(1, lm + 1):
         coeff = np.conj(ab[kv + t, j]) if conj else ab[kv + t, j]
-        b[jj] -= stable_mul(coeff, b[jj + t])
+        _sub_mul(b[jj], coeff, b[jj + t])
     forward_swap(b, j, piv, row0=row0)
 
 
@@ -162,13 +175,14 @@ def forward_update_batched(abst: np.ndarray, n: int, kl: int, ku: int,
     if lm <= 0:
         return
     jj = j - row0
-    upd = stable_mul(abst[:, kv + 1:kv + lm + 1, j][:, :, None],
-                     bt[:, jj][:, None, :])
+    l = abst[:, kv + 1:kv + lm + 1, j][:, :, None]
     seg = bt[:, jj + 1:jj + lm + 1]
     if active is None:
-        seg -= upd
+        _sub_mul(seg, l, bt[:, jj][:, None, :])
     else:
-        seg[...] = np.where(active[:, None, None], seg - upd, seg)
+        new = seg.copy()
+        _sub_mul(new, l, bt[:, jj][:, None, :])
+        seg[...] = np.where(active[:, None, None], new, seg)
 
 
 def backward_step_batched(abst: np.ndarray, n: int, kl: int, ku: int,
@@ -177,12 +191,12 @@ def backward_step_batched(abst: np.ndarray, n: int, kl: int, ku: int,
     kv = kl + ku
     jj = j - row0
     # Unguarded like LAPACK: zero pivots propagate inf/NaN silently.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         bt[:, jj] = bt[:, jj] / abst[:, kv, j][:, None]
     lm = min(kv, j)
     if lm > 0:
-        bt[:, jj - lm:jj] -= stable_mul(abst[:, kv - lm:kv, j][:, :, None],
-                                        bt[:, jj][:, None, :])
+        _sub_mul(bt[:, jj - lm:jj], abst[:, kv - lm:kv, j][:, :, None],
+                 bt[:, jj][:, None, :])
 
 
 def transU_step_batched(abst: np.ndarray, n: int, kl: int, ku: int,
@@ -197,12 +211,12 @@ def transU_step_batched(abst: np.ndarray, n: int, kl: int, ku: int,
         coeff = abst[:, kv - t, j]
         if conj:
             coeff = np.conj(coeff)
-        bt[:, jj] -= stable_mul(coeff[:, None], bt[:, jj - t])
+        _sub_mul(bt[:, jj], coeff[:, None], bt[:, jj - t])
     pivot = abst[:, kv, j]
     if conj:
         pivot = np.conj(pivot)
     # Unguarded like LAPACK: zero pivots propagate inf/NaN silently.
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         bt[:, jj] = bt[:, jj] / pivot[:, None]
 
 
@@ -217,7 +231,7 @@ def transL_step_batched(abst: np.ndarray, n: int, kl: int, ku: int,
         coeff = abst[:, kv + t, j]
         if conj:
             coeff = np.conj(coeff)
-        bt[:, jj] -= stable_mul(coeff[:, None], bt[:, jj + t])
+        _sub_mul(bt[:, jj], coeff[:, None], bt[:, jj + t])
     forward_swap_batched(bt, j, piv, row0=row0)
 
 

@@ -132,7 +132,8 @@ class Kernel(abc.ABC):
         """
         return False
 
-    def run_batch_vectorized(self, nblocks: int, smem: SharedMemory) -> None:
+    def run_batch_vectorized(self, nblocks: int, smem: SharedMemory, *,
+                             packed: bool = True) -> None:
         """Advance blocks ``0..nblocks-1`` together, batch-interleaved.
 
         Must be numerically bit-identical to running ``run_block`` for
@@ -140,8 +141,12 @@ class Kernel(abc.ABC):
         aggregate budget of all executed blocks (``nblocks ×`` the
         per-block occupancy limit), mirroring the total on-chip footprint
         the grid would occupy.  Only called when
-        :meth:`can_batch_vectorize` or :meth:`can_pack_vectorize`
-        returned True.
+        :meth:`can_batch_vectorize`, :meth:`can_soa_vectorize` or
+        :meth:`can_pack_vectorize` returned True.  ``packed`` is the
+        launcher's rung decision: False on the direct and soa rungs,
+        whose operands stage as zero-copy views
+        (:func:`repro.core.batch_args.stage_stack`), True on the pack
+        rung, whose operands are gathered and scattered back.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not implement the "
@@ -270,6 +275,18 @@ class LaunchRecord:
         return self.kernel_name
 
 
+def _vector_rung(kernel: Kernel) -> str | None:
+    """The batch-interleaved rung ``kernel`` can take on its current
+    inputs: ``'direct'``, ``'soa'``, ``'pack'``, or None (per-block)."""
+    if kernel.can_batch_vectorize():
+        return "direct"
+    if kernel.can_soa_vectorize():
+        return "soa"
+    if kernel.can_pack_vectorize():
+        return "pack"
+    return None
+
+
 def launch(device: DeviceSpec, kernel: Kernel, *, stream=None,
            execute: bool = True, max_blocks: int | None = None,
            vectorize: bool | None = None,
@@ -352,9 +369,10 @@ def launch(device: DeviceSpec, kernel: Kernel, *, stream=None,
     capturing = bool(getattr(stream, "_capturing", False))
     if capturing:
         execute = False
-    if vectorize and not (kernel.can_batch_vectorize()
-                          or kernel.can_soa_vectorize()
-                          or kernel.can_pack_vectorize()):
+    # The rung is decided once per launch, and the kernel stages its
+    # operands by that decision, so each operand list is walked once.
+    rung = _vector_rung(kernel) if vectorize else None
+    if vectorize and rung is None:
         raise DeviceError(
             f"kernel {kernel.name!r} cannot batch-vectorize its current "
             "inputs (no batch-interleaved path, or aliased/overlapping/"
@@ -368,32 +386,25 @@ def launch(device: DeviceSpec, kernel: Kernel, *, stream=None,
     if execute:
         limit = timing.occupancy.smem_per_block
         n_exec = grid if max_blocks is None else min(grid, max_blocks)
-        if vectorize is False:
-            use_vec = direct = soa = False
-        else:
-            direct = kernel.can_batch_vectorize()
-            soa = not direct and kernel.can_soa_vectorize()
-            if vectorize:
-                use_vec = True
-            else:
-                use_vec = n_exec > 1 and (direct or soa
-                                          or kernel.can_pack_vectorize())
+        if vectorize is None and n_exec > 1:
+            rung = _vector_rung(kernel)
         smem_ctx = dict(kernel=kernel.name, device=device.name)
         if injector is not None and n_exec > 0:
             # Transfer-SDC strikes the staged inputs the blocks are about
             # to consume (a corrupted host-to-device copy); the events
             # ride the same record as post-execution corruption.
             faults = injector.before_execution(device, kernel, n_exec)
-        if use_vec and n_exec > 0:
+        if rung is not None and n_exec > 0:
+            packed = rung == "pack"
+            soa = rung == "soa"
             kernel.run_batch_vectorized(
-                n_exec, SharedMemory(limit * n_exec, **smem_ctx))
+                n_exec, SharedMemory(limit * n_exec, **smem_ctx),
+                packed=packed)
             executed = n_exec
             vectorized = True
-            packed = not direct and not soa
             if packed:
                 pack_bytes = kernel.pack_bytes(n_exec)
         else:
-            soa = False
             for bid in range(n_exec):
                 kernel.run_block(bid, SharedMemory(limit, **smem_ctx))
                 executed += 1

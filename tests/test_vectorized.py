@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.band.generate import random_band_batch, random_rhs
+from repro.band.layout import to_interleaved
 from repro.core import gbsv_batch, gbtrf_batch, gbtrs_batch
 from repro.core.batch_args import is_uniform_stack
 from repro.core.gbtf2 import gbtf2, gbtf2_batched
@@ -37,28 +38,89 @@ def _band_batch(batch, n, kl, ku, dtype, seed, m=None):
     return a
 
 
+# Bit patterns written inside the band by the "nonfinite" hard case: quiet
+# NaN, signaling NaN, +Inf, -Inf and -0.0 (one lane each).
+SPECIALS = {
+    4: (0x7FC00000, 0x7F800001, 0x7F800000, 0xFF800000, 0x80000000),
+    8: (0x7FF8000000000000, 0x7FF0000000000001, 0x7FF0000000000000,
+        0xFFF0000000000000, 0x8000000000000000),
+}
+
+# Hard cases shared by the bit-identity tests below.  ``None`` is the plain
+# random input; the others add, on top of it:
+#   nonfinite  lanes 0-4 hold qNaN / sNaN / +Inf / -Inf / -0.0 in the band
+#   zerocols   lanes 1 and 3 hold all-zero columns (exact zero pivots)
+#   jusplit    lane k pivots k % (kl + 1) rows down, so ``ju`` spreads from
+#              j + ku to j + kv across the lanes
+HARD = ("nonfinite", "zerocols", "jusplit")
+
+
+def _harden(a, case, m, kl, ku):
+    """Apply hard case ``case`` to the factor-layout batch ``a`` in place."""
+    kv = kl + ku
+    batch, _, n = a.shape
+    if case == "nonfinite":
+        comp = a.real if np.iscomplexobj(a) else a
+        bits = comp.view(f"u{comp.itemsize}")
+        for k, pattern in enumerate(SPECIALS[comp.itemsize][:batch]):
+            c = (2 + 3 * k) % n
+            r = kl + (2 * k + 1) % (kv + 1)         # a stored band row
+            bits[k, r, c] = pattern
+    elif case == "zerocols":
+        a[1, :, min(4, n - 1)] = 0
+        a[3, :, 0] = 0
+        a[3, :, n // 2] = 0
+    elif case == "jusplit":
+        for k in range(batch):
+            off = k % (kl + 1)
+            for c in range(min(m - off, n)):
+                a[k, kv + off, c] *= 1e3
+    return a
+
+
+def _check_hard(case, piv, kl):
+    """Sanity-check that ``case`` exercised what it is meant to."""
+    piv = np.stack([np.asarray(p) for p in piv])
+    jp = piv - np.arange(piv.shape[1])
+    if case == "jusplit" and kl > 0:
+        # some column pivots on the diagonal in one lane and kl rows
+        # down in another: the lanes' update bounds differ by kl
+        assert ((jp.min(axis=0) == 0) & (jp.max(axis=0) == kl)).any()
+
+
 # ---------------------------------------------------------------------------
 # Building-block level: gbtf2_batched vs looped gbtf2
 # ---------------------------------------------------------------------------
 
 
+GBTF2_CASES = [
+    (16, 16, 2, 3, None),
+    (20, 20, 8, 8, None),    # band wider than the matrix quarter
+    (24, 16, 2, 3, None),    # m > n
+    (16, 24, 2, 3, None),    # m < n (trailing update columns)
+    (12, 12, 0, 2, None),    # no subdiagonals
+    (12, 12, 2, 0, None),    # no superdiagonals
+    (20, 20, 3, 3, "nonfinite"),
+    (20, 20, 3, 3, "zerocols"),
+    (20, 20, 3, 4, "jusplit"),
+    (16, 16, 0, 2, "nonfinite"),
+    (16, 16, 2, 0, "nonfinite"),
+    (24, 16, 3, 2, "nonfinite"),
+    (16, 24, 3, 2, "jusplit"),
+]
+
+
 @pytest.mark.parametrize("dtype", DTYPES, ids=DTYPE_IDS)
-@pytest.mark.parametrize("m,n,kl,ku", [
-    (16, 16, 2, 3),
-    (20, 20, 8, 8),     # band wider than the matrix quarter
-    (24, 16, 2, 3),     # m > n
-    (16, 24, 2, 3),     # m < n (trailing update columns)
-    (12, 12, 0, 2),     # no subdiagonals
-    (12, 12, 2, 0),     # no superdiagonals
-])
-def test_gbtf2_batched_bitwise(dtype, m, n, kl, ku):
+@pytest.mark.parametrize("m,n,kl,ku,case", GBTF2_CASES, ids=[
+    "-".join(str(v) for v in c if v is not None) for c in GBTF2_CASES])
+def test_gbtf2_batched_bitwise(dtype, m, n, kl, ku, case):
     batch = 7
     ldab = 2 * kl + ku + 1
     rng = np.random.default_rng(11)
     a = rng.standard_normal((batch, ldab, n))
     if np.dtype(dtype).kind == "c":
         a = a + 1j * rng.standard_normal((batch, ldab, n))
-    a = a.astype(dtype)
+    a = _harden(a.astype(dtype), case, m, kl, ku)
 
     ref = a.copy()
     piv_ref = np.zeros((batch, min(m, n)), dtype=np.int64)
@@ -66,10 +128,16 @@ def test_gbtf2_batched_bitwise(dtype, m, n, kl, ku):
     for k in range(batch):
         p, inf = gbtf2(m, n, kl, ku, ref[k])
         piv_ref[k], info_ref[k] = p, inf
+    _check_hard(case, piv_ref, kl)
+    if case == "zerocols":
+        assert info_ref[1] != 0 and info_ref[3] != 0
 
-    vec = a.copy()
-    piv_v, info_v = gbtf2_batched(m, n, kl, ku, vec)
-    _bytes_equal((vec, ref), (piv_v, piv_ref), (info_v, info_ref))
+    # Lane-major and lane-fastest stacks: the column step indexes both
+    # through their strides.
+    for vec in (a.copy(), to_interleaved(a)):
+        piv_v, info_v = gbtf2_batched(m, n, kl, ku, vec)
+        _bytes_equal((np.ascontiguousarray(vec), ref), (piv_v, piv_ref),
+                     (info_v, info_ref))
 
 
 @pytest.mark.parametrize("dtype", DTYPES, ids=DTYPE_IDS)
@@ -104,24 +172,63 @@ def test_gbtf2_batched_singular_lanes(dtype):
 # ---------------------------------------------------------------------------
 
 
+def _rungs(a):
+    """The operand forms of the three vectorized rungs, each with the
+    trace label its launches must carry: a uniform lane-major stack
+    (``[vec]``), a lane-fastest stack (``[vec+soa]``) and scattered
+    per-lane copies (``[vec+pack]``)."""
+    return [(a.copy(), "[vec]"), (to_interleaved(a), "[vec+soa]"),
+            ([np.array(x) for x in a], "[vec+pack]")]
+
+
+def _launch_labels(stream):
+    return {r.display_name[len(r.kernel_name):] for r in stream.records
+            if hasattr(r, "kernel_name")}
+
+
+GBTRF_CASES = [
+    ("fused", 24, 2, 3, None),
+    ("window", 48, 3, 2, None),
+    ("window", 64, 8, 8, None),
+    ("window", 40, 3, 3, "nonfinite"),
+    ("fused", 24, 3, 3, "nonfinite"),
+    ("window", 40, 3, 3, "zerocols"),
+    ("window", 48, 4, 3, "jusplit"),
+    ("fused", 24, 3, 2, "jusplit"),
+    ("window", 40, 0, 3, "nonfinite"),
+    ("window", 40, 3, 0, "nonfinite"),
+    ("window", 40, 3, 2, "m<n"),
+    ("window", 40, 3, 2, "m>n"),
+    ("window", 40, 3, 3, "nb=1"),
+]
+
+
 @pytest.mark.parametrize("dtype", DTYPES, ids=DTYPE_IDS)
-@pytest.mark.parametrize("method,n,kl,ku", [
-    ("fused", 24, 2, 3),
-    ("window", 48, 3, 2),
-    ("window", 64, 8, 8),
-])
-def test_gbtrf_paths_bitwise(dtype, method, n, kl, ku):
+@pytest.mark.parametrize("method,n,kl,ku,case", GBTRF_CASES, ids=[
+    "-".join(str(v) for v in c if v is not None) for c in GBTRF_CASES])
+def test_gbtrf_paths_bitwise(dtype, method, n, kl, ku, case):
     batch = 9
-    a = _band_batch(batch, n, kl, ku, dtype, seed=21)
-    a_ref, a_vec = a.copy(), a.copy()
-    piv_ref, info_ref = gbtrf_batch(n, n, kl, ku, a_ref, method=method,
-                                    vectorize=False)
-    piv_vec, info_vec = gbtrf_batch(n, n, kl, ku, a_vec, method=method)
-    # Pivot-divergent batch: lanes must not all share one pivot sequence,
-    # otherwise the per-lane masking logic is untested.
-    assert len({tuple(np.asarray(p)) for p in piv_ref}) > 1
-    _bytes_equal((a_vec, a_ref), (np.stack(piv_vec), np.stack(piv_ref)),
-                 (info_vec, info_ref))
+    m = n + {"m<n": -8, "m>n": 8}.get(case, 0)
+    nb = 1 if case == "nb=1" else None
+    hard = case if case in HARD else "nonfinite" if case else None
+    a = _harden(_band_batch(batch, n, kl, ku, dtype, seed=21), hard, m,
+                kl, ku)
+    a_ref = a.copy()
+    piv_ref, info_ref = gbtrf_batch(m, n, kl, ku, a_ref, method=method,
+                                    nb=nb, vectorize=False)
+    _check_hard(hard, piv_ref, kl)
+    if kl > 0:
+        # Pivot-divergent batch: lanes must not all share one pivot
+        # sequence, otherwise the per-lane bounds are untested.
+        assert len({tuple(np.asarray(p)) for p in piv_ref}) > 1
+    for a_vec, label in _rungs(a):
+        stream = Stream(H100_PCIE)
+        piv_vec, info_vec = gbtrf_batch(m, n, kl, ku, a_vec, method=method,
+                                        nb=nb, stream=stream)
+        assert _launch_labels(stream) == {label}
+        _bytes_equal((np.stack(a_vec), a_ref),
+                     (np.stack(piv_vec), np.stack(piv_ref)),
+                     (info_vec, info_ref))
 
 
 @pytest.mark.parametrize("dtype", DTYPES, ids=DTYPE_IDS)
@@ -139,29 +246,38 @@ def test_gbtrs_paths_bitwise(dtype, nrhs):
     _bytes_equal((b_vec, b_ref))
 
 
+GBSV_CASES = [("fused", None), ("standard", None),
+              ("fused", "nonfinite"), ("standard", "nonfinite"),
+              ("standard", "jusplit")]
+
+
 @pytest.mark.parametrize("dtype", DTYPES, ids=DTYPE_IDS)
-@pytest.mark.parametrize("method", ["fused", "standard"])
-def test_gbsv_singular_paths_bitwise(dtype, method):
+@pytest.mark.parametrize("method,case", GBSV_CASES, ids=[
+    "-".join(v for v in c if v) for c in GBSV_CASES])
+def test_gbsv_singular_paths_bitwise(dtype, method, case):
     """Singular lanes: factors/pivots written, B untouched, info nonzero —
-    identically on both paths (the standard method exercises the scattered
+    identically on every path (the standard method exercises the scattered
     sub-batch fallback)."""
     batch, n, kl, ku = 8, 16, 2, 2
-    a = _band_batch(batch, n, kl, ku, dtype, seed=24)
+    a = _harden(_band_batch(batch, n, kl, ku, dtype, seed=24), case, n,
+                kl, ku)
     a[2, :, 5] = 0
     a[5, :, 0] = 0
     b = random_rhs(n, 1, batch=batch, dtype=dtype, seed=25)
-    a_ref, a_vec = a.copy(), a.copy()
-    b_ref, b_vec = b.copy(), b.copy()
+    a_ref, b_ref = a.copy(), b.copy()
     piv_ref, info_ref = gbsv_batch(n, kl, ku, 1, a_ref, None, b_ref,
                                    method=method, vectorize=False)
-    piv_vec, info_vec = gbsv_batch(n, kl, ku, 1, a_vec, None, b_vec,
-                                   method=method)
     assert info_ref[2] != 0 and info_ref[5] != 0
     # Singular problems keep their RHS bits.
     _bytes_equal((b_ref[2], b[2]), (b_ref[5], b[5]))
-    _bytes_equal((a_vec, a_ref), (b_vec, b_ref),
-                 (np.stack(piv_vec), np.stack(piv_ref)),
-                 (info_vec, info_ref))
+    for (a_vec, label), (b_vec, _) in zip(_rungs(a), _rungs(b)):
+        stream = Stream(H100_PCIE)
+        piv_vec, info_vec = gbsv_batch(n, kl, ku, 1, a_vec, None, b_vec,
+                                       method=method, stream=stream)
+        assert label in _launch_labels(stream)
+        _bytes_equal((np.stack(a_vec), a_ref), (np.stack(b_vec), b_ref),
+                     (np.stack(piv_vec), np.stack(piv_ref)),
+                     (info_vec, info_ref))
 
 
 def test_gbtrf_nonsquare_paths_bitwise():
@@ -305,3 +421,131 @@ class TestDispatch:
         kernel.run_batch_vectorized(
             batch, SharedMemory(kernel.smem_bytes() * batch))
         assert (info == 0).all()
+
+
+# ---------------------------------------------------------------------------
+# Staging: in-place views on the direct and soa rungs, one walk per launch
+# ---------------------------------------------------------------------------
+
+
+class _Walked(list):
+    """Operand list that counts how many lane views are read from it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reads = 0
+
+    def __getitem__(self, i):
+        out = super().__getitem__(i)
+        self.reads += len(out) if isinstance(i, slice) else 1
+        return out
+
+    def __iter__(self):
+        self.reads += len(self)
+        return super().__iter__()
+
+
+class TestStaging:
+    def test_uniform_stack_stages_in_place(self):
+        from repro.core.batch_args import stage_stack
+        a = _band_batch(6, 20, 2, 3, np.float64, seed=40)
+        for rows in (None, 5):
+            view = stage_stack(list(a), 4, packed=False, rows=rows)
+            expect = a[:4] if rows is None else a[:4, :rows]
+            assert np.shares_memory(view, a)
+            _bytes_equal((view, expect))
+            view[3, 1, 2] = 7.0
+            assert a[3, 1, 2] == 7.0
+
+    def test_scattered_batch_still_gathers(self):
+        from repro.core.batch_args import stage_stack
+        n, kl, ku, batch = 24, 2, 3, 5
+        a = _band_batch(batch, n, kl, ku, np.float64, seed=41)
+        scattered = [np.array(x) for x in a]
+        staged = stage_stack(scattered, batch, packed=True)
+        assert not any(np.shares_memory(staged, x) for x in scattered)
+        _bytes_equal((staged, a))
+        a_ref = a.copy()
+        piv_ref, _ = gbtrf_batch(n, n, kl, ku, a_ref, vectorize=False)
+        stream = Stream(H100_PCIE)
+        piv, _ = gbtrf_batch(n, n, kl, ku, scattered, stream=stream)
+        rec = stream.records[-1]
+        assert rec.packed and rec.pack_bytes == 2 * a.nbytes
+        _bytes_equal((np.stack(scattered), a_ref),
+                     (np.stack(piv), np.stack(piv_ref)))
+
+    @pytest.mark.parametrize("fail", ["gbtrf", "gbtrs_fwd", "gbtrs_bwd"])
+    def test_resilient_retry_restores_stack(self, fail):
+        """A launch failure after earlier launches wrote the caller's stack
+        in place: the retry starts from the caller's original bits."""
+        from repro.gpusim import FaultPlan, fault_injection
+        n, kl, ku, batch = 96, 3, 2, 6
+        a = _band_batch(batch, n, kl, ku, np.float64, seed=42)
+        b = random_rhs(n, 1, batch=batch, seed=43)
+        a_ref, b_ref = a.copy(), b.copy()
+        piv_ref, info_ref = gbsv_batch(n, kl, ku, 1, a_ref, None, b_ref,
+                                       method="standard")
+        plan = FaultPlan(launch_failure_rate=1.0, max_launch_failures=1,
+                         fail_kernels=fail)
+        with fault_injection(H100_PCIE, plan):
+            piv, info, report = gbsv_batch(n, kl, ku, 1, a, None, b,
+                                           method="standard",
+                                           resilient=True)
+        assert report.launch_failures == 1 and report.retries >= 1
+        _bytes_equal((a, a_ref), (b, b_ref),
+                     (np.stack(piv), np.stack(piv_ref)), (info, info_ref))
+
+    @pytest.mark.parametrize("layouts", [
+        ("aos", "aos"), ("soa", "soa"), ("aos", "soa"), ("soa", "aos")])
+    def test_each_operand_list_walked_once(self, layouts):
+        """The launcher decides the rung once and the kernel stages by that
+        decision, so no operand list is walked twice in one launch."""
+        from repro.core.gbtrs_blocked import BlockedForwardKernel
+        n, kl, ku, batch = 40, 3, 2, 16
+        a = _band_batch(batch, n, kl, ku, np.float64, seed=44)
+        piv, _ = gbtrf_batch(n, n, kl, ku, a)
+        b = random_rhs(n, 1, batch=batch, seed=45)
+        ops = [x.copy() if lay == "aos" else to_interleaved(x)
+               for x, lay in zip((a, b), layouts)]
+        mats, rhs = _Walked(ops[0]), _Walked(ops[1])
+        kernel = BlockedForwardKernel(n, kl, ku, 1, mats, list(piv), rhs)
+        rec = launch(H100_PCIE, kernel)
+        assert rec.vectorized and not rec.packed
+        assert rec.soa == ("soa" in layouts)
+        # One walk of each list plus a few fixed lane reads (the first
+        # two lanes for the prefix check and the staged view).
+        assert mats.reads < 2 * batch and rhs.reads < 2 * batch
+        # The forward solve alone ran; compare with the per-block kernel.
+        b_blk = b.copy()
+        launch(H100_PCIE, BlockedForwardKernel(n, kl, ku, 1, list(a),
+                                               list(piv), list(b_blk)),
+               vectorize=False)
+        _bytes_equal((ops[1], b_blk))
+
+    def test_gbsv_call_checks_each_operand_list_once(self, monkeypatch):
+        """A window gbsv call is three launches over five operand lists;
+        each list gets one full-length stack check."""
+        import sys
+        from repro.core import batch_args
+        calls = []
+        for name in ("is_uniform_stack", "is_interleaved_stack"):
+            orig = getattr(batch_args, name)
+
+            def counted(mats, _orig=orig, _name=name):
+                calls.append((_name, len(mats)))
+                return _orig(mats)
+            for mod in list(sys.modules.values()):
+                if (getattr(mod, "__name__", "").startswith("repro")
+                        and getattr(mod, name, None) is orig):
+                    monkeypatch.setattr(mod, name, counted)
+        n, kl, ku, batch = 96, 3, 2, 12
+        a = _band_batch(batch, n, kl, ku, np.float64, seed=46)
+        b = random_rhs(n, 1, batch=batch, seed=47)
+        stream = Stream(H100_PCIE)
+        gbsv_batch(n, kl, ku, 1, a, None, b, method="standard",
+                   stream=stream)
+        assert [r.display_name for r in stream.records] == [
+            "gbtrf_window[vec]", "gbtrs_fwd_blocked[vec]",
+            "gbtrs_bwd_blocked[vec]"]
+        assert [c for c in calls if c[1] == batch] == \
+            [("is_uniform_stack", batch)] * 5
