@@ -11,7 +11,8 @@ at the paper's workload scale.
 
 Runnable standalone (``python benchmarks/bench_vectorized_speedup.py
 [--quick]``).  ``--quick`` only checks that both paths give the same
-bits at n=256, kl=ku=8, batch 32 (no wall-clock gate); without it the
+``gbtrf`` and ``gbtrs`` (trans N and T) bits at n=256, kl=ku=8, batch 32
+(no wall-clock gate); without it the
 speedup is measured, archived and gated as in the pytest run.
 """
 
@@ -22,9 +23,9 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from repro.band.generate import random_band_batch
+from repro.band.generate import random_band_batch, random_rhs
 from repro.bench import wallclock_gbtrf_paths
-from repro.core import gbtrf_batch
+from repro.core import gbtrf_batch, gbtrs_batch
 
 from _util import emit, run_once
 
@@ -37,7 +38,8 @@ FLOOR = 6.0
 
 
 def check_bit_identity(batch: int = 32) -> None:
-    """Per-block and vectorized gbtrf give the same bytes."""
+    """Per-block and vectorized gbtrf, and gbtrs with trans N and T,
+    give the same bytes (the solves cross their nb=34 block edges)."""
     a = random_band_batch(batch, N, KL, KU, seed=7)
     a_ref, a_vec = a.copy(), a.copy()
     piv_ref, info_ref = gbtrf_batch(N, N, KL, KU, a_ref, vectorize=False)
@@ -45,6 +47,13 @@ def check_bit_identity(batch: int = 32) -> None:
     assert a_vec.tobytes() == a_ref.tobytes()
     assert np.stack(piv_vec).tobytes() == np.stack(piv_ref).tobytes()
     assert info_vec.tobytes() == info_ref.tobytes()
+    b = random_rhs(N, 1, batch=batch, seed=8)
+    for trans in "NT":
+        b_ref, b_vec = b.copy(), b.copy()
+        gbtrs_batch(trans, N, KL, KU, 1, a_ref, piv_ref, b_ref,
+                    vectorize=False)
+        gbtrs_batch(trans, N, KL, KU, 1, a_ref, piv_ref, b_vec)
+        assert b_vec.tobytes() == b_ref.tobytes(), trans
 
 
 def measure_and_gate() -> None:
@@ -75,7 +84,8 @@ def test_vectorized_speedup(benchmark):
 if __name__ == "__main__":
     check_bit_identity()
     if "--quick" in sys.argv[1:]:
-        print(f"per-block and vectorized gbtrf bit-identical (n={N}, "
-              f"kl=ku={KL}, batch 32); quick mode: wall-clock not asserted")
+        print(f"per-block and vectorized gbtrf and gbtrs (N, T) "
+              f"bit-identical (n={N}, kl=ku={KL}, batch 32); quick mode: "
+              "wall-clock not asserted")
     else:
         measure_and_gate()

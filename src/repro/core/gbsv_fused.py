@@ -17,8 +17,8 @@ The kernel also implements the batch-interleaved path
 (:meth:`~repro.gpusim.kernel.Kernel.run_batch_vectorized`): uniform
 contiguous ``[A|B]`` batches run every column step (paper Section 5.1 building
 blocks plus the paper Section 6 solve steps) across the whole batch at once,
-with singular problems skipping their steps lane by lane, bit-identical to
-the per-block body (see ``docs/PERFORMANCE.md``).
+bit-identical to the per-block body (see ``docs/PERFORMANCE.md``); the
+solutions of singular problems are computed but never written out.
 """
 
 from __future__ import annotations
@@ -143,25 +143,29 @@ class FusedGbsvKernel(Kernel):
         ldab = self.layout.ldab_factor
         abst = stage_stack(self.mats, nblocks, packed=packed, rows=ldab)
         btst = stage_stack(self.rhs, nblocks, packed=packed)
-        # Batch-minor shared tiles: whole-stack copies in and out, and
-        # lane-contiguous column steps.
-        tiles = np.moveaxis(
-            smem.alloc((ldab, n, nblocks), dtype=abst.dtype), 2, 0)
-        bts = np.moveaxis(
-            smem.alloc((n, self.nrhs, nblocks), dtype=btst.dtype), 2, 0)
+        # Column-major, lane-last shared tiles: one column's band rows are
+        # adjacent runs of lanes, and the RHS tile is the lane-last window
+        # the solve steps take.
+        store = smem.alloc((n, ldab, nblocks), dtype=abst.dtype)
+        tiles = store.transpose(2, 1, 0)
+        rw = smem.alloc((n, self.nrhs, nblocks), dtype=btst.dtype)
         tiles[...] = abst
-        bts[...] = btst
+        rw[...] = btst.transpose(1, 2, 0)
 
+        kv = kl + ku
         pivs = np.zeros((nblocks, n), dtype=np.int64)
         info = np.zeros(nblocks, dtype=np.int64)
         init_fillin_batched(tiles, n, kl, ku)
         ju = np.full(nblocks, -1, dtype=np.int64)
         work = ColumnWork(tiles, kl, ku)
+        # A singular lane's RHS is never written out, so the forward
+        # steps need no mask: only lanes that end with info == 0 (a
+        # nonzero pivot in every column) keep their results.
         for j in range(n):
-            ju, jp, active = gbtf2_step_batched(tiles, n, n, kl, ku, j, ju,
-                                                pivs, info, work=work)
-            forward_swap_batched(bts, j, np.where(active, j + jp, j))
-            forward_update_batched(tiles, n, kl, ku, j, bts, active=active)
+            ju, jp, _ = gbtf2_step_batched(tiles, n, n, kl, ku, j, ju, pivs,
+                                           info, work=work)
+            forward_swap_batched(rw, j, j + jp)
+            forward_update_batched(store[j, kv + 1:], n, j, rw)
 
         abst[...] = tiles
         for k in range(nblocks):
@@ -172,14 +176,13 @@ class FusedGbsvKernel(Kernel):
         ok = info == 0
         if not ok.any():
             return  # LAPACK GBSV: leave B untouched on singularity
-        # Backward solve on the non-singular subset only (gathered copy, so
-        # no divide-by-zero lanes; singular problems keep B untouched).
-        sub_t = tiles[ok]
-        sub_b = bts[ok]
+        # Backward solve on every lane; only the non-singular ones are
+        # written out, so singular problems keep B untouched.
         for j in range(n - 1, -1, -1):
-            backward_step_batched(sub_t, n, kl, ku, j, sub_b)
+            backward_step_batched(store[j, :kv + 1], j, rw)
+        x = rw.transpose(2, 0, 1)
         if not packed:
-            btst[ok] = sub_b
+            btst[ok] = x[ok]
             return
-        for i, k in enumerate(np.flatnonzero(ok)):
-            self.rhs[k][...] = sub_b[i]
+        for k in np.flatnonzero(ok):
+            self.rhs[k][...] = x[k]

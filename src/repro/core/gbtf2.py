@@ -19,9 +19,10 @@ whole-matrix shared-memory tile (fused design, paper Section 5.2), or on a slidi
 window holding only columns ``[c0, c0 + nb + kv + 1)`` (paper Section 5.3).
 
 The band array is factor layout: dense entry ``(r, c)`` lives at
-``ab[kv + r - c, c - col0]``.  All indices 0-based.  The resulting factors
-and pivot sequence match LAPACK's ``DGBTF2`` bit-for-bit (ties in the pivot
-search resolve to the first maximal entry, as in ``IDAMAX``).
+``ab[kv + r - c, c - col0]``.  All indices 0-based.  The pivot sequence and
+``info`` match LAPACK's ``DGBTF2`` (ties in the pivot search resolve to the
+first maximal entry, as in ``IDAMAX``); the factors agree with a compiled
+LAPACK to rounding, not bit for bit (see :mod:`repro.cpu.lapack_like`).
 
 The per-problem blocks feed all three kernel designs of the paper: the
 fork-join reference (paper Section 5.1, :mod:`repro.core.gbtrf_reference`), the
@@ -277,7 +278,9 @@ class ColumnWork:
         kv = kl + ku
         self.steps = np.arange(kv + 1)[:, None]
         self.diag = self.steps * (sc - sr) + np.arange(abst.shape[0]) * sb
-        self.prod = np.empty((kl, kv, abst.shape[0]), dtype=abst.dtype)
+        # Laid out like the slab of a column-major stack: rows adjacent.
+        self.prod = np.empty((kv, kl, abst.shape[0]),
+                             dtype=abst.dtype).transpose(1, 0, 2)
 
     def view(self, offset: int, shape: tuple, strides: tuple) -> np.ndarray:
         """Writable view of the stack; ``offset``/``strides`` in elements."""

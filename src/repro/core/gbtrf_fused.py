@@ -93,10 +93,10 @@ class FusedGbtrfKernel(Kernel):
                              packed: bool = True) -> None:
         ldab = self.layout.ldab_factor
         abst = stage_stack(self.mats, nblocks, packed=packed, rows=ldab)
-        # The shared tile is batch-minor: the global<->shared copies are
-        # whole-stack assignments and the column steps run lane-contiguous.
-        tiles = np.moveaxis(
-            smem.alloc((ldab, self.n, nblocks), dtype=self.itemdtype), 2, 0)
+        # The shared tile is column-major and lane-last, like the window's:
+        # one column's band rows are adjacent runs of lanes.
+        tiles = smem.alloc((self.n, ldab, nblocks),
+                           dtype=self.itemdtype).transpose(2, 1, 0)
         tiles[...] = abst                             # global -> shared
         pivs = np.zeros((nblocks, min(self.m, self.n)), dtype=np.int64)
         gbtf2_batched(self.m, self.n, self.kl, self.ku, tiles, pivs,

@@ -14,8 +14,10 @@ the RHS in shared memory:
   back and the remainder shifts down.
 
 The ``nb`` columns of the factors are "cached in the register file" in the
-paper's CUDA/HIP kernels; functionally we read them straight from the
-matrix, and the cost formulas charge them as global traffic.
+paper's CUDA/HIP kernels, and the cost formulas charge them as global
+traffic.  The per-block bodies read them straight from the matrix; the
+batch-interleaved bodies stage each block's factor rows once into a reused
+lane-last tile (see below).
 
 Like the factorization kernels (paper Sections 5.2-5.4), all four kernels
 — forward, backward, and both transposed stages — carry a
@@ -25,14 +27,18 @@ advances through the identical window schedule with one numpy operation
 per step, bit-identical to the per-block bodies (see
 ``docs/PERFORMANCE.md``).  Uniform contiguous stacks stage directly;
 scattered/pointer-array batches go through the gather/pack stage
-(:meth:`~repro.gpusim.kernel.Kernel.pack_operands`).
+(:meth:`~repro.gpusim.kernel.Kernel.pack_operands`).  Those bodies run
+lane-last: the RHS window is ``(rows, nrhs, batch)`` and each ``nb``-column
+block of the factor rows a kernel reads — the ``kl`` multipliers or the
+``kv + 1`` rows of ``U`` — is staged once into a reused ``(rows, nb,
+batch)`` tile, so every column step reads runs of adjacent lanes.  On the
+soa rung the lanes are already fastest-varying and the tile is a view.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..band.layout import BandLayout
 from ..gpusim.costmodel import BlockCost
 from ..gpusim.kernel import Kernel, SharedMemory
 from .batch_args import all_uniform, soa_stageable, stage_stack
@@ -72,6 +78,29 @@ def default_gbtrs_threads(kl: int, ku: int, nrhs: int) -> int:
     return max(kl + 1, min(kl + ku + 1, 128), 16)
 
 
+class _FactorTiles:
+    """Lane-last ``(rows, nb, batch)`` tiles of band rows ``[r0, r1)``.
+
+    ``abl`` is the staged factor stack viewed ``(ldab, n, batch)``.  When
+    its lanes are fastest-varying (the soa rung) a tile is a view;
+    otherwise each block is copied into one reused buffer.
+    """
+
+    def __init__(self, abl: np.ndarray, r0: int, r1: int, nb: int):
+        self.rows = abl[r0:r1]
+        self.buf = (None if abl.strides[-1] == abl.itemsize else
+                    np.empty((r1 - r0, nb, abl.shape[-1]), dtype=abl.dtype))
+
+    def block(self, jbeg: int, jend: int) -> np.ndarray:
+        """Columns ``[jbeg, jend)``; column ``j`` is ``tile[:, j - jbeg]``."""
+        src = self.rows[:, jbeg:jend]
+        if self.buf is None:
+            return src
+        tile = self.buf[:, :jend - jbeg]
+        tile[...] = src
+        return tile
+
+
 class _BlockedSolveBase(Kernel):
     def __init__(self, n: int, kl: int, ku: int, nrhs: int,
                  mats: list[np.ndarray], pivots, rhs: list[np.ndarray], *,
@@ -95,24 +124,25 @@ class _BlockedSolveBase(Kernel):
 
     def _stage_batch(self, nblocks: int, packed: bool):
         """Stage factors, pivots and RHS of the first ``nblocks`` problems
-        as ``(batch, ...)`` stacks for the batch-interleaved path.
+        lane-last for the batch-interleaved path: ``(ldab, n, batch)``,
+        ``(n, batch)`` and ``(n, nrhs, batch)``.
 
         On the direct and soa rungs (``packed=False``) the factors and
         RHS stage as zero-copy views: the factors are read straight from
         the caller's storage and solved RHS rows land there directly, so
         :meth:`_writeback_rhs` only scatters on the pack rung.
         """
-        abst = stage_stack(self.mats, nblocks, packed=packed)
-        pivs = (np.stack([np.asarray(p) for p in self.pivots[:nblocks]])
-                if self.pivots is not None else None)
-        btall = stage_stack(self.rhs, nblocks, packed=packed)
-        return abst, pivs, btall
+        abl = stage_stack(self.mats, nblocks, packed=packed)
+        pivs = (np.stack([np.asarray(p) for p in self.pivots[:nblocks]],
+                         axis=1) if self.pivots is not None else None)
+        btl = stage_stack(self.rhs, nblocks, packed=packed)
+        return abl.transpose(1, 2, 0), pivs, btl.transpose(1, 2, 0)
 
-    def _writeback_rhs(self, btall: np.ndarray, nblocks: int,
+    def _writeback_rhs(self, btl: np.ndarray, nblocks: int,
                        packed: bool) -> None:
         if packed:
             for k in range(nblocks):
-                self.rhs[k][...] = btall[k]
+                self.rhs[k][...] = btl[..., k]
 
     def can_batch_vectorize(self) -> bool:
         return all_uniform(self.mats, self.rhs)
@@ -171,26 +201,29 @@ class BlockedForwardKernel(_BlockedSolveBase):
         n, kl, ku, nb = self.n, self.kl, self.ku, self.nb
         if kl == 0:
             return  # L is the identity: nothing to do
-        abst, pivs, bt = self._stage_batch(nblocks, packed)
-        rw = smem.alloc((nblocks, nb + kl, self.nrhs), dtype=bt.dtype)
+        kv = kl + ku
+        abl, pivs, bt = self._stage_batch(nblocks, packed)
+        tiles = _FactorTiles(abl, kv + 1, kv + kl + 1, nb)
+        rw = smem.alloc((nb + kl, self.nrhs, nblocks), dtype=bt.dtype)
         cached = min(nb + kl, n)
-        rw[:, :cached] = bt[:, :cached]
+        rw[:cached] = bt[:cached]
         jbeg = 0
         while jbeg < n:
             jend = min(jbeg + nb, n)
+            lt = tiles.block(jbeg, jend)
             for j in range(jbeg, jend):
-                forward_swap_batched(rw, j, pivs[:, j], row0=jbeg)
-                forward_update_batched(abst, n, kl, ku, j, rw, row0=jbeg)
-            bt[:, jbeg:jend] = rw[:, :jend - jbeg]   # final rows out
+                forward_swap_batched(rw, j, pivs[j], row0=jbeg)
+                forward_update_batched(lt[:, j - jbeg], n, j, rw, row0=jbeg)
+            bt[jbeg:jend] = rw[:jend - jbeg]         # final rows out
             if jend >= n:
                 break
             done = jend - jbeg
             rem = cached - done
-            rw[:, :rem] = rw[:, done:cached].copy()  # shift up
+            rw[:rem] = rw[done:cached]      # shift up (numpy buffers overlap)
             lo = jbeg + cached
             hi = min(jend + nb + kl, n)
             if hi > lo:
-                rw[:, rem:rem + (hi - lo)] = bt[:, lo:hi]
+                rw[rem:rem + (hi - lo)] = bt[lo:hi]
             cached = rem + max(0, hi - lo)
             jbeg = jend
         self._writeback_rhs(bt, nblocks, packed)
@@ -249,29 +282,31 @@ class BlockedTransUKernel(_BlockedSolveBase):
                              packed: bool = True) -> None:
         n, kl, ku, nb = self.n, self.kl, self.ku, self.nb
         kv = kl + ku
-        abst, _, btall = self._stage_batch(nblocks, packed)
-        conj = self.conj and np.iscomplexobj(abst)
-        rw = smem.alloc((nblocks, nb + kv, self.nrhs), dtype=btall.dtype)
+        abl, _, btl = self._stage_batch(nblocks, packed)
+        conj = self.conj and np.iscomplexobj(abl)
+        tiles = _FactorTiles(abl, 0, kv + 1, nb)
+        rw = smem.alloc((nb + kv, self.nrhs, nblocks), dtype=btl.dtype)
         jbeg = 0
-        base = 0                       # global row of rw[:, 0]
+        base = 0                       # global row of rw[0]
         cached = min(nb, n)
-        rw[:, :cached] = btall[:, :cached]
+        rw[:cached] = btl[:cached]
         while jbeg < n:
             jend = min(jbeg + nb, n)
+            ut = tiles.block(jbeg, jend)
             for j in range(jbeg, jend):
-                transU_step_batched(abst, n, kl, ku, j, rw, conj=conj,
+                transU_step_batched(ut[:, j - jbeg], j, rw, conj=conj,
                                     row0=base)
-            btall[:, jbeg:jend] = rw[:, jbeg - base:jend - base]
+            btl[jbeg:jend] = rw[jbeg - base:jend - base]
             if jend >= n:
                 break
             base2 = max(jend - kv, 0)
             keep = jend - base2
-            rw[:, :keep] = rw[:, base2 - base:jend - base].copy()
+            rw[:keep] = rw[base2 - base:jend - base]
             hi = min(jend + nb, n)
-            rw[:, keep:keep + (hi - jend)] = btall[:, jend:hi]
+            rw[keep:keep + (hi - jend)] = btl[jend:hi]
             base = base2
             jbeg = jend
-        self._writeback_rhs(btall, nblocks, packed)
+        self._writeback_rhs(btl, nblocks, packed)
 
 
 class BlockedTransLKernel(_BlockedSolveBase):
@@ -326,20 +361,23 @@ class BlockedTransLKernel(_BlockedSolveBase):
         n, kl, ku, nb = self.n, self.kl, self.ku, self.nb
         if kl == 0:
             return                      # L is the identity
-        abst, pivs, btall = self._stage_batch(nblocks, packed)
-        conj = self.conj and np.iscomplexobj(abst)
-        rw = smem.alloc((nblocks, nb + kl, self.nrhs), dtype=btall.dtype)
+        kv = kl + ku
+        abl, pivs, btl = self._stage_batch(nblocks, packed)
+        conj = self.conj and np.iscomplexobj(abl)
+        tiles = _FactorTiles(abl, kv + 1, kv + kl + 1, nb)
+        rw = smem.alloc((nb + kl, self.nrhs, nblocks), dtype=btl.dtype)
         jend = n
         while jend > 0:
             jbeg = max(jend - nb, 0)
             hi = min(jend + kl, n)
-            rw[:, :hi - jbeg] = btall[:, jbeg:hi]
+            rw[:hi - jbeg] = btl[jbeg:hi]
+            lt = tiles.block(jbeg, jend)
             for j in range(jend - 1, jbeg - 1, -1):
-                transL_step_batched(abst, n, kl, ku, j, pivs[:, j], rw,
+                transL_step_batched(lt[:, j - jbeg], n, j, pivs[j], rw,
                                     conj=conj, row0=jbeg)
-            btall[:, jbeg:hi] = rw[:, :hi - jbeg]
+            btl[jbeg:hi] = rw[:hi - jbeg]
             jend = jbeg
-        self._writeback_rhs(btall, nblocks, packed)
+        self._writeback_rhs(btl, nblocks, packed)
 
 
 class BlockedBackwardKernel(_BlockedSolveBase):
@@ -385,16 +423,18 @@ class BlockedBackwardKernel(_BlockedSolveBase):
                              packed: bool = True) -> None:
         n, kl, ku, nb = self.n, self.kl, self.ku, self.nb
         kv = kl + ku
-        abst, _, bt = self._stage_batch(nblocks, packed)
-        rw = smem.alloc((nblocks, nb + kv, self.nrhs), dtype=bt.dtype)
+        abl, _, bt = self._stage_batch(nblocks, packed)
+        tiles = _FactorTiles(abl, 0, kv + 1, nb)
+        rw = smem.alloc((nb + kv, self.nrhs, nblocks), dtype=bt.dtype)
         jend = n
         jbeg = max(n - nb, 0)
         base = max(jbeg - kv, 0)
-        rw[:, :jend - base] = bt[:, base:jend]
+        rw[:jend - base] = bt[base:jend]
         while True:
+            ut = tiles.block(jbeg, jend)
             for j in range(jend - 1, jbeg - 1, -1):
-                backward_step_batched(abst, n, kl, ku, j, rw, row0=base)
-            bt[:, jbeg:jend] = rw[:, jbeg - base:jend - base]
+                backward_step_batched(ut[:, j - jbeg], j, rw, row0=base)
+            bt[jbeg:jend] = rw[jbeg - base:jend - base]
             if jbeg == 0:
                 break
             jend2 = jbeg
@@ -403,8 +443,8 @@ class BlockedBackwardKernel(_BlockedSolveBase):
             keep = jend2 - base                 # updated rows to keep
             off = base - base2
             if keep > 0:
-                rw[:, off:off + keep] = rw[:, :keep].copy()  # shift down
+                rw[off:off + keep] = rw[:keep]  # shift down
             if off > 0:
-                rw[:, :off] = bt[:, base2:base]
+                rw[:off] = bt[base2:base]
             jend, jbeg, base = jend2, jbeg2, base2
         self._writeback_rhs(bt, nblocks, packed)

@@ -11,9 +11,10 @@ perform a pair of (row swap, rank-1 update) operations on the RHS matrix".
 The upper factor has bandwidth ``kv = kl + ku`` after pivoting and is solved
 with a column-wise backward substitution.
 
-All functions operate in place on ``b`` with shape ``(n, nrhs)`` (or a
-cached window of it, via ``row0``), matching LAPACK ``DGBTRS`` results
-bit-for-bit.
+The per-problem functions operate in place on ``b`` with shape
+``(n, nrhs)`` (or a cached window of it, via ``row0``), in LAPACK
+``DGBTRS``'s column order.  Their ``*_batched`` forms run one step on
+every lane of a uniform batch, lane-last, with the same bits.
 """
 
 from __future__ import annotations
@@ -149,90 +150,86 @@ def transL_step(ab: np.ndarray, n: int, kl: int, ku: int, j: int,
     forward_swap(b, j, piv, row0=row0)
 
 
-def forward_swap_batched(bt: np.ndarray, j: int, piv: np.ndarray,
+# --- Lane-last batched steps ------------------------------------------------
+#
+# The same steps over a whole uniform batch, with the lane axis last: the
+# RHS window ``rw`` is ``(rows, nrhs, batch)`` and each step reads one
+# lane-last factor column, ``(rows, batch)``.  Every operand a step touches
+# is then a run of adjacent lanes, the interleaved-batch layout of Gloster
+# et al. (arXiv:1909.04539).  ``l`` is a column's ``kl`` multipliers (band
+# rows ``kv+1 .. kv+kl``) and ``u`` its ``kv + 1`` rows of ``U`` (band rows
+# ``0 .. kv``, the diagonal last).
+
+
+def forward_swap_batched(rw: np.ndarray, j: int, piv: np.ndarray,
                          *, row0: int = 0) -> None:
-    """Batched :func:`forward_swap` with a per-problem pivot-row vector.
+    """Batched :func:`forward_swap` with a per-lane pivot-row vector.
 
-    ``bt`` is ``(batch, rows, nrhs)``; ``piv`` holds absolute pivot rows
-    (``piv[k] == j`` means no swap for problem ``k``).  Swapped rows are
-    exchanged as exact bit copies, so no-swap lanes are untouched.
+    ``rw`` is a C-contiguous ``(rows, nrhs, batch)`` window; ``piv`` holds
+    absolute pivot rows (``piv[k] == j`` means no swap for lane ``k``).
+    The pivot rows are addressed through one flat index plane, as in
+    :func:`~repro.core.gbtf2.swap_right_batched`; a no-swap lane's plane
+    points back at row ``j`` and swaps it with itself, an exact bit copy.
     """
+    if not rw.flags.c_contiguous:
+        raise ValueError("forward_swap_batched needs a C-contiguous window")
+    _, nrhs, batch = rw.shape
     jj = j - row0
-    pp = np.asarray(piv) - row0
-    bidx = np.arange(bt.shape[0])
-    rowj = bt[:, jj].copy()
-    rowp = bt[bidx, pp].copy()
-    bt[:, jj] = rowp
-    bt[bidx, pp] = rowj
+    plane = ((piv - row0) * (nrhs * batch)
+             + np.arange(nrhs * batch).reshape(nrhs, batch))
+    flat = rw.reshape(-1)
+    row_p = flat.take(plane)
+    flat[plane] = rw[jj]
+    rw[jj] = row_p
 
 
-def forward_update_batched(abst: np.ndarray, n: int, kl: int, ku: int,
-                           j: int, bt: np.ndarray, *, row0: int = 0,
-                           active: np.ndarray | None = None) -> None:
-    """Batched :func:`forward_update`: one broadcast rank-1 RHS update."""
-    kv = kl + ku
-    lm = min(kl, n - j - 1)
-    if lm <= 0:
-        return
-    jj = j - row0
-    l = abst[:, kv + 1:kv + lm + 1, j][:, :, None]
-    seg = bt[:, jj + 1:jj + lm + 1]
-    if active is None:
-        _sub_mul(seg, l, bt[:, jj][:, None, :])
-    else:
-        new = seg.copy()
-        _sub_mul(new, l, bt[:, jj][:, None, :])
-        seg[...] = np.where(active[:, None, None], new, seg)
+def forward_update_batched(l: np.ndarray, n: int, j: int, rw: np.ndarray,
+                           *, row0: int = 0) -> None:
+    """Batched :func:`forward_update` with the lane-last multipliers ``l``."""
+    lm = min(l.shape[0], n - j - 1)
+    if lm > 0:
+        jj = j - row0
+        _sub_mul(rw[jj + 1:jj + lm + 1], l[:lm, None], rw[jj])
 
 
-def backward_step_batched(abst: np.ndarray, n: int, kl: int, ku: int,
-                          j: int, bt: np.ndarray, *, row0: int = 0) -> None:
-    """Batched :func:`backward_step`: broadcast divide + rank-1 update."""
-    kv = kl + ku
+def backward_step_batched(u: np.ndarray, j: int, rw: np.ndarray,
+                          *, row0: int = 0) -> None:
+    """Batched :func:`backward_step` with the lane-last column ``u``."""
+    kv = u.shape[0] - 1
     jj = j - row0
     # Unguarded like LAPACK: zero pivots propagate inf/NaN silently.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        bt[:, jj] = bt[:, jj] / abst[:, kv, j][:, None]
+        np.divide(rw[jj], u[kv], out=rw[jj])
     lm = min(kv, j)
     if lm > 0:
-        _sub_mul(bt[:, jj - lm:jj], abst[:, kv - lm:kv, j][:, :, None],
-                 bt[:, jj][:, None, :])
+        _sub_mul(rw[jj - lm:jj], u[kv - lm:kv, None], rw[jj])
 
 
-def transU_step_batched(abst: np.ndarray, n: int, kl: int, ku: int,
-                        j: int, bt: np.ndarray, *, conj: bool = False,
-                        row0: int = 0) -> None:
+def transU_step_batched(u: np.ndarray, j: int, rw: np.ndarray, *,
+                        conj: bool = False, row0: int = 0) -> None:
     """Batched :func:`transU_step`: the identical term-at-a-time schedule
-    over a ``(batch, ldab, n)`` factor stack, bit-identical per lane."""
-    kv = kl + ku
+    on the lane-last column ``u``, bit-identical per lane."""
+    kv = u.shape[0] - 1
     jj = j - row0
-    lm = min(kv, j)
-    for t in range(lm, 0, -1):
-        coeff = abst[:, kv - t, j]
-        if conj:
-            coeff = np.conj(coeff)
-        _sub_mul(bt[:, jj], coeff[:, None], bt[:, jj - t])
-    pivot = abst[:, kv, j]
     if conj:
-        pivot = np.conj(pivot)
+        u = np.conj(u)
+    for t in range(min(kv, j), 0, -1):
+        _sub_mul(rw[jj], u[kv - t], rw[jj - t])
     # Unguarded like LAPACK: zero pivots propagate inf/NaN silently.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        bt[:, jj] = bt[:, jj] / pivot[:, None]
+        np.divide(rw[jj], u[kv], out=rw[jj])
 
 
-def transL_step_batched(abst: np.ndarray, n: int, kl: int, ku: int,
-                        j: int, piv: np.ndarray, bt: np.ndarray, *,
-                        conj: bool = False, row0: int = 0) -> None:
-    """Batched :func:`transL_step` with a per-problem pivot-row vector."""
-    kv = kl + ku
+def transL_step_batched(l: np.ndarray, n: int, j: int, piv: np.ndarray,
+                        rw: np.ndarray, *, conj: bool = False,
+                        row0: int = 0) -> None:
+    """Batched :func:`transL_step` on the lane-last multipliers ``l``."""
     jj = j - row0
-    lm = min(kl, n - j - 1)
-    for t in range(1, lm + 1):
-        coeff = abst[:, kv + t, j]
-        if conj:
-            coeff = np.conj(coeff)
-        _sub_mul(bt[:, jj], coeff[:, None], bt[:, jj + t])
-    forward_swap_batched(bt, j, piv, row0=row0)
+    if conj:
+        l = np.conj(l)
+    for t in range(1, min(l.shape[0], n - j - 1) + 1):
+        _sub_mul(rw[jj], l[t - 1], rw[jj + t])
+    forward_swap_batched(rw, j, piv, row0=row0)
 
 
 def gbtrs_unblocked(trans: Trans | str, n: int, kl: int, ku: int,

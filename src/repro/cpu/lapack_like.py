@@ -3,8 +3,13 @@
 Each batched CPU call runs one of these per matrix.  When scipy's real
 LAPACK (MKL-class code) supports the dtype, we call it — exactly what the
 paper's "mkl + openmp" baseline does per OpenMP task; otherwise the pure
-numpy implementation (bit-identical to LAPACK, see the test suite) is used.
-Both paths produce the same factors, pivots, and info codes.
+numpy implementation (:func:`~repro.core.gbtf2.gbtf2` and
+:func:`~repro.core.solve_blocks.gbtrs_unblocked`) is used.
+
+The two paths produce identical pivots and ``info`` codes; their factors
+and solutions agree to rounding, not bit for bit.  Against scipy's
+``dgbtrf`` on 200 random shapes (n < 60, kl and ku < 6, fp64), ``gbtf2``
+matched pivots and ``info`` on all 200 and the factor bytes on 41.
 """
 
 from __future__ import annotations

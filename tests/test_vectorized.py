@@ -231,19 +231,67 @@ def test_gbtrf_paths_bitwise(dtype, method, n, kl, ku, case):
                      (info_vec, info_ref))
 
 
+# (nrhs, trans, n, kl, ku, nb, case).  The first two entries keep their
+# original ids ("1", "3").  ``case`` as in HARD: "nonfinite" writes the
+# special bit patterns into both the factor and the RHS, "jusplit" makes
+# lanes pivot up to kl rows down (pivots at j + kl).
+GBTRS_CASES = [
+    (1, "N", 40, 3, 2, None, None),
+    (3, "N", 40, 3, 2, None, None),
+    (1, "T", 40, 3, 2, None, None),
+    (3, "C", 40, 3, 2, None, None),
+    (2, "N", 37, 4, 3, 5, None),         # n not a multiple of nb
+    (1, "N", 40, 3, 2, 1, None),         # nb = 1
+    (1, "T", 40, 3, 2, 1, None),
+    (1, "N", 40, 0, 3, None, None),      # kl = 0
+    (1, "C", 40, 0, 3, None, None),
+    (1, "N", 40, 3, 0, None, None),      # ku = 0
+    (1, "T", 40, 3, 0, None, None),
+    (3, "N", 40, 3, 2, None, "jusplit"),
+    (3, "T", 40, 3, 2, None, "jusplit"),
+    (3, "N", 40, 3, 2, None, "nonfinite"),
+    (3, "T", 40, 3, 2, None, "nonfinite"),
+    (3, "C", 40, 3, 2, None, "nonfinite"),
+]
+
+
+def _gbtrs_id(case):
+    nrhs, trans, n, kl, ku, nb, hard = case
+    if (trans, n, kl, ku, nb, hard) == ("N", 40, 3, 2, None, None):
+        return str(nrhs)
+    parts = (trans, n, kl, ku, nb and f"nb={nb}", f"nrhs={nrhs}", hard)
+    return "-".join(str(v) for v in parts if v is not None)
+
+
 @pytest.mark.parametrize("dtype", DTYPES, ids=DTYPE_IDS)
-@pytest.mark.parametrize("nrhs", [1, 3])
-def test_gbtrs_paths_bitwise(dtype, nrhs):
-    batch, n, kl, ku = 8, 40, 3, 2
+@pytest.mark.parametrize("nrhs,trans,n,kl,ku,nb,case", GBTRS_CASES,
+                         ids=[_gbtrs_id(c) for c in GBTRS_CASES])
+def test_gbtrs_paths_bitwise(dtype, nrhs, trans, n, kl, ku, nb, case):
+    """Per-block against the direct, soa and pack rungs, byte for byte."""
+    batch = 8
     a = _band_batch(batch, n, kl, ku, dtype, seed=22)
+    if case == "jusplit":
+        _harden(a, case, n, kl, ku)
     piv, info = gbtrf_batch(n, n, kl, ku, a)
     assert (info == 0).all()
+    piv = np.stack(piv)
+    _check_hard(case, piv, kl)
     b = random_rhs(n, nrhs, batch=batch, dtype=dtype, seed=23)
-    b_ref, b_vec = b.copy(), b.copy()
-    gbtrs_batch("N", n, kl, ku, nrhs, a, np.stack(piv), b_ref,
+    if case == "nonfinite":
+        _harden(a, case, n, kl, ku)
+        comp = b.real if np.iscomplexobj(b) else b
+        bits = comp.view(f"u{comp.itemsize}")
+        for k, pattern in enumerate(SPECIALS[comp.itemsize]):
+            bits[batch - 1 - k, (5 * k + 1) % n, k % nrhs] = pattern
+    b_ref = b.copy()
+    gbtrs_batch(trans, n, kl, ku, nrhs, a, piv, b_ref, nb=nb,
                 vectorize=False)
-    gbtrs_batch("N", n, kl, ku, nrhs, a, np.stack(piv), b_vec)
-    _bytes_equal((b_vec, b_ref))
+    for (a_vec, label), (b_vec, _) in zip(_rungs(a), _rungs(b)):
+        stream = Stream(H100_PCIE)
+        gbtrs_batch(trans, n, kl, ku, nrhs, a_vec, piv, b_vec, nb=nb,
+                    stream=stream)
+        assert _launch_labels(stream) == {label}
+        _bytes_equal((np.stack(b_vec), b_ref))
 
 
 GBSV_CASES = [("fused", None), ("standard", None),
