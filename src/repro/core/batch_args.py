@@ -155,26 +155,27 @@ def stack_view(mats, nlanes: int | None = None) -> np.ndarray:
         strides=(d,) + first.strides)
 
 
-def stage_stack(seq, nblocks: int, *, packed: bool,
+def stage_stack(seq, hi: int, *, packed: bool, lo: int = 0,
                 rows: int | None = None) -> np.ndarray:
-    """Stage the first ``nblocks`` operands as a ``(nblocks, ...)`` stack.
+    """Stage operands ``lo..hi-1`` as a ``(hi - lo, ...)`` stack.
 
     ``packed`` is the rung the launcher chose.  On the direct and soa
     rungs (``packed=False``) every operand list is a uniform lane-major
     or an interleaved stack, and it stages as a writable zero-copy view:
     the kernel's results land in the caller's storage, with no gather
     and no write-back, and the list is not walked again.  On the pack
-    rung (``packed=True``) the operands are gathered with
-    :func:`numpy.stack` and the kernel must scatter its results back.
+    rung and the per-block path (``packed=True``) the operands are
+    gathered with :func:`numpy.stack` and the kernel must scatter its
+    results back.
     ``rows`` optionally trims each operand to its first ``rows`` rows
     (the factor-layout ``ldab`` slice).
     """
     if packed:
-        sub = seq[:nblocks]
+        sub = seq[lo:hi]
         if rows is not None:
             sub = [a[:rows, :] for a in sub]
         return np.stack(sub)
-    view = stack_view(seq, nblocks)
+    view = stack_view(seq, hi)[lo:]
     return view if rows is None else view[:, :rows, :]
 
 

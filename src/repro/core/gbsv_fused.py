@@ -13,12 +13,15 @@ Following LAPACK ``DGBSV`` semantics, if the factorization reports a
 singular ``U`` the solution is not computed: the factors and pivots are
 still written back but ``B`` is left unchanged in global memory.
 
-The kernel also implements the batch-interleaved path
-(:meth:`~repro.gpusim.kernel.Kernel.run_batch_vectorized`): uniform
-contiguous ``[A|B]`` batches run every column step (paper Section 5.1 building
-blocks plus the paper Section 6 solve steps) across the whole batch at once,
-bit-identical to the per-block body (see ``docs/PERFORMANCE.md``); the
-solutions of singular problems are computed but never written out.
+The kernel body is batch-interleaved
+(:meth:`~repro.gpusim.kernel.Kernel.run_batch_vectorized`): a lane range
+of ``[A|B]`` problems runs every column step (paper Section 5.1 building
+blocks plus the paper Section 6 solve steps) across all its lanes at once,
+and the per-block path runs the same body on one lane.  Each lane's bits
+equal :func:`~repro.core.gbtf2.gbtf2` followed, when ``info == 0``, by
+:func:`~repro.core.solve_blocks.gbtrs_unblocked` (see
+``docs/PERFORMANCE.md``); the solutions of singular problems are computed
+but never written out.
 """
 
 from __future__ import annotations
@@ -30,25 +33,11 @@ from ..gpusim.costmodel import BlockCost
 from ..gpusim.kernel import Kernel, SharedMemory
 from .batch_args import all_uniform, soa_stageable, stage_stack
 from .costs import gbsv_fused_cost
-from .gbtf2 import (
-    ColumnWork,
-    gbtf2_step_batched,
-    init_fillin,
-    init_fillin_batched,
-    pivot_search,
-    rank_one_update,
-    scale_column,
-    set_fillin,
-    swap_right,
-    update_bound,
-)
+from .gbtf2 import ColumnWork, gbtf2_step_batched, init_fillin_batched
 from .gbtrf_fused import default_fused_threads
 from .solve_blocks import (
-    backward_step,
     backward_step_batched,
-    forward_swap,
     forward_swap_batched,
-    forward_update,
     forward_update_batched,
 )
 
@@ -87,47 +76,6 @@ class FusedGbsvKernel(Kernel):
         return gbsv_fused_cost(self.n, self.kl, self.ku, self.nrhs,
                                self.nthreads, self.itemsize)
 
-    def run_block(self, block_id: int, smem: SharedMemory) -> None:
-        n, kl, ku = self.n, self.kl, self.ku
-        kv = kl + ku
-        ab = self.mats[block_id]
-        piv = self.pivots[block_id]
-        b = self.rhs[block_id]
-        ldab = self.layout.ldab_factor
-
-        tile = smem.alloc((ldab, n), dtype=ab.dtype)
-        bt = smem.alloc((n, self.nrhs), dtype=b.dtype)
-        tile[...] = ab[:ldab, :]
-        bt[...] = b
-
-        # Band LU on the augmented [A|B]: every column step also swaps and
-        # updates the RHS rows, which is the forward solve in disguise.
-        init_fillin(tile, n, kl, ku)
-        ju = -1
-        info = 0
-        for j in range(n):
-            set_fillin(tile, n, kl, ku, j)
-            jp = pivot_search(tile, n, kl, ku, j)
-            piv[j] = j + jp
-            if tile[kv + jp, j] != 0:
-                ju = update_bound(n, kl, ku, j, jp, ju)
-                swap_right(tile, kl, ku, j, jp, ju)
-                forward_swap(bt, j, j + jp)
-                scale_column(tile, n, kl, ku, j)
-                rank_one_update(tile, n, kl, ku, j, ju)
-                forward_update(tile, n, kl, ku, j, bt)
-            elif info == 0:
-                info = j + 1
-
-        ab[:ldab, :] = tile
-        self.info[block_id] = info
-        if info != 0:
-            return  # LAPACK GBSV: leave B untouched on singularity
-        # Backward solve, still in shared memory.
-        for j in range(n - 1, -1, -1):
-            backward_step(tile, n, kl, ku, j, bt)
-        b[...] = bt
-
     def can_batch_vectorize(self) -> bool:
         return all_uniform(self.mats, self.rhs)
 
@@ -137,15 +85,18 @@ class FusedGbsvKernel(Kernel):
     def pack_operands(self) -> tuple:
         return (self.mats, self.rhs)
 
-    def run_batch_vectorized(self, nblocks: int, smem: SharedMemory, *,
-                             packed: bool = True) -> None:
+    def run_batch_vectorized(self, hi: int, smem: SharedMemory, *,
+                             lo: int = 0, packed: bool = True) -> None:
         n, kl, ku = self.n, self.kl, self.ku
         ldab = self.layout.ldab_factor
-        abst = stage_stack(self.mats, nblocks, packed=packed, rows=ldab)
-        btst = stage_stack(self.rhs, nblocks, packed=packed)
+        nblocks = hi - lo
+        abst = stage_stack(self.mats, hi, lo=lo, packed=packed, rows=ldab)
+        btst = stage_stack(self.rhs, hi, lo=lo, packed=packed)
         # Column-major, lane-last shared tiles: one column's band rows are
         # adjacent runs of lanes, and the RHS tile is the lane-last window
-        # the solve steps take.
+        # the solve steps take.  Band LU runs on the augmented [A|B]:
+        # every column step also swaps and updates the RHS rows, which is
+        # the forward solve in disguise.
         store = smem.alloc((n, ldab, nblocks), dtype=abst.dtype)
         tiles = store.transpose(2, 1, 0)
         rw = smem.alloc((n, self.nrhs, nblocks), dtype=btst.dtype)
@@ -170,14 +121,15 @@ class FusedGbsvKernel(Kernel):
         abst[...] = tiles
         for k in range(nblocks):
             if packed:
-                self.mats[k][:ldab, :] = abst[k]
-            self.pivots[k][:] = pivs[k]
-        self.info[:nblocks] = info
+                self.mats[lo + k][:ldab, :] = abst[k]
+            self.pivots[lo + k][:] = pivs[k]
+        self.info[lo:hi] = info
         ok = info == 0
         if not ok.any():
             return  # LAPACK GBSV: leave B untouched on singularity
-        # Backward solve on every lane; only the non-singular ones are
-        # written out, so singular problems keep B untouched.
+        # Backward solve on every lane, still in shared memory; only the
+        # non-singular ones are written out, so singular problems keep B
+        # untouched.
         for j in range(n - 1, -1, -1):
             backward_step_batched(store[j, :kv + 1], j, rw)
         x = rw.transpose(2, 0, 1)
@@ -185,4 +137,4 @@ class FusedGbsvKernel(Kernel):
             btst[ok] = x[ok]
             return
         for k in np.flatnonzero(ok):
-            self.rhs[k][...] = x[k]
+            self.rhs[lo + k][...] = x[k]

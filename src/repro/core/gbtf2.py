@@ -13,22 +13,17 @@ These are the memory-bound primitives of the reference design's pseudocode::
         RANK_ONE_UPDATE(m, n, kl, ku, A(kv, j), ju );
     }
 
-Every block takes the band array together with a *column offset*, so the
-same code runs on the full matrix in global memory (reference design), on a
-whole-matrix shared-memory tile (fused design, paper Section 5.2), or on a sliding
-window holding only columns ``[c0, c0 + nb + kv + 1)`` (paper Section 5.3).
-
 The band array is factor layout: dense entry ``(r, c)`` lives at
-``ab[kv + r - c, c - col0]``.  All indices 0-based.  The pivot sequence and
+``ab[kv + r - c, c]``.  All indices 0-based.  The pivot sequence and
 ``info`` match LAPACK's ``DGBTF2`` (ties in the pivot search resolve to the
 first maximal entry, as in ``IDAMAX``); the factors agree with a compiled
 LAPACK to rounding, not bit for bit (see :mod:`repro.cpu.lapack_like`).
 
-The per-problem blocks feed all three kernel designs of the paper: the
-fork-join reference (paper Section 5.1, :mod:`repro.core.gbtrf_reference`), the
-fully fused kernel (paper Section 5.2, :mod:`repro.core.gbtrf_fused`), the
-sliding-window kernel (paper Section 5.3, :mod:`repro.core.gbtrf_window`), and
-through them the dispatcher (paper Section 5.4, :mod:`repro.core.gbtrf`).
+The per-problem blocks work on a whole matrix.  They are the fork-join
+reference design (paper Section 5.1, :mod:`repro.core.gbtrf_reference`)
+and, through :func:`gbtf2`, the scalar reference every other design is
+tested against, the CPU fallback and the one-lane path of the fully fused
+kernel (paper Section 5.2, :mod:`repro.core.gbtrf_fused`).
 
 **Batch-interleaved variants.**  Each building block also has a
 ``*_batched`` form operating on a ``(batch, ldab, ncols)`` stack that
@@ -40,7 +35,11 @@ divergence (pivot offsets, the ``ju`` update bound, singular columns) is
 handled with per-batch index vectors and masks; every element of every
 matrix receives the identical floating-point operation sequence the scalar
 blocks would apply, so the results are **bit-for-bit identical** to running
-:func:`gbtf2` per problem.
+:func:`gbtf2` per problem.  They also take a *column offset* ``col0``
+(dense column ``c`` at stack column ``c - col0``), so the same step runs
+on a whole-matrix shared-memory tile (fused design, paper Section 5.2) or
+on a sliding window holding only columns ``[c0, c0 + nb + kv + 1)``
+(paper Section 5.3, :mod:`repro.core.gbtrf_window`).
 """
 
 from __future__ import annotations
@@ -71,27 +70,20 @@ __all__ = [
 ]
 
 
-def init_fillin(ab: np.ndarray, n: int, kl: int, ku: int,
-                *, col0: int = 0, ncols: int | None = None) -> None:
+def init_fillin(ab: np.ndarray, n: int, kl: int, ku: int) -> None:
     """Zero the fill-in rows of the *initial* columns ``ku+1 .. kv-1``.
 
     Columns ``>= kv`` have their fill-in cleared lazily by
     :func:`set_fillin` as the factorization reaches them, but the early
     columns can be read by rank-1 updates before any ``set_fillin`` touches
-    them, so LAPACK's ``DGBTF2`` clears them up front.  When operating on a
-    window (``col0 > 0`` or limited ``ncols``) only the in-window part is
-    cleared.
+    them, so LAPACK's ``DGBTF2`` clears them up front.
     """
     kv = kl + ku
-    hi = min(kv, n)
-    if ncols is not None:
-        hi = min(hi, col0 + ncols)
-    for c in range(max(ku + 1, col0), hi):
-        ab[kv - c:kl, c - col0] = 0
+    for c in range(ku + 1, min(kv, n)):
+        ab[kv - c:kl, c] = 0
 
 
-def pivot_search(ab: np.ndarray, m: int, kl: int, ku: int, j: int,
-                 *, col0: int = 0) -> int:
+def pivot_search(ab: np.ndarray, m: int, kl: int, ku: int, j: int) -> int:
     """IAMAX over column ``j``'s diagonal + sub-diagonal entries.
 
     Returns the pivot offset ``jp`` in ``[0, km]`` where ``km = min(kl,
@@ -99,7 +91,7 @@ def pivot_search(ab: np.ndarray, m: int, kl: int, ku: int, j: int,
     """
     kv = kl + ku
     km = min(kl, m - j - 1)
-    return iamax(ab[kv:kv + km + 1, j - col0])
+    return iamax(ab[kv:kv + km + 1, j])
 
 
 def update_bound(n: int, kl: int, ku: int, j: int, jp: int, ju: int) -> int:
@@ -112,8 +104,7 @@ def update_bound(n: int, kl: int, ku: int, j: int, jp: int, ju: int) -> int:
     return max(ju, min(j + ku + jp, n - 1))
 
 
-def set_fillin(ab: np.ndarray, n: int, kl: int, ku: int, j: int,
-               *, col0: int = 0) -> None:
+def set_fillin(ab: np.ndarray, n: int, kl: int, ku: int, j: int) -> None:
     """SET_FILLIN: zero-initialise the fill-in rows of column ``j + kv``.
 
     Column ``j + kv`` enters the active part of the factorization at step
@@ -123,11 +114,11 @@ def set_fillin(ab: np.ndarray, n: int, kl: int, ku: int, j: int,
     kv = kl + ku
     c = j + kv
     if c < n and kl > 0:
-        ab[0:kl, c - col0] = 0
+        ab[0:kl, c] = 0
 
 
-def swap_right(ab: np.ndarray, kl: int, ku: int, j: int, jp: int, ju: int,
-               *, col0: int = 0) -> None:
+def swap_right(ab: np.ndarray, kl: int, ku: int, j: int, jp: int,
+               ju: int) -> None:
     """SWAP: exchange dense rows ``j`` and ``j + jp`` over columns ``[j, ju]``.
 
     Unlike a fully dense factorization, the swap only touches the trailing
@@ -140,14 +131,12 @@ def swap_right(ab: np.ndarray, kl: int, ku: int, j: int, jp: int, ju: int,
     cols = np.arange(j, ju + 1)
     r1 = kv + j - cols          # band rows of dense row j
     r2 = r1 + jp                # band rows of dense row j + jp
-    c = cols - col0
-    tmp = ab[r1, c].copy()
-    ab[r1, c] = ab[r2, c]
-    ab[r2, c] = tmp
+    tmp = ab[r1, cols].copy()
+    ab[r1, cols] = ab[r2, cols]
+    ab[r2, cols] = tmp
 
 
-def scale_column(ab: np.ndarray, m: int, kl: int, ku: int, j: int,
-                 *, col0: int = 0) -> None:
+def scale_column(ab: np.ndarray, m: int, kl: int, ku: int, j: int) -> None:
     """SCAL: divide the sub-diagonal of column ``j`` by the pivot.
 
     Must run *after* :func:`swap_right` so the pivot sits on the diagonal.
@@ -157,17 +146,16 @@ def scale_column(ab: np.ndarray, m: int, kl: int, ku: int, j: int,
     kv = kl + ku
     km = min(kl, m - j - 1)
     if km > 0:
-        jj = j - col0
-        col = ab[kv + 1:kv + km + 1, jj]
+        col = ab[kv + 1:kv + km + 1, j]
         # A signaling-NaN or subnormal pivot raises no IEEE flag either.
         with np.errstate(invalid="ignore", over="ignore"):
-            inv = 1.0 / ab[kv, jj]
+            inv = 1.0 / ab[kv, j]
             col[...] = (stable_mul(col, inv) if np.iscomplexobj(col)
                         else col * inv)
 
 
 def rank_one_update(ab: np.ndarray, m: int, kl: int, ku: int, j: int,
-                    ju: int, *, col0: int = 0) -> None:
+                    ju: int) -> None:
     """RANK_ONE_UPDATE: ``A[j+1:j+km+1, j+1:ju+1] -= l_j * u_j`` in band form.
 
     Only the columns up to ``ju`` are touched — the band factorization's
@@ -178,9 +166,8 @@ def rank_one_update(ab: np.ndarray, m: int, kl: int, ku: int, j: int,
     if km <= 0 or ju <= j:
         return
     cols = np.arange(j + 1, ju + 1)
-    c = cols - col0
-    u = ab[kv + j - cols, c]                      # row j of U, columns j+1..ju
-    l = ab[kv + 1:kv + km + 1, j - col0]          # multipliers of column j
+    u = ab[kv + j - cols, cols]                   # row j of U, columns j+1..ju
+    l = ab[kv + 1:kv + km + 1, j]                 # multipliers of column j
     rows = np.arange(j + 1, j + km + 1)
     band_rows = kv + rows[:, None] - cols[None, :]
     # Non-finite entries evaluate inf - inf and inf * 0 here (and may
@@ -188,7 +175,7 @@ def rank_one_update(ab: np.ndarray, m: int, kl: int, ku: int, j: int,
     with np.errstate(invalid="ignore", over="ignore"):
         prod = (stable_mul(l[:, None], u[None, :]) if np.iscomplexobj(ab)
                 else l[:, None] * u[None, :])
-        ab[band_rows, c[None, :]] -= prod
+        ab[band_rows, cols[None, :]] -= prod
 
 
 def gbtf2(m: int, n: int, kl: int, ku: int, ab: np.ndarray,

@@ -108,12 +108,12 @@ def gbtrf_batch(m: int, n: int, kl: int, ku: int, a_array,
         (default) auto-dispatches to the batch-interleaved path when the
         batch is a uniform contiguous stack *or* can be staged by the
         gather/pack stage (pointer-array and scattered same-shape batches
-        pack automatically); ``False`` forces the per-block reference
-        path; ``True`` requires the vectorized path (raises
-        :class:`~repro.errors.DeviceError` for aliased/overlapping or
-        mixed-shape batches that cannot be packed, and
-        :class:`~repro.errors.ArgumentError` for ``method='reference'``,
-        which has no such path).  Results are bit-identical either way.
+        pack automatically); ``False`` forces the per-block path (the
+        same body, one lane at a time); ``True`` requires the vectorized
+        path (raises :class:`~repro.errors.DeviceError` for
+        aliased/overlapping or mixed-shape batches that cannot be packed,
+        and :class:`~repro.errors.ArgumentError` for
+        ``method='reference'``, which has no such path).  Results are bit-identical either way.
 
     resilient, policy:
         ``resilient=True`` routes the call through the self-healing

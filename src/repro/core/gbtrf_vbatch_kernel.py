@@ -29,7 +29,7 @@ from ..gpusim.kernel import Kernel, SharedMemory, launch
 from ..gpusim.memory import is_packable_batch
 from ..tuning.defaults import window_params
 from .costs import gbtrf_window_cost
-from .gbtrf_window import sliding_window_factor, sliding_window_factor_batched
+from .gbtrf_window import sliding_window_factor_batched
 
 __all__ = ["VbatchProblem", "VbatchGbtrfKernel", "gbtrf_vbatch_fused"]
 
@@ -91,19 +91,13 @@ class VbatchGbtrfKernel(Kernel):
                          dram_traffic=dram, syncs=worst.syncs,
                          threads=self.threads())
 
-    def run_block(self, block_id: int, smem: SharedMemory) -> None:
-        p = self.problems[block_id]
-        self.info[block_id] = sliding_window_factor(
-            self.mats[block_id], self.pivots[block_id],
-            p.m, p.n, p.kl, p.ku, p.nb, smem)
-
     # -- bucketed batch-interleaved execution ------------------------------
 
-    def _buckets(self, nblocks: int) -> dict:
-        """Group block ids by full problem configuration (and storage
-        shape, so each bucket stacks into one uniform array)."""
+    def _buckets(self, hi: int, lo: int = 0) -> dict:
+        """Group block ids ``lo..hi-1`` by full problem configuration (and
+        storage shape, so each bucket stacks into one uniform array)."""
         buckets: dict = {}
-        for bid in range(nblocks):
+        for bid in range(lo, hi):
             p = self.problems[bid]
             key = (p.m, p.n, p.kl, p.ku, p.nb, self.mats[bid].shape)
             buckets.setdefault(key, []).append(bid)
@@ -113,31 +107,21 @@ class VbatchGbtrfKernel(Kernel):
         return (self.mats,)
 
     def can_pack_vectorize(self) -> bool:
-        """Bucketed eligibility: every same-configuration bucket of more
-        than one problem must be packable (same dtype, no overlapping
-        storage); singleton buckets run their per-block body as-is."""
-        if not self.mats:
-            return False
-        for idxs in self._buckets(len(self.mats)).values():
-            if len(idxs) > 1 and \
-                    not is_packable_batch([self.mats[i] for i in idxs]):
-                return False
-        return True
+        """Bucketed eligibility: every same-configuration bucket must be
+        packable (same dtype, no overlapping storage)."""
+        return bool(self.mats) and all(
+            is_packable_batch([self.mats[i] for i in idxs])
+            for idxs in self._buckets(len(self.mats)).values())
 
-    def run_batch_vectorized(self, nblocks: int, smem: SharedMemory, *,
-                             packed: bool = True) -> None:
+    def run_batch_vectorized(self, hi: int, smem: SharedMemory, *,
+                             lo: int = 0, packed: bool = True) -> None:
         """Bucketed vectorization: each same-configuration bucket advances
-        through the window schedule batch-interleaved; singleton buckets
-        run the scalar body.  Problems are independent, so per-bucket
-        execution order cannot change any result bits."""
-        for idxs in self._buckets(nblocks).values():
+        through the window schedule batch-interleaved (a singleton is a
+        bucket of one).  Buckets are always gathered and scattered back,
+        whatever ``packed`` says.  Problems are independent, so
+        per-bucket execution order cannot change any result bits."""
+        for idxs in self._buckets(hi, lo).values():
             p = self.problems[idxs[0]]
-            if len(idxs) == 1:
-                bid = idxs[0]
-                self.info[bid] = sliding_window_factor(
-                    self.mats[bid], self.pivots[bid],
-                    p.m, p.n, p.kl, p.ku, p.nb, smem)
-                continue
             ldab = BandLayout(p.m, p.n, p.kl, p.ku).ldab_factor
             abst = np.stack([self.mats[i][:ldab, :] for i in idxs])
             pivs = np.zeros((len(idxs), min(p.m, p.n)), dtype=np.int64)

@@ -25,91 +25,15 @@ from ..gpusim.costmodel import BlockCost
 from ..gpusim.kernel import Kernel, SharedMemory
 from .batch_args import is_interleaved_stack, is_uniform_stack, stage_stack
 from .costs import gbtrf_window_cost
-from .gbtf2 import (
-    ColumnWork,
-    gbtf2_step_batched,
-    init_fillin,
-    init_fillin_batched,
-    pivot_search,
-    rank_one_update,
-    scale_column,
-    set_fillin,
-    swap_right,
-    update_bound,
-)
+from .gbtf2 import ColumnWork, gbtf2_step_batched, init_fillin_batched
 
 __all__ = ["SlidingWindowGbtrfKernel", "window_factor_steps",
-           "sliding_window_factor", "sliding_window_factor_batched"]
+           "sliding_window_factor_batched"]
 
 
 def window_factor_steps(mn: int, nb: int) -> int:
     """Number of window iterations: ``ceil(min(m, n) / nb)``."""
     return -(-mn // nb) if mn > 0 else 0
-
-
-def sliding_window_factor(ab: np.ndarray, piv: np.ndarray, m: int, n: int,
-                          kl: int, ku: int, nb: int,
-                          smem: SharedMemory) -> int:
-    """One thread block's sliding-window factorization (the kernel body).
-
-    Factorizes ``ab`` (factor layout) in place through a shared-memory
-    window allocated from ``smem``; returns the LAPACK ``info`` code.
-    Shared between the uniform kernel and the non-uniform (vbatch) kernel,
-    which calls it with per-problem dimensions.
-    """
-    kv = kl + ku
-    mn = min(m, n)
-    layout = BandLayout(m, n, kl, ku)
-    ldab = layout.ldab_factor
-    wcols = layout.window_cols(nb)
-
-    win = smem.alloc((ldab, wcols), dtype=ab.dtype)
-    # Initial load: the first wcols columns (zero-padded past n), with
-    # the up-front fill-in clearing of columns ku+1..kv-1 that the full
-    # factorization would do (LAPACK DGBTF2's preamble).
-    loaded = min(wcols, n)
-    win[:, :loaded] = ab[:ldab, :loaded]
-    init_fillin(win, n, kl, ku, ncols=loaded)
-
-    c0 = 0          # global column of the window's first cached column
-    ju = -1
-    info = 0
-    j = 0
-    while j < mn:
-        jend = min(j + nb, mn)
-        for jj in range(j, jend):
-            set_fillin(win, n, kl, ku, jj, col0=c0)
-            jp = pivot_search(win, m, kl, ku, jj, col0=c0)
-            piv[jj] = jj + jp
-            if win[kv + jp, jj - c0] != 0:
-                ju = update_bound(n, kl, ku, jj, jp, ju)
-                swap_right(win, kl, ku, jj, jp, ju, col0=c0)
-                scale_column(win, m, kl, ku, jj, col0=c0)
-                rank_one_update(win, m, kl, ku, jj, ju, col0=c0)
-            elif info == 0:
-                info = jj + 1
-        # Write the freshly factored columns back to global memory.
-        ab[:ldab, j:jend] = win[:, j - c0:jend - c0]
-        if jend >= mn:
-            # Trailing columns beyond min(m, n) (only when m < n) hold
-            # live updates and must be flushed too.
-            tail_hi = min(c0 + wcols, n)
-            if tail_hi > jend:
-                ab[:ldab, jend:tail_hi] = win[:, jend - c0:tail_hi - c0]
-            break
-        # Shift the window left by the columns just retired and stream
-        # in the next ones; only the padding past column n is zeroed.
-        # (numpy buffers the overlapping shift, keep > shift, itself.)
-        shift = jend - c0
-        keep = wcols - shift
-        win[:, :keep] = win[:, shift:]
-        lo = c0 + wcols
-        hi = max(min(lo + shift, n), lo)
-        win[:, keep:keep + (hi - lo)] = ab[:ldab, lo:hi]
-        win[:, keep + (hi - lo):] = 0
-        c0 = jend
-        j = jend
-    return info
 
 
 def _stream_in(store: np.ndarray, abst: np.ndarray, at: int, lo: int,
@@ -129,13 +53,17 @@ def sliding_window_factor_batched(abst: np.ndarray, pivs: np.ndarray,
                                   info: np.ndarray, m: int, n: int,
                                   kl: int, ku: int, nb: int,
                                   smem: SharedMemory) -> None:
-    """Batch-interleaved :func:`sliding_window_factor`.
+    """The sliding-window factorization (the kernel body), batch-interleaved.
 
-    Runs the identical window schedule over a ``(batch, ldab, n)`` stack,
-    advancing every problem through each column step with one numpy
-    operation; ``pivs`` is ``(batch, mn)`` and ``info`` ``(batch,)``,
-    both written in place.  Bit-identical to running the per-block body
-    on each problem in turn.
+    Factorizes a ``(batch, ldab, n)`` factor-layout stack in place
+    through a shared-memory window allocated from ``smem``, advancing
+    every problem through each column step with one numpy operation;
+    ``pivs`` is ``(batch, mn)`` and ``info`` ``(batch,)`` (LAPACK codes),
+    both written in place.  Lanes are independent, so a batch of one is
+    the per-block body, and each lane's bits equal
+    :func:`~repro.core.gbtf2.gbtf2` on that problem.  Shared between the
+    uniform kernel and the non-uniform (vbatch) kernel, which calls it
+    once per configuration.
     """
     batch = abst.shape[0]
     mn = min(m, n)
@@ -153,6 +81,9 @@ def sliding_window_factor_batched(abst: np.ndarray, pivs: np.ndarray,
     # layout, so the bits don't change.
     store = smem.alloc((wcols, ldab, batch), dtype=abst.dtype)
     win = store.transpose(2, 1, 0)
+    # Initial load: the first wcols columns (zero-padded past n), with
+    # the up-front fill-in clearing of columns ku+1..kv-1 that the full
+    # factorization would do (LAPACK DGBTF2's preamble).
     loaded = min(wcols, n)
     _stream_in(store, abst, 0, 0, loaded)
     init_fillin_batched(win, n, kl, ku, ncols=loaded)
@@ -169,11 +100,15 @@ def sliding_window_factor_batched(abst: np.ndarray, pivs: np.ndarray,
                                           info, col0=c0, work=work)
         abst[:, :ldab, j:jend] = win[:, :, j - c0:jend - c0]
         if jend >= mn:
+            # Trailing columns beyond min(m, n) (only when m < n) hold
+            # live updates and must be flushed too.
             tail_hi = min(c0 + wcols, n)
             if tail_hi > jend:
                 abst[:, :ldab, jend:tail_hi] = \
                     win[:, :, jend - c0:tail_hi - c0]
             break
+        # Shift the window left by the columns just retired and stream
+        # in the next ones; only the padding past column n is zeroed.
         shift = jend - c0
         keep = wcols - shift
         store[:keep] = store[shift:]
@@ -221,11 +156,6 @@ class SlidingWindowGbtrfKernel(Kernel):
         return gbtrf_window_cost(self.m, self.n, self.kl, self.ku, self.nb,
                                  self.nthreads, self.itemsize)
 
-    def run_block(self, block_id: int, smem: SharedMemory) -> None:
-        self.info[block_id] = sliding_window_factor(
-            self.mats[block_id], self.pivots[block_id],
-            self.m, self.n, self.kl, self.ku, self.nb, smem)
-
     def can_batch_vectorize(self) -> bool:
         return is_uniform_stack(self.mats)
 
@@ -235,18 +165,18 @@ class SlidingWindowGbtrfKernel(Kernel):
     def pack_operands(self) -> tuple:
         return (self.mats,)
 
-    def run_batch_vectorized(self, nblocks: int, smem: SharedMemory, *,
-                             packed: bool = True) -> None:
+    def run_batch_vectorized(self, hi: int, smem: SharedMemory, *,
+                             lo: int = 0, packed: bool = True) -> None:
         ldab = self.layout.ldab_factor
         # Uniform and interleaved batches stage as a zero-copy view of the
         # caller's stack: the window reads and writes it in place.  Only
-        # the pack rung gathers and scatters back.
-        abst = stage_stack(self.mats, nblocks, packed=packed, rows=ldab)
-        pivs = np.zeros((nblocks, min(self.m, self.n)), dtype=np.int64)
+        # the pack rung and the per-block path gather and scatter back.
+        abst = stage_stack(self.mats, hi, lo=lo, packed=packed, rows=ldab)
+        pivs = np.zeros((hi - lo, min(self.m, self.n)), dtype=np.int64)
         sliding_window_factor_batched(
-            abst, pivs, self.info[:nblocks],
+            abst, pivs, self.info[lo:hi],
             self.m, self.n, self.kl, self.ku, self.nb, smem)
-        for k in range(nblocks):
+        for k in range(hi - lo):
             if packed:
-                self.mats[k][:ldab, :] = abst[k]
-            self.pivots[k][:] = pivs[k]
+                self.mats[lo + k][:ldab, :] = abst[k]
+            self.pivots[lo + k][:] = pivs[k]

@@ -15,19 +15,18 @@ the RHS in shared memory:
 
 The ``nb`` columns of the factors are "cached in the register file" in the
 paper's CUDA/HIP kernels, and the cost formulas charge them as global
-traffic.  The per-block bodies read them straight from the matrix; the
-batch-interleaved bodies stage each block's factor rows once into a reused
-lane-last tile (see below).
+traffic.
 
 Like the factorization kernels (paper Sections 5.2-5.4), all four kernels
-— forward, backward, and both transposed stages — carry a
-batch-interleaved execution path
+— forward, backward, and both transposed stages — have one
+batch-interleaved body
 (:meth:`~repro.gpusim.kernel.Kernel.run_batch_vectorized`): every problem
-advances through the identical window schedule with one numpy operation
-per step, bit-identical to the per-block bodies (see
-``docs/PERFORMANCE.md``).  Uniform contiguous stacks stage directly;
+of a lane range advances through the identical window schedule with one
+numpy operation per step, and the per-block path runs it on one lane.
+Each lane's bits equal :func:`~repro.core.solve_blocks.gbtrs_unblocked`
+(see ``docs/PERFORMANCE.md``).  Uniform contiguous stacks stage directly;
 scattered/pointer-array batches go through the gather/pack stage
-(:meth:`~repro.gpusim.kernel.Kernel.pack_operands`).  Those bodies run
+(:meth:`~repro.gpusim.kernel.Kernel.pack_operands`).  The bodies run
 lane-last: the RHS window is ``(rows, nrhs, batch)`` and each ``nb``-column
 block of the factor rows a kernel reads — the ``kl`` multipliers or the
 ``kv + 1`` rows of ``U`` — is staged once into a reused ``(rows, nb,
@@ -44,14 +43,10 @@ from ..gpusim.kernel import Kernel, SharedMemory
 from .batch_args import all_uniform, soa_stageable, stage_stack
 from .costs import gbtrs_backward_cost, gbtrs_forward_cost
 from .solve_blocks import (
-    backward_step,
     backward_step_batched,
-    forward_step,
     forward_swap_batched,
     forward_update_batched,
-    transL_step,
     transL_step_batched,
-    transU_step,
     transU_step_batched,
 )
 
@@ -82,13 +77,14 @@ class _FactorTiles:
     """Lane-last ``(rows, nb, batch)`` tiles of band rows ``[r0, r1)``.
 
     ``abl`` is the staged factor stack viewed ``(ldab, n, batch)``.  When
-    its lanes are fastest-varying (the soa rung) a tile is a view;
-    otherwise each block is copied into one reused buffer.
+    its lanes are fastest-varying (the soa rung) or there is one lane, a
+    tile is a view; otherwise each block is copied into one reused buffer.
     """
 
     def __init__(self, abl: np.ndarray, r0: int, r1: int, nb: int):
         self.rows = abl[r0:r1]
-        self.buf = (None if abl.strides[-1] == abl.itemsize else
+        self.buf = (None if abl.strides[-1] == abl.itemsize
+                    or abl.shape[-1] == 1 else
                     np.empty((r1 - r0, nb, abl.shape[-1]), dtype=abl.dtype))
 
     def block(self, jbeg: int, jend: int) -> np.ndarray:
@@ -122,27 +118,28 @@ class _BlockedSolveBase(Kernel):
     def threads(self) -> int:
         return self.nthreads
 
-    def _stage_batch(self, nblocks: int, packed: bool):
-        """Stage factors, pivots and RHS of the first ``nblocks`` problems
-        lane-last for the batch-interleaved path: ``(ldab, n, batch)``,
-        ``(n, batch)`` and ``(n, nrhs, batch)``.
+    def _stage_batch(self, hi: int, lo: int, packed: bool):
+        """Stage factors, pivots and RHS of problems ``lo..hi-1`` lane-last
+        for the kernel body: ``(ldab, n, batch)``, ``(n, batch)`` and
+        ``(n, nrhs, batch)``.
 
         On the direct and soa rungs (``packed=False``) the factors and
         RHS stage as zero-copy views: the factors are read straight from
         the caller's storage and solved RHS rows land there directly, so
-        :meth:`_writeback_rhs` only scatters on the pack rung.
+        :meth:`_writeback_rhs` only scatters on the pack rung and the
+        per-block path.
         """
-        abl = stage_stack(self.mats, nblocks, packed=packed)
-        pivs = (np.stack([np.asarray(p) for p in self.pivots[:nblocks]],
+        abl = stage_stack(self.mats, hi, lo=lo, packed=packed)
+        pivs = (np.stack([np.asarray(p) for p in self.pivots[lo:hi]],
                          axis=1) if self.pivots is not None else None)
-        btl = stage_stack(self.rhs, nblocks, packed=packed)
+        btl = stage_stack(self.rhs, hi, lo=lo, packed=packed)
         return abl.transpose(1, 2, 0), pivs, btl.transpose(1, 2, 0)
 
-    def _writeback_rhs(self, btl: np.ndarray, nblocks: int,
+    def _writeback_rhs(self, btl: np.ndarray, hi: int, lo: int,
                        packed: bool) -> None:
         if packed:
-            for k in range(nblocks):
-                self.rhs[k][...] = btl[..., k]
+            for k in range(lo, hi):
+                self.rhs[k][...] = btl[..., k - lo]
 
     def can_batch_vectorize(self) -> bool:
         return all_uniform(self.mats, self.rhs)
@@ -168,43 +165,15 @@ class BlockedForwardKernel(_BlockedSolveBase):
         return gbtrs_forward_cost(self.n, self.kl, self.ku, self.nrhs,
                                   self.nb, self.nthreads, self.itemsize)
 
-    def run_block(self, block_id: int, smem: SharedMemory) -> None:
-        n, kl, ku, nb = self.n, self.kl, self.ku, self.nb
-        ab = self.mats[block_id]
-        piv = self.pivots[block_id]
-        b = self.rhs[block_id]
-        if kl == 0:
-            return  # L is the identity: nothing to do
-        rw = smem.alloc((nb + kl, self.nrhs), dtype=b.dtype)
-        cached = min(nb + kl, n)
-        rw[:cached] = b[:cached]
-        jbeg = 0
-        while jbeg < n:
-            jend = min(jbeg + nb, n)
-            for j in range(jbeg, jend):
-                forward_step(ab, n, kl, ku, j, piv, rw, row0=jbeg)
-            b[jbeg:jend] = rw[:jend - jbeg]        # final rows out
-            if jend >= n:
-                break
-            done = jend - jbeg
-            rem = cached - done
-            rw[:rem] = rw[done:cached].copy()      # shift up
-            lo = jbeg + cached
-            hi = min(jend + nb + kl, n)
-            if hi > lo:
-                rw[rem:rem + (hi - lo)] = b[lo:hi]  # next rows in
-            cached = rem + max(0, hi - lo)
-            jbeg = jend
-
-    def run_batch_vectorized(self, nblocks: int, smem: SharedMemory, *,
-                             packed: bool = True) -> None:
+    def run_batch_vectorized(self, hi: int, smem: SharedMemory, *,
+                             lo: int = 0, packed: bool = True) -> None:
         n, kl, ku, nb = self.n, self.kl, self.ku, self.nb
         if kl == 0:
             return  # L is the identity: nothing to do
         kv = kl + ku
-        abl, pivs, bt = self._stage_batch(nblocks, packed)
+        abl, pivs, bt = self._stage_batch(hi, lo, packed)
         tiles = _FactorTiles(abl, kv + 1, kv + kl + 1, nb)
-        rw = smem.alloc((nb + kl, self.nrhs, nblocks), dtype=bt.dtype)
+        rw = smem.alloc((nb + kl, self.nrhs, hi - lo), dtype=bt.dtype)
         cached = min(nb + kl, n)
         rw[:cached] = bt[:cached]
         jbeg = 0
@@ -220,13 +189,13 @@ class BlockedForwardKernel(_BlockedSolveBase):
             done = jend - jbeg
             rem = cached - done
             rw[:rem] = rw[done:cached]      # shift up (numpy buffers overlap)
-            lo = jbeg + cached
-            hi = min(jend + nb + kl, n)
-            if hi > lo:
-                rw[rem:rem + (hi - lo)] = bt[lo:hi]
-            cached = rem + max(0, hi - lo)
+            r0 = jbeg + cached                  # next rows in: [r0, r1)
+            r1 = min(jend + nb + kl, n)
+            if r1 > r0:
+                rw[rem:rem + (r1 - r0)] = bt[r0:r1]
+            cached = rem + max(0, r1 - r0)
             jbeg = jend
-        self._writeback_rhs(bt, nblocks, packed)
+        self._writeback_rhs(bt, hi, lo, packed)
 
 
 class BlockedTransUKernel(_BlockedSolveBase):
@@ -251,41 +220,14 @@ class BlockedTransUKernel(_BlockedSolveBase):
         return gbtrs_backward_cost(self.n, self.kl, self.ku, self.nrhs,
                                    self.nb, self.nthreads, self.itemsize)
 
-    def run_block(self, block_id: int, smem: SharedMemory) -> None:
+    def run_batch_vectorized(self, hi: int, smem: SharedMemory, *,
+                             lo: int = 0, packed: bool = True) -> None:
         n, kl, ku, nb = self.n, self.kl, self.ku, self.nb
         kv = kl + ku
-        ab = self.mats[block_id]
-        b = self.rhs[block_id]
-        conj = self.conj and np.iscomplexobj(ab)
-        rw = smem.alloc((nb + kv, self.nrhs), dtype=b.dtype)
-        jbeg = 0
-        base = 0                       # global row of rw[0]
-        cached = min(nb, n)
-        rw[:cached] = b[:cached]
-        while jbeg < n:
-            jend = min(jbeg + nb, n)
-            for j in range(jbeg, jend):
-                transU_step(ab, n, kl, ku, j, rw, conj=conj, row0=base)
-            b[jbeg:jend] = rw[jbeg - base:jend - base]
-            if jend >= n:
-                break
-            # Keep the last kv solved rows for the next block's updates.
-            base2 = max(jend - kv, 0)
-            keep = jend - base2
-            rw[:keep] = rw[base2 - base:jend - base].copy()
-            hi = min(jend + nb, n)
-            rw[keep:keep + (hi - jend)] = b[jend:hi]
-            base = base2
-            jbeg = jend
-
-    def run_batch_vectorized(self, nblocks: int, smem: SharedMemory, *,
-                             packed: bool = True) -> None:
-        n, kl, ku, nb = self.n, self.kl, self.ku, self.nb
-        kv = kl + ku
-        abl, _, btl = self._stage_batch(nblocks, packed)
+        abl, _, btl = self._stage_batch(hi, lo, packed)
         conj = self.conj and np.iscomplexobj(abl)
         tiles = _FactorTiles(abl, 0, kv + 1, nb)
-        rw = smem.alloc((nb + kv, self.nrhs, nblocks), dtype=btl.dtype)
+        rw = smem.alloc((nb + kv, self.nrhs, hi - lo), dtype=btl.dtype)
         jbeg = 0
         base = 0                       # global row of rw[0]
         cached = min(nb, n)
@@ -302,11 +244,11 @@ class BlockedTransUKernel(_BlockedSolveBase):
             base2 = max(jend - kv, 0)
             keep = jend - base2
             rw[:keep] = rw[base2 - base:jend - base]
-            hi = min(jend + nb, n)
-            rw[keep:keep + (hi - jend)] = btl[jend:hi]
+            r1 = min(jend + nb, n)
+            rw[keep:keep + (r1 - jend)] = btl[jend:r1]
             base = base2
             jbeg = jend
-        self._writeback_rhs(btl, nblocks, packed)
+        self._writeback_rhs(btl, hi, lo, packed)
 
 
 class BlockedTransLKernel(_BlockedSolveBase):
@@ -331,53 +273,33 @@ class BlockedTransLKernel(_BlockedSolveBase):
         return gbtrs_forward_cost(self.n, self.kl, self.ku, self.nrhs,
                                   self.nb, self.nthreads, self.itemsize)
 
-    def run_block(self, block_id: int, smem: SharedMemory) -> None:
-        n, kl, ku, nb = self.n, self.kl, self.ku, self.nb
-        ab = self.mats[block_id]
-        piv = self.pivots[block_id]
-        b = self.rhs[block_id]
-        if kl == 0:
-            return                      # L is the identity
-        conj = self.conj and np.iscomplexobj(ab)
-        rw = smem.alloc((nb + kl, self.nrhs), dtype=b.dtype)
-        # Each block's swaps can reach kl rows past its top (piv[j] <=
-        # j + kl), touching rows finalised by the previous (later) block —
-        # so the window covers [jbeg, jend + kl) and the overlap is
-        # re-written after the swaps land
-        # (piv[j] <= j + kl <= jend - 1 + kl < hi).
-        jend = n
-        while jend > 0:
-            jbeg = max(jend - nb, 0)
-            hi = min(jend + kl, n)
-            rw[:hi - jbeg] = b[jbeg:hi]
-            for j in range(jend - 1, jbeg - 1, -1):
-                transL_step(ab, n, kl, ku, j, int(piv[j]), rw, conj=conj,
-                            row0=jbeg)
-            b[jbeg:hi] = rw[:hi - jbeg]
-            jend = jbeg
-
-    def run_batch_vectorized(self, nblocks: int, smem: SharedMemory, *,
-                             packed: bool = True) -> None:
+    def run_batch_vectorized(self, hi: int, smem: SharedMemory, *,
+                             lo: int = 0, packed: bool = True) -> None:
         n, kl, ku, nb = self.n, self.kl, self.ku, self.nb
         if kl == 0:
             return                      # L is the identity
         kv = kl + ku
-        abl, pivs, btl = self._stage_batch(nblocks, packed)
+        abl, pivs, btl = self._stage_batch(hi, lo, packed)
         conj = self.conj and np.iscomplexobj(abl)
         tiles = _FactorTiles(abl, kv + 1, kv + kl + 1, nb)
-        rw = smem.alloc((nb + kl, self.nrhs, nblocks), dtype=btl.dtype)
+        rw = smem.alloc((nb + kl, self.nrhs, hi - lo), dtype=btl.dtype)
+        # Each block's swaps can reach kl rows past its top (piv[j] <=
+        # j + kl), touching rows finalised by the previous (later) block —
+        # so the window covers [jbeg, jend + kl) and the overlap is
+        # re-written after the swaps land
+        # (piv[j] <= j + kl <= jend - 1 + kl < r1).
         jend = n
         while jend > 0:
             jbeg = max(jend - nb, 0)
-            hi = min(jend + kl, n)
-            rw[:hi - jbeg] = btl[jbeg:hi]
+            r1 = min(jend + kl, n)
+            rw[:r1 - jbeg] = btl[jbeg:r1]
             lt = tiles.block(jbeg, jend)
             for j in range(jend - 1, jbeg - 1, -1):
                 transL_step_batched(lt[:, j - jbeg], n, j, pivs[j], rw,
                                     conj=conj, row0=jbeg)
-            btl[jbeg:hi] = rw[:hi - jbeg]
+            btl[jbeg:r1] = rw[:r1 - jbeg]
             jend = jbeg
-        self._writeback_rhs(btl, nblocks, packed)
+        self._writeback_rhs(btl, hi, lo, packed)
 
 
 class BlockedBackwardKernel(_BlockedSolveBase):
@@ -392,40 +314,13 @@ class BlockedBackwardKernel(_BlockedSolveBase):
         return gbtrs_backward_cost(self.n, self.kl, self.ku, self.nrhs,
                                    self.nb, self.nthreads, self.itemsize)
 
-    def run_block(self, block_id: int, smem: SharedMemory) -> None:
+    def run_batch_vectorized(self, hi: int, smem: SharedMemory, *,
+                             lo: int = 0, packed: bool = True) -> None:
         n, kl, ku, nb = self.n, self.kl, self.ku, self.nb
         kv = kl + ku
-        ab = self.mats[block_id]
-        b = self.rhs[block_id]
-        rw = smem.alloc((nb + kv, self.nrhs), dtype=b.dtype)
-        jend = n
-        jbeg = max(n - nb, 0)
-        base = max(jbeg - kv, 0)
-        rw[:jend - base] = b[base:jend]
-        while True:
-            for j in range(jend - 1, jbeg - 1, -1):
-                backward_step(ab, n, kl, ku, j, rw, row0=base)
-            b[jbeg:jend] = rw[jbeg - base:jend - base]  # solved rows
-            if jbeg == 0:
-                break
-            jend2 = jbeg
-            jbeg2 = max(jend2 - nb, 0)
-            base2 = max(jbeg2 - kv, 0)
-            keep = jend2 - base                 # updated rows to keep
-            off = base - base2
-            if keep > 0:
-                rw[off:off + keep] = rw[:keep].copy()   # shift down
-            if off > 0:
-                rw[:off] = b[base2:base]        # stream next rows in
-            jend, jbeg, base = jend2, jbeg2, base2
-
-    def run_batch_vectorized(self, nblocks: int, smem: SharedMemory, *,
-                             packed: bool = True) -> None:
-        n, kl, ku, nb = self.n, self.kl, self.ku, self.nb
-        kv = kl + ku
-        abl, _, bt = self._stage_batch(nblocks, packed)
+        abl, _, bt = self._stage_batch(hi, lo, packed)
         tiles = _FactorTiles(abl, 0, kv + 1, nb)
-        rw = smem.alloc((nb + kv, self.nrhs, nblocks), dtype=bt.dtype)
+        rw = smem.alloc((nb + kv, self.nrhs, hi - lo), dtype=bt.dtype)
         jend = n
         jbeg = max(n - nb, 0)
         base = max(jbeg - kv, 0)
@@ -447,4 +342,4 @@ class BlockedBackwardKernel(_BlockedSolveBase):
             if off > 0:
                 rw[:off] = bt[base2:base]
             jend, jbeg, base = jend2, jbeg2, base2
-        self._writeback_rhs(bt, nblocks, packed)
+        self._writeback_rhs(bt, hi, lo, packed)

@@ -12,9 +12,10 @@ The upper factor has bandwidth ``kv = kl + ku`` after pivoting and is solved
 with a column-wise backward substitution.
 
 The per-problem functions operate in place on ``b`` with shape
-``(n, nrhs)`` (or a cached window of it, via ``row0``), in LAPACK
-``DGBTRS``'s column order.  Their ``*_batched`` forms run one step on
-every lane of a uniform batch, lane-last, with the same bits.
+``(n, nrhs)``, in LAPACK ``DGBTRS``'s column order; they make up
+:func:`gbtrs_unblocked`, the scalar reference.  Their ``*_batched`` forms
+run one step on every lane of a uniform batch, lane-last, with the same
+bits, on a cached window of the RHS (via ``row0``).
 """
 
 from __future__ import annotations
@@ -53,17 +54,16 @@ def _sub_mul(dst: np.ndarray, x, y) -> None:
             dst -= x * y
 
 
-def forward_swap(b: np.ndarray, j: int, piv: int, *, row0: int = 0) -> None:
+def forward_swap(b: np.ndarray, j: int, piv: int) -> None:
     """Row interchange ``b[j] <-> b[piv]`` (the pivot kernel of a column)."""
     if piv != j:
-        jj, pp = j - row0, piv - row0
-        tmp = b[jj].copy()
-        b[jj] = b[pp]
-        b[pp] = tmp
+        tmp = b[j].copy()
+        b[j] = b[piv]
+        b[piv] = tmp
 
 
 def forward_update(ab: np.ndarray, n: int, kl: int, ku: int, j: int,
-                   b: np.ndarray, *, row0: int = 0) -> None:
+                   b: np.ndarray) -> None:
     """Rank-1 update of the RHS with column ``j`` of the lower factor.
 
     ``b[j+1 : j+lm+1] -= L[j+1:j+lm+1, j] * b[j]`` with
@@ -72,20 +72,19 @@ def forward_update(ab: np.ndarray, n: int, kl: int, ku: int, j: int,
     kv = kl + ku
     lm = min(kl, n - j - 1)
     if lm > 0:
-        jj = j - row0
-        _sub_mul(b[jj + 1:jj + lm + 1], ab[kv + 1:kv + lm + 1, j][:, None],
-                 b[jj][None, :])
+        _sub_mul(b[j + 1:j + lm + 1], ab[kv + 1:kv + lm + 1, j][:, None],
+                 b[j][None, :])
 
 
 def forward_step(ab: np.ndarray, n: int, kl: int, ku: int, j: int,
-                 ipiv: np.ndarray, b: np.ndarray, *, row0: int = 0) -> None:
+                 ipiv: np.ndarray, b: np.ndarray) -> None:
     """One forward-elimination column: (row swap, rank-1 update) pair."""
-    forward_swap(b, j, int(ipiv[j]), row0=row0)
-    forward_update(ab, n, kl, ku, j, b, row0=row0)
+    forward_swap(b, j, int(ipiv[j]))
+    forward_update(ab, n, kl, ku, j, b)
 
 
 def backward_step(ab: np.ndarray, n: int, kl: int, ku: int, j: int,
-                  b: np.ndarray, *, row0: int = 0) -> None:
+                  b: np.ndarray) -> None:
     """One backward-substitution column against ``U`` (bandwidth ``kv``).
 
     ``b[j] /= U(j, j)`` then ``b[j-lm : j] -= U[j-lm:j, j] * b[j]`` with
@@ -94,19 +93,17 @@ def backward_step(ab: np.ndarray, n: int, kl: int, ku: int, j: int,
     callers wanting a guard check the factorization's ``info``.
     """
     kv = kl + ku
-    jj = j - row0
     # LAPACK DGBTRS does not guard this division; a zero U(j, j) must
     # propagate inf/NaN silently (the caller's guard is gbtrf's info).
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        b[jj] = b[jj] / ab[kv, j]
+        b[j] = b[j] / ab[kv, j]
     lm = min(kv, j)
     if lm > 0:
-        _sub_mul(b[jj - lm:jj], ab[kv - lm:kv, j][:, None], b[jj][None, :])
+        _sub_mul(b[j - lm:j], ab[kv - lm:kv, j][:, None], b[j][None, :])
 
 
 def transU_step(ab: np.ndarray, n: int, kl: int, ku: int, j: int,
-                b: np.ndarray, *, conj: bool = False,
-                row0: int = 0) -> None:
+                b: np.ndarray, *, conj: bool = False) -> None:
     """One column of ``op(U) y = b``: ``op(U)`` is *lower* triangular with
     bandwidth ``kv``, so the sweep runs forward.
 
@@ -119,20 +116,18 @@ def transU_step(ab: np.ndarray, n: int, kl: int, ku: int, j: int,
     makes :func:`transU_step_batched` bit-identical by construction.
     """
     kv = kl + ku
-    jj = j - row0
     lm = min(kv, j)
     for t in range(lm, 0, -1):
         coeff = np.conj(ab[kv - t, j]) if conj else ab[kv - t, j]
-        _sub_mul(b[jj], coeff, b[jj - t])
+        _sub_mul(b[j], coeff, b[j - t])
     pivot = np.conj(ab[kv, j]) if conj else ab[kv, j]
     # Unguarded like LAPACK: zero pivots propagate inf/NaN silently.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        b[jj] = b[jj] / pivot
+        b[j] = b[j] / pivot
 
 
 def transL_step(ab: np.ndarray, n: int, kl: int, ku: int, j: int,
-                piv: int, b: np.ndarray, *, conj: bool = False,
-                row0: int = 0) -> None:
+                piv: int, b: np.ndarray, *, conj: bool = False) -> None:
     """One column of ``op(L) x = y``, pivots applied in reverse order.
 
     ``op(L)`` is unit *upper* triangular with bandwidth ``kl``; the sweep
@@ -142,12 +137,11 @@ def transL_step(ab: np.ndarray, n: int, kl: int, ku: int, j: int,
     reason as :func:`transU_step`.
     """
     kv = kl + ku
-    jj = j - row0
     lm = min(kl, n - j - 1)
     for t in range(1, lm + 1):
         coeff = np.conj(ab[kv + t, j]) if conj else ab[kv + t, j]
-        _sub_mul(b[jj], coeff, b[jj + t])
-    forward_swap(b, j, piv, row0=row0)
+        _sub_mul(b[j], coeff, b[j + t])
+    forward_swap(b, j, piv)
 
 
 # --- Lane-last batched steps ------------------------------------------------
@@ -169,10 +163,13 @@ def forward_swap_batched(rw: np.ndarray, j: int, piv: np.ndarray,
     absolute pivot rows (``piv[k] == j`` means no swap for lane ``k``).
     The pivot rows are addressed through one flat index plane, as in
     :func:`~repro.core.gbtf2.swap_right_batched`; a no-swap lane's plane
-    points back at row ``j`` and swaps it with itself, an exact bit copy.
+    points back at row ``j`` and swaps it with itself, an exact bit copy,
+    and a step where no lane swaps is skipped.
     """
     if not rw.flags.c_contiguous:
         raise ValueError("forward_swap_batched needs a C-contiguous window")
+    if (piv == j).all():
+        return
     _, nrhs, batch = rw.shape
     jj = j - row0
     plane = ((piv - row0) * (nrhs * batch)

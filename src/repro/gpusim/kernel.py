@@ -2,12 +2,15 @@
 
 A :class:`Kernel` is the unit of work that a real implementation would write
 in CUDA/HIP: it declares a grid size (one block per matrix for the batched
-band kernels), a block size, and a shared-memory footprint, and provides a
-``run_block`` method with the *functional* behaviour of one thread block.
+band kernels), a block size, and a shared-memory footprint, and provides
+the *functional* behaviour of its thread blocks.  A kernel with a
+batch-interleaved body writes it once, as ``run_batch_vectorized`` over a
+lane range; ``run_block`` runs that same body on a single lane.  Kernels
+without one (the scalar references) implement ``run_block`` directly.
 
-``run_block`` receives a :class:`SharedMemory` allocator that enforces the
-declared footprint: a kernel that touches more shared memory than it asked
-for fails immediately, the same way a real kernel would corrupt itself or
+Both receive a :class:`SharedMemory` allocator that enforces the declared
+footprint: a kernel that touches more shared memory than it asked for
+fails immediately, the same way a real kernel would corrupt itself or
 fail to launch.  This keeps the simulated kernels honest — the occupancy
 maths in the cost model is fed by the same numbers the functional code is
 held to.
@@ -88,10 +91,13 @@ class SharedMemory:
 class Kernel(abc.ABC):
     """Base class for simulated GPU kernels.
 
-    Subclasses implement the resource declarations and the per-block
-    functional body.  The same object serves double duty: ``launch`` runs
-    the functional body, while the benchmark harness asks only for the
-    resource declarations to time large batches without executing them.
+    Subclasses implement the resource declarations and one functional
+    body: either :meth:`run_batch_vectorized` (a lane range advanced
+    together, which :meth:`run_block` then runs one lane at a time) or,
+    for the scalar reference kernels, :meth:`run_block` itself.  The same
+    object serves double duty: ``launch`` runs the functional body, while
+    the benchmark harness asks only for the resource declarations to time
+    large batches without executing them.
     """
 
     name: str = "kernel"
@@ -112,9 +118,17 @@ class Kernel(abc.ABC):
     def block_cost(self) -> BlockCost:
         """Per-block resource usage for the timing model."""
 
-    @abc.abstractmethod
     def run_block(self, block_id: int, smem: SharedMemory) -> None:
-        """Functional behaviour of one thread block."""
+        """Functional behaviour of one thread block.
+
+        The default runs :meth:`run_batch_vectorized` on the one lane
+        ``[block_id, block_id + 1)`` with ``packed=True``: that lane is
+        gathered and scattered back on its own, so blocks executed one
+        after another over aliased or overlapping storage keep their
+        sequential semantics.
+        """
+        self.run_batch_vectorized(block_id + 1, smem, lo=block_id,
+                                  packed=True)
 
     # -- batch-interleaved execution ---------------------------------------
 
@@ -132,21 +146,23 @@ class Kernel(abc.ABC):
         """
         return False
 
-    def run_batch_vectorized(self, nblocks: int, smem: SharedMemory, *,
-                             packed: bool = True) -> None:
-        """Advance blocks ``0..nblocks-1`` together, batch-interleaved.
+    def run_batch_vectorized(self, hi: int, smem: SharedMemory, *,
+                             lo: int = 0, packed: bool = True) -> None:
+        """Advance blocks ``lo..hi-1`` together, batch-interleaved.
 
-        Must be numerically bit-identical to running ``run_block`` for
-        each of the ``nblocks`` blocks in order.  ``smem`` carries the
-        aggregate budget of all executed blocks (``nblocks ×`` the
-        per-block occupancy limit), mirroring the total on-chip footprint
-        the grid would occupy.  Only called when
+        Lanes are independent: each lane's bits do not depend on which
+        other lanes share the range, so a range of one lane is the
+        per-block path.  ``smem`` carries the aggregate budget of the
+        executed blocks (``hi - lo`` times the per-block occupancy
+        limit), mirroring the total on-chip footprint the grid would
+        occupy.  The launcher calls it with ``lo=0`` when
         :meth:`can_batch_vectorize`, :meth:`can_soa_vectorize` or
-        :meth:`can_pack_vectorize` returned True.  ``packed`` is the
-        launcher's rung decision: False on the direct and soa rungs,
-        whose operands stage as zero-copy views
+        :meth:`can_pack_vectorize` returned True, and :meth:`run_block`
+        with one lane.  ``packed`` is the staging decision: False on the
+        direct and soa rungs, whose operands stage as zero-copy views
         (:func:`repro.core.batch_args.stage_stack`), True on the pack
-        rung, whose operands are gathered and scattered back.
+        rung and the per-block path, whose operands are gathered and
+        scattered back.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not implement the "
@@ -315,11 +331,14 @@ def launch(device: DeviceSpec, kernel: Kernel, *, stream=None,
         directly) or :meth:`Kernel.can_pack_vectorize` (scattered but
         packable inputs, staged through the gather/pack stage); otherwise
         blocks run one at a time through :meth:`Kernel.run_block`.
-        ``False`` forces the per-block path (the reference semantics).
-        ``True`` requires the vectorized path and raises
-        :class:`~repro.errors.DeviceError` if the kernel (or its current
-        inputs) cannot take it even with packing.  Both paths are
-        bit-identical by contract.
+        ``False`` forces the per-block path: each block runs alone
+        through the same body.  ``True`` requires the vectorized path and
+        raises :class:`~repro.errors.DeviceError` if the kernel (or its
+        current inputs) cannot take it even with packing.  Lanes are
+        independent, so both paths give the same bits; the reference
+        semantics they are tested against live in the scalar
+        :func:`~repro.core.gbtf2.gbtf2` and
+        :func:`~repro.core.solve_blocks.gbtrs_unblocked`.
     conversion:
         The calling driver's :class:`ConversionCharge`; pending
         layout-conversion bytes land on this launch's ``soa_bytes``.

@@ -1,10 +1,13 @@
 """Batch-interleaved execution path: bit-for-bit equivalence and dispatch.
 
-The vectorized path must be indistinguishable from the per-block reference
-path in everything except wall-clock: identical factor bits, pivots and
-info across dtypes, singular matrices, non-square shapes and
-pivot-divergent batches.  These tests compare the two paths with
-``tobytes()`` (atol=0 would still admit -0.0 vs +0.0 and NaN mismatches).
+Every rung of every kernel — the per-block path (the same body on one
+lane), direct, soa and pack — must reproduce the scalar references
+(``gbtf2`` per lane, ``gbtrs_unblocked``) in everything except
+wall-clock: identical factor bits, pivots, info and solutions across
+dtypes, singular matrices, non-square shapes and pivot-divergent batches.
+These tests compare with ``tobytes()`` (atol=0 would still admit -0.0 vs
++0.0 and NaN mismatches); only the ``multinan`` case, whose lane mixes
+NaN payloads, is compared up to NaN payload.
 Dispatch rules — uniform contiguous stacks vectorize directly, pointer
 arrays and scattered views vectorize through the gather/pack stage,
 aliased/overlapping batches fall back — are pinned here too (mixed-shape
@@ -19,6 +22,7 @@ from repro.band.layout import to_interleaved
 from repro.core import gbsv_batch, gbtrf_batch, gbtrs_batch
 from repro.core.batch_args import is_uniform_stack
 from repro.core.gbtf2 import gbtf2, gbtf2_batched
+from repro.core.solve_blocks import gbtrs_unblocked
 from repro.errors import DeviceError
 from repro.gpusim import H100_PCIE, PointerArray, Stream, launch, summarize
 from repro.gpusim.kernel import SharedMemory
@@ -30,6 +34,30 @@ DTYPE_IDS = [np.dtype(d).name for d in DTYPES]
 def _bytes_equal(*pairs):
     for got, ref in pairs:
         assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+
+
+def _equal_up_to_nan_payload(*pairs):
+    """Bit for bit, except entries (or complex components) where both
+    sides are NaN: those may carry different NaN payloads."""
+    for got, ref in pairs:
+        got, ref = np.ascontiguousarray(got), np.ascontiguousarray(ref)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        if got.dtype.kind == "c":
+            got = got.view(got.real.dtype)
+            ref = ref.view(ref.real.dtype)
+        if got.dtype.kind != "f":
+            _bytes_equal((got, ref))
+            continue
+        differ = ~(np.isnan(got) & np.isnan(ref))
+        assert got[differ].tobytes() == ref[differ].tobytes()
+
+
+def _compare(case, *pairs):
+    """The comparison a hard case is held to (see ``_harden``)."""
+    if case == "multinan":
+        _equal_up_to_nan_payload(*pairs)
+    else:
+        _bytes_equal(*pairs)
 
 
 def _band_batch(batch, n, kl, ku, dtype, seed, m=None):
@@ -46,13 +74,26 @@ SPECIALS = {
         0xFFF0000000000000, 0x8000000000000000),
 }
 
+# Bit patterns written into one lane by the "multinan" hard case: quiet
+# NaNs with three different payloads (one negative), a signaling NaN,
+# +Inf and -Inf.
+MULTINAN = {
+    4: (0x7FC00001, 0x7FC00ABC, 0xFFC00002, 0x7F800005, 0x7F800000,
+        0xFF800000),
+    8: (0x7FF8000000000001, 0x7FF8000000000ABC, 0xFFF8000000000002,
+        0x7FF0000000000005, 0x7FF0000000000000, 0xFFF0000000000000),
+}
+MULTINAN_LANE = 4
+
 # Hard cases shared by the bit-identity tests below.  ``None`` is the plain
 # random input; the others add, on top of it:
 #   nonfinite  lanes 0-4 hold qNaN / sNaN / +Inf / -Inf / -0.0 in the band
 #   zerocols   lanes 1 and 3 hold all-zero columns (exact zero pivots)
 #   jusplit    lane k pivots k % (kl + 1) rows down, so ``ju`` spreads from
 #              j + ku to j + kv across the lanes
-HARD = ("nonfinite", "zerocols", "jusplit")
+#   multinan   lane 4 holds the MULTINAN patterns at several band entries;
+#              results are compared up to NaN payload
+HARD = ("nonfinite", "zerocols", "jusplit", "multinan")
 
 
 def _harden(a, case, m, kl, ku):
@@ -75,6 +116,12 @@ def _harden(a, case, m, kl, ku):
             off = k % (kl + 1)
             for c in range(min(m - off, n)):
                 a[k, kv + off, c] *= 1e3
+    elif case == "multinan":
+        comp = a.real if np.iscomplexobj(a) else a
+        bits = comp.view(f"u{comp.itemsize}")
+        for t, pattern in enumerate(MULTINAN[comp.itemsize]):
+            bits[MULTINAN_LANE, kl + (2 * t) % (kv + 1),
+                 (3 + 5 * t) % n] = pattern
     return a
 
 
@@ -173,12 +220,38 @@ def test_gbtf2_batched_singular_lanes(dtype):
 
 
 def _rungs(a):
-    """The operand forms of the three vectorized rungs, each with the
-    trace label its launches must carry: a uniform lane-major stack
-    (``[vec]``), a lane-fastest stack (``[vec+soa]``) and scattered
-    per-lane copies (``[vec+pack]``)."""
-    return [(a.copy(), "[vec]"), (to_interleaved(a), "[vec+soa]"),
+    """The operand forms of the four rungs, each with the trace label its
+    launches must carry: a uniform lane-major stack run per block
+    (``vectorize=False``, the bare label) and auto-dispatched (``[vec]``),
+    a lane-fastest stack (``[vec+soa]``) and scattered per-lane copies
+    (``[vec+pack]``)."""
+    return [(a.copy(), ""), (a.copy(), "[vec]"),
+            (to_interleaved(a), "[vec+soa]"),
             ([np.array(x) for x in a], "[vec+pack]")]
+
+
+def _vectorize(label):
+    """The ``vectorize=`` knob that selects the rung labelled ``label``."""
+    return None if label else False
+
+
+def _gbtf2_lanes(m, n, kl, ku, a):
+    """Scalar reference: :func:`gbtf2` on each lane of a copy of ``a``."""
+    ref = np.array(a)
+    piv = np.zeros((len(ref), min(m, n)), dtype=np.int64)
+    info = np.zeros(len(ref), dtype=np.int64)
+    for k in range(len(ref)):
+        piv[k], info[k] = gbtf2(m, n, kl, ku, ref[k])
+    return ref, piv, info
+
+
+def _gbtrs_lanes(trans, n, kl, ku, a, piv, b, lanes=None):
+    """Scalar reference: :func:`gbtrs_unblocked` on a copy of ``b``, on
+    every lane or only on ``lanes``."""
+    ref = np.array(b)
+    for k in range(len(ref)) if lanes is None else lanes:
+        gbtrs_unblocked(trans, n, kl, ku, a[k], piv[k], ref[k])
+    return ref
 
 
 def _launch_labels(stream):
@@ -200,6 +273,7 @@ GBTRF_CASES = [
     ("window", 40, 3, 2, "m<n"),
     ("window", 40, 3, 2, "m>n"),
     ("window", 40, 3, 3, "nb=1"),
+    ("window", 40, 3, 3, "multinan"),
 ]
 
 
@@ -213,22 +287,22 @@ def test_gbtrf_paths_bitwise(dtype, method, n, kl, ku, case):
     hard = case if case in HARD else "nonfinite" if case else None
     a = _harden(_band_batch(batch, n, kl, ku, dtype, seed=21), hard, m,
                 kl, ku)
-    a_ref = a.copy()
-    piv_ref, info_ref = gbtrf_batch(m, n, kl, ku, a_ref, method=method,
-                                    nb=nb, vectorize=False)
+    a_ref, piv_ref, info_ref = _gbtf2_lanes(m, n, kl, ku, a)
     _check_hard(hard, piv_ref, kl)
     if kl > 0:
         # Pivot-divergent batch: lanes must not all share one pivot
         # sequence, otherwise the per-lane bounds are untested.
-        assert len({tuple(np.asarray(p)) for p in piv_ref}) > 1
+        assert len({tuple(p) for p in piv_ref}) > 1
+    if hard == "multinan":
+        assert np.isnan(a_ref[MULTINAN_LANE]).any()
     for a_vec, label in _rungs(a):
         stream = Stream(H100_PCIE)
         piv_vec, info_vec = gbtrf_batch(m, n, kl, ku, a_vec, method=method,
-                                        nb=nb, stream=stream)
+                                        nb=nb, stream=stream,
+                                        vectorize=_vectorize(label))
         assert _launch_labels(stream) == {label}
-        _bytes_equal((np.stack(a_vec), a_ref),
-                     (np.stack(piv_vec), np.stack(piv_ref)),
-                     (info_vec, info_ref))
+        _compare(hard, (np.stack(a_vec), a_ref),
+                 (np.stack(piv_vec), piv_ref), (info_vec, info_ref))
 
 
 # (nrhs, trans, n, kl, ku, nb, case).  The first two entries keep their
@@ -252,6 +326,7 @@ GBTRS_CASES = [
     (3, "N", 40, 3, 2, None, "nonfinite"),
     (3, "T", 40, 3, 2, None, "nonfinite"),
     (3, "C", 40, 3, 2, None, "nonfinite"),
+    (3, "N", 40, 3, 2, None, "multinan"),
 ]
 
 
@@ -267,7 +342,7 @@ def _gbtrs_id(case):
 @pytest.mark.parametrize("nrhs,trans,n,kl,ku,nb,case", GBTRS_CASES,
                          ids=[_gbtrs_id(c) for c in GBTRS_CASES])
 def test_gbtrs_paths_bitwise(dtype, nrhs, trans, n, kl, ku, nb, case):
-    """Per-block against the direct, soa and pack rungs, byte for byte."""
+    """Every rung against the scalar ``gbtrs_unblocked``, byte for byte."""
     batch = 8
     a = _band_batch(batch, n, kl, ku, dtype, seed=22)
     if case == "jusplit":
@@ -277,26 +352,30 @@ def test_gbtrs_paths_bitwise(dtype, nrhs, trans, n, kl, ku, nb, case):
     piv = np.stack(piv)
     _check_hard(case, piv, kl)
     b = random_rhs(n, nrhs, batch=batch, dtype=dtype, seed=23)
+    comp = b.real if np.iscomplexobj(b) else b
+    bits = comp.view(f"u{comp.itemsize}")
     if case == "nonfinite":
         _harden(a, case, n, kl, ku)
-        comp = b.real if np.iscomplexobj(b) else b
-        bits = comp.view(f"u{comp.itemsize}")
         for k, pattern in enumerate(SPECIALS[comp.itemsize]):
             bits[batch - 1 - k, (5 * k + 1) % n, k % nrhs] = pattern
-    b_ref = b.copy()
-    gbtrs_batch(trans, n, kl, ku, nrhs, a, piv, b_ref, nb=nb,
-                vectorize=False)
+    elif case == "multinan":
+        _harden(a, case, n, kl, ku)
+        for t, pattern in enumerate(MULTINAN[comp.itemsize]):
+            bits[MULTINAN_LANE, (7 * t + 2) % n, t % nrhs] = pattern
+    b_ref = _gbtrs_lanes(trans, n, kl, ku, a, piv, b)
+    if case == "multinan":
+        assert np.isnan(b_ref[MULTINAN_LANE]).any()
     for (a_vec, label), (b_vec, _) in zip(_rungs(a), _rungs(b)):
         stream = Stream(H100_PCIE)
         gbtrs_batch(trans, n, kl, ku, nrhs, a_vec, piv, b_vec, nb=nb,
-                    stream=stream)
+                    stream=stream, vectorize=_vectorize(label))
         assert _launch_labels(stream) == {label}
-        _bytes_equal((np.stack(b_vec), b_ref))
+        _compare(case, (np.stack(b_vec), b_ref))
 
 
 GBSV_CASES = [("fused", None), ("standard", None),
               ("fused", "nonfinite"), ("standard", "nonfinite"),
-              ("standard", "jusplit")]
+              ("standard", "jusplit"), ("fused", "multinan")]
 
 
 @pytest.mark.parametrize("dtype", DTYPES, ids=DTYPE_IDS)
@@ -304,28 +383,31 @@ GBSV_CASES = [("fused", None), ("standard", None),
     "-".join(v for v in c if v) for c in GBSV_CASES])
 def test_gbsv_singular_paths_bitwise(dtype, method, case):
     """Singular lanes: factors/pivots written, B untouched, info nonzero —
-    identically on every path (the standard method exercises the scattered
-    sub-batch fallback)."""
+    identically on every path, and equal to ``gbtf2`` plus
+    ``gbtrs_unblocked`` on the ``info == 0`` lanes (the standard method
+    exercises the scattered sub-batch fallback)."""
     batch, n, kl, ku = 8, 16, 2, 2
     a = _harden(_band_batch(batch, n, kl, ku, dtype, seed=24), case, n,
                 kl, ku)
     a[2, :, 5] = 0
     a[5, :, 0] = 0
     b = random_rhs(n, 1, batch=batch, dtype=dtype, seed=25)
-    a_ref, b_ref = a.copy(), b.copy()
-    piv_ref, info_ref = gbsv_batch(n, kl, ku, 1, a_ref, None, b_ref,
-                                   method=method, vectorize=False)
+    a_ref, piv_ref, info_ref = _gbtf2_lanes(n, n, kl, ku, a)
+    b_ref = _gbtrs_lanes("N", n, kl, ku, a_ref, piv_ref, b,
+                         lanes=np.flatnonzero(info_ref == 0))
     assert info_ref[2] != 0 and info_ref[5] != 0
     # Singular problems keep their RHS bits.
     _bytes_equal((b_ref[2], b[2]), (b_ref[5], b[5]))
+    if case == "multinan":
+        assert np.isnan(b_ref[MULTINAN_LANE]).any()
     for (a_vec, label), (b_vec, _) in zip(_rungs(a), _rungs(b)):
         stream = Stream(H100_PCIE)
         piv_vec, info_vec = gbsv_batch(n, kl, ku, 1, a_vec, None, b_vec,
-                                       method=method, stream=stream)
+                                       method=method, stream=stream,
+                                       vectorize=_vectorize(label))
         assert label in _launch_labels(stream)
-        _bytes_equal((np.stack(a_vec), a_ref), (np.stack(b_vec), b_ref),
-                     (np.stack(piv_vec), np.stack(piv_ref)),
-                     (info_vec, info_ref))
+        _compare(case, (np.stack(a_vec), a_ref), (np.stack(b_vec), b_ref),
+                 (np.stack(piv_vec), piv_ref), (info_vec, info_ref))
 
 
 def test_gbtrf_nonsquare_paths_bitwise():
@@ -333,12 +415,15 @@ def test_gbtrf_nonsquare_paths_bitwise():
     ldab = 2 * kl + ku + 1
     rng = np.random.default_rng(26)
     a = rng.standard_normal((batch, ldab, n))
-    a_ref, a_vec = a.copy(), a.copy()
-    piv_ref, info_ref = gbtrf_batch(m, n, kl, ku, a_ref, method="window",
-                                    vectorize=False)
-    piv_vec, info_vec = gbtrf_batch(m, n, kl, ku, a_vec, method="window")
-    _bytes_equal((a_vec, a_ref), (np.stack(piv_vec), np.stack(piv_ref)),
-                 (info_vec, info_ref))
+    a_ref, piv_ref, info_ref = _gbtf2_lanes(m, n, kl, ku, a)
+    for a_vec, label in _rungs(a)[:2]:
+        stream = Stream(H100_PCIE)
+        piv_vec, info_vec = gbtrf_batch(m, n, kl, ku, a_vec, method="window",
+                                        stream=stream,
+                                        vectorize=_vectorize(label))
+        assert _launch_labels(stream) == {label}
+        _bytes_equal((a_vec, a_ref), (np.stack(piv_vec), piv_ref),
+                     (info_vec, info_ref))
 
 
 # ---------------------------------------------------------------------------
@@ -442,16 +527,17 @@ class TestDispatch:
         piv, info = gbtrf_batch(n, n, kl, ku, a)
         assert (info == 0).all()
         b = random_rhs(n, 2, batch=batch, dtype=dtype, seed=37)
-        b_ref, b_vec = b.copy(), b.copy()
-        stream = Stream(H100_PCIE)
-        gbtrs_batch(trans, n, kl, ku, 2, a, np.stack(piv), b_vec,
-                    stream=stream, vectorize=True)
-        assert all(r.vectorized for r in stream.records)
-        assert {r.display_name for r in stream.records} == \
-            {"gbtrs_transU_blocked[vec]", "gbtrs_transL_blocked[vec]"}
-        gbtrs_batch(trans, n, kl, ku, 2, a, np.stack(piv), b_ref,
-                    vectorize=False)
-        _bytes_equal((b_vec, b_ref))
+        b_ref = _gbtrs_lanes(trans, n, kl, ku, a, piv, b)
+        for vectorize, label in ((True, "[vec]"), (False, "")):
+            b_vec = b.copy()
+            stream = Stream(H100_PCIE)
+            gbtrs_batch(trans, n, kl, ku, 2, a, np.stack(piv), b_vec,
+                        stream=stream, vectorize=vectorize)
+            assert all(r.vectorized == vectorize for r in stream.records)
+            assert {r.display_name for r in stream.records} == \
+                {"gbtrs_transU_blocked" + label,
+                 "gbtrs_transL_blocked" + label}
+            _bytes_equal((b_vec, b_ref))
 
     def test_aggregate_smem_budget(self):
         """The vectorized path is charged the whole grid's footprint."""
