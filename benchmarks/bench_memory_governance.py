@@ -52,8 +52,8 @@ def _run(governed, a, b, n, kl, ku, batch):
         piv = [np.zeros(n, dtype=np.int64) for _ in range(batch)]
         info = np.zeros(batch, dtype=np.int64)
         heal(GBSV, ExecConfig(), Operands(
-            n, n, kl, ku, list(mats), piv, info, nrhs=NRHS,
-            rhs=as_rhs_list(rhs, batch, n, NRHS, arg_pos=7), a_src=mats))
+            n, n, kl, ku, mats, piv, info, nrhs=NRHS,
+            rhs=as_rhs_list(rhs, batch, n, NRHS, arg_pos=7)))
     dt = perf_counter() - t0
     assert (np.asarray(info) == 0).all()
     return dt, mats, rhs, np.stack(piv)

@@ -11,9 +11,8 @@ import numpy as np
 
 from ..errors import check_arg
 from ..types import Trans
-from .level1 import stable_mul
 
-__all__ = ["ger", "ger_batched", "gemv", "trsv"]
+__all__ = ["ger", "gemv", "trsv"]
 
 
 def ger(alpha, x: np.ndarray, y: np.ndarray, a: np.ndarray) -> None:
@@ -25,21 +24,6 @@ def ger(alpha, x: np.ndarray, y: np.ndarray, a: np.ndarray) -> None:
     check_arg(a.shape == (x.shape[0], y.shape[0]), 4,
               f"a has shape {a.shape}, expected {(x.shape[0], y.shape[0])}")
     a += alpha * np.outer(x, y)
-
-
-def ger_batched(alpha, x: np.ndarray, y: np.ndarray, a: np.ndarray) -> None:
-    """Batch-interleaved GER: ``a[b] += alpha * outer(x[b], y[b])``.
-
-    ``x`` is ``(batch, m)``, ``y`` is ``(batch, n)`` and ``a`` is
-    ``(batch, m, n)``.  Every element receives the identical fused
-    multiply/add the per-problem :func:`ger` would apply (``alpha = -1``
-    flips signs exactly, so ``a += -outer`` matches ``a -= outer``
-    bit-for-bit), advancing all problems in one instruction stream.
-    """
-    check_arg(a.shape == (x.shape[0], x.shape[1], y.shape[1]), 4,
-              f"a has shape {a.shape}, expected "
-              f"{(x.shape[0], x.shape[1], y.shape[1])}")
-    a += alpha * stable_mul(x[:, :, None], y[:, None, :])
 
 
 def gemv(trans: Trans | str, alpha, a: np.ndarray, x: np.ndarray,

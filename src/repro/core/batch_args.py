@@ -8,9 +8,13 @@ operand, either
 * a :class:`~repro.gpusim.memory.PointerArray` / sequence of 2-D arrays —
   the true pointer-array idiom (each matrix anywhere in memory),
 
-and canonicalise to a list of per-problem views.  Validation mirrors
-LAPACK argument checking: the 1-based argument positions in raised
+A stack stays one array, validated by its shape; a pointer array becomes
+a list of per-problem views.  Validation mirrors LAPACK argument
+checking: the 1-based argument positions in raised
 :class:`~repro.errors.ArgumentError` match the paper's C signatures.
+Whether an operand batch is one lane-major or interleaved stack (the
+zero-copy launch rungs) is decided here too, by :func:`stack_layouts`
+and :func:`stack_rung`.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from ..band.layout import (
     LANE_MAJOR,
     ldab_for_factor,
     to_interleaved,
-    to_lane_major,
 )
 from ..errors import ArgumentError, check_arg
 from ..gpusim.memory import PointerArray, is_packable_batch
@@ -35,124 +38,149 @@ __all__ = [
     "ensure_pivots",
     "ensure_info",
     "check_gb_args",
+    "stack_layouts",
+    "stack_rung",
     "is_uniform_stack",
     "is_interleaved_stack",
     "is_packable_batch",
     "stack_view",
     "stage_stack",
-    "soa_stageable",
-    "all_uniform",
     "convert_batch_layout",
 ]
 
 
-def is_uniform_stack(mats) -> bool:
-    """True when ``mats`` are consecutive slices of one contiguous stack.
+_NO_STACK = frozenset()
 
-    This is the *direct* eligibility gate for the batch-interleaved
-    execution path: every per-problem view must share the same base array,
-    shape, dtype and strides, and sit at evenly spaced, non-overlapping
-    offsets — exactly what ``list(stack)`` of a ``(batch, ldab, n)``
-    strided-batch array produces.
-    :class:`~repro.gpusim.memory.PointerArray` batches (matrices scattered
-    through memory), aliased matrices and ragged (vbatch) inputs all
-    return False; scattered same-shape batches can still vectorize via the
-    gather/pack stage (:func:`~repro.gpusim.memory.is_packable_batch`),
-    while aliased/overlapping batches keep the per-block path.
+
+def _ptr(a: np.ndarray) -> int:
+    return a.__array_interface__["data"][0]
+
+
+def _first_lanes(seq):
+    """``(layouts, step)`` of ``seq`` judged from its first two lanes and
+    its length; ``step`` is the byte offset from lane 0 to lane 1.
+
+    A lane sequence is a *lane-major* stack when each lane starts one
+    lane extent (rows times row stride) after the previous one, and an
+    *interleaved* stack when the step is positive and every in-lane
+    stride (along extents > 1) is a multiple of some ``g >= nlanes *
+    step``, so no two lanes can address the same element.  The lanes of
+    an ndarray share shape, dtype, strides and base and sit at a
+    constant step, so for one the answer is final; a list must still
+    show that the rest of its lanes follow (:func:`_lanes_follow`).
     """
-    if len(mats) == 0:
-        return False
-    first = mats[0]
+    nlanes = len(seq)
+    if nlanes == 0:
+        return _NO_STACK, 0
+    first = seq[0]
     if not isinstance(first, np.ndarray) or first.base is None:
-        return False
-    base = first.base
-    shape, dtype, strides = first.shape, first.dtype, first.strides
-    if len(mats) == 1:
+        return _NO_STACK, 0
+    if nlanes == 1:
+        return frozenset((LANE_MAJOR,)), 0
+    second = seq[1]
+    if (not isinstance(second, np.ndarray) or second.base is not first.base
+            or second.shape != first.shape or second.dtype != first.dtype
+            or second.strides != first.strides):
+        return _NO_STACK, 0
+    shape, strides = first.shape, first.strides
+    step = _ptr(second) - _ptr(first)
+    kinds = set()
+    if strides and step == shape[0] * strides[0] > 0:
+        kinds.add(LANE_MAJOR)
+    live = [abs(s) for s, e in zip(strides, shape) if e > 1]
+    g = math.gcd(*live) if live else 0
+    if step > 0 and (g % step == 0 and g // step >= nlanes if live
+                     else step >= first.itemsize):
+        kinds.add(INTERLEAVED)
+    return frozenset(kinds), step
+
+
+def _lanes_follow(seq, step: int) -> bool:
+    """Every lane of ``seq`` is lane 0's shape, dtype and strides over the
+    same base, ``step`` bytes after the previous lane.  Always true of an
+    ndarray; a list is walked once."""
+    if isinstance(seq, np.ndarray):
         return True
-    ptr0 = first.__array_interface__["data"][0]
-    extent = shape[0] * strides[0] if strides else 0
-    if extent <= 0:
-        return False
-    for k, mk in enumerate(mats[1:], 1):
+    first = seq[0]
+    base, shape, dtype, strides = (first.base, first.shape, first.dtype,
+                                   first.strides)
+    ptr0 = _ptr(first)
+    for k, mk in enumerate(seq[2:], 2):
         if (not isinstance(mk, np.ndarray) or mk.base is not base
                 or mk.shape != shape or mk.dtype != dtype
-                or mk.strides != strides):
-            return False
-        if mk.__array_interface__["data"][0] != ptr0 + k * extent:
+                or mk.strides != strides or _ptr(mk) != ptr0 + k * step):
             return False
     return True
+
+
+def stack_layouts(seq) -> frozenset:
+    """The layouts in which operand batch ``seq`` is one zero-copy stack.
+
+    ``seq`` is a 3-D ``(batch, ...)`` array or a list of per-lane views.
+    The result holds :data:`~repro.band.layout.LANE_MAJOR` when the lanes
+    are consecutive slices of one stack (what ``list(stack)`` of a
+    strided batch gives) and :data:`~repro.band.layout.INTERLEAVED` when
+    they are lanes of one lane-fastest stack
+    (:func:`repro.band.layout.alloc_band_interleaved`, or consecutive
+    sub-slices of one, as the chunked executor takes).  Scattered
+    (:class:`~repro.gpusim.memory.PointerArray`), aliased, overlapping
+    and ragged batches give the empty set.  An ndarray is judged from its
+    first two lanes and its length, never by walking its lanes; a list
+    is walked once, after its first two lanes pass.
+    """
+    kinds, step = _first_lanes(seq)
+    return kinds if kinds and _lanes_follow(seq, step) else _NO_STACK
+
+
+def stack_rung(*seqs) -> str | None:
+    """The zero-copy rung for a kernel's operand batches.
+
+    ``'direct'`` when every batch is a lane-major stack, ``'soa'`` when
+    every batch is a lane-major or an interleaved stack (at least one
+    interleaved), ``None`` otherwise (the launcher then tries the pack
+    rung).  Every batch's first two lanes are checked before any list is
+    walked, so a list is walked at most once, and not at all when another
+    batch already fails.
+    """
+    firsts = [_first_lanes(seq) for seq in seqs]
+    if not (seqs and all(kinds for kinds, _ in firsts) and all(
+            _lanes_follow(seq, step)
+            for seq, (_, step) in zip(seqs, firsts))):
+        return None
+    if all(LANE_MAJOR in kinds for kinds, _ in firsts):
+        return "direct"
+    return "soa"
+
+
+def is_uniform_stack(mats) -> bool:
+    """True when ``mats`` are consecutive slices of one lane-major stack
+    (see :func:`stack_layouts`)."""
+    return LANE_MAJOR in stack_layouts(mats)
 
 
 def is_interleaved_stack(mats) -> bool:
-    """True when ``mats`` are lanes of one batch-interleaved (SoA) stack.
-
-    This is the eligibility gate for the SoA-native execution path
-    (``[vec+soa]`` in traces): every per-problem view must share the same
-    base array, shape, dtype and strides, with data pointers at a
-    constant positive delta ``d`` — lane ``k`` starts ``k*d`` bytes after
-    lane 0, the lane-fastest layout of
-    :func:`repro.band.layout.alloc_band_interleaved`.  Disjointness of
-    the lanes is proven from the strides: every in-view stride is a
-    multiple of some ``g`` with ``g >= nlanes * d``, so two lanes can
-    never address the same element.  Consecutive sub-slices of an
-    interleaved batch (as the chunked executor takes) stay detectable,
-    which is what keeps governance, pipelining and resilience
-    layout-native with zero extra conversions.  The proof needs only the
-    first two lanes and runs before the walk over the rest, so
-    lane-major and scattered lists are rejected without a walk.
-    """
-    nlanes = len(mats)
-    if nlanes < 2:
-        return False
-    first, second = mats[0], mats[1]
-    if (not isinstance(first, np.ndarray) or first.base is None
-            or not isinstance(second, np.ndarray)
-            or second.base is not first.base):
-        return False
-    shape, dtype, strides = first.shape, first.dtype, first.strides
-    ptr0 = first.__array_interface__["data"][0]
-    d = second.__array_interface__["data"][0] - ptr0
-    if d <= 0:
-        return False
-    # Lane disjointness: strides along extents > 1 must share a common
-    # divisor g that is a multiple of d and covers all nlanes offsets.
-    live = [abs(s) for s, e in zip(strides, shape) if e > 1]
-    if live:
-        g = math.gcd(*live)
-        if g % d or g // d < nlanes:
-            return False
-    elif d < dtype.itemsize:
-        return False
-    base = first.base
-    for k, mk in enumerate(mats[1:], 1):
-        if (not isinstance(mk, np.ndarray) or mk.base is not base
-                or mk.shape != shape or mk.dtype != dtype
-                or mk.strides != strides
-                or mk.__array_interface__["data"][0] != ptr0 + k * d):
-            return False
-    return True
+    """True when ``mats`` are lanes of one batch-interleaved (SoA) stack
+    (see :func:`stack_layouts`)."""
+    return INTERLEAVED in stack_layouts(mats)
 
 
 def stack_view(mats, nlanes: int | None = None) -> np.ndarray:
-    """Writable ``(nlanes, ...)`` view over a uniform or interleaved list.
+    """Writable ``(nlanes, ...)`` view over a lane-major or interleaved
+    list (one :func:`stack_layouts` accepts).
 
-    Only valid when :func:`is_uniform_stack` or
-    :func:`is_interleaved_stack` returned True for ``mats``: the view
-    aliases exactly the union of the first ``nlanes`` per-lane views
-    (default: all of them; lane ``k`` of the result *is* ``mats[k]``'s
-    memory), so kernels can execute on it in place — no gather, no
-    scatter.  Only the first two lanes are read.
+    The view aliases exactly the union of the first ``nlanes`` per-lane
+    views (default: all of them; lane ``k`` of the result *is*
+    ``mats[k]``'s memory), so kernels can execute on it in place — no
+    gather, no scatter.  Only the first two lanes are read.
     """
     if nlanes is None:
         nlanes = len(mats)
     first = mats[0]
     if nlanes == 1:
         return first[None]
-    d = (mats[1].__array_interface__["data"][0]
-         - first.__array_interface__["data"][0])
     return np.lib.stride_tricks.as_strided(
         first, shape=(nlanes,) + first.shape,
-        strides=(d,) + first.strides)
+        strides=(_ptr(mats[1]) - _ptr(first),) + first.strides)
 
 
 def stage_stack(seq, hi: int, *, packed: bool, lo: int = 0,
@@ -160,12 +188,12 @@ def stage_stack(seq, hi: int, *, packed: bool, lo: int = 0,
     """Stage operands ``lo..hi-1`` as a ``(hi - lo, ...)`` stack.
 
     ``packed`` is the rung the launcher chose.  On the direct and soa
-    rungs (``packed=False``) every operand list is a uniform lane-major
-    or an interleaved stack, and it stages as a writable zero-copy view:
-    the kernel's results land in the caller's storage, with no gather
-    and no write-back, and the list is not walked again.  On the pack
-    rung and the per-block path (``packed=True``) the operands are
-    gathered with :func:`numpy.stack` and the kernel must scatter its
+    rungs (``packed=False``) the operand batch is a lane-major or an
+    interleaved stack, and it stages as a writable zero-copy view (the
+    array itself, or :func:`stack_view` of a list): the kernel's results
+    land in the caller's storage, with no gather and no write-back.  On
+    the pack rung and the per-block path (``packed=True``) the operands
+    are gathered with :func:`numpy.stack` and the kernel must scatter its
     results back.
     ``rows`` optionally trims each operand to its first ``rows`` rows
     (the factor-layout ``ldab`` slice).
@@ -175,34 +203,9 @@ def stage_stack(seq, hi: int, *, packed: bool, lo: int = 0,
         if rows is not None:
             sub = [a[:rows, :] for a in sub]
         return np.stack(sub)
-    view = stack_view(seq, hi)[lo:]
+    view = (seq[lo:hi] if isinstance(seq, np.ndarray)
+            else stack_view(seq, hi)[lo:])
     return view if rows is None else view[:, :rows, :]
-
-
-def soa_stageable(*seqs) -> bool:
-    """SoA-route eligibility across several operand lists.
-
-    True when every operand batch can be staged in place for the
-    batch-interleaved body (interleaved lanes or a uniform lane-major
-    stack) and at least one of them is actually interleaved (otherwise
-    the classic ``[vec]`` route already applies).  Each list is walked
-    at most once: a lane-major list fails the interleaving proof before
-    its walk.
-    """
-    soa = [is_interleaved_stack(seq) for seq in seqs]
-    return any(soa) and all(
-        i or is_uniform_stack(seq) for i, seq in zip(soa, seqs))
-
-
-def all_uniform(*seqs) -> bool:
-    """True when every operand list is a uniform lane-major stack.
-
-    The two-lane prefix of every list is checked before any full walk,
-    so an interleaved or scattered list rejects the batch without the
-    others being walked.
-    """
-    return (all(is_uniform_stack(seq[:2]) for seq in seqs)
-            and all(is_uniform_stack(seq) for seq in seqs))
 
 
 def convert_batch_layout(layout: str, operands, *, batch: int,
@@ -235,53 +238,51 @@ def convert_batch_layout(layout: str, operands, *, batch: int,
         if op is None:
             converted.append(None)
             continue
-        if isinstance(op, np.ndarray) and op.ndim >= 2:
-            mats = list(op)
-        else:
-            mats = [np.asarray(m) for m in op]
+        mats = (op if isinstance(op, np.ndarray) and op.ndim >= 2
+                else [np.asarray(m) for m in op])
         check_arg(len(mats) == batch, 0,
                   f"operand has {len(mats)} entries, expected {batch}")
-        if batch == 0:
+        # Interleaved input already runs natively; lane-major (or
+        # scattered/packable) input already runs the classic path.
+        if batch == 0 or (INTERLEAVED in stack_layouts(mats)) == (
+                layout == INTERLEAVED):
             converted.append(op)
             continue
-        shape = mats[0].shape
-        if layout == INTERLEAVED and is_interleaved_stack(mats):
-            converted.append(op)
-            continue
-        if layout == LANE_MAJOR and not is_interleaved_stack(mats):
-            # Lane-major (or scattered/packable) input already runs the
-            # classic path; nothing to stage.
-            converted.append(op)
-            continue
-        check_arg(all(m.shape == shape for m in mats), 0,
-                  "layout conversion requires uniform per-problem shapes "
-                  f"(got {sorted({m.shape for m in mats})})")
-        gathered = np.stack(mats)
-        work = (to_interleaved(gathered) if layout == INTERLEAVED
-                else to_lane_major(gathered))
+        if not isinstance(mats, np.ndarray):
+            shapes = {m.shape for m in mats}
+            check_arg(len(shapes) == 1, 0,
+                      "layout conversion requires uniform per-problem "
+                      f"shapes (got {sorted(shapes)})")
+        work = (to_interleaved(mats) if layout == INTERLEAVED
+                else np.array(mats, order="C"))
         if is_output:
             originals.append((mats, work))
         converted.append(work)
-        moved += (2 if is_output else 1) * int(gathered.nbytes)
+        moved += (2 if is_output else 1) * int(work.nbytes)
     if not originals and moved == 0:
         return None
 
     def writeback() -> None:
         for mats, work in originals:
-            for k, m in enumerate(mats):
-                m[...] = work[k]
+            for m, w in zip(mats, work):
+                m[...] = w
 
     return converted, writeback, moved
 
 
-def as_matrix_list(a_array, batch: int, *, arg_pos: int) -> list[np.ndarray]:
-    """Canonicalise a batched band-matrix argument to a list of 2-D views."""
+def as_matrix_list(a_array, batch: int, *, arg_pos: int):
+    """Canonicalise a batched band-matrix argument.
+
+    A 3-D ``(batch, ldab, n)`` stack is returned as is, checked by its
+    shape; any other sequence (a pointer array) becomes a list of 2-D
+    views.
+    """
     if isinstance(a_array, np.ndarray):
         check_arg(a_array.ndim == 3, arg_pos,
                   f"expected a (batch, ldab, n) stack, got ndim={a_array.ndim}")
         check_arg(a_array.shape[0] == batch, arg_pos,
                   f"stack has batch {a_array.shape[0]}, expected {batch}")
-        return list(a_array)
+        return a_array
     mats = list(a_array)
     check_arg(len(mats) == batch, arg_pos,
               f"pointer array has {len(mats)} entries, expected {batch}")
@@ -294,11 +295,13 @@ def as_matrix_list(a_array, batch: int, *, arg_pos: int) -> list[np.ndarray]:
     return out
 
 
-def as_rhs_list(b_array, batch: int, n: int, nrhs: int, *,
-                arg_pos: int) -> list[np.ndarray]:
-    """Canonicalise a batched RHS argument to a list of ``(n, nrhs)`` views.
+def as_rhs_list(b_array, batch: int, n: int, nrhs: int, *, arg_pos: int):
+    """Canonicalise a batched RHS argument to ``(n, nrhs)`` lanes.
 
-    1-D per-problem arrays are accepted for ``nrhs == 1`` and reshaped.
+    A ``(batch, n, nrhs)`` stack is returned as is (a ``(batch, n)`` one
+    as its ``(batch, n, 1)`` view when ``nrhs == 1``), checked by its
+    shape; any other sequence becomes a list of ``(n, nrhs)`` views, with
+    1-D per-problem arrays accepted and reshaped for ``nrhs == 1``.
     """
     if isinstance(b_array, np.ndarray):
         if b_array.ndim == 2 and nrhs == 1:
@@ -307,11 +310,13 @@ def as_rhs_list(b_array, batch: int, n: int, nrhs: int, *,
                   f"expected a (batch, n, nrhs) stack, got ndim={b_array.ndim}")
         check_arg(b_array.shape[0] == batch, arg_pos,
                   f"stack has batch {b_array.shape[0]}, expected {batch}")
-        mats = list(b_array)
-    else:
-        mats = [np.asarray(b) for b in b_array]
-        check_arg(len(mats) == batch, arg_pos,
-                  f"pointer array has {len(mats)} entries, expected {batch}")
+        check_arg(batch == 0 or b_array.shape[1:] == (n, nrhs), arg_pos,
+                  f"RHS 0 has shape {b_array.shape[1:]}, expected "
+                  f"{(n, nrhs)}")
+        return b_array
+    mats = [np.asarray(b) for b in b_array]
+    check_arg(len(mats) == batch, arg_pos,
+              f"pointer array has {len(mats)} entries, expected {batch}")
     out = []
     for k, b in enumerate(mats):
         if b.ndim == 1 and nrhs == 1:
@@ -395,9 +400,12 @@ def check_gb_args(m: int, n: int, kl: int, ku: int,
     check_arg(ku >= 0, 4, f"ku must be non-negative, got {ku}")
     check_arg(batch >= 0, 12, f"batch must be non-negative, got {batch}")
     need = ldab_for_factor(kl, ku)
-    for k, a in enumerate(mats):
-        if a.shape[0] < need or a.shape[1] != n:
+    # A stack's lanes share one shape: check it once, as lane 0's.
+    shapes = ([mats.shape[1:]] if isinstance(mats, np.ndarray) and batch
+              else [a.shape for a in mats])
+    for k, shape in enumerate(shapes):
+        if shape[0] < need or shape[1] != n:
             raise ArgumentError(
                 ldab_pos,
-                f"matrix {k} has shape {a.shape}; needs at least "
+                f"matrix {k} has shape {shape}; needs at least "
                 f"({need}, {n}) for kl={kl}, ku={ku}")

@@ -39,7 +39,7 @@ class BatchedGbmvKernel(Kernel):
         self.m, self.n, self.kl, self.ku = m, n, kl, ku
         self.alpha, self.beta = alpha, beta
         self.mats, self.xs, self.ys = mats, xs, ys
-        self.itemsize = mats[0].dtype.itemsize if mats else 8
+        self.itemsize = mats[0].dtype.itemsize if len(mats) else 8
 
     def grid(self) -> int:
         return len(self.mats)
@@ -74,8 +74,7 @@ class BatchedGbmvKernel(Kernel):
 def gbmv_batch(trans: Trans | str, m: int, n: int, kl: int, ku: int,
                alpha, a_array, x_array, beta, y_array, *,
                batch: int | None = None, device: DeviceSpec = H100_PCIE,
-               stream=None, execute: bool = True,
-               max_blocks: int | None = None) -> None:
+               stream=None, execute: bool = True) -> None:
     """Batched band matrix-vector product on the simulated device.
 
     ``x_array``/``y_array`` are ``(batch, len)`` stacks or sequences of
@@ -106,5 +105,4 @@ def gbmv_batch(trans: Trans | str, m: int, n: int, kl: int, ku: int,
         return
     kernel = BatchedGbmvKernel(trans, m, n, kl, ku, alpha, mats, xs,
                                beta, ys)
-    launch(device, kernel, stream=stream, execute=execute,
-           max_blocks=max_blocks)
+    launch(device, kernel, stream=stream, execute=execute)

@@ -70,7 +70,6 @@ def gbsv_batch(n: int, kl: int, ku: int, nrhs: int, a_array, pv_array,
                b_array, info=None, *, batch: int | None = None,
                device: DeviceSpec = H100_PCIE, stream=None,
                method: str = "auto", execute: bool = True,
-               max_blocks: int | None = None,
                vectorize: bool | None = None,
                resilient: bool = False, policy=None,
                max_resident_bytes: int | None = None,
@@ -125,7 +124,7 @@ def gbsv_batch(n: int, kl: int, ku: int, nrhs: int, a_array, pv_array,
               f"method must be one of {_METHODS}, got {method!r}")
     cfg = ExecConfig(
         device=device, stream=stream, method=method, execute=execute,
-        max_blocks=max_blocks, vectorize=vectorize, resilient=resilient,
+        vectorize=vectorize, resilient=resilient,
         policy=policy, max_resident_bytes=max_resident_bytes,
         chunk_hint=chunk_hint, streams=streams, devices=devices,
         layout=layout, verify=as_verify_policy(verify))
@@ -151,8 +150,7 @@ def run_gbsv(cfg, n, kl, ku, nrhs, a_array, pv_array, b_array, info=None,
     rhs = as_rhs_list(b_array, batch, n, nrhs, arg_pos=7)
     info = ensure_info(info, batch, arg_pos=8)
     report = run(GBSV, cfg, Operands(
-        n, n, kl, ku, mats, pivots, info, nrhs=nrhs, rhs=rhs, a_src=a_array,
-        b_src=b_array))
+        n, n, kl, ku, mats, pivots, info, nrhs=nrhs, rhs=rhs))
     return pivots, info, report
 
 
@@ -181,8 +179,7 @@ def _kernels(device, method, cfg, ops):
 def _dispatch(method, cfg, ops, vectorize):
     if _fused(method, cfg.device, ops):
         launch(cfg.device, _kernels(cfg.device, "fused", cfg, ops)[0],
-               stream=cfg.stream, execute=cfg.execute,
-               max_blocks=cfg.max_blocks, vectorize=vectorize,
+               stream=cfg.stream, execute=cfg.execute, vectorize=vectorize,
                conversion=ops.call.conversion)
         return
     GBTRF.dispatch("auto", cfg, ops, vectorize)

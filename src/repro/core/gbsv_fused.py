@@ -31,7 +31,7 @@ import numpy as np
 from ..band.layout import BandLayout
 from ..gpusim.costmodel import BlockCost
 from ..gpusim.kernel import Kernel, SharedMemory
-from .batch_args import all_uniform, soa_stageable, stage_stack
+from .batch_args import stage_stack
 from .costs import gbsv_fused_cost
 from .gbtf2 import ColumnWork, gbtf2_step_batched, init_fillin_batched
 from .gbtrf_fused import default_fused_threads
@@ -60,7 +60,7 @@ class FusedGbsvKernel(Kernel):
         self.rhs = rhs
         self.info = info
         self.nthreads = threads or default_fused_threads(kl, ku)
-        self.itemsize = mats[0].dtype.itemsize if mats else 8
+        self.itemsize = mats[0].dtype.itemsize if len(mats) else 8
 
     def grid(self) -> int:
         return len(self.mats)
@@ -75,12 +75,6 @@ class FusedGbsvKernel(Kernel):
     def block_cost(self) -> BlockCost:
         return gbsv_fused_cost(self.n, self.kl, self.ku, self.nrhs,
                                self.nthreads, self.itemsize)
-
-    def can_batch_vectorize(self) -> bool:
-        return all_uniform(self.mats, self.rhs)
-
-    def can_soa_vectorize(self) -> bool:
-        return soa_stageable(self.mats, self.rhs)
 
     def pack_operands(self) -> tuple:
         return (self.mats, self.rhs)

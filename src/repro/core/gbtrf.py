@@ -69,7 +69,6 @@ def gbtrf_batch(m: int, n: int, kl: int, ku: int, a_array,
                 device: DeviceSpec = H100_PCIE, stream=None,
                 method: str = "auto", nb: int | None = None,
                 threads: int | None = None, execute: bool = True,
-                max_blocks: int | None = None,
                 vectorize: bool | None = None,
                 resilient: bool = False, policy=None,
                 max_resident_bytes: int | None = None,
@@ -100,9 +99,9 @@ def gbtrf_batch(m: int, n: int, kl: int, ku: int, a_array,
     nb, threads:
         Sliding-window tuning overrides; defaults come from the tuning
         tables / heuristics.
-    execute, max_blocks:
+    execute:
         Passed to the launcher: ``execute=False`` evaluates only the timing
-        model; ``max_blocks`` functionally executes a sample of the batch.
+        model.
     vectorize:
         Execution-path selector, forwarded to the launcher.  ``None``
         (default) auto-dispatches to the batch-interleaved path when the
@@ -140,7 +139,7 @@ def gbtrf_batch(m: int, n: int, kl: int, ku: int, a_array,
         modeled per-device throughput and each runs on its own host
         worker thread.  Results stay bit-identical to the sequential
         single-device path.  Ignored for non-governed calls
-        (``execute=False``, ``max_blocks``, graph capture).
+        (``execute=False``, graph capture).
 
     layout:
         Batch storage-layout selector (docs/LAYOUTS.md).  ``None``
@@ -179,7 +178,7 @@ def gbtrf_batch(m: int, n: int, kl: int, ku: int, a_array,
               f"method must be one of {_METHODS}, got {method!r}")
     cfg = ExecConfig(
         device=device, stream=stream, method=method, nb=nb, threads=threads,
-        execute=execute, max_blocks=max_blocks, vectorize=vectorize,
+        execute=execute, vectorize=vectorize,
         resilient=resilient, policy=policy,
         max_resident_bytes=max_resident_bytes, chunk_hint=chunk_hint,
         streams=streams, devices=devices, layout=layout,
@@ -206,8 +205,7 @@ def run_gbtrf(cfg, m, n, kl, ku, a_array, pv_array=None, info=None,
     check_gb_args(m, n, kl, ku, mats, batch=batch)
     pivots = ensure_pivots(pv_array, batch, min(m, n), arg_pos=7, zero=True)
     info = ensure_info(info, batch, arg_pos=8)
-    report = run(GBTRF, cfg, Operands(m, n, kl, ku, mats, pivots, info,
-                                      a_src=a_array))
+    report = run(GBTRF, cfg, Operands(m, n, kl, ku, mats, pivots, info))
     return pivots, info, report
 
 
@@ -241,13 +239,12 @@ def _dispatch(method, cfg, ops, vectorize):
                   "no batch-interleaved path; use vectorize=None or False")
         gbtrf_reference_batch(ops.m, ops.n, ops.kl, ops.ku, ops.mats,
                               ops.pivots, ops.info, cfg.device, cfg.stream,
-                              execute=cfg.execute, max_blocks=cfg.max_blocks,
+                              execute=cfg.execute,
                               conversion=ops.call.conversion)
         return
     for kernel in kernels:
         launch(cfg.device, kernel, stream=cfg.stream, execute=cfg.execute,
-               max_blocks=cfg.max_blocks, vectorize=vectorize,
-               conversion=ops.call.conversion)
+               vectorize=vectorize, conversion=ops.call.conversion)
 
 
 def _host(ops):

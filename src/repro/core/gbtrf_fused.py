@@ -17,7 +17,7 @@ import numpy as np
 from ..band.layout import BandLayout
 from ..gpusim.costmodel import BlockCost
 from ..gpusim.kernel import Kernel, SharedMemory
-from .batch_args import is_interleaved_stack, is_uniform_stack, stage_stack
+from .batch_args import stage_stack
 from .costs import gbtrf_fused_cost
 from .gbtf2 import gbtf2, gbtf2_batched
 
@@ -54,7 +54,7 @@ class FusedGbtrfKernel(Kernel):
             raise ValueError(
                 f"fused gbtrf needs at least kl+1={kl + 1} threads, "
                 f"got {self.nthreads}")
-        self.itemdtype = mats[0].dtype if mats else np.dtype(np.float64)
+        self.itemdtype = mats[0].dtype if len(mats) else np.dtype(np.float64)
         self.itemsize = self.itemdtype.itemsize
 
     def grid(self) -> int:
@@ -81,12 +81,6 @@ class FusedGbtrfKernel(Kernel):
                         self.pivots[block_id])
         ab[:ldab, :] = tile                           # shared -> global
         self.info[block_id] = info
-
-    def can_batch_vectorize(self) -> bool:
-        return is_uniform_stack(self.mats)
-
-    def can_soa_vectorize(self) -> bool:
-        return is_interleaved_stack(self.mats)
 
     def pack_operands(self) -> tuple:
         return (self.mats,)

@@ -131,7 +131,7 @@ class _FactorState:
         self.info = info
         self.threads = threads
         self.ju = np.full(len(mats), -1, dtype=np.int64)
-        self.itemsize = mats[0].dtype.itemsize if mats else 8
+        self.itemsize = mats[0].dtype.itemsize if len(mats) else 8
 
 
 def gbtrf_reference_batch(m: int, n: int, kl: int, ku: int,
@@ -139,17 +139,14 @@ def gbtrf_reference_batch(m: int, n: int, kl: int, ku: int,
                           pivots: list[np.ndarray], info: np.ndarray,
                           device: DeviceSpec, stream=None, *,
                           execute: bool = True,
-                          max_blocks: int | None = None,
                           conversion=None) -> None:
     """Fork-join reference factorization: 2 kernel launches per column."""
     threads = max(kl + 1, 32)
     state = _FactorState(m, n, kl, ku, mats, pivots, info, threads)
     launch(device, FactorInitKernel(state), stream=stream,
-           execute=execute, max_blocks=max_blocks, conversion=conversion)
+           execute=execute, conversion=conversion)
     for j in range(min(m, n)):
         launch(device, ColumnPivotKernel(state, j), stream=stream,
-               execute=execute, max_blocks=max_blocks,
-               conversion=conversion)
+               execute=execute, conversion=conversion)
         launch(device, ColumnUpdateKernel(state, j), stream=stream,
-               execute=execute, max_blocks=max_blocks,
-               conversion=conversion)
+               execute=execute, conversion=conversion)

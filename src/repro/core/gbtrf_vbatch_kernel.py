@@ -55,6 +55,8 @@ class VbatchGbtrfKernel(Kernel):
     """One launch, many shapes: per-block sliding-window factorization."""
 
     name = "gbtrf_vbatch"
+    # Buckets are gathered whatever the rung: pack or per-block only.
+    zero_copy = False
 
     def __init__(self, problems: list[VbatchProblem],
                  mats: list[np.ndarray], pivots: list[np.ndarray],
@@ -65,7 +67,7 @@ class VbatchGbtrfKernel(Kernel):
         self.mats = mats
         self.pivots = pivots
         self.info = info
-        self.itemsize = mats[0].dtype.itemsize if mats else 8
+        self.itemsize = mats[0].dtype.itemsize if len(mats) else 8
 
     def grid(self) -> int:
         return len(self.problems)
@@ -109,7 +111,7 @@ class VbatchGbtrfKernel(Kernel):
     def can_pack_vectorize(self) -> bool:
         """Bucketed eligibility: every same-configuration bucket must be
         packable (same dtype, no overlapping storage)."""
-        return bool(self.mats) and all(
+        return len(self.mats) > 0 and all(
             is_packable_batch([self.mats[i] for i in idxs])
             for idxs in self._buckets(len(self.mats)).values())
 
@@ -137,7 +139,6 @@ class VbatchGbtrfKernel(Kernel):
 def gbtrf_vbatch_fused(ms, ns, kls, kus, a_array, pv_array=None,
                        info=None, *, device: DeviceSpec = H100_PCIE,
                        stream=None, execute: bool = True,
-                       max_blocks: int | None = None,
                        vectorize: bool | None = None):
     """Non-uniform batch LU in a single kernel launch.
 
@@ -177,5 +178,5 @@ def gbtrf_vbatch_fused(ms, ns, kls, kus, a_array, pv_array=None,
         return pivots, info
     kernel = VbatchGbtrfKernel(problems, mats, pivots, info)
     launch(device, kernel, stream=stream, execute=execute,
-           max_blocks=max_blocks, vectorize=vectorize)
+           vectorize=vectorize)
     return pivots, info

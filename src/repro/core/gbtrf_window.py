@@ -23,7 +23,7 @@ import numpy as np
 from ..band.layout import BandLayout
 from ..gpusim.costmodel import BlockCost
 from ..gpusim.kernel import Kernel, SharedMemory
-from .batch_args import is_interleaved_stack, is_uniform_stack, stage_stack
+from .batch_args import stage_stack
 from .costs import gbtrf_window_cost
 from .gbtf2 import ColumnWork, gbtf2_step_batched, init_fillin_batched
 
@@ -141,7 +141,7 @@ class SlidingWindowGbtrfKernel(Kernel):
         self.info = info
         self.nb = nb
         self.nthreads = threads
-        self.itemsize = mats[0].dtype.itemsize if mats else 8
+        self.itemsize = mats[0].dtype.itemsize if len(mats) else 8
 
     def grid(self) -> int:
         return len(self.mats)
@@ -155,12 +155,6 @@ class SlidingWindowGbtrfKernel(Kernel):
     def block_cost(self) -> BlockCost:
         return gbtrf_window_cost(self.m, self.n, self.kl, self.ku, self.nb,
                                  self.nthreads, self.itemsize)
-
-    def can_batch_vectorize(self) -> bool:
-        return is_uniform_stack(self.mats)
-
-    def can_soa_vectorize(self) -> bool:
-        return is_interleaved_stack(self.mats)
 
     def pack_operands(self) -> tuple:
         return (self.mats,)

@@ -59,7 +59,7 @@ def gbtrs_batch(trans: Trans | str, n: int, kl: int, ku: int, nrhs: int,
                 batch: int | None = None, device: DeviceSpec = H100_PCIE,
                 stream=None, method: str = "auto", nb: int | None = None,
                 threads: int | None = None, execute: bool = True,
-                max_blocks: int | None = None, vectorize: bool | None = None,
+                vectorize: bool | None = None,
                 resilient: bool = False, policy=None,
                 max_resident_bytes: int | None = None,
                 chunk_hint: int | None = None,
@@ -119,11 +119,10 @@ def gbtrs_batch(trans: Trans | str, n: int, kl: int, ku: int, nrhs: int,
               f"method must be one of {_METHODS}, got {method!r}")
     cfg = ExecConfig(
         device=device, stream=stream, method=method, nb=nb, threads=threads,
-        execute=execute, max_blocks=max_blocks,
-        vectorize=vectorize, resilient=resilient, policy=policy,
-        max_resident_bytes=max_resident_bytes, chunk_hint=chunk_hint,
-        streams=streams, devices=devices, layout=layout,
-        verify=as_verify_policy(verify))
+        execute=execute, vectorize=vectorize, resilient=resilient,
+        policy=policy, max_resident_bytes=max_resident_bytes,
+        chunk_hint=chunk_hint, streams=streams, devices=devices,
+        layout=layout, verify=as_verify_policy(verify))
     info, report = run_gbtrs(cfg, trans, n, kl, ku, nrhs, a_array, pv_array,
                              b_array, info, batch)
     return (info, report) if cfg.reports else info
@@ -152,8 +151,7 @@ def run_gbtrs(cfg, trans, n, kl, ku, nrhs, a_array, pv_array, b_array,
     rhs = as_rhs_list(b_array, batch, n, nrhs, arg_pos=9)
     info = ensure_info(info, batch, arg_pos=11)
     report = run(GBTRS, cfg, Operands(
-        n, n, kl, ku, mats, pivots, info, nrhs=nrhs, rhs=rhs, trans=trans,
-        a_src=a_array, b_src=b_array))
+        n, n, kl, ku, mats, pivots, info, nrhs=nrhs, rhs=rhs, trans=trans))
     return info, report
 
 
@@ -181,13 +179,11 @@ def _dispatch(method, cfg, ops, vectorize):
         gbtrs_reference_batch(ops.trans, ops.n, ops.kl, ops.ku, ops.nrhs,
                               ops.mats, ops.pivots, ops.rhs, cfg.device,
                               cfg.stream, execute=cfg.execute,
-                              max_blocks=cfg.max_blocks,
                               conversion=ops.call.conversion)
         return
     for kernel in kernels:
         launch(cfg.device, kernel, stream=cfg.stream, execute=cfg.execute,
-               max_blocks=cfg.max_blocks, vectorize=vectorize,
-               conversion=ops.call.conversion)
+               vectorize=vectorize, conversion=ops.call.conversion)
 
 
 def _host(ops):

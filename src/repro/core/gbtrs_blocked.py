@@ -40,7 +40,7 @@ import numpy as np
 
 from ..gpusim.costmodel import BlockCost
 from ..gpusim.kernel import Kernel, SharedMemory
-from .batch_args import all_uniform, soa_stageable, stage_stack
+from .batch_args import stage_stack
 from .costs import gbtrs_backward_cost, gbtrs_forward_cost
 from .solve_blocks import (
     backward_step_batched,
@@ -110,7 +110,7 @@ class _BlockedSolveBase(Kernel):
         self.nb = default_gbtrs_nb(kl, ku) if nb is None else nb
         self.nthreads = (default_gbtrs_threads(kl, ku, nrhs)
                          if threads is None else threads)
-        self.itemsize = mats[0].dtype.itemsize if mats else 8
+        self.itemsize = mats[0].dtype.itemsize if len(mats) else 8
 
     def grid(self) -> int:
         return len(self.mats)
@@ -140,12 +140,6 @@ class _BlockedSolveBase(Kernel):
         if packed:
             for k in range(lo, hi):
                 self.rhs[k][...] = btl[..., k - lo]
-
-    def can_batch_vectorize(self) -> bool:
-        return all_uniform(self.mats, self.rhs)
-
-    def can_soa_vectorize(self) -> bool:
-        return soa_stageable(self.mats, self.rhs)
 
     def pack_operands(self) -> tuple:
         # Factors are read-only in the solves, but staging keeps one rule

@@ -30,7 +30,7 @@ class _SolveState:
         self.pivots = pivots
         self.rhs = rhs
         self.threads = threads
-        self.itemsize = mats[0].dtype.itemsize if mats else 8
+        self.itemsize = mats[0].dtype.itemsize if len(mats) else 8
 
 
 class _SolveKernelBase(Kernel):
@@ -100,7 +100,6 @@ def gbtrs_reference_batch(trans: Trans | str, n: int, kl: int, ku: int,
                           nrhs: int, mats, pivots, rhs,
                           device: DeviceSpec, stream=None, *,
                           execute: bool = True,
-                          max_blocks: int | None = None,
                           conversion=None) -> None:
     """Fork-join reference solve: per-column kernel launches.
 
@@ -113,19 +112,15 @@ def gbtrs_reference_batch(trans: Trans | str, n: int, kl: int, ku: int,
     state = _SolveState(n, kl, ku, nrhs, mats, pivots, rhs, threads)
     if trans is not Trans.NO_TRANS:
         if execute:
-            limit = len(mats) if max_blocks is None else min(len(mats),
-                                                             max_blocks)
-            for k in range(limit):
+            for k in range(len(mats)):
                 gbtrs_unblocked(trans, n, kl, ku, mats[k], pivots[k], rhs[k])
         return
     if kl > 0:
         for j in range(n - 1):
             launch(device, RhsSwapKernel(state, j), stream=stream,
-                   execute=execute, max_blocks=max_blocks,
-                   conversion=conversion)
+                   execute=execute, conversion=conversion)
             launch(device, RhsUpdateKernel(state, j), stream=stream,
-                   execute=execute, max_blocks=max_blocks,
-                   conversion=conversion)
+                   execute=execute, conversion=conversion)
     for j in range(n - 1, -1, -1):
         launch(device, BackwardColumnKernel(state, j), stream=stream,
-               execute=execute, max_blocks=max_blocks, conversion=conversion)
+               execute=execute, conversion=conversion)

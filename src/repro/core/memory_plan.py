@@ -23,9 +23,8 @@ cannot assume that.  This module makes every batched driver OOM-safe:
   :attr:`~repro.core.resilience.BatchReport.chunk_events`.
 
 Governance applies only to outermost functional calls: timing-only
-(``execute=False``), sampled (``max_blocks``), and graph-capturing calls
-are exempt, and a chunk is never re-chunked: each chunk runs the layers
-below governance directly.
+(``execute=False``) and graph-capturing calls are exempt, and a chunk is
+never re-chunked: each chunk runs the layers below governance directly.
 
 Fault-injection semantics: allocation faults strike at chunk boundaries
 (the lease points), and the executor opens a
@@ -60,19 +59,14 @@ POINTER_BYTES = 8
 INFO_BYTES = 8
 
 
-def governance_active(*, execute: bool = True, max_blocks=None,
-                      stream=None) -> bool:
+def governance_active(*, execute: bool = True, stream=None) -> bool:
     """Should a driver call entering now take the governed path?
 
-    False for timing-only or sampled calls, and while a stream is
-    capturing a graph (replay must not re-plan).  (A chunk is never
-    re-chunked: the governance layer calls the layers below it directly.)
+    False for timing-only calls, and while a stream is capturing a graph
+    (replay must not re-plan).  (A chunk is never re-chunked: the
+    governance layer calls the layers below it directly.)
     """
-    if not execute or max_blocks is not None:
-        return False
-    if stream is not None and getattr(stream, "_capturing", False):
-        return False
-    return True
+    return execute and not getattr(stream, "_capturing", False)
 
 
 # --- footprint estimation --------------------------------------------------

@@ -453,8 +453,10 @@ def _run_ladder(report, spec, cfg, ops, snap, policy, rungs,
                         factor.ladder("auto", cfg.device, ops))
             if not ops.nrhs:
                 return
-            ok = [k for k in range(ops.batch)
-                  if ops.info[k] == 0 and ops.finite_factors(k)]
+            ok = np.flatnonzero((ops.info == 0)
+                                & ops.finite_factors()).tolist()
+            if len(ok) == ops.batch:    # all lanes: a stack stays a stack
+                ok = range(ops.batch)
             if ok:
                 _run_ladder(report, solve, cfg, ops.take(ok),
                             snap.take(ok), policy, solve.designs)
@@ -520,9 +522,9 @@ def _quarantine(report, spec, cfg, ops, snap, policy) -> None:
     :func:`~repro.core.gbrfs.gbrfs` refinement pass.
     """
     info = ops.info
-    singular = [k for k in range(ops.batch) if info[k] > 0]
-    corrupted = [k for k in range(ops.batch) if info[k] <= 0 and not (
-        ops.finite_factors(k) and ops.finite_solution(k))]
+    finite = ops.finite_factors() & ops.finite_solution()
+    singular = np.flatnonzero(info > 0).tolist()
+    corrupted = np.flatnonzero((info <= 0) & ~finite).tolist()
     bad = sorted(singular + corrupted)
     if not bad:
         return
@@ -537,17 +539,18 @@ def _quarantine(report, spec, cfg, ops, snap, policy) -> None:
         _rerun_reference(report, factor, cfg, sub, snap.take(bad), policy)
         for j, k in enumerate(bad):
             info[k] = sub.info[j]
+        factored = ops.finite_factors()
         live = [k for k in bad if info[k] == 0]
-        unrecovered = [k for k in live if not ops.finite_factors(k)]
-        recovered = [k for k in live if ops.finite_factors(k)]
+        unrecovered = [k for k in live if not factored[k]]
+        recovered = [k for k in live if factored[k]]
     if ops.rhs is not None and ops.nrhs and recovered:
         _rerun_reference(report, solve, cfg, ops.take(recovered),
                          snap.take(recovered), policy)
-        unrecovered += [k for k in recovered if not ops.finite_solution(k)]
+        solved = ops.finite_solution()
+        unrecovered += [k for k in recovered if not solved[k]]
         if spec.stages and policy.refine:
             report.refined = _refine(spec, ops, snap, policy, [
-                k for k in recovered if ops.finite_solution(k)],
-                set(corrupted))
+                k for k in recovered if solved[k]], set(corrupted))
     report.unrecovered = tuple(sorted(unrecovered))
     report.singular = tuple(k for k in bad if info[k] > 0)
 

@@ -69,7 +69,7 @@ class BandSpecialization:
 
     def gbtrf_batch(self, m: int, n: int, a_array, pv_array=None,
                     info=None, *, batch: int | None = None, stream=None,
-                    execute: bool = True, max_blocks: int | None = None):
+                    execute: bool = True):
         """Factorize a batch with the specialised kernel.
 
         Same contract as :func:`repro.core.gbtrf.gbtrf_batch`, with the
@@ -93,8 +93,7 @@ class BandSpecialization:
         kernel = _SpecializedWindowKernel(
             m, n, self.kl, self.ku, mats, pivots, info,
             nb=self.nb, threads=self.threads)
-        launch(self.device, kernel, stream=stream, execute=execute,
-               max_blocks=max_blocks)
+        launch(self.device, kernel, stream=stream, execute=execute)
         return pivots, info
 
 

@@ -61,7 +61,6 @@ class ExecConfig:
     nb: int | None = None
     threads: int | None = None
     execute: bool = True
-    max_blocks: int | None = None
     vectorize: bool | None = None
     resilient: bool = False
     policy: object = None
@@ -87,15 +86,14 @@ def check_execution(cfg: ExecConfig, pos: int) -> None:
 
     Verified and resilient calls need full functional execution; the
     governance knobs must be valid even on routes that ignore them
-    (``execute=False``, sampled or graph-captured calls).
+    (``execute=False`` or graph-captured calls).
     """
-    full = cfg.execute and cfg.max_blocks is None
     if cfg.verify is not None:
-        check_arg(full, pos, "verify requires full functional execution "
-                             "(execute=True, max_blocks=None)")
+        check_arg(cfg.execute, pos, "verify requires full functional "
+                                    "execution (execute=True)")
     if cfg.resilient:
-        check_arg(full, pos, "resilient=True requires full functional "
-                             "execution (execute=True, max_blocks=None)")
+        check_arg(cfg.execute, pos, "resilient=True requires full "
+                                    "functional execution (execute=True)")
     for name in ("max_resident_bytes", "chunk_hint", "streams"):
         value = getattr(cfg, name)
         check_arg(value is None or _positive_int(value), pos,
@@ -131,26 +129,23 @@ class _Call:
 
 
 class Operands:
-    """Canonical per-lane operands of one call (or of a sub-batch of it).
+    """Canonical operands of one call (or of a sub-batch of it).
 
-    ``mats``/``pivots``/``rhs`` are lists of per-lane views (``rhs`` is
-    ``None`` for ``gbtrf``), ``info`` the status array.  ``a_src`` /
-    ``b_src`` keep the caller's 3-D stacks when there are any, so
-    snapshots copy them wholesale.  ``lanes`` maps each lane to its index
-    in the root call, which keys the call's pristine snapshot.
+    ``mats``/``rhs`` are the caller's 3-D stacks (or lane slices of them)
+    when the call passed stacks, else lists of per-lane views; ``rhs`` is
+    ``None`` for ``gbtrf``.  ``pivots`` is a list of per-lane vectors and
+    ``info`` the status array.  ``lanes`` maps each lane to its index in
+    the root call, which keys the call's pristine snapshot.
     """
 
     __slots__ = ("m", "n", "kl", "ku", "nrhs", "trans", "mats", "pivots",
-                 "rhs", "info", "a_src", "b_src", "lanes", "call")
+                 "rhs", "info", "lanes", "call")
 
     def __init__(self, m, n, kl, ku, mats, pivots, info, *, nrhs=0,
-                 rhs=None, trans=Trans.NO_TRANS, a_src=None, b_src=None,
-                 lanes=None, call=None):
+                 rhs=None, trans=Trans.NO_TRANS, lanes=None, call=None):
         self.m, self.n, self.kl, self.ku = m, n, kl, ku
         self.nrhs, self.trans = nrhs, trans
         self.mats, self.pivots, self.rhs, self.info = mats, pivots, rhs, info
-        self.a_src = _stack_source(a_src, len(mats))
-        self.b_src = _stack_source(b_src, len(mats))
         self.lanes = range(len(mats)) if lanes is None else lanes
         self.call = _Call() if call is None else call
 
@@ -161,60 +156,62 @@ class Operands:
     def take(self, idx) -> "Operands":
         """Sub-batch over local lanes ``idx``.
 
-        A ``range`` slices (``info`` stays a view of the parent's); a list
-        gathers, with a fresh zeroed ``info`` the caller copies back.
+        A ``range`` slices (a stack stays a stack, and ``info`` stays a
+        view of the parent's); a list gathers per-lane views, with a
+        fresh zeroed ``info`` the caller copies back.
         """
         if isinstance(idx, range):
             sl = slice(idx.start, idx.stop)
             info = self.info[sl]
-            a_src = None if self.a_src is None else self.a_src[sl]
-            b_src = None if self.b_src is None else self.b_src[sl]
             pick = lambda seq: seq[sl]
         else:
             info = np.zeros(len(idx), dtype=np.int64)
-            a_src = b_src = None
             pick = lambda seq: [seq[k] for k in idx]
         return Operands(self.m, self.n, self.kl, self.ku, pick(self.mats),
                         pick(self.pivots), info, nrhs=self.nrhs,
                         rhs=None if self.rhs is None else pick(self.rhs),
-                        trans=self.trans, a_src=a_src, b_src=b_src,
-                        lanes=pick(self.lanes), call=self.call)
+                        trans=self.trans, lanes=pick(self.lanes),
+                        call=self.call)
 
     def relayout(self, a, b) -> "Operands":
         """The same lanes with matrices/right-hand sides from ``a``/``b``."""
-        return Operands(self.m, self.n, self.kl, self.ku, list(a),
-                        self.pivots, self.info, nrhs=self.nrhs,
-                        rhs=None if b is None else list(b), trans=self.trans,
-                        a_src=a, b_src=b, lanes=self.lanes, call=self.call)
+        return Operands(self.m, self.n, self.kl, self.ku, a, self.pivots,
+                        self.info, nrhs=self.nrhs, rhs=b, trans=self.trans,
+                        lanes=self.lanes, call=self.call)
 
-    def finite_factors(self, k: int) -> bool:
-        """Lane ``k``'s band rows are finite.
+    def finite_factors(self) -> np.ndarray:
+        """Per-lane mask: the lane's band rows are all finite.
 
         Rows past ``2*kl + ku + 1`` are caller padding the kernels never
         touch; scanning them would flag lanes for garbage we did not
         produce.
         """
-        rows = ldab_for_factor(self.kl, self.ku)
-        return bool(np.all(np.isfinite(self.mats[k][:rows])))
+        return _finite_lanes(self.mats, ldab_for_factor(self.kl, self.ku))
 
-    def finite_solution(self, k: int) -> bool:
-        return self.rhs is None or bool(np.all(np.isfinite(self.rhs[k])))
-
-
-def _stack_source(src, batch):
-    if isinstance(src, np.ndarray) and src.ndim == 3 \
-            and src.shape[0] == batch:
-        return src
-    return None
+    def finite_solution(self) -> np.ndarray:
+        """Per-lane mask: the lane's right-hand side is all finite."""
+        if self.rhs is None:
+            return np.ones(self.batch, dtype=bool)
+        return _finite_lanes(self.rhs)
 
 
-def stacked(src, seq) -> np.ndarray:
-    """Contiguous ``(batch, ...)`` copy of one operand's lanes (from the
-    whole-batch array ``src`` when there is one)."""
-    if src is not None:
-        # np.array (not ascontiguousarray): a snapshot must never alias
-        # the live batch.
-        return np.array(src, order="C")
+def _finite_lanes(seq, rows=None) -> np.ndarray:
+    """Per-lane ``all(isfinite)`` over each lane's first ``rows`` rows:
+    one reduction over a stack, one check per lane of a list."""
+    if isinstance(seq, np.ndarray):
+        return np.isfinite(seq[:, :rows]).all(axis=(1, 2))
+    return np.array([bool(np.all(np.isfinite(a[:rows]))) for a in seq],
+                    dtype=bool)
+
+
+def stacked(seq) -> np.ndarray:
+    """Contiguous ``(batch, ...)`` copy of one operand's lanes.
+
+    ``np.array`` (not ``ascontiguousarray``): a snapshot must never alias
+    the live batch.
+    """
+    if isinstance(seq, np.ndarray):
+        return np.array(seq, order="C")
     return np.stack([np.asarray(x) for x in seq])
 
 
@@ -281,9 +278,9 @@ class OpSpec:
 
     def snapshot(self, ops, *, inputs: bool = False) -> Snapshot:
         """Copy the operands the op writes (plus its inputs if asked)."""
-        src = {"a": (ops.a_src, ops.mats), "b": (ops.b_src, ops.rhs),
-               "pivots": (None, ops.pivots), "info": (ops.info, None)}
-        return Snapshot({name: stacked(*src[name])
+        seqs = {"a": ops.mats, "b": ops.rhs, "pivots": ops.pivots,
+                "info": ops.info}
+        return Snapshot({name: stacked(seqs[name])
                          for name in self._names(inputs)})
 
     def restore(self, ops, snap: Snapshot, ks=None, *,
@@ -364,9 +361,7 @@ def convert_layout(spec: OpSpec, cfg: ExecConfig, ops: Operands):
 def govern(spec: OpSpec, cfg: ExecConfig, ops: Operands):
     """The governance layer, for outermost functional calls only."""
     from . import memory_plan
-    if memory_plan.governance_active(execute=cfg.execute,
-                                     max_blocks=cfg.max_blocks,
-                                     stream=cfg.stream):
+    if memory_plan.governance_active(execute=cfg.execute, stream=cfg.stream):
         return memory_plan.run_governed(spec, cfg, ops)
     return heal(spec, cfg, ops)
 

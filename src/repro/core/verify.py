@@ -301,9 +301,7 @@ def _band_rows(ops, rows) -> np.ndarray:
     A view of the caller's stack when there is one: at paper scale,
     stacking 1000 per-lane views costs more than the residual gate itself.
     """
-    if ops.a_src is not None:
-        return ops.a_src[:, :rows]
-    return np.stack([np.asarray(m)[:rows] for m in ops.mats])
+    return np.asarray(ops.mats)[:, :rows]
 
 
 # --- shared ladder pieces --------------------------------------------------
@@ -484,7 +482,7 @@ def gate_gbsv(report, cfg, ops, snap):
     rows = ldab_for_factor(kl, ku)
     snap_a, snap_b = snap["a"][:, :rows], snap["b"]
     tol = vp.tol_for(n, snap_a.dtype)
-    x3 = stacked(ops.b_src, rhs)
+    x3 = stacked(rhs)
     anorms = band_norms_inf(snap_a, n, kl, ku)
     r3 = band_mv_batch(snap_a, x3, n, kl, ku) - snap_b
     rmax = np.abs(r3).reshape(batch, -1).max(axis=1)
@@ -630,7 +628,7 @@ def gate_gbtrs(report, cfg, ops, snap):
                                           factor_layout=False)
         return gbcon("1", n, kl, ku, snap_a[k], snap_p[k], float(anorm1))
 
-    return (scaled_of(slice(None), stacked(ops.b_src, rhs)),
+    return (scaled_of(slice(None), stacked(rhs)),
             lambda ks: scaled_of(ks, np.stack([np.asarray(rhs[k])
                                                for k in ks])),
             np.zeros(batch), rcond, ())

@@ -56,15 +56,13 @@ class ExecGraph:
                 + exec_time)
 
     def launch(self, *, stream: Stream | None = None,
-               execute: bool = True,
-               max_blocks: int | None = None) -> LaunchRecord:
+               execute: bool = True) -> LaunchRecord:
         """Replay the graph; returns a single aggregate launch record."""
         if not self.nodes:
             raise DeviceError("cannot launch an empty graph")
         if execute:
             for kernel in self.nodes:
-                launch(self.device, kernel, execute=True,
-                       max_blocks=max_blocks)
+                launch(self.device, kernel, execute=True)
         total = self.replay_time()
         first = self._timings[0]
         record = LaunchRecord(

@@ -94,10 +94,16 @@ class Kernel(abc.ABC):
     Subclasses implement the resource declarations and one functional
     body: either :meth:`run_batch_vectorized` (a lane range advanced
     together, which :meth:`run_block` then runs one lane at a time) or,
-    for the scalar reference kernels, :meth:`run_block` itself.  The same
-    object serves double duty: ``launch`` runs the functional body, while
-    the benchmark harness asks only for the resource declarations to time
-    large batches without executing them.
+    for the scalar reference kernels, :meth:`run_block` itself.  A kernel
+    with a batch-interleaved body declares its operand batches in
+    :meth:`pack_operands`, and that is all :func:`launch` needs to pick
+    the rung: direct when every batch is one lane-major stack, soa when
+    every batch is a lane-major or an interleaved stack
+    (:func:`repro.core.batch_args.stack_rung`), pack when every batch can
+    be gathered and scattered back, per-block otherwise.  The same
+    object serves double duty: ``launch`` runs the functional body,
+    while the benchmark harness asks only for the resource declarations
+    to time large batches without executing them.
     """
 
     name: str = "kernel"
@@ -132,19 +138,10 @@ class Kernel(abc.ABC):
 
     # -- batch-interleaved execution ---------------------------------------
 
-    def can_batch_vectorize(self) -> bool:
-        """Whether this launch is eligible for the batch-interleaved path.
-
-        Kernels that can advance every block through each step of the
-        algorithm simultaneously (one numpy operation over a
-        ``(batch, ...)`` stack instead of a Python loop per block) return
-        True *for the inputs they currently hold* — typically requiring
-        all blocks to share uniform dimensions and the batch to be a
-        contiguous stack.  The default is False, so ragged/vbatch and
-        :class:`~repro.gpusim.memory.PointerArray` workloads keep the
-        per-block path untouched.
-        """
-        return False
+    #: False for a kernel that gathers its operands whatever the rung
+    #: (the vbatch kernel's per-configuration buckets): it never takes
+    #: the zero-copy direct or soa rungs, only pack or per-block.
+    zero_copy: bool = True
 
     def run_batch_vectorized(self, hi: int, smem: SharedMemory, *,
                              lo: int = 0, packed: bool = True) -> None:
@@ -155,10 +152,9 @@ class Kernel(abc.ABC):
         per-block path.  ``smem`` carries the aggregate budget of the
         executed blocks (``hi - lo`` times the per-block occupancy
         limit), mirroring the total on-chip footprint the grid would
-        occupy.  The launcher calls it with ``lo=0`` when
-        :meth:`can_batch_vectorize`, :meth:`can_soa_vectorize` or
-        :meth:`can_pack_vectorize` returned True, and :meth:`run_block`
-        with one lane.  ``packed`` is the staging decision: False on the
+        occupy.  The launcher calls it with ``lo=0`` on the direct, soa
+        and pack rungs, and :meth:`run_block` with one lane on the
+        per-block path.  ``packed`` is the staging decision: False on the
         direct and soa rungs, whose operands stage as zero-copy views
         (:func:`repro.core.batch_args.stage_stack`), True on the pack
         rung and the per-block path, whose operands are gathered and
@@ -168,34 +164,19 @@ class Kernel(abc.ABC):
             f"{type(self).__name__} does not implement the "
             "batch-interleaved path")
 
-    def can_soa_vectorize(self) -> bool:
-        """Whether the inputs are a batch-interleaved (SoA) stack.
-
-        Kernels whose operand lists are lanes of one lane-fastest
-        interleaved stack (:func:`repro.core.batch_args.
-        is_interleaved_stack`) return True: the batch-interleaved body
-        then runs *natively* on a zero-copy ``(batch, ...)`` view — no
-        gather, no scatter — and the launch is attributed ``[vec+soa]``
-        in traces.  Checked after :meth:`can_batch_vectorize` (uniform
-        lane-major stacks keep the classic ``[vec]`` attribution) and
-        before :meth:`can_pack_vectorize` (interleaved lanes interleave
-        their byte ranges, so the pack stage would reject them as
-        overlapping).  The default is False.
-        """
-        return False
-
     # -- pack/scatter stage ------------------------------------------------
 
     def pack_operands(self) -> tuple:
-        """Operand sequences the pack stage would gather and scatter back.
+        """The kernel's operand batches, for the launcher's rung decision.
 
-        A kernel with a batch-interleaved body whose staging loop copies
-        per-problem arrays into ``(batch, ...)`` stacks (and writes the
-        results back) returns those sequences here — typically
-        ``(self.mats,)`` or ``(self.mats, self.rhs)``.  ``launch`` uses
-        them to decide pack eligibility (:meth:`can_pack_vectorize`) and
-        to attribute the staging traffic (:meth:`pack_bytes`).  The
-        default (no operands) disables the pack path.
+        A kernel with a batch-interleaved body returns the batches its
+        staging reads and writes — typically ``(self.mats,)`` or
+        ``(self.mats, self.rhs)``, each a 3-D stack or a list of
+        per-problem arrays.  ``launch`` derives the rung from them
+        (:func:`repro.core.batch_args.stack_rung`, then
+        :meth:`can_pack_vectorize`) and attributes the pack stage's
+        traffic (:meth:`pack_bytes`).  The default (no operands) keeps
+        the kernel on the per-block path.
         """
         return ()
 
@@ -221,7 +202,7 @@ class Kernel(abc.ABC):
         trace attributes to a ``[vec+pack]`` launch."""
         total = 0
         for seq in self.pack_operands():
-            for a in list(seq)[:nblocks]:
+            for a in seq[:nblocks]:
                 total += int(np.asarray(a).nbytes)
         return 2 * total
 
@@ -294,18 +275,18 @@ class LaunchRecord:
 def _vector_rung(kernel: Kernel) -> str | None:
     """The batch-interleaved rung ``kernel`` can take on its current
     inputs: ``'direct'``, ``'soa'``, ``'pack'``, or None (per-block)."""
-    if kernel.can_batch_vectorize():
-        return "direct"
-    if kernel.can_soa_vectorize():
-        return "soa"
-    if kernel.can_pack_vectorize():
+    from ..core.batch_args import stack_rung
+    seqs = kernel.pack_operands()
+    if not seqs:
+        return None
+    rung = stack_rung(*seqs) if kernel.zero_copy else None
+    if rung is None and kernel.can_pack_vectorize():
         return "pack"
-    return None
+    return rung
 
 
 def launch(device: DeviceSpec, kernel: Kernel, *, stream=None,
-           execute: bool = True, max_blocks: int | None = None,
-           vectorize: bool | None = None,
+           execute: bool = True, vectorize: bool | None = None,
            conversion: ConversionCharge | None = None) -> LaunchRecord:
     """Launch ``kernel`` on ``device``.
 
@@ -318,19 +299,20 @@ def launch(device: DeviceSpec, kernel: Kernel, *, stream=None,
     execute:
         Run the functional block bodies.  When False only the timing model
         is evaluated — used by the benchmark harness for large batches.
-    max_blocks:
-        Execute at most this many blocks functionally (still timing the full
-        grid).  Lets benchmarks validate numerics on a sample while modeling
-        a batch of 1000.
     vectorize:
         Select the execution path for the functional bodies.  ``None``
-        (default) auto-dispatches: the batch-interleaved
-        :meth:`Kernel.run_batch_vectorized` path runs when more than one
-        block executes and the kernel reports either
-        :meth:`Kernel.can_batch_vectorize` (uniform stack, staged
-        directly) or :meth:`Kernel.can_pack_vectorize` (scattered but
-        packable inputs, staged through the gather/pack stage); otherwise
-        blocks run one at a time through :meth:`Kernel.run_block`.
+        (default) auto-dispatches when more than one block executes: the
+        launcher derives the rung from the kernel's
+        :meth:`Kernel.pack_operands` — direct when every operand batch is
+        one lane-major stack, soa when every one is a lane-major or an
+        interleaved stack (both staged as zero-copy views; see
+        :func:`repro.core.batch_args.stack_rung`), pack when every one
+        can be gathered and scattered back
+        (:meth:`Kernel.can_pack_vectorize`) — and runs
+        :meth:`Kernel.run_batch_vectorized` once over the grid; with no
+        rung, blocks run one at a time through :meth:`Kernel.run_block`.
+        A 3-D operand array is judged from its first two lanes and its
+        length; a list of lanes is walked at most once.
         ``False`` forces the per-block path: each block runs alone
         through the same body.  ``True`` requires the vectorized path and
         raises :class:`~repro.errors.DeviceError` if the kernel (or its
@@ -389,7 +371,7 @@ def launch(device: DeviceSpec, kernel: Kernel, *, stream=None,
     if capturing:
         execute = False
     # The rung is decided once per launch, and the kernel stages its
-    # operands by that decision, so each operand list is walked once.
+    # operands by that decision: a stack is never walked, a list once.
     rung = _vector_rung(kernel) if vectorize else None
     if vectorize and rung is None:
         raise DeviceError(
@@ -404,27 +386,26 @@ def launch(device: DeviceSpec, kernel: Kernel, *, stream=None,
     faults: tuple = ()
     if execute:
         limit = timing.occupancy.smem_per_block
-        n_exec = grid if max_blocks is None else min(grid, max_blocks)
-        if vectorize is None and n_exec > 1:
+        if vectorize is None and grid > 1:
             rung = _vector_rung(kernel)
         smem_ctx = dict(kernel=kernel.name, device=device.name)
-        if injector is not None and n_exec > 0:
+        if injector is not None and grid > 0:
             # Transfer-SDC strikes the staged inputs the blocks are about
             # to consume (a corrupted host-to-device copy); the events
             # ride the same record as post-execution corruption.
-            faults = injector.before_execution(device, kernel, n_exec)
-        if rung is not None and n_exec > 0:
+            faults = injector.before_execution(device, kernel, grid)
+        if rung is not None and grid > 0:
             packed = rung == "pack"
             soa = rung == "soa"
             kernel.run_batch_vectorized(
-                n_exec, SharedMemory(limit * n_exec, **smem_ctx),
+                grid, SharedMemory(limit * grid, **smem_ctx),
                 packed=packed)
-            executed = n_exec
+            executed = grid
             vectorized = True
             if packed:
-                pack_bytes = kernel.pack_bytes(n_exec)
+                pack_bytes = kernel.pack_bytes(grid)
         else:
-            for bid in range(n_exec):
+            for bid in range(grid):
                 kernel.run_block(bid, SharedMemory(limit, **smem_ctx))
                 executed += 1
         if injector is not None and executed:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.verify import operand_digest as lane_digest
 from ..errors import DeviceMemoryError, check_arg
 from ..gpusim.device import H100_PCIE, DeviceSpec
 from ..gpusim.memory import memory_pool
@@ -59,12 +60,7 @@ def factor_digest(factors: np.ndarray, pivots: np.ndarray) -> str:
     silent corruption of a cached factor is caught before it contaminates
     every future hit.
     """
-    h = hashlib.blake2b(digest_size=16)
-    for a in (factors, pivots):
-        a = np.asarray(a)
-        h.update(f"{a.shape}:{a.dtype.str};".encode())
-        h.update(np.ascontiguousarray(a).tobytes())
-    return h.hexdigest()
+    return lane_digest(factors, pivots)
 
 
 @dataclass

@@ -53,7 +53,7 @@ from repro.core.batch_args import (
     convert_batch_layout,
     is_interleaved_stack,
     is_uniform_stack,
-    soa_stageable,
+    stack_rung,
     stack_view,
 )
 from repro.errors import ArgumentError, DeviceMemoryError
@@ -171,12 +171,12 @@ class TestDetection:
         view[3, 0, 0] = 123.0
         assert lanes[3][0, 0] == 123.0
 
-    def test_soa_stageable_mixes_layouts(self):
+    def test_stack_rung_mixes_layouts(self):
         a_soa = list(self._soa(batch=5))
         b_aos = list(random_rhs(10, 2, batch=5, seed=5))
-        assert soa_stageable(a_soa, b_aos)       # one interleaved suffices
-        assert not soa_stageable(b_aos)          # all lane-major: use [vec]
-        assert not soa_stageable(a_soa, [np.array(b) for b in b_aos])
+        assert stack_rung(a_soa, b_aos) == "soa"   # one interleaved suffices
+        assert stack_rung(b_aos) == "direct"       # all lane-major: [vec]
+        assert stack_rung(a_soa, [np.array(b) for b in b_aos]) is None
 
 
 # ---------------------------------------------------------------------------

@@ -112,7 +112,6 @@ class TestPlanner:
     def test_governance_exemptions(self):
         assert governance_active()
         assert not governance_active(execute=False)
-        assert not governance_active(max_blocks=2)
         stream = Stream(H100_PCIE)
         stream._capturing = True
         assert not governance_active(stream=stream)

@@ -303,7 +303,7 @@ class TestArgumentErrors:
         with pytest.raises(ArgumentError):
             gbsv_batch(48, 2, 3, 1, a, None,
                        random_rhs(48, 1, batch=16, seed=1),
-                       resilient=True, max_blocks=2)
+                       resilient=True, execute=False)
 
     def test_empty_batch(self):
         piv, info, report = gbtrf_batch(8, 8, 1, 1, np.empty((0, 4, 8)),

@@ -35,7 +35,8 @@ from repro.band.generate import random_band, random_rhs
 from repro.core import gbtrf_batch, gbtrs_batch
 from repro.gpusim import H100_PCIE
 from repro.gpusim.memory import memory_pool, reset_memory_pools
-from repro.serve.cache import CACHE_LABEL
+from repro.core.verify import operand_digest as lane_digest
+from repro.serve.cache import CACHE_LABEL, factor_digest
 
 N, KL, KU = 32, 2, 3
 
@@ -237,6 +238,9 @@ def test_digest_separates_bandwidths_dtypes_and_content():
     bumped[KL + KU, 0] += 1e-12
     assert operand_digest(KL, KU, bumped) != base
     assert operand_digest(KL, KU, ab.copy()) == base    # content, not id
+    # The cache's payload fingerprint is verify's per-lane digest.
+    piv = np.arange(N, dtype=np.int64)
+    assert factor_digest(ab, piv) == lane_digest(ab, piv)
 
 
 def test_explicit_invalidation_forces_refactor():

@@ -505,20 +505,6 @@ class TestDispatch:
         with pytest.raises(ArgumentError):
             gbtrf_batch(16, 16, 1, 1, a, method="reference", vectorize=True)
 
-    def test_max_blocks_limits_vectorized_sample(self):
-        n, kl, ku, batch = 24, 2, 3, 6
-        a = _band_batch(batch, n, kl, ku, np.float64, seed=35)
-        orig = a.copy()
-        stream = Stream(H100_PCIE)
-        piv, info = gbtrf_batch(n, n, kl, ku, a, method="window",
-                                stream=stream, max_blocks=2)
-        rec = stream.records[-1]
-        assert rec.vectorized and rec.executed_blocks == 2
-        assert rec.grid == batch                     # timing covers all
-        # Only the sample was factored; the rest keeps its input bits.
-        assert a[2:].tobytes() == orig[2:].tobytes()
-        assert a[:2].tobytes() != orig[:2].tobytes()
-
     @pytest.mark.parametrize("trans", ["T", "C"])
     @pytest.mark.parametrize("dtype", DTYPES, ids=DTYPE_IDS)
     def test_transposed_solve_vectorizes_bitwise(self, trans, dtype):
@@ -657,29 +643,40 @@ class TestStaging:
         _bytes_equal((ops[1], b_blk))
 
     def test_gbsv_call_checks_each_operand_list_once(self, monkeypatch):
-        """A window gbsv call is three launches over five operand lists;
-        each list gets one full-length stack check."""
+        """A window gbsv call is three launches over five operand batches.
+        A 3-D stack, lane-major or interleaved, is judged from its first
+        two lanes and its length: the call walks no lane list at all."""
         import sys
         from repro.core import batch_args
-        calls = []
-        for name in ("is_uniform_stack", "is_interleaved_stack"):
+        walks = []
+        for name in ("is_uniform_stack", "is_interleaved_stack",
+                     "_lanes_follow"):
             orig = getattr(batch_args, name)
 
-            def counted(mats, _orig=orig, _name=name):
-                calls.append((_name, len(mats)))
-                return _orig(mats)
+            def counted(seq, *args, _orig=orig, _name=name):
+                if not isinstance(seq, np.ndarray):
+                    walks.append((_name, len(seq)))
+                return _orig(seq, *args)
             for mod in list(sys.modules.values()):
                 if (getattr(mod, "__name__", "").startswith("repro")
                         and getattr(mod, name, None) is orig):
                     monkeypatch.setattr(mod, name, counted)
         n, kl, ku, batch = 96, 3, 2, 12
+        for layout, label in ((None, "[vec]"), (to_interleaved, "[vec+soa]")):
+            a = _band_batch(batch, n, kl, ku, np.float64, seed=46)
+            b = random_rhs(n, 1, batch=batch, seed=47)
+            if layout is not None:
+                a, b = layout(a), layout(b)
+            stream = Stream(H100_PCIE)
+            gbsv_batch(n, kl, ku, 1, a, None, b, method="standard",
+                       stream=stream)
+            assert [r.display_name for r in stream.records] == [
+                "gbtrf_window" + label, "gbtrs_fwd_blocked" + label,
+                "gbtrs_bwd_blocked" + label]
+            assert [w for w in walks if w[1] == batch] == []
+        # A pointer-array call still walks: each list once per launch.
         a = _band_batch(batch, n, kl, ku, np.float64, seed=46)
         b = random_rhs(n, 1, batch=batch, seed=47)
-        stream = Stream(H100_PCIE)
-        gbsv_batch(n, kl, ku, 1, a, None, b, method="standard",
-                   stream=stream)
-        assert [r.display_name for r in stream.records] == [
-            "gbtrf_window[vec]", "gbtrs_fwd_blocked[vec]",
-            "gbtrs_bwd_blocked[vec]"]
-        assert [c for c in calls if c[1] == batch] == \
-            [("is_uniform_stack", batch)] * 5
+        gbsv_batch(n, kl, ku, 1, list(a), None, list(b), method="standard")
+        assert [w for w in walks if w[1] == batch] == \
+            [("_lanes_follow", batch)] * 5
