@@ -49,14 +49,14 @@ def _run(governed, a, b, n, kl, ku, batch):
         piv, info = gbsv_batch(n, kl, ku, NRHS, mats, None, rhs,
                                batch=batch)
     else:
-        piv = [np.zeros(n, dtype=np.int64) for _ in range(batch)]
+        piv = np.zeros((batch, n), dtype=np.int64)
         info = np.zeros(batch, dtype=np.int64)
         heal(GBSV, ExecConfig(), Operands(
             n, n, kl, ku, mats, piv, info, nrhs=NRHS,
             rhs=as_rhs_list(rhs, batch, n, NRHS, arg_pos=7)))
     dt = perf_counter() - t0
     assert (np.asarray(info) == 0).all()
-    return dt, mats, rhs, np.stack(piv)
+    return dt, mats, rhs, piv
 
 
 def measure(*, n=N, kl=KL, ku=KU, batch=BATCH, repeats=5):

@@ -77,7 +77,7 @@ def time_gbtrs(device: DeviceSpec, n: int, kl: int, ku: int, nrhs: int, *,
                dtype=np.float64) -> float:
     """Modeled seconds of one batched triangular solve."""
     mats, rhs = shape_only_batch(n, kl, ku, batch, dtype, nrhs=nrhs)
-    pivots = [np.zeros(n, dtype=np.int64)] * batch
+    pivots = np.zeros((batch, n), dtype=np.int64)
     stream = Stream(device)
     gbtrs_batch(Trans.NO_TRANS, n, kl, ku, nrhs, mats, pivots, rhs,
                 batch=batch, device=device, stream=stream, method=method,

@@ -20,6 +20,7 @@ and :func:`stack_rung`.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -36,6 +37,7 @@ __all__ = [
     "as_matrix_list",
     "as_rhs_list",
     "ensure_pivots",
+    "pivot_stack",
     "ensure_info",
     "check_gb_args",
     "stack_layouts",
@@ -330,17 +332,21 @@ def as_rhs_list(b_array, batch: int, n: int, nrhs: int, *, arg_pos: int):
 
 
 def ensure_pivots(pv_array, batch: int, mn: int, *, arg_pos: int,
-                  zero: bool = False) -> list[np.ndarray]:
-    """Canonicalise/allocate the per-problem pivot vectors.
+                  zero: bool = False):
+    """Canonicalise/allocate the pivots as one ``(batch, mn)`` array.
 
-    ``zero=True`` is for routines that *produce* pivots (``gbtrf``,
-    ``gbsv``): the caller-supplied storage is zeroed as soon as it
-    validates, upholding the error-path guarantee documented on
-    :func:`ensure_info`.  Routines that *consume* pivots (``gbtrs``,
-    ``gbrfs``, ``gbcon``) leave it False.
+    ``None`` allocates one int64 array; a caller's 2-D integer stack is
+    returned as is, checked by its shape and dtype.  A pointer array
+    (a sequence of per-problem vectors) becomes a list of the caller's
+    vectors, each checked; :func:`pivot_stack` stacks it once where the
+    layer stack is entered.  ``zero=True`` is for routines that
+    *produce* pivots (``gbtrf``, ``gbsv``): the caller-supplied storage
+    is zeroed as soon as it validates, upholding the error-path
+    guarantee documented on :func:`ensure_info`.  Routines that
+    *consume* pivots (``gbtrs``, ``gbrfs``, ``gbcon``) leave it False.
     """
     if pv_array is None:
-        return [np.zeros(mn, dtype=np.int64) for _ in range(batch)]
+        return np.zeros((batch, mn), dtype=np.int64)
     if isinstance(pv_array, np.ndarray):
         check_arg(pv_array.ndim == 2 and pv_array.shape == (batch, mn), arg_pos,
                   f"pivot stack has shape {pv_array.shape}, "
@@ -349,7 +355,7 @@ def ensure_pivots(pv_array, batch: int, mn: int, *, arg_pos: int,
                   f"pivot array must be integer, got {pv_array.dtype}")
         if zero:
             pv_array[...] = 0
-        return list(pv_array)
+        return pv_array
     pivs = list(pv_array)
     check_arg(len(pivs) == batch, arg_pos,
               f"pivot pointer array has {len(pivs)} entries, expected {batch}")
@@ -363,6 +369,29 @@ def ensure_pivots(pv_array, batch: int, mn: int, *, arg_pos: int,
     return pivs
 
 
+@contextmanager
+def pivot_stack(pivots, mn: int, *, write_back: bool = True):
+    """Yield ``pivots`` (from :func:`ensure_pivots`) as one ``(batch, mn)``
+    array.
+
+    An array is yielded as is.  A pointer array is stacked once; with
+    ``write_back`` (ops that produce pivots) its rows are copied back
+    into the caller's vectors when the block exits, normally or by an
+    exception.
+    """
+    if isinstance(pivots, np.ndarray):
+        yield pivots
+        return
+    stack = (np.stack(pivots) if pivots
+             else np.zeros((0, mn), dtype=np.int64))
+    try:
+        yield stack
+    finally:
+        if write_back:
+            for p, row in zip(pivots, stack):
+                p[...] = row
+
+
 def ensure_info(info, batch: int, *, arg_pos: int) -> np.ndarray:
     """Canonicalise/allocate the per-problem ``info`` output array.
 
@@ -372,8 +401,10 @@ def ensure_info(info, batch: int, *, arg_pos: int) -> np.ndarray:
     kernel launch, a shared-memory failure, an injected fault — the
     caller's ``info`` (and, via ``ensure_pivots(..., zero=True)``, output
     pivots) hold zeros, never stale values from a previous call.  Status
-    codes written before the exception (e.g. by a completed factorization
-    stage) are preserved, since they are meaningful results.
+    codes and pivots written before the exception (e.g. by a completed
+    factorization stage) are preserved, since they are meaningful
+    results; :func:`pivot_stack` copies a pointer array's rows back on
+    the error path too.
     """
     if info is None:
         return np.zeros(batch, dtype=np.int64)

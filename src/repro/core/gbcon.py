@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..band.layout import normalize_layout
 from ..errors import check_arg
 from ..types import Trans
 from .batch_args import (
     as_matrix_list,
     check_gb_args,
-    convert_batch_layout,
     ensure_pivots,
 )
 from .solve_blocks import gbtrs_unblocked
@@ -105,8 +103,7 @@ def gbcon(norm: str, n: int, kl: int, ku: int, ab_fact: np.ndarray,
 
 
 def gbcon_batch(norm: str, n: int, kl: int, ku: int, a_array, pv_array,
-                anorms, *, batch: int | None = None,
-                layout: str | None = None) -> np.ndarray:
+                anorms, *, batch: int | None = None) -> np.ndarray:
     """Batched :func:`gbcon` over factored matrices.
 
     ``anorms`` is a length-``batch`` sequence of original-matrix norms.
@@ -114,20 +111,10 @@ def gbcon_batch(norm: str, n: int, kl: int, ku: int, a_array, pv_array,
 
     The factor batch may arrive lane-major or batch-interleaved (SoA,
     docs/LAYOUTS.md); estimation indexes per-lane views, so both run
-    natively.  ``layout`` follows the driver contract: ``None`` runs in
-    the arriving layout, ``'interleaved'``/``'soa'`` or
-    ``'lane-major'``/``'aos'`` stage the (read-only) factors into that
-    layout exactly once at the batch boundary.
+    natively.
     """
     if batch is None:
         batch = len(a_array)
-    if normalize_layout(layout) is not None:
-        conv = convert_batch_layout(normalize_layout(layout), (a_array,),
-                                    batch=batch, outputs=(False,))
-        if conv is not None:
-            (a_conv,), _writeback, _moved = conv
-            return gbcon_batch(norm, n, kl, ku, a_conv, pv_array, anorms,
-                               batch=batch)
     mats = as_matrix_list(a_array, batch, arg_pos=5)
     check_gb_args(n, n, kl, ku, mats, batch=batch)
     pivots = ensure_pivots(pv_array, batch, n, arg_pos=6)

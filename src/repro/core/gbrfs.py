@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..band.layout import normalize_layout
 from ..band.ops import gbmv
 from ..errors import SingularMatrixError, check_arg
 from ..gpusim.device import H100_PCIE, DeviceSpec
@@ -25,7 +24,6 @@ from .batch_args import (
     as_matrix_list,
     as_rhs_list,
     check_gb_args,
-    convert_batch_layout,
     ensure_info,
     ensure_pivots,
 )
@@ -108,31 +106,15 @@ def gbrfs(n: int, kl: int, ku: int, ab_orig: np.ndarray,
 def gbrfs_batch(n: int, kl: int, ku: int, nrhs: int, a_orig_array,
                 a_fact_array, pv_array, b_array, x_array, *,
                 batch: int | None = None,
-                max_iter: int = _MAX_REFINE,
-                layout: str | None = None) -> list[RefinementResult]:
+                max_iter: int = _MAX_REFINE) -> list[RefinementResult]:
     """Batched :func:`gbrfs`; refines every ``x`` in place.
 
     Every batched operand may arrive lane-major or batch-interleaved
     (SoA, docs/LAYOUTS.md) — refinement indexes per-lane views, so both
-    run natively.  ``layout`` follows the driver contract: ``None`` runs
-    in the layout the batch arrives in, ``'interleaved'``/``'soa'`` or
-    ``'lane-major'``/``'aos'`` stage the band operands into that layout
-    exactly once at the batch boundary (matrices are pure inputs; only
-    the refined ``x`` batch is written back).
+    run natively.
     """
     if batch is None:
         batch = len(a_orig_array)
-    if normalize_layout(layout) is not None:
-        conv = convert_batch_layout(
-            normalize_layout(layout),
-            (a_orig_array, a_fact_array, b_array, x_array), batch=batch,
-            outputs=(False, False, False, True))
-        if conv is not None:
-            (orig_c, fact_c, b_c, x_c), writeback, _moved = conv
-            out = gbrfs_batch(n, kl, ku, nrhs, orig_c, fact_c, pv_array,
-                              b_c, x_c, batch=batch, max_iter=max_iter)
-            writeback()
-            return out
     orig = as_matrix_list(a_orig_array, batch, arg_pos=5)
     fact = as_matrix_list(a_fact_array, batch, arg_pos=6)
     check_gb_args(n, n, kl, ku, orig, batch=batch)
@@ -180,7 +162,7 @@ def gbsv_refined_batch(n: int, kl: int, ku: int, nrhs: int, a_array,
     if ok:
         xs_low = [x[k].astype(factor_dtype) for k in ok]
         gbtrs_batch(Trans.NO_TRANS, n, kl, ku, nrhs,
-                    [low[k] for k in ok], [pivots[k] for k in ok],
+                    [low[k] for k in ok], pivots[ok],
                     xs_low, batch=len(ok), device=device, stream=stream)
         for j, k in enumerate(ok):
             x[k] = xs_low[j].astype(np.float64)

@@ -185,10 +185,10 @@ def _dispatch(method, cfg, ops, vectorize):
     GBTRF.dispatch("auto", cfg, ops, vectorize)
     if ops.nrhs == 0:
         return
-    ok = [k for k in range(ops.batch) if ops.info[k] == 0]
+    ok = np.flatnonzero(ops.info == 0)
     if len(ok) == ops.batch:
         GBTRS.dispatch("auto", cfg, ops, vectorize)
-    elif ok:
+    elif len(ok):
         # Solve only the non-singular problems (LAPACK leaves B of a
         # singular problem unchanged).  The scattered sub-batch is no
         # longer a contiguous stack; the gather/pack stage stages it for

@@ -50,8 +50,7 @@ class FusedGbsvKernel(Kernel):
     name = "gbsv_fused"
 
     def __init__(self, n: int, kl: int, ku: int, nrhs: int,
-                 mats: list[np.ndarray], pivots: list[np.ndarray],
-                 rhs: list[np.ndarray], info: np.ndarray, *,
+                 mats, pivots: np.ndarray, rhs, info: np.ndarray, *,
                  threads: int | None = None):
         self.n, self.kl, self.ku, self.nrhs = n, kl, ku, nrhs
         self.layout = BandLayout(n, n, kl, ku)
@@ -98,7 +97,7 @@ class FusedGbsvKernel(Kernel):
         rw[...] = btst.transpose(1, 2, 0)
 
         kv = kl + ku
-        pivs = np.zeros((nblocks, n), dtype=np.int64)
+        pivs = self.pivots[lo:hi]
         info = np.zeros(nblocks, dtype=np.int64)
         init_fillin_batched(tiles, n, kl, ku)
         ju = np.full(nblocks, -1, dtype=np.int64)
@@ -113,10 +112,9 @@ class FusedGbsvKernel(Kernel):
             forward_update_batched(store[j, kv + 1:], n, j, rw)
 
         abst[...] = tiles
-        for k in range(nblocks):
-            if packed:
+        if packed:
+            for k in range(nblocks):
                 self.mats[lo + k][:ldab, :] = abst[k]
-            self.pivots[lo + k][:] = pivs[k]
         self.info[lo:hi] = info
         ok = info == 0
         if not ok.any():

@@ -42,8 +42,8 @@ class FusedGbtrfKernel(Kernel):
     name = "gbtrf_fused"
 
     def __init__(self, m: int, n: int, kl: int, ku: int,
-                 mats: list[np.ndarray], pivots: list[np.ndarray],
-                 info: np.ndarray, *, threads: int | None = None):
+                 mats, pivots: np.ndarray, info: np.ndarray, *,
+                 threads: int | None = None):
         self.m, self.n, self.kl, self.ku = m, n, kl, ku
         self.layout = BandLayout(m, n, kl, ku)
         self.mats = mats
@@ -94,11 +94,9 @@ class FusedGbtrfKernel(Kernel):
         tiles = smem.alloc((self.n, ldab, hi - lo),
                            dtype=self.itemdtype).transpose(2, 1, 0)
         tiles[...] = abst                             # global -> shared
-        pivs = np.zeros((hi - lo, min(self.m, self.n)), dtype=np.int64)
-        gbtf2_batched(self.m, self.n, self.kl, self.ku, tiles, pivs,
-                      self.info[lo:hi])
+        gbtf2_batched(self.m, self.n, self.kl, self.ku, tiles,
+                      self.pivots[lo:hi], self.info[lo:hi])
         abst[...] = tiles                             # shared -> global
-        for k in range(hi - lo):
-            if packed:
+        if packed:
+            for k in range(hi - lo):
                 self.mats[lo + k][:ldab, :] = abst[k]
-            self.pivots[lo + k][:] = pivs[k]

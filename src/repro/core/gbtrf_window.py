@@ -126,8 +126,8 @@ class SlidingWindowGbtrfKernel(Kernel):
     name = "gbtrf_window"
 
     def __init__(self, m: int, n: int, kl: int, ku: int,
-                 mats: list[np.ndarray], pivots: list[np.ndarray],
-                 info: np.ndarray, *, nb: int, threads: int):
+                 mats, pivots: np.ndarray, info: np.ndarray, *, nb: int,
+                 threads: int):
         if nb < 1:
             raise ValueError(f"window block size nb must be >= 1, got {nb}")
         if threads < kl + 1:
@@ -166,11 +166,9 @@ class SlidingWindowGbtrfKernel(Kernel):
         # caller's stack: the window reads and writes it in place.  Only
         # the pack rung and the per-block path gather and scatter back.
         abst = stage_stack(self.mats, hi, lo=lo, packed=packed, rows=ldab)
-        pivs = np.zeros((hi - lo, min(self.m, self.n)), dtype=np.int64)
         sliding_window_factor_batched(
-            abst, pivs, self.info[lo:hi],
+            abst, self.pivots[lo:hi], self.info[lo:hi],
             self.m, self.n, self.kl, self.ku, self.nb, smem)
-        for k in range(hi - lo):
-            if packed:
+        if packed:
+            for k in range(hi - lo):
                 self.mats[lo + k][:ldab, :] = abst[k]
-            self.pivots[lo + k][:] = pivs[k]

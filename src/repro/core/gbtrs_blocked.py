@@ -99,7 +99,7 @@ class _FactorTiles:
 
 class _BlockedSolveBase(Kernel):
     def __init__(self, n: int, kl: int, ku: int, nrhs: int,
-                 mats: list[np.ndarray], pivots, rhs: list[np.ndarray], *,
+                 mats, pivots: np.ndarray | None, rhs, *,
                  nb: int | None = None, threads: int | None = None):
         if nb is not None and nb < 1:
             raise ValueError(f"solve block size nb must be >= 1, got {nb}")
@@ -130,8 +130,7 @@ class _BlockedSolveBase(Kernel):
         per-block path.
         """
         abl = stage_stack(self.mats, hi, lo=lo, packed=packed)
-        pivs = (np.stack([np.asarray(p) for p in self.pivots[lo:hi]],
-                         axis=1) if self.pivots is not None else None)
+        pivs = None if self.pivots is None else self.pivots[lo:hi].T
         btl = stage_stack(self.rhs, hi, lo=lo, packed=packed)
         return abl.transpose(1, 2, 0), pivs, btl.transpose(1, 2, 0)
 

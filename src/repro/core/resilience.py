@@ -537,8 +537,7 @@ def _quarantine(report, spec, cfg, ops, snap, policy) -> None:
     if factor.roles["pivots"] != IN:       # a pure solve factors nothing
         sub = ops.take(bad)
         _rerun_reference(report, factor, cfg, sub, snap.take(bad), policy)
-        for j, k in enumerate(bad):
-            info[k] = sub.info[j]
+        ops.put_back(bad, sub)
         factored = ops.finite_factors()
         live = [k for k in bad if info[k] == 0]
         unrecovered = [k for k in live if not factored[k]]

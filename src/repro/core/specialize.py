@@ -26,7 +26,8 @@ from ..gpusim.costmodel import BlockCost
 from ..gpusim.device import DeviceSpec
 from ..gpusim.kernel import launch
 from ..tuning.defaults import window_params
-from .batch_args import as_matrix_list, check_gb_args, ensure_info, ensure_pivots
+from .batch_args import (as_matrix_list, check_gb_args, ensure_info,
+                         ensure_pivots, pivot_stack)
 from .gbtrf_window import SlidingWindowGbtrfKernel
 
 __all__ = ["BandSpecialization", "create_specialization",
@@ -90,10 +91,11 @@ class BandSpecialization:
         info = ensure_info(info, batch, arg_pos=5)
         if batch == 0 or min(m, n) == 0:
             return pivots, info
-        kernel = _SpecializedWindowKernel(
-            m, n, self.kl, self.ku, mats, pivots, info,
-            nb=self.nb, threads=self.threads)
-        launch(self.device, kernel, stream=stream, execute=execute)
+        with pivot_stack(pivots, min(m, n)) as pivs:
+            kernel = _SpecializedWindowKernel(
+                m, n, self.kl, self.ku, mats, pivs, info,
+                nb=self.nb, threads=self.threads)
+            launch(self.device, kernel, stream=stream, execute=execute)
         return pivots, info
 
 

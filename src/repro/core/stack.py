@@ -38,7 +38,7 @@ from ..errors import check_arg
 from ..gpusim.device import H100_PCIE, DeviceSpec
 from ..gpusim.kernel import ConversionCharge
 from ..types import Trans
-from .batch_args import convert_batch_layout
+from .batch_args import convert_batch_layout, pivot_stack
 
 __all__ = ["ExecConfig", "Operands", "OpSpec", "Snapshot", "stacked",
            "check_execution", "run", "convert_layout", "govern", "heal"]
@@ -133,8 +133,9 @@ class Operands:
 
     ``mats``/``rhs`` are the caller's 3-D stacks (or lane slices of them)
     when the call passed stacks, else lists of per-lane views; ``rhs`` is
-    ``None`` for ``gbtrf``.  ``pivots`` is a list of per-lane vectors and
-    ``info`` the status array.  ``lanes`` maps each lane to its index in
+    ``None`` for ``gbtrf``.  ``pivots`` is one ``(batch, mn)`` integer
+    array (a pointer array is stacked once, by :func:`run`) and ``info``
+    the status array.  ``lanes`` maps each lane to its index in
     the root call, which keys the call's pristine snapshot.
     """
 
@@ -156,22 +157,32 @@ class Operands:
     def take(self, idx) -> "Operands":
         """Sub-batch over local lanes ``idx``.
 
-        A ``range`` slices (a stack stays a stack, and ``info`` stays a
-        view of the parent's); a list gathers per-lane views, with a
-        fresh zeroed ``info`` the caller copies back.
+        A ``range`` slices (a stack stays a stack, and ``info`` and the
+        pivots stay views of the parent's); a list gathers per-lane views
+        of the matrices and right-hand sides, a copy of the pivots and a
+        fresh zeroed ``info``, which :meth:`put_back` copies back.
         """
         if isinstance(idx, range):
             sl = slice(idx.start, idx.stop)
-            info = self.info[sl]
+            info, pivots = self.info[sl], self.pivots[sl]
             pick = lambda seq: seq[sl]
         else:
             info = np.zeros(len(idx), dtype=np.int64)
+            pivots = self.pivots[list(idx)]
             pick = lambda seq: [seq[k] for k in idx]
         return Operands(self.m, self.n, self.kl, self.ku, pick(self.mats),
-                        pick(self.pivots), info, nrhs=self.nrhs,
+                        pivots, info, nrhs=self.nrhs,
                         rhs=None if self.rhs is None else pick(self.rhs),
                         trans=self.trans, lanes=pick(self.lanes),
                         call=self.call)
+
+    def put_back(self, idx, sub: "Operands", *, pivots: bool = True) -> None:
+        """Copy ``sub = self.take(idx)`` (``idx`` a list) back: its
+        ``info`` and, unless ``pivots=False`` (an op that only reads
+        them), its pivots."""
+        self.info[idx] = sub.info
+        if pivots:
+            self.pivots[idx] = sub.pivots
 
     def relayout(self, a, b) -> "Operands":
         """The same lanes with matrices/right-hand sides from ``a``/``b``."""
@@ -220,9 +231,15 @@ class Snapshot(dict):
 
     def take(self, idx) -> "Snapshot":
         """Narrow to lanes ``idx`` (without copying for a ``range``)."""
-        idx = (slice(idx.start, idx.stop) if isinstance(idx, range)
-               else list(idx))
+        idx = _lane_index(idx)
         return Snapshot({k: v[idx] for k, v in self.items()})
+
+
+def _lane_index(idx):
+    """Lanes ``idx`` as an array index: a ``range`` as a slice (a view),
+    anything else as a list (a gather)."""
+    return (slice(idx.start, idx.stop) if isinstance(idx, range)
+            else list(idx))
 
 
 @dataclass(frozen=True)
@@ -292,15 +309,16 @@ class OpSpec:
         in-place write could never have corrupted).
         """
         ks = range(ops.batch) if ks is None else ks
-        seqs = {"a": ops.mats, "pivots": ops.pivots, "b": ops.rhs}
+        seqs = {"a": ops.mats, "pivots": ops.pivots, "b": ops.rhs,
+                "info": ops.info}
         for name in self._names(inputs):
-            src = snap[name]
-            if name == "info":
-                for k in ks:
-                    ops.info[k] = src[k]
-                continue
-            seq = seqs[name]
+            src, seq = snap[name], seqs[name]
             guard = self.roles[name] == IN
+            if name in ("pivots", "info"):          # one array each
+                if seq.flags.writeable or not guard:
+                    idx = _lane_index(ks)
+                    seq[idx] = src[idx]
+                continue
             for k in ks:
                 if guard and not seq[k].flags.writeable:
                     continue
@@ -326,11 +344,18 @@ class OpSpec:
 # --- the layers --------------------------------------------------------------
 
 def run(spec: OpSpec, cfg: ExecConfig, ops: Operands):
-    """Run one validated batched call through the layer stack."""
-    if cfg.verify is not None:
-        from .verify import run_verified
-        return run_verified(spec, cfg, ops)
-    return convert_layout(spec, cfg, ops)
+    """Run one validated batched call through the layer stack.
+
+    A pointer array of pivot vectors is stacked here, once, for every
+    layer below; an op that produces pivots copies them back to the
+    caller's vectors when the call returns or raises.
+    """
+    with pivot_stack(ops.pivots, min(ops.m, ops.n),
+                     write_back=spec.roles["pivots"] != IN) as ops.pivots:
+        if cfg.verify is not None:
+            from .verify import run_verified
+            return run_verified(spec, cfg, ops)
+        return convert_layout(spec, cfg, ops)
 
 
 def convert_layout(spec: OpSpec, cfg: ExecConfig, ops: Operands):

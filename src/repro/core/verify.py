@@ -354,7 +354,7 @@ def _recompute(report, spec, ops, snap, run):
         spec.restore(ops, snap, ks, inputs=True)
         sub = ops.take(ks)
         run(sub)
-        ops.info[ks] = sub.info
+        ops.put_back(ks, sub, pivots=spec.roles["pivots"] != IN)
         report.recomputes += len(ks)
     return rung
 
@@ -566,11 +566,9 @@ def gate_gbtrf(report, cfg, ops, snap):
         idx = list(ks)
         if len(idx) == batch:       # the common all-lanes gate
             f3 = _band_rows(ops, rows)
-            p2 = np.stack([np.asarray(p) for p in pivots])
         else:
             f3 = np.stack([np.asarray(mats[k])[:rows] for k in idx])
-            p2 = np.stack([np.asarray(pivots[k]) for k in idx])
-        got = plu_apply_batch(f3, p2, w3[:len(idx)], n, kl, ku)
+        got = plu_apply_batch(f3, pivots[idx], w3[:len(idx)], n, kl, ku)
         ref = band_mv_batch(snap_a[idx], w3[:len(idx)], n, kl, ku)
         unorms = factor_norms_inf(f3, n, kl, ku)
         anorms = band_norms_inf(snap_a[idx], n, kl, ku)

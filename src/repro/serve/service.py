@@ -75,24 +75,16 @@ class BatchingPolicy:
         — the per-request latency deadline.  Age is checked on every
         ``submit``/``poll`` (and by the optional background poller), so
         the deadline holds to the polling granularity, not exactly.
-    max_pending_bytes:
-        Optional cap on the pending set's device footprint, tightening
-        the admission budget below what the device pool allows.
     """
 
     max_group: int = 64
     max_delay: float = 0.002
-    max_pending_bytes: int | None = None
 
     def __post_init__(self):
         check_arg(self.max_group >= 1, 1,
                   f"max_group must be >= 1, got {self.max_group}")
         check_arg(self.max_delay >= 0.0, 2,
                   f"max_delay must be >= 0, got {self.max_delay}")
-        check_arg(self.max_pending_bytes is None
-                  or self.max_pending_bytes > 0, 3,
-                  f"max_pending_bytes must be positive, "
-                  f"got {self.max_pending_bytes}")
 
 
 class SolveHandle:
@@ -445,8 +437,6 @@ class SolverService:
         budget = memory_pool(self.device).available + self.cache.nbytes
         if self._cfg.max_resident_bytes is not None:
             budget = min(budget, int(self._cfg.max_resident_bytes))
-        if self.policy.max_pending_bytes is not None:
-            budget = min(budget, int(self.policy.max_pending_bytes))
         return budget
 
     def _admit_locked(self, req: _Pending) -> None:
@@ -489,17 +479,15 @@ class SolverService:
             return
         self._report.batch_reports.append(rep.to_dict())
         self._report.faults_tolerated += rep.faults_tolerated
-        self._report.device_events.extend(
-            dict(e) for e in getattr(rep, "device_events", ()))
-        self._report.failovers += getattr(rep, "failovers", 0)
-        self._report.hedges += getattr(rep, "hedges", 0)
-        self._report.verified_lanes += getattr(rep, "verified_lanes", 0)
-        self._report.sdc_detected += len(getattr(rep, "sdc_detected", ()))
-        self._report.sdc_recovered += len(
-            getattr(rep, "sdc_recovered", ()))
-        self._report.recomputes += getattr(rep, "recomputes", 0)
-        self._report.residual_max = max(
-            self._report.residual_max, getattr(rep, "residual_max", 0.0))
+        self._report.device_events.extend(dict(e) for e in rep.device_events)
+        self._report.failovers += rep.failovers
+        self._report.hedges += rep.hedges
+        self._report.verified_lanes += rep.verified_lanes
+        self._report.sdc_detected += len(rep.sdc_detected)
+        self._report.sdc_recovered += len(rep.sdc_recovered)
+        self._report.recomputes += rep.recomputes
+        self._report.residual_max = max(self._report.residual_max,
+                                        rep.residual_max)
 
     # -- load shedding -----------------------------------------------------
 

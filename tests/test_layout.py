@@ -539,8 +539,8 @@ class TestServeLayout:
 
 
 class TestRefineConditionLayout:
-    """``gbrfs_batch``/``gbcon_batch`` accept interleaved stacks natively
-    and stage through the ``layout=`` knob with bit-identical results."""
+    """``gbrfs_batch``/``gbcon_batch`` accept interleaved stacks natively,
+    with results bit-identical to lane-major input."""
 
     BATCH, N, KL, KU, NRHS = 7, 28, 2, 3, 2
 
@@ -558,39 +558,24 @@ class TestRefineConditionLayout:
         x += 1e-3 * rng.standard_normal(x.shape)
         return a, fact, piv, b, x
 
-    def _refine(self, a, fact, piv, b, x, **kw):
-        res = gbrfs_batch(self.N, self.KL, self.KU, self.NRHS, a, fact,
-                          piv, b, x, **kw)
-        return res
+    def _refine(self, a, fact, piv, b, x):
+        return gbrfs_batch(self.N, self.KL, self.KU, self.NRHS, a, fact,
+                           piv, b, x)
 
-    @pytest.mark.parametrize("knob", [None, "soa", "interleaved"])
-    def test_gbrfs_soa_parity(self, knob):
+    def test_gbrfs_soa_parity(self):
         a, fact, piv, b, x = self._problem()
         x_ref = x.copy()
         ref = self._refine(a, fact, piv, b, x_ref)
         a_soa, fact_soa = to_interleaved(a), to_interleaved(fact)
         b_soa, x_soa = to_interleaved(b), to_interleaved(x)
-        got = self._refine(a_soa, fact_soa, piv, b_soa, x_soa,
-                           layout=knob)
+        got = self._refine(a_soa, fact_soa, piv, b_soa, x_soa)
         _bytes_equal((_materialize(x_soa), x_ref))
         for r_ref, r_got in zip(ref, got):
             assert r_got.iterations == r_ref.iterations
             assert r_got.converged == r_ref.converged
             _bytes_equal((r_got.berr, r_ref.berr))
 
-    def test_gbrfs_layout_knob_on_lane_major(self):
-        a, fact, piv, b, x = self._problem()
-        x_ref = x.copy()
-        ref = self._refine(a, fact, piv, b, x_ref)
-        x_knob = x.copy()
-        got = self._refine(a.copy(), fact.copy(), piv, b.copy(), x_knob,
-                           layout="soa")
-        _bytes_equal((x_knob, x_ref))
-        for r_ref, r_got in zip(ref, got):
-            _bytes_equal((r_got.berr, r_ref.berr))
-
-    @pytest.mark.parametrize("knob", [None, "soa", "aos"])
-    def test_gbcon_soa_parity(self, knob):
+    def test_gbcon_soa_parity(self):
         from repro.band.ops import band_norm_1
         a, fact, piv, _b, _x = self._problem()
         anorms = [band_norm_1(a[k], self.N, self.KL, self.KU)
@@ -598,13 +583,5 @@ class TestRefineConditionLayout:
         ref = gbcon_batch("1", self.N, self.KL, self.KU, fact, piv, anorms)
         fact_soa = to_interleaved(fact)
         got = gbcon_batch("1", self.N, self.KL, self.KU, fact_soa, piv,
-                          anorms, layout=knob)
+                          anorms)
         _bytes_equal((got, ref))
-
-    def test_invalid_layout_rejected(self):
-        a, fact, piv, b, x = self._problem()
-        with pytest.raises(ArgumentError, match="layout"):
-            self._refine(a, fact, piv, b, x, layout="diagonal")
-        with pytest.raises(ArgumentError, match="layout"):
-            gbcon_batch("1", self.N, self.KL, self.KU, fact, piv,
-                        [1.0] * self.BATCH, layout="diagonal")

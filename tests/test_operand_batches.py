@@ -80,20 +80,21 @@ SOLVES = {"fwd": BlockedForwardKernel, "bwd": BlockedBackwardKernel,
 
 def _operands(family, kernel):
     """Fresh matrices and right-hand sides of ``family`` for ``kernel``,
-    plus per-lane pivots (the factors' pivots for the solves)."""
+    plus the ``(batch, n)`` pivots (the factors' pivots for the solves;
+    a list of per-problem vectors for the vbatch kernel)."""
     a = random_band_batch(BATCH, N, KL, KU, seed=11)
     pivots = np.zeros((BATCH, N), dtype=np.int64)
     if kernel in SOLVES or kernel == "ref_gbtrs":
-        pv, info = gbtrf_batch(N, N, KL, KU, a)
+        pivots, info = gbtrf_batch(N, N, KL, KU, a)
         assert (info == 0).all()
-        pivots = np.stack(pv)
     b = random_rhs(N, NRHS, batch=BATCH, seed=12)
     if family == "mixed":
         mats, rhs = to_interleaved(a), b.copy()
     else:
         make = FAMILIES[family][0]
         mats, rhs = make(a), make(b)
-    return mats, rhs, list(pivots[:len(mats)])
+    pivots = pivots[:len(mats)]
+    return mats, rhs, list(pivots) if kernel == "vbatch" else pivots
 
 
 def _run(kernel, mats, rhs, pivots):

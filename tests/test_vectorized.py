@@ -530,7 +530,7 @@ class TestDispatch:
         from repro.core.gbtrf_window import SlidingWindowGbtrfKernel
         n, kl, ku, batch = 24, 2, 3, 4
         a = _band_batch(batch, n, kl, ku, np.float64, seed=38)
-        pivots = [np.zeros(n, dtype=np.int64) for _ in range(batch)]
+        pivots = np.zeros((batch, n), dtype=np.int64)
         info = np.zeros(batch, dtype=np.int64)
         kernel = SlidingWindowGbtrfKernel(n, n, kl, ku, list(a), pivots,
                                           info, nb=8, threads=kl + 1)
@@ -628,7 +628,7 @@ class TestStaging:
         ops = [x.copy() if lay == "aos" else to_interleaved(x)
                for x, lay in zip((a, b), layouts)]
         mats, rhs = _Walked(ops[0]), _Walked(ops[1])
-        kernel = BlockedForwardKernel(n, kl, ku, 1, mats, list(piv), rhs)
+        kernel = BlockedForwardKernel(n, kl, ku, 1, mats, piv, rhs)
         rec = launch(H100_PCIE, kernel)
         assert rec.vectorized and not rec.packed
         assert rec.soa == ("soa" in layouts)
@@ -637,8 +637,8 @@ class TestStaging:
         assert mats.reads < 2 * batch and rhs.reads < 2 * batch
         # The forward solve alone ran; compare with the per-block kernel.
         b_blk = b.copy()
-        launch(H100_PCIE, BlockedForwardKernel(n, kl, ku, 1, list(a),
-                                               list(piv), list(b_blk)),
+        launch(H100_PCIE, BlockedForwardKernel(n, kl, ku, 1, list(a), piv,
+                                               list(b_blk)),
                vectorize=False)
         _bytes_equal((ops[1], b_blk))
 
