@@ -8,10 +8,11 @@ Guards the two contracts of the PR 8 failure domain
   breaker polling, the rounds loop) must cost host bookkeeping only
   when no fault ever fires, measured as wall-clock against the plain
   pipelined run on the same two shards.  Per the ``bench_pipeline``
-  idiom, the wall-clock gate only fires on multi-core hosts — on a
-  single-core container the two shard worker threads serialize and the
-  ratio is scheduler noise; the committed JSON records ``cpu_count``
-  and ``wallclock_gated`` so the trajectory stays interpretable;
+  idiom, the wall-clock gate only fires on multi-core hosts.  Both
+  sides run their two shards in turn on the calling thread, so the
+  ratio prices the failover bookkeeping alone; the committed JSON
+  records ``cpu_count`` and ``wallclock_gated`` so the trajectory stays
+  interpretable;
 * **<= 2.5x recovery makespan** — a seeded mid-run 1-of-2-device
   outage (brown-out: the device bounces, trips the breaker, probes
   back in) must finish all lanes within 2.5x the healthy two-device

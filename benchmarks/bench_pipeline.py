@@ -16,12 +16,12 @@ Guards the three contracts of ``core/pipeline.py`` (docs/PERFORMANCE.md
   sequential chunked results exactly.
 
 Host wall-clock for the 2-device configuration is measured and reported
-too: each shard runs on its own worker thread, so on a multi-core host
-the NumPy-heavy vectorized path can overlap between shards.  The
-speedup is gated only when the machine has more than one core (on a
-single-core container threads cannot help and the honest number is
-~1.0x); the committed JSON records ``cpu_count`` alongside the ratio so
-the trajectory stays interpretable.
+too.  The shards run in turn on the calling thread, so the modeled
+makespan, not host wall-clock, reflects the device count, and the
+honest wall-clock ratio is about 1.0x until shards run in worker
+processes.  The speedup is gated only when the machine has more than
+one core; the committed JSON records ``cpu_count`` alongside the ratio
+so the trajectory stays interpretable.
 
 Alongside the text exhibit, ``benchmarks/results/BENCH_pipeline.json``
 archives every number machine-readably for future perf tracking.
@@ -153,7 +153,7 @@ def _render(s):
         f"  pipeline overhead at 1 dev/1 stream:  "
         f"{s['overhead_1dev_1stream'] * 100:+.1f} %   (ceiling "
         f"{s['gates']['overhead_ceiling'] * 100:.0f}%)",
-        f"  wall-clock speedup, 2 worker threads: "
+        f"  wall-clock speedup, 2 devices:        "
         f"{s['wallclock_speedup_2dev']:.2f}x   "
         + (f"({s['cpu_count']} cores)" if s["gates"]["wallclock_gated"]
            else f"(single-core host: not gated)"),
@@ -180,7 +180,7 @@ def _assert_gates(s, *, wallclock=True):
             f"slower than the sequential executor")
         if s["gates"]["wallclock_gated"]:
             assert s["wallclock_speedup_2dev"] > 1.0, (
-                f"2 worker threads on {s['cpu_count']} cores gave "
+                f"2 devices on one thread, {s['cpu_count']} cores, gave "
                 f"{s['wallclock_speedup_2dev']:.2f}x wall-clock")
 
 

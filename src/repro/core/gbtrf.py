@@ -136,10 +136,13 @@ def gbtrf_batch(m: int, n: int, kl: int, ku: int, a_array,
         ``devices`` shards the batch across devices — an int replicates
         ``device`` that many times, or pass a list of uniquely-named
         :class:`~repro.gpusim.device.DeviceSpec`; shards are weighted by
-        modeled per-device throughput and each runs on its own host
-        worker thread.  Results stay bit-identical to the sequential
-        single-device path.  Ignored for non-governed calls
-        (``execute=False``, graph capture).
+        modeled per-device throughput.  Shards run in turn on the
+        calling thread; the modeled makespan, not host wall-clock,
+        reflects the device count (a host thread per shard was slower:
+        the numpy calls on small chunks convoy on the GIL).  Results
+        stay bit-identical to the sequential single-device path.
+        Ignored for non-governed calls (``execute=False``, graph
+        capture).
 
     layout:
         Batch storage-layout selector (docs/LAYOUTS.md).  ``None``

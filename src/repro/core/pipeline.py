@@ -24,9 +24,9 @@ double-buffered pipeline:
   :func:`~repro.gpusim.multidevice.split_batch`, weighted by modeled
   per-device throughput (:func:`~repro.gpusim.multidevice.throughput_weights`
   fed from the kernels' own cost declarations and per-device tuning
-  tables), and each shard runs on its own host worker thread — NumPy
-  releases the GIL for the heavy vectorized operations, so multi-device
-  runs see real wall-clock parallelism, not just a better model;
+  tables).  Shards run in turn on the calling thread; the modeled
+  makespan, not host wall-clock, reflects the device count (``_launch``
+  gives the measured reason);
 * ``resilient=True`` keeps its full contract: the OOM ladder (drain the
   pipeline's live buffers, halve the chunk, finish on the host net) runs
   per shard, fault-plan lane windows stay keyed to *global* lane indices,
@@ -166,9 +166,9 @@ class PipelineResult:
     def makespan(self) -> float:
         """Modeled wall time.
 
-        Within a round, shards run concurrently and the slowest wins;
-        rounds run sequentially, so the total is the sum of the per-round
-        maxima.
+        Within a round, the shards' devices run concurrently in the
+        model and the slowest wins; rounds run sequentially, so the total
+        is the sum of the per-round maxima.
         """
         return sum(self.round_makespans)
 
@@ -287,7 +287,7 @@ def _take_lanes(ranges: list, count: int) -> list:
 
 
 class _ShardOutcome:
-    """Everything one shard worker produced — or left behind.
+    """Everything one shard run produced — or left behind.
 
     The coordinator folds every shard's outcome into one of these
     (:meth:`absorb`), which is what the governance layer reports from.
@@ -390,9 +390,9 @@ def _run_shard(spec, cfg, ops, dev, ranges, plan, role="full"):
     has already mutated them — in-place factorization is not idempotent),
     the failure is described in :attr:`_ShardOutcome.failure`, and every
     lane not yet completed is returned as an orphan range for the
-    coordinator to re-shard.  Breaker bookkeeping happens on the
-    coordinator thread, not here, which keeps failover decisions
-    deterministic.
+    coordinator to re-shard.  Breaker bookkeeping happens in the
+    coordinator once the round's shards are done, not here, which keeps
+    failover decisions deterministic.
     """
     out = _ShardOutcome()
     pool = memory_pool(dev)
@@ -556,33 +556,20 @@ def _run_hedge(spec, cfg, ops, dev, span):
 
 
 def _launch(spec, cfg, ops, assignments) -> list:
-    """Run one round's ``(device, ranges, plan, role)`` assignments, one
-    host worker thread per shard when there are several; a worker's
-    exception re-raises on the coordinator."""
-    outs = [None] * len(assignments)
-    errs = [None] * len(assignments)
+    """Run one round's ``(device, ranges, plan, role)`` assignments in
+    turn on the calling thread.
 
-    def work(i, dev, ranges, plan, role):
-        try:
-            outs[i] = _run_shard(spec, cfg, ops, dev, ranges, plan, role)
-        except BaseException as exc:  # re-raised on the coordinator
-            errs[i] = exc
-
-    if len(assignments) > 1:
-        workers = [threading.Thread(target=work, args=(i, *a),
-                                    name=f"pipe-{spec.name}-{a[0].name}")
-                   for i, a in enumerate(assignments)]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join()
-    else:
-        for i, a in enumerate(assignments):
-            work(i, *a)
-    for exc in errs:
-        if exc is not None:
-            raise exc
-    return outs
+    Each shard keeps its own stream triple on absolute timelines, so the
+    round's modeled makespan is still the per-shard maximum: the model,
+    not host wall-clock, shows what the device count buys.  A host
+    thread per shard was slower: numpy calls on 125-lane chunks take
+    1–2 µs each and release the GIL, so two shard threads handed it back
+    and forth on every call.  On a 2-core host ``devices=2`` ran at
+    0.6–0.8× of one device with 125-lane chunks, and a call with the
+    ``full_stack`` benchmark knobs took about 30% longer with it.
+    A shard that raises stops the round; later shards never start.
+    """
+    return [_run_shard(spec, cfg, ops, *a) for a in assignments]
 
 
 def execute_pipelined(spec, cfg, ops, lane_bytes):
@@ -675,9 +662,9 @@ def execute_pipelined(spec, cfg, ops, lane_bytes):
             ev_cursor = len(breaker.events)
         if hedge_ratio is not None and len(outs) > 1:
             # Straggler hedging, decided on the coordinator after the
-            # round joins: a chunk that took longer than hedge_ratio
-            # times the round's median replays on the fastest other
-            # closed device; the first finisher wins and the loser's
+            # round's shards are done: a chunk that took longer than
+            # hedge_ratio times the round's median replays on the fastest
+            # other closed device; the first finisher wins and the loser's
             # traffic stays attributed.
             all_spans = [(i, sp) for i, out in enumerate(outs)
                          for sp in out.spans]

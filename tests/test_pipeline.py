@@ -11,6 +11,8 @@ Pins the contracts of :mod:`repro.core.pipeline`:
 * ``resilient=True`` fault storms produce deterministic results and a
   correctly merged report regardless of stream/device count;
 * per-stream leases never leak, even when a chunk dies mid-pipeline;
+* shards run in turn on the calling thread: no call starts a thread,
+  and a shard that raises stops the round before the next one leases;
 * TrafficCounter totals agree with the bytes carried on the copy-stream
   timelines.
 """
@@ -539,6 +541,23 @@ class TestLeaseAccounting:
             assert pool.in_use == 0
             assert pool.in_use_by_label == {}
 
+    def test_failed_first_launch_stops_the_round(self):
+        """Shards run in turn: a raising shard 0 means shard 1 never
+        leases a byte, and shard 0's lease is returned."""
+        devs = replicate_device(H100_PCIE, 2)
+        plan = FaultPlan(seed=4, launch_failure_rate=1.0,
+                         max_launch_failures=1)
+        a, b = self._problem()
+        with fault_injection(devs[0], plan):
+            with pytest.raises(DeviceError):
+                gbsv_batch(self.n, self.kl, self.ku, 1, a, None, b,
+                           chunk_hint=8, devices=devs)
+        for pool in self._pools(devs):
+            assert pool.in_use == 0
+            assert pool.in_use_by_label == {}
+        assert memory_pool(devs[0]).peak > 0
+        assert memory_pool(devs[1]).peak == 0
+
     def test_mid_chunk_crash_frees_current_lease(self):
         devs = replicate_device(H100_PCIE, 2)
         plan = FaultPlan(seed=4, launch_failure_rate=1.0,
@@ -603,13 +622,23 @@ class TestTrafficAgreement:
         assert sum(e.record.nbytes for e in s_d2h.timeline) == shard.d2h_bytes
 
 
+@pytest.fixture
+def no_threads(monkeypatch):
+    """Fail any test whose pipelined calls start a host thread."""
+    def refuse(thread):
+        raise AssertionError(f"pipeline started thread {thread.name!r}")
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+
+
+@pytest.mark.usefixtures("no_threads")
 class TestDeviceFaultDomain:
     """Failover, circuit breaking, watchdog, and hedging on the pipeline.
 
     The PR 8 acceptance contract: a seeded mid-run device outage on one
     of two shard devices completes every lane bit-identically to the
     healthy single-device run, with the trip/probe/recovery arc recorded
-    in ``BatchReport.device_events``.
+    in ``BatchReport.device_events``.  Shards run in turn on the calling
+    thread, so none of it starts a thread.
     """
 
     n, kl, ku, batch = 24, 3, 2, 24
@@ -725,6 +754,12 @@ class TestDeviceFaultDomain:
         assert out == ref
         assert rep.hedges >= 1
         assert any(e.get("event") == "hedge" for e in rep.device_events)
+
+    def test_plain_two_device_call_starts_no_thread(self):
+        a, b = self._problem()
+        gbsv_batch(self.n, self.kl, self.ku, 1, a, None, b,
+                   chunk_hint=4, devices=2)
+        assert len(last_pipeline_result().shards) == 2
 
     def test_pools_clean_after_failover(self):
         devs = replicate_device(H100_PCIE, 2)
