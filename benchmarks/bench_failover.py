@@ -9,8 +9,8 @@ Guards the two contracts of the PR 8 failure domain
   when no fault ever fires, measured as wall-clock against the plain
   pipelined run on the same two shards.  Per the ``bench_pipeline``
   idiom, the wall-clock gate only fires on multi-core hosts.  Both
-  sides run their two shards in turn on the calling thread, so the
-  ratio prices the failover bookkeeping alone; the committed JSON
+  sides run their second shard in a forked worker process the same
+  way, so the ratio prices the failover bookkeeping alone; the committed JSON
   records ``cpu_count`` and ``wallclock_gated`` so the trajectory stays
   interpretable;
 * **<= 2.5x recovery makespan** — a seeded mid-run 1-of-2-device

@@ -16,12 +16,13 @@ Guards the three contracts of ``core/pipeline.py`` (docs/PERFORMANCE.md
   sequential chunked results exactly.
 
 Host wall-clock for the 2-device configuration is measured and reported
-too.  The shards run in turn on the calling thread, so the modeled
-makespan, not host wall-clock, reflects the device count, and the
-honest wall-clock ratio is about 1.0x until shards run in worker
-processes.  The speedup is gated only when the machine has more than
-one core; the committed JSON records ``cpu_count`` alongside the ratio
-so the trajectory stays interpretable.
+too.  The second shard runs in a forked worker process on shared host
+buffers while the first runs on the calling thread, so on a multi-core
+host the wall-clock ratio shows what the second core buys, net of the
+fork and of staging the operands into shared memory.  The speedup is
+gated only when the machine has more than one core; the committed JSON
+records ``cpu_count`` alongside the ratio so the trajectory stays
+interpretable.
 
 Alongside the text exhibit, ``benchmarks/results/BENCH_pipeline.json``
 archives every number machine-readably for future perf tracking.
@@ -180,7 +181,7 @@ def _assert_gates(s, *, wallclock=True):
             f"slower than the sequential executor")
         if s["gates"]["wallclock_gated"]:
             assert s["wallclock_speedup_2dev"] > 1.0, (
-                f"2 devices on one thread, {s['cpu_count']} cores, gave "
+                f"2 devices in 2 processes, {s['cpu_count']} cores, gave "
                 f"{s['wallclock_speedup_2dev']:.2f}x wall-clock")
 
 

@@ -221,7 +221,8 @@ def gbtrf_vbatch(ms, ns, kls, kus, a_array, pv_array=None, info=None, *,
     ``streams`` / ``devices`` are the pipelined-execution
     knobs (see :func:`repro.core.gbtrf.gbtrf_batch`), applied per
     uniform group: each group's chunks stream through double-buffered
-    copy/compute streams and shard across devices, bit-identically.
+    copy/compute streams and shard across devices (extra shards in
+    forked worker processes), bit-identically.
 
     ``layout`` is the storage-layout selector (docs/LAYOUTS.md), applied
     per uniform group: ``None`` runs each group in the layout it arrives
@@ -299,7 +300,8 @@ def gbsv_vbatch(ns, kls, kus, nrhss, a_array, b_array, pv_array=None,
     :class:`~repro.core.resilience.BatchReport`.
     ``max_resident_bytes`` / ``chunk_hint`` bound each uniform group's
     resident device footprint (:mod:`repro.core.memory_plan`);
-    ``streams`` / ``devices`` pipeline each group's chunks
+    ``streams`` / ``devices`` pipeline each group's chunks, extra
+    shards in forked worker processes
     (see :func:`repro.core.gbtrf.gbtrf_batch`); ``layout`` stages each
     uniform group into the requested storage layout once before it
     executes (see :func:`gbtrf_vbatch` and docs/LAYOUTS.md); ``verify``

@@ -100,7 +100,8 @@ def gbsv_batch(n: int, kl: int, ku: int, nrhs: int, a_array, pv_array,
     ``streams`` / ``devices`` are the pipelined-execution
     knobs (see :func:`repro.core.gbtrf.gbtrf_batch`): chunks stream
     through double-buffered copy/compute streams and shard across
-    devices, bit-identically to the sequential single-device path.
+    devices (extra shards in forked worker processes),
+    bit-identically to the sequential single-device path.
 
     ``layout`` selects the batch storage layout (docs/LAYOUTS.md, same
     semantics as :func:`repro.core.gbtrf.gbtrf_batch`): ``None`` runs

@@ -136,11 +136,15 @@ def gbtrf_batch(m: int, n: int, kl: int, ku: int, a_array,
         ``devices`` shards the batch across devices — an int replicates
         ``device`` that many times, or pass a list of uniquely-named
         :class:`~repro.gpusim.device.DeviceSpec`; shards are weighted by
-        modeled per-device throughput.  Shards run in turn on the
-        calling thread; the modeled makespan, not host wall-clock,
-        reflects the device count (a host thread per shard was slower:
-        the numpy calls on small chunks convoy on the GIL).  Results
-        stay bit-identical to the sequential single-device path.
+        modeled per-device throughput.  A round's first shard runs on
+        the calling thread and each other one in a child forked for it
+        (one per spare core) on shared host buffers; the children's
+        outcomes and device state (memory pool, health tracker, fault
+        injector) come back as if every shard had run in turn.  A round
+        runs in turn on the calling thread when the platform cannot
+        fork, another Python thread is alive or two devices share a
+        fault injector.  Results stay bit-identical to the sequential
+        single-device path.
         Ignored for non-governed calls (``execute=False``, graph
         capture).
 
