@@ -228,6 +228,13 @@ class DeviceHealth:
             "mean_latency": float(self.mean_latency),
         }
 
+    def take_state(self, other: "DeviceHealth") -> None:
+        """Continue from ``other``, a copy of this tracker that recorded
+        launches elsewhere (a forked pipeline shard); references to this
+        tracker stay valid."""
+        for name in self.__slots__:
+            setattr(self, name, getattr(other, name))
+
     def reset(self) -> None:
         """Clear the window and all cumulative totals."""
         self._outcomes.clear()

@@ -338,6 +338,12 @@ class FaultInjector:
         #: indices regardless of how the batch was chunked.
         self.lane_offset = 0
 
+    def take_state(self, other: "FaultInjector") -> None:
+        """Continue from ``other``, a copy of this injector that ran
+        elsewhere (a forked pipeline shard): its budgets, random streams
+        and log; references to this injector stay valid."""
+        vars(self).update(vars(other))
+
     # -- bookkeeping -------------------------------------------------------
 
     def counts(self) -> dict[str, int]:

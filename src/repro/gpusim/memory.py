@@ -200,6 +200,14 @@ class MemoryPool:
         finally:
             self.free(charged, label=label)
 
+    def take_state(self, other: "MemoryPool") -> None:
+        """Continue from ``other``, a copy of this pool that was charged
+        elsewhere (a forked pipeline shard); references to this pool, its
+        device and its traffic counter stay valid."""
+        traffic = self.traffic
+        vars(traffic).update(vars(other.traffic))
+        vars(self).update(vars(other), traffic=traffic, device=self.device)
+
     def reset(self) -> None:
         """Forget all charges and statistics (fresh accounting region)."""
         self.in_use = 0

@@ -239,6 +239,24 @@ class TestQuarantine:
                 assert np.array_equal(b[k], base_b[k])
                 assert np.array_equal(a[k], base_a[k])
 
+    def test_factors_poisoned_by_the_solve_stage_quarantined(self):
+        """The composed net's finite-factor scan runs before the solve;
+        an injected fault in a solve kernel can still poison the
+        factors, so the quarantine must see them."""
+        a, b = _system(n=96)
+        base_a, base_b = a.copy(), b.copy()
+        gbsv_batch(96, 2, 3, 1, base_a, None, base_b)
+        plan = FaultPlan(seed=0, corrupt_lanes=(3,),
+                         corrupt_after="gbtrs_bwd")
+        with fault_injection(H100_PCIE, plan) as inj:
+            piv, info, report = gbsv_batch(96, 2, 3, 1, a, None, b,
+                                           resilient=True)
+        assert {ev.lane for ev in inj.events(LANE_CORRUPTION)} == {3}
+        assert report.quarantined == (3,) and report.corrupted == (3,)
+        assert report.ok and (info == 0).all()
+        assert np.isfinite(a[3]).all() and np.isfinite(b[3]).all()
+        assert np.allclose(b[3], base_b[3], atol=1e-9)
+
     def test_nan_input_lane_is_unrecoverable(self):
         a, b = _system()
         a[2, 2, 10] = np.nan
