@@ -45,15 +45,16 @@ def shape_only_batch(n: int, kl: int, ku: int, batch: int,
     """Build a timing-only batch: one tiny real allocation shared by all.
 
     With ``execute=False`` kernels only read shapes/dtypes and the batch
-    length, so a single matrix aliased ``batch`` times is enough to drive
-    the full timing model without allocating 1000 real matrices.
+    length, so a single matrix broadcast to a read-only ``(batch, ldab,
+    n)`` stack (lane stride 0, zero-copy) is enough to drive the full
+    timing model without allocating 1000 real matrices.
     """
     ab = np.zeros((ldab_for_factor(kl, ku), n), dtype=dtype)
-    mats = [ab] * batch
+    mats = np.broadcast_to(ab, (batch,) + ab.shape)
     if nrhs is None:
         return mats
     b = np.zeros((n, max(nrhs, 1)), dtype=dtype)
-    return mats, [b] * batch
+    return mats, np.broadcast_to(b, (batch,) + b.shape)
 
 
 def time_gbtrf(device: DeviceSpec, n: int, kl: int, ku: int, *,

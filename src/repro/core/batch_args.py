@@ -8,10 +8,14 @@ operand, either
 * a :class:`~repro.gpusim.memory.PointerArray` / sequence of 2-D arrays —
   the true pointer-array idiom (each matrix anywhere in memory),
 
-A stack stays one array, validated by its shape; a pointer array becomes
-a list of per-problem views.  Validation mirrors LAPACK argument
-checking: the 1-based argument positions in raised
-:class:`~repro.errors.ArgumentError` match the paper's C signatures.
+A stack stays one array, validated by its shape.  A pointer array is
+validated lane by lane and stays a list of the caller's per-problem
+arrays until the layer stack is entered, where :func:`lane_stack` makes
+it one array: a zero-copy view when its lanes already form one stack,
+else one gather (written back when the call writes the operand).
+Validation mirrors LAPACK argument checking: the 1-based argument
+positions in raised :class:`~repro.errors.ArgumentError` match the
+paper's C signatures.
 Whether an operand batch is one lane-major or interleaved stack (the
 zero-copy launch rungs) is decided here too, by :func:`stack_layouts`
 and :func:`stack_rung`.
@@ -36,7 +40,7 @@ __all__ = [
     "as_matrix_list",
     "as_rhs_list",
     "ensure_pivots",
-    "pivot_stack",
+    "lane_stack",
     "ensure_info",
     "check_gb_args",
     "stack_layouts",
@@ -213,15 +217,16 @@ def convert_batch_layout(layout: str, operands, *, batch: int,
                          outputs=None, leases=None):
     """Stage batched operands into ``layout`` at the batch boundary.
 
-    ``operands`` is a sequence of batched arguments (each a 3-D logical
-    stack or a list of per-problem 2-D arrays); ``layout`` is a
-    canonical name from :func:`repro.band.layout.normalize_layout`.
-    Returns ``None`` when nothing needs converting (every operand is
-    already in the requested layout), else ``(converted, writeback,
-    nbytes)``: ``converted`` mirrors ``operands`` with working copies in
-    the target layout, ``writeback()`` copies results back into the
-    caller's storage, and ``nbytes`` is the total traffic of the
-    round-trip (in + out, ``pack_bytes``-style) for trace attribution.
+    ``operands`` is a sequence of batched arguments, each a ``(batch,
+    ...)`` stack or ``None`` (the layer stack holds every operand as one
+    array, :func:`lane_stack`); ``layout`` is a canonical name from
+    :func:`repro.band.layout.normalize_layout`.  Returns ``None`` when
+    nothing needs converting (every operand is already in the requested
+    layout), else ``(converted, writeback, nbytes)``: ``converted``
+    mirrors ``operands`` with working copies in the target layout,
+    ``writeback()`` copies results back into the caller's storage, and
+    ``nbytes`` is the total traffic of the round-trip (in + out,
+    ``pack_bytes``-style) for trace attribution.
 
     ``outputs`` is an optional per-operand boolean mask: ``False`` marks
     a pure input (``gbtrs`` factors, for example) — it is staged into the
@@ -240,27 +245,15 @@ def convert_batch_layout(layout: str, operands, *, batch: int,
         outputs = (True,) * len(operands)
     originals, converted, moved = [], [], 0
     for op, is_output in zip(operands, outputs):
-        if op is None:
-            converted.append(None)
-            continue
-        mats = (op if isinstance(op, np.ndarray) and op.ndim >= 2
-                else [np.asarray(m) for m in op])
-        check_arg(len(mats) == batch, 0,
-                  f"operand has {len(mats)} entries, expected {batch}")
         # Interleaved input already runs natively; lane-major (or
-        # scattered/packable) input already runs the classic path.
-        if batch == 0 or (INTERLEAVED in stack_layouts(mats)) == (
+        # strided) input already runs the classic path.
+        if op is None or batch == 0 or (INTERLEAVED in stack_layouts(op)) == (
                 layout == INTERLEAVED):
             converted.append(op)
             continue
-        if not isinstance(mats, np.ndarray):
-            shapes = {m.shape for m in mats}
-            check_arg(len(shapes) == 1, 0,
-                      "layout conversion requires uniform per-problem "
-                      f"shapes (got {sorted(shapes)})")
-        work = _working_copy(layout, mats, leases)
+        work = _working_copy(layout, op, leases)
         if is_output:
-            originals.append((mats, work))
+            originals.append((op, work))
         converted.append(work)
         moved += (2 if is_output else 1) * int(work.nbytes)
     if not originals and moved == 0:
@@ -270,11 +263,10 @@ def convert_batch_layout(layout: str, operands, *, batch: int,
         # A stack no taller than wide (the band factors) goes back one
         # band row at a time, the ``gbtrf_window._stream_in`` idiom: at
         # (1000, 25, 256) that is 24 against 55 ms per lane on a 2-core
-        # host.  Tall stacks (right-hand sides) and pointer arrays keep
-        # the per-lane copy; at (1000, 256, 1) rows would be 2x slower.
+        # host.  Tall stacks (right-hand sides) go back lane by lane; at
+        # (1000, 256, 1) rows would be 2x slower.
         for mats, work in originals:
-            if isinstance(mats, np.ndarray) and mats.ndim == 3 and (
-                    mats.shape[1] <= mats.shape[2]):
+            if mats.shape[1] <= mats.shape[2]:
                 for r in range(mats.shape[1]):
                     mats[:, r] = work[:, r]
             else:
@@ -284,31 +276,101 @@ def convert_batch_layout(layout: str, operands, *, batch: int,
     return converted, writeback, moved
 
 
-def _working_copy(layout: str, mats, leases) -> np.ndarray:
+def _working_copy(layout: str, mats: np.ndarray, leases) -> np.ndarray:
     """``mats`` copied into ``layout`` (the interleaved copy is what
     :func:`~repro.band.layout.to_interleaved` makes), in a buffer leased
     from ``leases`` when the arena has room."""
-    first = np.asarray(mats[0])
-    shape = (len(mats),) + first.shape
-    dtype = mats.dtype if isinstance(mats, np.ndarray) else np.result_type(
-        *mats)
+    shape = mats.shape
     lane_last = layout == INTERLEAVED
     if lane_last:
         shape = shape[1:] + shape[:1]
-    buf = leases.empty(shape, dtype) if leases is not None else None
+    buf = leases.empty(shape, mats.dtype) if leases is not None else None
     if buf is None:
-        buf = np.empty(shape, dtype=dtype)
+        buf = np.empty(shape, dtype=mats.dtype)
     work = np.moveaxis(buf, -1, 0) if lane_last else buf
     work[...] = mats
     return work
 
 
-def as_matrix_list(a_array, batch: int, *, arg_pos: int):
+def _pointer_array(seq, batch: int, *, arg_pos: int, what: str,
+                   written: bool, lane, shape_pos: int | None = None,
+                   arrays: bool = False) -> list:
+    """The entries of pointer array ``seq``, validated as one stack's
+    lanes.
+
+    ``lane(k, x)`` checks entry ``k`` and returns it as a lane.  An
+    operand the call only reads may hold any array-likes (each becomes an
+    array, and entries may alias) unless ``arrays`` is set; the entries
+    of one the call writes must be arrays, because the results go back
+    into them.  Every lane has lane 0's shape (else the error is at
+    ``shape_pos``, default ``arg_pos``) and dtype, as the paper's one
+    ``ldab`` per call implies, and written lanes must not overlap
+    (:func:`~repro.gpusim.memory.is_packable_batch`) unless they are
+    already lanes of one interleaved stack.  The per-lane checks format
+    no message unless they fail: a scattered batch of 1,000 lanes pays
+    for them on every call.
+    """
+    lanes = list(seq)
+    check_arg(len(lanes) == batch, arg_pos,
+              f"pointer array has {len(lanes)} entries, expected {batch}")
+    for k, x in enumerate(lanes):
+        if not (written or arrays):
+            x = np.asarray(x)
+        if not isinstance(x, np.ndarray):
+            raise ArgumentError(arg_pos, f"{what} {k} is a "
+                                f"{type(x).__name__}, not an ndarray")
+        x = lanes[k] = lane(k, x)
+        if x.shape != lanes[0].shape:
+            raise ArgumentError(shape_pos or arg_pos, (
+                f"{what} {k} has shape {x.shape}, {what} 0 has "
+                f"{lanes[0].shape}: one call takes one leading dimension"))
+        if x.dtype != lanes[0].dtype:
+            raise ArgumentError(arg_pos, f"{what} {k} has dtype {x.dtype}, "
+                                f"{what} 0 has {lanes[0].dtype}")
+    check_arg(not written or not lanes or is_packable_batch(lanes)
+              or bool(stack_layouts(lanes)), arg_pos,
+              f"entries of the {what} pointer array share memory; the "
+              "call writes them, so each needs its own storage")
+    return lanes
+
+
+@contextmanager
+def lane_stack(operand, *, write_back: bool):
+    """Yield ``operand`` (from :func:`as_matrix_list`,
+    :func:`as_rhs_list` or :func:`ensure_pivots`) as one ``(batch, ...)``
+    array.
+
+    An array (or ``None``) is yielded as is.  A pointer array whose
+    lanes already form one lane-major or interleaved stack is yielded as
+    its zero-copy :func:`stack_view`.  Any other pointer array is
+    gathered once into private memory; with ``write_back`` (an op that
+    writes the operand) its rows are copied back into the caller's
+    lanes, in lane order, when the block exits, normally or by an
+    exception.
+    """
+    if operand is None or isinstance(operand, np.ndarray):
+        yield operand
+        return
+    if stack_layouts(operand):
+        yield stack_view(operand)
+        return
+    stack = np.stack(operand)
+    try:
+        yield stack
+    finally:
+        if write_back:
+            for lane, row in zip(operand, stack):
+                lane[...] = row
+
+
+def as_matrix_list(a_array, batch: int, *, arg_pos: int, ldab_pos: int = 6,
+                   written: bool = False):
     """Canonicalise a batched band-matrix argument.
 
     A 3-D ``(batch, ldab, n)`` stack is returned as is, checked by its
     shape; any other sequence (a pointer array) becomes a list of 2-D
-    views.
+    lanes of one shape (:func:`_pointer_array`; ``written`` when the call
+    overwrites the matrices), and an empty one an empty stack.
     """
     if isinstance(a_array, np.ndarray):
         check_arg(a_array.ndim == 3, arg_pos,
@@ -316,25 +378,28 @@ def as_matrix_list(a_array, batch: int, *, arg_pos: int):
         check_arg(a_array.shape[0] == batch, arg_pos,
                   f"stack has batch {a_array.shape[0]}, expected {batch}")
         return a_array
-    mats = list(a_array)
-    check_arg(len(mats) == batch, arg_pos,
-              f"pointer array has {len(mats)} entries, expected {batch}")
-    out = []
-    for k, m in enumerate(mats):
-        m = np.asarray(m)
-        check_arg(m.ndim == 2, arg_pos,
-                  f"matrix {k} has ndim={m.ndim}, expected 2")
-        out.append(m)
-    return out
+
+    def lane(k, m):
+        if m.ndim != 2:
+            raise ArgumentError(arg_pos,
+                                f"matrix {k} has ndim={m.ndim}, expected 2")
+        return m
+
+    mats = _pointer_array(a_array, batch, arg_pos=arg_pos, what="matrix",
+                          written=written, lane=lane, shape_pos=ldab_pos)
+    return mats if mats else np.empty((0, 0, 0))
 
 
-def as_rhs_list(b_array, batch: int, n: int, nrhs: int, *, arg_pos: int):
+def as_rhs_list(b_array, batch: int, n: int, nrhs: int, *, arg_pos: int,
+                written: bool = False):
     """Canonicalise a batched RHS argument to ``(n, nrhs)`` lanes.
 
     A ``(batch, n, nrhs)`` stack is returned as is (a ``(batch, n)`` one
     as its ``(batch, n, 1)`` view when ``nrhs == 1``), checked by its
-    shape; any other sequence becomes a list of ``(n, nrhs)`` views, with
-    1-D per-problem arrays accepted and reshaped for ``nrhs == 1``.
+    shape; any other sequence becomes a list of ``(n, nrhs)`` lanes
+    (:func:`_pointer_array`; ``written`` when the call overwrites them),
+    with 1-D per-problem arrays accepted and viewed as ``(n, 1)`` for
+    ``nrhs == 1``, and an empty one an empty stack.
     """
     if isinstance(b_array, np.ndarray):
         if b_array.ndim == 2 and nrhs == 1:
@@ -347,19 +412,18 @@ def as_rhs_list(b_array, batch: int, n: int, nrhs: int, *, arg_pos: int):
                   f"RHS 0 has shape {b_array.shape[1:]}, expected "
                   f"{(n, nrhs)}")
         return b_array
-    mats = [np.asarray(b) for b in b_array]
-    check_arg(len(mats) == batch, arg_pos,
-              f"pointer array has {len(mats)} entries, expected {batch}")
-    out = []
-    for k, b in enumerate(mats):
+
+    def lane(k, b):
         if b.ndim == 1 and nrhs == 1:
             b = b[:, None]
-        check_arg(b.ndim == 2, arg_pos,
-                  f"RHS {k} has ndim={b.ndim}, expected 2")
-        check_arg(b.shape == (n, nrhs), arg_pos,
-                  f"RHS {k} has shape {b.shape}, expected {(n, nrhs)}")
-        out.append(b)
-    return out
+        if b.shape != (n, nrhs):
+            raise ArgumentError(arg_pos, f"RHS {k} has shape {b.shape}, "
+                                f"expected {(n, nrhs)}")
+        return b
+
+    rhs = _pointer_array(b_array, batch, arg_pos=arg_pos, what="RHS",
+                         written=written, lane=lane)
+    return rhs if rhs else np.empty((0, n, nrhs))
 
 
 def ensure_pivots(pv_array, batch: int, mn: int, *, arg_pos: int,
@@ -368,13 +432,14 @@ def ensure_pivots(pv_array, batch: int, mn: int, *, arg_pos: int,
 
     ``None`` allocates one int64 array; a caller's 2-D integer stack is
     returned as is, checked by its shape and dtype.  A pointer array
-    (a sequence of per-problem vectors) becomes a list of the caller's
-    vectors, each checked; :func:`pivot_stack` stacks it once where the
-    layer stack is entered.  ``zero=True`` is for routines that
-    *produce* pivots (``gbtrf``, ``gbsv``): the caller-supplied storage
-    is zeroed as soon as it validates, upholding the error-path
-    guarantee documented on :func:`ensure_info`.  Routines that
-    *consume* pivots (``gbtrs``, ``gbrfs``, ``gbcon``) leave it False.
+    (a sequence of per-problem integer vectors, each an ndarray) becomes
+    a list of the caller's vectors, each checked (:func:`_pointer_array`);
+    :func:`lane_stack` makes it one array where the layer stack is
+    entered.  ``zero=True`` is for routines that *produce* pivots
+    (``gbtrf``, ``gbsv``): the caller-supplied storage is zeroed as soon
+    as it validates, upholding the error-path guarantee documented on
+    :func:`ensure_info`.  Routines that *consume* pivots (``gbtrs``,
+    ``gbrfs``, ``gbcon``) leave it False.
     """
     if pv_array is None:
         return np.zeros((batch, mn), dtype=np.int64)
@@ -387,40 +452,21 @@ def ensure_pivots(pv_array, batch: int, mn: int, *, arg_pos: int,
         if zero:
             pv_array[...] = 0
         return pv_array
-    pivs = list(pv_array)
-    check_arg(len(pivs) == batch, arg_pos,
-              f"pivot pointer array has {len(pivs)} entries, expected {batch}")
-    for k, p in enumerate(pivs):
-        check_arg(p.shape == (mn,), arg_pos,
-                  f"pivot vector {k} has shape {p.shape}, expected {(mn,)}")
-        check_arg(np.issubdtype(p.dtype, np.integer), arg_pos,
-                  f"pivot vector {k} must be integer, got {p.dtype}")
-        if zero:
+
+    def lane(k, p):
+        if p.shape != (mn,) or p.dtype.kind not in "iu":
+            raise ArgumentError(arg_pos, (
+                f"pivot vector {k} has shape {p.shape} and dtype {p.dtype}, "
+                f"expected {(mn,)} integer"))
+        return p
+
+    pivs = _pointer_array(pv_array, batch, arg_pos=arg_pos,
+                          what="pivot vector", written=zero, lane=lane,
+                          arrays=True)
+    if zero:
+        for p in pivs:
             p[...] = 0
-    return pivs
-
-
-@contextmanager
-def pivot_stack(pivots, mn: int, *, write_back: bool = True):
-    """Yield ``pivots`` (from :func:`ensure_pivots`) as one ``(batch, mn)``
-    array.
-
-    An array is yielded as is.  A pointer array is stacked once; with
-    ``write_back`` (ops that produce pivots) its rows are copied back
-    into the caller's vectors when the block exits, normally or by an
-    exception.
-    """
-    if isinstance(pivots, np.ndarray):
-        yield pivots
-        return
-    stack = (np.stack(pivots) if pivots
-             else np.zeros((0, mn), dtype=np.int64))
-    try:
-        yield stack
-    finally:
-        if write_back:
-            for p, row in zip(pivots, stack):
-                p[...] = row
+    return pivs if pivs else np.zeros((0, mn), dtype=np.int64)
 
 
 def ensure_info(info, batch: int, *, arg_pos: int) -> np.ndarray:
@@ -434,8 +480,8 @@ def ensure_info(info, batch: int, *, arg_pos: int) -> np.ndarray:
     pivots) hold zeros, never stale values from a previous call.  Status
     codes and pivots written before the exception (e.g. by a completed
     factorization stage) are preserved, since they are meaningful
-    results; :func:`pivot_stack` copies a pointer array's rows back on
-    the error path too.
+    results; :func:`lane_stack` copies a pointer array's gathered lanes
+    back on the error path too.
     """
     if info is None:
         return np.zeros(batch, dtype=np.int64)
@@ -448,13 +494,13 @@ def ensure_info(info, batch: int, *, arg_pos: int) -> np.ndarray:
     return info
 
 
-def check_gb_args(m: int, n: int, kl: int, ku: int,
-                  mats: list[np.ndarray], *, batch: int,
+def check_gb_args(m: int, n: int, kl: int, ku: int, mats, *, batch: int,
                   ldab_pos: int = 6) -> None:
-    """Validate dimensions against every matrix of the batch.
+    """Validate dimensions against the batch's one lane shape.
 
-    Positions follow the paper's ``dgbtrf_batch`` signature:
-    ``(m, n, kl, ku, A_array, ldab, ...)``.
+    ``mats`` comes from :func:`as_matrix_list`, whose lanes share one
+    shape, so lane 0's stands for all.  Positions follow the paper's
+    ``dgbtrf_batch`` signature: ``(m, n, kl, ku, A_array, ldab, ...)``.
     """
     check_arg(m >= 0, 1, f"m must be non-negative, got {m}")
     check_arg(n >= 0, 2, f"n must be non-negative, got {n}")
@@ -462,12 +508,8 @@ def check_gb_args(m: int, n: int, kl: int, ku: int,
     check_arg(ku >= 0, 4, f"ku must be non-negative, got {ku}")
     check_arg(batch >= 0, 12, f"batch must be non-negative, got {batch}")
     need = ldab_for_factor(kl, ku)
-    # A stack's lanes share one shape: check it once, as lane 0's.
-    shapes = ([mats.shape[1:]] if isinstance(mats, np.ndarray) and batch
-              else [a.shape for a in mats])
-    for k, shape in enumerate(shapes):
-        if shape[0] < need or shape[1] != n:
-            raise ArgumentError(
-                ldab_pos,
-                f"matrix {k} has shape {shape}; needs at least "
-                f"({need}, {n}) for kl={kl}, ku={ku}")
+    if batch and (mats[0].shape[0] < need or mats[0].shape[1] != n):
+        raise ArgumentError(
+            ldab_pos,
+            f"matrix shape {mats[0].shape}; needs at least "
+            f"({need}, {n}) for kl={kl}, ku={ku}")

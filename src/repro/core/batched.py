@@ -200,12 +200,12 @@ def gbtrf_vbatch(ms, ns, kls, kus, a_array, pv_array=None, info=None, *,
 
     ``vectorize`` selects the host execution path per group, with the
     same semantics as the uniform drivers: ``None`` (default)
-    auto-dispatches each group to the batch-interleaved path when its
-    matrices can be staged (scattered allocations pack automatically),
-    ``False`` forces per-block execution, ``True`` requires the
-    vectorized path and raises :class:`~repro.errors.DeviceError` when
-    some group cannot take it (e.g. aliased matrices).  Both paths are
-    bit-identical by contract.
+    auto-dispatches each group to the batch-interleaved path (each
+    group's matrices are gathered into one stack where its call enters
+    the layer stack), ``False`` forces per-block execution, ``True``
+    requires the vectorized path.  Aliased matrices in one group raise
+    :class:`~repro.errors.ArgumentError`.  Both paths are bit-identical
+    by contract.
 
     ``resilient=True`` runs every group through the self-healing dispatch
     (:mod:`repro.core.resilience`) and returns ``(pivots, info, report)``

@@ -120,7 +120,8 @@ def gbrfs_batch(n: int, kl: int, ku: int, nrhs: int, a_orig_array,
     check_gb_args(n, n, kl, ku, orig, batch=batch)
     pivots = ensure_pivots(pv_array, batch, n, arg_pos=7)
     rhs = as_rhs_list(b_array, batch, n, nrhs, arg_pos=8)
-    sols = as_rhs_list(x_array, batch, n, nrhs, arg_pos=9)
+    sols = as_rhs_list(x_array, batch, n, nrhs, arg_pos=9,
+                       written=True)
     return [gbrfs(n, kl, ku, orig[k], fact[k], pivots[k], rhs[k], sols[k],
                   max_iter=max_iter) for k in range(batch)]
 

@@ -83,9 +83,8 @@ def gbsv_batch(n: int, kl: int, ku: int, nrhs: int, a_array, pv_array,
     ``b_array`` with solutions (per-problem, skipped when singular).
     ``vectorize`` selects the execution path (see
     :func:`repro.core.gbtrf.gbtrf_batch`); when some problems are singular
-    the follow-up solve runs on a scattered sub-batch, which the
-    gather/pack stage stages for the batch-interleaved path like any
-    other scattered batch.
+    the follow-up solve runs on the non-singular lanes, gathered into one
+    stack and scattered back.
 
     ``resilient=True`` routes the call through the self-healing dispatch
     of :mod:`repro.core.resilience` and returns ``(pivots, info,
@@ -145,10 +144,11 @@ def run_gbsv(cfg, n, kl, ku, nrhs, a_array, pv_array, b_array, info=None,
     check_arg(nrhs >= 0, 4, f"nrhs must be non-negative, got {nrhs}")
     if batch is None:
         batch = len(a_array)
-    mats = as_matrix_list(a_array, batch, arg_pos=5)
+    mats = as_matrix_list(a_array, batch, arg_pos=5, written=True)
     check_gb_args(n, n, kl, ku, mats, batch=batch)
     pivots = ensure_pivots(pv_array, batch, n, arg_pos=6, zero=True)
-    rhs = as_rhs_list(b_array, batch, n, nrhs, arg_pos=7)
+    rhs = as_rhs_list(b_array, batch, n, nrhs, arg_pos=7,
+                      written=True)
     info = ensure_info(info, batch, arg_pos=8)
     report = run(GBSV, cfg, Operands(
         n, n, kl, ku, mats, pivots, info, nrhs=nrhs, rhs=rhs))
@@ -191,10 +191,11 @@ def _dispatch(method, cfg, ops, vectorize):
         GBTRS.dispatch("auto", cfg, ops, vectorize)
     elif len(ok):
         # Solve only the non-singular problems (LAPACK leaves B of a
-        # singular problem unchanged).  The scattered sub-batch is no
-        # longer a contiguous stack; the gather/pack stage stages it for
-        # the batch-interleaved path.
-        GBTRS.dispatch("auto", cfg, ops.take(ok), vectorize)
+        # singular problem unchanged): gather them into one stack, solve
+        # it on the batch-interleaved path, scatter the solutions back.
+        sub = ops.take(ok)
+        GBTRS.dispatch("auto", cfg, sub, vectorize)
+        ops.put_back(ok, sub, GBTRS)
 
 
 def _host(ops):

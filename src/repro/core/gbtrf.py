@@ -83,7 +83,10 @@ def gbtrf_batch(m: int, n: int, kl: int, ku: int, a_array,
     a_array:
         ``(batch, ldab, n)`` stack or pointer array of ``(ldab, n)``
         matrices in factor layout (``ldab >= 2*kl + ku + 1``); overwritten
-        with the factors.
+        with the factors.  A pointer array's entries must be ndarrays of
+        one shape and dtype with disjoint storage; it becomes one stack
+        where the call enters the layer stack (a zero-copy view when its
+        lanes already are one, else one gather written back at the end).
     pv_array:
         Optional ``(batch, min(m, n))`` integer stack (or pointer array) to
         receive 0-based pivot rows; allocated when ``None``.
@@ -105,14 +108,14 @@ def gbtrf_batch(m: int, n: int, kl: int, ku: int, a_array,
     vectorize:
         Execution-path selector, forwarded to the launcher.  ``None``
         (default) auto-dispatches to the batch-interleaved path when the
-        batch is a uniform contiguous stack *or* can be staged by the
-        gather/pack stage (pointer-array and scattered same-shape batches
-        pack automatically); ``False`` forces the per-block path (the
-        same body, one lane at a time); ``True`` requires the vectorized
-        path (raises :class:`~repro.errors.DeviceError` for
-        aliased/overlapping or mixed-shape batches that cannot be packed,
-        and :class:`~repro.errors.ArgumentError` for
-        ``method='reference'``, which has no such path).  Results are bit-identical either way.
+        batch is a uniform contiguous stack (a gathered pointer array is
+        one) *or* can be staged by the gather/pack stage (a strided
+        stack such as ``buf[::2]``); ``False`` forces the per-block path
+        (the same body, one lane at a time); ``True`` requires the
+        vectorized path (raises :class:`~repro.errors.DeviceError` for
+        an overlapping stack that cannot be packed, and
+        :class:`~repro.errors.ArgumentError` for ``method='reference'``,
+        which has no such path).  Results are bit-identical either way.
 
     resilient, policy:
         ``resilient=True`` routes the call through the self-healing
@@ -208,7 +211,7 @@ def run_gbtrf(cfg, m, n, kl, ku, a_array, pv_array=None, info=None,
                   f"verify requires square matrices, got m={m}, n={n}")
     if batch is None:
         batch = len(a_array)
-    mats = as_matrix_list(a_array, batch, arg_pos=5)
+    mats = as_matrix_list(a_array, batch, arg_pos=5, written=True)
     check_gb_args(m, n, kl, ku, mats, batch=batch)
     pivots = ensure_pivots(pv_array, batch, min(m, n), arg_pos=7, zero=True)
     info = ensure_info(info, batch, arg_pos=8)

@@ -78,10 +78,12 @@ def gbtrs_batch(trans: Trans | str, n: int, kl: int, ku: int, nrhs: int,
     :func:`repro.core.gbtrf.gbtrf_batch`: ``None`` auto-dispatches the
     blocked kernels — no-transpose *and* transposed — to the
     batch-interleaved path whenever the factors and right-hand sides can
-    be staged (uniform stacks directly, scattered/pointer-array batches
-    through the gather/pack stage), ``False`` forces per-block execution,
-    ``True`` requires vectorized execution (the reference method has no
-    vectorized path and raises; so do unpackable aliased batches).
+    be staged (uniform stacks and pointer arrays, which become one stack
+    at entry, directly; strided stacks through the gather/pack stage),
+    ``False`` forces per-block execution, ``True`` requires vectorized
+    execution (the reference method has no vectorized path and raises;
+    so do unpackable overlapping stacks).  The factors are only read, so
+    their pointer array may alias; ``b_array``'s may not.
 
     ``resilient=True`` routes the call through the self-healing dispatch
     of :mod:`repro.core.resilience` and returns ``(info, report)``;
@@ -146,10 +148,11 @@ def run_gbtrs(cfg, trans, n, kl, ku, nrhs, a_array, pv_array, b_array,
     check_arg(nrhs >= 0, 5, f"nrhs must be non-negative, got {nrhs}")
     if batch is None:
         batch = len(a_array)
-    mats = as_matrix_list(a_array, batch, arg_pos=6)
+    mats = as_matrix_list(a_array, batch, arg_pos=6, ldab_pos=7)
     check_gb_args(n, n, kl, ku, mats, batch=batch, ldab_pos=7)
     pivots = ensure_pivots(pv_array, batch, n, arg_pos=8)
-    rhs = as_rhs_list(b_array, batch, n, nrhs, arg_pos=9)
+    rhs = as_rhs_list(b_array, batch, n, nrhs, arg_pos=9,
+                      written=True)
     info = ensure_info(info, batch, arg_pos=11)
     report = run(GBTRS, cfg, Operands(
         n, n, kl, ku, mats, pivots, info, nrhs=nrhs, rhs=rhs, trans=trans))

@@ -25,8 +25,8 @@ of a lane range advances through the identical window schedule with one
 numpy operation per step, and the per-block path runs it on one lane.
 Each lane's bits equal :func:`~repro.core.solve_blocks.gbtrs_unblocked`
 (see ``docs/PERFORMANCE.md``).  Uniform contiguous stacks stage directly;
-scattered/pointer-array batches go through the gather/pack stage
-(:meth:`~repro.gpusim.kernel.Kernel.pack_operands`).  The bodies run
+strided stacks and lists handed to the kernel go through the gather/pack
+stage (:meth:`~repro.gpusim.kernel.Kernel.pack_operands`).  The bodies run
 lane-last: the RHS window is ``(rows, nrhs, batch)`` and each ``nb``-column
 block of the factor rows a kernel reads — the ``kl`` multipliers or the
 ``kv + 1`` rows of ``U`` — is staged once into a reused ``(rows, nb,

@@ -590,11 +590,10 @@ class _Shared:
     """A pipelined call's operands, staged into the host arena
     (:mod:`repro.core.arena`) by the first round that forks.
 
-    Each writable ndarray operand not already in the call's arena
-    buffers (the layout layer's working copies are) is mirrored there
-    once; :meth:`write_back` copies the mirrors back into the caller's
-    storage when the call returns or raises.  Pointer-array operands stay
-    where they are: a child sends their lanes back over its pipe.
+    Each writable operand not already in the call's arena buffers (the
+    layout layer's working copies are) is mirrored there once;
+    :meth:`write_back` copies the mirrors back into the caller's storage
+    when the call returns or raises.
     """
 
     def __init__(self, ops):
@@ -611,7 +610,7 @@ class _Shared:
         arrays = {}
         for name in ("mats", "rhs", "pivots", "info"):
             arr = getattr(ops, name)
-            if (isinstance(arr, np.ndarray) and arr.flags.writeable
+            if (arr is not None and arr.flags.writeable
                     and not leases.holds(arr)):
                 arrays[name] = leases.mirror(arr)
                 if arrays[name] is None:
@@ -686,23 +685,12 @@ def _uncharge(shard) -> None:
                 return
 
 
-def _list_lanes(ops, ranges) -> list:
-    """``(operand, lane, values)`` of the pointer-array lanes in
-    ``ranges`` a shard may have written."""
-    return [(name, k, seq[k])
-            for name in ("mats", "rhs")
-            if isinstance(seq := getattr(ops, name), list)
-            for start, stop in ranges for k in range(start, stop)
-            if seq[k].flags.writeable]
-
-
 def _fork_shard(spec, cfg, ops, assignment, devices) -> "_Child":
     """Run one assignment in a forked child; returns its handle.
 
     The child runs :func:`_run_shard` unchanged on the shared operands,
     then pickles back its :class:`_ShardOutcome` (or the exception it
-    raised), its pointer-array lanes and its device's state, and exits
-    without returning here.
+    raised) and its device's state, and exits without returning here.
     """
     rfd, wfd = os.pipe()
     pid = os.fork()
@@ -714,7 +702,7 @@ def _fork_shard(spec, cfg, ops, assignment, devices) -> "_Child":
         # Garbage the parent also holds must not be finalized here too.
         gc.disable()
         os.close(rfd)
-        dev, ranges = assignment[0], assignment[1]
+        dev = assignment[0]
         owed = ops.call.conversion.nbytes
         out = err = None
         try:
@@ -725,7 +713,7 @@ def _fork_shard(spec, cfg, ops, assignment, devices) -> "_Child":
             err = (type(exc), exc.args, vars(exc))
         # Did a launch here take the call's layout-conversion charge?
         took = owed > 0 and ops.call.conversion.nbytes == 0
-        payload = (out, err, took, _list_lanes(ops, ranges),
+        payload = (out, err, took,
                    tuple(reg.get(dev.name) for reg in _DEVICE_STATE))
         with os.fdopen(wfd, "wb") as pipe:
             _Pickler(pipe, devices).dump(payload)
@@ -741,15 +729,15 @@ class _Child:
         self.pid, self.pipe = pid, os.fdopen(rfd, "rb")
 
     def collect(self, ops, dev, devices) -> "_ShardOutcome":
-        """Read the child's result, reap it, install its device state and
-        lanes; re-raise the exception its shard raised.
+        """Read the child's result, reap it, install its device state;
+        re-raise the exception its shard raised.
 
         The call's layout-conversion charge goes to the first launch of
         the first shard, in assignment order, that launched: a child's
         launch keeps the charge it took only if no earlier shard took it.
         """
         try:
-            out, err, took, lanes, state = _Unpickler(
+            out, err, took, state = _Unpickler(
                 self.pipe, devices).load()
         except (EOFError, pickle.UnpicklingError) as exc:
             raise RuntimeError(f"pipeline shard worker {self.pid} on "
@@ -757,8 +745,6 @@ class _Child:
         finally:
             self.kill()
         _install(dev, state)
-        for name, k, values in lanes:
-            getattr(ops, name)[k][...] = values
         if took:
             first = ops.call.conversion.take() > 0     # no earlier taker
             if not first and out is not None:
@@ -791,10 +777,10 @@ def _launch(spec, cfg, shared, assignments) -> list:
     made with ``os.fork()``, on the operands :class:`_Shared` staged into
     shared host memory; any further ones run in turn in the parent once
     the children are collected.  A child sends back its
-    :class:`_ShardOutcome`, its pointer-array lanes and its device's
-    memory pool, health tracker and fault injector, which the parent
-    installs in assignment order, so reports, events, pool ledgers and
-    modeled times are exactly what running every shard in turn gives.
+    :class:`_ShardOutcome` and its device's memory pool, health tracker
+    and fault injector, which the parent installs in assignment order, so
+    reports, events, pool ledgers and modeled times are exactly what
+    running every shard in turn gives.
     Otherwise the round runs in turn on the calling thread.
 
     A shard that raises stops the round.  If it is the parent's, the
@@ -802,8 +788,8 @@ def _launch(spec, cfg, shared, assignments) -> list:
     but the lanes they ran are left as far as they got (partly written,
     where in turn they would still hold their inputs), like the raising
     shard's own lanes; a call that raises leaves its outputs undefined.
-    A child's exception is re-raised after its device state and lanes
-    are installed.  No child outlives the round.
+    A child's exception is re-raised after its device state is
+    installed.  No child outlives the round.
     """
     forks = _fork_count(assignments)
     ops = shared.stage() if forks else None

@@ -463,8 +463,10 @@ def _run_ladder(report, spec, cfg, ops, snap, policy, rungs,
             if len(ok) == ops.batch:    # all lanes: a stack stays a stack
                 ok = range(ops.batch)
             if ok:
-                _run_ladder(report, solve, cfg, ops.take(ok),
-                            snap.take(ok), policy, solve.designs)
+                sub = ops.take(ok)
+                _run_ladder(report, solve, cfg, sub, snap.take(ok), policy,
+                            solve.designs)
+                ops.put_back(ok, sub, solve)
             return finite if active_injector(cfg.device) is None else None
     else:
         rungs = (*rungs, HOST_FALLBACK)
@@ -548,14 +550,16 @@ def _quarantine(report, spec, cfg, ops, snap, policy,
     if factor.roles["pivots"] != IN:       # a pure solve factors nothing
         sub = ops.take(bad)
         _rerun_reference(report, factor, cfg, sub, snap.take(bad), policy)
-        ops.put_back(bad, sub)
+        ops.put_back(bad, sub, factor)
         factored = ops.finite_factors()
         live = [k for k in bad if info[k] == 0]
         unrecovered = [k for k in live if not factored[k]]
         recovered = [k for k in live if factored[k]]
     if ops.rhs is not None and ops.nrhs and recovered:
-        _rerun_reference(report, solve, cfg, ops.take(recovered),
-                         snap.take(recovered), policy)
+        sub = ops.take(recovered)
+        _rerun_reference(report, solve, cfg, sub, snap.take(recovered),
+                         policy)
+        ops.put_back(recovered, sub, solve)
         solved = ops.finite_solution()
         unrecovered += [k for k in recovered if not solved[k]]
         if spec.stages and policy.refine:
@@ -571,7 +575,7 @@ def _refine(spec, ops, snap, policy, lanes, corrupted) -> tuple:
     if not lanes:
         return ()
     rows = ldab_for_factor(ops.kl, ops.ku)
-    growth = pivot_growth_batch(np.stack([ops.mats[k] for k in lanes]),
+    growth = pivot_growth_batch(ops.mats[lanes],
                                 snap["a"][lanes][:, :rows], ops.kl, ops.ku)
     refined = []
     for k, g in zip(lanes, growth):

@@ -27,7 +27,7 @@ from ..gpusim.device import DeviceSpec
 from ..gpusim.kernel import launch
 from ..tuning.defaults import window_params
 from .batch_args import (as_matrix_list, check_gb_args, ensure_info,
-                         ensure_pivots, pivot_stack)
+                         ensure_pivots, lane_stack)
 from .gbtrf_window import SlidingWindowGbtrfKernel
 
 __all__ = ["BandSpecialization", "create_specialization",
@@ -80,7 +80,7 @@ class BandSpecialization:
             raise DeviceError("specialization has been destroyed")
         if batch is None:
             batch = len(a_array)
-        mats = as_matrix_list(a_array, batch, arg_pos=3)
+        mats = as_matrix_list(a_array, batch, arg_pos=3, written=True)
         for k, a in enumerate(mats):
             check_arg(a.dtype == self.dtype, 3,
                       f"matrix {k} has dtype {a.dtype}, specialization was "
@@ -91,7 +91,7 @@ class BandSpecialization:
         info = ensure_info(info, batch, arg_pos=5)
         if batch == 0 or min(m, n) == 0:
             return pivots, info
-        with pivot_stack(pivots, min(m, n)) as pivs:
+        with lane_stack(pivots, write_back=execute) as pivs:
             kernel = _SpecializedWindowKernel(
                 m, n, self.kl, self.ku, mats, pivs, info,
                 nb=self.nb, threads=self.threads)

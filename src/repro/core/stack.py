@@ -39,9 +39,9 @@ from ..gpusim.device import H100_PCIE, DeviceSpec
 from ..gpusim.kernel import ConversionCharge
 from ..types import Trans
 from .arena import Leases
-from .batch_args import convert_batch_layout, pivot_stack
+from .batch_args import convert_batch_layout, lane_stack
 
-__all__ = ["ExecConfig", "Operands", "OpSpec", "Snapshot", "stacked",
+__all__ = ["ExecConfig", "Operands", "OpSpec", "Snapshot",
            "check_execution", "run", "convert_layout", "govern", "heal"]
 
 IN, OUT, INOUT = "in", "out", "inout"
@@ -135,12 +135,12 @@ class _Call:
 class Operands:
     """Canonical operands of one call (or of a sub-batch of it).
 
-    ``mats``/``rhs`` are the caller's 3-D stacks (or lane slices of them)
-    when the call passed stacks, else lists of per-lane views; ``rhs`` is
-    ``None`` for ``gbtrf``.  ``pivots`` is one ``(batch, mn)`` integer
-    array (a pointer array is stacked once, by :func:`run`) and ``info``
-    the status array.  ``lanes`` maps each lane to its index in
-    the root call, which keys the call's pristine snapshot.
+    Below :func:`run` every operand is one ``(batch, ...)`` array (a
+    pointer array becomes one where :func:`run` is entered): ``mats``
+    and ``rhs`` are 3-D stacks (``rhs`` is ``None`` for ``gbtrf``),
+    ``pivots`` is one ``(batch, mn)`` integer array and ``info`` the
+    status array.  ``lanes`` maps each lane to its index in the root
+    call, which keys the call's pristine snapshot.
     """
 
     __slots__ = ("m", "n", "kl", "ku", "nrhs", "trans", "mats", "pivots",
@@ -158,35 +158,34 @@ class Operands:
     def batch(self) -> int:
         return len(self.mats)
 
+    def named(self) -> dict:
+        """The operands by their :attr:`OpSpec.roles` names."""
+        return {"a": self.mats, "b": self.rhs, "pivots": self.pivots,
+                "info": self.info}
+
     def take(self, idx) -> "Operands":
         """Sub-batch over local lanes ``idx``.
 
-        A ``range`` slices (a stack stays a stack, and ``info`` and the
-        pivots stay views of the parent's); a list gathers per-lane views
-        of the matrices and right-hand sides, a copy of the pivots and a
-        fresh zeroed ``info``, which :meth:`put_back` copies back.
+        A ``range`` slices: every operand stays a view of the parent's.
+        Any other index gathers a copy of each operand's lanes, which
+        :meth:`put_back` scatters back.
         """
-        if isinstance(idx, range):
-            sl = slice(idx.start, idx.stop)
-            info, pivots = self.info[sl], self.pivots[sl]
-            pick = lambda seq: seq[sl]
-        else:
-            info = np.zeros(len(idx), dtype=np.int64)
-            pivots = self.pivots[list(idx)]
-            pick = lambda seq: [seq[k] for k in idx]
-        return Operands(self.m, self.n, self.kl, self.ku, pick(self.mats),
-                        pivots, info, nrhs=self.nrhs,
-                        rhs=None if self.rhs is None else pick(self.rhs),
-                        trans=self.trans, lanes=pick(self.lanes),
-                        call=self.call)
+        idx = _lane_index(idx)
+        lanes = (self.lanes[idx] if isinstance(idx, slice)
+                 else [self.lanes[k] for k in idx])
+        return Operands(self.m, self.n, self.kl, self.ku, self.mats[idx],
+                        self.pivots[idx], self.info[idx], nrhs=self.nrhs,
+                        rhs=None if self.rhs is None else self.rhs[idx],
+                        trans=self.trans, lanes=lanes, call=self.call)
 
-    def put_back(self, idx, sub: "Operands", *, pivots: bool = True) -> None:
-        """Copy ``sub = self.take(idx)`` (``idx`` a list) back: its
-        ``info`` and, unless ``pivots=False`` (an op that only reads
-        them), its pivots."""
-        self.info[idx] = sub.info
-        if pivots:
-            self.pivots[idx] = sub.pivots
+    def put_back(self, idx, sub: "Operands", spec: "OpSpec") -> None:
+        """Scatter ``sub = self.take(idx)`` back: every operand ``spec``
+        writes.  A ``range`` took views, so there is nothing to copy."""
+        if isinstance(idx, range):
+            return
+        mine, theirs = self.named(), sub.named()
+        for name in spec._names(inputs=False):
+            mine[name][idx] = theirs[name]
 
     def relayout(self, a, b) -> "Operands":
         """The same lanes with matrices/right-hand sides from ``a``/``b``."""
@@ -201,33 +200,14 @@ class Operands:
         touch; scanning them would flag lanes for garbage we did not
         produce.
         """
-        return _finite_lanes(self.mats, ldab_for_factor(self.kl, self.ku))
+        rows = ldab_for_factor(self.kl, self.ku)
+        return np.isfinite(self.mats[:, :rows]).all(axis=(1, 2))
 
     def finite_solution(self) -> np.ndarray:
         """Per-lane mask: the lane's right-hand side is all finite."""
         if self.rhs is None:
             return np.ones(self.batch, dtype=bool)
-        return _finite_lanes(self.rhs)
-
-
-def _finite_lanes(seq, rows=None) -> np.ndarray:
-    """Per-lane ``all(isfinite)`` over each lane's first ``rows`` rows:
-    one reduction over a stack, one check per lane of a list."""
-    if isinstance(seq, np.ndarray):
-        return np.isfinite(seq[:, :rows]).all(axis=(1, 2))
-    return np.array([bool(np.all(np.isfinite(a[:rows]))) for a in seq],
-                    dtype=bool)
-
-
-def stacked(seq) -> np.ndarray:
-    """Contiguous ``(batch, ...)`` copy of one operand's lanes.
-
-    ``np.array`` (not ``ascontiguousarray``): a snapshot must never alias
-    the live batch.
-    """
-    if isinstance(seq, np.ndarray):
-        return np.array(seq, order="C")
-    return np.stack([np.asarray(x) for x in seq])
+        return np.isfinite(self.rhs).all(axis=(1, 2))
 
 
 class Snapshot(dict):
@@ -298,10 +278,13 @@ class OpSpec:
                 if inputs or role != IN]
 
     def snapshot(self, ops, *, inputs: bool = False) -> Snapshot:
-        """Copy the operands the op writes (plus its inputs if asked)."""
-        seqs = {"a": ops.mats, "b": ops.rhs, "pivots": ops.pivots,
-                "info": ops.info}
-        return Snapshot({name: stacked(seqs[name])
+        """Copy the operands the op writes (plus its inputs if asked).
+
+        ``np.array`` (not ``ascontiguousarray``): a snapshot must never
+        alias the live batch.
+        """
+        named = ops.named()
+        return Snapshot({name: np.array(named[name], order="C")
                          for name in self._names(inputs)})
 
     def restore(self, ops, snap: Snapshot, ks=None, *,
@@ -309,30 +292,20 @@ class OpSpec:
         """Rewind lanes ``ks`` (all by default) from ``snap``.
 
         ``inputs=True`` also rewinds the op's input operands, skipping
-        read-only ones (e.g. the serve layer's cached factors, which an
+        read-only ones (e.g. a caller's read-only factor stack, which an
         in-place write could never have corrupted).
         """
-        ks = range(ops.batch) if ks is None else ks
-        seqs = {"a": ops.mats, "pivots": ops.pivots, "b": ops.rhs,
-                "info": ops.info}
+        idx = slice(None) if ks is None else _lane_index(ks)
+        named = ops.named()
         for name in self._names(inputs):
-            src, seq = snap[name], seqs[name]
-            guard = self.roles[name] == IN
-            if name in ("pivots", "info"):          # one array each
-                if seq.flags.writeable or not guard:
-                    idx = _lane_index(ks)
-                    seq[idx] = src[idx]
-                continue
-            for k in ks:
-                if guard and not seq[k].flags.writeable:
-                    continue
-                seq[k][...] = src[k]
+            if named[name].flags.writeable or self.roles[name] != IN:
+                named[name][idx] = snap[name][idx]
 
     def lane_bytes(self, ops) -> int:
         """Exact resident device bytes of one lane of ``ops``."""
         from .memory_plan import lane_footprint
         rhs = ops.rhs[0] if ops.rhs is not None and ops.nrhs else None
-        return lane_footprint(*(np.asarray(x).nbytes for x in
+        return lane_footprint(*(x.nbytes for x in
                                 (ops.mats[0], ops.pivots[0], rhs)
                                 if x is not None))
 
@@ -350,14 +323,20 @@ class OpSpec:
 def run(spec: OpSpec, cfg: ExecConfig, ops: Operands):
     """Run one validated batched call through the layer stack.
 
-    A pointer array of pivot vectors is stacked here, once, for every
-    layer below; an op that produces pivots copies them back to the
-    caller's vectors when the call returns or raises.  The call's arena
-    leases go back when it ends, either way.
+    Each pointer-array operand becomes one array here, once, for every
+    layer below (:func:`~repro.core.batch_args.lane_stack`); a gathered
+    operand the call writes goes back into the caller's lanes when the
+    call returns or raises.  The call's arena leases go back when it
+    ends, either way.
     """
+    def stacked(operand, name):
+        return lane_stack(operand, write_back=cfg.execute
+                          and spec.roles.get(name, IN) != IN)
+
     try:
-        with pivot_stack(ops.pivots, min(ops.m, ops.n),
-                         write_back=spec.roles["pivots"] != IN) as ops.pivots:
+        with stacked(ops.mats, "a") as ops.mats, \
+                stacked(ops.rhs, "b") as ops.rhs, \
+                stacked(ops.pivots, "pivots") as ops.pivots:
             if cfg.verify is not None:
                 from .verify import run_verified
                 return run_verified(spec, cfg, ops)

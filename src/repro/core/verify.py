@@ -61,7 +61,7 @@ from .gbrfs import gbrfs
 from .gbtf2 import gbtf2
 from .resilience import BatchReport
 from .solve_blocks import gbtrs_unblocked
-from .stack import IN, ExecConfig, convert_layout, govern, stacked
+from .stack import IN, ExecConfig, convert_layout, govern
 
 __all__ = [
     "VerifyPolicy",
@@ -295,15 +295,6 @@ def operand_digest(*arrays) -> str:
     return h.hexdigest()
 
 
-def _band_rows(ops, rows) -> np.ndarray:
-    """``(batch, rows, n)`` band rows of every lane, for reductions only.
-
-    A view of the caller's stack when there is one: at paper scale,
-    stacking 1000 per-lane views costs more than the residual gate itself.
-    """
-    return np.asarray(ops.mats)[:, :rows]
-
-
 # --- shared ladder pieces --------------------------------------------------
 
 def _finite_max(values) -> float:
@@ -354,7 +345,7 @@ def _recompute(report, spec, ops, snap, run):
         spec.restore(ops, snap, ks, inputs=True)
         sub = ops.take(ks)
         run(sub)
-        ops.put_back(ks, sub, pivots=spec.roles["pivots"] != IN)
+        ops.put_back(ks, sub, spec)
         report.recomputes += len(ks)
     return rung
 
@@ -465,7 +456,7 @@ def _factor_terms(ops, snap_a):
     the factors in ``ops`` and the pristine band rows ``snap_a``."""
     n, kl, ku = ops.n, ops.kl, ops.ku
     rows = ldab_for_factor(kl, ku)
-    growth = pivot_growth_batch(_band_rows(ops, rows), snap_a, kl, ku)
+    growth = pivot_growth_batch(ops.mats[:, :rows], snap_a, kl, ku)
     return growth, lambda k: gbcon(
         "1", n, kl, ku, ops.mats[k][:rows], ops.pivots[k],
         float(band_norm_1(snap_a[k], n, kl, ku)))
@@ -482,11 +473,10 @@ def gate_gbsv(report, cfg, ops, snap):
     rows = ldab_for_factor(kl, ku)
     snap_a, snap_b = snap["a"][:, :rows], snap["b"]
     tol = vp.tol_for(n, snap_a.dtype)
-    x3 = stacked(rhs)
     anorms = band_norms_inf(snap_a, n, kl, ku)
-    r3 = band_mv_batch(snap_a, x3, n, kl, ku) - snap_b
+    r3 = band_mv_batch(snap_a, rhs, n, kl, ku) - snap_b
     rmax = np.abs(r3).reshape(batch, -1).max(axis=1)
-    xmax = np.abs(x3).reshape(batch, -1).max(axis=1)
+    xmax = np.abs(rhs).reshape(batch, -1).max(axis=1)
     bmax = np.abs(snap_b).reshape(batch, -1).max(axis=1)
     growth, rcond = _factor_terms(ops, snap_a)
 
@@ -564,10 +554,8 @@ def gate_gbtrf(report, cfg, ops, snap):
     def probe_scaled(ks):
         """Scaled probe residuals ``|PLU w - A w|`` for the given lanes."""
         idx = list(ks)
-        if len(idx) == batch:       # the common all-lanes gate
-            f3 = _band_rows(ops, rows)
-        else:
-            f3 = np.stack([np.asarray(mats[k])[:rows] for k in idx])
+        # The common all-lanes gate reads a view, not a gathered copy.
+        f3 = mats[:, :rows] if len(idx) == batch else mats[idx, :rows]
         got = plu_apply_batch(f3, pivots[idx], w3[:len(idx)], n, kl, ku)
         ref = band_mv_batch(snap_a[idx], w3[:len(idx)], n, kl, ku)
         unorms = factor_norms_inf(f3, n, kl, ku)
@@ -603,11 +591,10 @@ def gate_gbtrs(report, cfg, ops, snap):
         if mismatched:
             _add_lanes(report, "digest_mismatches", mismatched)
             _add_lanes(report, "sdc_detected", mismatched)
-            for k in mismatched:
-                if mats[k].flags.writeable:
-                    mats[k][:rows] = snap_a[k]
-                if pivots[k].flags.writeable:
-                    pivots[k][...] = snap_p[k]
+            if mats.flags.writeable:
+                mats[mismatched, :rows] = snap_a[mismatched]
+            if pivots.flags.writeable:
+                pivots[mismatched] = snap_p[mismatched]
 
     unorms = factor_norms_inf(snap_a, n, kl, ku)
     bmax = np.abs(snap_b).reshape(batch, -1).max(axis=1)
@@ -626,7 +613,6 @@ def gate_gbtrs(report, cfg, ops, snap):
                                           factor_layout=False)
         return gbcon("1", n, kl, ku, snap_a[k], snap_p[k], float(anorm1))
 
-    return (scaled_of(slice(None), stacked(rhs)),
-            lambda ks: scaled_of(ks, np.stack([np.asarray(rhs[k])
-                                               for k in ks])),
+    return (scaled_of(slice(None), rhs),
+            lambda ks: scaled_of(ks, rhs[list(ks)]),
             np.zeros(batch), rcond, ())

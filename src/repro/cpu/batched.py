@@ -37,7 +37,7 @@ def cpu_gbtrf_batch(m: int, n: int, kl: int, ku: int, a_array,
     """
     if batch is None:
         batch = len(a_array)
-    mats = as_matrix_list(a_array, batch, arg_pos=5)
+    mats = as_matrix_list(a_array, batch, arg_pos=5, written=True)
     check_gb_args(m, n, kl, ku, mats, batch=batch)
     pivots = ensure_pivots(pv_array, batch, min(m, n), arg_pos=7,
                            zero=True)
@@ -61,10 +61,11 @@ def cpu_gbtrs_batch(trans: Trans | str, n: int, kl: int, ku: int,
     check_arg(nrhs >= 0, 5, f"nrhs must be non-negative, got {nrhs}")
     if batch is None:
         batch = len(a_array)
-    mats = as_matrix_list(a_array, batch, arg_pos=6)
+    mats = as_matrix_list(a_array, batch, arg_pos=6, ldab_pos=7)
     check_gb_args(n, n, kl, ku, mats, batch=batch, ldab_pos=7)
     pivots = ensure_pivots(pv_array, batch, n, arg_pos=8)
-    rhs = as_rhs_list(b_array, batch, n, nrhs, arg_pos=9)
+    rhs = as_rhs_list(b_array, batch, n, nrhs, arg_pos=9,
+                      written=True)
     if execute and batch and n and nrhs:
         pool = pool or CpuPool(spec.cores)
 
@@ -86,10 +87,11 @@ def cpu_gbsv_batch(n: int, kl: int, ku: int, nrhs: int, a_array,
     check_arg(nrhs >= 0, 4, f"nrhs must be non-negative, got {nrhs}")
     if batch is None:
         batch = len(a_array)
-    mats = as_matrix_list(a_array, batch, arg_pos=5)
+    mats = as_matrix_list(a_array, batch, arg_pos=5, written=True)
     check_gb_args(n, n, kl, ku, mats, batch=batch)
     pivots = ensure_pivots(pv_array, batch, n, arg_pos=6, zero=True)
-    rhs = as_rhs_list(b_array, batch, n, nrhs, arg_pos=7)
+    rhs = as_rhs_list(b_array, batch, n, nrhs, arg_pos=7,
+                      written=True)
     info = ensure_info(info, batch, arg_pos=8)
     if execute and batch and n:
         pool = pool or CpuPool(spec.cores)

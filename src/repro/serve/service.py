@@ -613,22 +613,13 @@ class SolverService:
             if req.finfo == 0:
                 groups[(req.n, req.kl, req.ku, req.nrhs,
                         req.factors.shape)].append(req)
+        #    A digest shared by several lanes aliases one factor array;
+        #    the factors are read-only, so the solve's one gather copes.
         for (n, kl, ku, nrhs, _shape), reqs in groups.items():
-            mats, pivs, rhs, seen = [], [], [], set()
-            for req in reqs:
-                f = req.factors
-                # A digest shared by several lanes aliases one factor
-                # array; the pack stage needs disjoint storage, so give
-                # duplicates their own copy unless per-block execution
-                # was forced.
-                if id(f) in seen and self._cfg.vectorize is not False:
-                    f = np.array(f)
-                seen.add(id(f))
-                mats.append(f)
-                pivs.append(req.pivots)
-                rhs.append(req.b)
             _, brep = run_gbtrs(self._cfg, Trans.NO_TRANS, n, kl, ku, nrhs,
-                                mats, pivs, rhs, batch=len(reqs))
+                                [r.factors for r in reqs],
+                                [r.pivots for r in reqs],
+                                [r.b for r in reqs], batch=len(reqs))
             self._absorb_batch_report(brep)
             self._report.dispatch_groups += 1
             self._report.group_sizes[len(reqs)] = (

@@ -29,7 +29,8 @@ class TestHarness:
     def test_shape_only_batch_aliases(self):
         mats = shape_only_batch(16, 2, 3, 100)
         assert len(mats) == 100
-        assert mats[0] is mats[99]
+        assert mats.strides[0] == 0 and np.shares_memory(mats[0], mats[99])
+        assert not mats.flags.writeable
         assert mats[0].shape == (8, 16)
 
     def test_time_gbtrf_positive_and_deterministic(self):

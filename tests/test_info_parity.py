@@ -2,8 +2,9 @@
 
 LAPACK ``info`` semantics must not depend on how the batch executes: a
 singular or NaN-poisoned lane has to report the same code on the
-batch-interleaved path (uniform stacks and gather/packed scattered
-batches) as on the per-block reference path.
+batch-interleaved path (uniform stacks, lane-step stacks the launch
+gathers and packs, and scattered pointer arrays the call gathers once
+at entry) as on the per-block reference path.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from repro.core.gbsv import gbsv_batch
 from repro.core.gbtf2 import gbtf2
 from repro.core.gbtrf import gbtrf_batch
 from repro.core.gbtrs import gbtrs_batch
+from repro.gpusim import H100_PCIE, Stream
 
 N, KL, KU, BATCH = 24, 2, 3, 10
 
@@ -39,13 +41,21 @@ def _expected_info(a):
     return out
 
 
+def _lane_step(a):
+    """``a`` in every other lane of a stack twice as tall (packs)."""
+    buf = np.zeros((2 * len(a),) + a.shape[1:], dtype=a.dtype)
+    buf[::2] = a
+    return buf[::2]
+
+
 def _variants(a):
     """(label, matrices, vectorize) triples covering all execution paths."""
     scattered = [np.array(a[k]) for k in range(BATCH)]   # separate allocs
     return [
         ("per-block", list(a.copy()), False),
         ("vec", list(a.copy()), True),
-        ("vec+pack", scattered, True),
+        ("vec+pack", _lane_step(a), True),
+        ("scattered", scattered, True),
     ]
 
 
@@ -55,12 +65,21 @@ class TestGbtrfInfoParity:
         a = _poisoned_batch()
         expected = _expected_info(a)
         assert expected[2] == 1 and expected[5] == 1   # singular lanes
+        factors = {}
         for label, mats, vectorize in _variants(a):
+            stream = Stream(H100_PCIE)
             piv, info = gbtrf_batch(N, N, KL, KU, mats, batch=BATCH,
-                                    method=method, vectorize=vectorize)
+                                    method=method, vectorize=vectorize,
+                                    stream=stream)
             assert np.array_equal(np.asarray(info), expected), (
                 f"{method}/{label}: info={list(info)} expected="
                 f"{list(expected)}")
+            factors[label] = np.stack(mats).tobytes()
+            suffix = {"per-block": "", "vec+pack": "[vec+pack]"}.get(
+                label, "[vec]")
+            assert stream.records[-1].display_name == (
+                stream.records[-1].kernel_name + suffix)
+        assert len(set(factors.values())) == 1
 
     def test_reference_matches_host(self):
         a = _poisoned_batch()
@@ -90,6 +109,7 @@ class TestGbsvInfoParity:
                 assert np.array_equal(rhs[k], b[k]), f"{method}/{label}/{k}"
         assert np.array_equal(results["vec"], results["per-block"])
         assert np.array_equal(results["vec+pack"], results["per-block"])
+        assert np.array_equal(results["scattered"], results["per-block"])
 
 
 class TestGbtrsInfoParity:
@@ -104,7 +124,8 @@ class TestGbtrsInfoParity:
         for label, mats, vectorize in [
                 ("per-block", list(a.copy()), False),
                 ("vec", list(a.copy()), True),
-                ("vec+pack", [np.array(a[k]) for k in range(BATCH)], True)]:
+                ("vec+pack", _lane_step(a), True),
+                ("scattered", [np.array(a[k]) for k in range(BATCH)], True)]:
             for method in ("blocked",):
                 rhs = [b[k].copy() for k in range(BATCH)]
                 info = gbtrs_batch("N", N, KL, KU, 2, mats, piv, rhs,

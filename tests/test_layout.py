@@ -50,7 +50,6 @@ from repro.band.layout import (
     normalize_layout,
 )
 from repro.core.batch_args import (
-    convert_batch_layout,
     is_interleaved_stack,
     is_uniform_stack,
     stack_rung,
@@ -411,9 +410,13 @@ class TestLayoutKnob:
         _bytes_equal((a, a_ref), (b, b_ref))
 
     def test_convert_rejects_ragged_operands(self):
-        mats = [np.zeros((8, 4)), np.zeros((8, 5))]
-        with pytest.raises(ArgumentError, match="uniform"):
-            convert_batch_layout(INTERLEAVED, (mats,), batch=2)
+        """A pointer array whose lanes differ in shape cannot be one stack:
+        the call rejects it at ``ldab``'s position before any layer (the
+        layout conversion included) runs."""
+        mats = [np.zeros((8, 4)), np.zeros((9, 4))]
+        with pytest.raises(ArgumentError) as err:
+            gbtrf_batch(4, 4, 2, 3, mats, layout="soa")
+        assert err.value.position == 6
 
     def test_failed_call_leaves_no_conversion_charge_behind(self):
         """The conversion charge belongs to its call: a call that converts

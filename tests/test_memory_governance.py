@@ -184,21 +184,29 @@ class TestChunkedBitIdentity:
         assert all(("[vec" in nm) == vectorize for nm in kernel_names)
 
     def test_vec_pack_path_chunked(self):
-        """Scattered same-shape batch: chunks pack like the whole batch."""
+        """Lane-step stack: chunks pack like the whole batch.  A
+        scattered pointer array is gathered once at entry, so its chunks
+        launch ``[vec]``; both give the unchunked bits."""
         stack = random_band_batch(6, 28, 2, 2, seed=9)
-        scattered = [stack[k].copy() for k in range(6)]
-        ref = [m.copy() for m in scattered]
+        ref = stack.copy()
         piv0, info0 = gbtrf_batch(28, 28, 2, 2, ref, batch=6)
-        stream = Stream(H100_PCIE)
-        piv, info = gbtrf_batch(28, 28, 2, 2, scattered, batch=6,
-                                stream=stream, vectorize=True, chunk_hint=4)
-        assert all(m.tobytes() == r.tobytes()
-                   for m, r in zip(scattered, ref))
-        assert np.array_equal(info, info0)
-        packed = [r for r in stream.records
-                  if not r.kernel_name.startswith("chunk_")]
-        assert packed and all("[vec+pack]" in r.display_name
-                              for r in packed)
+        buf = np.zeros((12,) + stack.shape[1:])
+        buf[::2] = stack
+        scattered = [stack[k].copy() for k in range(6)]
+        for operand, label in ((buf[::2], "[vec+pack]"),
+                               (scattered, "[vec]")):
+            stream = Stream(H100_PCIE)
+            piv, info = gbtrf_batch(28, 28, 2, 2, operand, batch=6,
+                                    stream=stream, vectorize=True,
+                                    chunk_hint=4)
+            assert all(m.tobytes() == r.tobytes()
+                       for m, r in zip(operand, ref))
+            assert np.array_equal(info, info0)
+            assert np.array_equal(np.stack(piv), piv0)
+            launched = [r for r in stream.records
+                        if not r.kernel_name.startswith("chunk_")]
+            assert len(launched) == 2 and all(
+                r.display_name.endswith(label) for r in launched)
 
     def test_resilient_chunked_matches_plain(self):
         a, ref, piv0, info0 = factor_ref(9, 20, 2, 1, seed=10)

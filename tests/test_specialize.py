@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.band.generate import random_band_batch
+from repro.bench.harness import shape_only_batch
 from repro.core.gbtrf import gbtrf_batch
 from repro.core.specialize import (
     clear_specialization_cache,
@@ -82,11 +83,12 @@ class TestNumericsAndPerformance:
         n, kl, ku = 512, 10, 7
         spec = create_specialization(H100_PCIE, kl, ku)
         s_jit = Stream(H100_PCIE)
-        spec.gbtrf_batch(n, n, [np.zeros((28, n))] * 1000, batch=1000,
-                         stream=s_jit, execute=False)
+        spec.gbtrf_batch(n, n, shape_only_batch(n, kl, ku, 1000),
+                         batch=1000, stream=s_jit, execute=False)
         s_gen = Stream(H100_PCIE)
-        gbtrf_batch(n, n, kl, ku, [np.zeros((28, n))] * 1000, batch=1000,
-                    stream=s_gen, method="window", execute=False)
+        gbtrf_batch(n, n, kl, ku, shape_only_batch(n, kl, ku, 1000),
+                    batch=1000, stream=s_gen, method="window",
+                    execute=False)
         assert s_jit.elapsed < s_gen.elapsed
 
     def test_tuning_params_fixed_at_compile_time(self):

@@ -134,26 +134,38 @@ class TestGbsvVbatchVectorized:
 
 class TestPointerArrayDispatch:
     def test_noncontiguous_pointer_array_packs(self):
-        """Separate allocations (non-contiguous as a batch) stage through
-        the gather/pack path and match the per-block bits."""
+        """A lane-step stack (every other lane of a larger one) stages
+        through the gather/pack path at each launch; separate allocations
+        are gathered once at entry and launch ``[vec]``.  Both match the
+        per-block bits."""
         n, kl, ku, batch = 20, 2, 2, 5
         rng = np.random.default_rng(13)
         blocks = [random_band(n, kl, ku, seed=rng) for _ in range(batch)]
-        scattered = PointerArray([b.copy() for b in blocks])
+        buf = np.zeros((2 * batch,) + blocks[0].shape)
+        buf[::2] = blocks
+        stepped = buf[::2]
         stream = Stream(H100_PCIE)
-        piv, info = gbtrf_batch(n, n, kl, ku, scattered, method="window",
+        piv, info = gbtrf_batch(n, n, kl, ku, stepped, method="window",
                                 stream=stream, vectorize=True)
         rec = stream.records[-1]
         assert rec.vectorized and rec.packed
         assert rec.display_name == "gbtrf_window[vec+pack]"
         assert rec.pack_bytes == 2 * sum(b.nbytes for b in blocks)
+        scattered = PointerArray([b.copy() for b in blocks])
+        stream = Stream(H100_PCIE)
+        piv_s, info_s = gbtrf_batch(n, n, kl, ku, scattered, method="window",
+                                    stream=stream, vectorize=True)
+        rec = stream.records[-1]
+        assert rec.vectorized and not rec.packed and rec.pack_bytes == 0
+        assert rec.display_name == "gbtrf_window[vec]"
         ref = [b.copy() for b in blocks]
         piv2, info2 = gbtrf_batch(n, n, kl, ku, ref, batch=batch,
                                   method="window", vectorize=False)
         for k in range(batch):
-            _bytes_equal((np.asarray(scattered[k]), ref[k]),
-                         (piv[k], piv2[k]))
-        _bytes_equal((info, info2))
+            _bytes_equal((stepped[k], ref[k]), (piv[k], piv2[k]),
+                         (np.asarray(scattered[k]), ref[k]),
+                         (piv_s[k], piv2[k]))
+        _bytes_equal((info, info2), (info_s, info2))
 
     def test_interleaved_views_take_soa_route(self):
         """Lane-interleaved views of one buffer are unpackable (their byte
@@ -182,12 +194,15 @@ class TestPointerArrayDispatch:
 
 class TestVectorizeErrorPaths:
     def test_vbatch_aliased_lane_raises_on_true(self):
+        """Aliased lanes in one bucket cannot be one stack: the bucket's
+        call rejects them at A's position."""
         n, kl, ku = 14, 1, 1
         a = random_band(n, kl, ku, seed=19)
         mats = [a, a]                        # same storage in one bucket
-        with pytest.raises(DeviceError, match="batch-vectorize"):
+        with pytest.raises(ArgumentError) as err:
             gbtrf_vbatch([n, n], [n, n], [kl, kl], [ku, ku], mats,
                          vectorize=True)
+        assert err.value.position == 5
 
     def test_vbatch_fused_aliased_lane_raises_on_true(self):
         n, kl, ku = 14, 1, 1
@@ -197,19 +212,17 @@ class TestVectorizeErrorPaths:
                                vectorize=True)
 
     def test_vbatch_aliased_auto_falls_back_bitwise(self):
-        """Auto dispatch on an aliased bucket silently runs per-block —
-        same bits as vectorize=False (both factor the shared storage
-        twice, in lane order)."""
+        """Auto dispatch and forced per-block execution reject an aliased
+        bucket too, before writing anything."""
         n, kl, ku = 14, 1, 1
         a0 = random_band(n, kl, ku, seed=29)
-        ref = a0.copy()
-        pv_ref, i_ref = gbtrf_vbatch([n, n], [n, n], [kl, kl], [ku, ku],
-                                     [ref, ref], vectorize=False)
         got = a0.copy()
-        pv, i = gbtrf_vbatch([n, n], [n, n], [kl, kl], [ku, ku],
-                             [got, got])
-        _bytes_equal((got, ref), (pv[0], pv_ref[0]), (pv[1], pv_ref[1]),
-                     (i, i_ref))
+        for vectorize in (None, False):
+            with pytest.raises(ArgumentError) as err:
+                gbtrf_vbatch([n, n], [n, n], [kl, kl], [ku, ku],
+                             [got, got], vectorize=vectorize)
+            assert err.value.position == 5
+        _bytes_equal((got, a0))
 
     def test_reference_method_rejects_vectorize_true(self):
         n, kl, ku = 12, 1, 1
@@ -220,13 +233,14 @@ class TestVectorizeErrorPaths:
 
     def test_mixed_shape_uniform_batch_rejected_on_true(self):
         """Same configuration, different ldab padding: the uniform driver
-        cannot stack them, so vectorize=True raises."""
+        takes one ldab, so it rejects them at ldab's position."""
         n, kl, ku = 12, 1, 1
         a = random_band(n, kl, ku, seed=37)
         b = random_band(n, kl, ku, seed=38, ldab=2 * kl + ku + 3)
-        with pytest.raises(DeviceError, match="batch-vectorize"):
+        with pytest.raises(ArgumentError) as err:
             gbtrf_batch(n, n, kl, ku, [a, b], batch=2, method="window",
                         vectorize=True)
+        assert err.value.position == 6
 
     def test_mixed_ldab_vbatch_buckets_separately(self):
         """The vbatch group key includes the storage shape, so mixed-ldab
@@ -268,7 +282,14 @@ class TestTraceAttribution:
         gbtrf_vbatch([c[0] for c in configs], [c[0] for c in configs],
                      [c[1] for c in configs], [c[2] for c in configs],
                      ms, stream=stream, vectorize=True)
-        # One launch per distinct configuration, each vectorized (the
-        # scattered per-group matrix lists stage through the pack path).
+        # One launch per distinct configuration, each vectorized: each
+        # group's scattered matrix list is gathered once, where its call
+        # enters the layer stack, so no launch packs.
         assert len(stream.records) == 3
-        assert all(r.vectorized and r.packed for r in stream.records)
+        assert all(r.display_name.endswith("[vec]") and r.pack_bytes == 0
+                   for r in stream.records)
+        ref = [a.copy() for a in mats]
+        gbtrf_vbatch([c[0] for c in configs], [c[0] for c in configs],
+                     [c[1] for c in configs], [c[2] for c in configs],
+                     ref, vectorize=False)
+        _bytes_equal(*zip(ms, ref))

@@ -23,7 +23,7 @@ from repro.core import gbsv_batch, gbtrf_batch, gbtrs_batch
 from repro.core.batch_args import is_uniform_stack
 from repro.core.gbtf2 import gbtf2, gbtf2_batched
 from repro.core.solve_blocks import gbtrs_unblocked
-from repro.errors import DeviceError
+from repro.errors import ArgumentError
 from repro.gpusim import H100_PCIE, PointerArray, Stream, launch, summarize
 from repro.gpusim.kernel import SharedMemory
 
@@ -219,15 +219,26 @@ def test_gbtf2_batched_singular_lanes(dtype):
 # ---------------------------------------------------------------------------
 
 
+def _lane_step(a):
+    """``a`` copied into every other lane of a stack twice as tall: a
+    strided ndarray whose lanes form no zero-copy stack, so each launch
+    gathers and scatters it (the pack rung)."""
+    buf = np.zeros((2 * len(a),) + a.shape[1:], dtype=a.dtype)
+    buf[::2] = a
+    return buf[::2]
+
+
 def _rungs(a):
-    """The operand forms of the four rungs, each with the trace label its
+    """The operand forms of the rungs, each with the trace label its
     launches must carry: a uniform lane-major stack run per block
     (``vectorize=False``, the bare label) and auto-dispatched (``[vec]``),
-    a lane-fastest stack (``[vec+soa]``) and scattered per-lane copies
-    (``[vec+pack]``)."""
+    a lane-fastest stack (``[vec+soa]``), a lane-step view
+    (``[vec+pack]``), and scattered per-lane copies, which the call
+    gathers into one stack where it enters the layer stack (``[vec]``)."""
     return [(a.copy(), ""), (a.copy(), "[vec]"),
             (to_interleaved(a), "[vec+soa]"),
-            ([np.array(x) for x in a], "[vec+pack]")]
+            (_lane_step(a), "[vec+pack]"),
+            ([np.array(x) for x in a], "[vec]")]
 
 
 def _vectorize(label):
@@ -455,41 +466,57 @@ class TestDispatch:
         assert {s.name for s in summarize([stream])} == {"gbtrf_window[vec]"}
 
     def test_pointer_array_packs_and_vectorizes(self):
+        """A lane-step stack packs at every launch; a scattered pointer
+        array is gathered once at entry and launches ``[vec]`` with no
+        pack traffic.  Both give the stack path's bits."""
         n, kl, ku, batch = 24, 2, 3, 4
         a = _band_batch(batch, n, kl, ku, np.float64, seed=31)
-        scattered = PointerArray([a[k].copy() for k in range(batch)])
+        stepped = _lane_step(a)
         stream = Stream(H100_PCIE)
-        piv, info = gbtrf_batch(n, n, kl, ku, scattered, method="window",
+        piv, info = gbtrf_batch(n, n, kl, ku, stepped, method="window",
                                 stream=stream)
         rec = stream.records[-1]
         assert rec.vectorized and rec.packed
         assert rec.display_name == "gbtrf_window[vec+pack]"
         # Gather + scatter of the matrix batch.
-        assert rec.pack_bytes == 2 * sum(m.nbytes for m in scattered)
+        assert rec.pack_bytes == 2 * a.nbytes
+        scattered = PointerArray([a[k].copy() for k in range(batch)])
+        stream = Stream(H100_PCIE)
+        piv_s, info_s = gbtrf_batch(n, n, kl, ku, scattered,
+                                    method="window", stream=stream)
+        rec = stream.records[-1]
+        assert rec.vectorized and not rec.packed and rec.pack_bytes == 0
+        assert rec.display_name == "gbtrf_window[vec]"
         # Same bits as the stack path.
         a2 = a.copy()
         piv2, info2 = gbtrf_batch(n, n, kl, ku, a2, method="window")
-        _bytes_equal((np.stack([np.asarray(m) for m in scattered]), a2),
-                     (np.stack(piv), np.stack(piv2)), (info, info2))
+        _bytes_equal((stepped, a2), (piv, piv2), (info, info2),
+                     (np.stack([np.asarray(m) for m in scattered]), a2),
+                     (piv_s, piv2), (info_s, info2))
 
     def test_vectorize_true_rejects_aliased_batch(self):
+        """A pointer array the call writes must be one stack's lanes: an
+        aliased one is rejected at A's position, before any launch."""
         n, kl, ku, batch = 16, 1, 2, 3
         a = _band_batch(batch, n, kl, ku, np.float64, seed=32)
         aliased = [a[0]] * batch          # same storage three times over
-        with pytest.raises(DeviceError, match="batch-vectorize"):
+        with pytest.raises(ArgumentError) as err:
             gbtrf_batch(n, n, kl, ku, aliased, batch=batch,
                         method="window", vectorize=True)
+        assert err.value.position == 5
 
     def test_aliased_batch_auto_falls_back(self):
+        """Auto dispatch and forced per-block execution reject a partly
+        aliased pointer array too, and leave its lanes untouched."""
         n, kl, ku, batch = 16, 1, 2, 3
         a = _band_batch(batch, n, kl, ku, np.float64, seed=32)
         aliased = [a[0].copy()] + [a[1]] * (batch - 1)
-        stream = Stream(H100_PCIE)
-        gbtrf_batch(n, n, kl, ku, aliased, batch=batch, method="window",
-                    stream=stream)
-        rec = stream.records[-1]
-        assert not rec.vectorized and not rec.packed
-        assert rec.display_name == "gbtrf_window"
+        for vectorize in (None, False):
+            with pytest.raises(ArgumentError) as err:
+                gbtrf_batch(n, n, kl, ku, aliased, batch=batch,
+                            method="window", vectorize=vectorize)
+            assert err.value.position == 5
+        _bytes_equal((aliased[0], a[0]), (aliased[1], a[1]))
 
     def test_vectorize_false_forces_per_block(self):
         n, kl, ku, batch = 24, 2, 3, 4
@@ -500,7 +527,6 @@ class TestDispatch:
         assert not stream.records[-1].vectorized
 
     def test_reference_method_rejects_vectorize_true(self):
-        from repro.errors import ArgumentError
         a = _band_batch(3, 16, 1, 1, np.float64, seed=34)
         with pytest.raises(ArgumentError):
             gbtrf_batch(16, 16, 1, 1, a, method="reference", vectorize=True)
@@ -587,12 +613,18 @@ class TestStaging:
         _bytes_equal((staged, a))
         a_ref = a.copy()
         piv_ref, _ = gbtrf_batch(n, n, kl, ku, a_ref, vectorize=False)
+        stepped = _lane_step(a)
+        stream = Stream(H100_PCIE)
+        piv, _ = gbtrf_batch(n, n, kl, ku, stepped, stream=stream)
+        rec = stream.records[-1]
+        assert rec.packed and rec.pack_bytes == 2 * a.nbytes
+        _bytes_equal((stepped, a_ref), (piv, piv_ref))
+        # The scattered list is gathered once at entry, not per launch.
         stream = Stream(H100_PCIE)
         piv, _ = gbtrf_batch(n, n, kl, ku, scattered, stream=stream)
         rec = stream.records[-1]
-        assert rec.packed and rec.pack_bytes == 2 * a.nbytes
-        _bytes_equal((np.stack(scattered), a_ref),
-                     (np.stack(piv), np.stack(piv_ref)))
+        assert rec.display_name.endswith("[vec]") and rec.pack_bytes == 0
+        _bytes_equal((np.stack(scattered), a_ref), (piv, piv_ref))
 
     @pytest.mark.parametrize("fail", ["gbtrf", "gbtrs_fwd", "gbtrs_bwd"])
     def test_resilient_retry_restores_stack(self, fail):
@@ -674,9 +706,10 @@ class TestStaging:
                 "gbtrf_window" + label, "gbtrs_fwd_blocked" + label,
                 "gbtrs_bwd_blocked" + label]
             assert [w for w in walks if w[1] == batch] == []
-        # A pointer-array call still walks: each list once per launch.
+        # A pointer-array call walks each list once, where it enters the
+        # layer stack, and then launches on the stack view.
         a = _band_batch(batch, n, kl, ku, np.float64, seed=46)
         b = random_rhs(n, 1, batch=batch, seed=47)
         gbsv_batch(n, kl, ku, 1, list(a), None, list(b), method="standard")
         assert [w for w in walks if w[1] == batch] == \
-            [("_lanes_follow", batch)] * 5
+            [("_lanes_follow", batch)] * 2
