@@ -2,10 +2,11 @@
 
 Companion to ``bench_vectorized_speedup.py`` for *non-uniform* batches:
 a paper-scale batch of 1000 problems drawn from six configurations is
-factored through ``gbtrf_vbatch`` on the per-block path and on the
-bucketed batch-interleaved path, which groups lanes by configuration and
-advances each bucket through the window schedule together.  The two paths
-must produce bit-identical factors; the target here is a >= 5x host
+grouped by configuration as ``gbtrf_vbatch`` groups it, and each group
+is factored on the per-block path and on the batch-interleaved path,
+which advances the whole group through the window schedule together.
+The two paths must produce bit-identical factors (and ``gbtrf_vbatch``
+the bits of ``gbtf2`` per lane); the target here is a >= 5x host
 wall-clock win on the mixed batch.
 """
 
@@ -14,6 +15,8 @@ import numpy as np
 from repro.band.generate import random_band
 from repro.bench import wallclock_vbatch_paths
 from repro.core.batched import gbtrf_vbatch
+from repro.core.gbtf2 import gbtf2
+from repro.gpusim import H100_PCIE, Stream
 
 from _util import emit, run_once
 
@@ -40,6 +43,8 @@ def _mixed_configs():
 
 
 def test_vbatch_paths_bit_identical():
+    """``gbtrf_vbatch`` runs every group ``[vec]`` and gives the bits of
+    the scalar reference ``gbtf2`` on every lane."""
     lanes = _mixed_configs()[:60]
     rng = np.random.default_rng(9)
     mats = [random_band(n, kl, ku, seed=rng) for n, kl, ku in lanes]
@@ -47,15 +52,15 @@ def test_vbatch_paths_bit_identical():
     kls = [c[1] for c in lanes]
     kus = [c[2] for c in lanes]
     ref = [a.copy() for a in mats]
-    piv_ref, info_ref = gbtrf_vbatch(ns, ns, kls, kus, ref,
-                                     vectorize=False)
+    refs = [gbtf2(n, n, kl, ku, a) for a, (n, kl, ku) in zip(ref, lanes)]
     vec = [a.copy() for a in mats]
-    piv_vec, info_vec = gbtrf_vbatch(ns, ns, kls, kus, vec,
-                                     vectorize=True)
-    for k in range(len(lanes)):
+    stream = Stream(H100_PCIE)
+    piv_vec, info_vec = gbtrf_vbatch(ns, ns, kls, kus, vec, stream=stream)
+    assert all(r.display_name.endswith("[vec]") for r in stream.records)
+    for k, (piv_ref, info_ref) in enumerate(refs):
         assert vec[k].tobytes() == ref[k].tobytes()
-        assert piv_vec[k].tobytes() == piv_ref[k].tobytes()
-    assert info_vec.tobytes() == info_ref.tobytes()
+        assert piv_vec[k].tobytes() == piv_ref.tobytes()
+        assert info_vec[k] == info_ref
 
 
 def test_vbatch_vectorized_speedup(benchmark):

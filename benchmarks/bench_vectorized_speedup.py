@@ -29,6 +29,7 @@ from repro.bench import wallclock_gbtrf_paths
 from repro.core import gbtrf_batch, gbtrs_batch
 from repro.core.gbtf2 import gbtf2
 from repro.core.solve_blocks import gbtrs_unblocked
+from repro.gpusim import H100_PCIE, Stream
 
 from _util import emit, run_once
 
@@ -50,7 +51,8 @@ def check_bit_identity(batch: int = 32) -> None:
     info_ref = np.zeros(batch, dtype=np.int64)
     for k in range(batch):
         piv_ref[k], info_ref[k] = gbtf2(N, N, KL, KU, a_ref[k])
-    piv_vec, info_vec = gbtrf_batch(N, N, KL, KU, a_vec, vectorize=True)
+    stream = Stream(H100_PCIE)
+    piv_vec, info_vec = gbtrf_batch(N, N, KL, KU, a_vec, stream=stream)
     assert a_vec.tobytes() == a_ref.tobytes()
     assert np.stack(piv_vec).tobytes() == piv_ref.tobytes()
     assert info_vec.tobytes() == info_ref.tobytes()
@@ -61,8 +63,10 @@ def check_bit_identity(batch: int = 32) -> None:
             gbtrs_unblocked(trans, N, KL, KU, a_ref[k], piv_ref[k],
                             b_ref[k])
         gbtrs_batch(trans, N, KL, KU, 1, a_ref, piv_ref, b_vec,
-                    vectorize=True)
+                    stream=stream)
         assert b_vec.tobytes() == b_ref.tobytes(), trans
+    # Every launch took the batch-interleaved path.
+    assert all(r.display_name.endswith("[vec]") for r in stream.records)
 
 
 def measure_and_gate() -> None:

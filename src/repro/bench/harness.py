@@ -8,10 +8,11 @@ numerical correctness is covered separately by the test suite and by each
 benchmark's small functional sample).  Times are returned in seconds; the
 report layer converts to the paper's milliseconds.
 
-:func:`wallclock_gbtrf_paths` is the exception: it executes the functional
-kernel bodies for real on both execution paths (per-block loop vs
-batch-interleaved) and reports host wall-clock, quantifying the simulator's
-own throughput rather than the modeled device time.
+:func:`wallclock_gbtrf_paths` and :func:`wallclock_vbatch_paths` are the
+exception: they execute the functional kernel bodies for real on both
+execution paths (the launcher's per-block reference loop vs its
+batch-interleaved rungs) and report host wall-clock, quantifying the
+simulator's own throughput rather than the modeled device time.
 """
 
 from __future__ import annotations
@@ -22,11 +23,13 @@ import numpy as np
 
 from ..band.layout import ldab_for_factor
 from ..core.gbsv import gbsv_batch
-from ..core.gbtrf import gbtrf_batch
+from ..core.gbtrf import GBTRF, gbtrf_batch
 from ..core.gbtrs import gbtrs_batch
+from ..core.stack import ExecConfig, Operands
 from ..cpu.costmodel import XEON_6140, CpuSpec, cpu_gbsv_time, cpu_gbtrf_time, cpu_gbtrs_time
 from ..errors import SharedMemoryError
-from ..gpusim.device import DeviceSpec
+from ..gpusim.device import H100_PCIE, DeviceSpec
+from ..gpusim.kernel import launch
 from ..gpusim.stream import Stream
 from ..types import Trans
 
@@ -110,9 +113,47 @@ class WallClock:
         return self.per_block / self.vectorized
 
 
+def _factor_stack(device, method, m, n, kl, ku, mats, vectorize) -> None:
+    """Launch the kernels of ``gbtrf`` design ``method`` in place over the
+    ``(batch, ldab, n)`` stack ``mats``, with no driver layer around
+    them: per block with ``vectorize=False``, else on the rung the
+    launcher picks."""
+    batch = len(mats)
+    ops = Operands(m, n, kl, ku, mats,
+                   np.zeros((batch, min(m, n)), dtype=np.int64),
+                   np.zeros(batch, dtype=np.int64))
+    kernels = GBTRF.kernels(device, method, ExecConfig(device=device), ops)
+    if kernels is None:
+        raise ValueError(f"method {method!r} has no kernels to launch")
+    for kernel in kernels:
+        launch(device, kernel, vectorize=vectorize)
+
+
+def _both_paths(factor, fresh, batch, repeats, warmup) -> WallClock:
+    """Best-of-``repeats`` seconds of ``factor(work, vectorize)`` on the
+    per-block path and on the launcher's own, each run on ``work =
+    fresh(lanes)``, a fresh copy of the first ``lanes`` inputs."""
+    from time import perf_counter
+
+    seconds = {}
+    for label, vec in (("per_block", False), ("vectorized", True)):
+        if warmup:
+            factor(fresh(min(8, batch)), vec)
+        best = None
+        for _ in range(max(1, repeats)):
+            work = fresh(batch)
+            t0 = perf_counter()
+            factor(work, vec)
+            dt = perf_counter() - t0
+            best = dt if best is None else min(best, dt)
+        seconds[label] = best
+    return WallClock(per_block=seconds["per_block"],
+                     vectorized=seconds["vectorized"], batch=batch)
+
+
 def wallclock_gbtrf_paths(n: int, kl: int, ku: int, *,
                           batch: int = DEFAULT_BATCH,
-                          device: DeviceSpec | None = None,
+                          device: DeviceSpec = H100_PCIE,
                           method: str = "auto", dtype=np.float64,
                           seed: int = 0, repeats: int = 1,
                           warmup: bool = False) -> WallClock:
@@ -121,9 +162,12 @@ def wallclock_gbtrf_paths(n: int, kl: int, ku: int, *,
 
     Unlike the modeled ``time_*`` entries above, this measures what the
     host actually spends executing the functional kernel bodies — the
-    quantity the ``vectorize`` dispatch exists to improve.  Both runs
-    start from identical copies of one random batch; the factored outputs
-    are bit-identical by the launch contract (asserted in
+    quantity the launcher's batch-interleaved rungs exist to improve.
+    Both sides launch the kernels of design ``method`` (``'auto'``,
+    ``'fused'`` or ``'window'``) on identical copies of one random
+    batch: ``launch(vectorize=False)``, the per-block reference path,
+    against the launcher's default.  The factored outputs are
+    bit-identical by the launch contract (asserted in
     ``benchmarks/bench_vectorized_speedup.py``).
 
     ``repeats`` reports the best of that many timed runs (each from a
@@ -131,83 +175,52 @@ def wallclock_gbtrf_paths(n: int, kl: int, ku: int, *,
     small batch first, so first-call effects (allocator/page-fault
     warmup) don't contaminate the steady-state comparison.
     """
-    from time import perf_counter
-
     from ..band.generate import random_band_batch
-    from ..gpusim.device import H100_PCIE
 
-    if device is None:
-        device = H100_PCIE
     a = random_band_batch(batch, n, kl, ku, dtype=dtype, seed=seed)
-    seconds = {}
-    for label, vec in (("per_block", False), ("vectorized", True)):
-        if warmup:
-            small = a[:min(8, batch)].copy()
-            gbtrf_batch(n, n, kl, ku, small, None, None,
-                        batch=small.shape[0], device=device, method=method,
-                        vectorize=vec)
-        best = None
-        for _ in range(max(1, repeats)):
-            work = a.copy()
-            t0 = perf_counter()
-            gbtrf_batch(n, n, kl, ku, work, None, None, batch=batch,
-                        device=device, method=method, vectorize=vec)
-            dt = perf_counter() - t0
-            best = dt if best is None else min(best, dt)
-        seconds[label] = best
-    return WallClock(per_block=seconds["per_block"],
-                     vectorized=seconds["vectorized"], batch=batch)
+    return _both_paths(
+        lambda work, vec: _factor_stack(device, method, n, n, kl, ku, work,
+                                        vec),
+        lambda lanes: a[:lanes].copy(), batch, repeats, warmup)
 
 
-def wallclock_vbatch_paths(configs, *, device: DeviceSpec | None = None,
+def wallclock_vbatch_paths(configs, *, device: DeviceSpec = H100_PCIE,
                            dtype=np.float64, seed: int = 0,
                            repeats: int = 1,
                            warmup: bool = False) -> WallClock:
     """Wall-clock a real non-uniform batch on both execution paths.
 
     ``configs`` is one ``(m, n, kl, ku)`` or ``(n, kl, ku)`` tuple per
-    problem (lane order is preserved; repeats of a configuration are what
-    the bucketed path interleaves).  Each path —
-    :func:`repro.core.batched.gbtrf_vbatch` with ``vectorize=False`` vs
-    ``vectorize=True`` — factors fresh copies of the same random batch;
-    the outputs are bit-identical by the launch contract (asserted in
-    ``benchmarks/bench_vbatch_vectorized.py``).  ``repeats``/``warmup``
-    behave as in :func:`wallclock_gbtrf_paths`.
+    problem (lane order is preserved).  Each path factors fresh copies
+    of the same random batch the way
+    :func:`repro.core.batched.gbtrf_vbatch` does: lanes of one
+    configuration are gathered into one stack, the ``'auto'`` design's
+    kernels run over it, and the factors are scattered back.  The
+    per-block side launches with ``vectorize=False``, the other on the
+    launcher's own rung; the outputs are bit-identical by the launch
+    contract.  ``repeats``/``warmup`` behave as in
+    :func:`wallclock_gbtrf_paths`.
     """
-    from time import perf_counter
-
     from ..band.generate import random_band
-    from ..core.batched import gbtrf_vbatch
-    from ..gpusim.device import H100_PCIE
 
-    if device is None:
-        device = H100_PCIE
     full = [c if len(c) == 4 else (c[0],) + tuple(c) for c in configs]
     rng = np.random.default_rng(seed)
     mats = [random_band(n, kl, ku, m=m, dtype=dtype, seed=rng)
             for m, n, kl, ku in full]
-    ms = [c[0] for c in full]
-    ns = [c[1] for c in full]
-    kls = [c[2] for c in full]
-    kus = [c[3] for c in full]
-    seconds = {}
-    for label, vec in (("per_block", False), ("vectorized", True)):
-        if warmup:
-            k = min(8, len(full))
-            gbtrf_vbatch(ms[:k], ns[:k], kls[:k], kus[:k],
-                         [a.copy() for a in mats[:k]], device=device,
-                         vectorize=vec)
-        best = None
-        for _ in range(max(1, repeats)):
-            work = [a.copy() for a in mats]
-            t0 = perf_counter()
-            gbtrf_vbatch(ms, ns, kls, kus, work, device=device,
-                         vectorize=vec)
-            dt = perf_counter() - t0
-            best = dt if best is None else min(best, dt)
-        seconds[label] = best
-    return WallClock(per_block=seconds["per_block"],
-                     vectorized=seconds["vectorized"], batch=len(full))
+
+    def factor(work, vec):
+        groups: dict = {}
+        for k, a in enumerate(work):
+            groups.setdefault((full[k], a.shape), []).append(k)
+        for ((m, n, kl, ku), _shape), idxs in groups.items():
+            stack = np.stack([work[i] for i in idxs])
+            _factor_stack(device, "auto", m, n, kl, ku, stack, vec)
+            for t, i in enumerate(idxs):
+                work[i][...] = stack[t]
+
+    return _both_paths(factor, lambda lanes: [a.copy() for a in
+                                              mats[:lanes]],
+                       len(full), repeats, warmup)
 
 
 def time_cpu_gbtrf(n: int, kl: int, ku: int, *,

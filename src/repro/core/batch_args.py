@@ -51,6 +51,10 @@ __all__ = [
     "stack_view",
     "stage_stack",
     "convert_batch_layout",
+    "vbatch_configs",
+    "vbatch_matrices",
+    "vbatch_pivots",
+    "vbatch_rhs",
 ]
 
 
@@ -294,7 +298,7 @@ def _working_copy(layout: str, mats: np.ndarray, leases) -> np.ndarray:
 
 def _pointer_array(seq, batch: int, *, arg_pos: int, what: str,
                    written: bool, lane, shape_pos: int | None = None,
-                   arrays: bool = False) -> list:
+                   arrays: bool = False, uniform: bool = True) -> list:
     """The entries of pointer array ``seq``, validated as one stack's
     lanes.
 
@@ -306,7 +310,10 @@ def _pointer_array(seq, batch: int, *, arg_pos: int, what: str,
     ``shape_pos``, default ``arg_pos``) and dtype, as the paper's one
     ``ldab`` per call implies, and written lanes must not overlap
     (:func:`~repro.gpusim.memory.is_packable_batch`) unless they are
-    already lanes of one interleaved stack.  The per-lane checks format
+    already lanes of one interleaved stack.  A non-uniform batch
+    (``uniform=False``, the vbatch drivers) skips these cross-lane
+    checks: its lanes differ by design, and each uniform group it runs is
+    checked as one call.  The per-lane checks format
     no message unless they fail: a scattered batch of 1,000 lanes pays
     for them on every call.
     """
@@ -320,6 +327,8 @@ def _pointer_array(seq, batch: int, *, arg_pos: int, what: str,
             raise ArgumentError(arg_pos, f"{what} {k} is a "
                                 f"{type(x).__name__}, not an ndarray")
         x = lanes[k] = lane(k, x)
+        if not uniform:
+            continue
         if x.shape != lanes[0].shape:
             raise ArgumentError(shape_pos or arg_pos, (
                 f"{what} {k} has shape {x.shape}, {what} 0 has "
@@ -327,8 +336,9 @@ def _pointer_array(seq, batch: int, *, arg_pos: int, what: str,
         if x.dtype != lanes[0].dtype:
             raise ArgumentError(arg_pos, f"{what} {k} has dtype {x.dtype}, "
                                 f"{what} 0 has {lanes[0].dtype}")
-    check_arg(not written or not lanes or is_packable_batch(lanes)
-              or bool(stack_layouts(lanes)), arg_pos,
+    check_arg(not (written and uniform) or not lanes
+              or is_packable_batch(lanes) or bool(stack_layouts(lanes)),
+              arg_pos,
               f"entries of the {what} pointer array share memory; the "
               "call writes them, so each needs its own storage")
     return lanes
@@ -492,6 +502,79 @@ def ensure_info(info, batch: int, *, arg_pos: int) -> np.ndarray:
               f"info must be integer, got {info.dtype}")
     info[...] = 0
     return info
+
+
+def vbatch_configs(batch: int, named) -> list:
+    """Validate the per-problem configuration lists of a vbatch call.
+
+    ``named`` holds ``(name, seq)`` for argument positions 1, 2, ...;
+    each ``seq`` must have ``batch`` non-negative entries.  Returns the
+    lists as Python ints.
+    """
+    out = []
+    for pos, (name, seq) in enumerate(named, 1):
+        check_arg(len(seq) == batch, pos,
+                  f"{name} has {len(seq)} entries, expected {batch}")
+        vals = [int(v) for v in seq]
+        check_arg(min(vals, default=0) >= 0, pos,
+                  f"{name} must be non-negative, got {min(vals, default=0)}")
+        out.append(vals)
+    return out
+
+
+def vbatch_matrices(a_array, ns, kls, kus, *, arg_pos: int) -> list:
+    """The band matrices of a vbatch call, one ndarray per problem.
+
+    Problem ``k``'s matrix is 2-D with at least ``2*kl + ku + 1`` rows
+    and ``ns[k]`` columns.  The call writes the factors into it, so an
+    entry that is not an ndarray (a nested list, say) is rejected rather
+    than factored into a temporary copy.
+    """
+    def lane(k, a):
+        need = ldab_for_factor(kls[k], kus[k])
+        if a.ndim != 2 or a.shape[0] < need or a.shape[1] != ns[k]:
+            raise ArgumentError(arg_pos, (
+                f"matrix {k} has shape {a.shape}; needs at least "
+                f"({need}, {ns[k]})"))
+        return a
+
+    return _pointer_array(a_array, len(ns), arg_pos=arg_pos, what="matrix",
+                          written=True, lane=lane, uniform=False)
+
+
+def vbatch_pivots(pv_array, mns, *, arg_pos: int) -> list:
+    """The pivot vectors of a vbatch call: problem ``k``'s is an integer
+    ndarray of length ``mns[k]``, allocated when ``pv_array`` is None."""
+    if pv_array is None:
+        return [np.zeros(mn, dtype=np.int64) for mn in mns]
+
+    def lane(k, p):
+        if p.shape != (mns[k],) or p.dtype.kind not in "iu":
+            raise ArgumentError(arg_pos, (
+                f"pivot vector {k} has shape {p.shape} and dtype {p.dtype}, "
+                f"expected {(mns[k],)} integer"))
+        return p
+
+    return _pointer_array(pv_array, len(mns), arg_pos=arg_pos,
+                          what="pivot vector", written=True, lane=lane,
+                          uniform=False)
+
+
+def vbatch_rhs(b_array, ns, nrhss, *, arg_pos: int) -> list:
+    """The right-hand sides of a vbatch call as ``(n, nrhs)`` ndarrays
+    (a 1-D entry is viewed as ``(n, 1)`` when its ``nrhs`` is 1).  The
+    call writes the solutions into them, so each must be an ndarray."""
+    def lane(k, b):
+        if b.ndim == 1 and nrhss[k] == 1:
+            b = b[:, None]
+        if b.shape != (ns[k], nrhss[k]):
+            raise ArgumentError(arg_pos, (
+                f"RHS {k} has shape {b.shape}, expected "
+                f"{(ns[k], nrhss[k])}"))
+        return b
+
+    return _pointer_array(b_array, len(ns), arg_pos=arg_pos, what="RHS",
+                          written=True, lane=lane, uniform=False)
 
 
 def check_gb_args(m: int, n: int, kl: int, ku: int, mats, *, batch: int,

@@ -38,6 +38,8 @@ import numpy as np
 from ..errors import check_arg
 from ..gpusim.stream import Stream
 from ..types import Trans
+from .batch_args import ensure_info, vbatch_configs, vbatch_matrices, \
+    vbatch_pivots, vbatch_rhs
 from .gbsv import gbsv_batch, run_gbsv
 from .gbtrf import gbtrf_batch, run_gbtrf
 from .gbtrs import gbtrs_batch
@@ -175,15 +177,8 @@ def _run_groups(op: str, cfg: ExecConfig, keys, info, run_group):
     return report
 
 
-def _check_lengths(batch, named) -> None:
-    for pos, (name, seq) in enumerate(named, 1):
-        check_arg(len(seq) == batch, pos,
-                  f"{name} has {len(seq)} entries, expected {batch}")
-
-
 def gbtrf_vbatch(ms, ns, kls, kus, a_array, pv_array=None, info=None, *,
                  device=None, stream=None, execute: bool = True,
-                 vectorize: bool | None = None,
                  resilient: bool = False, policy=None,
                  max_resident_bytes: int | None = None,
                  chunk_hint: int | None = None,
@@ -198,14 +193,14 @@ def gbtrf_vbatch(ms, ns, kls, kus, a_array, pv_array=None, info=None, *,
 
     Returns ``(pivots, info)`` ordered like the input problems.
 
-    ``vectorize`` selects the host execution path per group, with the
-    same semantics as the uniform drivers: ``None`` (default)
-    auto-dispatches each group to the batch-interleaved path (each
-    group's matrices are gathered into one stack where its call enters
-    the layer stack), ``False`` forces per-block execution, ``True``
-    requires the vectorized path.  Aliased matrices in one group raise
-    :class:`~repro.errors.ArgumentError`.  Both paths are bit-identical
-    by contract.
+    Arguments are validated once, at this call's own positions: every
+    ``a_array`` entry (position 5) must be a 2-D ndarray, since the
+    factors are written into it; ``pv_array`` (6) entries are integer
+    ndarrays of length ``min(m, n)``; ``info`` (7) has one entry per
+    problem.  Each group's matrices are gathered into one stack where
+    its call enters the layer stack and run on the batch-interleaved
+    path; aliased matrices in one group raise
+    :class:`~repro.errors.ArgumentError`.
 
     ``resilient=True`` runs every group through the self-healing dispatch
     (:mod:`repro.core.resilience`) and returns ``(pivots, info, report)``
@@ -237,7 +232,7 @@ def gbtrf_vbatch(ms, ns, kls, kus, a_array, pv_array=None, info=None, *,
     Requires square problems (``ms[k] == ns[k]``).
     """
     cfg = _vbatch_config(
-        device, stream, execute, vectorize=vectorize, resilient=resilient,
+        device, stream, execute, resilient=resilient,
         policy=policy, max_resident_bytes=max_resident_bytes,
         chunk_hint=chunk_hint, streams=streams, devices=devices,
         layout=layout, verify=verify)
@@ -254,21 +249,16 @@ def run_gbtrf_vbatch(cfg, ms, ns, kls, kus, a_array, pv_array=None,
     resilient or verified).
     """
     batch = len(a_array)
-    _check_lengths(batch, (("ms", ms), ("ns", ns), ("kls", kls),
-                           ("kus", kus)))
-    mats = [np.asarray(a) for a in a_array]
-    if pv_array is not None:
-        pivots = list(pv_array)
-    else:
-        pivots = [np.zeros(min(ms[k], ns[k]), dtype=np.int64)
-                  for k in range(batch)]
-    if info is None:
-        info = np.zeros(batch, dtype=np.int64)
+    ms, ns, kls, kus = vbatch_configs(batch, (
+        ("ms", ms), ("ns", ns), ("kls", kls), ("kus", kus)))
+    mats = vbatch_matrices(a_array, ns, kls, kus, arg_pos=5)
+    pivots = vbatch_pivots(pv_array, list(map(min, ms, ns)), arg_pos=6)
+    info = ensure_info(info, batch, arg_pos=7)
     # Storage shape joins the key so every group stacks uniformly on the
     # batch-interleaved path (same (m, n, kl, ku) may arrive with
     # different ldab padding).
-    keys = [(int(ms[k]), int(ns[k]), int(kls[k]), int(kus[k]),
-             mats[k].shape) for k in range(batch)]
+    keys = [(ms[k], ns[k], kls[k], kus[k], mats[k].shape)
+            for k in range(batch)]
 
     def run_group(key, idxs, sub_info):
         m, n, kl, ku, _shape = key
@@ -281,7 +271,7 @@ def run_gbtrf_vbatch(cfg, ms, ns, kls, kus, a_array, pv_array=None,
 
 def gbsv_vbatch(ns, kls, kus, nrhss, a_array, b_array, pv_array=None,
                 info=None, *, device=None, stream=None,
-                execute: bool = True, vectorize: bool | None = None,
+                execute: bool = True,
                 resilient: bool = False, policy=None,
                 max_resident_bytes: int | None = None,
                 chunk_hint: int | None = None,
@@ -293,9 +283,14 @@ def gbsv_vbatch(ns, kls, kus, nrhss, a_array, b_array, pv_array=None,
     Returns ``(pivots, info)``; each problem's ``B`` is overwritten with its
     solution unless that problem is singular.
 
-    ``vectorize`` selects the host execution path per group
-    (``None``/``False``/``True`` — see :func:`gbtrf_vbatch`);
-    ``resilient=True`` likewise mirrors :func:`gbtrf_vbatch`, returning
+    Arguments are validated once, at this call's own positions: every
+    ``a_array`` (5) and ``b_array`` (6) entry must be an ndarray, since
+    the factors and solutions are written into it (a 1-D right-hand
+    side is viewed as one column when its ``nrhs`` is 1); ``pv_array``
+    (7) entries are integer ndarrays of length ``n``; ``info`` (8) has
+    one entry per problem.
+
+    ``resilient=True`` mirrors :func:`gbtrf_vbatch`, returning
     ``(pivots, info, report)`` with a merged
     :class:`~repro.core.resilience.BatchReport`.
     ``max_resident_bytes`` / ``chunk_hint`` bound each uniform group's
@@ -310,24 +305,19 @@ def gbsv_vbatch(ns, kls, kus, nrhss, a_array, b_array, pv_array=None,
     with the merged verification fields.
     """
     cfg = _vbatch_config(
-        device, stream, execute, vectorize=vectorize, resilient=resilient,
+        device, stream, execute, resilient=resilient,
         policy=policy, max_resident_bytes=max_resident_bytes,
         chunk_hint=chunk_hint, streams=streams, devices=devices,
         layout=layout, verify=verify)
     batch = len(a_array)
-    _check_lengths(batch, (("ns", ns), ("kls", kls), ("kus", kus),
-                           ("nrhss", nrhss)))
-    mats = [np.asarray(a) for a in a_array]
-    rhs = [np.asarray(b) for b in b_array]
-    rhs = [b[:, None] if b.ndim == 1 else b for b in rhs]
-    if pv_array is not None:
-        pivots = list(pv_array)
-    else:
-        pivots = [np.zeros(int(ns[k]), dtype=np.int64) for k in range(batch)]
-    if info is None:
-        info = np.zeros(batch, dtype=np.int64)
-    keys = [(int(ns[k]), int(kls[k]), int(kus[k]), int(nrhss[k]),
-             mats[k].shape) for k in range(batch)]
+    ns, kls, kus, nrhss = vbatch_configs(batch, (
+        ("ns", ns), ("kls", kls), ("kus", kus), ("nrhss", nrhss)))
+    mats = vbatch_matrices(a_array, ns, kls, kus, arg_pos=5)
+    rhs = vbatch_rhs(b_array, ns, nrhss, arg_pos=6)
+    pivots = vbatch_pivots(pv_array, ns, arg_pos=7)
+    info = ensure_info(info, batch, arg_pos=8)
+    keys = [(ns[k], kls[k], kus[k], nrhss[k], mats[k].shape)
+            for k in range(batch)]
 
     def run_group(key, idxs, sub_info):
         n, kl, ku, nrhs, _shape = key

@@ -70,7 +70,6 @@ def gbsv_batch(n: int, kl: int, ku: int, nrhs: int, a_array, pv_array,
                b_array, info=None, *, batch: int | None = None,
                device: DeviceSpec = H100_PCIE, stream=None,
                method: str = "auto", execute: bool = True,
-               vectorize: bool | None = None,
                resilient: bool = False, policy=None,
                max_resident_bytes: int | None = None,
                chunk_hint: int | None = None,
@@ -81,10 +80,8 @@ def gbsv_batch(n: int, kl: int, ku: int, nrhs: int, a_array, pv_array,
 
     Returns ``(pivots, info)``.  ``a_array`` is overwritten with factors,
     ``b_array`` with solutions (per-problem, skipped when singular).
-    ``vectorize`` selects the execution path (see
-    :func:`repro.core.gbtrf.gbtrf_batch`); when some problems are singular
-    the follow-up solve runs on the non-singular lanes, gathered into one
-    stack and scattered back.
+    When some problems are singular the follow-up solve runs on the
+    non-singular lanes, gathered into one stack and scattered back.
 
     ``resilient=True`` routes the call through the self-healing dispatch
     of :mod:`repro.core.resilience` and returns ``(pivots, info,
@@ -124,8 +121,7 @@ def gbsv_batch(n: int, kl: int, ku: int, nrhs: int, a_array, pv_array,
               f"method must be one of {_METHODS}, got {method!r}")
     cfg = ExecConfig(
         device=device, stream=stream, method=method, execute=execute,
-        vectorize=vectorize, resilient=resilient,
-        policy=policy, max_resident_bytes=max_resident_bytes,
+        resilient=resilient, policy=policy, max_resident_bytes=max_resident_bytes,
         chunk_hint=chunk_hint, streams=streams, devices=devices,
         layout=layout, verify=as_verify_policy(verify))
     pivots, info, report = run_gbsv(cfg, n, kl, ku, nrhs, a_array, pv_array,
@@ -177,24 +173,24 @@ def _kernels(device, method, cfg, ops):
     return kernels
 
 
-def _dispatch(method, cfg, ops, vectorize):
+def _dispatch(method, cfg, ops):
     if _fused(method, cfg.device, ops):
         launch(cfg.device, _kernels(cfg.device, "fused", cfg, ops)[0],
-               stream=cfg.stream, execute=cfg.execute, vectorize=vectorize,
+               stream=cfg.stream, execute=cfg.execute,
                conversion=ops.call.conversion)
         return
-    GBTRF.dispatch("auto", cfg, ops, vectorize)
+    GBTRF.dispatch("auto", cfg, ops)
     if ops.nrhs == 0:
         return
     ok = np.flatnonzero(ops.info == 0)
     if len(ok) == ops.batch:
-        GBTRS.dispatch("auto", cfg, ops, vectorize)
+        GBTRS.dispatch("auto", cfg, ops)
     elif len(ok):
         # Solve only the non-singular problems (LAPACK leaves B of a
         # singular problem unchanged): gather them into one stack, solve
         # it on the batch-interleaved path, scatter the solutions back.
         sub = ops.take(ok)
-        GBTRS.dispatch("auto", cfg, sub, vectorize)
+        GBTRS.dispatch("auto", cfg, sub)
         ops.put_back(ok, sub, GBTRS)
 
 

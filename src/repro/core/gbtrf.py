@@ -69,7 +69,6 @@ def gbtrf_batch(m: int, n: int, kl: int, ku: int, a_array,
                 device: DeviceSpec = H100_PCIE, stream=None,
                 method: str = "auto", nb: int | None = None,
                 threads: int | None = None, execute: bool = True,
-                vectorize: bool | None = None,
                 resilient: bool = False, policy=None,
                 max_resident_bytes: int | None = None,
                 chunk_hint: int | None = None,
@@ -105,18 +104,6 @@ def gbtrf_batch(m: int, n: int, kl: int, ku: int, a_array,
     execute:
         Passed to the launcher: ``execute=False`` evaluates only the timing
         model.
-    vectorize:
-        Execution-path selector, forwarded to the launcher.  ``None``
-        (default) auto-dispatches to the batch-interleaved path when the
-        batch is a uniform contiguous stack (a gathered pointer array is
-        one) *or* can be staged by the gather/pack stage (a strided
-        stack such as ``buf[::2]``); ``False`` forces the per-block path
-        (the same body, one lane at a time); ``True`` requires the
-        vectorized path (raises :class:`~repro.errors.DeviceError` for
-        an overlapping stack that cannot be packed, and
-        :class:`~repro.errors.ArgumentError` for ``method='reference'``,
-        which has no such path).  Results are bit-identical either way.
-
     resilient, policy:
         ``resilient=True`` routes the call through the self-healing
         dispatch of :mod:`repro.core.resilience` (retry, design-ladder
@@ -188,8 +175,7 @@ def gbtrf_batch(m: int, n: int, kl: int, ku: int, a_array,
               f"method must be one of {_METHODS}, got {method!r}")
     cfg = ExecConfig(
         device=device, stream=stream, method=method, nb=nb, threads=threads,
-        execute=execute, vectorize=vectorize,
-        resilient=resilient, policy=policy,
+        execute=execute, resilient=resilient, policy=policy,
         max_resident_bytes=max_resident_bytes, chunk_hint=chunk_hint,
         streams=streams, devices=devices, layout=layout,
         verify=as_verify_policy(verify))
@@ -241,12 +227,9 @@ def _kernels(device, method, cfg, ops):
     return None
 
 
-def _dispatch(method, cfg, ops, vectorize):
+def _dispatch(method, cfg, ops):
     kernels = _kernels(cfg.device, method, cfg, ops)
     if kernels is None:
-        check_arg(not vectorize, 17,
-                  "method='reference' (fork-join per-column kernels) has "
-                  "no batch-interleaved path; use vectorize=None or False")
         gbtrf_reference_batch(ops.m, ops.n, ops.kl, ops.ku, ops.mats,
                               ops.pivots, ops.info, cfg.device, cfg.stream,
                               execute=cfg.execute,
@@ -254,7 +237,7 @@ def _dispatch(method, cfg, ops, vectorize):
         return
     for kernel in kernels:
         launch(cfg.device, kernel, stream=cfg.stream, execute=cfg.execute,
-               vectorize=vectorize, conversion=ops.call.conversion)
+               conversion=ops.call.conversion)
 
 
 def _host(ops):

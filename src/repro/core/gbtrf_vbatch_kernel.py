@@ -28,6 +28,8 @@ from ..gpusim.device import H100_PCIE, DeviceSpec
 from ..gpusim.kernel import Kernel, SharedMemory, launch
 from ..gpusim.memory import is_packable_batch
 from ..tuning.defaults import window_params
+from .batch_args import ensure_info, vbatch_configs, vbatch_matrices, \
+    vbatch_pivots
 from .costs import gbtrf_window_cost
 from .gbtrf_window import sliding_window_factor_batched
 
@@ -138,45 +140,25 @@ class VbatchGbtrfKernel(Kernel):
 
 def gbtrf_vbatch_fused(ms, ns, kls, kus, a_array, pv_array=None,
                        info=None, *, device: DeviceSpec = H100_PCIE,
-                       stream=None, execute: bool = True,
-                       vectorize: bool | None = None):
+                       stream=None, execute: bool = True):
     """Non-uniform batch LU in a single kernel launch.
 
     Same contract as :func:`repro.core.batched.gbtrf_vbatch` (grouped
-    strategy) — identical results, different execution shape.  Returns
-    ``(pivots, info)``.
-
-    ``vectorize`` selects the host execution path (``None``/``False``/
-    ``True`` as in :func:`repro.core.gbtrf.gbtrf_batch`): the vectorized
-    path buckets the batch by configuration and advances each bucket
-    batch-interleaved, bit-identical to the per-block loop.
+    strategy) — identical results, different execution shape, and the
+    same argument positions.  Returns ``(pivots, info)``.  The launcher
+    buckets the batch by configuration and advances each bucket
+    batch-interleaved.
     """
     batch = len(a_array)
-    for name, seq, pos in (("ms", ms, 1), ("ns", ns, 2), ("kls", kls, 3),
-                           ("kus", kus, 4)):
-        check_arg(len(seq) == batch, pos,
-                  f"{name} has {len(seq)} entries, expected {batch}")
-    mats = [np.asarray(a) for a in a_array]
-    problems = []
-    for k in range(batch):
-        m, n, kl, ku = int(ms[k]), int(ns[k]), int(kls[k]), int(kus[k])
-        need = 2 * kl + ku + 1
-        check_arg(mats[k].shape[0] >= need and mats[k].shape[1] == n, 5,
-                  f"matrix {k} has shape {mats[k].shape}; needs at least "
-                  f"({need}, {n})")
-        nb, threads = window_params(device, kl, ku)
-        problems.append(VbatchProblem(m=m, n=n, kl=kl, ku=ku, nb=nb,
-                                      threads=threads))
-    if pv_array is not None:
-        pivots = list(pv_array)
-    else:
-        pivots = [np.zeros(min(p.m, p.n), dtype=np.int64)
-                  for p in problems]
-    if info is None:
-        info = np.zeros(batch, dtype=np.int64)
+    ms, ns, kls, kus = vbatch_configs(batch, (
+        ("ms", ms), ("ns", ns), ("kls", kls), ("kus", kus)))
+    mats = vbatch_matrices(a_array, ns, kls, kus, arg_pos=5)
+    pivots = vbatch_pivots(pv_array, list(map(min, ms, ns)), arg_pos=6)
+    info = ensure_info(info, batch, arg_pos=7)
     if batch == 0:
         return pivots, info
+    problems = [VbatchProblem(m, n, kl, ku, *window_params(device, kl, ku))
+                for m, n, kl, ku in zip(ms, ns, kls, kus)]
     kernel = VbatchGbtrfKernel(problems, mats, pivots, info)
-    launch(device, kernel, stream=stream, execute=execute,
-           vectorize=vectorize)
+    launch(device, kernel, stream=stream, execute=execute)
     return pivots, info

@@ -59,7 +59,6 @@ def gbtrs_batch(trans: Trans | str, n: int, kl: int, ku: int, nrhs: int,
                 batch: int | None = None, device: DeviceSpec = H100_PCIE,
                 stream=None, method: str = "auto", nb: int | None = None,
                 threads: int | None = None, execute: bool = True,
-                vectorize: bool | None = None,
                 resilient: bool = False, policy=None,
                 max_resident_bytes: int | None = None,
                 chunk_hint: int | None = None,
@@ -74,16 +73,12 @@ def gbtrs_batch(trans: Trans | str, n: int, kl: int, ku: int, nrhs: int,
     raises; numerical singularity is reported by the factorization, not the
     solve — LAPACK semantics).
 
-    ``vectorize`` selects the execution path as in
-    :func:`repro.core.gbtrf.gbtrf_batch`: ``None`` auto-dispatches the
-    blocked kernels — no-transpose *and* transposed — to the
-    batch-interleaved path whenever the factors and right-hand sides can
-    be staged (uniform stacks and pointer arrays, which become one stack
-    at entry, directly; strided stacks through the gather/pack stage),
-    ``False`` forces per-block execution, ``True`` requires vectorized
-    execution (the reference method has no vectorized path and raises;
-    so do unpackable overlapping stacks).  The factors are only read, so
-    their pointer array may alias; ``b_array``'s may not.
+    The launcher runs the blocked kernels — no-transpose *and*
+    transposed — on the batch-interleaved path whenever the factors and
+    right-hand sides can be staged (uniform stacks and pointer arrays,
+    which become one stack at entry, directly; strided stacks through the
+    gather/pack stage).  The factors are only read, so their pointer
+    array may alias; ``b_array``'s may not.
 
     ``resilient=True`` routes the call through the self-healing dispatch
     of :mod:`repro.core.resilience` and returns ``(info, report)``;
@@ -122,7 +117,7 @@ def gbtrs_batch(trans: Trans | str, n: int, kl: int, ku: int, nrhs: int,
               f"method must be one of {_METHODS}, got {method!r}")
     cfg = ExecConfig(
         device=device, stream=stream, method=method, nb=nb, threads=threads,
-        execute=execute, vectorize=vectorize, resilient=resilient,
+        execute=execute, resilient=resilient,
         policy=policy, max_resident_bytes=max_resident_bytes,
         chunk_hint=chunk_hint, streams=streams, devices=devices,
         layout=layout, verify=as_verify_policy(verify))
@@ -174,12 +169,9 @@ def _kernels(device, method, cfg, ops):
                                 conj=conj)]
 
 
-def _dispatch(method, cfg, ops, vectorize):
+def _dispatch(method, cfg, ops):
     kernels = _kernels(cfg.device, method, cfg, ops)
     if kernels is None:
-        check_arg(not vectorize, 16,
-                  "method='reference' (per-column kernels) has no "
-                  "batch-interleaved path; use vectorize=None or False")
         gbtrs_reference_batch(ops.trans, ops.n, ops.kl, ops.ku, ops.nrhs,
                               ops.mats, ops.pivots, ops.rhs, cfg.device,
                               cfg.stream, execute=cfg.execute,
@@ -187,7 +179,7 @@ def _dispatch(method, cfg, ops, vectorize):
         return
     for kernel in kernels:
         launch(cfg.device, kernel, stream=cfg.stream, execute=cfg.execute,
-               vectorize=vectorize, conversion=ops.call.conversion)
+               conversion=ops.call.conversion)
 
 
 def _host(ops):

@@ -47,8 +47,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields as _dataclass_fields, \
-    replace
+from dataclasses import dataclass, field, fields as _dataclass_fields
 
 import numpy as np
 
@@ -405,16 +404,6 @@ def merge_reports(operation: str, batch: int, parts) -> BatchReport:
 
 # --- ladder execution ------------------------------------------------------
 
-def _vec_for(method: str, vectorize):
-    """Downgrade ``vectorize=True`` on the reference rung.
-
-    The reference designs have no batch-interleaved path and reject
-    ``vectorize=True`` eagerly; a fallback that lands there must not turn
-    a recoverable device fault into an argument error.
-    """
-    return None if (vectorize and method == "reference") else vectorize
-
-
 def _run_ladder(report, spec, cfg, ops, snap, policy, rungs,
                 stage=None) -> np.ndarray | None:
     """Run ``spec`` down the design ladder ``rungs`` until one succeeds,
@@ -482,7 +471,7 @@ def _run_ladder(report, spec, cfg, ops, snap, policy, rungs,
                 if dirty:
                     spec.restore(ops, snap)
                 dirty = True
-                spec.dispatch(meth, cfg, ops, _vec_for(meth, cfg.vectorize))
+                spec.dispatch(meth, cfg, ops)
                 report.methods[stage] = meth
                 return
             except (DeviceError, DeviceMemoryError, SharedMemoryError) as exc:
@@ -515,8 +504,8 @@ def _run_ladder(report, spec, cfg, ops, snap, policy, rungs,
 
 def _rerun_reference(report, spec, cfg, ops, snap, policy) -> None:
     """Re-run quarantined lanes through the reference design (or host)."""
-    _run_ladder(report, spec, replace(cfg, vectorize=None), ops, snap,
-                policy, ("reference",), stage=f"quarantine:{spec.name}")
+    _run_ladder(report, spec, cfg, ops, snap, policy, ("reference",),
+                stage=f"quarantine:{spec.name}")
 
 
 def _quarantine(report, spec, cfg, ops, snap, policy,

@@ -62,7 +62,6 @@ class ExecConfig:
     nb: int | None = None
     threads: int | None = None
     execute: bool = True
-    vectorize: bool | None = None
     resilient: bool = False
     policy: object = None
     max_resident_bytes: int | None = None
@@ -235,7 +234,9 @@ class OpSpec:
     from it.  ``designs`` is the degradation ladder, ``resolve`` picks
     the design ``'auto'`` means on a device, ``kernels`` builds a design's
     kernels (for dispatch and the multi-device throughput probes),
-    ``dispatch`` runs one design, ``host`` is the host reference over
+    ``dispatch(method, cfg, ops)`` runs one design's launches (the
+    launcher picks each launch's execution rung from the operands),
+    ``host`` is the host reference over
     every lane, and ``gate`` is the operation's part of the verify
     layer's residual gate (every lane's scaled residual, a re-score
     function, pivot growth, a per-lane ``rcond`` and the op's own rungs;
@@ -384,5 +385,5 @@ def heal(spec: OpSpec, cfg: ExecConfig, ops: Operands):
     if cfg.resilient:
         from .resilience import run_resilient
         return run_resilient(spec, cfg, ops)
-    spec.dispatch(cfg.method, cfg, ops, cfg.vectorize)
+    spec.dispatch(cfg.method, cfg, ops)
     return None

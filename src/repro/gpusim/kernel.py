@@ -286,7 +286,7 @@ def _vector_rung(kernel: Kernel) -> str | None:
 
 
 def launch(device: DeviceSpec, kernel: Kernel, *, stream=None,
-           execute: bool = True, vectorize: bool | None = None,
+           execute: bool = True, vectorize: bool = True,
            conversion: ConversionCharge | None = None) -> LaunchRecord:
     """Launch ``kernel`` on ``device``.
 
@@ -300,26 +300,22 @@ def launch(device: DeviceSpec, kernel: Kernel, *, stream=None,
         Run the functional block bodies.  When False only the timing model
         is evaluated — used by the benchmark harness for large batches.
     vectorize:
-        Select the execution path for the functional bodies.  ``None``
-        (default) auto-dispatches when more than one block executes: the
-        launcher derives the rung from the kernel's
-        :meth:`Kernel.pack_operands` — direct when every operand batch is
-        one lane-major stack, soa when every one is a lane-major or an
-        interleaved stack (both staged as zero-copy views; see
-        :func:`repro.core.batch_args.stack_rung`), pack when every one
-        can be gathered and scattered back
+        ``True`` (default): the launcher picks the execution path from
+        the operands when more than one block executes.  It derives the
+        rung from the kernel's :meth:`Kernel.pack_operands` — direct when
+        every operand batch is one lane-major stack, soa when every one
+        is a lane-major or an interleaved stack (both staged as zero-copy
+        views; see :func:`repro.core.batch_args.stack_rung`), pack when
+        every one can be gathered and scattered back
         (:meth:`Kernel.can_pack_vectorize`) — and runs
         :meth:`Kernel.run_batch_vectorized` once over the grid; with no
         rung, blocks run one at a time through :meth:`Kernel.run_block`.
         A 3-D operand array is judged from its first two lanes and its
         length; a list of lanes is walked at most once.
-        ``False`` forces the per-block path: each block runs alone
-        through the same body.  ``True`` requires the vectorized path and
-        raises :class:`~repro.errors.DeviceError` if the kernel (or its
-        current inputs) cannot take it even with packing.  Lanes are
-        independent, so both paths give the same bits; the reference
-        semantics they are tested against live in the scalar
-        :func:`~repro.core.gbtf2.gbtf2` and
+        ``False`` is the per-block reference path: each block runs alone
+        through the same body.  Lanes are independent, so both paths give
+        the same bits; the reference semantics they are tested against
+        live in the scalar :func:`~repro.core.gbtf2.gbtf2` and
         :func:`~repro.core.solve_blocks.gbtrs_unblocked`.
     conversion:
         The calling driver's :class:`ConversionCharge`; pending
@@ -331,9 +327,7 @@ def launch(device: DeviceSpec, kernel: Kernel, *, stream=None,
         If the kernel cannot launch on this device, or an armed fault plan
         (:mod:`repro.gpusim.faults`) rejects the shared-memory request.
     DeviceError
-        If ``vectorize=True`` but the kernel cannot batch-vectorize its
-        current inputs, even through the pack/scatter stage; or an armed
-        fault plan injects a launch failure.
+        If an armed fault plan injects a launch failure.
     """
     from .faults import active_injector
 
@@ -370,14 +364,6 @@ def launch(device: DeviceSpec, kernel: Kernel, *, stream=None,
     capturing = bool(getattr(stream, "_capturing", False))
     if capturing:
         execute = False
-    # The rung is decided once per launch, and the kernel stages its
-    # operands by that decision: a stack is never walked, a list once.
-    rung = _vector_rung(kernel) if vectorize else None
-    if vectorize and rung is None:
-        raise DeviceError(
-            f"kernel {kernel.name!r} cannot batch-vectorize its current "
-            "inputs (no batch-interleaved path, or aliased/overlapping/"
-            "mixed-shape blocks that the pack stage cannot stage)")
     executed = 0
     vectorized = False
     packed = False
@@ -386,15 +372,16 @@ def launch(device: DeviceSpec, kernel: Kernel, *, stream=None,
     faults: tuple = ()
     if execute:
         limit = timing.occupancy.smem_per_block
-        if vectorize is None and grid > 1:
-            rung = _vector_rung(kernel)
+        # The rung is decided once per launch, and the kernel stages its
+        # operands by that decision: a stack is never walked, a list once.
+        rung = _vector_rung(kernel) if vectorize and grid > 1 else None
         smem_ctx = dict(kernel=kernel.name, device=device.name)
         if injector is not None and grid > 0:
             # Transfer-SDC strikes the staged inputs the blocks are about
             # to consume (a corrupted host-to-device copy); the events
             # ride the same record as post-execution corruption.
             faults = injector.before_execution(device, kernel, grid)
-        if rung is not None and grid > 0:
+        if rung is not None:
             packed = rung == "pack"
             soa = rung == "soa"
             kernel.run_batch_vectorized(

@@ -1,7 +1,8 @@
 """Serve: solver-as-a-service ingress over the batched execution stack.
 
-The layers below (vectorize -> pack -> govern -> chunk -> pipeline) are
-batch-in, batch-out.  This package turns them into a request service:
+The layers below (verify -> layout -> govern/chunk/pipeline -> heal ->
+dispatch, in the order of :mod:`repro.core.stack`) are batch-in,
+batch-out.  This package turns them into a request service:
 :class:`SolverService` coalesces independent single-system solve requests
 into vbatch groups under a deadline-aware :class:`BatchingPolicy`, reuses
 factorizations through a pool-charged :class:`FactorCache`, and accounts

@@ -1,8 +1,9 @@
 """Solver-as-a-service ingress: request coalescing over the batched drivers.
 
-The execution stack below this module (vectorize -> pack -> govern ->
-chunk -> pipeline) is batch-in, batch-out; production traffic is millions
-of *independent* single-system solve requests.  :class:`SolverService` is
+The execution stack below this module (verify -> layout ->
+govern/chunk/pipeline -> heal -> dispatch, in the order of
+:mod:`repro.core.stack`) is batch-in, batch-out; production traffic is
+millions of *independent* single-system solve requests.  :class:`SolverService` is
 the ingress layer between the two:
 
 * ``submit(kl, ku, ab, b)`` accepts one band system and returns a
@@ -22,9 +23,9 @@ the ingress layer between the two:
   byte-identical factors and is bit-identical to the cold path by the
   same contract that makes every layer below bit-identical to the layer
   beneath it;
-* the ``vectorize`` / ``resilient`` / ``streams`` / ``devices`` /
-  ``max_resident_bytes`` / ``chunk_hint`` knobs of the batched drivers
-  pass through unchanged.
+* the ``resilient`` / ``streams`` / ``devices`` /
+  ``max_resident_bytes`` / ``chunk_hint`` / ``layout`` / ``verify``
+  knobs of the batched drivers pass through unchanged.
 
 Everything observable lands in a :class:`~repro.serve.report.
 ServiceReport` (flush reasons, group-size histogram, cache hit/miss/
@@ -206,8 +207,8 @@ class SolverService:
     cache_entries, cache_bytes:
         Bounds for the :class:`~repro.serve.cache.FactorCache`
         (``cache_entries=0`` disables caching).
-    vectorize, resilient, resilience_policy, max_resident_bytes,
-    chunk_hint, streams, devices, layout:
+    resilient, resilience_policy, max_resident_bytes, chunk_hint,
+    streams, devices, layout:
         Passed through to every dispatched driver call unchanged — the
         service inherits the whole execution stack below it (``layout``
         is the storage-layout selector of docs/LAYOUTS.md; cache keys
@@ -236,7 +237,6 @@ class SolverService:
                  policy: BatchingPolicy | None = None,
                  cache_entries: int | None = None,
                  cache_bytes: int | None = None,
-                 vectorize: bool | None = None,
                  resilient: bool = False, resilience_policy=None,
                  max_resident_bytes: int | None = None,
                  chunk_hint: int | None = None,
@@ -252,8 +252,8 @@ class SolverService:
         # Every dispatched factorization and solve runs under this one
         # configuration of the execution stack.
         self._cfg = ExecConfig(
-            device=device, stream=stream, vectorize=vectorize,
-            resilient=resilient, policy=resilience_policy,
+            device=device, stream=stream, resilient=resilient,
+            policy=resilience_policy,
             max_resident_bytes=max_resident_bytes, chunk_hint=chunk_hint,
             streams=streams, devices=devices,
             layout=layout, verify=as_verify_policy(verify))

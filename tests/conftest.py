@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,22 @@ def _pipeline_round_accounting(monkeypatch):
         return out
 
     monkeypatch.setattr(pipeline, "execute_pipelined", checked)
+
+
+@pytest.fixture
+def per_block(monkeypatch):
+    """``with per_block():`` runs every launch inside on the per-block
+    reference path (what ``launch(vectorize=False)`` does): the
+    launcher finds no batch-interleaved rung for any kernel."""
+    from repro.gpusim import kernel
+
+    @contextmanager
+    def forced():
+        with monkeypatch.context() as patch:
+            patch.setattr(kernel, "_vector_rung", lambda k: None)
+            yield
+
+    return forced
 
 
 def scipy_gbtrf(ab: np.ndarray, kl: int, ku: int, m: int, n: int):

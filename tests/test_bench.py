@@ -140,3 +140,48 @@ class TestReporting:
         fig = fig3(2, 3, sizes=[64, 448])
         assert len(fig.series) == 3
         assert all(len(s.times) == 2 for s in fig.series)
+
+
+@pytest.fixture
+def launch_spy(monkeypatch):
+    """Every launch the wall-clock harness makes, with the display name
+    and executed blocks of its record and the bytes the kernel left in
+    its factors, pivots and info."""
+    from repro.bench import harness
+    real, seen = harness.launch, []
+
+    def spy(device, kernel, **kwargs):
+        rec = real(device, kernel, **kwargs)
+        seen.append((rec.display_name, rec.executed_blocks,
+                     [np.asarray(x).tobytes()
+                      for x in (kernel.mats, kernel.pivots, kernel.info)]))
+        return rec
+
+    monkeypatch.setattr(harness, "launch", spy)
+    return seen
+
+
+@pytest.mark.parametrize("n", [24, 64], ids=["fused", "window"])
+def test_wallclock_gbtrf_paths_per_block_against_vec(launch_spy, n):
+    """One side launches per block, the other ``[vec]``; both leave the
+    same factor, pivot and info bytes."""
+    from repro.bench import wallclock_gbtrf_paths
+    r = wallclock_gbtrf_paths(n, 2, 3, batch=6)
+    assert r.batch == 6 and r.per_block > 0 and r.vectorized > 0
+    (blk_name, blk_blocks, blk_out), (vec_name, _, vec_out) = launch_spy
+    assert vec_name == blk_name + "[vec]" and blk_blocks == 6
+    assert blk_out == vec_out
+
+
+def test_wallclock_vbatch_paths_per_block_against_vec(launch_spy):
+    """Each configuration's group is one launch per side: per block,
+    then ``[vec]``, with the same bytes."""
+    from repro.bench import wallclock_vbatch_paths
+    configs = [(24, 2, 3), (40, 1, 2), (24, 2, 3), (40, 1, 2), (24, 2, 3)]
+    r = wallclock_vbatch_paths(configs)
+    assert r.batch == 5
+    assert [(name.endswith("[vec]"), blocks)
+            for name, blocks, _ in launch_spy] == [
+        (False, 3), (False, 2), (True, 3), (True, 2)]
+    assert [out for *_, out in launch_spy[:2]] == \
+        [out for *_, out in launch_spy[2:]]

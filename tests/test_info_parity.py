@@ -7,6 +7,8 @@ gathers and packs, and scattered pointer arrays the call gathers once
 at entry) as on the per-block reference path.
 """
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -48,29 +50,30 @@ def _lane_step(a):
     return buf[::2]
 
 
-def _variants(a):
-    """(label, matrices, vectorize) triples covering all execution paths."""
+def _variants(a, per_block):
+    """(label, matrices, path) triples covering all execution paths; each
+    ``path`` is the context its call runs in."""
     scattered = [np.array(a[k]) for k in range(BATCH)]   # separate allocs
     return [
-        ("per-block", list(a.copy()), False),
-        ("vec", list(a.copy()), True),
-        ("vec+pack", _lane_step(a), True),
-        ("scattered", scattered, True),
+        ("per-block", list(a.copy()), per_block()),
+        ("vec", list(a.copy()), nullcontext()),
+        ("vec+pack", _lane_step(a), nullcontext()),
+        ("scattered", scattered, nullcontext()),
     ]
 
 
 class TestGbtrfInfoParity:
     @pytest.mark.parametrize("method", ["fused", "window"])
-    def test_all_paths_agree(self, method):
+    def test_all_paths_agree(self, method, per_block):
         a = _poisoned_batch()
         expected = _expected_info(a)
         assert expected[2] == 1 and expected[5] == 1   # singular lanes
         factors = {}
-        for label, mats, vectorize in _variants(a):
+        for label, mats, path in _variants(a, per_block):
             stream = Stream(H100_PCIE)
-            piv, info = gbtrf_batch(N, N, KL, KU, mats, batch=BATCH,
-                                    method=method, vectorize=vectorize,
-                                    stream=stream)
+            with path:
+                piv, info = gbtrf_batch(N, N, KL, KU, mats, batch=BATCH,
+                                        method=method, stream=stream)
             assert np.array_equal(np.asarray(info), expected), (
                 f"{method}/{label}: info={list(info)} expected="
                 f"{list(expected)}")
@@ -91,16 +94,16 @@ class TestGbtrfInfoParity:
 
 class TestGbsvInfoParity:
     @pytest.mark.parametrize("method", ["fused", "standard"])
-    def test_all_paths_agree(self, method):
+    def test_all_paths_agree(self, method, per_block):
         a = _poisoned_batch()
         expected = _expected_info(a)
         b = random_rhs(N, 1, batch=BATCH, seed=1)
         results = {}
-        for label, mats, vectorize in _variants(a):
+        for label, mats, path in _variants(a, per_block):
             rhs = [b[k].copy() for k in range(BATCH)]
-            piv, info = gbsv_batch(N, KL, KU, 1, mats, None, rhs,
-                                   batch=BATCH, method=method,
-                                   vectorize=vectorize)
+            with path:
+                piv, info = gbsv_batch(N, KL, KU, 1, mats, None, rhs,
+                                       batch=BATCH, method=method)
             results[label] = np.asarray(info).copy()
             assert np.array_equal(results[label], expected), (
                 f"{method}/{label}")
@@ -113,7 +116,7 @@ class TestGbsvInfoParity:
 
 
 class TestGbtrsInfoParity:
-    def test_info_zero_on_all_paths(self):
+    def test_info_zero_on_all_paths(self, per_block):
         """gbtrs never reports numerical trouble — on any path, even when
         the factors carry NaN lanes (LAPACK semantics: validation only)."""
         a = random_band_batch(BATCH, N, KL, KU, seed=3)
@@ -121,16 +124,12 @@ class TestGbtrsInfoParity:
         assert (info_f == 0).all()
         a[7, KL + KU, 4] = np.nan      # poison one factored lane
         b = random_rhs(N, 2, batch=BATCH, seed=4)
-        for label, mats, vectorize in [
-                ("per-block", list(a.copy()), False),
-                ("vec", list(a.copy()), True),
-                ("vec+pack", _lane_step(a), True),
-                ("scattered", [np.array(a[k]) for k in range(BATCH)], True)]:
+        for label, mats, path in _variants(a, per_block):
             for method in ("blocked",):
                 rhs = [b[k].copy() for k in range(BATCH)]
-                info = gbtrs_batch("N", N, KL, KU, 2, mats, piv, rhs,
-                                   batch=BATCH, method=method,
-                                   vectorize=vectorize)
+                with path:
+                    info = gbtrs_batch("N", N, KL, KU, 2, mats, piv, rhs,
+                                       batch=BATCH, method=method)
                 assert (np.asarray(info) == 0).all(), f"{label}/{method}"
                 # NaN stays confined to the poisoned lane
                 for k in range(BATCH):

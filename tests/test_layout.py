@@ -185,18 +185,18 @@ class TestDetection:
 
 @pytest.mark.parametrize("dtype", DTYPES, ids=DTYPE_IDS)
 @pytest.mark.parametrize("method", ["window", "fused"])
-def test_gbtrf_soa_bitwise(dtype, method):
+def test_gbtrf_soa_bitwise(dtype, method, per_block):
     batch, n = 9, 40 if method == "window" else 20
     kl, ku = 3, 2
     a = random_band_batch(batch, n, kl, ku, dtype=dtype, seed=7)
     a_ref, a_vec = a.copy(), a.copy()
-    piv_ref, info_ref = gbtrf_batch(n, n, kl, ku, a_ref, method=method,
-                                    vectorize=False)
+    with per_block():
+        piv_ref, info_ref = gbtrf_batch(n, n, kl, ku, a_ref, method=method)
     piv_vec, info_vec = gbtrf_batch(n, n, kl, ku, a_vec, method=method)
     a_soa = to_interleaved(a)
     stream = Stream(H100_PCIE)
     piv_soa, info_soa = gbtrf_batch(n, n, kl, ku, a_soa, method=method,
-                                    stream=stream, vectorize=True)
+                                    stream=stream)
     rec = _launches(stream)[-1]
     assert rec.soa and rec.vectorized and not rec.packed
     assert rec.display_name.endswith("[vec+soa]")
@@ -206,14 +206,15 @@ def test_gbtrf_soa_bitwise(dtype, method):
 
 
 @pytest.mark.parametrize("trans", ["N", "T", "C"])
-def test_gbtrs_soa_bitwise(trans):
+def test_gbtrs_soa_bitwise(trans, per_block):
     batch, n, kl, ku, nrhs = 9, 40, 2, 3, 2
     dtype = np.complex128 if trans == "C" else np.float64
     a = random_band_batch(batch, n, kl, ku, dtype=dtype, seed=8)
     b = random_rhs(n, nrhs, batch=batch, dtype=dtype, seed=9)
     piv, info = gbtrf_batch(n, n, kl, ku, a)
     b_ref = b.copy()
-    gbtrs_batch(trans, n, kl, ku, nrhs, a, piv, b_ref, vectorize=False)
+    with per_block():
+        gbtrs_batch(trans, n, kl, ku, nrhs, a, piv, b_ref)
     # factors lane-major, RHS interleaved — mixed layouts still take SoA
     b_soa = to_interleaved(b)
     stream = Stream(H100_PCIE)
@@ -227,21 +228,22 @@ def test_gbtrs_soa_bitwise(trans):
 
 
 @pytest.mark.parametrize("method", ["standard", "fused"])
-def test_gbsv_soa_bitwise(method):
+def test_gbsv_soa_bitwise(method, per_block):
     batch, kl, ku = 9, 2, 2
     n = 40 if method == "standard" else 20
     a = random_band_batch(batch, n, kl, ku, seed=10)
     b = random_rhs(n, 1, batch=batch, seed=11)
     a_ref, b_ref = a.copy(), b.copy()
-    piv_ref, info_ref = gbsv_batch(n, kl, ku, 1, a_ref, None, b_ref,
-                                   method=method, vectorize=False)
+    with per_block():
+        piv_ref, info_ref = gbsv_batch(n, kl, ku, 1, a_ref, None, b_ref,
+                                       method=method)
     a_soa, b_soa = to_interleaved(a), to_interleaved(b)
     piv, info = gbsv_batch(n, kl, ku, 1, a_soa, None, b_soa, method=method)
     _bytes_equal((_materialize(a_soa), a_ref), (_materialize(b_soa), b_ref),
                  (np.stack(piv), np.stack(piv_ref)), (info, info_ref))
 
 
-def test_gbsv_soa_singular_lanes():
+def test_gbsv_soa_singular_lanes(per_block):
     """Singular lanes keep their RHS bits; the non-singular subset is a
     scattered selection of interleaved lanes, which correctly falls back
     to per-block execution (byte spans interleave with the skipped lanes,
@@ -252,8 +254,9 @@ def test_gbsv_soa_singular_lanes():
     a[5, :, 0] = 0
     b = random_rhs(n, 1, batch=batch, seed=13)
     a_ref, b_ref = a.copy(), b.copy()
-    piv_ref, info_ref = gbsv_batch(n, kl, ku, 1, a_ref, None, b_ref,
-                                   method="standard", vectorize=False)
+    with per_block():
+        piv_ref, info_ref = gbsv_batch(n, kl, ku, 1, a_ref, None, b_ref,
+                                       method="standard")
     assert info_ref[2] != 0 and info_ref[5] != 0
     a_soa, b_soa = to_interleaved(a), to_interleaved(b)
     piv, info = gbsv_batch(n, kl, ku, 1, a_soa, None, b_soa,
@@ -383,12 +386,13 @@ class TestLayoutKnob:
         _bytes_equal((a, a_ref), (np.stack(piv), np.stack(piv_ref)),
                      (info, info_ref))
 
-    def test_gbtrs_layout_knob(self):
+    def test_gbtrs_layout_knob(self, per_block):
         a, b = self._problem()
         piv, _ = gbtrf_batch(self.N, self.N, self.KL, self.KU, a)
         b_ref = b.copy()
-        gbtrs_batch("N", self.N, self.KL, self.KU, self.NRHS, a, piv,
-                    b_ref, vectorize=False)
+        with per_block():
+            gbtrs_batch("N", self.N, self.KL, self.KU, self.NRHS, a, piv,
+                        b_ref)
         stream = Stream(H100_PCIE)
         gbtrs_batch("N", self.N, self.KL, self.KU, self.NRHS, a, piv, b,
                     stream=stream, layout="soa")

@@ -18,6 +18,7 @@ Pins the memory-governance contract end to end:
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -169,19 +170,21 @@ class TestChunkedBitIdentity:
         assert np.array_equal(info1, info0) and int(info0[7]) > 0
         assert all(np.array_equal(p, q) for p, q in zip(piv1, piv0))
 
-    @pytest.mark.parametrize("vectorize", [False, True])
-    def test_vec_path_chunked(self, vectorize):
-        """Uniform stack: chunk slices stay uniform, so [vec] survives."""
+    @pytest.mark.parametrize("vec", [False, True])
+    def test_vec_path_chunked(self, vec, per_block):
+        """Uniform stack: chunk slices stay uniform, so [vec] survives;
+        per-block chunks give the same bits."""
         a, ref, piv0, info0 = factor_ref(8, 32, 1, 2, seed=8)
         stream = Stream(H100_PCIE)
         work = a.copy()
-        piv, info = gbtrf_batch(32, 32, 1, 2, work, batch=8, stream=stream,
-                                vectorize=vectorize, chunk_hint=3)
+        with nullcontext() if vec else per_block():
+            piv, info = gbtrf_batch(32, 32, 1, 2, work, batch=8,
+                                    stream=stream, chunk_hint=3)
         assert work.tobytes() == ref.tobytes()
         assert np.array_equal(info, info0)
         kernel_names = [r.display_name for r in stream.records
                         if not r.kernel_name.startswith("chunk_")]
-        assert all(("[vec" in nm) == vectorize for nm in kernel_names)
+        assert all(("[vec" in nm) == vec for nm in kernel_names)
 
     def test_vec_pack_path_chunked(self):
         """Lane-step stack: chunks pack like the whole batch.  A
@@ -197,8 +200,7 @@ class TestChunkedBitIdentity:
                                (scattered, "[vec]")):
             stream = Stream(H100_PCIE)
             piv, info = gbtrf_batch(28, 28, 2, 2, operand, batch=6,
-                                    stream=stream, vectorize=True,
-                                    chunk_hint=4)
+                                    stream=stream, chunk_hint=4)
             assert all(m.tobytes() == r.tobytes()
                        for m, r in zip(operand, ref))
             assert np.array_equal(info, info0)

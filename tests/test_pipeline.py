@@ -298,28 +298,29 @@ class TestBitIdentity:
             b = [np.array(b[k]) for k in range(self.batch)]
         return a, b
 
-    def _run(self, a, b, *, vectorize=None, **kw):
+    def _run(self, a, b, **kw):
         piv, info = gbsv_batch(self.n, self.kl, self.ku, self.nrhs,
                                a, None, b, batch=self.batch,
-                               vectorize=vectorize, chunk_hint=7, **kw)
+                               chunk_hint=7, **kw)
         return (np.asarray(a).tobytes(), np.asarray(b).tobytes(),
                 np.asarray(piv).tobytes(), np.asarray(info).tobytes())
 
-    def _check(self, knobs, *, vectorize=None, scattered=False):
+    def _check(self, knobs, *, scattered=False):
         a0, b0 = self._problem(scattered=scattered)
-        ref = self._run(a0, b0, vectorize=vectorize)
+        ref = self._run(a0, b0)
         a1, b1 = self._problem(scattered=scattered)
-        out = self._run(a1, b1, vectorize=vectorize, **knobs)
+        out = self._run(a1, b1, **knobs)
         assert out == ref
 
-    def test_per_block_route(self, knobs):
-        self._check(knobs, vectorize=False)
+    def test_per_block_route(self, knobs, per_block):
+        with per_block():
+            self._check(knobs)
 
     def test_vectorized_route(self, knobs):
-        self._check(knobs, vectorize=True)
+        self._check(knobs)
 
     def test_gather_pack_route(self, knobs):
-        self._check(knobs, vectorize=True, scattered=True)
+        self._check(knobs, scattered=True)
 
     def test_vbatch_route(self, knobs):
         cfgs = [(16, 2, 2, 1)] * 10 + [(24, 3, 1, 2)] * 12 + [(8, 1, 1, 1)] * 8
@@ -586,15 +587,16 @@ class TestTrafficAgreement:
 
     n, kl, ku, batch = 24, 3, 2, 32
 
-    def test_counter_matches_stream_records(self):
+    def test_counter_matches_stream_records(self, per_block):
         a = random_band_batch(self.batch, self.n, self.kl, self.ku, seed=0)
         piv = np.zeros((self.batch, self.n), dtype=np.int64)
         info = np.zeros(self.batch, dtype=np.int64)
         devs = replicate_device(H100_PCIE, 2)
         pools = [memory_pool(d) for d in devs]
         before = [p.traffic.total for p in pools]
-        gbtrf_batch(self.n, self.n, self.kl, self.ku, a, piv, info,
-                    chunk_hint=8, devices=devs, vectorize=False)
+        with per_block():
+            gbtrf_batch(self.n, self.n, self.kl, self.ku, a, piv, info,
+                        chunk_hint=8, devices=devs)
         res = last_pipeline_result()
         counted = sum(p.traffic.total - b for p, b in zip(pools, before))
         assert counted == res.h2d_bytes + res.d2h_bytes
@@ -658,7 +660,7 @@ class TestDeviceFaultDomain:
         b = random_rhs(self.n, 1, batch=self.batch, seed=seed + 1)
         return a, b
 
-    def _healthy(self, *, vectorize=None, layout=None):
+    def _healthy(self, *, layout=None):
         """Fault-free single-device reference bytes for one route."""
         a, b = self._problem()
         if layout == "soa":
@@ -666,12 +668,11 @@ class TestDeviceFaultDomain:
             a, b = to_interleaved(a), to_interleaved(b)
         piv, info, _ = gbsv_batch(self.n, self.kl, self.ku, 1, a, None, b,
                                   resilient=True, chunk_hint=4,
-                                  vectorize=vectorize, layout=layout)
+                                  layout=layout)
         return (np.asarray(a).tobytes(), np.asarray(b).tobytes(),
                 np.asarray(piv).tobytes(), np.asarray(info).tobytes())
 
-    def _outage_run(self, plan, *, vectorize=None, layout=None, policy=None,
-                    ndev=2):
+    def _outage_run(self, plan, *, layout=None, policy=None, ndev=2):
         """Seeded outage on shard device 0 of ``ndev``; returns bytes+rep."""
         devs = replicate_device(H100_PCIE, ndev)
         a, b = self._problem()
@@ -682,20 +683,22 @@ class TestDeviceFaultDomain:
             piv, info, rep = gbsv_batch(
                 self.n, self.kl, self.ku, 1, a, None, b,
                 resilient=True, chunk_hint=4, devices=devs,
-                vectorize=vectorize, layout=layout, policy=policy)
+                layout=layout, policy=policy)
         return (np.asarray(a).tobytes(), np.asarray(b).tobytes(),
                 np.asarray(piv).tobytes(), np.asarray(info).tobytes()), rep
 
     OUTAGE = dict(seed=7, outage_after=1, outage_failures=4)
 
-    @pytest.mark.parametrize("route", [
-        dict(vectorize=False),            # per-block
-        dict(vectorize=True),             # [vec]
-        dict(vectorize=True, layout="soa"),  # [vec+soa]
+    @pytest.mark.parametrize("blocks,layout", [
+        (True, None),             # per-block
+        (False, None),            # [vec]
+        (False, "soa"),           # [vec+soa]
     ], ids=["per-block", "vec", "vec+soa"])
-    def test_outage_recovery_bit_identical(self, route):
-        ref = self._healthy(**route)
-        out, rep = self._outage_run(FaultPlan(**self.OUTAGE), **route)
+    def test_outage_recovery_bit_identical(self, blocks, layout, per_block):
+        with per_block() if blocks else contextlib.nullcontext():
+            ref = self._healthy(layout=layout)
+            out, rep = self._outage_run(FaultPlan(**self.OUTAGE),
+                                        layout=layout)
         assert out == ref
         assert rep.failovers > 0
         kinds = [e["event"] for e in rep.device_events]

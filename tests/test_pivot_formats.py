@@ -56,9 +56,9 @@ def dispatched(monkeypatch):
     """Types of ``Operands.pivots`` at every ``OpSpec.dispatch``."""
     seen = []
     for spec in (GBTRF, GBTRS, GBSV):
-        def spy(method, cfg, ops, vectorize, _inner=spec.dispatch):
+        def spy(method, cfg, ops, _inner=spec.dispatch):
             seen.append(type(ops.pivots))
-            return _inner(method, cfg, ops, vectorize)
+            return _inner(method, cfg, ops)
         monkeypatch.setitem(spec.__dict__, "dispatch", spy)
     return seen
 
@@ -159,10 +159,10 @@ def operands_seen(monkeypatch):
     ``OpSpec.dispatch``."""
     seen = []
     for spec in (GBTRF, GBTRS, GBSV):
-        def spy(method, cfg, ops, vectorize, _inner=spec.dispatch,
+        def spy(method, cfg, ops, _inner=spec.dispatch,
                 _name=spec.name):
             seen.append((_name, ops.mats, ops.rhs, ops.pivots))
-            return _inner(method, cfg, ops, vectorize)
+            return _inner(method, cfg, ops)
         monkeypatch.setitem(spec.__dict__, "dispatch", spy)
     return seen
 

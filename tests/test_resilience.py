@@ -196,14 +196,15 @@ class TestLadderFallback:
         assert report.retries == 3 * ResiliencePolicy().max_retries
         assert a.tobytes() == base.tobytes()
 
-    def test_vectorize_true_downgraded_on_reference_rung(self):
-        """A forced-vectorized call must not crash when the ladder lands
-        on the reference design (which has no vectorized path)."""
+
+    def test_smem_rejections_land_on_reference_rung(self):
+        """Two shared-memory rejections walk the ladder past the fused
+        and window designs; the reference design finishes the call."""
         a, _ = _system()
         plan = FaultPlan(seed=0, smem_rejections=2, smem_kernels="gbtrf")
         with fault_injection(H100_PCIE, plan):
             piv, info, report = gbtrf_batch(48, 48, 2, 3, a,
-                                            resilient=True, vectorize=True)
+                                            resilient=True)
         assert (info == 0).all()
         assert report.methods["gbtrf"] == "reference"
 

@@ -33,7 +33,7 @@ from repro import (
 )
 from repro.band.generate import random_band, random_rhs
 from repro.core import gbtrf_batch, gbtrs_batch
-from repro.gpusim import H100_PCIE
+from repro.gpusim import H100_PCIE, Stream
 from repro.gpusim.memory import memory_pool, reset_memory_pools
 from repro.core.verify import operand_digest as lane_digest
 from repro.serve.cache import CACHE_LABEL, factor_digest
@@ -218,13 +218,20 @@ def test_duplicate_operators_in_one_flush_factor_once():
         assert h.solution.tobytes() == _direct(ab, b).tobytes()
 
 
-def test_vectorize_true_handles_shared_factors():
+def test_shared_factors_solve_vectorized():
+    """Four requests share one operator, so the solve's factor pointer
+    array aliases one array: the call gathers it once (the factors are
+    only read) and the solves still run batch-interleaved."""
     ab, _ = _system(13)
     rhs = [random_rhs(N, 1, seed=s) for s in range(4)]
-    with SolverService(vectorize=True,
+    stream = Stream(H100_PCIE)
+    with SolverService(stream=stream,
                        policy=BatchingPolicy(max_group=64)) as svc:
         handles = [svc.submit(KL, KU, ab, b) for b in rhs]
         svc.flush()
+    solves = [r.display_name for r in stream.records
+              if r.kernel_name.startswith("gbtrs")]
+    assert solves and all(name.endswith("[vec]") for name in solves)
     for h, b in zip(handles, rhs):
         assert h.solution.tobytes() == _direct(ab, b).tobytes()
 

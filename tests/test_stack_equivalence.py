@@ -4,7 +4,7 @@ One parametrized test walks the whole knob cross-product of the layer
 stack — verify × resilience × layout × chunking × multi-device — for each
 of the three operations, on a small seeded batch with one singular lane.
 Factors, pivots, ``info`` and solutions must match the plain per-block
-call (``vectorize=False``) byte for byte, and every device memory pool
+call (every launch per block, the ``per_block`` fixture) byte for byte, and every device memory pool
 must be back at zero afterwards, per-label ledger included.
 """
 
@@ -53,7 +53,7 @@ def _outputs(op, n, **knobs):
     a, b = _problem(n)
     piv = None
     if op == "gbtrs":
-        piv, _ = gbtrf_batch(n, n, KL, KU, a, vectorize=False)
+        piv, _ = gbtrf_batch(n, n, KL, KU, a)
         piv = np.stack(piv)
     piv, info = _call(op, n, a, b, piv, **knobs)
     return [x.tobytes() for x in (a, b, piv, np.asarray(info))]
@@ -63,11 +63,13 @@ def _outputs(op, n, **knobs):
     "op,n,verify,resilient,layout,chunk_hint,devices", CASES,
     ids=["-".join(str(v) for v in case) for case in CASES])
 def test_stack_matches_plain_per_block(op, n, verify, resilient, layout,
-                                       chunk_hint, devices):
+                                       chunk_hint, devices, per_block):
     knobs = {k: v for k, v in dict(
         verify=verify, resilient=resilient or None, layout=layout,
         chunk_hint=chunk_hint, devices=devices).items() if v is not None}
-    assert _outputs(op, n, **knobs) == _outputs(op, n, vectorize=False)
+    with per_block():
+        plain = _outputs(op, n)
+    assert _outputs(op, n, **knobs) == plain
     for dev in [H100_PCIE] + replicate_device(H100_PCIE, 2):
         pool = memory_pool(dev)
         assert pool.in_use == 0 and not pool.in_use_by_label

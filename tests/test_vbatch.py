@@ -6,6 +6,7 @@ import pytest
 from repro.band.convert import band_to_dense
 from repro.band.generate import random_band, random_rhs
 from repro.core.batched import gbsv_vbatch, gbtrf_vbatch
+from repro.core.gbtrf_vbatch_kernel import gbtrf_vbatch_fused
 from repro.core.gbtf2 import gbtf2
 from repro.errors import ArgumentError
 from repro.gpusim import MI250X_GCD, Stream
@@ -105,3 +106,75 @@ class TestGbsvVbatch:
         assert info[0] == 0
         assert info[1] > 0
         np.testing.assert_array_equal(rhs[1], b1_orig)
+
+
+def _vbatch_call(driver, n=8, batch=2, **over):
+    """Positional arguments of a well-formed ``driver`` call on ``batch``
+    tridiagonal problems of order ``n``, with entries of ``over``
+    replaced by name."""
+    rng = np.random.default_rng(3)
+    args = {"ms": [n] * batch, "ns": [n] * batch, "kls": [1] * batch,
+            "kus": [1] * batch, "nrhss": [1] * batch,
+            "a_array": [random_band(n, 1, 1, seed=rng)
+                        for _ in range(batch)],
+            "b_array": [np.ones(n) for _ in range(batch)],
+            "pv_array": [np.zeros(n, dtype=np.int64) for _ in range(batch)],
+            "info": np.zeros(batch, dtype=np.int64)}
+    args.update(over)
+    names = (("ns", "kls", "kus", "nrhss", "a_array", "b_array",
+              "pv_array", "info") if driver is gbsv_vbatch else
+             ("ms", "ns", "kls", "kus", "a_array", "pv_array", "info"))
+    return [args[name] for name in names]
+
+
+VBATCH_DRIVERS = [gbtrf_vbatch, gbsv_vbatch, gbtrf_vbatch_fused]
+VBATCH_IDS = ["gbtrf_vbatch", "gbsv_vbatch", "gbtrf_vbatch_fused"]
+
+
+class TestVbatchArguments:
+    """Each vbatch driver validates its arguments once, at its own
+    positions: ``(ms, ns, kls, kus, a_array, pv_array, info)``, and
+    ``gbsv_vbatch(ns, kls, kus, nrhss, a_array, b_array, pv_array,
+    info)``."""
+
+    @pytest.mark.parametrize("driver", VBATCH_DRIVERS, ids=VBATCH_IDS)
+    def test_nested_list_matrices_rejected(self, driver):
+        """The factors are written into each ``a_array`` entry, so a
+        nested list (which would be factored into a temporary and
+        dropped) is rejected at position 5."""
+        args = _vbatch_call(driver)
+        a = args[4]
+        args[4] = [x.tolist() for x in a]
+        with pytest.raises(ArgumentError) as err:
+            driver(*args)
+        assert err.value.position == 5
+
+    def test_nested_list_rhs_rejected(self):
+        args = _vbatch_call(gbsv_vbatch, b_array=[[1.0] * 8] * 2)
+        with pytest.raises(ArgumentError) as err:
+            gbsv_vbatch(*args)
+        assert err.value.position == 6
+
+    @pytest.mark.parametrize("driver,name,value,pos", [
+        (gbtrf_vbatch, "pv_array", [np.zeros(8, dtype=np.int64),
+                                    np.zeros(7, dtype=np.int64)], 6),
+        (gbtrf_vbatch, "info", np.zeros(5, dtype=np.int64), 7),
+        (gbtrf_vbatch_fused, "pv_array", [np.zeros(8, dtype=np.int64),
+                                          np.zeros(7, dtype=np.int64)], 6),
+        (gbtrf_vbatch_fused, "info", np.zeros(5, dtype=np.int64), 7),
+        (gbsv_vbatch, "b_array", [np.ones(8), np.ones(7)], 6),
+        (gbsv_vbatch, "pv_array", [np.zeros(8, dtype=np.int64),
+                                   np.zeros(8)], 7),
+        (gbsv_vbatch, "info", np.zeros(5, dtype=np.int64), 8),
+        (gbsv_vbatch, "kls", [1, -1], 2),
+        (gbtrf_vbatch, "kus", [1, -1], 4),
+    ], ids=["gbtrf-pv", "gbtrf-info", "fused-pv", "fused-info", "gbsv-b",
+            "gbsv-pv", "gbsv-info", "gbsv-kls", "gbtrf-kus"])
+    def test_argument_positions(self, driver, name, value, pos):
+        args = _vbatch_call(driver, **{name: value})
+        a_before = [x.copy() for x in args[4]]
+        with pytest.raises(ArgumentError) as err:
+            driver(*args)
+        assert err.value.position == pos
+        assert all(x.tobytes() == y.tobytes()
+                   for x, y in zip(args[4], a_before))

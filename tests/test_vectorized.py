@@ -14,18 +14,23 @@ aliased/overlapping batches fall back — are pinned here too (mixed-shape
 and vbatch coverage lives in ``tests/test_vbatch_vectorized.py``).
 """
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
 from repro.band.generate import random_band_batch, random_rhs
 from repro.band.layout import to_interleaved
 from repro.core import gbsv_batch, gbtrf_batch, gbtrs_batch
+from repro.core.batched import gbsv_vbatch, gbtrf_vbatch
+from repro.core.gbtrf_vbatch_kernel import gbtrf_vbatch_fused
 from repro.core.batch_args import is_uniform_stack
 from repro.core.gbtf2 import gbtf2, gbtf2_batched
 from repro.core.solve_blocks import gbtrs_unblocked
 from repro.errors import ArgumentError
 from repro.gpusim import H100_PCIE, PointerArray, Stream, launch, summarize
 from repro.gpusim.kernel import SharedMemory
+from repro.serve import SolverService
 
 DTYPES = [np.float32, np.float64, np.complex64, np.complex128]
 DTYPE_IDS = [np.dtype(d).name for d in DTYPES]
@@ -215,7 +220,7 @@ def test_gbtf2_batched_singular_lanes(dtype):
 
 
 # ---------------------------------------------------------------------------
-# Driver level: vectorize=None (auto) vs vectorize=False across methods
+# Driver level: the launcher's rungs vs the per-block path across methods
 # ---------------------------------------------------------------------------
 
 
@@ -230,8 +235,9 @@ def _lane_step(a):
 
 def _rungs(a):
     """The operand forms of the rungs, each with the trace label its
-    launches must carry: a uniform lane-major stack run per block
-    (``vectorize=False``, the bare label) and auto-dispatched (``[vec]``),
+    launches must carry: a uniform lane-major stack run per block (the
+    ``per_block`` fixture, the bare label) and as the launcher picks
+    (``[vec]``),
     a lane-fastest stack (``[vec+soa]``), a lane-step view
     (``[vec+pack]``), and scattered per-lane copies, which the call
     gathers into one stack where it enters the layer stack (``[vec]``)."""
@@ -241,9 +247,10 @@ def _rungs(a):
             ([np.array(x) for x in a], "[vec]")]
 
 
-def _vectorize(label):
-    """The ``vectorize=`` knob that selects the rung labelled ``label``."""
-    return None if label else False
+def _path(label, per_block):
+    """The context the rung labelled ``label`` runs in: per block for
+    the bare label, else the launcher's own choice."""
+    return nullcontext() if label else per_block()
 
 
 def _gbtf2_lanes(m, n, kl, ku, a):
@@ -291,7 +298,7 @@ GBTRF_CASES = [
 @pytest.mark.parametrize("dtype", DTYPES, ids=DTYPE_IDS)
 @pytest.mark.parametrize("method,n,kl,ku,case", GBTRF_CASES, ids=[
     "-".join(str(v) for v in c if v is not None) for c in GBTRF_CASES])
-def test_gbtrf_paths_bitwise(dtype, method, n, kl, ku, case):
+def test_gbtrf_paths_bitwise(dtype, method, n, kl, ku, case, per_block):
     batch = 9
     m = n + {"m<n": -8, "m>n": 8}.get(case, 0)
     nb = 1 if case == "nb=1" else None
@@ -308,9 +315,10 @@ def test_gbtrf_paths_bitwise(dtype, method, n, kl, ku, case):
         assert np.isnan(a_ref[MULTINAN_LANE]).any()
     for a_vec, label in _rungs(a):
         stream = Stream(H100_PCIE)
-        piv_vec, info_vec = gbtrf_batch(m, n, kl, ku, a_vec, method=method,
-                                        nb=nb, stream=stream,
-                                        vectorize=_vectorize(label))
+        with _path(label, per_block):
+            piv_vec, info_vec = gbtrf_batch(m, n, kl, ku, a_vec,
+                                            method=method, nb=nb,
+                                            stream=stream)
         assert _launch_labels(stream) == {label}
         _compare(hard, (np.stack(a_vec), a_ref),
                  (np.stack(piv_vec), piv_ref), (info_vec, info_ref))
@@ -352,7 +360,8 @@ def _gbtrs_id(case):
 @pytest.mark.parametrize("dtype", DTYPES, ids=DTYPE_IDS)
 @pytest.mark.parametrize("nrhs,trans,n,kl,ku,nb,case", GBTRS_CASES,
                          ids=[_gbtrs_id(c) for c in GBTRS_CASES])
-def test_gbtrs_paths_bitwise(dtype, nrhs, trans, n, kl, ku, nb, case):
+def test_gbtrs_paths_bitwise(dtype, nrhs, trans, n, kl, ku, nb, case,
+                             per_block):
     """Every rung against the scalar ``gbtrs_unblocked``, byte for byte."""
     batch = 8
     a = _band_batch(batch, n, kl, ku, dtype, seed=22)
@@ -378,8 +387,9 @@ def test_gbtrs_paths_bitwise(dtype, nrhs, trans, n, kl, ku, nb, case):
         assert np.isnan(b_ref[MULTINAN_LANE]).any()
     for (a_vec, label), (b_vec, _) in zip(_rungs(a), _rungs(b)):
         stream = Stream(H100_PCIE)
-        gbtrs_batch(trans, n, kl, ku, nrhs, a_vec, piv, b_vec, nb=nb,
-                    stream=stream, vectorize=_vectorize(label))
+        with _path(label, per_block):
+            gbtrs_batch(trans, n, kl, ku, nrhs, a_vec, piv, b_vec, nb=nb,
+                        stream=stream)
         assert _launch_labels(stream) == {label}
         _compare(case, (np.stack(b_vec), b_ref))
 
@@ -392,7 +402,7 @@ GBSV_CASES = [("fused", None), ("standard", None),
 @pytest.mark.parametrize("dtype", DTYPES, ids=DTYPE_IDS)
 @pytest.mark.parametrize("method,case", GBSV_CASES, ids=[
     "-".join(v for v in c if v) for c in GBSV_CASES])
-def test_gbsv_singular_paths_bitwise(dtype, method, case):
+def test_gbsv_singular_paths_bitwise(dtype, method, case, per_block):
     """Singular lanes: factors/pivots written, B untouched, info nonzero —
     identically on every path, and equal to ``gbtf2`` plus
     ``gbtrs_unblocked`` on the ``info == 0`` lanes (the standard method
@@ -413,15 +423,15 @@ def test_gbsv_singular_paths_bitwise(dtype, method, case):
         assert np.isnan(b_ref[MULTINAN_LANE]).any()
     for (a_vec, label), (b_vec, _) in zip(_rungs(a), _rungs(b)):
         stream = Stream(H100_PCIE)
-        piv_vec, info_vec = gbsv_batch(n, kl, ku, 1, a_vec, None, b_vec,
-                                       method=method, stream=stream,
-                                       vectorize=_vectorize(label))
+        with _path(label, per_block):
+            piv_vec, info_vec = gbsv_batch(n, kl, ku, 1, a_vec, None, b_vec,
+                                           method=method, stream=stream)
         assert label in _launch_labels(stream)
         _compare(case, (np.stack(a_vec), a_ref), (np.stack(b_vec), b_ref),
                  (np.stack(piv_vec), piv_ref), (info_vec, info_ref))
 
 
-def test_gbtrf_nonsquare_paths_bitwise():
+def test_gbtrf_nonsquare_paths_bitwise(per_block):
     m, n, kl, ku, batch = 24, 32, 2, 3, 6
     ldab = 2 * kl + ku + 1
     rng = np.random.default_rng(26)
@@ -429,9 +439,9 @@ def test_gbtrf_nonsquare_paths_bitwise():
     a_ref, piv_ref, info_ref = _gbtf2_lanes(m, n, kl, ku, a)
     for a_vec, label in _rungs(a)[:2]:
         stream = Stream(H100_PCIE)
-        piv_vec, info_vec = gbtrf_batch(m, n, kl, ku, a_vec, method="window",
-                                        stream=stream,
-                                        vectorize=_vectorize(label))
+        with _path(label, per_block):
+            piv_vec, info_vec = gbtrf_batch(m, n, kl, ku, a_vec,
+                                            method="window", stream=stream)
         assert _launch_labels(stream) == {label}
         _bytes_equal((a_vec, a_ref), (np.stack(piv_vec), piv_ref),
                      (info_vec, info_ref))
@@ -495,57 +505,89 @@ class TestDispatch:
                      (piv_s, piv2), (info_s, info2))
 
     def test_vectorize_true_rejects_aliased_batch(self):
-        """A pointer array the call writes must be one stack's lanes: an
-        aliased one is rejected at A's position, before any launch."""
+        """A pointer array the call writes must be one stack's lanes: a
+        wholly aliased one is rejected at A's position, before any
+        launch."""
         n, kl, ku, batch = 16, 1, 2, 3
-        a = _band_batch(batch, n, kl, ku, np.float64, seed=32)
+        a = _band_batch(batch, n, kl, ku, np.float64, seed=31)
         aliased = [a[0]] * batch          # same storage three times over
+        stream = Stream(H100_PCIE)
         with pytest.raises(ArgumentError) as err:
             gbtrf_batch(n, n, kl, ku, aliased, batch=batch,
-                        method="window", vectorize=True)
+                        method="window", stream=stream)
         assert err.value.position == 5
+        assert stream.records == []
 
-    def test_aliased_batch_auto_falls_back(self):
-        """Auto dispatch and forced per-block execution reject a partly
-        aliased pointer array too, and leave its lanes untouched."""
+    def test_aliased_batch_auto_falls_back(self, per_block):
+        """A partly aliased pointer array is rejected at A's position too,
+        on every path, and its lanes are left untouched."""
         n, kl, ku, batch = 16, 1, 2, 3
         a = _band_batch(batch, n, kl, ku, np.float64, seed=32)
         aliased = [a[0].copy()] + [a[1]] * (batch - 1)
-        for vectorize in (None, False):
-            with pytest.raises(ArgumentError) as err:
+        for path in (nullcontext(), per_block()):
+            with path, pytest.raises(ArgumentError) as err:
                 gbtrf_batch(n, n, kl, ku, aliased, batch=batch,
-                            method="window", vectorize=vectorize)
+                            method="window")
             assert err.value.position == 5
         _bytes_equal((aliased[0], a[0]), (aliased[1], a[1]))
 
     def test_vectorize_false_forces_per_block(self):
+        """``launch(vectorize=False)`` is the per-block reference path:
+        every block runs alone, even on a stack the launcher would run
+        ``[vec]``, with the same bits."""
+        from repro.core.gbtrf_window import SlidingWindowGbtrfKernel
         n, kl, ku, batch = 24, 2, 3, 4
         a = _band_batch(batch, n, kl, ku, np.float64, seed=33)
-        stream = Stream(H100_PCIE)
-        gbtrf_batch(n, n, kl, ku, a, method="window", stream=stream,
-                    vectorize=False)
-        assert not stream.records[-1].vectorized
+        recs, outs = [], []
+        for vectorize in (False, True):
+            mats, piv = a.copy(), np.zeros((batch, n), dtype=np.int64)
+            info = np.zeros(batch, dtype=np.int64)
+            kernel = SlidingWindowGbtrfKernel(n, n, kl, ku, mats, piv, info,
+                                              nb=8, threads=kl + 1)
+            recs.append(launch(H100_PCIE, kernel, vectorize=vectorize))
+            outs.append((mats, piv, info))
+        assert [r.display_name for r in recs] == [
+            "gbtrf_window", "gbtrf_window[vec]"]
+        assert recs[0].executed_blocks == batch
+        _bytes_equal(*zip(*outs))
 
-    def test_reference_method_rejects_vectorize_true(self):
-        a = _band_batch(3, 16, 1, 1, np.float64, seed=34)
-        with pytest.raises(ArgumentError):
-            gbtrf_batch(16, 16, 1, 1, a, method="reference", vectorize=True)
+    @pytest.mark.parametrize("driver,args", [
+        (gbtrf_batch, (4, 4, 1, 1, np.zeros((1, 4, 4)))),
+        (gbsv_batch, (4, 1, 1, 1, np.zeros((1, 4, 4)), None,
+                      np.zeros((1, 4, 1)))),
+        (gbtrs_batch, ("N", 4, 1, 1, 1, np.zeros((1, 4, 4)),
+                       np.zeros((1, 4), dtype=np.int64),
+                       np.zeros((1, 4, 1)))),
+        (gbtrf_vbatch, ([4], [4], [1], [1], [np.zeros((4, 4))])),
+        (gbsv_vbatch, ([4], [1], [1], [1], [np.zeros((4, 4))],
+                       [np.zeros(4)])),
+        (gbtrf_vbatch_fused, ([4], [4], [1], [1], [np.zeros((4, 4))])),
+        (SolverService, ()),
+    ], ids=["gbtrf", "gbsv", "gbtrs", "gbtrf_vbatch", "gbsv_vbatch",
+            "gbtrf_vbatch_fused", "service"])
+    def test_no_execution_path_knob(self, driver, args):
+        """The launcher alone picks the rung: no driver (nor the
+        service) takes a ``vectorize=`` keyword."""
+        with pytest.raises(TypeError, match="vectorize"):
+            driver(*args, vectorize=False)
 
     @pytest.mark.parametrize("trans", ["T", "C"])
     @pytest.mark.parametrize("dtype", DTYPES, ids=DTYPE_IDS)
-    def test_transposed_solve_vectorizes_bitwise(self, trans, dtype):
+    def test_transposed_solve_vectorizes_bitwise(self, trans, dtype,
+                                                 per_block):
         batch, n, kl, ku = 6, 40, 2, 2
         a = _band_batch(batch, n, kl, ku, dtype, seed=36)
         piv, info = gbtrf_batch(n, n, kl, ku, a)
         assert (info == 0).all()
         b = random_rhs(n, 2, batch=batch, dtype=dtype, seed=37)
         b_ref = _gbtrs_lanes(trans, n, kl, ku, a, piv, b)
-        for vectorize, label in ((True, "[vec]"), (False, "")):
+        for label in ("[vec]", ""):
             b_vec = b.copy()
             stream = Stream(H100_PCIE)
-            gbtrs_batch(trans, n, kl, ku, 2, a, np.stack(piv), b_vec,
-                        stream=stream, vectorize=vectorize)
-            assert all(r.vectorized == vectorize for r in stream.records)
+            with _path(label, per_block):
+                gbtrs_batch(trans, n, kl, ku, 2, a, np.stack(piv), b_vec,
+                            stream=stream)
+            assert all(r.vectorized == bool(label) for r in stream.records)
             assert {r.display_name for r in stream.records} == \
                 {"gbtrs_transU_blocked" + label,
                  "gbtrs_transL_blocked" + label}
@@ -603,7 +645,7 @@ class TestStaging:
             view[3, 1, 2] = 7.0
             assert a[3, 1, 2] == 7.0
 
-    def test_scattered_batch_still_gathers(self):
+    def test_scattered_batch_still_gathers(self, per_block):
         from repro.core.batch_args import stage_stack
         n, kl, ku, batch = 24, 2, 3, 5
         a = _band_batch(batch, n, kl, ku, np.float64, seed=41)
@@ -612,7 +654,8 @@ class TestStaging:
         assert not any(np.shares_memory(staged, x) for x in scattered)
         _bytes_equal((staged, a))
         a_ref = a.copy()
-        piv_ref, _ = gbtrf_batch(n, n, kl, ku, a_ref, vectorize=False)
+        with per_block():
+            piv_ref, _ = gbtrf_batch(n, n, kl, ku, a_ref)
         stepped = _lane_step(a)
         stream = Stream(H100_PCIE)
         piv, _ = gbtrf_batch(n, n, kl, ku, stepped, stream=stream)

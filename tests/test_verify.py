@@ -25,6 +25,8 @@ The contracts under test (docs/ROBUSTNESS.md §6):
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
@@ -230,14 +232,13 @@ class TestHealthyBatches:
                      (np.stack(piv), np.stack(piv_ref)), (info, info_ref))
 
     @pytest.mark.parametrize("route", ["block", "vec", "soa"])
-    def test_gbtrf_bit_identical_across_routes(self, route):
+    def test_gbtrf_bit_identical_across_routes(self, route, per_block):
         a, _ = _problem(seed=9)
         a_ref = a.copy()
         piv_ref, info_ref = gbtrf_batch(N, N, KL, KU, a_ref)
         a_in = to_interleaved(a) if route == "soa" else a.copy()
-        vectorize = {"block": False, "vec": True, "soa": True}[route]
-        piv, info, report = gbtrf_batch(N, N, KL, KU, a_in,
-                                        vectorize=vectorize, verify=True)
+        with per_block() if route == "block" else nullcontext():
+            piv, info, report = gbtrf_batch(N, N, KL, KU, a_in, verify=True)
         assert report.sdc_detected == () and report.recomputes == 0
         _bytes_equal((np.ascontiguousarray(a_in), a_ref),
                      (np.stack(piv), np.stack(piv_ref)), (info, info_ref))
@@ -281,19 +282,19 @@ class TestSdcStorm:
     LANES = (1, 4, 9)
 
     @pytest.mark.parametrize("route", ["block", "vec", "soa"])
-    def test_gbsv_solution_flips_recovered(self, route):
+    def test_gbsv_solution_flips_recovered(self, route, per_block):
         a, b = _problem(seed=20)
         a_ref, b_ref = a.copy(), b.copy()
         piv_ref, info_ref = gbsv_batch(N, KL, KU, 1, a_ref, None, b_ref)
         assert (info_ref == 0).all()
         a_in = to_interleaved(a) if route == "soa" else a.copy()
         b_in = to_interleaved(b) if route == "soa" else b.copy()
-        vectorize = {"block": False, "vec": True, "soa": True}[route]
         plan = FaultPlan(seed=21, sdc_lanes=self.LANES, sdc_after="gbsv",
                          sdc_operand=1)
-        with fault_injection(H100_PCIE, plan) as inj:
+        path = per_block() if route == "block" else nullcontext()
+        with path, fault_injection(H100_PCIE, plan) as inj:
             piv, info, report = gbsv_batch(N, KL, KU, 1, a_in, None, b_in,
-                                           vectorize=vectorize, verify=True)
+                                           verify=True)
         assert inj.exhausted
         assert report.sdc_detected == self.LANES
         assert report.sdc_recovered == self.LANES

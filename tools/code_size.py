@@ -13,10 +13,15 @@ total):
 Neither number moves when comments or docstrings are edited, so a
 reduction in code lines measures deleted code, not deleted prose.
 
+``--options`` counts the knobs instead: the keyword-only parameters of
+each public batched entry point (:data:`ENTRY_POINTS`) and the fields
+of ``ExecConfig``, read from the AST without importing the package.
+
 Usage::
 
-    python tools/code_size.py [root]          # total only
-    python tools/code_size.py --files [root]  # per file, largest first
+    python tools/code_size.py [root]            # total only
+    python tools/code_size.py --files [root]    # per file, largest first
+    python tools/code_size.py --options [root]  # options per entry point
 """
 
 from __future__ import annotations
@@ -65,10 +70,58 @@ def measure(source: str) -> tuple:
     return len(code), sum(1 for _ in ast.walk(tree))
 
 
+#: ``(file, dotted name)`` of every public batched entry point whose
+#: keyword-only parameters ``--options`` counts.
+ENTRY_POINTS = (
+    ("src/repro/core/gbtrf.py", "gbtrf_batch"),
+    ("src/repro/core/gbtrs.py", "gbtrs_batch"),
+    ("src/repro/core/gbsv.py", "gbsv_batch"),
+    ("src/repro/core/batched.py", "gbtrf_vbatch"),
+    ("src/repro/core/batched.py", "gbsv_vbatch"),
+    ("src/repro/core/gbtrf_vbatch_kernel.py", "gbtrf_vbatch_fused"),
+    ("src/repro/serve/service.py", "SolverService.__init__"),
+)
+#: The dataclass every driver packs its knobs into.
+EXEC_CONFIG = ("src/repro/core/stack.py", "ExecConfig")
+
+
+def _definition(tree: ast.Module, dotted: str):
+    """The function or class ``dotted`` (``Class.method``) in ``tree``."""
+    node = tree
+    for name in dotted.split("."):
+        node = next(n for n in node.body
+                    if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+                    and n.name == name)
+    return node
+
+
+def options(root: Path) -> list:
+    """``(label, names)`` per entry point, then ``ExecConfig``'s fields."""
+    def parse(rel):
+        return ast.parse((root / rel).read_text(encoding="utf-8"))
+
+    rows = [(name, [a.arg for a in
+                    _definition(parse(rel), name).args.kwonlyargs])
+            for rel, name in ENTRY_POINTS]
+    cls = _definition(parse(EXEC_CONFIG[0]), EXEC_CONFIG[1])
+    rows.append((f"{EXEC_CONFIG[1]} fields",
+                 [n.target.id for n in cls.body
+                  if isinstance(n, ast.AnnAssign)
+                  and isinstance(n.target, ast.Name)]))
+    return rows
+
+
 def main(argv: list) -> int:
     per_file = "--files" in argv
-    args = [a for a in argv if a != "--files"]
+    args = [a for a in argv if a not in ("--files", "--options")]
     root = Path(args[0]) if args else REPO
+    if "--options" in argv:
+        rows = options(root)
+        for label, names in rows:
+            print(f"{label:24s} {len(names):3d}  {' '.join(names)}")
+        print(f"options: {sum(len(n) for _, n in rows)} in {len(rows)} "
+              f"signatures")
+        return 0
     rows = []
     for path in sorted((root / "src").rglob("*.py")):
         lines, nodes = measure(path.read_text(encoding="utf-8"))
