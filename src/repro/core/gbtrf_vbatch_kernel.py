@@ -28,8 +28,8 @@ from ..gpusim.device import H100_PCIE, DeviceSpec
 from ..gpusim.kernel import Kernel, SharedMemory, launch
 from ..gpusim.memory import is_packable_batch
 from ..tuning.defaults import window_params
-from .batch_args import ensure_info, vbatch_configs, vbatch_matrices, \
-    vbatch_pivots
+from .batch_args import check_disjoint, ensure_info, vbatch_configs, \
+    vbatch_matrices, vbatch_pivots
 from .costs import gbtrf_window_cost
 from .gbtrf_window import sliding_window_factor_batched
 
@@ -147,7 +147,9 @@ def gbtrf_vbatch_fused(ms, ns, kls, kus, a_array, pv_array=None,
     strategy) — identical results, different execution shape, and the
     same argument positions.  Returns ``(pivots, info)``.  The launcher
     buckets the batch by configuration and advances each bucket
-    batch-interleaved.
+    batch-interleaved; matrices of one bucket that share memory raise
+    :class:`~repro.errors.ArgumentError` at position 5 before anything
+    runs, as they do in the grouped driver.
     """
     batch = len(a_array)
     ms, ns, kls, kus = vbatch_configs(batch, (
@@ -160,5 +162,7 @@ def gbtrf_vbatch_fused(ms, ns, kls, kus, a_array, pv_array=None,
     problems = [VbatchProblem(m, n, kl, ku, *window_params(device, kl, ku))
                 for m, n, kl, ku in zip(ms, ns, kls, kus)]
     kernel = VbatchGbtrfKernel(problems, mats, pivots, info)
+    for idxs in kernel._buckets(batch).values():
+        check_disjoint([mats[i] for i in idxs], arg_pos=5, what="matrix")
     launch(device, kernel, stream=stream, execute=execute)
     return pivots, info

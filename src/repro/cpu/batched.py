@@ -62,7 +62,8 @@ def cpu_gbtrs_batch(trans: Trans | str, n: int, kl: int, ku: int,
     if batch is None:
         batch = len(a_array)
     mats = as_matrix_list(a_array, batch, arg_pos=6, ldab_pos=7)
-    check_gb_args(n, n, kl, ku, mats, batch=batch, ldab_pos=7)
+    check_gb_args(n, n, kl, ku, mats, batch=batch, ldab_pos=7,
+                  dims_pos=(2, 2, 3, 4))
     pivots = ensure_pivots(pv_array, batch, n, arg_pos=8)
     rhs = as_rhs_list(b_array, batch, n, nrhs, arg_pos=9,
                       written=True)
@@ -88,7 +89,7 @@ def cpu_gbsv_batch(n: int, kl: int, ku: int, nrhs: int, a_array,
     if batch is None:
         batch = len(a_array)
     mats = as_matrix_list(a_array, batch, arg_pos=5, written=True)
-    check_gb_args(n, n, kl, ku, mats, batch=batch)
+    check_gb_args(n, n, kl, ku, mats, batch=batch, dims_pos=(1, 1, 2, 3))
     pivots = ensure_pivots(pv_array, batch, n, arg_pos=6, zero=True)
     rhs = as_rhs_list(b_array, batch, n, nrhs, arg_pos=7,
                       written=True)

@@ -12,7 +12,9 @@ from repro.core.batched import (
     sgbtrf_batch,
     zgbsv_batch,
 )
+from repro.core.gbsv import gbsv_batch
 from repro.core.gbtrf import gbtrf_batch
+from repro.core.gbtrs import gbtrs_batch
 from repro.errors import ArgumentError
 from repro.gpusim import H100_PCIE, MI250X_GCD, PointerArray, Stream
 
@@ -163,6 +165,28 @@ class TestArgumentValidation:
         except ArgumentError as e:
             assert e.position == 1
             assert e.info == -1
+
+    @pytest.mark.parametrize("dims,position", [
+        ((-1, 1, 1), 1), ((8, -1, 1), 2), ((8, 1, -1), 3)])
+    def test_gbsv_dimension_positions(self, dims, position):
+        """``gbsv_batch(n, kl, ku, ...)`` reports each dimension at its
+        own position, not at ``gbtrf``'s."""
+        n, kl, ku = dims
+        with pytest.raises(ArgumentError) as err:
+            gbsv_batch(n, kl, ku, 1, np.zeros((2, 4, 8)), None,
+                       np.zeros((2, 8, 1)))
+        assert err.value.position == position
+
+    @pytest.mark.parametrize("dims,position", [
+        ((-1, 1, 1), 2), ((8, -1, 1), 3), ((8, 1, -1), 4)])
+    def test_gbtrs_dimension_positions(self, dims, position):
+        """``gbtrs_batch(trans, n, kl, ku, ...)`` reports ``n`` at 2."""
+        n, kl, ku = dims
+        with pytest.raises(ArgumentError) as err:
+            gbtrs_batch("N", n, kl, ku, 1, np.zeros((2, 4, 8)),
+                        np.zeros((2, 8), dtype=np.int64),
+                        np.zeros((2, 8, 1)))
+        assert err.value.position == position
 
 
 class TestPointerArrays:

@@ -210,21 +210,21 @@ class TestVectorizeErrorPaths:
         assert err.value.position == 5
         assert stream.records == []
 
-    def test_vbatch_fused_aliased_lane_runs_per_block(self, per_block):
-        """Aliased lanes cannot be gathered and scattered back, so the
-        single-kernel launch runs its blocks one at a time — the same
-        bits as a per-block launch."""
+    def test_vbatch_fused_aliased_lane_rejected(self, per_block):
+        """Aliased lanes in one bucket cannot be gathered and scattered
+        back: the single-kernel driver rejects them at A's position, as
+        the grouped driver does, on every path and before any launch."""
         n, kl, ku = 14, 1, 1
         a = random_band(n, kl, ku, seed=23)
-        got, ref = a.copy(), a.copy()
-        stream = Stream(H100_PCIE)
-        gbtrf_vbatch_fused([n, n], [n, n], [kl, kl], [ku, ku], [got, got],
-                           stream=stream)
-        assert not stream.records[-1].vectorized
-        with per_block():
-            gbtrf_vbatch_fused([n, n], [n, n], [kl, kl], [ku, ku],
-                               [ref, ref])
-        _bytes_equal((got, ref))
+        got = a.copy()
+        for path in (nullcontext(), per_block()):
+            stream = Stream(H100_PCIE)
+            with path, pytest.raises(ArgumentError) as err:
+                gbtrf_vbatch_fused([n, n], [n, n], [kl, kl], [ku, ku],
+                                   [got, got], stream=stream)
+            assert err.value.position == 5
+            assert stream.records == []
+        _bytes_equal((got, a))
 
     def test_vbatch_aliased_auto_falls_back_bitwise(self, per_block):
         """Aliased lanes in one bucket cannot be one stack: the bucket's
