@@ -1,11 +1,13 @@
 """Host buffer arena: anonymous shared mappings, leased per call.
 
 The pipelined executor (:mod:`repro.core.pipeline`) runs extra device
-shards in forked worker processes.  A child writes its lanes in place, so
-every operand the kernels write must live in memory the parent sees too:
-an anonymous ``MAP_SHARED`` mapping.  This arena hands such buffers out
-and reuses them across calls, so a steady stream of calls maps (and
-page-faults) its working set once.
+shards in forked worker processes.  A child prepares, runs and scores its
+lanes in place, so every buffer it writes (the operands the kernels
+write, the call's pristine snapshot, layout working copies, per-lane
+scores and masks; :class:`repro.core.stack.Staging`) must live in memory
+the parent sees too: an anonymous ``MAP_SHARED`` mapping.  This arena
+hands such buffers out and reuses them across calls, so a steady stream
+of calls maps (and page-faults) its working set once.
 
 * A call takes its buffers as exclusive leases (:class:`Leases`, one per
   call on ``Operands.call``) and returns them explicitly when it ends
@@ -13,9 +15,9 @@ page-faults) its working set once.
   through garbage collection: a buffer is not handed out again while the
   call that holds it runs, whatever views of it are still alive.
 * The arena maps at most :data:`ARENA_BYTES` (1 GiB), idle and leased
-  buffers together.  A request past the bound gets ``None``: the layout
-  layer then makes its working copies in private memory, and the pipeline
-  runs its shards in turn.
+  buffers together.  A request past the bound gets ``None``: the call
+  then makes that buffer in private memory, and the pipeline runs its
+  shards in turn.
 * A request no idle buffer fits drops every idle buffer before mapping a
   new one, so idle memory never exceeds the last calls' working set.  A
   dropped mapping is unmapped once the last view of it dies.
@@ -108,24 +110,23 @@ class Leases:
             return None
         return raw[:nbytes].view(dtype).reshape(shape)
 
-    def mirror(self, arr: np.ndarray) -> np.ndarray | None:
-        """A copy of ``arr`` in a leased buffer, with ``arr``'s strides and
-        its address modulo the page size.
+    def like(self, arr: np.ndarray) -> np.ndarray | None:
+        """An uninitialised array in a leased buffer, with ``arr``'s
+        shape, dtype, strides and address modulo the page size.
 
         Every property the launcher reads off an operand (its strides,
         the step between lanes, the byte span, alignment) is the
-        original's, so the copy takes the same launch rung.
+        original's, so a copy of ``arr`` made in it takes the same launch
+        rung.
         """
         lo, hi = _byte_span(arr)
         pad = lo % mmap.PAGESIZE
         raw = self._raw(pad + hi - lo)
         if raw is None:
             return None
-        out = np.ndarray(arr.shape, arr.dtype, buffer=raw,
-                         offset=pad + arr.ctypes.data - lo,
-                         strides=arr.strides)
-        out[...] = arr
-        return out
+        return np.ndarray(arr.shape, arr.dtype, buffer=raw,
+                          offset=pad + arr.ctypes.data - lo,
+                          strides=arr.strides)
 
     def holds(self, arr: np.ndarray) -> bool:
         """Does ``arr`` lie inside one of this call's leased buffers?"""

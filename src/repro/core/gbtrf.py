@@ -30,7 +30,7 @@ from .gbtrf_reference import gbtrf_reference_batch
 from .gbtrf_window import SlidingWindowGbtrfKernel
 from .stack import INOUT, OUT, ExecConfig, Operands, OpSpec, \
     check_execution, run
-from .verify import as_verify_policy, gate_gbtrf
+from .verify import as_verify_policy, gate_gbtrf, score_gbtrf
 
 __all__ = ["gbtrf", "gbtrf_batch", "run_gbtrf", "select_gbtrf_method",
            "GBTRF"]
@@ -251,4 +251,5 @@ GBTRF = OpSpec(
     name="gbtrf",
     roles={"a": INOUT, "pivots": OUT, "info": OUT},
     designs=("fused", "window", "reference"), resolve=_resolve,
-    kernels=_kernels, dispatch=_dispatch, host=_host, gate=gate_gbtrf)
+    kernels=_kernels, dispatch=_dispatch, host=_host, score=score_gbtrf,
+    gate=gate_gbtrf)

@@ -226,8 +226,8 @@ def run_governed(spec, cfg, ops):
     else:
         # The sequential executor: one buffer on the caller's stream.
         plan = _plan_admitted(cfg, cfg.device, batch, lane_bytes)
-        out = pipeline._run_shard(spec, cfg, ops, cfg.device, [(0, batch)],
-                                  plan)
+        out = pipeline._settle(ops, pipeline._run_shard(
+            spec, cfg, ops, cfg.device, [(0, batch)], plan))
         budget = plan.budget
     if not cfg.resilient:
         return None

@@ -33,6 +33,14 @@ double-buffered pipeline:
   and modeled time equals running the shards in turn, which is what a
   round does when the platform cannot fork, another Python thread is
   alive or two of its devices share a fault injector (``_launch``);
+* each shard also runs the per-lane passes around its kernels, in the
+  process that runs it: it prepares its lanes (the call's pristine
+  snapshot, layout working copies and shared mirrors; see
+  :class:`~repro.core.stack.Staging`) before touching them, and scores
+  its finished lanes for the verify layer's gate.  The parent writes
+  each shard's finished lanes back into the caller's storage (its own
+  while the children run), and whatever no shard finished (host-net or
+  hedged lanes) once the last round is over;
 * ``resilient=True`` keeps its full contract: the OOM ladder (drain the
   pipeline's live buffers, halve the chunk, finish on the host net) runs
   per shard, fault-plan lane windows stay keyed to *global* lane indices,
@@ -93,7 +101,7 @@ from ..gpusim.stream import Stream
 from ..gpusim.transfer import TransferRecord, stage_chunk
 from .memory_plan import _plan_admitted
 from .resilience import HOST_FALLBACK, BatchReport, ResiliencePolicy
-from .stack import Operands, heal
+from .stack import Operands, heal, lane_runs
 
 __all__ = ["PipelineResult", "pipeline_requested", "execute_pipelined",
            "last_pipeline_result"]
@@ -305,7 +313,7 @@ class _ShardOutcome:
     """
 
     __slots__ = ("parts", "chunks", "oom", "events", "backoff", "shard",
-                 "spans", "orphans", "failure")
+                 "spans", "orphans", "failure", "done")
 
     def __init__(self):
         self.parts = []      # (lane_list, BatchReport) pairs
@@ -317,6 +325,7 @@ class _ShardOutcome:
         self.spans = []      # per-chunk dispatch spans (hedging input)
         self.orphans = []    # lane ranges never started (device died)
         self.failure = None  # {"kind", "device", "start", "stop", ...}
+        self.done = []       # lane ranges finished and scored, to write back
 
     def absorb(self, other: "_ShardOutcome") -> None:
         self.parts += other.parts
@@ -332,8 +341,11 @@ def _host_net(spec, cfg, ops, ranges, out, **why) -> None:
     The last rung of both the OOM ladder (the device cannot fit a single
     lane) and the device fault domain (no device left).  Both are
     resilient-only, so every range gets a report part; the host keeps
-    LAPACK singularity semantics.
+    LAPACK singularity semantics.  Lanes no shard prepared (every device
+    was dead at entry) are prepared first.
     """
+    if ops.call.staging is not None:
+        ops.call.staging.prepare(ranges)
     for start, stop in ranges:
         out.events.append({"action": "host", "start": int(start),
                            "stop": int(stop), **why})
@@ -377,9 +389,14 @@ def _dispatch_chunk(spec, cfg, ops, triple, start, stop, nbytes, staged):
 def _run_shard(spec, cfg, ops, dev, ranges, plan, role="full"):
     """Run one shard's lane ranges of ``ops`` on ``dev``.
 
-    Every chunk runs :func:`repro.core.stack.heal` on its global lane
-    range.  A pipelined call (``cfg.streams``/``cfg.devices``) stages
-    chunks through the shard's own double-buffered stream triple; the
+    The shard first prepares its lanes (the call's
+    :class:`~repro.core.stack.Staging` fills: pristine snapshot, layout
+    working copies, shared mirrors) unless an earlier round did.  Every
+    chunk then runs :func:`repro.core.stack.heal` on its global lane
+    range, and its lanes are scored once they are final (``out.done``,
+    which the calling process writes back: :func:`_settle`).  A
+    pipelined call (``cfg.streams``/``cfg.devices``) stages chunks
+    through the shard's own double-buffered stream triple; the
     sequential governed executor is this runner with one buffer on the
     caller's stream, and its chunk events carry no device and lane-range
     keys.
@@ -429,6 +446,9 @@ def _run_shard(spec, cfg, ops, dev, ranges, plan, role="full"):
     live: deque = deque()       # nbytes of completed chunks' live leases
     pending = deque(ranges)
     attempt = 0
+    staging = ops.call.staging
+    if staging is not None:
+        staging.prepare(ranges)
     try:
         while pending:
             start, rstop = pending.popleft()
@@ -512,6 +532,12 @@ def _run_shard(spec, cfg, ops, dev, ranges, plan, role="full"):
                                                if s_cmp is not None else 0.0),
                                   "nbytes": int(nbytes),
                                   "staged": bool(staged), "snap": snap})
+                if staging is not None:
+                    staging.score(ops, [(start, stop)])
+                    if out.done and out.done[-1][1] == start:
+                        out.done[-1] = (out.done[-1][0], stop)
+                    else:
+                        out.done.append((start, stop))
                 start = stop
     finally:
         while live:
@@ -587,48 +613,70 @@ def _fork_count(assignments) -> int:
 
 
 class _Shared:
-    """A pipelined call's operands, staged into the host arena
-    (:mod:`repro.core.arena`) by the first round that forks.
+    """A pipelined call's operands in the host arena
+    (:mod:`repro.core.arena`), set up by the first round that forks.
 
     Each writable operand not already in the call's arena buffers (the
-    layout layer's working copies are) is mirrored there once;
-    :meth:`write_back` copies the mirrors back into the caller's storage
-    when the call returns or raises.
+    layout layer's working copies are) gets an unfilled mirror there.
+    The call's :class:`~repro.core.stack.Staging` fills a lane range of
+    the mirrors when the lanes are prepared, in the process that runs
+    them, and copies it back into the caller's storage when the lanes are
+    written back; lanes an earlier round ran in turn are copied at once.
     """
 
     def __init__(self, ops):
         self.ops = ops
         self.staged = False
-        self._back = []     # (caller's array, mirror)
+        self._back = None
 
     def stage(self):
         """The staged operands, or ``None`` when the arena cannot hold
-        them."""
+        them (or the call's other per-lane buffers)."""
         if self.staged:
             return self.ops
         ops, leases = self.ops, self.ops.call.leases
-        arrays = {}
+        staging = ops.call.staged(ops.batch)
+        if not staging.shared:
+            return None
+        pairs = {}
         for name in ("mats", "rhs", "pivots", "info"):
             arr = getattr(ops, name)
             if (arr is not None and arr.flags.writeable
                     and not leases.holds(arr)):
-                arrays[name] = leases.mirror(arr)
-                if arrays[name] is None:
+                mirror = leases.like(arr)
+                if mirror is None:
                     return None
-        self._back = [(getattr(ops, name), arr)
-                      for name, arr in arrays.items()]
+                pairs[name] = (arr, mirror)
+
+        def fill(lo, hi):
+            for arr, mirror in pairs.values():
+                mirror[lo:hi] = arr[lo:hi]
+
+        def back(lo, hi):
+            for arr, mirror in pairs.values():
+                arr[lo:hi] = mirror[lo:hi]
+
+        for lo, hi in lane_runs(staging.prepared, [(0, ops.batch)]):
+            fill(lo, hi)
+        staging.add(fill, back)
+        self._back = back
+        mirrors = {name: mirror for name, (_, mirror) in pairs.items()}
         self.ops = Operands(ops.m, ops.n, ops.kl, ops.ku,
-                            arrays.get("mats", ops.mats),
-                            arrays.get("pivots", ops.pivots),
-                            arrays.get("info", ops.info), nrhs=ops.nrhs,
-                            rhs=arrays.get("rhs", ops.rhs), trans=ops.trans,
+                            mirrors.get("mats", ops.mats),
+                            mirrors.get("pivots", ops.pivots),
+                            mirrors.get("info", ops.info), nrhs=ops.nrhs,
+                            rhs=mirrors.get("rhs", ops.rhs), trans=ops.trans,
                             lanes=ops.lanes, call=ops.call)
         self.staged = True
         return self.ops
 
     def write_back(self) -> None:
-        for dst, src in self._back:
-            dst[...] = src
+        """Copy the mirrors of every prepared lane back (a call that
+        raises; the other lanes' mirrors were never filled)."""
+        if self._back is not None:
+            for lo, hi in lane_runs(self.ops.call.staging.prepared,
+                                    [(0, self.ops.batch)]):
+                self._back(lo, hi)
 
 
 class _Pickler(pickle.Pickler):
@@ -688,7 +736,8 @@ def _uncharge(shard) -> None:
 def _fork_shard(spec, cfg, ops, assignment, devices) -> "_Child":
     """Run one assignment in a forked child; returns its handle.
 
-    The child runs :func:`_run_shard` unchanged on the shared operands,
+    The child runs :func:`_run_shard` unchanged on the shared operands
+    (preparing and scoring its lanes into the call's shared buffers),
     then pickles back its :class:`_ShardOutcome` (or the exception it
     raised) and its device's state, and exits without returning here.
     """
@@ -769,6 +818,14 @@ class _Child:
         os.waitpid(self.pid, 0)
 
 
+def _settle(ops, out) -> "_ShardOutcome":
+    """Write the lanes ``out``'s shard finished back into the caller's
+    storage, which only the calling process can do."""
+    if ops.call.staging is not None:
+        ops.call.staging.write_back(out.done)
+    return out
+
+
 def _launch(spec, cfg, shared, assignments) -> list:
     """Run one round's ``(device, ranges, plan, role)`` assignments.
 
@@ -776,11 +833,13 @@ def _launch(spec, cfg, shared, assignments) -> list:
     allows, each other one (up to one per spare core) runs in a child
     made with ``os.fork()``, on the operands :class:`_Shared` staged into
     shared host memory; any further ones run in turn in the parent once
-    the children are collected.  A child sends back its
-    :class:`_ShardOutcome` and its device's memory pool, health tracker
-    and fault injector, which the parent installs in assignment order, so
-    reports, events, pool ledgers and modeled times are exactly what
-    running every shard in turn gives.
+    the children are collected.  Each shard prepares, runs and scores its
+    own lanes where it runs; the parent writes its own shard's lanes back
+    while the children run, then each child's once it is collected.  A
+    child sends back its :class:`_ShardOutcome` and its device's memory
+    pool, health tracker and fault injector, which the parent installs in
+    assignment order, so reports, events, pool ledgers and modeled times
+    are exactly what running every shard in turn gives.
     Otherwise the round runs in turn on the calling thread.
 
     A shard that raises stops the round.  If it is the parent's, the
@@ -794,19 +853,21 @@ def _launch(spec, cfg, shared, assignments) -> list:
     forks = _fork_count(assignments)
     ops = shared.stage() if forks else None
     if ops is None:
-        return [_run_shard(spec, cfg, shared.ops, *a) for a in assignments]
+        return [_settle(shared.ops, _run_shard(spec, cfg, shared.ops, *a))
+                for a in assignments]
     devices = [a[0] for a in assignments]
     children = []
     try:
         for a in assignments[1:forks + 1]:
             children.append(_fork_shard(spec, cfg, ops, a, devices))
-        outs = [_run_shard(spec, cfg, ops, *assignments[0])]
+        outs = [_settle(ops, _run_shard(spec, cfg, ops, *assignments[0]))]
         for i in range(1, forks + 1):
-            outs.append(children.pop(0).collect(ops, devices[i], devices))
+            outs.append(_settle(ops, children.pop(0).collect(
+                ops, devices[i], devices)))
     finally:
         for child in children:
             child.kill()
-    return outs + [_run_shard(spec, cfg, ops, *a)
+    return outs + [_settle(ops, _run_shard(spec, cfg, ops, *a))
                    for a in assignments[forks + 1:]]
 
 
@@ -838,8 +899,9 @@ def execute_pipelined(spec, cfg, ops, lane_bytes):
     shared = _Shared(ops)
     try:
         return _execute(spec, cfg, shared, lane_bytes)
-    finally:
+    except BaseException:
         shared.write_back()
+        raise
 
 
 def _execute(spec, cfg, shared, lane_bytes):
@@ -853,7 +915,7 @@ def _execute(spec, cfg, shared, lane_bytes):
     hedge_ratio = policy.hedge_ratio if failover else None
     breaker = (policy.breaker if failover else None) or CircuitBreaker()
     if cfg.resilient and ops.call.pristine is None:
-        ops.call.pristine = spec.snapshot(ops, inputs=True)
+        ops.call.pristine = ops.call.staged(batch).snapshot(spec, ops)
     ops.call.escalate = failover
     weights = [1.0]
     if len(devs) > 1:
@@ -933,6 +995,9 @@ def _execute(spec, cfg, shared, lane_bytes):
                                               sp)
                 if hshard is None:
                     continue
+                # The hedge rewrote the chunk's lanes: score and write
+                # them back again when the call finishes.
+                ops.call.staging.unscore(sp["start"], sp["stop"])
                 hedges += 1
                 shard_results.append(hshard)
                 won = ok and hdur < sp["duration"]

@@ -41,8 +41,9 @@ from ..types import Trans
 from .arena import Leases
 from .batch_args import convert_batch_layout, lane_stack
 
-__all__ = ["ExecConfig", "Operands", "OpSpec", "Snapshot",
-           "check_execution", "run", "convert_layout", "govern", "heal"]
+__all__ = ["ExecConfig", "Operands", "OpSpec", "Snapshot", "Staging",
+           "check_execution", "run", "convert_layout", "govern", "heal",
+           "lane_runs"]
 
 IN, OUT, INOUT = "in", "out", "inout"
 
@@ -115,20 +116,160 @@ def check_execution(cfg: ExecConfig, pos: int) -> None:
 class _Call:
     """Per-call state shared by every sub-batch of one driver call."""
 
-    __slots__ = ("conversion", "pristine", "escalate", "leases")
+    __slots__ = ("conversion", "pristine", "escalate", "leases", "staging")
 
     def __init__(self):
         #: Layout-conversion bytes awaiting the call's first launch.
         self.conversion = ConversionCharge()
         #: :class:`Snapshot` of the pristine operands over the root lanes
-        #: (taken once per call by whichever layer first needs one).
+        #: (set up once per call by whichever layer first needs one, and
+        #: filled lane range by lane range; see :class:`Staging`).
         self.pristine = None
         #: Device-lost and hang errors escape the resilience ladders to
         #: the pipeline's failover (set when that fault domain is armed).
         self.escalate = False
         #: Shared host buffers the call holds (:mod:`repro.core.arena`):
-        #: layout working copies and operands staged for forked shards.
+        #: the pristine snapshot, layout working copies, per-lane scores
+        #: and operands staged for forked shards.
         self.leases = Leases()
+        #: The call's per-lane-range steps, while any are open.
+        self.staging = None
+
+    def staged(self, batch: int) -> "Staging":
+        """The call's :class:`Staging` record, opened on first use."""
+        if self.staging is None:
+            self.staging = Staging(batch, self.leases)
+        return self.staging
+
+    def finish(self, ops: "Operands") -> None:
+        """Finish every lane no shard finished (:meth:`Staging.finish`)
+        and close the record; later sub-batch runs (the verify layer's
+        recompute rungs) stage nothing."""
+        if self.staging is not None:
+            self.staging.finish(ops)
+            self.staging = None
+
+
+def lane_runs(mask: np.ndarray, ranges) -> list:
+    """The maximal ``(lo, hi)`` runs of ``mask``'s true lanes inside
+    ``ranges``, in order."""
+    runs = []
+    for lo, hi in ranges:
+        edges = np.flatnonzero(np.diff(mask[lo:hi], prepend=False,
+                                       append=False)) + lo
+        runs += zip(edges[::2].tolist(), edges[1::2].tolist())
+    return runs
+
+
+class Staging:
+    """Per-lane-range steps of one call, and which lanes have had them.
+
+    The layers set their per-lane work up here without touching a lane:
+    the verify layer's pristine snapshot and residual score, the layout
+    layer's working copies, the pipeline's shared mirrors (and, for a
+    resilient pipelined call, its pristine snapshot).  Each step then runs
+    on lane ranges, in the process that runs those lanes:
+
+    * :meth:`prepare` runs every ``fill(lo, hi)`` (in the order they were
+      added) on lanes not yet prepared, once per lane and before anything
+      touches them;
+    * :meth:`score` takes the verify layer's per-lane score of finished
+      lanes (their results are final);
+    * :meth:`write_back` runs every ``back(lo, hi)`` (last added first),
+      copying finished lanes into the caller's storage; only the calling
+      process can, so a forked shard's lanes go back once it is collected;
+    * :meth:`finish` prepares, writes back and scores every lane not
+      scored yet: lanes the host net ran, lanes a hedge re-ran, or all of
+      them when no shard ran (an ungoverned call).
+
+    Its buffers, the ``prepared`` and ``scored`` masks included, are
+    leased from the call's arena leases, so what a forked shard does is
+    seen by the parent; a buffer past the arena's bound is private and
+    clears :attr:`shared`, which keeps the call's rounds in turn.
+    """
+
+    __slots__ = ("batch", "leases", "shared", "fills", "backs", "scorer",
+                 "caller_mats", "prepared", "scored")
+
+    def __init__(self, batch: int, leases: Leases):
+        self.batch, self.leases = batch, leases
+        #: Every buffer is in the arena (a forked shard may use them).
+        self.shared = True
+        self.fills, self.backs = [], []
+        #: ``scorer(ops, lo, hi)``: the verify layer's per-range score.
+        self.scorer = None
+        #: Read-only matrices the layout layer converted: the caller's
+        #: copy, which the score reads (the kernels' working copy is never
+        #: written back, so the caller never sees it).
+        self.caller_mats = None
+        self.prepared = self.empty(batch, bool)
+        self.scored = self.empty(batch, bool)
+        self.prepared[:] = self.scored[:] = False
+
+    def empty(self, shape, dtype) -> np.ndarray:
+        """An unfilled array in the call's arena leases, else private."""
+        arr = self.leases.empty(shape, dtype)
+        if arr is None:
+            self.shared = False
+            arr = np.empty(shape, dtype)
+        return arr
+
+    def add(self, fill, back=None) -> None:
+        """Add a per-range fill (and the write-back that undoes it)."""
+        self.fills.append(fill)
+        if back is not None:
+            self.backs.append(back)
+
+    def snapshot(self, spec: "OpSpec", ops: "Operands") -> Snapshot:
+        """A :class:`Snapshot` of every operand of ``spec`` as ``ops``
+        holds it before any lane is touched, filled per range."""
+        named = ops.named()
+        snap = Snapshot({name: self.empty(named[name].shape,
+                                          named[name].dtype)
+                         for name in spec._names(inputs=True)})
+
+        def fill(lo, hi):
+            for name, copy in snap.items():
+                copy[lo:hi] = named[name][lo:hi]
+
+        self.add(fill)
+        return snap
+
+    def prepare(self, ranges) -> None:
+        """Fill the lanes of ``ranges`` no earlier call prepared."""
+        for lo, hi in lane_runs(~self.prepared, ranges):
+            for fill in self.fills:
+                fill(lo, hi)
+            self.prepared[lo:hi] = True
+
+    def score(self, ops: "Operands", ranges) -> None:
+        """Score finished lanes ``ranges`` of ``ops`` (the call's root
+        lanes, as the layers below the layout layer hold them)."""
+        if self.scorer is not None and self.caller_mats is not None:
+            ops = ops.relayout(self.caller_mats, ops.rhs)
+        for lo, hi in ranges:
+            if self.scorer is not None:
+                self.scorer(ops, lo, hi)
+            self.scored[lo:hi] = True
+
+    def unscore(self, lo: int, hi: int) -> None:
+        """Lanes ``lo..hi-1`` changed after they were scored."""
+        self.scored[lo:hi] = False
+
+    def write_back(self, ranges) -> None:
+        """Copy finished lanes ``ranges`` into the caller's storage."""
+        for lo, hi in ranges:
+            for back in reversed(self.backs):
+                back(lo, hi)
+
+    def finish(self, ops: "Operands") -> None:
+        """Prepare, write back and score every lane not yet scored;
+        ``ops`` are the caller's operands, which hold the results once
+        written back."""
+        rest = lane_runs(~self.scored, [(0, self.batch)])
+        self.prepare(rest)
+        self.write_back(rest)
+        self.score(ops, rest)
 
 
 class Operands:
@@ -237,13 +378,14 @@ class OpSpec:
     ``dispatch(method, cfg, ops)`` runs one design's launches (the
     launcher picks each launch's execution rung from the operands),
     ``host`` is the host reference over
-    every lane, and ``gate`` is the operation's part of the verify
-    layer's residual gate (every lane's scaled residual, a re-score
-    function, pivot growth, a per-lane ``rcond`` and the op's own rungs;
-    see :mod:`repro.core.verify`).  A composed operation (``gbsv``) lists
-    its ``stages`` (factor, then solve on the ``info == 0`` lanes); its
-    own ``designs`` hold the single-kernel alternative that degrades to
-    them.
+    every lane, and ``score`` and ``gate`` are the operation's parts of
+    the verify layer's residual gate: ``score`` the per-lane-range part
+    (scaled residuals, pivot growth, digest checks), ``gate`` the
+    escalation inputs (a re-score function, a per-lane ``rcond`` and the
+    op's own rungs; see :mod:`repro.core.verify`).  A composed operation
+    (``gbsv``) lists its ``stages`` (factor, then solve on the ``info ==
+    0`` lanes); its own ``designs`` hold the single-kernel alternative
+    that degrades to them.
     """
 
     name: str
@@ -253,6 +395,7 @@ class OpSpec:
     kernels: Callable
     dispatch: Callable
     host: Callable
+    score: Callable
     gate: Callable
     stages: tuple = ()
 
@@ -358,6 +501,7 @@ def convert_layout(spec: OpSpec, cfg: ExecConfig, ops: Operands):
         from .resilience import BatchReport
         return BatchReport(spec.name, ops.batch,
                            method_requested=cfg.method, info=ops.info)
+    inner = ops
     if target is not None:
         conv = convert_batch_layout(
             target, (ops.mats, ops.rhs), batch=ops.batch,
@@ -366,10 +510,30 @@ def convert_layout(spec: OpSpec, cfg: ExecConfig, ops: Operands):
         if conv is not None:
             (a, b), writeback, moved = conv
             ops.call.conversion.add(moved)
-            report = govern(spec, cfg, ops.relayout(a, b))
-            writeback()
-            return report
-    return govern(spec, cfg, ops)
+            inner = ops.relayout(a, b)
+            _stage_layout(ops.call.staged(ops.batch), spec, ops, inner,
+                          writeback)
+    report = govern(spec, cfg, inner)
+    ops.call.finish(ops)
+    return report
+
+
+def _stage_layout(staging, spec, ops, inner, writeback) -> None:
+    """Fill the working copies of ``inner`` from ``ops`` per lane range,
+    and write them back the same way."""
+    pairs = [(src, work) for src, work in ((ops.mats, inner.mats),
+                                           (ops.rhs, inner.rhs))
+             if work is not src]
+    if not all(ops.call.leases.holds(work) for _, work in pairs):
+        staging.shared = False
+    if spec.roles["a"] == IN and inner.mats is not ops.mats:
+        staging.caller_mats = ops.mats
+
+    def fill(lo, hi):
+        for src, work in pairs:
+            work[lo:hi] = src[lo:hi]
+
+    staging.add(fill, writeback)
 
 
 def govern(spec: OpSpec, cfg: ExecConfig, ops: Operands):
@@ -377,6 +541,8 @@ def govern(spec: OpSpec, cfg: ExecConfig, ops: Operands):
     from . import memory_plan
     if memory_plan.governance_active(execute=cfg.execute, stream=cfg.stream):
         return memory_plan.run_governed(spec, cfg, ops)
+    if ops.call.staging is not None:
+        ops.call.staging.prepare([(0, ops.batch)])
     return heal(spec, cfg, ops)
 
 

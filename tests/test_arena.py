@@ -37,7 +37,8 @@ def test_mirror_keeps_strides_alignment_and_rung():
                               -1, 0)
     for arr in (stack, stack[:, :4], interleaved, stack[1:3]):
         leases = Leases(HostArena())
-        mirror = leases.mirror(arr)
+        mirror = leases.like(arr)
+        mirror[...] = arr
         assert mirror.strides == arr.strides
         assert np.array_equal(mirror, arr)
         assert mirror.ctypes.data % PAGE == arr.ctypes.data % PAGE

@@ -28,12 +28,21 @@ import numpy as np
 import pytest
 
 from repro.band.generate import random_band_batch, random_rhs
-from repro.core.arena import HOST_ARENA
+from repro.core.arena import HOST_ARENA, HostArena, Leases
 from repro.core.batched import gbsv_vbatch
-from repro.core.gbsv import gbsv_batch
-from repro.core.gbtrf import gbtrf_batch
+from repro.core.gbsv import GBSV, gbsv_batch
+from repro.core.gbtrf import GBTRF, gbtrf_batch
+from repro.core.gbtrs import GBTRS, gbtrs_batch
 from repro.core.pipeline import last_pipeline_result, pipeline_requested
-from repro.errors import ArgumentError, DeviceError, DeviceMemoryError
+from repro.core.resilience import ResiliencePolicy
+from repro.core.stack import ExecConfig, Operands, Staging, lane_runs
+from repro.core.verify import VerifyPolicy
+from repro.errors import (
+    ArgumentError,
+    DataCorruptionError,
+    DeviceError,
+    DeviceMemoryError,
+)
 from repro.gpusim import (
     H100_PCIE,
     MI250X_GCD,
@@ -43,7 +52,7 @@ from repro.gpusim import (
     memory_pool,
     replicate_device,
 )
-from repro.gpusim.multidevice import split_batch
+from repro.gpusim.multidevice import CircuitBreaker, split_batch
 from repro.gpusim.device import device_health, reset_device_health
 from repro.gpusim.faults import FaultInjector, arm_faults, disarm_faults
 from repro.gpusim.memory import reset_memory_pools
@@ -842,30 +851,47 @@ class TestForkedShards:
 
     n, kl, ku, batch = 24, 3, 2, 40
 
-    def _operands(self, pointers):
+    def _operands(self, pointers, driver="gbsv"):
         a = random_band_batch(self.batch, self.n, self.kl, self.ku, seed=31)
         b = random_rhs(self.n, 1, batch=self.batch, seed=32)
+        piv = None
+        if driver == "gbtrs":   # factors made before the call, in turn
+            piv, _ = gbtrf_batch(self.n, self.n, self.kl, self.ku, a)
         if pointers:    # separately owned lanes: the pack rung
-            return [x.copy() for x in a], [x.copy() for x in b]
-        return a, b
+            return [x.copy() for x in a], [x.copy() for x in b], piv
+        return a, b, piv
+
+    def _run(self, driver, a, b, piv, **knobs):
+        """``driver`` on the operands; returns ``(pivots, info, reports)``
+        (``reports`` holds the report when the call returns one)."""
+        n, kl, ku = self.n, self.kl, self.ku
+        if driver == "gbtrf":
+            piv, info, *rep = gbtrf_batch(n, n, kl, ku, a, chunk_hint=4,
+                                          **knobs)
+        elif driver == "gbtrs":
+            info, *rep = gbtrs_batch("N", n, kl, ku, 1, a, piv, b,
+                                     chunk_hint=4, **knobs)
+        else:
+            piv, info, *rep = gbsv_batch(n, kl, ku, 1, a, None, b,
+                                         chunk_hint=4, **knobs)
+        return piv, info, rep
 
     def _call(self, monkeypatch, *, forked, pointers=False, plans=(),
-              ndev=2, **knobs):
-        """One ``gbsv_batch`` call on fresh operands, pools and health
+              ndev=2, driver="gbsv", **knobs):
+        """One call of ``driver`` on fresh operands, pools and health
         trackers; returns what the in-turn run must equal, and the
         pipeline result."""
         reset_memory_pools()
         reset_device_health()
         devs = replicate_device(H100_PCIE, ndev)
+        a, b, piv = self._operands(pointers, driver)
         injs = [arm_faults(d, p) for d, p in zip(devs, plans)]
-        a, b = self._operands(pointers)
         try:
             with monkeypatch.context() as m:
                 if not forked:
                     m.delattr(os, "fork")
-                piv, info, *rep = gbsv_batch(
-                    self.n, self.kl, self.ku, 1, a, None, b, chunk_hint=4,
-                    devices=devs, **knobs)
+                piv, info, rep = self._run(driver, a, b, piv, devices=devs,
+                                           **knobs)
         finally:
             disarm_faults()
         _no_children_no_leases()
@@ -914,6 +940,18 @@ class TestForkedShards:
             FaultPlan(seed=10, alloc_failure_rate=0.6, max_alloc_failures=2,
                       alloc_labels="gbsv-chunk"),
             FaultPlan(seed=11, outage_after=1, outage_failures=3))),
+        # Lane 30 is device 1's: the child scores it, the parent's gate
+        # escalates it.
+        "verify-sdc-child": dict(layout="soa", verify="cheap", plans=(
+            FaultPlan(seed=14),
+            FaultPlan(seed=15, sdc_lanes=(30,), sdc_after="gbsv",
+                      sdc_operand=1))),
+        # Device 1 dies for good at its second launch: its unstarted
+        # lanes fail over and are scored where they finally run.
+        "verify-outage-soa": dict(resilient=True, verify="cheap",
+                                  layout="soa", plans=(
+            FaultPlan(seed=16),
+            FaultPlan(seed=17, outage_after=1))),
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -927,9 +965,24 @@ class TestForkedShards:
         assert len(fork_spy) == forks
         for key in forked:
             assert forked[key] == in_turn[key], key
-        if case in ("outage", "devices-3"):
+        if case in ("outage", "devices-3", "verify-outage-soa"):
             kinds = {e["event"] for e in res.device_events}
             assert {"failover", "probe"} <= kinds
+        if knobs.get("verify"):
+            report = forked["report"]
+            assert report["verified_lanes"] == self.batch
+            if case == "verify-sdc-child":
+                assert report["sdc_detected"] == [30]
+                assert report["sdc_recovered"] == [30]
+            # Scores taken per shard, in the child or the parent, are
+            # the scores of the whole batch on one device.
+            one_plans = (knobs["plans"][1:] if case == "verify-sdc-child"
+                         else ())
+            one, _ = self._call(monkeypatch, forked=False, ndev=1,
+                                **dict(knobs, plans=one_plans))
+            for key in ("residual_max", "growth_max"):
+                assert report[key] == one["report"][key], key
+            assert forked["outputs"] == one["outputs"]
         if knobs.get("plans"):
             assert any(forked["faults"])
         if case.endswith("storm"):      # the OOM ladder ran
@@ -947,6 +1000,96 @@ class TestForkedShards:
                    for j, rec in enumerate(recs) if rec.soa_bytes]
             assert soa == [(first, 0)]
 
+    @pytest.mark.parametrize("driver", ["gbtrf", "gbtrs"])
+    def test_verify_full_forked_equals_in_turn(self, driver, monkeypatch,
+                                               fork_spy):
+        """``verify='full'`` factor probes, digests and condition
+        estimates: the forked run equals the in-turn one, and its scores
+        equal a one-device call's."""
+        knobs = dict(driver=driver, verify="full", layout="soa")
+        forked, _ = self._call(monkeypatch, forked=True, **knobs)
+        assert fork_spy or not MULTICORE
+        in_turn, _ = self._call(monkeypatch, forked=False, **knobs)
+        assert forked == in_turn
+        one, _ = self._call(monkeypatch, forked=False, ndev=1, **knobs)
+        for key in ("residual_max", "growth_max", "rcond_min",
+                    "verified_lanes"):
+            assert forked["report"][key] == one["report"][key], key
+        assert forked["outputs"] == one["outputs"]
+
+    def test_every_device_dead_at_entry(self, monkeypatch, fork_spy):
+        """No round runs: the host net prepares every lane (pristine
+        snapshot, working copies) before it touches them, and the call
+        finishes and verifies as a healthy one does."""
+        def run(forked, dead):
+            devs = replicate_device(H100_PCIE, 2)
+            breaker = CircuitBreaker(max_probes=1)
+            for d in devs[:2 if dead else 0]:
+                breaker.record_failure(d.name, fatal=True)
+                breaker.poll(d.name)
+                breaker.record_failure(d.name)
+                assert breaker.state(d.name) == CircuitBreaker.DEAD
+            a, b, _ = self._operands(False)
+            with monkeypatch.context() as m:
+                if not forked:
+                    m.delattr(os, "fork")
+                piv, info, report = gbsv_batch(
+                    self.n, self.kl, self.ku, 1, a, None, b, chunk_hint=4,
+                    devices=devs, layout="soa", verify="cheap",
+                    resilient=True,
+                    policy=ResiliencePolicy(breaker=breaker))
+            _no_children_no_leases()
+            return (a.tobytes(), b.tobytes(), np.asarray(piv).tobytes(),
+                    info.tobytes()), report.to_dict()
+
+        forks = len(fork_spy)
+        out, report = run(True, dead=True)
+        assert len(fork_spy) == forks
+        assert last_pipeline_result().rounds == 0
+        assert any(e.get("reason") == "no-healthy-devices"
+                   for e in report["chunk_events"])
+        assert report["verified_lanes"] == self.batch
+        assert run(False, dead=True) == (out, report)
+        healthy, ref = run(True, dead=False)
+        assert out == healthy
+        for key in ("residual_max", "growth_max", "sdc_detected"):
+            assert report[key] == ref[key], key
+
+    ERRORS = {
+        # Every lane fails an impossible tolerance, lane 30 (the child's)
+        # after a silent flip too: the parent's gate raises.
+        "verify-raise": (DataCorruptionError, dict(verify=VerifyPolicy(
+            residual_tol=1e-300, refine=False, on_fail="raise")), (
+            FaultPlan(seed=14),
+            FaultPlan(seed=15, sdc_lanes=(30,), sdc_after="gbsv",
+                      sdc_operand=1))),
+        "parent-raises": (DeviceError, dict(verify="cheap"), (
+            FaultPlan(seed=4, launch_failure_rate=1.0),)),
+        "child-raises": (DeviceError, dict(verify="cheap"), (
+            FaultPlan(seed=4), FaultPlan(seed=4, launch_failure_rate=1.0))),
+    }
+
+    @pytest.mark.parametrize("case", list(ERRORS))
+    def test_error_leaves_no_child_or_lease(self, case, fork_spy):
+        """A forked call that raises after its shards were prepared
+        leaves no child process and no arena lease behind."""
+        exc, knobs, plans = self.ERRORS[case]
+        reset_memory_pools()
+        reset_device_health()
+        devs = replicate_device(H100_PCIE, 2)
+        for d, plan in zip(devs, plans):
+            arm_faults(d, plan)
+        a, b, _ = self._operands(False)
+        try:
+            with pytest.raises(exc):
+                gbsv_batch(self.n, self.kl, self.ku, 1, a, None, b,
+                           chunk_hint=4, devices=devs, layout="soa",
+                           **knobs)
+        finally:
+            disarm_faults()
+        assert fork_spy or not MULTICORE
+        _no_children_no_leases()
+
     def test_child_error_matches_in_turn(self, monkeypatch, fork_spy):
         """A raising child shard raises what the in-turn run raises and
         leaves its device in the same state."""
@@ -956,7 +1099,7 @@ class TestForkedShards:
             devs = replicate_device(H100_PCIE, 2)
             inj = arm_faults(devs[1], FaultPlan(seed=4,
                                                 launch_failure_rate=1.0))
-            a, b = self._operands(False)
+            a, b, _ = self._operands(False)
             try:
                 with monkeypatch.context() as m:
                     if not forked:
@@ -984,7 +1127,7 @@ class TestForkedShards:
             reset_memory_pools()
             reset_device_health()
             devs = replicate_device(H100_PCIE, 2)
-            a, b = self._operands(False)
+            a, b, _ = self._operands(False)
             try:
                 with monkeypatch.context() as m:
                     if not forked:
@@ -1051,3 +1194,51 @@ class TestForkGuards:
         assert len(last_pipeline_result().shards) == 1
         self._call(devices=1)
         assert fork_spy == []
+
+
+class TestStaging:
+    """The per-lane-range record of a call (``core/stack.Staging``)."""
+
+    def test_lane_runs(self):
+        mask = np.array([0, 1, 1, 0, 1, 1, 1, 0], dtype=bool)
+        assert lane_runs(mask, [(0, 8)]) == [(1, 3), (4, 7)]
+        assert lane_runs(mask, [(2, 5), (6, 8)]) == [(2, 3), (4, 5), (6, 7)]
+        assert lane_runs(mask, [(0, 1)]) == []
+
+    def test_lanes_are_prepared_once_and_finish_writes_back_the_rest(self):
+        staging = Staging(6, Leases(HostArena()))
+        calls = []
+        staging.add(lambda lo, hi: calls.append(("fill", lo, hi)),
+                    lambda lo, hi: calls.append(("back", lo, hi)))
+        staging.prepare([(0, 2), (4, 6)])
+        staging.prepare([(0, 6)])
+        assert calls == [("fill", 0, 2), ("fill", 4, 6), ("fill", 2, 4)]
+        calls.clear()
+        staging.score(None, [(0, 2), (4, 6)])
+        staging.unscore(4, 5)
+        staging.finish(None)
+        assert calls == [("back", 2, 5)]
+        assert staging.scored.all() and staging.shared
+        staging.leases.release()
+
+    def test_weight_probes_read_no_lane_values(self):
+        """The shard weights probe lane 0's shape and dtype only, so an
+        unfilled working copy gives the weights the filled one does."""
+        n, kl, ku, batch = 40, 3, 2, 6
+        a = random_band_batch(batch, n, kl, ku, seed=3)
+        b = random_rhs(n, 1, batch=batch, seed=4)
+
+        def ops(mats, rhs):
+            return Operands(n, n, kl, ku, mats,
+                            np.zeros((batch, n), dtype=np.int64),
+                            np.zeros(batch, dtype=np.int64), nrhs=1,
+                            rhs=rhs)
+
+        filled = ops(a, b)
+        unfilled = ops(np.full_like(a, np.nan), np.full_like(b, np.nan))
+        for spec in (GBSV, GBTRF, GBTRS):
+            for method in spec.designs:
+                cfg = ExecConfig(method=method)
+                for dev in (H100_PCIE, MI250X_GCD):
+                    assert (spec.probe_stages(dev, cfg, filled)
+                            == spec.probe_stages(dev, cfg, unfilled))
