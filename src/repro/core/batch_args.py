@@ -16,9 +16,9 @@ else one gather (written back when the call writes the operand).
 Validation mirrors LAPACK argument checking: the 1-based argument
 positions in raised :class:`~repro.errors.ArgumentError` match the
 paper's C signatures.
-Whether an operand batch is one lane-major or interleaved stack (the
-zero-copy launch rungs) is decided here too, by :func:`stack_layouts`
-and :func:`stack_rung`.
+Whether an operand list is one lane-major or interleaved stack is
+decided here too (:func:`stack_layouts`), as is the launch rung of a
+kernel's operand stacks (:func:`stack_rung`).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from ..band.layout import (
     ldab_for_factor,
 )
 from ..errors import ArgumentError, check_arg
-from ..gpusim.memory import PointerArray, _byte_span, is_packable_batch
+from ..gpusim.memory import PointerArray, _byte_span
 
 __all__ = [
     "as_matrix_list",
@@ -48,9 +48,7 @@ __all__ = [
     "stack_rung",
     "is_uniform_stack",
     "is_interleaved_stack",
-    "is_packable_batch",
     "stack_view",
-    "stage_stack",
     "convert_batch_layout",
     "vbatch_configs",
     "vbatch_matrices",
@@ -142,24 +140,31 @@ def stack_layouts(seq) -> frozenset:
     return kinds if kinds and _lanes_follow(seq, step) else _NO_STACK
 
 
-def stack_rung(*seqs) -> str | None:
-    """The zero-copy rung for a kernel's operand batches.
+def stack_rung(*stacks) -> str | None:
+    """The launch rung for a kernel's operand batches, each a ``(batch,
+    ...)`` ndarray.
 
-    ``'direct'`` when every batch is a lane-major stack, ``'soa'`` when
-    every batch is a lane-major or an interleaved stack (at least one
-    interleaved), ``None`` otherwise (the launcher then tries the pack
-    rung).  Every batch's first two lanes are checked before any list is
-    walked, so a list is walked at most once, and not at all when another
-    batch already fails.
+    ``'soa'`` when one batch is an interleaved stack (and not also a
+    lane-major one) and every other is interleaved or has pairwise
+    disjoint lanes; ``'direct'`` when every batch's lanes are pairwise
+    disjoint (a lane-major stack, a chunk of one, a lane-step view such
+    as ``buf[::2]``); ``None`` (per-block) when some batch's lanes
+    overlap.  Judged from lane 0's byte span and each batch's lane
+    step, never by walking lanes; the kernel body runs in place on
+    every rung.
     """
-    firsts = [_first_lanes(seq) for seq in seqs]
-    if not (seqs and all(kinds for kinds, _ in firsts) and all(
-            _lanes_follow(seq, step)
-            for seq, (_, step) in zip(seqs, firsts))):
-        return None
-    if all(LANE_MAJOR in kinds for kinds, _ in firsts):
-        return "direct"
-    return "soa"
+    soa = False
+    for stack in stacks:
+        kinds, _ = _first_lanes(stack)
+        if INTERLEAVED in kinds and LANE_MAJOR not in kinds:
+            soa = True
+            continue
+        if len(stack) < 2:
+            continue
+        lo, hi = _byte_span(stack[0])
+        if hi - lo > abs(stack.strides[0]):
+            return None
+    return "soa" if soa else "direct"
 
 
 def is_uniform_stack(mats) -> bool:
@@ -193,31 +198,6 @@ def stack_view(mats, nlanes: int | None = None) -> np.ndarray:
         strides=(_ptr(mats[1]) - _ptr(first),) + first.strides)
 
 
-def stage_stack(seq, hi: int, *, packed: bool, lo: int = 0,
-                rows: int | None = None) -> np.ndarray:
-    """Stage operands ``lo..hi-1`` as a ``(hi - lo, ...)`` stack.
-
-    ``packed`` is the rung the launcher chose.  On the direct and soa
-    rungs (``packed=False``) the operand batch is a lane-major or an
-    interleaved stack, and it stages as a writable zero-copy view (the
-    array itself, or :func:`stack_view` of a list): the kernel's results
-    land in the caller's storage, with no gather and no write-back.  On
-    the pack rung and the per-block path (``packed=True``) the operands
-    are gathered with :func:`numpy.stack` and the kernel must scatter its
-    results back.
-    ``rows`` optionally trims each operand to its first ``rows`` rows
-    (the factor-layout ``ldab`` slice).
-    """
-    if packed:
-        sub = seq[lo:hi]
-        if rows is not None:
-            sub = [a[:rows, :] for a in sub]
-        return np.stack(sub)
-    view = (seq[lo:hi] if isinstance(seq, np.ndarray)
-            else stack_view(seq, hi)[lo:])
-    return view if rows is None else view[:, :rows, :]
-
-
 def convert_batch_layout(layout: str, operands, *, batch: int,
                          outputs=None, leases=None):
     """Working copies of batched operands in ``layout``, at the batch
@@ -232,8 +212,8 @@ def convert_batch_layout(layout: str, operands, *, batch: int,
     mirrors ``operands`` with working copies in the target layout,
     ``writeback(lo, hi)`` copies lanes ``lo..hi-1`` of the results back
     into the caller's storage (every lane by default), and ``nbytes`` is
-    the total traffic of the round-trip (in + out, ``pack_bytes``-style)
-    for trace attribution.
+    the total traffic of the round-trip (in + out) for trace
+    attribution.
 
     The working copies are left unfilled: the caller copies each lane
     range in (``work[lo:hi] = operand[lo:hi]`` for every operand that was
@@ -315,8 +295,8 @@ def _pointer_array(seq, batch: int, *, arg_pos: int, what: str,
     into them.  Every lane has lane 0's shape (else the error is at
     ``shape_pos``, default ``arg_pos``) and dtype, as the paper's one
     ``ldab`` per call implies, and written lanes must not overlap
-    (:func:`~repro.gpusim.memory.is_packable_batch`) unless they are
-    already lanes of one interleaved stack.  A non-uniform batch
+    (:func:`check_disjoint`) unless they are already lanes of one
+    interleaved stack.  A non-uniform batch
     (``uniform=False``, the vbatch drivers) skips these cross-lane
     checks: its lanes differ by design, and each uniform group it runs is
     checked as one call.  The per-lane checks format

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..band.ops import gbmv
-from ..errors import check_arg
+from ..errors import ArgumentError, check_arg
 from ..gpusim.costmodel import BlockCost
 from ..gpusim.device import H100_PCIE, DeviceSpec
 from ..gpusim.kernel import Kernel, SharedMemory, launch
@@ -79,9 +79,9 @@ def gbmv_batch(trans: Trans | str, m: int, n: int, kl: int, ku: int,
 
     ``x_array``/``y_array`` are ``(batch, len)`` stacks or sequences of
     per-problem vectors (each may also be ``(len, nrhs)`` blocks); ``y`` is
-    updated in place.  Matrices are factor-layout band storage, matching
-    the solver's operands, so residuals of solver inputs need no
-    conversion.
+    updated in place, so each of its entries must be an ndarray.
+    Matrices are factor-layout band storage, matching the solver's
+    operands, so residuals of solver inputs need no conversion.
     """
     trans = Trans.from_any(trans)
     if batch is None:
@@ -99,6 +99,9 @@ def gbmv_batch(trans: Trans | str, m: int, n: int, kl: int, ku: int,
     for k in range(batch):
         check_arg(xs[k].shape[0] == in_len, 8,
                   f"x[{k}] has {xs[k].shape[0]} rows, expected {in_len}")
+        if not isinstance(ys[k], np.ndarray):
+            raise ArgumentError(10, f"y[{k}] is a {type(ys[k]).__name__}, "
+                                "not an ndarray; the call writes it")
         check_arg(ys[k].shape[0] == out_len, 10,
                   f"y[{k}] has {ys[k].shape[0]} rows, expected {out_len}")
     if batch == 0:

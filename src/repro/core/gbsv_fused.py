@@ -31,7 +31,6 @@ import numpy as np
 from ..band.layout import BandLayout
 from ..gpusim.costmodel import BlockCost
 from ..gpusim.kernel import Kernel, SharedMemory
-from .batch_args import stage_stack
 from .costs import gbsv_fused_cost
 from .gbtf2 import ColumnWork, gbtf2_step_batched, init_fillin_batched
 from .gbtrf_fused import default_fused_threads
@@ -79,12 +78,12 @@ class FusedGbsvKernel(Kernel):
         return (self.mats, self.rhs)
 
     def run_batch_vectorized(self, hi: int, smem: SharedMemory, *,
-                             lo: int = 0, packed: bool = True) -> None:
+                             lo: int = 0) -> None:
         n, kl, ku = self.n, self.kl, self.ku
         ldab = self.layout.ldab_factor
         nblocks = hi - lo
-        abst = stage_stack(self.mats, hi, lo=lo, packed=packed, rows=ldab)
-        btst = stage_stack(self.rhs, hi, lo=lo, packed=packed)
+        abst = self.mats[lo:hi, :ldab]
+        btst = self.rhs[lo:hi]
         # Column-major, lane-last shared tiles: one column's band rows are
         # adjacent runs of lanes, and the RHS tile is the lane-last window
         # the solve steps take.  Band LU runs on the augmented [A|B]:
@@ -112,9 +111,6 @@ class FusedGbsvKernel(Kernel):
             forward_update_batched(store[j, kv + 1:], n, j, rw)
 
         abst[...] = tiles
-        if packed:
-            for k in range(nblocks):
-                self.mats[lo + k][:ldab, :] = abst[k]
         self.info[lo:hi] = info
         ok = info == 0
         if not ok.any():
@@ -125,8 +121,4 @@ class FusedGbsvKernel(Kernel):
         for j in range(n - 1, -1, -1):
             backward_step_batched(store[j, :kv + 1], j, rw)
         x = rw.transpose(2, 0, 1)
-        if not packed:
-            btst[ok] = x[ok]
-            return
-        for k in np.flatnonzero(ok):
-            self.rhs[lo + k][...] = x[k]
+        btst[ok] = x[ok]

@@ -142,8 +142,8 @@ def gbtrf_batch(m: int, n: int, kl: int, ku: int, a_array,
         Batch storage-layout selector (docs/LAYOUTS.md).  ``None``
         (default) runs the batch in the layout it arrives in:
         batch-interleaved (SoA, lane index fastest-varying) stacks run
-        natively as ``[vec+soa]`` launches with zero-copy staging,
-        lane-major stacks keep the classic ``[vec]`` path.
+        natively as ``[vec+soa]`` launches, in place, lane-major
+        stacks keep the classic ``[vec]`` path.
         ``'interleaved'``/``'soa'`` stages a uniform batch into the
         interleaved layout first; ``'lane-major'``/``'aos'`` stages an
         interleaved batch into the classic layout first.  The conversion

@@ -17,7 +17,6 @@ import numpy as np
 from ..band.layout import BandLayout
 from ..gpusim.costmodel import BlockCost
 from ..gpusim.kernel import Kernel, SharedMemory
-from .batch_args import stage_stack
 from .costs import gbtrf_fused_cost
 from .gbtf2 import gbtf2, gbtf2_batched
 
@@ -86,9 +85,9 @@ class FusedGbtrfKernel(Kernel):
         return (self.mats,)
 
     def run_batch_vectorized(self, hi: int, smem: SharedMemory, *,
-                             lo: int = 0, packed: bool = True) -> None:
+                             lo: int = 0) -> None:
         ldab = self.layout.ldab_factor
-        abst = stage_stack(self.mats, hi, lo=lo, packed=packed, rows=ldab)
+        abst = self.mats[lo:hi, :ldab]
         # The shared tile is column-major and lane-last, like the window's:
         # one column's band rows are adjacent runs of lanes.
         tiles = smem.alloc((self.n, ldab, hi - lo),
@@ -97,6 +96,3 @@ class FusedGbtrfKernel(Kernel):
         gbtf2_batched(self.m, self.n, self.kl, self.ku, tiles,
                       self.pivots[lo:hi], self.info[lo:hi])
         abst[...] = tiles                             # shared -> global
-        if packed:
-            for k in range(hi - lo):
-                self.mats[lo + k][:ldab, :] = abst[k]

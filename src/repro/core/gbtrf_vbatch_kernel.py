@@ -26,7 +26,6 @@ from ..errors import check_arg
 from ..gpusim.costmodel import BlockCost
 from ..gpusim.device import H100_PCIE, DeviceSpec
 from ..gpusim.kernel import Kernel, SharedMemory, launch
-from ..gpusim.memory import is_packable_batch
 from ..tuning.defaults import window_params
 from .batch_args import check_disjoint, ensure_info, vbatch_configs, \
     vbatch_matrices, vbatch_pivots
@@ -57,8 +56,9 @@ class VbatchGbtrfKernel(Kernel):
     """One launch, many shapes: per-block sliding-window factorization."""
 
     name = "gbtrf_vbatch"
-    # Buckets are gathered whatever the rung: pack or per-block only.
-    zero_copy = False
+    # The body gathers its per-configuration buckets from the lane list;
+    # the driver rejects shared storage within a bucket.
+    gathers = True
 
     def __init__(self, problems: list[VbatchProblem],
                  mats: list[np.ndarray], pivots: list[np.ndarray],
@@ -110,20 +110,18 @@ class VbatchGbtrfKernel(Kernel):
     def pack_operands(self) -> tuple:
         return (self.mats,)
 
-    def can_pack_vectorize(self) -> bool:
-        """Bucketed eligibility: every same-configuration bucket must be
-        packable (same dtype, no overlapping storage)."""
-        return len(self.mats) > 0 and all(
-            is_packable_batch([self.mats[i] for i in idxs])
-            for idxs in self._buckets(len(self.mats)).values())
+    def pack_bytes(self, nblocks: int) -> int:
+        """Gather + scatter traffic of the buckets of blocks
+        ``0..nblocks-1``."""
+        return 2 * sum(int(a.nbytes) for a in self.mats[:nblocks])
 
     def run_batch_vectorized(self, hi: int, smem: SharedMemory, *,
-                             lo: int = 0, packed: bool = True) -> None:
-        """Bucketed vectorization: each same-configuration bucket advances
-        through the window schedule batch-interleaved (a singleton is a
-        bucket of one).  Buckets are always gathered and scattered back,
-        whatever ``packed`` says.  Problems are independent, so
-        per-bucket execution order cannot change any result bits."""
+                             lo: int = 0) -> None:
+        """Bucketed vectorization: each same-configuration bucket is
+        gathered, advances through the window schedule batch-interleaved
+        (a singleton is a bucket of one) and is scattered back.  Problems
+        are independent, so per-bucket execution order cannot change any
+        result bits."""
         for idxs in self._buckets(hi, lo).values():
             p = self.problems[idxs[0]]
             ldab = BandLayout(p.m, p.n, p.kl, p.ku).ldab_factor

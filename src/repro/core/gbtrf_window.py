@@ -23,7 +23,6 @@ import numpy as np
 from ..band.layout import BandLayout
 from ..gpusim.costmodel import BlockCost
 from ..gpusim.kernel import Kernel, SharedMemory
-from .batch_args import stage_stack
 from .costs import gbtrf_window_cost
 from .gbtf2 import ColumnWork, gbtf2_step_batched, init_fillin_batched
 
@@ -160,15 +159,9 @@ class SlidingWindowGbtrfKernel(Kernel):
         return (self.mats,)
 
     def run_batch_vectorized(self, hi: int, smem: SharedMemory, *,
-                             lo: int = 0, packed: bool = True) -> None:
-        ldab = self.layout.ldab_factor
-        # Uniform and interleaved batches stage as a zero-copy view of the
-        # caller's stack: the window reads and writes it in place.  Only
-        # the pack rung and the per-block path gather and scatter back.
-        abst = stage_stack(self.mats, hi, lo=lo, packed=packed, rows=ldab)
+                             lo: int = 0) -> None:
+        # The window reads and writes the caller's stack in place.
         sliding_window_factor_batched(
-            abst, self.pivots[lo:hi], self.info[lo:hi],
-            self.m, self.n, self.kl, self.ku, self.nb, smem)
-        if packed:
-            for k in range(hi - lo):
-                self.mats[lo + k][:ldab, :] = abst[k]
+            self.mats[lo:hi, :self.layout.ldab_factor], self.pivots[lo:hi],
+            self.info[lo:hi], self.m, self.n, self.kl, self.ku, self.nb,
+            smem)

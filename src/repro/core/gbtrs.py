@@ -74,10 +74,10 @@ def gbtrs_batch(trans: Trans | str, n: int, kl: int, ku: int, nrhs: int,
     solve — LAPACK semantics).
 
     The launcher runs the blocked kernels — no-transpose *and*
-    transposed — on the batch-interleaved path whenever the factors and
-    right-hand sides can be staged (uniform stacks and pointer arrays,
-    which become one stack at entry, directly; strided stacks through the
-    gather/pack stage).  The factors are only read, so their pointer
+    transposed — on the batch-interleaved path, in place, whenever the
+    lanes of the factors and of the right-hand sides are disjoint (any
+    stack that does not overlap itself, and pointer arrays, which become
+    one stack at entry).  The factors are only read, so their pointer
     array may alias; ``b_array``'s may not.
 
     ``resilient=True`` routes the call through the self-healing dispatch

@@ -24,14 +24,14 @@ batch-interleaved body
 of a lane range advances through the identical window schedule with one
 numpy operation per step, and the per-block path runs it on one lane.
 Each lane's bits equal :func:`~repro.core.solve_blocks.gbtrs_unblocked`
-(see ``docs/PERFORMANCE.md``).  Uniform contiguous stacks stage directly;
-strided stacks and lists handed to the kernel go through the gather/pack
-stage (:meth:`~repro.gpusim.kernel.Kernel.pack_operands`).  The bodies run
-lane-last: the RHS window is ``(rows, nrhs, batch)`` and each ``nb``-column
-block of the factor rows a kernel reads — the ``kl`` multipliers or the
-``kv + 1`` rows of ``U`` — is staged once into a reused ``(rows, nb,
-batch)`` tile, so every column step reads runs of adjacent lanes.  On the
-soa rung the lanes are already fastest-varying and the tile is a view.
+(see ``docs/PERFORMANCE.md``).  The bodies read the factors and write
+the right-hand sides in the caller's stacks, whatever their strides.
+They run lane-last: the RHS window is ``(rows, nrhs, batch)`` and each
+``nb``-column block of the factor rows a kernel reads — the ``kl``
+multipliers or the ``kv + 1`` rows of ``U`` — is staged once into a
+reused ``(rows, nb, batch)`` tile, so every column step reads runs of
+adjacent lanes.  On the soa rung the lanes are already fastest-varying
+and the tile is a view.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ import numpy as np
 
 from ..gpusim.costmodel import BlockCost
 from ..gpusim.kernel import Kernel, SharedMemory
-from .batch_args import stage_stack
 from .costs import gbtrs_backward_cost, gbtrs_forward_cost
 from .solve_blocks import (
     backward_step_batched,
@@ -118,31 +117,16 @@ class _BlockedSolveBase(Kernel):
     def threads(self) -> int:
         return self.nthreads
 
-    def _stage_batch(self, hi: int, lo: int, packed: bool):
-        """Stage factors, pivots and RHS of problems ``lo..hi-1`` lane-last
-        for the kernel body: ``(ldab, n, batch)``, ``(n, batch)`` and
-        ``(n, nrhs, batch)``.
-
-        On the direct and soa rungs (``packed=False``) the factors and
-        RHS stage as zero-copy views: the factors are read straight from
-        the caller's storage and solved RHS rows land there directly, so
-        :meth:`_writeback_rhs` only scatters on the pack rung and the
-        per-block path.
-        """
-        abl = stage_stack(self.mats, hi, lo=lo, packed=packed)
+    def _lane_views(self, hi: int, lo: int):
+        """Factors, pivots and RHS of problems ``lo..hi-1`` viewed
+        lane-last for the kernel body: ``(ldab, n, batch)``, ``(n,
+        batch)`` and ``(n, nrhs, batch)``.  The factors are read straight
+        from the caller's stack and solved RHS rows land in it."""
         pivs = None if self.pivots is None else self.pivots[lo:hi].T
-        btl = stage_stack(self.rhs, hi, lo=lo, packed=packed)
-        return abl.transpose(1, 2, 0), pivs, btl.transpose(1, 2, 0)
-
-    def _writeback_rhs(self, btl: np.ndarray, hi: int, lo: int,
-                       packed: bool) -> None:
-        if packed:
-            for k in range(lo, hi):
-                self.rhs[k][...] = btl[..., k - lo]
+        return (self.mats[lo:hi].transpose(1, 2, 0), pivs,
+                self.rhs[lo:hi].transpose(1, 2, 0))
 
     def pack_operands(self) -> tuple:
-        # Factors are read-only in the solves, but staging keeps one rule
-        # for every kernel: both operand batches must be packable.
         return (self.mats, self.rhs)
 
 
@@ -159,12 +143,12 @@ class BlockedForwardKernel(_BlockedSolveBase):
                                   self.nb, self.nthreads, self.itemsize)
 
     def run_batch_vectorized(self, hi: int, smem: SharedMemory, *,
-                             lo: int = 0, packed: bool = True) -> None:
+                             lo: int = 0) -> None:
         n, kl, ku, nb = self.n, self.kl, self.ku, self.nb
         if kl == 0:
             return  # L is the identity: nothing to do
         kv = kl + ku
-        abl, pivs, bt = self._stage_batch(hi, lo, packed)
+        abl, pivs, bt = self._lane_views(hi, lo)
         tiles = _FactorTiles(abl, kv + 1, kv + kl + 1, nb)
         rw = smem.alloc((nb + kl, self.nrhs, hi - lo), dtype=bt.dtype)
         cached = min(nb + kl, n)
@@ -188,7 +172,6 @@ class BlockedForwardKernel(_BlockedSolveBase):
                 rw[rem:rem + (r1 - r0)] = bt[r0:r1]
             cached = rem + max(0, r1 - r0)
             jbeg = jend
-        self._writeback_rhs(bt, hi, lo, packed)
 
 
 class BlockedTransUKernel(_BlockedSolveBase):
@@ -214,10 +197,10 @@ class BlockedTransUKernel(_BlockedSolveBase):
                                    self.nb, self.nthreads, self.itemsize)
 
     def run_batch_vectorized(self, hi: int, smem: SharedMemory, *,
-                             lo: int = 0, packed: bool = True) -> None:
+                             lo: int = 0) -> None:
         n, kl, ku, nb = self.n, self.kl, self.ku, self.nb
         kv = kl + ku
-        abl, _, btl = self._stage_batch(hi, lo, packed)
+        abl, _, btl = self._lane_views(hi, lo)
         conj = self.conj and np.iscomplexobj(abl)
         tiles = _FactorTiles(abl, 0, kv + 1, nb)
         rw = smem.alloc((nb + kv, self.nrhs, hi - lo), dtype=btl.dtype)
@@ -241,7 +224,6 @@ class BlockedTransUKernel(_BlockedSolveBase):
             rw[keep:keep + (r1 - jend)] = btl[jend:r1]
             base = base2
             jbeg = jend
-        self._writeback_rhs(btl, hi, lo, packed)
 
 
 class BlockedTransLKernel(_BlockedSolveBase):
@@ -267,12 +249,12 @@ class BlockedTransLKernel(_BlockedSolveBase):
                                   self.nb, self.nthreads, self.itemsize)
 
     def run_batch_vectorized(self, hi: int, smem: SharedMemory, *,
-                             lo: int = 0, packed: bool = True) -> None:
+                             lo: int = 0) -> None:
         n, kl, ku, nb = self.n, self.kl, self.ku, self.nb
         if kl == 0:
             return                      # L is the identity
         kv = kl + ku
-        abl, pivs, btl = self._stage_batch(hi, lo, packed)
+        abl, pivs, btl = self._lane_views(hi, lo)
         conj = self.conj and np.iscomplexobj(abl)
         tiles = _FactorTiles(abl, kv + 1, kv + kl + 1, nb)
         rw = smem.alloc((nb + kl, self.nrhs, hi - lo), dtype=btl.dtype)
@@ -292,7 +274,6 @@ class BlockedTransLKernel(_BlockedSolveBase):
                                     conj=conj, row0=jbeg)
             btl[jbeg:r1] = rw[:r1 - jbeg]
             jend = jbeg
-        self._writeback_rhs(btl, hi, lo, packed)
 
 
 class BlockedBackwardKernel(_BlockedSolveBase):
@@ -308,10 +289,10 @@ class BlockedBackwardKernel(_BlockedSolveBase):
                                    self.nb, self.nthreads, self.itemsize)
 
     def run_batch_vectorized(self, hi: int, smem: SharedMemory, *,
-                             lo: int = 0, packed: bool = True) -> None:
+                             lo: int = 0) -> None:
         n, kl, ku, nb = self.n, self.kl, self.ku, self.nb
         kv = kl + ku
-        abl, _, bt = self._stage_batch(hi, lo, packed)
+        abl, _, bt = self._lane_views(hi, lo)
         tiles = _FactorTiles(abl, 0, kv + 1, nb)
         rw = smem.alloc((nb + kv, self.nrhs, hi - lo), dtype=bt.dtype)
         jend = n
@@ -335,4 +316,3 @@ class BlockedBackwardKernel(_BlockedSolveBase):
             if off > 0:
                 rw[:off] = bt[base2:base]
             jend, jbeg, base = jend2, jbeg2, base2
-        self._writeback_rhs(bt, hi, lo, packed)

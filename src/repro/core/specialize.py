@@ -91,9 +91,10 @@ class BandSpecialization:
         info = ensure_info(info, batch, arg_pos=5)
         if batch == 0 or min(m, n) == 0:
             return pivots, info
-        with lane_stack(pivots, write_back=execute) as pivs:
+        with lane_stack(mats, write_back=execute) as stack, \
+                lane_stack(pivots, write_back=execute) as pivs:
             kernel = _SpecializedWindowKernel(
-                m, n, self.kl, self.ku, mats, pivs, info,
+                m, n, self.kl, self.ku, stack, pivs, info,
                 nb=self.nb, threads=self.threads)
             launch(self.device, kernel, stream=stream, execute=execute)
         return pivots, info

@@ -39,7 +39,7 @@ batched drivers turns on:
 
 Healthy lanes — lanes that pass their gate — are never touched, so a
 verified call is bit-identical to an unverified one on every lane that
-was not corrupted, across chunking, ``[vec]``/``[vec+soa]``/``[vec+pack]``
+was not corrupted, across chunking, ``[vec]``/``[vec+soa]``/per-block
 routes, pipelining and failover (the escalation wraps the driver
 *outside* all of those stages; only the pristine snapshot and each
 lane's score are taken per lane range, where the lanes run, see

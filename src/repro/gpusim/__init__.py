@@ -19,7 +19,7 @@ from .faults import (
 from .kernel import Kernel, LaunchRecord, SharedMemory, launch
 from .memory import (
     DeviceBuffer, MemoryPool, PointerArray, TrafficCounter,
-    is_packable_batch, memory_pool, reset_memory_pools,
+    memory_pool, reset_memory_pools,
 )
 from .multidevice import (
     CircuitBreaker, DevicePartition, MultiDeviceRun, replicate_device,
@@ -43,7 +43,7 @@ __all__ = [
     "Kernel", "LaunchRecord", "SharedMemory", "launch",
     "CircuitBreaker", "DeviceBuffer", "DevicePartition", "MemoryPool",
     "MultiDeviceRun", "PointerArray",
-    "TrafficCounter", "is_packable_batch", "memory_pool",
+    "TrafficCounter", "memory_pool",
     "replicate_device", "reset_memory_pools", "run_multi_device",
     "split_batch", "throughput_weights",
     "Occupancy", "occupancy", "suggest_block_size", "waves_for_grid",

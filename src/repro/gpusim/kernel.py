@@ -37,8 +37,7 @@ class ConversionCharge:
     A driver that converts its batch at the boundary (see
     :func:`repro.core.batch_args.convert_batch_layout`) adds the round-trip
     bytes here; the *first* launch of that call absorbs them into its
-    record (``soa_bytes``), mirroring how ``pack_bytes`` attributes the
-    gather/pack staging — and proving the one-conversion-per-batch
+    record (``soa_bytes``) — proving the one-conversion-per-batch
     contract in traces: later launches of the same call (and every chunk
     of a governed run) carry zero.  The charge belongs to the call, so a
     call that fails before launching leaves nothing behind for the next
@@ -96,14 +95,13 @@ class Kernel(abc.ABC):
     together, which :meth:`run_block` then runs one lane at a time) or,
     for the scalar reference kernels, :meth:`run_block` itself.  A kernel
     with a batch-interleaved body declares its operand batches in
-    :meth:`pack_operands`, and that is all :func:`launch` needs to pick
-    the rung: direct when every batch is one lane-major stack, soa when
-    every batch is a lane-major or an interleaved stack
-    (:func:`repro.core.batch_args.stack_rung`), pack when every batch can
-    be gathered and scattered back, per-block otherwise.  The same
-    object serves double duty: ``launch`` runs the functional body,
-    while the benchmark harness asks only for the resource declarations
-    to time large batches without executing them.
+    :meth:`pack_operands`, each one ``(batch, ...)`` ndarray, and its
+    body slices them in place; the batches' shapes and strides are all
+    :func:`launch` needs to pick the rung (soa, direct or per-block, see
+    :func:`repro.core.batch_args.stack_rung`).  The same object serves
+    double duty: ``launch`` runs the functional body, while the benchmark
+    harness asks only for the resource declarations to time large batches
+    without executing them.
     """
 
     name: str = "kernel"
@@ -128,23 +126,23 @@ class Kernel(abc.ABC):
         """Functional behaviour of one thread block.
 
         The default runs :meth:`run_batch_vectorized` on the one lane
-        ``[block_id, block_id + 1)`` with ``packed=True``: that lane is
-        gathered and scattered back on its own, so blocks executed one
-        after another over aliased or overlapping storage keep their
+        ``[block_id, block_id + 1)``, a view of the operands: blocks
+        executed one after another over overlapping storage keep their
         sequential semantics.
         """
-        self.run_batch_vectorized(block_id + 1, smem, lo=block_id,
-                                  packed=True)
+        self.run_batch_vectorized(block_id + 1, smem, lo=block_id)
 
     # -- batch-interleaved execution ---------------------------------------
 
-    #: False for a kernel that gathers its operands whatever the rung
-    #: (the vbatch kernel's per-configuration buckets): it never takes
-    #: the zero-copy direct or soa rungs, only pack or per-block.
-    zero_copy: bool = True
+    #: True for a kernel whose body gathers its operands itself (the
+    #: vbatch kernel's per-configuration buckets): its operand batch may
+    #: be a list, above one block it always runs its body, and its record
+    #: carries ``packed`` and the gather traffic its ``pack_bytes(nblocks)``
+    #: reports.
+    gathers: bool = False
 
     def run_batch_vectorized(self, hi: int, smem: SharedMemory, *,
-                             lo: int = 0, packed: bool = True) -> None:
+                             lo: int = 0) -> None:
         """Advance blocks ``lo..hi-1`` together, batch-interleaved.
 
         Lanes are independent: each lane's bits do not depend on which
@@ -152,59 +150,25 @@ class Kernel(abc.ABC):
         per-block path.  ``smem`` carries the aggregate budget of the
         executed blocks (``hi - lo`` times the per-block occupancy
         limit), mirroring the total on-chip footprint the grid would
-        occupy.  The launcher calls it with ``lo=0`` on the direct, soa
-        and pack rungs, and :meth:`run_block` with one lane on the
-        per-block path.  ``packed`` is the staging decision: False on the
-        direct and soa rungs, whose operands stage as zero-copy views
-        (:func:`repro.core.batch_args.stage_stack`), True on the pack
-        rung and the per-block path, whose operands are gathered and
-        scattered back.
+        occupy.  The launcher calls it with ``lo=0`` on the direct and
+        soa rungs, and :meth:`run_block` with one lane on the per-block
+        path.  The body reads and writes ``operand[lo:hi]`` in place.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not implement the "
             "batch-interleaved path")
 
-    # -- pack/scatter stage ------------------------------------------------
-
     def pack_operands(self) -> tuple:
         """The kernel's operand batches, for the launcher's rung decision.
 
         A kernel with a batch-interleaved body returns the batches its
-        staging reads and writes — typically ``(self.mats,)`` or
-        ``(self.mats, self.rhs)``, each a 3-D stack or a list of
-        per-problem arrays.  ``launch`` derives the rung from them
-        (:func:`repro.core.batch_args.stack_rung`, then
-        :meth:`can_pack_vectorize`) and attributes the pack stage's
-        traffic (:meth:`pack_bytes`).  The default (no operands) keeps
-        the kernel on the per-block path.
+        body reads and writes — typically ``(self.mats,)`` or
+        ``(self.mats, self.rhs)``, each a ``(batch, ...)`` ndarray.
+        ``launch`` derives the rung from them
+        (:func:`repro.core.batch_args.stack_rung`).  The default (no
+        operands) keeps the kernel on the per-block path.
         """
         return ()
-
-    def can_pack_vectorize(self) -> bool:
-        """Whether a gather/pack stage makes this launch vectorizable.
-
-        Inputs that are *not* a uniform contiguous stack — pointer-array
-        batches, scattered allocations, strided views — can still take the
-        batch-interleaved path if every operand batch can be gathered into
-        a uniform stack and scattered back: same shape and dtype per
-        problem, and no two problems sharing memory (see
-        :func:`repro.gpusim.memory.is_packable_batch`).  Aliased or
-        overlapping batches stay per-block, where repeated processing of
-        the same storage keeps its sequential semantics.
-        """
-        from .memory import is_packable_batch
-        ops = self.pack_operands()
-        return bool(ops) and all(is_packable_batch(seq) for seq in ops)
-
-    def pack_bytes(self, nblocks: int) -> int:
-        """Bytes moved by the pack stage (gather + scatter) for a launch
-        executing ``nblocks`` blocks — the host-side staging overhead the
-        trace attributes to a ``[vec+pack]`` launch."""
-        total = 0
-        for seq in self.pack_operands():
-            for a in seq[:nblocks]:
-                total += int(np.asarray(a).nbytes)
-        return 2 * total
 
     # -- convenience -------------------------------------------------------
 
@@ -231,10 +195,13 @@ class LaunchRecord:
     timing: KernelTiming
     executed_blocks: int
     vectorized: bool = False
+    # A kernel that gathers its operands itself (``Kernel.gathers``, the
+    # vbatch kernel's buckets) ran batch-interleaved; ``pack_bytes`` is
+    # the gather + scatter traffic.
     packed: bool = False
     pack_bytes: int = 0
     # Batch-interleaved (SoA) execution: the kernel ran natively on a
-    # lane-fastest interleaved stack (zero-copy staging).  ``soa_bytes``
+    # lane-fastest interleaved stack, in place.  ``soa_bytes``
     # carries the round-trip traffic of a batch-boundary layout
     # conversion when the driver performed one (``layout=`` knob) — it
     # lands on the first launch after the conversion only, so summing it
@@ -259,8 +226,8 @@ class LaunchRecord:
     @property
     def display_name(self) -> str:
         """Kernel name with a ``[vec]`` suffix for batch-interleaved runs
-        (``[vec+pack]`` when a gather/pack stage staged non-uniform
-        inputs, ``[vec+soa]`` when the kernel ran natively on a
+        (``[vec+pack]`` when the kernel gathered its operands itself,
+        ``[vec+soa]`` when the kernel ran natively on a
         batch-interleaved stack), so vectorized launches stay
         attributable in traces (label table: docs/ARCHITECTURE.md)."""
         if self.soa:
@@ -274,15 +241,13 @@ class LaunchRecord:
 
 def _vector_rung(kernel: Kernel) -> str | None:
     """The batch-interleaved rung ``kernel`` can take on its current
-    inputs: ``'direct'``, ``'soa'``, ``'pack'``, or None (per-block)."""
+    inputs: ``'pack'`` for a kernel that gathers, else ``'direct'``,
+    ``'soa'`` or None (per-block) from its operand stacks."""
     from ..core.batch_args import stack_rung
-    seqs = kernel.pack_operands()
-    if not seqs:
-        return None
-    rung = stack_rung(*seqs) if kernel.zero_copy else None
-    if rung is None and kernel.can_pack_vectorize():
+    if kernel.gathers:
         return "pack"
-    return rung
+    seqs = kernel.pack_operands()
+    return stack_rung(*seqs) if seqs else None
 
 
 def launch(device: DeviceSpec, kernel: Kernel, *, stream=None,
@@ -302,16 +267,14 @@ def launch(device: DeviceSpec, kernel: Kernel, *, stream=None,
     vectorize:
         ``True`` (default): the launcher picks the execution path from
         the operands when more than one block executes.  It derives the
-        rung from the kernel's :meth:`Kernel.pack_operands` — direct when
-        every operand batch is one lane-major stack, soa when every one
-        is a lane-major or an interleaved stack (both staged as zero-copy
-        views; see :func:`repro.core.batch_args.stack_rung`), pack when
-        every one can be gathered and scattered back
-        (:meth:`Kernel.can_pack_vectorize`) — and runs
+        rung from the shapes and strides of the kernel's
+        :meth:`Kernel.pack_operands` — soa when one is an interleaved
+        stack, direct when every one's lanes are pairwise disjoint (see
+        :func:`repro.core.batch_args.stack_rung`), pack for a kernel that
+        gathers its operands itself (:attr:`Kernel.gathers`) — and runs
         :meth:`Kernel.run_batch_vectorized` once over the grid; with no
-        rung, blocks run one at a time through :meth:`Kernel.run_block`.
-        A 3-D operand array is judged from its first two lanes and its
-        length; a list of lanes is walked at most once.
+        rung (lanes that overlap), blocks run one at a time through
+        :meth:`Kernel.run_block`.
         ``False`` is the per-block reference path: each block runs alone
         through the same body.  Lanes are independent, so both paths give
         the same bits; the reference semantics they are tested against
@@ -323,6 +286,9 @@ def launch(device: DeviceSpec, kernel: Kernel, *, stream=None,
 
     Raises
     ------
+    TypeError
+        If an operand batch of a kernel that does not gather is not one
+        ndarray (a list of lanes, say), before anything runs.
     SharedMemoryError
         If the kernel cannot launch on this device, or an armed fault plan
         (:mod:`repro.gpusim.faults`) rejects the shared-memory request.
@@ -331,6 +297,12 @@ def launch(device: DeviceSpec, kernel: Kernel, *, stream=None,
     """
     from .faults import active_injector
 
+    if not kernel.gathers:
+        for seq in kernel.pack_operands():
+            if not isinstance(seq, np.ndarray):
+                raise TypeError(
+                    f"kernel {kernel.name!r} takes each operand batch as "
+                    f"one (batch, ...) ndarray, got a {type(seq).__name__}")
     grid = kernel.grid()
     if grid < 0:
         raise DeviceError(f"negative grid size {grid}",
@@ -372,8 +344,8 @@ def launch(device: DeviceSpec, kernel: Kernel, *, stream=None,
     faults: tuple = ()
     if execute:
         limit = timing.occupancy.smem_per_block
-        # The rung is decided once per launch, and the kernel stages its
-        # operands by that decision: a stack is never walked, a list once.
+        # The rung is decided once per launch from the operands' shapes
+        # and strides; no lane is walked.
         rung = _vector_rung(kernel) if vectorize and grid > 1 else None
         smem_ctx = dict(kernel=kernel.name, device=device.name)
         if injector is not None and grid > 0:
@@ -385,8 +357,7 @@ def launch(device: DeviceSpec, kernel: Kernel, *, stream=None,
             packed = rung == "pack"
             soa = rung == "soa"
             kernel.run_batch_vectorized(
-                grid, SharedMemory(limit * grid, **smem_ctx),
-                packed=packed)
+                grid, SharedMemory(limit * grid, **smem_ctx))
             executed = grid
             vectorized = True
             if packed:

@@ -28,7 +28,7 @@ import numpy as np
 from ..errors import DeviceError, DeviceMemoryError
 
 __all__ = ["TrafficCounter", "MemoryPool", "DeviceBuffer", "PointerArray",
-           "is_packable_batch", "memory_pool", "reset_memory_pools"]
+           "memory_pool", "reset_memory_pools"]
 
 
 def _byte_span(a: np.ndarray) -> tuple[int, int]:
@@ -37,7 +37,7 @@ def _byte_span(a: np.ndarray) -> tuple[int, int]:
     Conservative: the bounds cover every addressable element, so two arrays
     whose spans do not intersect certainly do not share memory (the converse
     does not hold for interleaved strided views, which is the safe
-    direction for the pack/scatter eligibility test).
+    direction for the disjoint-lanes tests).
     """
     ptr = a.__array_interface__["data"][0]
     lo = hi = 0
@@ -50,38 +50,6 @@ def _byte_span(a: np.ndarray) -> tuple[int, int]:
         else:
             lo += step
     return ptr + lo, ptr + hi + a.itemsize
-
-
-def is_packable_batch(mats) -> bool:
-    """True when ``mats`` can be gathered into one uniform stack and
-    scattered back without changing per-block semantics.
-
-    This is the eligibility gate for the pack/scatter stage of the
-    batch-interleaved execution path: every entry must be a numpy array of
-    one shape and dtype (strides and storage order may differ — that is
-    the point of a :class:`PointerArray`), and no two entries may share
-    memory.  The overlap test is a conservative byte-interval check, so
-    aliased batches (``[ab] * batch``) and interleaved views of one buffer
-    return False and keep the per-block path, where repeated factorization
-    of the same storage is the documented sequential semantics.
-    """
-    if len(mats) == 0:
-        return False
-    first = mats[0]
-    if not isinstance(first, np.ndarray):
-        return False
-    shape, dtype = first.shape, first.dtype
-    spans = []
-    for mk in mats:
-        if (not isinstance(mk, np.ndarray) or mk.shape != shape
-                or mk.dtype != dtype):
-            return False
-        spans.append(_byte_span(mk))
-    spans.sort()
-    for (_, hi1), (lo2, _) in zip(spans, spans[1:]):
-        if lo2 < hi1:
-            return False
-    return True
 
 
 @dataclass

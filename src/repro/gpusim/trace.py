@@ -52,7 +52,7 @@ def summarize(records) -> list[KernelSummary]:
     groups: dict[str, list[LaunchRecord]] = defaultdict(list)
     for rec in flat:
         # Batch-interleaved launches group under "<name>[vec]" (or
-        # "<name>[vec+pack]" when the gather/pack stage staged the batch,
+        # "<name>[vec+pack]" when the vbatch kernel gathered its buckets,
         # "<name>[vec+soa]" when the kernel ran natively on an
         # interleaved stack) so the execution paths of the same kernel
         # stay separately attributable — the full label table lives in

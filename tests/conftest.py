@@ -40,6 +40,16 @@ def _fresh_device_health():
 
 
 @pytest.fixture(autouse=True)
+def _no_leaked_arena_leases():
+    """Every call returns its host-arena leases, on success and on error:
+    no test may end with bytes still leased."""
+    from repro.core.arena import HOST_ARENA
+    yield
+    assert HOST_ARENA.leased == 0, (
+        f"{HOST_ARENA.leased} arena bytes still leased after the test")
+
+
+@pytest.fixture(autouse=True)
 def _pipeline_round_accounting(monkeypatch):
     """Every pipelined call, healthy or failed over, accounts one modeled
     makespan per dispatch round, and its makespan is their sum."""

@@ -1,10 +1,10 @@
-"""Info-code parity across execution paths (per-block vs [vec] vs [vec+pack]).
+"""Info-code parity across execution paths (per-block vs [vec]).
 
 LAPACK ``info`` semantics must not depend on how the batch executes: a
 singular or NaN-poisoned lane has to report the same code on the
-batch-interleaved path (uniform stacks, lane-step stacks the launch
-gathers and packs, and scattered pointer arrays the call gathers once
-at entry) as on the per-block reference path.
+batch-interleaved path (uniform stacks, lane-step stacks the kernels run
+in place, and scattered pointer arrays the call gathers once at entry) as
+on the per-block reference path.
 """
 
 from contextlib import nullcontext
@@ -44,7 +44,8 @@ def _expected_info(a):
 
 
 def _lane_step(a):
-    """``a`` in every other lane of a stack twice as tall (packs)."""
+    """``a`` in every other lane of a stack twice as tall (runs in
+    place)."""
     buf = np.zeros((2 * len(a),) + a.shape[1:], dtype=a.dtype)
     buf[::2] = a
     return buf[::2]
@@ -57,7 +58,7 @@ def _variants(a, per_block):
     return [
         ("per-block", list(a.copy()), per_block()),
         ("vec", list(a.copy()), nullcontext()),
-        ("vec+pack", _lane_step(a), nullcontext()),
+        ("lane-step", _lane_step(a), nullcontext()),
         ("scattered", scattered, nullcontext()),
     ]
 
@@ -78,8 +79,7 @@ class TestGbtrfInfoParity:
                 f"{method}/{label}: info={list(info)} expected="
                 f"{list(expected)}")
             factors[label] = np.stack(mats).tobytes()
-            suffix = {"per-block": "", "vec+pack": "[vec+pack]"}.get(
-                label, "[vec]")
+            suffix = "" if label == "per-block" else "[vec]"
             assert stream.records[-1].display_name == (
                 stream.records[-1].kernel_name + suffix)
         assert len(set(factors.values())) == 1
@@ -111,7 +111,7 @@ class TestGbsvInfoParity:
             for k in (2, 5):
                 assert np.array_equal(rhs[k], b[k]), f"{method}/{label}/{k}"
         assert np.array_equal(results["vec"], results["per-block"])
-        assert np.array_equal(results["vec+pack"], results["per-block"])
+        assert np.array_equal(results["lane-step"], results["per-block"])
         assert np.array_equal(results["scattered"], results["per-block"])
 
 

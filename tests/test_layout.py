@@ -11,7 +11,7 @@ The contracts under test (docs/LAYOUTS.md):
   rejects lane-major stacks, scattered batches and aliased lanes;
 * every driver runs an interleaved batch natively (``[vec+soa]`` in the
   trace, zero conversions) with results bit-identical to the per-block and
-  classic ``[vec]``/``[vec+pack]`` paths;
+  classic ``[vec]`` paths;
 * the ``layout=`` knob stages a batch into the requested layout exactly
   once at the batch boundary: a trace carries exactly one record with
   ``soa_bytes > 0`` no matter how many stages or chunks follow;
@@ -171,11 +171,14 @@ class TestDetection:
         assert lanes[3][0, 0] == 123.0
 
     def test_stack_rung_mixes_layouts(self):
-        a_soa = list(self._soa(batch=5))
-        b_aos = list(random_rhs(10, 2, batch=5, seed=5))
+        a_soa = self._soa(batch=5)
+        b_aos = random_rhs(10, 2, batch=5, seed=5)
         assert stack_rung(a_soa, b_aos) == "soa"   # one interleaved suffices
-        assert stack_rung(b_aos) == "direct"       # all lane-major: [vec]
-        assert stack_rung(a_soa, [np.array(b) for b in b_aos]) is None
+        assert stack_rung(b_aos) == "direct"       # disjoint lanes: [vec]
+        assert stack_rung(b_aos[::-2]) == "direct"
+        # Lanes that overlap run per block, whatever the other operand.
+        aliased = np.broadcast_to(b_aos[0], b_aos.shape)
+        assert stack_rung(a_soa, aliased) is None
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Pins the memory-governance contract end to end:
 
 * the planner's footprint estimates and admission decisions;
 * chunked execution bit-identical to unchunked across every execution
-  path (per-block, ``[vec]``, ``[vec+pack]``), with chunk boundaries
+  path (per-block, ``[vec]``, lane-step stacks), with chunk boundaries
   swept around the batch size;
 * the OOM degradation ladder (halve -> per-lane -> host) under injected
   allocation storms, with every recovery attributed in the report;
@@ -187,17 +187,17 @@ class TestChunkedBitIdentity:
         assert all(("[vec" in nm) == vec for nm in kernel_names)
 
     def test_vec_pack_path_chunked(self):
-        """Lane-step stack: chunks pack like the whole batch.  A
-        scattered pointer array is gathered once at entry, so its chunks
-        launch ``[vec]``; both give the unchunked bits."""
+        """Lane-step stack: each chunk runs ``[vec]`` in place, like the
+        whole batch.  A scattered pointer array is gathered once at
+        entry, so its chunks launch ``[vec]`` too; both give the
+        unchunked bits with no pack traffic."""
         stack = random_band_batch(6, 28, 2, 2, seed=9)
         ref = stack.copy()
         piv0, info0 = gbtrf_batch(28, 28, 2, 2, ref, batch=6)
         buf = np.zeros((12,) + stack.shape[1:])
         buf[::2] = stack
         scattered = [stack[k].copy() for k in range(6)]
-        for operand, label in ((buf[::2], "[vec+pack]"),
-                               (scattered, "[vec]")):
+        for operand in (buf[::2], scattered):
             stream = Stream(H100_PCIE)
             piv, info = gbtrf_batch(28, 28, 2, 2, operand, batch=6,
                                     stream=stream, chunk_hint=4)
@@ -208,7 +208,8 @@ class TestChunkedBitIdentity:
             launched = [r for r in stream.records
                         if not r.kernel_name.startswith("chunk_")]
             assert len(launched) == 2 and all(
-                r.display_name.endswith(label) for r in launched)
+                r.display_name.endswith("[vec]") and r.pack_bytes == 0
+                for r in launched)
 
     def test_resilient_chunked_matches_plain(self):
         a, ref, piv0, info0 = factor_ref(9, 20, 2, 1, seed=10)

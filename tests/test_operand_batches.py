@@ -1,11 +1,12 @@
-"""A 3-D operand stack and the list of its lanes launch alike.
+"""Kernels take operand stacks; the launcher reads the rung off them.
 
-The batched drivers keep a caller's stack whole, and the launcher judges
-a stack from its first two lanes and its length instead of walking its
-lanes.  These tests pin that this changes nothing: every kernel design,
-launched on an operand family as an ndarray and as ``list(ndarray)``,
-takes the same rung (direct, soa, pack or per-block), carries the same
-launch label and ``pack_bytes``, and writes the same output bytes.
+Every kernel design is launched on each operand family as an ndarray:
+it takes the family's rung (soa for an interleaved stack, direct for
+pairwise disjoint lanes, per-block for lanes that overlap) with no pack
+traffic and writes the per-block bytes.  The list of the same lanes is
+refused with a ``TypeError`` by a kernel with a batch-interleaved body;
+the kernels that take lists (the vbatch kernel, which gathers its
+buckets, and the scalar references) launch on it as on the stack.
 """
 
 import numpy as np
@@ -50,7 +51,8 @@ def _overlapping(x):
 
 
 # Each family maps a logical (batch, rows, cols) stack to storage holding
-# the same values, and names the rung a zero-copy kernel takes on it.
+# the same values, and names the rung a batch-interleaved kernel takes on
+# it ("refused" for a list of lanes).
 FAMILIES = {
     "lane-major": (lambda x: x.copy(), "direct"),
     "interleaved": (to_interleaved, "soa"),
@@ -61,19 +63,22 @@ FAMILIES = {
         x, b := to_interleaved(np.zeros((len(x) + 3,) + x.shape[1:])),
         b[2:2 + len(x)]), "soa"),
     "lane-step": (lambda x: _in_buffer(
-        x, b := np.zeros((2 * len(x),) + x.shape[1:]), b[::2]), "pack"),
+        x, b := np.zeros((2 * len(x),) + x.shape[1:]), b[::2]), "direct"),
     "row-trimmed": (lambda x: _in_buffer(
         x, b := np.zeros((len(x), x.shape[1] + 3, x.shape[2])),
-        b[:, 1:1 + x.shape[1]]), "pack"),
+        b[:, 1:1 + x.shape[1]]), "direct"),
     "fortran": (np.asfortranarray, "soa"),
     "overlapping": (_overlapping, "block"),
-    "scattered": (lambda x: [np.array(lane) for lane in x], "pack"),
+    "scattered": (lambda x: [np.array(lane) for lane in x], "refused"),
     "single-lane": (lambda x: x[:1].copy(), "block"),
     "mixed": (None, "soa"),         # interleaved matrices, lane-major RHS
 }
 
 KERNELS = ["window", "fused_gbtrf", "fused_gbsv", "fwd", "bwd", "transU",
            "transL", "vbatch", "ref_gbtrf", "ref_gbtrs"]
+# Kernels that take a list of lanes: the vbatch kernel gathers its
+# buckets itself, the scalar references run block by block.
+TAKES_LISTS = ("vbatch", "ref_gbtrf", "ref_gbtrs")
 SOLVES = {"fwd": BlockedForwardKernel, "bwd": BlockedBackwardKernel,
           "transU": BlockedTransUKernel, "transL": BlockedTransLKernel}
 
@@ -97,34 +102,39 @@ def _operands(family, kernel):
     return mats, rhs, list(pivots) if kernel == "vbatch" else pivots
 
 
-def _run(kernel, mats, rhs, pivots):
-    """Launch ``kernel`` on the operands; returns its records and outputs."""
+def _kernel(kernel, mats, rhs, pivots, info):
+    """The kernel object under test, or None for a scalar reference."""
+    if kernel == "window":
+        return SlidingWindowGbtrfKernel(N, N, KL, KU, mats, pivots, info,
+                                        nb=8, threads=KL + 1)
+    if kernel == "fused_gbtrf":
+        return FusedGbtrfKernel(N, N, KL, KU, mats, pivots, info)
+    if kernel == "fused_gbsv":
+        return FusedGbsvKernel(N, KL, KU, NRHS, mats, pivots, rhs, info)
+    if kernel in SOLVES:
+        return SOLVES[kernel](N, KL, KU, NRHS, mats, pivots, rhs)
+    if kernel == "vbatch":
+        problem = VbatchProblem(m=N, n=N, kl=KL, ku=KU, nb=8,
+                                threads=KL + 1)
+        return VbatchGbtrfKernel([problem] * len(mats), mats, pivots, info)
+    return None
+
+
+def _run(kernel, mats, rhs, pivots, *, vectorize=True):
+    """Launch ``kernel`` on the operands (per block with ``vectorize``
+    False); returns its records and outputs."""
     nb = len(mats)
     info = np.zeros(nb, dtype=np.int64)
     stream = Stream(H100_PCIE)
-    if kernel == "window":
-        k = SlidingWindowGbtrfKernel(N, N, KL, KU, mats, pivots, info, nb=8,
-                                     threads=KL + 1)
-    elif kernel == "fused_gbtrf":
-        k = FusedGbtrfKernel(N, N, KL, KU, mats, pivots, info)
-    elif kernel == "fused_gbsv":
-        k = FusedGbsvKernel(N, KL, KU, NRHS, mats, pivots, rhs, info)
-    elif kernel in SOLVES:
-        k = SOLVES[kernel](N, KL, KU, NRHS, mats, pivots, rhs)
-    elif kernel == "vbatch":
-        problem = VbatchProblem(m=N, n=N, kl=KL, ku=KU, nb=8,
-                                threads=KL + 1)
-        k = VbatchGbtrfKernel([problem] * nb, mats, pivots, info)
+    k = _kernel(kernel, mats, rhs, pivots, info)
+    if k is not None:
+        launch(H100_PCIE, k, stream=stream, vectorize=vectorize)
     elif kernel == "ref_gbtrf":
         gbtrf_reference_batch(N, N, KL, KU, mats, pivots, info, H100_PCIE,
                               stream)
-        k = None
     else:
         gbtrs_reference_batch("N", N, KL, KU, NRHS, mats, pivots, rhs,
                               H100_PCIE, stream)
-        k = None
-    if k is not None:
-        launch(H100_PCIE, k, stream=stream)
     out = [np.stack([np.asarray(m) for m in mats]), np.stack(pivots), info]
     if kernel in SOLVES or kernel in ("fused_gbsv", "ref_gbtrs"):
         out.append(np.stack([np.asarray(x) for x in rhs]))
@@ -137,28 +147,63 @@ def _rung(record) -> str:
     return "soa" if record.soa else "pack" if record.packed else "direct"
 
 
+def _expected_rung(family, kernel, nlanes):
+    expect = FAMILIES[family][1]
+    if kernel.startswith("ref_") or nlanes == 1:
+        return "block"
+    if kernel == "vbatch":
+        return "pack"      # buckets are always gathered above one block
+    return expect
+
+
+def _same_bytes(out, want):
+    assert len(out) == len(want)
+    for got, ref in zip(out, want):
+        assert got.tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("family", list(FAMILIES))
 def test_stack_and_lane_list_launch_alike(family, kernel):
-    runs = []
-    for as_list in (False, True):
-        mats, rhs, pivots = _operands(family, kernel)
-        if as_list:
-            mats, rhs = list(mats), list(rhs)
-        runs.append(_run(kernel, mats, rhs, pivots))
-    (recs, out), (recs_l, out_l) = runs
-    assert [(_rung(r), r.display_name, r.pack_bytes) for r in recs] == \
-        [(_rung(r), r.display_name, r.pack_bytes) for r in recs_l]
-    for got, want in zip(out, out_l):
-        assert got.tobytes() == want.tobytes()
-    expect = FAMILIES[family][1]
-    if kernel.startswith("ref_"):
-        expect = "block"
-    elif kernel == "vbatch" and expect in ("direct", "soa"):
-        # Buckets are always gathered, and interleaved lanes' byte spans
-        # overlap, so the pack stage refuses them.
-        expect = "pack" if expect == "direct" else "block"
+    mats, rhs, pivots = _operands(family, kernel)
+    if isinstance(mats, list) and kernel not in TAKES_LISTS:
+        _refused(kernel, mats, rhs, pivots)
+        return
+    recs, out = _run(kernel, mats, rhs, pivots)
+    expect = _expected_rung(family, kernel, len(mats))
     assert {_rung(r) for r in recs} == {expect}
-    if expect == "pack" and kernel != "vbatch":
-        staged = out[0].nbytes + (out[3].nbytes if len(out) > 3 else 0)
-        assert recs[-1].pack_bytes == 2 * staged
+    if kernel != "vbatch":
+        assert all(r.pack_bytes == 0 for r in recs)
+    else:
+        assert recs[-1].pack_bytes == (
+            2 * out[0].nbytes if expect == "pack" else 0)
+    # Per-block bits.  The vbatch kernel gathers each bucket whole, so
+    # over lanes that overlap (which its driver rejects) it cannot match
+    # blocks run one after another.
+    if not (kernel == "vbatch" and family == "overlapping"):
+        _same_bytes(out, _run(kernel, *_operands(family, kernel),
+                              vectorize=False)[1])
+    if kernel in TAKES_LISTS and not isinstance(mats, list):
+        # The list of the same lanes launches alike.
+        mats_l, rhs_l, pivots_l = _operands(family, kernel)
+        recs_l, out_l = _run(kernel, list(mats_l), list(rhs_l), pivots_l)
+        assert [(_rung(r), r.display_name, r.pack_bytes) for r in recs] \
+            == [(_rung(r), r.display_name, r.pack_bytes) for r in recs_l]
+        _same_bytes(out_l, out)
+    elif kernel not in TAKES_LISTS:
+        _refused(kernel, list(mats), list(rhs), pivots)
+
+
+def _refused(kernel, mats, rhs, pivots):
+    """A list of lanes handed to a batch-interleaved kernel is a
+    ``TypeError`` naming the kernel, raised before any block runs or any
+    record is made."""
+    before = [np.array(x) for x in (*mats, *rhs)]
+    info = np.zeros(len(mats), dtype=np.int64)
+    k = _kernel(kernel, mats, rhs, pivots, info)
+    stream = Stream(H100_PCIE)
+    with pytest.raises(TypeError, match=k.name):
+        launch(H100_PCIE, k, stream=stream)
+    assert stream.records == []
+    for x, y in zip((*mats, *rhs), before):
+        assert np.asarray(x).tobytes() == y.tobytes()

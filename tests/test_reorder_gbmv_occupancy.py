@@ -132,6 +132,18 @@ class TestGbmvBatch:
             gbmv_batch("N", 8, 8, 1, 1, 1.0, a, [np.zeros(7)] * 2, 0.0,
                        [np.zeros(8)] * 2)
 
+    def test_y_entries_must_be_arrays(self):
+        """``y`` is written in place, so an entry that is a Python list is
+        rejected at y's position before anything runs."""
+        a = random_band_batch(2, 8, 1, 1, seed=11)
+        x = [np.ones(8)] * 2
+        y = [[1.0] * 8, [2.0] * 8]
+        stream = Stream(H100_PCIE)
+        with pytest.raises(ArgumentError) as err:
+            gbmv_batch("N", 8, 8, 1, 1, 1.0, a, x, 0.0, y, stream=stream)
+        assert err.value.position == 10
+        assert stream.records == [] and y == [[1.0] * 8, [2.0] * 8]
+
     def test_residual_use_case(self):
         """The gbrfs-style device-side residual: r = b - A x."""
         from repro.core import gbsv_batch

@@ -71,6 +71,19 @@ class TestNumericsAndPerformance:
         for p, q in zip(piv, piv_ref):
             np.testing.assert_array_equal(p, q)
 
+    def test_pointer_array_factors_in_place(self):
+        """Scattered lanes become one stack for the kernel and the factors
+        land back in the caller's lanes, with the stack path's bits."""
+        n, kl, ku = 40, 2, 3
+        a = random_band_batch(3, n, kl, ku, seed=4)
+        lanes = [lane.copy() for lane in a]
+        spec = create_specialization(H100_PCIE, kl, ku)
+        piv_ref, info_ref = spec.gbtrf_batch(n, n, a)
+        piv, info = spec.gbtrf_batch(n, n, lanes)
+        assert np.stack(lanes).tobytes() == a.tobytes()
+        assert np.stack(piv).tobytes() == np.stack(piv_ref).tobytes()
+        assert info.tobytes() == info_ref.tobytes()
+
     def test_dtype_enforced(self):
         spec = create_specialization(H100_PCIE, 2, 3)
         a = random_band_batch(1, 16, 2, 3, dtype=np.float32, seed=2)

@@ -137,10 +137,10 @@ class TestGbsvVbatchVectorized:
 
 class TestPointerArrayDispatch:
     def test_noncontiguous_pointer_array_packs(self, per_block):
-        """A lane-step stack (every other lane of a larger one) stages
-        through the gather/pack path at each launch; separate allocations
-        are gathered once at entry and launch ``[vec]``.  Both match the
-        per-block bits."""
+        """A lane-step stack (every other lane of a larger one) runs
+        ``[vec]`` in place, with no pack traffic; separate allocations
+        are gathered once at entry and launch ``[vec]`` too.  Both match
+        the per-block bits."""
         n, kl, ku, batch = 20, 2, 2, 5
         rng = np.random.default_rng(13)
         blocks = [random_band(n, kl, ku, seed=rng) for _ in range(batch)]
@@ -151,9 +151,8 @@ class TestPointerArrayDispatch:
         piv, info = gbtrf_batch(n, n, kl, ku, stepped, method="window",
                                 stream=stream)
         rec = stream.records[-1]
-        assert rec.vectorized and rec.packed
-        assert rec.display_name == "gbtrf_window[vec+pack]"
-        assert rec.pack_bytes == 2 * sum(b.nbytes for b in blocks)
+        assert rec.vectorized and not rec.packed and rec.pack_bytes == 0
+        assert rec.display_name == "gbtrf_window[vec]"
         scattered = PointerArray([b.copy() for b in blocks])
         stream = Stream(H100_PCIE)
         piv_s, info_s = gbtrf_batch(n, n, kl, ku, scattered, method="window",
@@ -172,8 +171,8 @@ class TestPointerArrayDispatch:
         _bytes_equal((info, info2), (info_s, info2))
 
     def test_interleaved_views_take_soa_route(self, per_block):
-        """Lane-interleaved views of one buffer are unpackable (their byte
-        spans interleave) but disjoint: since the SoA layout became
+        """Lane-interleaved views of one buffer have byte spans that
+        interleave but no shared element: since the SoA layout became
         first-class (docs/LAYOUTS.md) auto dispatch runs them natively as
         ``[vec+soa]``, bit-identical to per-block execution."""
         n, kl, ku = 16, 1, 2

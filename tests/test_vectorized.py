@@ -226,8 +226,8 @@ def test_gbtf2_batched_singular_lanes(dtype):
 
 def _lane_step(a):
     """``a`` copied into every other lane of a stack twice as tall: a
-    strided ndarray whose lanes form no zero-copy stack, so each launch
-    gathers and scatters it (the pack rung)."""
+    strided ndarray whose lanes are disjoint but not consecutive, which
+    the kernels run in place (``[vec]``)."""
     buf = np.zeros((2 * len(a),) + a.shape[1:], dtype=a.dtype)
     buf[::2] = a
     return buf[::2]
@@ -238,12 +238,12 @@ def _rungs(a):
     launches must carry: a uniform lane-major stack run per block (the
     ``per_block`` fixture, the bare label) and as the launcher picks
     (``[vec]``),
-    a lane-fastest stack (``[vec+soa]``), a lane-step view
-    (``[vec+pack]``), and scattered per-lane copies, which the call
-    gathers into one stack where it enters the layer stack (``[vec]``)."""
+    a lane-fastest stack (``[vec+soa]``), a lane-step view (``[vec]``,
+    in place), and scattered per-lane copies, which the call gathers
+    into one stack where it enters the layer stack (``[vec]``)."""
     return [(a.copy(), ""), (a.copy(), "[vec]"),
             (to_interleaved(a), "[vec+soa]"),
-            (_lane_step(a), "[vec+pack]"),
+            (_lane_step(a), "[vec]"),
             ([np.array(x) for x in a], "[vec]")]
 
 
@@ -476,9 +476,9 @@ class TestDispatch:
         assert {s.name for s in summarize([stream])} == {"gbtrf_window[vec]"}
 
     def test_pointer_array_packs_and_vectorizes(self):
-        """A lane-step stack packs at every launch; a scattered pointer
-        array is gathered once at entry and launches ``[vec]`` with no
-        pack traffic.  Both give the stack path's bits."""
+        """A lane-step stack runs ``[vec]`` in place, and a scattered
+        pointer array is gathered once at entry and launches ``[vec]``:
+        neither launch packs.  Both give the stack path's bits."""
         n, kl, ku, batch = 24, 2, 3, 4
         a = _band_batch(batch, n, kl, ku, np.float64, seed=31)
         stepped = _lane_step(a)
@@ -486,10 +486,8 @@ class TestDispatch:
         piv, info = gbtrf_batch(n, n, kl, ku, stepped, method="window",
                                 stream=stream)
         rec = stream.records[-1]
-        assert rec.vectorized and rec.packed
-        assert rec.display_name == "gbtrf_window[vec+pack]"
-        # Gather + scatter of the matrix batch.
-        assert rec.pack_bytes == 2 * a.nbytes
+        assert rec.vectorized and not rec.packed and rec.pack_bytes == 0
+        assert rec.display_name == "gbtrf_window[vec]"
         scattered = PointerArray([a[k].copy() for k in range(batch)])
         stream = Stream(H100_PCIE)
         piv_s, info_s = gbtrf_batch(n, n, kl, ku, scattered,
@@ -600,7 +598,7 @@ class TestDispatch:
         a = _band_batch(batch, n, kl, ku, np.float64, seed=38)
         pivots = np.zeros((batch, n), dtype=np.int64)
         info = np.zeros(batch, dtype=np.int64)
-        kernel = SlidingWindowGbtrfKernel(n, n, kl, ku, list(a), pivots,
+        kernel = SlidingWindowGbtrfKernel(n, n, kl, ku, a, pivots,
                                           info, nb=8, threads=kl + 1)
         from repro.errors import SharedMemoryError
         with pytest.raises(SharedMemoryError):
@@ -612,7 +610,7 @@ class TestDispatch:
 
 
 # ---------------------------------------------------------------------------
-# Staging: in-place views on the direct and soa rungs, one walk per launch
+# Staging: kernels slice the caller's stacks in place; lists are refused
 # ---------------------------------------------------------------------------
 
 
@@ -635,39 +633,48 @@ class _Walked(list):
 
 class TestStaging:
     def test_uniform_stack_stages_in_place(self):
-        from repro.core.batch_args import stage_stack
-        a = _band_batch(6, 20, 2, 3, np.float64, seed=40)
-        for rows in (None, 5):
-            view = stage_stack(list(a), 4, packed=False, rows=rows)
-            expect = a[:4] if rows is None else a[:4, :rows]
-            assert np.shares_memory(view, a)
-            _bytes_equal((view, expect))
-            view[3, 1, 2] = 7.0
-            assert a[3, 1, 2] == 7.0
+        """The window body slices the caller's stack: the factors land in
+        it and the rows below the factor layout stay untouched, on the
+        direct rung and per block alike, with the scalar bits."""
+        from repro.core.gbtrf_window import SlidingWindowGbtrfKernel
+        n, kl, ku, batch = 20, 2, 3, 6
+        a = _band_batch(batch, n, kl, ku, np.float64, seed=40)
+        ldab = a.shape[1]
+        outs = []
+        for vectorize in (True, False):
+            buf = np.full((batch, ldab + 2, n), 7.0)
+            buf[:, :ldab] = a
+            piv = np.zeros((batch, n), dtype=np.int64)
+            info = np.zeros(batch, dtype=np.int64)
+            kernel = SlidingWindowGbtrfKernel(n, n, kl, ku, buf, piv, info,
+                                              nb=8, threads=kl + 1)
+            rec = launch(H100_PCIE, kernel, vectorize=vectorize)
+            assert rec.vectorized == vectorize and rec.pack_bytes == 0
+            assert (buf[:, ldab:] == 7.0).all()
+            outs.append((buf[:, :ldab], piv, info))
+        a_ref, piv_ref, info_ref = _gbtf2_lanes(n, n, kl, ku, a)
+        _bytes_equal(*zip(*outs), (outs[0][0], a_ref), (outs[0][1], piv_ref),
+                     (outs[0][2], info_ref))
 
     def test_scattered_batch_still_gathers(self, per_block):
-        from repro.core.batch_args import stage_stack
+        """A scattered pointer array is gathered once, where the call
+        enters the layer stack; a lane-step stack is not gathered at all.
+        Both launch ``[vec]`` with no pack traffic and the per-block
+        bits."""
         n, kl, ku, batch = 24, 2, 3, 5
         a = _band_batch(batch, n, kl, ku, np.float64, seed=41)
-        scattered = [np.array(x) for x in a]
-        staged = stage_stack(scattered, batch, packed=True)
-        assert not any(np.shares_memory(staged, x) for x in scattered)
-        _bytes_equal((staged, a))
         a_ref = a.copy()
         with per_block():
             piv_ref, _ = gbtrf_batch(n, n, kl, ku, a_ref)
         stepped = _lane_step(a)
-        stream = Stream(H100_PCIE)
-        piv, _ = gbtrf_batch(n, n, kl, ku, stepped, stream=stream)
-        rec = stream.records[-1]
-        assert rec.packed and rec.pack_bytes == 2 * a.nbytes
-        _bytes_equal((stepped, a_ref), (piv, piv_ref))
-        # The scattered list is gathered once at entry, not per launch.
-        stream = Stream(H100_PCIE)
-        piv, _ = gbtrf_batch(n, n, kl, ku, scattered, stream=stream)
-        rec = stream.records[-1]
-        assert rec.display_name.endswith("[vec]") and rec.pack_bytes == 0
-        _bytes_equal((np.stack(scattered), a_ref), (piv, piv_ref))
+        scattered = [np.array(x) for x in a]
+        for operand in (stepped, scattered):
+            stream = Stream(H100_PCIE)
+            piv, _ = gbtrf_batch(n, n, kl, ku, operand, stream=stream)
+            rec = stream.records[-1]
+            assert rec.display_name.endswith("[vec]")
+            assert not rec.packed and rec.pack_bytes == 0
+            _bytes_equal((np.stack(operand), a_ref), (piv, piv_ref))
 
     @pytest.mark.parametrize("fail", ["gbtrf", "gbtrs_fwd", "gbtrs_bwd"])
     def test_resilient_retry_restores_stack(self, fail):
@@ -693,8 +700,11 @@ class TestStaging:
     @pytest.mark.parametrize("layouts", [
         ("aos", "aos"), ("soa", "soa"), ("aos", "soa"), ("soa", "aos")])
     def test_each_operand_list_walked_once(self, layouts):
-        """The launcher decides the rung once and the kernel stages by that
-        decision, so no operand list is walked twice in one launch."""
+        """The launcher reads the rung off the operand stacks, so no lane
+        is walked: a list of lanes handed to a kernel is refused with a
+        ``TypeError`` naming it before one lane is read or a record is
+        made, and the stacks it stands for launch on their rung with the
+        per-block bits."""
         from repro.core.gbtrs_blocked import BlockedForwardKernel
         n, kl, ku, batch = 40, 3, 2, 16
         a = _band_batch(batch, n, kl, ku, np.float64, seed=44)
@@ -702,18 +712,25 @@ class TestStaging:
         b = random_rhs(n, 1, batch=batch, seed=45)
         ops = [x.copy() if lay == "aos" else to_interleaved(x)
                for x, lay in zip((a, b), layouts)]
-        mats, rhs = _Walked(ops[0]), _Walked(ops[1])
-        kernel = BlockedForwardKernel(n, kl, ku, 1, mats, piv, rhs)
-        rec = launch(H100_PCIE, kernel)
+        for as_list in ((True, False), (False, True)):
+            mats, rhs = (_Walked(x) if lst else x
+                         for x, lst in zip(ops, as_list))
+            kernel = BlockedForwardKernel(n, kl, ku, 1, mats, piv, rhs)
+            lists = [x for x in (mats, rhs) if isinstance(x, _Walked)]
+            reads = [x.reads for x in lists]
+            stream = Stream(H100_PCIE)
+            with pytest.raises(TypeError, match="gbtrs_fwd_blocked"):
+                launch(H100_PCIE, kernel, stream=stream)
+            assert stream.records == []
+            assert [x.reads for x in lists] == reads
+        _bytes_equal((ops[1], b))
+        rec = launch(H100_PCIE, BlockedForwardKernel(n, kl, ku, 1, ops[0],
+                                                     piv, ops[1]))
         assert rec.vectorized and not rec.packed
         assert rec.soa == ("soa" in layouts)
-        # One walk of each list plus a few fixed lane reads (the first
-        # two lanes for the prefix check and the staged view).
-        assert mats.reads < 2 * batch and rhs.reads < 2 * batch
         # The forward solve alone ran; compare with the per-block kernel.
         b_blk = b.copy()
-        launch(H100_PCIE, BlockedForwardKernel(n, kl, ku, 1, list(a), piv,
-                                               list(b_blk)),
+        launch(H100_PCIE, BlockedForwardKernel(n, kl, ku, 1, a, piv, b_blk),
                vectorize=False)
         _bytes_equal((ops[1], b_blk))
 
