@@ -11,7 +11,8 @@ at the paper's workload scale.
 
 Runnable standalone (``python benchmarks/bench_vectorized_speedup.py
 [--quick]``).  ``--quick`` only checks that vectorized ``gbtrf`` and
-``gbtrs`` (trans N and T) give the bits of ``gbtf2`` per lane and
+``gbtrs`` (trans N and T), and the reference design's ``gbtrf`` and
+``gbtrs`` (trans N), give the bits of ``gbtf2`` per lane and
 ``gbtrs_unblocked`` at n=256, kl=ku=8, batch 32 (no wall-clock gate);
 without it the speedup is measured, archived and gated as in the pytest
 run.
@@ -44,27 +45,32 @@ FLOOR = 6.0
 def check_bit_identity(batch: int = 32) -> None:
     """Vectorized gbtrf, and gbtrs with trans N and T, give the bytes of
     the scalar references ``gbtf2`` (per lane) and ``gbtrs_unblocked``
-    (the blocked solves cross their nb=34 block edges)."""
+    (the blocked solves cross their nb=34 block edges); so do the
+    reference design's per-column kernels (gbtrf, and gbtrs with trans
+    N)."""
     a = random_band_batch(batch, N, KL, KU, seed=7)
-    a_ref, a_vec = a.copy(), a.copy()
+    a_ref = a.copy()
     piv_ref = np.zeros((batch, N), dtype=np.int64)
     info_ref = np.zeros(batch, dtype=np.int64)
     for k in range(batch):
         piv_ref[k], info_ref[k] = gbtf2(N, N, KL, KU, a_ref[k])
     stream = Stream(H100_PCIE)
-    piv_vec, info_vec = gbtrf_batch(N, N, KL, KU, a_vec, stream=stream)
-    assert a_vec.tobytes() == a_ref.tobytes()
-    assert np.stack(piv_vec).tobytes() == piv_ref.tobytes()
-    assert info_vec.tobytes() == info_ref.tobytes()
+    for method in ("auto", "reference"):
+        a_vec = a.copy()
+        piv_vec, info_vec = gbtrf_batch(N, N, KL, KU, a_vec, stream=stream,
+                                        method=method)
+        assert a_vec.tobytes() == a_ref.tobytes(), method
+        assert np.stack(piv_vec).tobytes() == piv_ref.tobytes(), method
+        assert info_vec.tobytes() == info_ref.tobytes(), method
     b = random_rhs(N, 1, batch=batch, seed=8)
-    for trans in "NT":
+    for trans, method in (("N", "auto"), ("T", "auto"), ("N", "reference")):
         b_ref, b_vec = b.copy(), b.copy()
         for k in range(batch):
             gbtrs_unblocked(trans, N, KL, KU, a_ref[k], piv_ref[k],
                             b_ref[k])
         gbtrs_batch(trans, N, KL, KU, 1, a_ref, piv_ref, b_vec,
-                    stream=stream)
-        assert b_vec.tobytes() == b_ref.tobytes(), trans
+                    stream=stream, method=method)
+        assert b_vec.tobytes() == b_ref.tobytes(), (trans, method)
     # Every launch took the batch-interleaved path.
     assert all(r.display_name.endswith("[vec]") for r in stream.records)
 
@@ -97,8 +103,9 @@ def test_vectorized_speedup(benchmark):
 if __name__ == "__main__":
     check_bit_identity()
     if "--quick" in sys.argv[1:]:
-        print(f"vectorized gbtrf and gbtrs (N, T) bit-identical to gbtf2 "
-              f"and gbtrs_unblocked (n={N}, kl=ku={KL}, batch 32); quick "
+        print(f"vectorized gbtrf and gbtrs (N, T), and the reference "
+              f"design's gbtrf and gbtrs (N), bit-identical to gbtf2 and "
+              f"gbtrs_unblocked (n={N}, kl=ku={KL}, batch 32); quick "
               "mode: wall-clock not asserted")
     else:
         measure_and_gate()

@@ -65,10 +65,11 @@ class BatchedGbmvKernel(Kernel):
             threads=self.threads(),
         )
 
-    def run_block(self, block_id: int, smem: SharedMemory) -> None:
-        gbmv(self.trans, self.m, self.kl, self.ku, self.alpha,
-             self.mats[block_id], self.xs[block_id], self.beta,
-             self.ys[block_id])
+    def run_batch_vectorized(self, hi: int, smem: SharedMemory, *,
+                             lo: int = 0) -> None:
+        for k in range(lo, hi):
+            gbmv(self.trans, self.m, self.kl, self.ku, self.alpha,
+                 self.mats[k], self.xs[k], self.beta, self.ys[k])
 
 
 def gbmv_batch(trans: Trans | str, m: int, n: int, kl: int, ku: int,

@@ -181,27 +181,29 @@ def _dispatch(method, cfg, ops):
                conversion=ops.call.conversion)
         return
     GBTRF.dispatch("auto", cfg, ops)
+    _solve_regular(ops, lambda sub: GBTRS.dispatch("auto", cfg, sub))
+
+
+def _solve_regular(ops, solve) -> None:
+    """Run ``solve`` on the factored problems whose ``info`` is 0 (LAPACK
+    leaves B of a singular problem unchanged): all lanes in place, else
+    gathered into one stack whose solutions are scattered back."""
     if ops.nrhs == 0:
         return
     ok = np.flatnonzero(ops.info == 0)
     if len(ok) == ops.batch:
-        GBTRS.dispatch("auto", cfg, ops)
+        solve(ops)
     elif len(ok):
-        # Solve only the non-singular problems (LAPACK leaves B of a
-        # singular problem unchanged): gather them into one stack, solve
-        # it on the batch-interleaved path, scatter the solutions back.
         sub = ops.take(ok)
-        GBTRS.dispatch("auto", cfg, sub)
+        solve(sub)
         ops.put_back(ok, sub, GBTRS)
 
 
 def _host(ops):
-    """Host reference: ``gbtf2``, then ``gbtrs_unblocked`` when regular."""
-    for j, (a, p) in enumerate(zip(ops.mats, ops.pivots)):
-        _, ops.info[j] = gbtf2(ops.n, ops.n, ops.kl, ops.ku, a, p)
-        if ops.info[j] == 0 and ops.nrhs:
-            gbtrs_unblocked(Trans.NO_TRANS, ops.n, ops.kl, ops.ku, a, p,
-                            ops.rhs[j])
+    """Host reference: the factorization's, then the solve's on the
+    regular lanes."""
+    GBTRF.host(ops)
+    _solve_regular(ops, GBTRS.host)
 
 
 #: Factor-and-solve: the fused kernel, degrading to gbtrf then gbtrs.

@@ -19,11 +19,10 @@ The band array is factor layout: dense entry ``(r, c)`` lives at
 first maximal entry, as in ``IDAMAX``); the factors agree with a compiled
 LAPACK to rounding, not bit for bit (see :mod:`repro.cpu.lapack_like`).
 
-The per-problem blocks work on a whole matrix.  They are the fork-join
-reference design (paper Section 5.1, :mod:`repro.core.gbtrf_reference`)
-and, through :func:`gbtf2`, the scalar reference every other design is
-tested against, the CPU fallback and the one-lane path of the fully fused
-kernel (paper Section 5.2, :mod:`repro.core.gbtrf_fused`).
+The per-problem blocks work on a whole matrix.  Through :func:`gbtf2`
+they are the scalar reference every design is tested against, the
+single-matrix driver and the one-lane path of the fully fused kernel
+(paper Section 5.2, :mod:`repro.core.gbtrf_fused`).
 
 **Batch-interleaved variants.**  Each building block also has a
 ``*_batched`` form operating on a ``(batch, ldab, ncols)`` stack that
@@ -39,7 +38,10 @@ blocks would apply, so the results are **bit-for-bit identical** to running
 (dense column ``c`` at stack column ``c - col0``), so the same step runs
 on a whole-matrix shared-memory tile (fused design, paper Section 5.2) or
 on a sliding window holding only columns ``[c0, c0 + nb + kv + 1)``
-(paper Section 5.3, :mod:`repro.core.gbtrf_window`).
+(paper Section 5.3, :mod:`repro.core.gbtrf_window`).  The fork-join
+reference design (paper Section 5.1, :mod:`repro.core.gbtrf_reference`)
+runs them one launch per step on the caller's stack, and
+:func:`gbtf2_batched` is the host net of the resilient dispatch.
 """
 
 from __future__ import annotations

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..band.layout import ldab_for_factor
 from ..errors import check_arg
 from ..gpusim.device import H100_PCIE, DeviceSpec
 from ..gpusim.kernel import launch
 from ..tuning.defaults import FUSED_CUTOFF, window_params
 from .batch_args import as_matrix_list, check_gb_args, ensure_info, \
     ensure_pivots
-from .gbtf2 import gbtf2
+from .gbtf2 import gbtf2, gbtf2_batched
 from .gbtrf_fused import FusedGbtrfKernel
 from .gbtrf_reference import gbtrf_reference_batch
 from .gbtrf_window import SlidingWindowGbtrfKernel
@@ -241,9 +242,15 @@ def _dispatch(method, cfg, ops):
 
 
 def _host(ops):
-    """Host reference (``gbtf2``, bit-identical to the reference kernels)."""
-    for j, (a, p) in enumerate(zip(ops.mats, ops.pivots)):
-        _, ops.info[j] = gbtf2(ops.m, ops.n, ops.kl, ops.ku, a, p)
+    """Host reference: ``gbtf2_batched`` over every lane, bit-identical
+    to ``gbtf2`` per lane.  The factor rows are staged into a column-major
+    lane-last copy, as the fused kernel's tile is: one column's band rows
+    are adjacent runs of lanes."""
+    a = ops.mats[:, :ldab_for_factor(ops.kl, ops.ku)]
+    tiles = np.empty(a.shape[::-1], a.dtype).transpose(2, 1, 0)
+    tiles[...] = a
+    gbtf2_batched(ops.m, ops.n, ops.kl, ops.ku, tiles, ops.pivots, ops.info)
+    a[...] = tiles
 
 
 #: The factorization as the layer stack sees it.

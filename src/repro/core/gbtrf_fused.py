@@ -70,8 +70,10 @@ class FusedGbtrfKernel(Kernel):
                                 self.nthreads, self.itemsize)
 
     def run_block(self, block_id: int, smem: SharedMemory) -> None:
-        # A tile around the scalar gbtf2 rather than the batch-of-one
-        # body: on one lane it is about 1.8x faster (n=64, kl=ku=3).
+        # The one override of Kernel.run_block: a tile around the scalar
+        # gbtf2 rather than the batch-of-one body.  Every one-lane launch
+        # (grid == 1) runs it, and the request service makes many; there
+        # it takes 1.66 ms against 2.71 ms (n=64, kl=ku=3, best of 200).
         ab = self.mats[block_id]
         ldab = self.layout.ldab_factor
         tile = smem.alloc((ldab, self.n), dtype=ab.dtype)

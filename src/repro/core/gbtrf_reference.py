@@ -3,7 +3,9 @@
 The CPU manages the factorization loop and launches GPU kernels at every
 column iteration: one kernel performing the pivot search, fill-in setup,
 bounded row swap and column scaling, and a second performing the rank-1
-update.  Both operate directly on global memory.
+update.  Both operate directly on global memory, advancing every lane
+of their range together with the ``*_batched`` blocks of
+:mod:`repro.core.gbtf2`.
 
 As the paper notes, this fork-join design is "slower than a multicore CPU
 solution in most cases" — ``min(m, n)`` iterations each paying kernel-launch
@@ -20,23 +22,44 @@ from ..gpusim.device import DeviceSpec
 from ..gpusim.kernel import Kernel, SharedMemory, launch
 from .costs import reference_column_cost
 from .gbtf2 import (
-    init_fillin,
-    pivot_search,
-    rank_one_update,
-    scale_column,
-    set_fillin,
-    swap_right,
-    update_bound,
+    init_fillin_batched,
+    pivot_search_batched,
+    rank_one_update_batched,
+    scale_column_batched,
+    set_fillin_batched,
+    swap_right_batched,
+    update_bound_batched,
 )
 
 __all__ = ["ColumnPivotKernel", "ColumnUpdateKernel", "FactorInitKernel",
            "gbtrf_reference_batch"]
 
 
-class _ColumnKernelBase(Kernel):
-    """Shared state for the per-column kernels of one batched factorization."""
+class ReferenceState:
+    """Operands and device state of one batched reference call, shared
+    by its per-column kernels (the factorization's and the solve's).
 
-    def __init__(self, state: "_FactorState", j: int):
+    A factorization carries, per lane, the update bound ``ju`` and this
+    step's ``bound`` for the swap and the rank-one update (``j - 1`` on
+    a lane whose pivot is exactly zero, so it skips both); the init
+    kernel resets them.
+    """
+
+    def __init__(self, m, n, kl, ku, mats, pivots, *, info=None, nrhs=0,
+                 rhs=None):
+        self.m, self.n, self.kl, self.ku, self.nrhs = m, n, kl, ku, nrhs
+        self.mats, self.pivots, self.info, self.rhs = mats, pivots, info, rhs
+        self.threads = max(kl + 1, 32)
+        self.itemsize = mats[0].dtype.itemsize if len(mats) else 8
+        self.ju = np.full(len(mats), -1, dtype=np.int64)
+        self.bound = self.ju.copy()
+
+
+class ReferenceKernel(Kernel):
+    """One per-column kernel of a reference call: a block per lane, no
+    shared memory, operating on the caller's stacks in place."""
+
+    def __init__(self, state: ReferenceState, j: int = 0):
         self.state = state
         self.j = j
 
@@ -49,9 +72,14 @@ class _ColumnKernelBase(Kernel):
     def smem_bytes(self) -> int:
         return 0
 
+    def pack_operands(self) -> tuple:
+        s = self.state
+        return (s.mats,) if s.rhs is None else (s.mats, s.rhs)
 
-class FactorInitKernel(_ColumnKernelBase):
-    """Per-invocation setup: reset ``ju``/``info`` and clear fill-in rows.
+
+class FactorInitKernel(ReferenceKernel):
+    """Per-invocation setup: reset ``ju``/``bound``/``info`` and clear the
+    initial fill-in rows.
 
     Running this as a kernel (rather than host code) keeps the whole
     fork-join pipeline device-side state, which is what makes it graph-
@@ -60,23 +88,21 @@ class FactorInitKernel(_ColumnKernelBase):
 
     name = "gbtrf_ref_init"
 
-    def __init__(self, state: "_FactorState"):
-        super().__init__(state, 0)
-
     def block_cost(self) -> BlockCost:
         s = self.state
         fill = min(max(s.kl + s.ku - s.ku - 1, 0), s.n) * s.kl
         return BlockCost(dram_traffic=(fill + 2) * s.itemsize, syncs=1,
                          threads=s.threads)
 
-    def run_block(self, block_id: int, smem: SharedMemory) -> None:
+    def run_batch_vectorized(self, hi: int, smem: SharedMemory, *,
+                             lo: int = 0) -> None:
         s = self.state
-        s.ju[block_id] = -1
-        s.info[block_id] = 0
-        init_fillin(s.mats[block_id], s.n, s.kl, s.ku)
+        s.ju[lo:hi] = s.bound[lo:hi] = -1
+        s.info[lo:hi] = 0
+        init_fillin_batched(s.mats[lo:hi], s.n, s.kl, s.ku)
 
 
-class ColumnPivotKernel(_ColumnKernelBase):
+class ColumnPivotKernel(ReferenceKernel):
     """Pivot search + fill-in + bounded swap + scale for column ``j``."""
 
     name = "gbtrf_ref_pivot"
@@ -85,24 +111,25 @@ class ColumnPivotKernel(_ColumnKernelBase):
         s = self.state
         return reference_column_cost(s.kl, s.ku, s.threads, s.itemsize)[0]
 
-    def run_block(self, block_id: int, smem: SharedMemory) -> None:
+    def run_batch_vectorized(self, hi: int, smem: SharedMemory, *,
+                             lo: int = 0) -> None:
         s, j = self.state, self.j
-        ab = s.mats[block_id]
-        kv = s.kl + s.ku
-        set_fillin(ab, s.n, s.kl, s.ku, j)
-        jp = pivot_search(ab, s.m, s.kl, s.ku, j)
-        s.pivots[block_id][j] = j + jp
-        if ab[kv + jp, j] != 0:
-            s.ju[block_id] = update_bound(s.n, s.kl, s.ku, j, jp,
-                                          s.ju[block_id])
-            swap_right(ab, s.kl, s.ku, j, jp, s.ju[block_id])
-            scale_column(ab, s.m, s.kl, s.ku, j)
-        elif s.info[block_id] == 0:
-            s.info[block_id] = j + 1
+        abst = s.mats[lo:hi]
+        set_fillin_batched(abst, s.n, s.kl, s.ku, j)
+        jp, active = pivot_search_batched(abst, s.m, s.kl, s.ku, j)
+        s.pivots[lo:hi, j] = jp + j
+        lanes = None if active.all() else active
+        s.ju[lo:hi], s.bound[lo:hi] = update_bound_batched(
+            s.n, s.kl, s.ku, j, jp, s.ju[lo:hi], lanes)
+        swap_right_batched(abst, s.kl, s.ku, j, jp, s.bound[lo:hi])
+        scale_column_batched(abst, s.m, s.kl, s.ku, j, active=lanes)
+        info = s.info[lo:hi]
+        info[(info == 0) & ~active] = j + 1
 
 
-class ColumnUpdateKernel(_ColumnKernelBase):
-    """Rank-1 trailing update for column ``j`` (bounded by ``ju``)."""
+class ColumnUpdateKernel(ReferenceKernel):
+    """Rank-1 trailing update for column ``j`` (bounded by this step's
+    ``bound``, which a zero pivot sets to ``j - 1``: LAPACK skips it)."""
 
     name = "gbtrf_ref_update"
 
@@ -110,39 +137,24 @@ class ColumnUpdateKernel(_ColumnKernelBase):
         s = self.state
         return reference_column_cost(s.kl, s.ku, s.threads, s.itemsize)[1]
 
-    def run_block(self, block_id: int, smem: SharedMemory) -> None:
-        s, j = self.state, self.j
-        ab = s.mats[block_id]
-        kv = s.kl + s.ku
-        # A zero pivot skips the update (LAPACK semantics); detect it from
-        # the info flag set by the pivot kernel for this very column.
-        if s.info[block_id] != 0 and s.info[block_id] == j + 1:
-            return
-        rank_one_update(ab, s.m, s.kl, s.ku, j, int(s.ju[block_id]))
-
-
-class _FactorState:
-    """Per-call mutable state shared by the column kernels."""
-
-    def __init__(self, m, n, kl, ku, mats, pivots, info, threads):
-        self.m, self.n, self.kl, self.ku = m, n, kl, ku
-        self.mats = mats
-        self.pivots = pivots
-        self.info = info
-        self.threads = threads
-        self.ju = np.full(len(mats), -1, dtype=np.int64)
-        self.itemsize = mats[0].dtype.itemsize if len(mats) else 8
+    def run_batch_vectorized(self, hi: int, smem: SharedMemory, *,
+                             lo: int = 0) -> None:
+        s = self.state
+        rank_one_update_batched(s.mats[lo:hi], s.m, s.kl, s.ku, self.j,
+                                s.bound[lo:hi])
 
 
 def gbtrf_reference_batch(m: int, n: int, kl: int, ku: int,
-                          mats: list[np.ndarray],
-                          pivots: list[np.ndarray], info: np.ndarray,
-                          device: DeviceSpec, stream=None, *,
-                          execute: bool = True,
+                          mats: np.ndarray, pivots: np.ndarray,
+                          info: np.ndarray, device: DeviceSpec, stream=None,
+                          *, execute: bool = True,
                           conversion=None) -> None:
     """Fork-join reference factorization: 2 kernel launches per column."""
-    threads = max(kl + 1, 32)
-    state = _FactorState(m, n, kl, ku, mats, pivots, info, threads)
+    if isinstance(mats, np.ndarray) and mats.strides[0] < 0:
+        # The batched blocks address the stack by non-negative strides;
+        # lanes are independent, so the reversed views give the same bits.
+        mats, pivots, info = mats[::-1], pivots[::-1], info[::-1]
+    state = ReferenceState(m, n, kl, ku, mats, pivots, info=info)
     launch(device, FactorInitKernel(state), stream=stream,
            execute=execute, conversion=conversion)
     for j in range(min(m, n)):

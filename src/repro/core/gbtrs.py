@@ -30,7 +30,7 @@ from .gbtrs_blocked import (
     BlockedTransUKernel,
 )
 from .gbtrs_reference import gbtrs_reference_batch
-from .solve_blocks import gbtrs_unblocked
+from .solve_blocks import gbtrs_batched, gbtrs_unblocked
 from .stack import IN, INOUT, OUT, ExecConfig, Operands, OpSpec, \
     check_execution, run
 from .verify import as_verify_policy, gate_gbtrs, score_gbtrs
@@ -184,9 +184,10 @@ def _dispatch(method, cfg, ops):
 
 
 def _host(ops):
-    """Host reference (``gbtrs_unblocked``)."""
-    for a, p, b in zip(ops.mats, ops.pivots, ops.rhs):
-        gbtrs_unblocked(ops.trans, ops.n, ops.kl, ops.ku, a, p, b)
+    """Host reference: ``gbtrs_batched`` over every lane, bit-identical
+    to ``gbtrs_unblocked`` per lane."""
+    gbtrs_batched(ops.trans, ops.n, ops.kl, ops.ku, ops.mats, ops.pivots,
+                  ops.rhs)
 
 
 #: The solve as the layer stack sees it: factors and pivots are inputs.

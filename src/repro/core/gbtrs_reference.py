@@ -13,42 +13,17 @@ import numpy as np
 
 from ..gpusim.costmodel import BlockCost
 from ..gpusim.device import DeviceSpec
-from ..gpusim.kernel import Kernel, SharedMemory, launch
+from ..gpusim.kernel import SharedMemory, launch
 from ..types import Trans
-from .solve_blocks import backward_step, forward_swap, forward_update, gbtrs_unblocked
+from .gbtrf_reference import ReferenceKernel, ReferenceState
+from .solve_blocks import backward_step_batched, forward_update_batched, \
+    gbtrs_batched
 
 __all__ = ["RhsSwapKernel", "RhsUpdateKernel", "BackwardColumnKernel",
            "gbtrs_reference_batch"]
 
 
-class _SolveState:
-    """Shared state of one batched reference solve."""
-
-    def __init__(self, n, kl, ku, nrhs, mats, pivots, rhs, threads):
-        self.n, self.kl, self.ku, self.nrhs = n, kl, ku, nrhs
-        self.mats = mats
-        self.pivots = pivots
-        self.rhs = rhs
-        self.threads = threads
-        self.itemsize = mats[0].dtype.itemsize if len(mats) else 8
-
-
-class _SolveKernelBase(Kernel):
-    def __init__(self, state: _SolveState, j: int):
-        self.state = state
-        self.j = j
-
-    def grid(self) -> int:
-        return len(self.state.mats)
-
-    def threads(self) -> int:
-        return self.state.threads
-
-    def smem_bytes(self) -> int:
-        return 0
-
-
-class RhsSwapKernel(_SolveKernelBase):
+class RhsSwapKernel(ReferenceKernel):
     """Apply pivot ``j`` to the RHS (the swap kernel of the pair)."""
 
     name = "gbtrs_ref_swap"
@@ -58,12 +33,18 @@ class RhsSwapKernel(_SolveKernelBase):
         return BlockCost(dram_traffic=4 * s.nrhs * s.itemsize, syncs=1,
                          threads=s.threads)
 
-    def run_block(self, block_id: int, smem: SharedMemory) -> None:
+    def run_batch_vectorized(self, hi: int, smem: SharedMemory, *,
+                             lo: int = 0) -> None:
         s, j = self.state, self.j
-        forward_swap(s.rhs[block_id], j, int(s.pivots[block_id][j]))
+        piv = s.pivots[lo:hi, j]
+        k = np.flatnonzero(piv != j)            # lanes that swap
+        b, p = s.rhs[lo:hi], piv[k]
+        row_p = b[k, p]
+        b[k, p] = b[k, j]
+        b[k, j] = row_p
 
 
-class RhsUpdateKernel(_SolveKernelBase):
+class RhsUpdateKernel(ReferenceKernel):
     """Rank-1 update of the RHS with column ``j`` of ``L``."""
 
     name = "gbtrs_ref_update"
@@ -74,12 +55,15 @@ class RhsUpdateKernel(_SolveKernelBase):
                          dram_traffic=(3 * s.kl + 2) * s.nrhs * s.itemsize,
                          syncs=1, threads=s.threads)
 
-    def run_block(self, block_id: int, smem: SharedMemory) -> None:
+    def run_batch_vectorized(self, hi: int, smem: SharedMemory, *,
+                             lo: int = 0) -> None:
         s, j = self.state, self.j
-        forward_update(s.mats[block_id], s.n, s.kl, s.ku, j, s.rhs[block_id])
+        kv = s.kl + s.ku
+        forward_update_batched(s.mats[lo:hi, kv + 1:kv + s.kl + 1, j].T,
+                               s.n, j, s.rhs[lo:hi].transpose(1, 2, 0))
 
 
-class BackwardColumnKernel(_SolveKernelBase):
+class BackwardColumnKernel(ReferenceKernel):
     """One column of the backward solve against ``U`` (bandwidth ``kv``)."""
 
     name = "gbtrs_ref_backward"
@@ -91,30 +75,31 @@ class BackwardColumnKernel(_SolveKernelBase):
                          dram_traffic=(3 * kv + 2) * s.nrhs * s.itemsize,
                          syncs=1, threads=s.threads)
 
-    def run_block(self, block_id: int, smem: SharedMemory) -> None:
+    def run_batch_vectorized(self, hi: int, smem: SharedMemory, *,
+                             lo: int = 0) -> None:
         s, j = self.state, self.j
-        backward_step(s.mats[block_id], s.n, s.kl, s.ku, j, s.rhs[block_id])
+        backward_step_batched(s.mats[lo:hi, :s.kl + s.ku + 1, j].T, j,
+                              s.rhs[lo:hi].transpose(1, 2, 0))
 
 
 def gbtrs_reference_batch(trans: Trans | str, n: int, kl: int, ku: int,
-                          nrhs: int, mats, pivots, rhs,
-                          device: DeviceSpec, stream=None, *,
-                          execute: bool = True,
+                          nrhs: int, mats: np.ndarray, pivots: np.ndarray,
+                          rhs: np.ndarray, device: DeviceSpec, stream=None,
+                          *, execute: bool = True,
                           conversion=None) -> None:
     """Fork-join reference solve: per-column kernel launches.
 
     The transposed solves have no per-column GPU decomposition in the paper
-    (they are not needed by GBSV); they run as a host-side loop per matrix,
-    still producing LAPACK-identical results.
+    (they are not needed by GBSV); they run on the host over the whole
+    batch (:func:`~repro.core.solve_blocks.gbtrs_batched`), still producing
+    LAPACK-identical results.
     """
     trans = Trans.from_any(trans)
-    threads = max(kl + 1, 32)
-    state = _SolveState(n, kl, ku, nrhs, mats, pivots, rhs, threads)
     if trans is not Trans.NO_TRANS:
         if execute:
-            for k in range(len(mats)):
-                gbtrs_unblocked(trans, n, kl, ku, mats[k], pivots[k], rhs[k])
+            gbtrs_batched(trans, n, kl, ku, mats, pivots, rhs)
         return
+    state = ReferenceState(n, n, kl, ku, mats, pivots, nrhs=nrhs, rhs=rhs)
     if kl > 0:
         for j in range(n - 1):
             launch(device, RhsSwapKernel(state, j), stream=stream,

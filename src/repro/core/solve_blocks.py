@@ -15,7 +15,8 @@ The per-problem functions operate in place on ``b`` with shape
 ``(n, nrhs)``, in LAPACK ``DGBTRS``'s column order; they make up
 :func:`gbtrs_unblocked`, the scalar reference.  Their ``*_batched`` forms
 run one step on every lane of a uniform batch, lane-last, with the same
-bits, on a cached window of the RHS (via ``row0``).
+bits, on a cached window of the RHS (via ``row0``); they make up
+:func:`gbtrs_batched`, the whole solve on a batch.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
     "transU_step_batched",
     "transL_step_batched",
     "gbtrs_unblocked",
+    "gbtrs_batched",
 ]
 
 
@@ -264,3 +266,38 @@ def gbtrs_unblocked(trans: Trans | str, n: int, kl: int, ku: int,
         for j in range(n - 2, -1, -1):
             transL_step(ab, n, kl, ku, j, int(ipiv[j]), b, conj=conj)
     return b
+
+
+def gbtrs_batched(trans: Trans | str, n: int, kl: int, ku: int,
+                  mats: np.ndarray, pivots: np.ndarray,
+                  rhs: np.ndarray) -> np.ndarray:
+    """:func:`gbtrs_unblocked` on a whole uniform batch, in place on ``rhs``.
+
+    ``mats`` is the ``(batch, ldab, n)`` factor stack, ``pivots`` the
+    ``(batch, n)`` pivot rows and ``rhs`` the ``(batch, n, nrhs)`` stack.
+    The right-hand sides are solved in a C-contiguous lane-last copy
+    (``(n, nrhs, batch)``; a view when ``rhs`` already is one) and the
+    factor columns are read lane-last from ``mats``.  Each lane's bits
+    equal :func:`gbtrs_unblocked` on it.
+    """
+    trans = Trans.from_any(trans)
+    kv = kl + ku
+    abl, piv = mats.transpose(1, 2, 0), pivots.T
+    rw = np.ascontiguousarray(rhs.transpose(1, 2, 0))
+    if trans is Trans.NO_TRANS:
+        if kl > 0:
+            for j in range(n - 1):
+                forward_swap_batched(rw, j, piv[j])
+                forward_update_batched(abl[kv + 1:kv + kl + 1, j], n, j, rw)
+        for j in range(n - 1, -1, -1):
+            backward_step_batched(abl[:kv + 1, j], j, rw)
+    else:
+        conj = trans is Trans.CONJ_TRANS and np.iscomplexobj(mats)
+        for j in range(n):
+            transU_step_batched(abl[:kv + 1, j], j, rw, conj=conj)
+        if kl > 0:
+            for j in range(n - 2, -1, -1):
+                transL_step_batched(abl[kv + 1:kv + kl + 1, j], n, j,
+                                    piv[j], rw, conj=conj)
+    rhs[...] = rw.transpose(2, 0, 1)
+    return rhs

@@ -7,7 +7,9 @@ sustained-bandwidth measurement of paper Section 8 (very large GEMV).
 The dedicated batch kernels assign ``ceil(n / tile)^2`` tiles per matrix in
 one launch over the whole batch; the streamed baseline launches one
 single-matrix kernel per problem (see :mod:`repro.bench.streams` for the
-concurrent-stream executor).
+concurrent-stream executor).  A single-matrix kernel is the batch of one
+of its batched kernel: both run one body over their block range, and
+declare no operand stacks, so they run on the per-block rung.
 """
 
 from __future__ import annotations
@@ -27,20 +29,22 @@ GEMV_ROWS = 128      # rows handled per GEMV thread block
 
 
 class GemmKernel(Kernel):
-    """Single-matrix tiled GEMM: ``C = alpha*A@B + beta*C`` (square ``n``)."""
+    """Tiled GEMM ``C = alpha*A@B + beta*C`` (square ``n``) on one matrix,
+    or on every matrix of ``(batch, n, n)`` stacks."""
 
     name = "gemm"
 
     def __init__(self, a: np.ndarray, b: np.ndarray, c: np.ndarray,
                  alpha: float = 1.0, beta: float = 0.0):
-        self.a, self.b, self.c = a, b, c
+        self.a, self.b, self.c = ((a, b, c) if a.ndim == 3
+                                  else (a[None], b[None], c[None]))
         self.alpha, self.beta = alpha, beta
-        self.n = a.shape[0]
+        self.n = a.shape[-1]
         self.tiles = max(1, math.ceil(self.n / GEMM_TILE))
         self.itemsize = a.dtype.itemsize
 
     def grid(self) -> int:
-        return self.tiles * self.tiles
+        return len(self.a) * self.tiles * self.tiles
 
     def threads(self) -> int:
         return 256
@@ -59,60 +63,41 @@ class GemmKernel(Kernel):
             threads=256,
         )
 
-    def run_block(self, block_id: int, smem: SharedMemory) -> None:
+    def run_batch_vectorized(self, hi: int, smem: SharedMemory, *,
+                             lo: int = 0) -> None:
         t = GEMM_TILE
-        bi, bj = divmod(block_id, self.tiles)
-        r = slice(bi * t, min((bi + 1) * t, self.n))
-        c = slice(bj * t, min((bj + 1) * t, self.n))
-        acc = self.alpha * (self.a[r, :] @ self.b[:, c])
-        self.c[r, c] = acc + self.beta * self.c[r, c]
+        for block_id in range(lo, hi):
+            k, tile = divmod(block_id, self.tiles * self.tiles)
+            bi, bj = divmod(tile, self.tiles)
+            r = slice(bi * t, min((bi + 1) * t, self.n))
+            c = slice(bj * t, min((bj + 1) * t, self.n))
+            acc = self.alpha * (self.a[k, r, :] @ self.b[k, :, c])
+            self.c[k, r, c] = acc + self.beta * self.c[k, r, c]
 
 
-class BatchedGemmKernel(Kernel):
+class BatchedGemmKernel(GemmKernel):
     """Dedicated batch GEMM: all matrices' tiles in a single launch."""
 
     name = "gemm_batch"
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, c: np.ndarray,
-                 alpha: float = 1.0, beta: float = 0.0):
-        self.a, self.b, self.c = a, b, c
-        self.alpha, self.beta = alpha, beta
-        self.batch, self.n = a.shape[0], a.shape[1]
-        self.tiles = max(1, math.ceil(self.n / GEMM_TILE))
-        self._one = GemmKernel(a[0], b[0], c[0], alpha, beta)
-
-    def grid(self) -> int:
-        return self.batch * self.tiles * self.tiles
-
-    def threads(self) -> int:
-        return self._one.threads()
-
-    def smem_bytes(self) -> int:
-        return self._one.smem_bytes()
-
-    def block_cost(self) -> BlockCost:
-        return self._one.block_cost()
-
-    def run_block(self, block_id: int, smem: SharedMemory) -> None:
-        k, tile = divmod(block_id, self.tiles * self.tiles)
-        GemmKernel(self.a[k], self.b[k], self.c[k], self.alpha,
-                   self.beta).run_block(tile, smem)
-
 
 class GemvKernel(Kernel):
-    """Single-matrix GEMV: ``y = alpha*A@x + beta*y`` (``m x n``)."""
+    """GEMV ``y = alpha*A@x + beta*y`` (``m x n``) on one matrix, or on
+    every matrix of a ``(batch, m, n)`` stack."""
 
     name = "gemv"
 
     def __init__(self, a: np.ndarray, x: np.ndarray, y: np.ndarray,
                  alpha: float = 1.0, beta: float = 0.0):
-        self.a, self.x, self.y = a, x, y
+        self.a, self.x, self.y = ((a, x, y) if a.ndim == 3
+                                  else (a[None], x[None], y[None]))
         self.alpha, self.beta = alpha, beta
-        self.m, self.n = a.shape
+        self.m, self.n = a.shape[-2:]
+        self.blocks_per = max(1, math.ceil(self.m / GEMV_ROWS))
         self.itemsize = a.dtype.itemsize
 
     def grid(self) -> int:
-        return max(1, math.ceil(self.m / GEMV_ROWS))
+        return len(self.a) * self.blocks_per
 
     def threads(self) -> int:
         return GEMV_ROWS
@@ -130,39 +115,16 @@ class GemvKernel(Kernel):
             threads=GEMV_ROWS,
         )
 
-    def run_block(self, block_id: int, smem: SharedMemory) -> None:
-        r = slice(block_id * GEMV_ROWS, min((block_id + 1) * GEMV_ROWS,
-                                            self.m))
-        self.y[r] = self.alpha * (self.a[r, :] @ self.x) + \
-            self.beta * self.y[r]
+    def run_batch_vectorized(self, hi: int, smem: SharedMemory, *,
+                             lo: int = 0) -> None:
+        for block_id in range(lo, hi):
+            k, blk = divmod(block_id, self.blocks_per)
+            r = slice(blk * GEMV_ROWS, min((blk + 1) * GEMV_ROWS, self.m))
+            self.y[k, r] = (self.alpha * (self.a[k, r, :] @ self.x[k])
+                            + self.beta * self.y[k, r])
 
 
-class BatchedGemvKernel(Kernel):
+class BatchedGemvKernel(GemvKernel):
     """Dedicated batch GEMV: all matrices' row blocks in a single launch."""
 
     name = "gemv_batch"
-
-    def __init__(self, a: np.ndarray, x: np.ndarray, y: np.ndarray,
-                 alpha: float = 1.0, beta: float = 0.0):
-        self.a, self.x, self.y = a, x, y
-        self.alpha, self.beta = alpha, beta
-        self.batch, self.m, self.n = a.shape
-        self.blocks_per = max(1, math.ceil(self.m / GEMV_ROWS))
-        self._one = GemvKernel(a[0], x[0], y[0], alpha, beta)
-
-    def grid(self) -> int:
-        return self.batch * self.blocks_per
-
-    def threads(self) -> int:
-        return self._one.threads()
-
-    def smem_bytes(self) -> int:
-        return 0
-
-    def block_cost(self) -> BlockCost:
-        return self._one.block_cost()
-
-    def run_block(self, block_id: int, smem: SharedMemory) -> None:
-        k, blk = divmod(block_id, self.blocks_per)
-        GemvKernel(self.a[k], self.x[k], self.y[k], self.alpha,
-                   self.beta).run_block(blk, smem)

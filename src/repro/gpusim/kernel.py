@@ -3,12 +3,11 @@
 A :class:`Kernel` is the unit of work that a real implementation would write
 in CUDA/HIP: it declares a grid size (one block per matrix for the batched
 band kernels), a block size, and a shared-memory footprint, and provides
-the *functional* behaviour of its thread blocks.  A kernel with a
-batch-interleaved body writes it once, as ``run_batch_vectorized`` over a
-lane range; ``run_block`` runs that same body on a single lane.  Kernels
-without one (the scalar references) implement ``run_block`` directly.
+the *functional* behaviour of its thread blocks.  Every kernel writes
+that behaviour once, as ``run_batch_vectorized`` over a block range;
+``run_block`` runs the same body on a single block.
 
-Both receive a :class:`SharedMemory` allocator that enforces the declared
+The body receives a :class:`SharedMemory` allocator that enforces the declared
 footprint: a kernel that touches more shared memory than it asked for
 fails immediately, the same way a real kernel would corrupt itself or
 fail to launch.  This keeps the simulated kernels honest — the occupancy
@@ -91,14 +90,17 @@ class Kernel(abc.ABC):
     """Base class for simulated GPU kernels.
 
     Subclasses implement the resource declarations and one functional
-    body: either :meth:`run_batch_vectorized` (a lane range advanced
-    together, which :meth:`run_block` then runs one lane at a time) or,
-    for the scalar reference kernels, :meth:`run_block` itself.  A kernel
-    with a batch-interleaved body declares its operand batches in
+    body, :meth:`run_batch_vectorized`: a block range advanced together,
+    which :meth:`run_block` runs one block at a time.  A kernel whose
+    blocks are batch lanes declares its operand batches in
     :meth:`pack_operands`, each one ``(batch, ...)`` ndarray, and its
     body slices them in place; the batches' shapes and strides are all
     :func:`launch` needs to pick the rung (soa, direct or per-block, see
-    :func:`repro.core.batch_args.stack_rung`).  The same object serves
+    :func:`repro.core.batch_args.stack_rung`).  A kernel that declares
+    none (the BLAS and ``gbmv`` kernels) runs on the per-block rung.  The
+    one override of :meth:`run_block` is the fused ``gbtrf``'s, a tile
+    around the scalar ``gbtf2`` that is faster on a one-lane launch.  The
+    same object serves
     double duty: ``launch`` runs the functional body, while the benchmark
     harness asks only for the resource declarations to time large batches
     without executing them.
@@ -123,10 +125,9 @@ class Kernel(abc.ABC):
         """Per-block resource usage for the timing model."""
 
     def run_block(self, block_id: int, smem: SharedMemory) -> None:
-        """Functional behaviour of one thread block.
-
-        The default runs :meth:`run_batch_vectorized` on the one lane
-        ``[block_id, block_id + 1)``, a view of the operands: blocks
+        """Functional behaviour of one thread block:
+        :meth:`run_batch_vectorized` on the one block
+        ``[block_id, block_id + 1)``, a view of the operands, so blocks
         executed one after another over overlapping storage keep their
         sequential semantics.
         """
@@ -141,22 +142,20 @@ class Kernel(abc.ABC):
     #: reports.
     gathers: bool = False
 
+    @abc.abstractmethod
     def run_batch_vectorized(self, hi: int, smem: SharedMemory, *,
                              lo: int = 0) -> None:
         """Advance blocks ``lo..hi-1`` together, batch-interleaved.
 
-        Lanes are independent: each lane's bits do not depend on which
-        other lanes share the range, so a range of one lane is the
+        Blocks are independent: each block's bits do not depend on which
+        other blocks share the range, so a range of one block is the
         per-block path.  ``smem`` carries the aggregate budget of the
         executed blocks (``hi - lo`` times the per-block occupancy
         limit), mirroring the total on-chip footprint the grid would
         occupy.  The launcher calls it with ``lo=0`` on the direct and
-        soa rungs, and :meth:`run_block` with one lane on the per-block
+        soa rungs, and :meth:`run_block` with one block on the per-block
         path.  The body reads and writes ``operand[lo:hi]`` in place.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement the "
-            "batch-interleaved path")
 
     def pack_operands(self) -> tuple:
         """The kernel's operand batches, for the launcher's rung decision.
@@ -275,8 +274,8 @@ def launch(device: DeviceSpec, kernel: Kernel, *, stream=None,
         :meth:`Kernel.run_batch_vectorized` once over the grid; with no
         rung (lanes that overlap), blocks run one at a time through
         :meth:`Kernel.run_block`.
-        ``False`` is the per-block reference path: each block runs alone
-        through the same body.  Lanes are independent, so both paths give
+        ``False`` is the per-block path: each block runs alone through
+        the same body.  Lanes are independent, so both paths give
         the same bits; the reference semantics they are tested against
         live in the scalar :func:`~repro.core.gbtf2.gbtf2` and
         :func:`~repro.core.solve_blocks.gbtrs_unblocked`.

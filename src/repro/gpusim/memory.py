@@ -275,7 +275,7 @@ class DeviceBuffer:
     def free(self) -> None:
         """Release the pool charge taken at construction (idempotent)."""
         if self._pool is not None and self._charged:
-            self._pool.free(self._charged)
+            self._pool.free(self._charged, label="DeviceBuffer")
             self._charged = 0
 
     @property
@@ -333,7 +333,7 @@ class PointerArray(Sequence[np.ndarray]):
     def free(self) -> None:
         """Release the pool charge taken at construction (idempotent)."""
         if self._pool is not None and self._charged:
-            self._pool.free(self._charged)
+            self._pool.free(self._charged, label="PointerArray")
             self._charged = 0
 
     def __len__(self) -> int:

@@ -31,6 +31,22 @@ def _fresh_memory_pools():
 
 
 @pytest.fixture(autouse=True)
+def _clean_device_state():
+    """Every test leaves the device state as it found it: each memory
+    pool's ledger at zero, per label too, and no fault injector armed.
+    Declared after ``_fresh_memory_pools`` so it checks before the
+    reset."""
+    from repro.gpusim import faults, memory
+    yield
+    for name, pool in memory._POOLS.items():
+        assert pool.in_use == 0 and not pool.in_use_by_label, (
+            f"pool {name!r} still charged after the test: {pool.in_use} "
+            f"bytes, by label {pool.in_use_by_label}")
+    assert not faults._ARMED, (
+        f"fault injectors still armed after the test: {sorted(faults._ARMED)}")
+
+
+@pytest.fixture(autouse=True)
 def _fresh_device_health():
     """Each test sees empty per-device health trackers."""
     from repro.gpusim.device import reset_device_health

@@ -43,6 +43,39 @@ def test_design_matches_gbtf2(method, n, kl, ku):
         assert info[k] == infos[k]
 
 
+@pytest.mark.parametrize("method", ["fused", "window", "reference"])
+def test_zero_pivot_skips_the_update(method):
+    """A zero pivot skips its column's rank-one update (LAPACK): with an
+    infinite entry in that row of ``U``, running the update anyway would
+    write ``0 * inf = NaN`` below it."""
+    n, kl, ku = 12, 1, 3
+    kv = kl + ku
+    a = random_band_batch(3, n, kl, ku, seed=19)
+    a[1, kv - 2:kv + kl + 1, 2] = 0.0      # dense column 2 of lane 1
+    a[1, kv - 1, 3] = np.inf                # U(2, 3)
+    refs, pivs, infos = _truth(n, n, kl, ku, a)
+    assert infos[1] == 3
+    piv, info = gbtrf_batch(n, n, kl, ku, a, method=method)
+    assert np.stack(refs).tobytes() == a.tobytes()
+    np.testing.assert_array_equal(piv, np.stack(pivs))
+    np.testing.assert_array_equal(info, infos)
+
+
+@pytest.mark.parametrize("method", ["fused", "window", "reference"])
+def test_reversed_lane_stack(method):
+    """A stack viewed with its lanes reversed (a negative lane stride)
+    factors in place, lane by lane as ``gbtf2`` does."""
+    n, kl, ku = 20, 2, 3
+    a = random_band_batch(4, n, kl, ku, seed=17)
+    a[1] = 0.0
+    refs, pivs, infos = _truth(n, n, kl, ku, a[::-1])
+    rev = a[::-1]
+    piv, info = gbtrf_batch(n, n, kl, ku, rev, method=method)
+    assert np.stack(refs).tobytes() == rev.tobytes()
+    np.testing.assert_array_equal(piv, np.stack(pivs))
+    np.testing.assert_array_equal(info, infos)
+
+
 @pytest.mark.parametrize("device", [H100_PCIE, MI250X_GCD])
 @pytest.mark.parametrize("method", ["fused", "window"])
 def test_designs_device_independent(device, method):

@@ -41,10 +41,11 @@ class AddOneKernel(Kernel):
                          dram_traffic=self.data.shape[1] * 16, syncs=1,
                          threads=self.nthreads)
 
-    def run_block(self, block_id, smem):
-        scratch = smem.alloc(self.data.shape[1])
-        scratch[...] = self.data[block_id]
-        self.data[block_id] = scratch + 1.0
+    def run_batch_vectorized(self, hi, smem, *, lo=0):
+        for block_id in range(lo, hi):
+            scratch = smem.alloc(self.data.shape[1])
+            scratch[...] = self.data[block_id]
+            self.data[block_id] = scratch + 1.0
 
 
 class GreedyKernel(AddOneKernel):
@@ -52,7 +53,7 @@ class GreedyKernel(AddOneKernel):
 
     name = "greedy"
 
-    def run_block(self, block_id, smem):
+    def run_batch_vectorized(self, hi, smem, *, lo=0):
         smem.alloc(self.smem_request * 10)
 
 

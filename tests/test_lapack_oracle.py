@@ -16,6 +16,11 @@ lane-step view ``buf[::2]`` or a pointer array of separate lanes.
 ``gbtrs_batch`` with ``trans='T'`` and ``'C'`` is held to ``?gbtrs``
 given the same factors and pivots: both report ``info == 0`` and solve
 ``op(A) x = b`` to the same backward-error bound.
+
+The route is drawn as well: the dispatcher's design, the fork-join
+reference design (``gbtrf_batch`` and the transposed solves) or the
+host net, reached by a resilient call under a fault plan that fails
+every launch (``gbtrf_batch`` and ``gbsv_batch``).
 """
 
 import numpy as np
@@ -25,6 +30,7 @@ from scipy.linalg import get_lapack_funcs
 
 from repro import gbsv_batch, gbtrf_batch, gbtrs_batch
 from repro.band.generate import random_band_batch, random_rhs
+from repro.gpusim import H100_PCIE, FaultPlan, fault_injection
 
 from conftest import dense_of
 
@@ -40,6 +46,21 @@ FULL_STACK = dict(layout="soa", verify="cheap", resilient=True,
 OTHER_DTYPES = [np.float32, np.complex64, np.complex128]
 ALL_DTYPES = [np.float32, np.float64, np.complex64, np.complex128]
 FORMS = ["stack", "lane-step", "pointer-array"]
+#: Where a call runs: a ``method=`` of the driver, or ``'host'``.
+ROUTES = ["auto", "reference", "host"]
+
+
+def _on_route(route, driver, *args):
+    """``driver(*args)`` on ``route``.  The host route runs the call
+    resilient under a seeded plan that fails every launch, checks that
+    every stage finished on the host net and drops the report."""
+    if route != "host":
+        return driver(*args, method=route)
+    with fault_injection(H100_PCIE,
+                         FaultPlan(seed=7, launch_failure_rate=1.0)):
+        *out, report = driver(*args, resilient=True)
+    assert set(report.methods.values()) == {"host"}, report.methods
+    return tuple(out)
 
 
 @st.composite
@@ -123,11 +144,11 @@ def _check_gbsv(n, kl, ku, a, b, piv, info, x):
         assert err <= _bound(a.dtype, n), (k, err)
 
 
-@given(problems())
+@given(problems(), st.sampled_from(ROUTES))
 @settings(**SETTINGS)
-def test_gbtrf_matches_dgbtrf(problem):
+def test_gbtrf_matches_dgbtrf(problem, route):
     m, n, kl, ku, a = problem
-    piv, info = gbtrf_batch(m, n, kl, ku, a.copy())
+    piv, info = _on_route(route, gbtrf_batch, m, n, kl, ku, a.copy())
     _check_gbtrf(m, n, kl, ku, a, piv, info)
 
 
@@ -142,36 +163,44 @@ def test_gbsv_matches_dgbsv(problem, full_stack):
     _check_gbsv(n, kl, ku, a, b, out[0], out[1], x)
 
 
-@given(st.sampled_from(OTHER_DTYPES), st.sampled_from(FORMS), st.data())
+@given(st.sampled_from(OTHER_DTYPES), st.sampled_from(FORMS),
+       st.sampled_from(ROUTES), st.data())
 @settings(**SETTINGS)
-def test_gbtrf_matches_lapack_gbtrf(dtype, form, data):
+def test_gbtrf_matches_lapack_gbtrf(dtype, form, route, data):
     """Single precision and complex: pivots and ``info`` exactly, on
-    every operand form."""
+    every operand form and route."""
     m, n, kl, ku, a = data.draw(problems(dtype=dtype))
-    piv, info = gbtrf_batch(m, n, kl, ku, _in_form(a, form))
+    piv, info = _on_route(route, gbtrf_batch, m, n, kl, ku,
+                          _in_form(a, form))
     _check_gbtrf(m, n, kl, ku, a, piv, info)
 
 
-@given(st.sampled_from(OTHER_DTYPES), st.sampled_from(FORMS), st.data())
+@given(st.sampled_from(OTHER_DTYPES), st.sampled_from(FORMS),
+       st.sampled_from(["auto", "host"]), st.data())
 @settings(**SETTINGS)
-def test_gbsv_matches_lapack_gbsv(dtype, form, data):
+def test_gbsv_matches_lapack_gbsv(dtype, form, route, data):
     """Single precision and complex ``?gbsv``: pivots and ``info``
     exactly, a singular lane's right-hand side untouched, every regular
-    lane solved to the backward-error bound, on every operand form."""
+    lane solved to the backward-error bound, on every operand form and
+    on the host net."""
     _, n, kl, ku, a = data.draw(problems(square=True, dtype=dtype))
     b = random_rhs(n, 2, batch=len(a), dtype=dtype, seed=n)
     x = _in_form(b, form)
-    piv, info = gbsv_batch(n, kl, ku, 2, _in_form(a, form), None, x)
+    piv, info = _on_route(route, gbsv_batch, n, kl, ku, 2,
+                          _in_form(a, form), None, x)
     _check_gbsv(n, kl, ku, a, b, piv, info, np.stack(x))
 
 
 @given(st.sampled_from(["T", "C"]), st.sampled_from(ALL_DTYPES),
-       st.sampled_from(FORMS), st.data())
+       st.sampled_from(FORMS), st.sampled_from(["auto", "reference"]),
+       st.data())
 @settings(**SETTINGS)
-def test_gbtrs_transposed_matches_lapack_gbtrs(trans, dtype, form, data):
+def test_gbtrs_transposed_matches_lapack_gbtrs(trans, dtype, form, method,
+                                               data):
     """``gbtrs_batch`` with ``trans='T'``/``'C'`` and ``?gbtrs`` on the
     same factors and pivots: both report ``info == 0`` and both solve
-    ``op(A) x = b`` to the backward-error bound."""
+    ``op(A) x = b`` to the backward-error bound, on the blocked and the
+    reference design."""
     _, n, kl, ku, a = data.draw(problems(square=True, dtype=dtype,
                                          singular=False))
     factors = a.copy()
@@ -180,7 +209,8 @@ def test_gbtrs_transposed_matches_lapack_gbtrs(trans, dtype, form, data):
     b = random_rhs(n, 2, batch=len(a), dtype=dtype, seed=n + 1)
     gbtrs, = get_lapack_funcs(("gbtrs",), dtype=dtype)
     x = _in_form(b, form)
-    info = gbtrs_batch(trans, n, kl, ku, 2, _in_form(factors, form), piv, x)
+    info = gbtrs_batch(trans, n, kl, ku, 2, _in_form(factors, form), piv, x,
+                       method=method)
     x = np.stack(x)
     assert not np.asarray(info).any()
     for k in range(len(a)):

@@ -462,7 +462,9 @@ class TestTrafficAccounting:
         shared = DeviceBuffer((16,), traffic=pool.traffic)
         memcpy_h2d(H100_PCIE, shared, host)
         assert pool.traffic.bytes_written == 2 * host.nbytes
+        assert pool.in_use_by_label == {"DeviceBuffer": buf.nbytes}
         buf.free()
+        assert pool.in_use == 0 and pool.in_use_by_label == {}
 
     def test_pointer_array_charges_pool_and_traffic(self):
         reset_memory_pools()
@@ -473,9 +475,9 @@ class TestTrafficAccounting:
         assert pool.in_use == expect
         assert pool.traffic.bytes_written == expect
         pa.free()
-        assert pool.in_use == 0
+        assert pool.in_use == 0 and pool.in_use_by_label == {}
         pa.free()  # idempotent
-        assert pool.in_use == 0
+        assert pool.in_use == 0 and pool.in_use_by_label == {}
 
 
 # --- structured report logging ---------------------------------------------

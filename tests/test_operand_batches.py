@@ -5,9 +5,11 @@ it takes the family's rung (soa for an interleaved stack, direct for
 pairwise disjoint lanes, per-block for lanes that overlap) with no pack
 traffic and writes the per-block bytes.  The list of the same lanes is
 refused with a ``TypeError`` by a kernel with a batch-interleaved body;
-the kernels that take lists (the vbatch kernel, which gathers its
-buckets, and the scalar references) launch on it as on the stack.
+the vbatch kernel, which gathers its buckets, launches on it as on the
+stack.
 """
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -77,8 +79,10 @@ FAMILIES = {
 KERNELS = ["window", "fused_gbtrf", "fused_gbsv", "fwd", "bwd", "transU",
            "transL", "vbatch", "ref_gbtrf", "ref_gbtrs"]
 # Kernels that take a list of lanes: the vbatch kernel gathers its
-# buckets itself, the scalar references run block by block.
-TAKES_LISTS = ("vbatch", "ref_gbtrf", "ref_gbtrs")
+# buckets itself.
+TAKES_LISTS = ("vbatch",)
+# The first kernel each fork-join reference design launches.
+REF_FIRST = {"ref_gbtrf": "gbtrf_ref_init", "ref_gbtrs": "gbtrs_ref_swap"}
 SOLVES = {"fwd": BlockedForwardKernel, "bwd": BlockedBackwardKernel,
           "transU": BlockedTransUKernel, "transL": BlockedTransLKernel}
 
@@ -103,7 +107,7 @@ def _operands(family, kernel):
 
 
 def _kernel(kernel, mats, rhs, pivots, info):
-    """The kernel object under test, or None for a scalar reference."""
+    """The kernel object under test, or None for a fork-join reference."""
     if kernel == "window":
         return SlidingWindowGbtrfKernel(N, N, KL, KU, mats, pivots, info,
                                         nb=8, threads=KL + 1)
@@ -120,21 +124,28 @@ def _kernel(kernel, mats, rhs, pivots, info):
     return None
 
 
-def _run(kernel, mats, rhs, pivots, *, vectorize=True):
-    """Launch ``kernel`` on the operands (per block with ``vectorize``
-    False); returns its records and outputs."""
-    nb = len(mats)
-    info = np.zeros(nb, dtype=np.int64)
-    stream = Stream(H100_PCIE)
+def _launch(kernel, mats, rhs, pivots, info, stream):
+    """Launch ``kernel`` (a fork-join reference: all its kernels)."""
     k = _kernel(kernel, mats, rhs, pivots, info)
     if k is not None:
-        launch(H100_PCIE, k, stream=stream, vectorize=vectorize)
+        launch(H100_PCIE, k, stream=stream)
     elif kernel == "ref_gbtrf":
         gbtrf_reference_batch(N, N, KL, KU, mats, pivots, info, H100_PCIE,
                               stream)
     else:
         gbtrs_reference_batch("N", N, KL, KU, NRHS, mats, pivots, rhs,
                               H100_PCIE, stream)
+
+
+def _run(kernel, mats, rhs, pivots, path=nullcontext):
+    """Launch ``kernel`` on the operands inside ``path()`` (the
+    ``per_block`` fixture for the per-block path); returns its records
+    and outputs."""
+    nb = len(mats)
+    info = np.zeros(nb, dtype=np.int64)
+    stream = Stream(H100_PCIE)
+    with path():
+        _launch(kernel, mats, rhs, pivots, info, stream)
     out = [np.stack([np.asarray(m) for m in mats]), np.stack(pivots), info]
     if kernel in SOLVES or kernel in ("fused_gbsv", "ref_gbtrs"):
         out.append(np.stack([np.asarray(x) for x in rhs]))
@@ -149,7 +160,7 @@ def _rung(record) -> str:
 
 def _expected_rung(family, kernel, nlanes):
     expect = FAMILIES[family][1]
-    if kernel.startswith("ref_") or nlanes == 1:
+    if nlanes == 1:
         return "block"
     if kernel == "vbatch":
         return "pack"      # buckets are always gathered above one block
@@ -164,7 +175,7 @@ def _same_bytes(out, want):
 
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("family", list(FAMILIES))
-def test_stack_and_lane_list_launch_alike(family, kernel):
+def test_stack_and_lane_list_launch_alike(family, kernel, per_block):
     mats, rhs, pivots = _operands(family, kernel)
     if isinstance(mats, list) and kernel not in TAKES_LISTS:
         _refused(kernel, mats, rhs, pivots)
@@ -182,7 +193,7 @@ def test_stack_and_lane_list_launch_alike(family, kernel):
     # blocks run one after another.
     if not (kernel == "vbatch" and family == "overlapping"):
         _same_bytes(out, _run(kernel, *_operands(family, kernel),
-                              vectorize=False)[1])
+                              per_block)[1])
     if kernel in TAKES_LISTS and not isinstance(mats, list):
         # The list of the same lanes launches alike.
         mats_l, rhs_l, pivots_l = _operands(family, kernel)
@@ -202,8 +213,8 @@ def _refused(kernel, mats, rhs, pivots):
     info = np.zeros(len(mats), dtype=np.int64)
     k = _kernel(kernel, mats, rhs, pivots, info)
     stream = Stream(H100_PCIE)
-    with pytest.raises(TypeError, match=k.name):
-        launch(H100_PCIE, k, stream=stream)
+    with pytest.raises(TypeError, match=k.name if k else REF_FIRST[kernel]):
+        _launch(kernel, mats, rhs, pivots, info, stream)
     assert stream.records == []
     for x, y in zip((*mats, *rhs), before):
         assert np.asarray(x).tobytes() == y.tobytes()
