@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import check_arg
 from ..gpusim.device import H100_PCIE, DeviceSpec
-from ..gpusim.kernel import launch
+from ..gpusim import ahead
 from ..tuning.defaults import FUSED_GBSV_CUTOFF
 from ..types import Trans
 from .batch_args import (
@@ -176,9 +176,9 @@ def _kernels(device, method, cfg, ops):
 
 def _dispatch(method, cfg, ops):
     if _fused(method, cfg.device, ops):
-        launch(cfg.device, _kernels(cfg.device, "fused", cfg, ops)[0],
-               stream=cfg.stream, execute=cfg.execute,
-               conversion=ops.call.conversion)
+        fused, = _kernels(cfg.device, "fused", cfg, ops)
+        ahead.launcher()(cfg.device, fused, stream=cfg.stream,
+                         execute=cfg.execute, conversion=ops.call.conversion)
         return
     GBTRF.dispatch("auto", cfg, ops)
     _solve_regular(ops, lambda sub: GBTRS.dispatch("auto", cfg, sub))

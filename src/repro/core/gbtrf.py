@@ -21,7 +21,7 @@ import numpy as np
 from ..band.layout import ldab_for_factor
 from ..errors import check_arg
 from ..gpusim.device import H100_PCIE, DeviceSpec
-from ..gpusim.kernel import launch
+from ..gpusim import ahead
 from ..tuning.defaults import FUSED_CUTOFF, window_params
 from .batch_args import as_matrix_list, check_gb_args, ensure_info, \
     ensure_pivots
@@ -236,9 +236,10 @@ def _dispatch(method, cfg, ops):
                               execute=cfg.execute,
                               conversion=ops.call.conversion)
         return
+    run = ahead.launcher()
     for kernel in kernels:
-        launch(cfg.device, kernel, stream=cfg.stream, execute=cfg.execute,
-               conversion=ops.call.conversion)
+        run(cfg.device, kernel, stream=cfg.stream, execute=cfg.execute,
+            conversion=ops.call.conversion)
 
 
 def _host(ops):

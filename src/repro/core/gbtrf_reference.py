@@ -19,7 +19,8 @@ import numpy as np
 
 from ..gpusim.costmodel import BlockCost
 from ..gpusim.device import DeviceSpec
-from ..gpusim.kernel import Kernel, SharedMemory, launch
+from ..gpusim import ahead
+from ..gpusim.kernel import Kernel, SharedMemory
 from .costs import reference_column_cost
 from .gbtf2 import (
     init_fillin_batched,
@@ -150,15 +151,16 @@ def gbtrf_reference_batch(m: int, n: int, kl: int, ku: int,
                           *, execute: bool = True,
                           conversion=None) -> None:
     """Fork-join reference factorization: 2 kernel launches per column."""
+    run = ahead.launcher()
     if isinstance(mats, np.ndarray) and mats.strides[0] < 0:
         # The batched blocks address the stack by non-negative strides;
         # lanes are independent, so the reversed views give the same bits.
         mats, pivots, info = mats[::-1], pivots[::-1], info[::-1]
     state = ReferenceState(m, n, kl, ku, mats, pivots, info=info)
-    launch(device, FactorInitKernel(state), stream=stream,
-           execute=execute, conversion=conversion)
+    run(device, FactorInitKernel(state), stream=stream, execute=execute,
+        conversion=conversion)
     for j in range(min(m, n)):
-        launch(device, ColumnPivotKernel(state, j), stream=stream,
-               execute=execute, conversion=conversion)
-        launch(device, ColumnUpdateKernel(state, j), stream=stream,
-               execute=execute, conversion=conversion)
+        run(device, ColumnPivotKernel(state, j), stream=stream,
+            execute=execute, conversion=conversion)
+        run(device, ColumnUpdateKernel(state, j), stream=stream,
+            execute=execute, conversion=conversion)

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..errors import check_arg
 from ..gpusim.device import H100_PCIE, DeviceSpec
-from ..gpusim.kernel import launch
+from ..gpusim import ahead
 from ..types import Trans
 from .batch_args import (
     as_matrix_list,
@@ -178,9 +178,10 @@ def _dispatch(method, cfg, ops):
                               cfg.stream, execute=cfg.execute,
                               conversion=ops.call.conversion)
         return
+    run = ahead.launcher()
     for kernel in kernels:
-        launch(cfg.device, kernel, stream=cfg.stream, execute=cfg.execute,
-               conversion=ops.call.conversion)
+        run(cfg.device, kernel, stream=cfg.stream, execute=cfg.execute,
+            conversion=ops.call.conversion)
 
 
 def _host(ops):

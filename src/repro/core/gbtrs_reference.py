@@ -13,13 +13,15 @@ import numpy as np
 
 from ..gpusim.costmodel import BlockCost
 from ..gpusim.device import DeviceSpec
-from ..gpusim.kernel import SharedMemory, launch
+from ..gpusim import ahead
+from ..gpusim.kernel import SharedMemory
 from ..types import Trans
 from .gbtrf_reference import ReferenceKernel, ReferenceState
 from .solve_blocks import backward_step_batched, forward_update_batched, \
-    gbtrs_batched
+    transL_update_batched, transU_step_batched
 
 __all__ = ["RhsSwapKernel", "RhsUpdateKernel", "BackwardColumnKernel",
+           "TransUColumnKernel", "TransLUpdateKernel",
            "gbtrs_reference_batch"]
 
 
@@ -82,6 +84,51 @@ class BackwardColumnKernel(ReferenceKernel):
                               s.rhs[lo:hi].transpose(1, 2, 0))
 
 
+class TransUColumnKernel(ReferenceKernel):
+    """One column of the solve against ``op(U)`` (lower triangular with
+    bandwidth ``kv``), the first half of a transposed solve."""
+
+    name = "gbtrs_ref_trans_u"
+
+    def __init__(self, state: ReferenceState, j: int, conj: bool):
+        super().__init__(state, j)
+        self.conj = conj
+
+    def block_cost(self) -> BlockCost:
+        s = self.state
+        kv = s.kl + s.ku
+        return BlockCost(flops=(2 * kv + 1) * s.nrhs,
+                         dram_traffic=(3 * kv + 2) * s.nrhs * s.itemsize,
+                         syncs=1, threads=s.threads)
+
+    def run_batch_vectorized(self, hi: int, smem: SharedMemory, *,
+                             lo: int = 0) -> None:
+        s, j = self.state, self.j
+        transU_step_batched(s.mats[lo:hi, :s.kl + s.ku + 1, j].T, j,
+                            s.rhs[lo:hi].transpose(1, 2, 0), conj=self.conj)
+
+
+class TransLUpdateKernel(TransUColumnKernel):
+    """Column ``j`` of the solve against ``op(L)``, before its pivot
+    swap (:class:`RhsSwapKernel`)."""
+
+    name = "gbtrs_ref_trans_l"
+
+    def block_cost(self) -> BlockCost:
+        s = self.state
+        return BlockCost(flops=2 * s.kl * s.nrhs,
+                         dram_traffic=(3 * s.kl + 2) * s.nrhs * s.itemsize,
+                         syncs=1, threads=s.threads)
+
+    def run_batch_vectorized(self, hi: int, smem: SharedMemory, *,
+                             lo: int = 0) -> None:
+        s, j = self.state, self.j
+        kv = s.kl + s.ku
+        transL_update_batched(s.mats[lo:hi, kv + 1:kv + s.kl + 1, j].T,
+                              s.n, j, s.rhs[lo:hi].transpose(1, 2, 0),
+                              conj=self.conj)
+
+
 def gbtrs_reference_batch(trans: Trans | str, n: int, kl: int, ku: int,
                           nrhs: int, mats: np.ndarray, pivots: np.ndarray,
                           rhs: np.ndarray, device: DeviceSpec, stream=None,
@@ -89,23 +136,33 @@ def gbtrs_reference_batch(trans: Trans | str, n: int, kl: int, ku: int,
                           conversion=None) -> None:
     """Fork-join reference solve: per-column kernel launches.
 
-    The transposed solves have no per-column GPU decomposition in the paper
-    (they are not needed by GBSV); they run on the host over the whole
-    batch (:func:`~repro.core.solve_blocks.gbtrs_batched`), still producing
-    LAPACK-identical results.
+    The transposed solves (not needed by GBSV, so not in the paper) run
+    the same per-column steps as
+    :func:`~repro.core.solve_blocks.gbtrs_batched` as launches: one
+    ``op(U)`` column kernel per column, then an update and pivot-swap
+    pair per column of ``op(L)``, in reverse.
     """
     trans = Trans.from_any(trans)
-    if trans is not Trans.NO_TRANS:
-        if execute:
-            gbtrs_batched(trans, n, kl, ku, mats, pivots, rhs)
-        return
+    run = ahead.launcher()
     state = ReferenceState(n, n, kl, ku, mats, pivots, nrhs=nrhs, rhs=rhs)
+    if trans is not Trans.NO_TRANS:
+        conj = trans is Trans.CONJ_TRANS and np.iscomplexobj(mats)
+        for j in range(n):
+            run(device, TransUColumnKernel(state, j, conj), stream=stream,
+                execute=execute, conversion=conversion)
+        if kl > 0:
+            for j in range(n - 2, -1, -1):
+                run(device, TransLUpdateKernel(state, j, conj),
+                    stream=stream, execute=execute, conversion=conversion)
+                run(device, RhsSwapKernel(state, j), stream=stream,
+                    execute=execute, conversion=conversion)
+        return
     if kl > 0:
         for j in range(n - 1):
-            launch(device, RhsSwapKernel(state, j), stream=stream,
-                   execute=execute, conversion=conversion)
-            launch(device, RhsUpdateKernel(state, j), stream=stream,
-                   execute=execute, conversion=conversion)
+            run(device, RhsSwapKernel(state, j), stream=stream,
+                execute=execute, conversion=conversion)
+            run(device, RhsUpdateKernel(state, j), stream=stream,
+                execute=execute, conversion=conversion)
     for j in range(n - 1, -1, -1):
-        launch(device, BackwardColumnKernel(state, j), stream=stream,
-               execute=execute, conversion=conversion)
+        run(device, BackwardColumnKernel(state, j), stream=stream,
+            execute=execute, conversion=conversion)

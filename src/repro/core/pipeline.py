@@ -87,6 +87,7 @@ from ..errors import (
     DeviceMemoryError,
     KernelHangError,
 )
+from ..gpusim import ahead
 from ..gpusim.device import _HEALTH, DeviceSpec
 from ..gpusim.faults import _ARMED, active_injector
 from ..gpusim.memory import _POOLS, memory_pool
@@ -101,7 +102,7 @@ from ..gpusim.stream import Stream
 from ..gpusim.transfer import TransferRecord, stage_chunk
 from .memory_plan import _plan_admitted
 from .resilience import HOST_FALLBACK, BatchReport, ResiliencePolicy
-from .stack import Operands, heal, lane_runs
+from .stack import Operands, Snapshot, heal, lane_runs
 
 __all__ = ["PipelineResult", "pipeline_requested", "execute_pipelined",
            "last_pipeline_result"]
@@ -362,12 +363,44 @@ def _host_net(spec, cfg, ops, ranges, out, **why) -> None:
         out.parts.append((list(range(start, stop)), rep))
 
 
-def _dispatch_chunk(spec, cfg, ops, triple, start, stop, nbytes, staged):
+def _computes_ahead(chunk: int, lanes: int, dev) -> bool:
+    """Does a shard of ``lanes`` lanes in chunks of ``chunk`` compute its
+    lanes in one host pass ahead of its chunks?
+
+    Yes when it runs as more than one chunk and no fault injector is armed
+    on ``dev``: an injector strikes per launch, per chunk boundary and per
+    lane window, so an armed device runs every chunk's bodies itself.
+    """
+    return chunk < lanes and active_injector(dev) is None
+
+
+def _compute_ahead(spec, cfg, ops, ranges) -> None:
+    """Run ``cfg``'s design over lane ``ranges`` in one host pass, its
+    bodies only (:func:`repro.gpusim.ahead.computing`): no device state
+    is touched.  Every design gives the same bits, so the chunks' first
+    dispatches need only account for them."""
+    with ahead.computing():
+        for start, stop in ranges:
+            spec.dispatch(cfg.method, cfg, ops.take(range(start, stop)))
+
+
+def _rewind(spec, ops, ranges) -> None:
+    """Put lane ``ranges`` back to their inputs, from the call's pristine
+    snapshot."""
+    for start, stop in ranges:
+        spec.restore(ops.take(range(start, stop)),
+                     ops.call.pristine.take(ops.lanes[start:stop]))
+
+
+def _dispatch_chunk(spec, cfg, ops, triple, start, stop, nbytes, staged,
+                    computed=False):
     """Stage one chunk in, run the layers below on the compute stream
     (``cfg`` already targets the shard), stage it out.
 
     The fault injector's lane window opens at the chunk's global start, so
-    fault placement cannot depend on chunking or sharding.
+    fault placement cannot depend on chunking or sharding.  ``computed``:
+    the shard computed the chunk's lanes ahead, so its first dispatch only
+    accounts for them (:mod:`repro.gpusim.ahead`).
     """
     s_h2d, s_cmp, s_d2h = triple
     dev = cfg.device
@@ -377,7 +410,8 @@ def _dispatch_chunk(spec, cfg, ops, triple, start, stop, nbytes, staged):
         if s_cmp is not s_h2d:
             s_cmp.wait_event(s_h2d.record_event())
     with (injector.lane_window(start) if injector is not None
-          else nullcontext()):
+          else nullcontext()), \
+            (ahead.accounting() if computed else nullcontext()):
         rep = heal(spec, cfg, ops.take(range(start, stop)))
     if staged:
         if s_d2h is not s_cmp:
@@ -410,6 +444,17 @@ def _run_shard(spec, cfg, ops, dev, ranges, plan, role="full"):
     than a genuinely too-large chunk.  Lane indices are global throughout
     and the fault injector's lane window is opened at the chunk's global
     start, so results and fault placement cannot depend on the sharding.
+
+    A shard that runs as more than one chunk on a device with no fault
+    injector armed (:func:`_computes_ahead`) computes all of its lanes in
+    one host pass once they are prepared (:func:`_compute_ahead`): on the
+    host a kernel body costs per launch what it costs per chunk.  The
+    chunk loop then runs as before, leases, staging records, the layers
+    below and the score included, but each chunk's first dispatch only
+    accounts for its lanes (:mod:`repro.gpusim.ahead`); every rewind in
+    the layers below ends that, and lanes computed ahead that leave the
+    shard unfinished (host-rung and failover orphans) are rewound to
+    their inputs first.
 
     With the device fault domain armed (``ops.call.escalate``), a
     :class:`~repro.errors.DeviceLostError` or
@@ -449,6 +494,11 @@ def _run_shard(spec, cfg, ops, dev, ranges, plan, role="full"):
     staging = ops.call.staging
     if staging is not None:
         staging.prepare(ranges)
+    # Inputs staged first: the pristine snapshot must never see a
+    # computed lane.
+    computed = _computes_ahead(chunk, shard_count, dev)
+    if computed:
+        _compute_ahead(spec, chunk_cfg, ops, ranges)
     try:
         while pending:
             start, rstop = pending.popleft()
@@ -493,8 +543,10 @@ def _run_shard(spec, cfg, ops, dev, ranges, plan, role="full"):
                         continue
                     # Host rung: this range's tail plus every range not
                     # yet started — the device cannot fit a single lane.
-                    _host_net(spec, cfg, ops,
-                              [(start, rstop)] + list(pending), out, **why)
+                    rest = [(start, rstop)] + list(pending)
+                    if computed:
+                        _rewind(spec, ops, rest)
+                    _host_net(spec, cfg, ops, rest, out, **why)
                     pending.clear()
                     break
                 snap = (ops.call.pristine.take(ops.lanes[start:stop])
@@ -504,20 +556,23 @@ def _run_shard(spec, cfg, ops, dev, ranges, plan, role="full"):
                 try:
                     h2d_bytes += nbytes if staged else 0
                     rep = _dispatch_chunk(spec, chunk_cfg, ops, triple,
-                                          start, stop, nbytes, staged)
+                                          start, stop, nbytes, staged,
+                                          computed)
                     d2h_bytes += nbytes if staged else 0
                 except (DeviceLostError, KernelHangError) as exc:
                     pool.free(nbytes, label=label)
                     if not failover:
                         raise
-                    spec.restore(ops.take(range(start, stop)), snap)
+                    out.orphans = [(start, rstop)] + list(pending)
+                    # The chunk's lanes, and every orphan computed ahead.
+                    _rewind(spec, ops,
+                            out.orphans if computed else [(start, stop)])
                     kind = ("device-lost"
                             if isinstance(exc, DeviceLostError) else "hang")
                     out.failure = {
                         "kind": kind, "device": dev.name,
                         "start": int(start), "stop": int(stop),
                         "injected": bool(getattr(exc, "injected", False))}
-                    out.orphans = [(start, rstop)] + list(pending)
                     pending.clear()
                     break
                 except BaseException:
@@ -551,21 +606,34 @@ def _run_shard(spec, cfg, ops, dev, ranges, plan, role="full"):
     return out
 
 
+def _lease_copy(spec, ops) -> Snapshot:
+    """A copy of the operands ``spec`` writes, in the call's arena leases
+    (a private copy past the arena's bound)."""
+    snap, named = Snapshot(), ops.named()
+    for name in spec._names(inputs=False):
+        arr = named[name]
+        copy = ops.call.leases.empty(arr.shape, arr.dtype)
+        snap[name] = np.empty(arr.shape, arr.dtype) if copy is None else copy
+        snap[name][...] = arr
+    return snap
+
+
 def _run_hedge(spec, cfg, ops, dev, span):
     """Duplicate one completed chunk onto ``dev`` (straggler hedging).
 
-    The primary's outputs are snapshotted first, the chunk's operands are
-    rewound to the call's pristine snapshot, and the chunk replays on a
-    fresh stream triple.  A successful hedge leaves bit-identical outputs
-    (the per-lane determinism contract), so only timing attribution and
-    the loser's traffic differ; a failed hedge restores the primary's
+    The primary's outputs are copied first (into the call's arena
+    leases), the chunk's operands are rewound to the call's pristine
+    snapshot, and the chunk replays on a fresh stream triple.  A
+    successful hedge leaves bit-identical outputs (the per-lane
+    determinism contract), so only timing attribution and the loser's
+    traffic differ; a failed hedge restores the primary's
     outputs and stands down.  Returns ``(ShardResult | None, seconds,
     ok)``.
     """
     start, stop = span["start"], span["stop"]
     nbytes, staged = span["nbytes"], span["staged"]
     lanes = ops.take(range(start, stop))
-    out_snap = spec.snapshot(lanes)
+    out_snap = _lease_copy(spec, lanes)
     pool = memory_pool(dev)
     triple = _shard_streams(cfg, dev, _buffers(cfg))
     label = f"{spec.name}-hedge@{dev.name}"
@@ -914,8 +982,6 @@ def _execute(spec, cfg, shared, lane_bytes):
     failover = cfg.resilient and len(devs) > 1
     hedge_ratio = policy.hedge_ratio if failover else None
     breaker = (policy.breaker if failover else None) or CircuitBreaker()
-    if cfg.resilient and ops.call.pristine is None:
-        ops.call.pristine = ops.call.staged(batch).snapshot(spec, ops)
     ops.call.escalate = failover
     weights = [1.0]
     if len(devs) > 1:

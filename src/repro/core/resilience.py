@@ -582,16 +582,15 @@ def run_resilient(spec, cfg, ops) -> BatchReport:
 
     Healthy lanes are bit-identical to a fault-free call: every design of
     a stage is bit-identical, and every retry rewinds the operands from
-    one pristine snapshot per call (verify's, when verification is on).
+    one pristine snapshot per call (verify's, when verification is on,
+    else the one :func:`repro.core.stack.govern` registers).
     Singular lanes keep LAPACK semantics — factors and pivots written,
     ``info > 0``, ``B`` left unchanged.
     """
     policy = cfg.policy or ResiliencePolicy()
     report = BatchReport(spec.name, ops.batch, method_requested=cfg.method,
                          info=ops.info)
-    pristine = ops.call.pristine
-    snap = (pristine.take(ops.lanes) if pristine is not None
-            else spec.snapshot(ops, inputs=True))
+    snap = ops.call.pristine.take(ops.lanes)
     factors = _run_ladder(report, spec, cfg, ops, snap, policy,
                           spec.ladder(cfg.method, cfg.device, ops))
     _quarantine(report, spec, cfg, ops, snap, policy, factors)

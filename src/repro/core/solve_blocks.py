@@ -219,15 +219,22 @@ def transU_step_batched(u: np.ndarray, j: int, rw: np.ndarray, *,
         np.divide(rw[jj], u[kv], out=rw[jj])
 
 
-def transL_step_batched(l: np.ndarray, n: int, j: int, piv: np.ndarray,
-                        rw: np.ndarray, *, conj: bool = False,
-                        row0: int = 0) -> None:
-    """Batched :func:`transL_step` on the lane-last multipliers ``l``."""
+def transL_update_batched(l: np.ndarray, n: int, j: int, rw: np.ndarray,
+                          *, conj: bool = False, row0: int = 0) -> None:
+    """The update half of :func:`transL_step_batched` (no pivot swap);
+    ``rw`` may have any strides."""
     jj = j - row0
     if conj:
         l = np.conj(l)
     for t in range(1, min(l.shape[0], n - j - 1) + 1):
         _sub_mul(rw[jj], l[t - 1], rw[jj + t])
+
+
+def transL_step_batched(l: np.ndarray, n: int, j: int, piv: np.ndarray,
+                        rw: np.ndarray, *, conj: bool = False,
+                        row0: int = 0) -> None:
+    """Batched :func:`transL_step` on the lane-last multipliers ``l``."""
+    transL_update_batched(l, n, j, rw, conj=conj, row0=row0)
     forward_swap_batched(rw, j, piv, row0=row0)
 
 

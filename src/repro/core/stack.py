@@ -35,6 +35,7 @@ import numpy as np
 
 from ..band.layout import ldab_for_factor, normalize_layout
 from ..errors import check_arg
+from ..gpusim import ahead
 from ..gpusim.device import H100_PCIE, DeviceSpec
 from ..gpusim.kernel import ConversionCharge
 from ..types import Trans
@@ -166,9 +167,9 @@ class Staging:
 
     The layers set their per-lane work up here without touching a lane:
     the verify layer's pristine snapshot and residual score, the layout
-    layer's working copies, the pipeline's shared mirrors (and, for a
-    resilient pipelined call, its pristine snapshot).  Each step then runs
-    on lane ranges, in the process that runs those lanes:
+    layer's working copies, the pipeline's shared mirrors and a resilient
+    call's pristine snapshot.  Each step then runs on lane ranges, in the
+    process that runs those lanes:
 
     * :meth:`prepare` runs every ``fill(lo, hi)`` (in the order they were
       added) on lanes not yet prepared, once per lane and before anything
@@ -376,10 +377,10 @@ class OpSpec:
     the design ``'auto'`` means on a device, ``kernels`` builds a design's
     kernels (for dispatch and the multi-device throughput probes),
     ``dispatch(method, cfg, ops)`` runs one design's launches (the
-    launcher picks each launch's execution rung from the operands),
-    ``host`` is the host reference over
-    every lane, and ``score`` and ``gate`` are the operation's parts of
-    the verify layer's residual gate: ``score`` the per-lane-range part
+    launcher picks each launch's execution rung from the operands;
+    :func:`repro.gpusim.ahead.launcher` gives the one in use), ``host``
+    is the host reference over every lane, and ``score`` and ``gate``
+    are the operation's parts of the verify layer's residual gate: ``score`` the per-lane-range part
     (scaled residuals, pivot growth, digest checks), ``gate`` the
     escalation inputs (a re-score function, a per-lane ``rcond`` and the
     op's own rungs; see :mod:`repro.core.verify`).  A composed operation
@@ -421,24 +422,17 @@ class OpSpec:
         return [name for name, role in self.roles.items()
                 if inputs or role != IN]
 
-    def snapshot(self, ops, *, inputs: bool = False) -> Snapshot:
-        """Copy the operands the op writes (plus its inputs if asked).
-
-        ``np.array`` (not ``ascontiguousarray``): a snapshot must never
-        alias the live batch.
-        """
-        named = ops.named()
-        return Snapshot({name: np.array(named[name], order="C")
-                         for name in self._names(inputs)})
-
     def restore(self, ops, snap: Snapshot, ks=None, *,
                 inputs: bool = False) -> None:
         """Rewind lanes ``ks`` (all by default) from ``snap``.
 
         ``inputs=True`` also rewinds the op's input operands, skipping
         read-only ones (e.g. a caller's read-only factor stack, which an
-        in-place write could never have corrupted).
+        in-place write could never have corrupted).  A rewind ends the
+        accounting of lanes computed ahead (:mod:`repro.gpusim.ahead`):
+        whatever re-runs them computes.
         """
+        ahead.end()
         idx = slice(None) if ks is None else _lane_index(ks)
         named = ops.named()
         for name in self._names(inputs):
@@ -537,8 +531,16 @@ def _stage_layout(staging, spec, ops, inner, writeback) -> None:
 
 
 def govern(spec: OpSpec, cfg: ExecConfig, ops: Operands):
-    """The governance layer, for outermost functional calls only."""
+    """The governance layer, for outermost functional calls only.
+
+    A resilient call's pristine snapshot (which its retries, quarantine
+    and failover rewind from) is registered here unless the verify layer
+    already did, and is filled per lane range like every other
+    :class:`Staging` step.
+    """
     from . import memory_plan
+    if cfg.resilient and ops.call.pristine is None:
+        ops.call.pristine = ops.call.staged(ops.batch).snapshot(spec, ops)
     if memory_plan.governance_active(execute=cfg.execute, stream=cfg.stream):
         return memory_plan.run_governed(spec, cfg, ops)
     if ops.call.staging is not None:

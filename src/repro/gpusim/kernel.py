@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import DeviceError, DeviceLostError, SharedMemoryError
+from . import ahead
 from .costmodel import BlockCost, KernelTiming, estimate_kernel_time
 from .device import DeviceSpec, device_health
 
@@ -249,6 +250,28 @@ def _vector_rung(kernel: Kernel) -> str | None:
     return stack_rung(*seqs) if seqs else None
 
 
+def _run_bodies(device: DeviceSpec, kernel: Kernel, timing: KernelTiming,
+                vectorize: bool, *, run: bool = True) -> str | None:
+    """Run ``kernel``'s bodies over its grid (unless ``run`` is false);
+    returns the rung they take, ``None`` for the per-block path.
+
+    The rung is decided once from the operands' shapes and strides; no
+    lane is walked.
+    """
+    grid = kernel.grid()
+    limit = timing.occupancy.smem_per_block
+    rung = _vector_rung(kernel) if vectorize and grid > 1 else None
+    if not run:
+        return rung
+    ctx = dict(kernel=kernel.name, device=device.name)
+    if rung is not None:
+        kernel.run_batch_vectorized(grid, SharedMemory(limit * grid, **ctx))
+    else:
+        for bid in range(grid):
+            kernel.run_block(bid, SharedMemory(limit, **ctx))
+    return rung
+
+
 def launch(device: DeviceSpec, kernel: Kernel, *, stream=None,
            execute: bool = True, vectorize: bool = True,
            conversion: ConversionCharge | None = None) -> LaunchRecord:
@@ -282,6 +305,9 @@ def launch(device: DeviceSpec, kernel: Kernel, *, stream=None,
     conversion:
         The calling driver's :class:`ConversionCharge`; pending
         layout-conversion bytes land on this launch's ``soa_bytes``.
+
+    Inside :func:`repro.gpusim.ahead.accounting` a launch does everything
+    but run the bodies: the lanes already hold what they would write.
 
     Raises
     ------
@@ -336,35 +362,21 @@ def launch(device: DeviceSpec, kernel: Kernel, *, stream=None,
     if capturing:
         execute = False
     executed = 0
-    vectorized = False
-    packed = False
-    soa = False
+    rung = None
     pack_bytes = 0
     faults: tuple = ()
     if execute:
-        limit = timing.occupancy.smem_per_block
-        # The rung is decided once per launch from the operands' shapes
-        # and strides; no lane is walked.
-        rung = _vector_rung(kernel) if vectorize and grid > 1 else None
-        smem_ctx = dict(kernel=kernel.name, device=device.name)
         if injector is not None and grid > 0:
             # Transfer-SDC strikes the staged inputs the blocks are about
             # to consume (a corrupted host-to-device copy); the events
             # ride the same record as post-execution corruption.
             faults = injector.before_execution(device, kernel, grid)
-        if rung is not None:
-            packed = rung == "pack"
-            soa = rung == "soa"
-            kernel.run_batch_vectorized(
-                grid, SharedMemory(limit * grid, **smem_ctx))
-            executed = grid
-            vectorized = True
-            if packed:
-                pack_bytes = kernel.pack_bytes(grid)
-        else:
-            for bid in range(grid):
-                kernel.run_block(bid, SharedMemory(limit, **smem_ctx))
-                executed += 1
+        # Lanes a host pass already computed are only accounted for.
+        rung = _run_bodies(device, kernel, timing, vectorize,
+                           run=not ahead.accounting_mode())
+        executed = grid
+        if rung == "pack":
+            pack_bytes = kernel.pack_bytes(grid)
         if injector is not None and executed:
             faults = tuple(faults) + injector.after_execution(
                 device, kernel, executed)
@@ -384,10 +396,10 @@ def launch(device: DeviceSpec, kernel: Kernel, *, stream=None,
         smem_bytes=kernel.smem_bytes(),
         timing=timing,
         executed_blocks=executed,
-        vectorized=vectorized,
-        packed=packed,
+        vectorized=rung is not None,
+        packed=rung == "pack",
         pack_bytes=pack_bytes,
-        soa=soa and vectorized,
+        soa=rung == "soa",
         soa_bytes=soa_bytes,
         faults=faults,
         hang_time=hang_time,

@@ -98,6 +98,22 @@ def per_block(monkeypatch):
     return forced
 
 
+@pytest.fixture
+def per_chunk(monkeypatch):
+    """``with per_chunk():`` runs every chunked shard inside the way an
+    armed device does: each chunk's launches run their own bodies, with
+    no host pass ahead of them (:func:`repro.core.pipeline._run_shard`)."""
+    from repro.core import pipeline
+
+    @contextmanager
+    def forced():
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "_computes_ahead", lambda *a: False)
+            yield
+
+    return forced
+
+
 def scipy_gbtrf(ab: np.ndarray, kl: int, ku: int, m: int, n: int):
     """Ground-truth LAPACK factorization via scipy (0-based pivots)."""
     from scipy.linalg import lapack

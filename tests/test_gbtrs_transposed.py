@@ -94,3 +94,39 @@ def test_smem_budgets():
     l = BlockedTransLKernel(n, kl, ku, nrhs, list(a), piv, b, nb=nb)
     assert u.smem_bytes() == (nb + kl + ku) * nrhs * 8
     assert l.smem_bytes() == (nb + kl) * nrhs * 8
+
+
+@pytest.mark.parametrize("trans", ["T", "C"])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("n,kl,ku", [(17, 5, 2), (12, 0, 3), (9, 2, 0)])
+def test_trans_reference_launches_per_column(trans, dtype, n, kl, ku):
+    """The transposed reference solve records its per-column launches,
+    charges modeled time and matches the blocked kernels bit for bit."""
+    orig, a, piv, b = _factored(n, kl, ku, 2, batch=3, dtype=dtype, seed=n)
+    blocked, ref = b.copy(), b.copy()
+    gbtrs_batch(trans, n, kl, ku, 2, a, piv, blocked, method="blocked")
+    stream = Stream(H100_PCIE)
+    gbtrs_batch(trans, n, kl, ku, 2, a, piv, ref, method="reference",
+                stream=stream)
+    assert ref.tobytes() == blocked.tobytes()
+    names = [r.kernel_name for r in stream.records]
+    assert names.count("gbtrs_ref_trans_u") == n
+    assert names.count("gbtrs_ref_trans_l") == (n - 1 if kl else 0)
+    assert stream.elapsed > 0.0
+
+
+def test_trans_reference_is_struck_by_launch_faults():
+    """Every launch fails: the transposed solve falls past the blocked and
+    reference designs to the host net."""
+    from repro.gpusim import FaultPlan, fault_injection
+    n, kl, ku = 17, 3, 2
+    orig, a, piv, b = _factored(n, kl, ku, 2, seed=7)
+    expect = b.copy()
+    gbtrs_batch("T", n, kl, ku, 2, a, piv, expect)
+    x = b.copy()
+    with fault_injection(H100_PCIE, FaultPlan(seed=3,
+                                              launch_failure_rate=1.0)):
+        _, report = gbtrs_batch("T", n, kl, ku, 2, a, piv, x,
+                                resilient=True)
+    assert report.methods == {"gbtrs": "host"}
+    assert x.tobytes() == expect.tobytes()
