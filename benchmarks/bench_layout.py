@@ -4,20 +4,24 @@ Guards the layout contract of docs/LAYOUTS.md (docs/PERFORMANCE.md
 "Storage layouts"):
 
 * **>= 1.15x host wall-clock win for an interleaved batch** over the
-  same lane-major batch on the classic ``[vec]`` route, at the paper's
-  large configuration (``gbsv_batch``, batch=1000, n=256, kl=ku=8).
-  Both stage as zero-copy strided views of the caller's stack; the
-  interleaved one makes the copies between that stack and the
-  batch-minor sliding window lane-contiguous, while the arithmetic
-  stays bit-identical;
+  same lane-major batch kept on the classic ``[vec]`` route
+  (``layout='aos'``), at the paper's large configuration
+  (``gbsv_batch``, batch=1000, n=256, kl=ku=8).  The interleaved stack
+  is column-major per lane, so the sliding window runs its column steps
+  on it in place, while the lane-major one is staged through the
+  window; the arithmetic stays bit-identical;
 * **<= 1.3x wall-clock for ``layout='soa'`` on lane-major input** —
   converting at the batch boundary costs one gather + one scatter total
   (trace-attributed to the first launch's ``soa_bytes``), after which
-  every stage runs conversion-free, so opting in never costs more than a
-  modest premium over staying lane-major and usually breaks even;
-* **trace proof of the one-conversion contract** — the converting run
-  carries exactly one launch record with ``soa_bytes > 0``, the native
-  interleaved run carries none, and every record is ``[vec+soa]``;
+  every stage runs conversion-free;
+* **>= 1.05x for the default on lane-major input** (``layout=None``)
+  over ``layout='aos'``: a window factorization converts at the
+  boundary by default, because that measures faster than staying
+  lane-major;
+* **trace proof of the one-conversion contract** — each converting run
+  (``layout='soa'`` and the default) carries exactly one launch record
+  with ``soa_bytes > 0``, the native interleaved run carries none, and
+  every record is ``[vec+soa]``; the ``layout='aos'`` run has none;
 * **bit-identity** — factors, solutions and pivots of every contender
   match the lane-major reference byte-for-byte.
 
@@ -51,10 +55,16 @@ N, KL, KU, NRHS, BATCH = 256, 8, 8, 1, 1000
 
 SPEEDUP_FLOOR = 1.15        # interleaved native vs lane-major [vec]
 CONVERT_CEILING = 1.3       # layout='soa' on lane-major input vs [vec]
+DEFAULT_FLOOR = 1.05        # layout=None on lane-major input vs [vec]
+
+CONVERTING = ("convert-at-boundary", "default")
 
 
 def _run(a0, b0, n, kl, ku, batch, *, interleave, layout=None):
-    """One full gbsv on fresh copies; returns (wall_s, outputs, records)."""
+    """One full gbsv on fresh copies; returns (wall_s, outputs, records).
+
+    ``layout`` is the driver's knob: ``'aos'`` keeps a lane-major batch
+    lane-major, ``None`` (the default) converts it."""
     a, b = a0.copy(), b0.copy()
     if interleave:
         a, b = to_interleaved(a), to_interleaved(b)
@@ -83,9 +93,10 @@ def measure(*, n=N, kl=KL, ku=KU, batch=BATCH, repeats=3):
     b0 = random_rhs(n, NRHS, batch=batch, seed=22)
 
     configs = {
-        "lane-major": dict(interleave=False),
+        "lane-major": dict(interleave=False, layout="aos"),
         "interleaved": dict(interleave=True),
         "convert-at-boundary": dict(interleave=False, layout="soa"),
+        "default": dict(interleave=False),
     }
     for kw in configs.values():                          # warmup, all paths
         _run(a0, b0, n, kl, ku, batch, **kw)
@@ -108,18 +119,18 @@ def _check_bit_identity(outputs):
 
 
 def _check_trace_contract(records):
-    for label in ("interleaved", "convert-at-boundary"):
+    for label in ("interleaved",) + CONVERTING:
         assert all("[vec+soa]" in r.display_name for r in records[label]), (
             f"{label!r} did not run SoA-native: "
             f"{[r.display_name for r in records[label]]}")
     assert sum(r.soa_bytes > 0 for r in records["interleaved"]) == 0, (
         "native interleaved input was charged a layout conversion")
-    charged = [r.soa_bytes for r in records["convert-at-boundary"]
-               if r.soa_bytes > 0]
-    assert len(charged) == 1, (
-        f"layout='soa' must convert exactly once per batch, "
-        f"saw {len(charged)} charged launches")
-    assert not any("soa" in r.display_name
+    for label in CONVERTING:
+        charged = [r.soa_bytes for r in records[label] if r.soa_bytes > 0]
+        assert len(charged) == 1, (
+            f"{label!r} must convert exactly once per batch, "
+            f"saw {len(charged)} charged launches")
+    assert not any("soa" in r.display_name or r.soa_bytes
                    for r in records["lane-major"])
 
 
@@ -134,10 +145,13 @@ def _summary(wall, records, *, n, batch):
             wall["lane-major"] / wall["interleaved"],
         "convert_ratio":
             wall["convert-at-boundary"] / wall["lane-major"],
+        "speedup_default":
+            wall["lane-major"] / wall["default"],
         "conversion_bytes": conv_bytes,
         "launches": {k: len(v) for k, v in records.items()},
         "gates": {"speedup_floor": SPEEDUP_FLOOR,
-                  "convert_ceiling": CONVERT_CEILING},
+                  "convert_ceiling": CONVERT_CEILING,
+                  "default_floor": DEFAULT_FLOOR},
     }
 
 
@@ -150,7 +164,8 @@ def _render(s):
         "",
         "  contender              wall-clock   launches",
     ]
-    for label in ("lane-major", "interleaved", "convert-at-boundary"):
+    for label in ("lane-major", "interleaved", "convert-at-boundary",
+                  "default"):
         lines.append(f"  {label:<21} {s['wallclock_s'][label]:8.3f} s "
                      f"{s['launches'][label]:8d}")
     lines += [
@@ -161,6 +176,9 @@ def _render(s):
         f"  layout='soa' conversion ratio:        "
         f"{s['convert_ratio']:.2f}x   (ceiling "
         f"{s['gates']['convert_ceiling']:.1f}x)",
+        f"  default (layout=None) speedup:        "
+        f"{s['speedup_default']:.2f}x   (floor "
+        f"{s['gates']['default_floor']:.2f}x)",
         f"  conversion traffic, one round-trip:   "
         f"{s['conversion_bytes'] / 1e6:.1f} MB",
     ]
@@ -182,6 +200,10 @@ def _assert_gates(s, *, wallclock=True):
             f"layout='soa' on lane-major input cost "
             f"{s['convert_ratio']:.2f}x, above the {CONVERT_CEILING}x "
             f"ceiling")
+        assert s["speedup_default"] >= DEFAULT_FLOOR, (
+            f"the default layout on lane-major input gave "
+            f"{s['speedup_default']:.2f}x over layout='aos', below the "
+            f"{DEFAULT_FLOOR}x floor")
 
 
 def test_layout_speedup(benchmark):

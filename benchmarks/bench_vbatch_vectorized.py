@@ -55,7 +55,10 @@ def test_vbatch_paths_bit_identical():
     refs = [gbtf2(n, n, kl, ku, a) for a, (n, kl, ku) in zip(ref, lanes)]
     vec = [a.copy() for a in mats]
     stream = Stream(H100_PCIE)
-    piv_vec, info_vec = gbtrf_vbatch(ns, ns, kls, kus, vec, stream=stream)
+    # Lane-major groups, as given: by default each window group would be
+    # converted to the interleaved layout ([vec+soa]).
+    piv_vec, info_vec = gbtrf_vbatch(ns, ns, kls, kus, vec, stream=stream,
+                                     layout="aos")
     assert all(r.display_name.endswith("[vec]") for r in stream.records)
     for k, (piv_ref, info_ref) in enumerate(refs):
         assert vec[k].tobytes() == ref[k].tobytes()

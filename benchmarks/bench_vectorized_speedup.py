@@ -57,8 +57,10 @@ def check_bit_identity(batch: int = 32) -> None:
     stream = Stream(H100_PCIE)
     for method in ("auto", "reference"):
         a_vec = a.copy()
+        # Lane-major, as given: the default would convert the window's
+        # batch to the interleaved layout ([vec+soa]).
         piv_vec, info_vec = gbtrf_batch(N, N, KL, KU, a_vec, stream=stream,
-                                        method=method)
+                                        method=method, layout="aos")
         assert a_vec.tobytes() == a_ref.tobytes(), method
         assert np.stack(piv_vec).tobytes() == piv_ref.tobytes(), method
         assert info_vec.tobytes() == info_ref.tobytes(), method

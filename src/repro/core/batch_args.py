@@ -31,6 +31,7 @@ import numpy as np
 from ..band.layout import (
     INTERLEAVED,
     LANE_MAJOR,
+    copy_lanes,
     ldab_for_factor,
 )
 from ..errors import ArgumentError, check_arg
@@ -216,9 +217,10 @@ def convert_batch_layout(layout: str, operands, *, batch: int,
     attribution.
 
     The working copies are left unfilled: the caller copies each lane
-    range in (``work[lo:hi] = operand[lo:hi]`` for every operand that was
-    converted) before the lanes are touched, in whichever process runs
-    them (:class:`repro.core.stack.Staging`).
+    range in (:func:`~repro.band.layout.copy_lanes` for every operand
+    that was converted)
+    before the lanes are touched, in whichever process runs them
+    (:class:`repro.core.stack.Staging`).
 
     ``outputs`` is an optional per-operand boolean mask: ``False`` marks
     a pure input (``gbtrs`` factors, for example) — it is staged into the
@@ -252,34 +254,25 @@ def convert_batch_layout(layout: str, operands, *, batch: int,
         return None
 
     def writeback(lo: int = 0, hi: int = batch) -> None:
-        # A stack no taller than wide (the band factors) goes back one
-        # band row at a time, the ``gbtrf_window._stream_in`` idiom: at
-        # (1000, 25, 256) that is 24 against 55 ms per lane on a 2-core
-        # host.  Tall stacks (right-hand sides) go back lane by lane; at
-        # (1000, 256, 1) rows would be 2x slower.
         for mats, work in originals:
-            if mats.shape[1] <= mats.shape[2]:
-                for r in range(mats.shape[1]):
-                    mats[lo:hi, r] = work[lo:hi, r]
-            else:
-                for m, w in zip(mats[lo:hi], work[lo:hi]):
-                    m[...] = w
+            copy_lanes(mats, work, lo, hi)
 
     return converted, writeback, moved
 
 
 def _working_copy(layout: str, mats: np.ndarray, leases) -> np.ndarray:
     """An unfilled ``mats``-shaped stack in ``layout`` (the interleaved
-    one is laid out as :func:`~repro.band.layout.to_interleaved` makes
-    it), in a buffer leased from ``leases`` when the arena has room."""
+    one in Fortran order, as :func:`~repro.band.layout.to_interleaved`
+    makes it), in a buffer leased from ``leases`` when the arena has
+    room."""
     shape = mats.shape
     lane_last = layout == INTERLEAVED
     if lane_last:
-        shape = shape[1:] + shape[:1]
+        shape = shape[::-1]
     buf = leases.empty(shape, mats.dtype) if leases is not None else None
     if buf is None:
         buf = np.empty(shape, dtype=mats.dtype)
-    return np.moveaxis(buf, -1, 0) if lane_last else buf
+    return buf.T if lane_last else buf
 
 
 def _pointer_array(seq, batch: int, *, arg_pos: int, what: str,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..band.layout import ldab_for_factor
+from ..band.layout import is_column_interleaved, ldab_for_factor
 from ..errors import check_arg
 from ..gpusim.device import H100_PCIE, DeviceSpec
 from ..gpusim import ahead
@@ -244,10 +244,14 @@ def _dispatch(method, cfg, ops):
 
 def _host(ops):
     """Host reference: ``gbtf2_batched`` over every lane, bit-identical
-    to ``gbtf2`` per lane.  The factor rows are staged into a column-major
-    lane-last copy, as the fused kernel's tile is: one column's band rows
-    are adjacent runs of lanes."""
+    to ``gbtf2`` per lane.  It runs on a column-interleaved stack itself;
+    any other stack's factor rows are staged into such a copy, as the
+    fused kernel's tile is: one column's band rows are adjacent runs of
+    lanes."""
     a = ops.mats[:, :ldab_for_factor(ops.kl, ops.ku)]
+    if is_column_interleaved(a):
+        gbtf2_batched(ops.m, ops.n, ops.kl, ops.ku, a, ops.pivots, ops.info)
+        return
     tiles = np.empty(a.shape[::-1], a.dtype).transpose(2, 1, 0)
     tiles[...] = a
     gbtf2_batched(ops.m, ops.n, ops.kl, ops.ku, tiles, ops.pivots, ops.info)

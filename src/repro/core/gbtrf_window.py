@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..band.layout import BandLayout
+from ..band.layout import BandLayout, is_column_interleaved
 from ..gpusim.costmodel import BlockCost
 from ..gpusim.kernel import Kernel, SharedMemory
 from .costs import gbtrf_window_cost
-from .gbtf2 import ColumnWork, gbtf2_step_batched, init_fillin_batched
+from .gbtf2 import ColumnWork, gbtf2_batched, gbtf2_step_batched, \
+    init_fillin_batched
 
 __all__ = ["SlidingWindowGbtrfKernel", "window_factor_steps",
            "sliding_window_factor_batched"]
@@ -63,21 +64,32 @@ def sliding_window_factor_batched(abst: np.ndarray, pivs: np.ndarray,
     :func:`~repro.core.gbtf2.gbtf2` on that problem.  Shared between the
     uniform kernel and the non-uniform (vbatch) kernel, which calls it
     once per configuration.
+
+    A column-interleaved stack
+    (:func:`~repro.band.layout.is_column_interleaved`) already is the
+    window's layout, so its column steps run on the stack itself: no
+    window store, stream-in, shift or write-back.  The model still
+    charges the window's shared memory (``smem_bytes``); the host only
+    skips copies.
     """
+    if is_column_interleaved(abst):
+        gbtf2_batched(m, n, kl, ku, abst, pivs, info)
+        return
     batch = abst.shape[0]
     mn = min(m, n)
     layout = BandLayout(m, n, kl, ku)
     ldab = layout.ldab_factor
     wcols = layout.window_cols(nb)
 
-    # Stage the window column-major and lane-last: ``(wcols, ldab,
-    # batch)`` storage viewed ``(batch, ldab, wcols)``.  Every per-column
-    # block then runs its elementwise work with a contiguous inner loop
-    # over the batch, and one column's band rows are adjacent, so a
-    # column step's slab is one compact run of memory.  The blocks are
-    # layout-agnostic (they go through ``abst.strides``), and every
-    # elementwise op used is correctly rounded independent of memory
-    # layout, so the bits don't change.
+    # Any other stack is staged through a window laid out as a
+    # column-interleaved stack: ``(wcols, ldab, batch)`` storage viewed
+    # ``(batch, ldab, wcols)``.  Every per-column block then runs its
+    # elementwise work with a contiguous inner loop over the batch, and
+    # one column's band rows are adjacent, so a column step's slab is one
+    # compact run of memory.  The blocks are layout-agnostic (they go
+    # through ``abst.strides``), and every elementwise op used is
+    # correctly rounded independent of memory layout, so the bits don't
+    # change.
     store = smem.alloc((wcols, ldab, batch), dtype=abst.dtype)
     win = store.transpose(2, 1, 0)
     # Initial load: the first wcols columns (zero-padded past n), with
@@ -160,7 +172,8 @@ class SlidingWindowGbtrfKernel(Kernel):
 
     def run_batch_vectorized(self, hi: int, smem: SharedMemory, *,
                              lo: int = 0) -> None:
-        # The window reads and writes the caller's stack in place.
+        # The window reads and writes the caller's stack in place (and
+        # runs on it directly when it is column-interleaved).
         sliding_window_factor_batched(
             self.mats[lo:hi, :self.layout.ldab_factor], self.pivots[lo:hi],
             self.info[lo:hi], self.m, self.n, self.kl, self.ku, self.nb,

@@ -33,14 +33,15 @@ from typing import Callable
 
 import numpy as np
 
-from ..band.layout import ldab_for_factor, normalize_layout
+from ..band.layout import INTERLEAVED, LANE_MAJOR, copy_lanes, \
+    ldab_for_factor, normalize_layout
 from ..errors import check_arg
 from ..gpusim import ahead
 from ..gpusim.device import H100_PCIE, DeviceSpec
 from ..gpusim.kernel import ConversionCharge
 from ..types import Trans
 from .arena import Leases
-from .batch_args import convert_batch_layout, lane_stack
+from .batch_args import convert_batch_layout, lane_stack, stack_layouts
 
 __all__ = ["ExecConfig", "Operands", "OpSpec", "Snapshot", "Staging",
            "check_execution", "run", "convert_layout", "govern", "heal",
@@ -487,15 +488,18 @@ def convert_layout(spec: OpSpec, cfg: ExecConfig, ops: Operands):
     """The layout layer: convert once at the batch boundary, then govern.
 
     Quick-return calls stop here (with an empty report when resilient).
+    If the layers below raise, every lane already copied into the working
+    copies goes back into the caller's storage, as a gathered pointer
+    array's lanes do (:func:`~repro.core.batch_args.lane_stack`).
     """
-    target = normalize_layout(cfg.layout)
     if spec.empty(ops):
         if not cfg.resilient:
             return None
         from .resilience import BatchReport
         return BatchReport(spec.name, ops.batch,
                            method_requested=cfg.method, info=ops.info)
-    inner = ops
+    inner, writeback = ops, None
+    target = _layout_target(spec, cfg, ops)
     if target is not None:
         conv = convert_batch_layout(
             target, (ops.mats, ops.rhs), batch=ops.batch,
@@ -507,9 +511,46 @@ def convert_layout(spec: OpSpec, cfg: ExecConfig, ops: Operands):
             inner = ops.relayout(a, b)
             _stage_layout(ops.call.staged(ops.batch), spec, ops, inner,
                           writeback)
-    report = govern(spec, cfg, inner)
+    try:
+        report = govern(spec, cfg, inner)
+    except BaseException:
+        if writeback is not None:
+            for lo, hi in lane_runs(ops.call.staging.prepared,
+                                    [(0, ops.batch)]):
+                writeback(lo, hi)
+        raise
     ops.call.finish(ops)
     return report
+
+
+def _layout_target(spec: OpSpec, cfg: ExecConfig, ops: Operands):
+    """The layout the call runs in, ``None`` for the one it arrives in.
+
+    ``layout=None`` converts a lane-major batch to the interleaved
+    layout when its factorization runs the sliding window and executes
+    now (not ``execute=False``, not on a capturing stream): on the
+    column-interleaved stack the window's column steps run in place, and
+    that saves more host time than the conversion costs
+    (docs/LAYOUTS.md).
+    """
+    if cfg.layout is not None:
+        return normalize_layout(cfg.layout)
+    from .memory_plan import governance_active
+    if (governance_active(execute=cfg.execute, stream=cfg.stream)
+            and _factor_design(spec, cfg, ops) == "window"
+            and stack_layouts(ops.mats) == {LANE_MAJOR}):
+        return INTERLEAVED
+    return None
+
+
+def _factor_design(spec: OpSpec, cfg: ExecConfig, ops: Operands):
+    """The design that factors the call's batch (``None`` for a solve)."""
+    if spec.roles["a"] == IN:
+        return None
+    design = spec.ladder(cfg.method, cfg.device, ops)[0]
+    if design == "standard":            # gbsv's gbtrf stage
+        return spec.stages[0].ladder("auto", cfg.device, ops)[0]
+    return design
 
 
 def _stage_layout(staging, spec, ops, inner, writeback) -> None:
@@ -525,7 +566,7 @@ def _stage_layout(staging, spec, ops, inner, writeback) -> None:
 
     def fill(lo, hi):
         for src, work in pairs:
-            work[lo:hi] = src[lo:hi]
+            copy_lanes(work, src, lo, hi)
 
     staging.add(fill, writeback)
 

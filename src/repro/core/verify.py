@@ -466,9 +466,10 @@ def _gate(spec, report, cfg, ops, snap, scores) -> None:
     if not corrupt:
         return
     if vp.on_fail == "raise":
+        # A non-finite residual is the worst one: it must not read as 0.
         raise DataCorruptionError(
             report.operation, sorted(corrupt), device=cfg.device.name,
-            residual=_finite_max([residuals[k] for k in corrupt]))
+            residual=float(np.max([residuals[k] for k in corrupt])))
     _add_lanes(report, "unrecovered", corrupt)
 
 

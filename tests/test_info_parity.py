@@ -74,7 +74,8 @@ class TestGbtrfInfoParity:
             stream = Stream(H100_PCIE)
             with path:
                 piv, info = gbtrf_batch(N, N, KL, KU, mats, batch=BATCH,
-                                        method=method, stream=stream)
+                                        method=method, stream=stream,
+                                        layout="aos")
             assert np.array_equal(np.asarray(info), expected), (
                 f"{method}/{label}: info={list(info)} expected="
                 f"{list(expected)}")

@@ -84,9 +84,11 @@ class TestXgcPipeline:
             np.testing.assert_allclose(dense0 @ x[0], b[0], atol=1e-10)
         # 1 factor launch + 3 x (fwd + bwd) solve launches.
         assert stream.launch_count() == 1 + 3 * 2
-        # Uniform contiguous stacks take the batch-interleaved path.
+        # Uniform contiguous stacks take the batch-interleaved path; the
+        # window factorization converts its lane-major batch at the
+        # boundary and runs interleaved.
         names = {s.name for s in summarize([stream])}
-        assert names == {"gbtrf_window[vec]", "gbtrs_fwd_blocked[vec]",
+        assert names == {"gbtrf_window[vec+soa]", "gbtrs_fwd_blocked[vec]",
                          "gbtrs_bwd_blocked[vec]"}
 
 

@@ -23,7 +23,8 @@ from repro.core.gbsv import GBSV
 from repro.core.gbtrf import GBTRF
 from repro.core.gbtrs import GBTRS
 from repro.errors import ArgumentError, DeviceError
-from repro.gpusim import H100_PCIE, FaultPlan, disarm_faults, fault_injection
+from repro.gpusim import H100_PCIE, FaultPlan, Stream, disarm_faults, \
+    fault_injection
 
 N, KL, KU, BATCH, NRHS = 24, 2, 3, 7, 2
 SINGULAR = 4        # one singular lane walks the gbsv and quarantine paths
@@ -196,6 +197,9 @@ def _form_call(driver, method, form, config):
         a_arg = _lanes(form, a)
         b_arg = _lanes("scattered" if form == "readonly" else form, b)
     kw = dict(method=method, **CONFIGS[config])
+    if form == "list":
+        # Run lane-major: a window factorization would convert it.
+        kw["layout"] = "aos"
     if driver == "gbtrf":
         out = gbtrf_batch(N, N, KL, KU, a_arg, **kw)
     elif driver == "gbsv":
@@ -295,6 +299,29 @@ def test_gathered_operands_written_back_when_solve_fails():
         gbsv_batch(N, KL, KU, NRHS, mats, None, rhs, method="standard")
     assert np.stack(mats).tobytes() == want.tobytes()
     assert np.stack(rhs).tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("layout", ["soa", None])
+def test_layout_working_copies_written_back_when_solve_fails(layout):
+    """The layout layer's working copies go back on the error path too:
+    a converted call whose solve stage fails leaves the factorization in
+    the caller's stack (and its right-hand sides as they were), as an
+    unconverted one does.  At n=72 the factorization runs the window, so
+    the default converts too."""
+    n = 72
+    a = random_band_batch(BATCH, n, KL, KU, seed=33)
+    b = random_rhs(n, NRHS, batch=BATCH, seed=34)
+    want, b0 = a.copy(), b.copy()
+    gbtrf_batch(n, n, KL, KU, want, method="window")
+    plan = FaultPlan(launch_failure_rate=1.0, fail_kernels="gbtrs")
+    stream = Stream(H100_PCIE)
+    with fault_injection(H100_PCIE, plan), pytest.raises(DeviceError):
+        gbsv_batch(n, KL, KU, NRHS, a, None, b, method="standard",
+                   layout=layout, stream=stream)
+    assert stream.records[0].display_name == "gbtrf_window[vec+soa]"
+    assert stream.records[0].soa_bytes > 0
+    assert a.tobytes() == want.tobytes()
+    assert b.tobytes() == b0.tobytes()
 
 
 # --- entry rejects what one stack cannot hold --------------------------------

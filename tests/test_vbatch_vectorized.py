@@ -156,7 +156,7 @@ class TestPointerArrayDispatch:
         scattered = PointerArray([b.copy() for b in blocks])
         stream = Stream(H100_PCIE)
         piv_s, info_s = gbtrf_batch(n, n, kl, ku, scattered, method="window",
-                                    stream=stream)
+                                    stream=stream, layout="aos")
         rec = stream.records[-1]
         assert rec.vectorized and not rec.packed and rec.pack_bytes == 0
         assert rec.display_name == "gbtrf_window[vec]"

@@ -247,6 +247,14 @@ def _rungs(a):
             ([np.array(x) for x in a], "[vec]")]
 
 
+def _run_as(label):
+    """The ``layout=`` knob that keeps a rung in the layout its label
+    names: a window factorization converts a lane-major batch to the
+    interleaved layout by default, so the lane-major rungs ask for
+    ``'aos'``."""
+    return None if label == "[vec+soa]" else "aos"
+
+
 def _path(label, per_block):
     """The context the rung labelled ``label`` runs in: per block for
     the bare label, else the launcher's own choice."""
@@ -318,7 +326,8 @@ def test_gbtrf_paths_bitwise(dtype, method, n, kl, ku, case, per_block):
         with _path(label, per_block):
             piv_vec, info_vec = gbtrf_batch(m, n, kl, ku, a_vec,
                                             method=method, nb=nb,
-                                            stream=stream)
+                                            stream=stream,
+                                            layout=_run_as(label))
         assert _launch_labels(stream) == {label}
         _compare(hard, (np.stack(a_vec), a_ref),
                  (np.stack(piv_vec), piv_ref), (info_vec, info_ref))
@@ -441,7 +450,8 @@ def test_gbtrf_nonsquare_paths_bitwise(per_block):
         stream = Stream(H100_PCIE)
         with _path(label, per_block):
             piv_vec, info_vec = gbtrf_batch(m, n, kl, ku, a_vec,
-                                            method="window", stream=stream)
+                                            method="window", stream=stream,
+                                            layout=_run_as(label))
         assert _launch_labels(stream) == {label}
         _bytes_equal((a_vec, a_ref), (np.stack(piv_vec), piv_ref),
                      (info_vec, info_ref))
@@ -468,7 +478,8 @@ class TestDispatch:
         n, kl, ku, batch = 24, 2, 3, 5
         a = _band_batch(batch, n, kl, ku, np.float64, seed=30)
         stream = Stream(H100_PCIE)
-        gbtrf_batch(n, n, kl, ku, a, method="window", stream=stream)
+        gbtrf_batch(n, n, kl, ku, a, method="window", stream=stream,
+                    layout="aos")
         rec = stream.records[-1]
         assert rec.vectorized
         assert rec.executed_blocks == batch
@@ -491,7 +502,8 @@ class TestDispatch:
         scattered = PointerArray([a[k].copy() for k in range(batch)])
         stream = Stream(H100_PCIE)
         piv_s, info_s = gbtrf_batch(n, n, kl, ku, scattered,
-                                    method="window", stream=stream)
+                                    method="window", stream=stream,
+                                    layout="aos")
         rec = stream.records[-1]
         assert rec.vectorized and not rec.packed and rec.pack_bytes == 0
         assert rec.display_name == "gbtrf_window[vec]"
@@ -754,14 +766,15 @@ class TestStaging:
                         and getattr(mod, name, None) is orig):
                     monkeypatch.setattr(mod, name, counted)
         n, kl, ku, batch = 96, 3, 2, 12
-        for layout, label in ((None, "[vec]"), (to_interleaved, "[vec+soa]")):
+        for convert, layout, label in ((None, "aos", "[vec]"),
+                                       (to_interleaved, None, "[vec+soa]")):
             a = _band_batch(batch, n, kl, ku, np.float64, seed=46)
             b = random_rhs(n, 1, batch=batch, seed=47)
-            if layout is not None:
-                a, b = layout(a), layout(b)
+            if convert is not None:
+                a, b = convert(a), convert(b)
             stream = Stream(H100_PCIE)
             gbsv_batch(n, kl, ku, 1, a, None, b, method="standard",
-                       stream=stream)
+                       stream=stream, layout=layout)
             assert [r.display_name for r in stream.records] == [
                 "gbtrf_window" + label, "gbtrs_fwd_blocked" + label,
                 "gbtrs_bwd_blocked" + label]

@@ -431,6 +431,18 @@ class TestEscalation:
         assert exc.value.device == H100_PCIE.name
         assert exc.value.residual > 0
 
+    def test_nan_lane_reports_nan_residual(self):
+        """A NaN lane that fails every rung reports its non-finite residual
+        as the worst one, not 0 (chunked, as the lanes are staged)."""
+        n = 72
+        a = random_band_batch(12, n, 3, 2, seed=5)
+        a[4, 6, 30] = np.nan
+        with pytest.raises(DataCorruptionError) as exc:
+            gbtrf_batch(n, n, 3, 2, a, chunk_hint=3, verify="cheap")
+        assert exc.value.lanes == (4,)
+        assert np.isnan(exc.value.residual)
+        assert "worst scaled residual nan" in str(exc.value)
+
     def test_on_fail_flag_records_instead_of_raising(self):
         a, b = _problem(seed=41, batch=4)
         vp = VerifyPolicy(residual_tol=1e-300, refine=False,
