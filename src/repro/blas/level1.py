@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["iamax", "swap", "scal", "scal_batched",
-           "stable_mul", "axpy", "dot", "nrm2", "asum"]
+__all__ = ["iamax", "swap", "scal", "stable_mul", "axpy", "dot", "nrm2",
+           "asum"]
 
 
-def stable_mul(x, y):
+def stable_mul(x, y, out=None):
     """Elementwise product whose rounding does not depend on array shape.
 
     numpy's complex multiply is not shape-stable: the contiguous SIMD main
@@ -27,23 +27,26 @@ def stable_mul(x, y):
     helper.  It evaluates the naive formula with real arithmetic — real
     multiply/add/subtract are correctly rounded elementwise in every numpy
     loop, hence shape-stable.  Real dtypes multiply directly (also
-    correctly rounded elementwise, so already stable).
+    correctly rounded elementwise, so already stable).  ``out``, when
+    given, receives the product.
+
+    Propagating non-finite lanes (singular solves, poisoned operands)
+    legitimately evaluates ``inf*0`` and ``inf-inf`` here; LAPACK raises
+    no IEEE flags for these, and every caller runs it under an
+    ``np.errstate`` that ignores them.
     """
-    # Propagating non-finite lanes (singular solves, poisoned operands)
-    # legitimately evaluates inf*0 and inf-inf here; LAPACK raises no IEEE
-    # flags for these, so neither do we.
-    with np.errstate(invalid="ignore"):
-        if not (np.iscomplexobj(x) or np.iscomplexobj(y)):
-            return x * y
-        x = np.asarray(x)
-        y = np.asarray(y)
-        xr, xi = x.real, x.imag
-        yr, yi = y.real, y.imag
+    if not (np.iscomplexobj(x) or np.iscomplexobj(y)):
+        return np.multiply(x, y, out=out)
+    x = np.asarray(x)
+    y = np.asarray(y)
+    xr, xi = x.real, x.imag
+    yr, yi = y.real, y.imag
+    if out is None:
         out = np.empty(np.broadcast_shapes(x.shape, y.shape),
                        dtype=np.result_type(x, y))
-        out.real = xr * yr - xi * yi
-        out.imag = xr * yi + xi * yr
-        return out
+    out.real = xr * yr - xi * yi
+    out.imag = xr * yi + xi * yr
+    return out
 
 
 def iamax(x: np.ndarray) -> int:
@@ -74,22 +77,6 @@ def swap(x: np.ndarray, y: np.ndarray) -> None:
 def scal(alpha, x: np.ndarray) -> None:
     """``x *= alpha`` in place."""
     x *= alpha
-
-
-def scal_batched(alpha: np.ndarray, x: np.ndarray) -> None:
-    """Batch-interleaved SCAL: ``x[b] *= alpha[b]`` for every problem ``b``.
-
-    ``alpha`` has shape ``(batch,)`` and ``x`` shape ``(batch, ...)``; each
-    element sees the identical multiply the per-problem :func:`scal` would
-    perform, so results are bit-for-bit equal.  Complex data routes
-    through :func:`stable_mul` so the rounding cannot shift with the loop
-    numpy happens to pick for the batched shape.
-    """
-    a = alpha.reshape((-1,) + (1,) * (x.ndim - 1))
-    if np.iscomplexobj(x):
-        x[...] = stable_mul(x, a)
-    else:
-        x *= a
 
 
 def axpy(alpha, x: np.ndarray, y: np.ndarray) -> None:

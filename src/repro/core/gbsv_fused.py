@@ -37,6 +37,7 @@ from .gbtrf_fused import default_fused_threads
 from .solve_blocks import (
     backward_step_batched,
     forward_swap_batched,
+    forward_swap_plane,
     forward_update_batched,
 )
 
@@ -101,13 +102,14 @@ class FusedGbsvKernel(Kernel):
         init_fillin_batched(tiles, n, kl, ku)
         ju = np.full(nblocks, -1, dtype=np.int64)
         work = ColumnWork(tiles, kl, ku)
+        plane = forward_swap_plane(rw)
         # A singular lane's RHS is never written out, so the forward
         # steps need no mask: only lanes that end with info == 0 (a
         # nonzero pivot in every column) keep their results.
         for j in range(n):
-            ju, jp, _ = gbtf2_step_batched(tiles, n, n, kl, ku, j, ju, pivs,
-                                           info, work=work)
-            forward_swap_batched(rw, j, j + jp)
+            ju, jp = gbtf2_step_batched(tiles, n, n, kl, ku, j, ju, pivs,
+                                        info, work=work)
+            forward_swap_batched(rw, j, j + jp, plane)
             forward_update_batched(store[j, kv + 1:], n, j, rw)
 
         abst[...] = tiles

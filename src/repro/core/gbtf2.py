@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..blas.level1 import iamax, scal_batched, stable_mul
+from ..blas.level1 import iamax, stable_mul
 
 __all__ = [
     "pivot_search",
@@ -67,6 +67,7 @@ __all__ = [
     "swap_right_batched",
     "scale_column_batched",
     "rank_one_update_batched",
+    "gbtf2_pivot_batched",
     "gbtf2_step_batched",
     "gbtf2_batched",
 ]
@@ -236,7 +237,10 @@ def gbtf2(m: int, n: int, kl: int, ku: int, ab: np.ndarray,
 # second result of :func:`update_bound_batched`): a lane whose pivot is
 # exactly zero gets ``j - 1`` and so skips both, as in LAPACK.  No block
 # uses a masked ufunc, and lanes or columns outside a lane's bound keep
-# their exact bits.
+# their exact bits.  The blocks run under their caller's ``np.errstate``
+# (the kernel launcher's, or :func:`gbtf2_batched`'s): non-finite lanes
+# raise no IEEE warnings, as in LAPACK, and no block pays for entering
+# it on every column.
 
 
 class ColumnWork:
@@ -247,9 +251,12 @@ class ColumnWork:
     ``steps`` holds the column offsets ``0..kv`` as a ``(kv + 1, 1)``
     column, ``diag[t, k]`` the flat offset of ``abst[k, r - t, c + t]``
     from ``abst[0, r, c]`` (lane ``k``, ``t`` dense columns right along
-    one dense row), and ``prod`` receives the rank-one products.  Built
-    once per factorization, so the column blocks allocate no index
-    planes and no product buffers.
+    one dense row), and ``prod`` receives the rank-one products;
+    ``prod_bits`` views them as unsigned integers, with a trailing axis
+    of an element's halves (two ``uint64`` for complex128, else one).
+    ``cplx`` is the complex case.  Built once per factorization, so the
+    column blocks allocate no index planes and no product buffers, and
+    dispatch on the dtype once.
     """
 
     def __init__(self, abst: np.ndarray, kl: int, ku: int):
@@ -264,19 +271,36 @@ class ColumnWork:
                            for e, s in zip(abst.shape, self.strides))
         self.flat = np.lib.stride_tricks.as_strided(
             abst, shape=(span,), strides=(isz,))
-        kv = kl + ku
-        self.steps = np.arange(kv + 1)[:, None]
-        self.diag = self.steps * (sc - sr) + np.arange(abst.shape[0]) * sb
+        self.cplx = abst.dtype.kind == "c"
+        self.kv, self.batch = kl + ku, abst.shape[0]
+        # Dense (r, c) lives at band row kv + r - c, so one dense column
+        # right is ``sc - sr`` elements: a block of dense rows and
+        # columns is a plain strided view, taken lane-last.
+        self.dense_strides = (sr * isz, (sc - sr) * isz, sb * isz)
+        self.steps = np.arange(self.kv + 1)[:, None]
+        self.diag = self.steps * (sc - sr) + np.arange(self.batch) * sb
         # Laid out like the slab of a column-major stack: rows adjacent.
-        self.prod = np.empty((kv, kl, abst.shape[0]),
-                             dtype=abst.dtype).transpose(1, 0, 2)
+        buf = np.empty((self.kv, kl, self.batch), dtype=abst.dtype)
+        self.prod = buf.transpose(1, 0, 2)
+        ubits = np.dtype(f"u{min(isz, 8)}")
+        self.prod_bits = buf.view(ubits).reshape(
+            buf.shape + (isz // ubits.itemsize,)).transpose(1, 0, 2, 3)
 
-    def view(self, offset: int, shape: tuple, strides: tuple) -> np.ndarray:
-        """Writable view of the stack; ``offset``/``strides`` in elements."""
-        isz = self.flat.itemsize
-        return np.ndarray(shape, self.flat.dtype, buffer=self.flat,
-                          offset=offset * isz,
-                          strides=tuple(s * isz for s in strides))
+    def corner(self, j: int, col0: int) -> int:
+        """Flat offset of dense ``(j, j)`` of lane 0."""
+        return self.kv * self.strides[1] + (j - col0) * self.strides[2]
+
+    def dense(self, j: int, col0: int, rows: int, cols: int, *,
+              bits: bool = False) -> np.ndarray:
+        """Writable ``(rows, cols, batch)`` view of the dense block
+        ``A[j:j+rows, j:j+cols]`` of every lane (stack column ``c -
+        col0``); ``bits=True`` views its bits as ``prod_bits`` does."""
+        dtype, tail = ((self.prod_bits.dtype, self.prod_bits.shape[3:])
+                       if bits else (self.flat.dtype, ()))
+        return np.ndarray((rows, cols, self.batch) + tail, dtype,
+                          buffer=self.flat,
+                          offset=self.corner(j, col0) * self.flat.itemsize,
+                          strides=self.dense_strides + (8,) * len(tail))
 
 
 def init_fillin_batched(abst: np.ndarray, n: int, kl: int, ku: int,
@@ -297,16 +321,15 @@ def pivot_search_batched(abst: np.ndarray, m: int, kl: int, ku: int, j: int,
     Returns ``(jp, active)``: the ``(batch,)`` pivot offsets (IAMAX
     semantics: ``|real| + |imag|``, first maximal entry) and whether each
     lane's pivot is nonzero.  The pivot is zero exactly when the largest
-    magnitude is; a NaN magnitude selects a NaN pivot, which is nonzero.
+    magnitude is (and the offset then ``0``); a NaN magnitude selects a
+    NaN pivot, which is nonzero.  Runs under its caller's ``np.errstate``
+    (signaling-NaN entries).
     """
     kv = kl + ku
     km = min(kl, m - j - 1)
     x = abst[:, kv:kv + km + 1, j - col0].T
-    if np.iscomplexobj(x):
-        with np.errstate(invalid="ignore"):     # signaling-NaN entries
-            mag = np.abs(x.real) + np.abs(x.imag)
-    else:
-        mag = np.abs(x)
+    mag = (np.abs(x.real) + np.abs(x.imag) if np.iscomplexobj(x)
+           else np.abs(x))
     return mag.argmax(axis=0), mag.max(axis=0) != 0
 
 
@@ -337,26 +360,29 @@ def set_fillin_batched(abst: np.ndarray, n: int, kl: int, ku: int, j: int,
 
 def swap_right_batched(abst: np.ndarray, kl: int, ku: int, j: int,
                        jp: np.ndarray, ju: np.ndarray, *, col0: int = 0,
-                       work: ColumnWork | None = None) -> None:
+                       work: ColumnWork | None = None,
+                       span: tuple | None = None) -> None:
     """Batched :func:`swap_right` with per-lane pivots and bounds.
 
     Lane ``k`` exchanges dense rows ``j`` and ``j + jp[k]`` over columns
     ``[j, ju[k]]`` (none when ``ju[k] < j``).  Row ``j`` is a band
     anti-diagonal, a strided view; row ``j + jp`` lies ``jp`` band rows
-    below it, so one flat index plane addresses it.  Outside a lane's
-    bound that plane points back at row ``j``, and those entries swap
-    with themselves: exact bit copies, no mask.
+    below it, so one flat index plane addresses it, out to the step's
+    widest bound on every lane (``span`` is ``(ju.min(), ju.max())``
+    when the caller has it).  Past a lane's own bound both rows hold
+    only fill-in, which SET_FILLIN zeroed at or before this step and no
+    swap or update has reached since (earlier bounds are no wider): the
+    exchange moves ``+0.0`` onto ``+0.0``, so no mask is needed.  A lane
+    whose pivot is zero has ``jp == 0`` and swaps row ``j`` with itself.
     """
-    hi = int(ju.max())
+    hi = int(ju.max()) if span is None else span[1]
     if kl == 0 or hi < j:           # kl == 0: the pivot is the diagonal
         return
     if work is None:
         work = ColumnWork(abst, kl, ku)
-    sb, sr, sc = work.strides
     w = hi - j + 1
-    corner = (kl + ku) * sr + (j - col0) * sc       # dense (j, j)
-    row_j = work.view(corner, (w, abst.shape[0]), (sc - sr, sb))
-    row_p = work.diag[:w] + corner + (work.steps[:w] <= ju - j) * (jp * sr)
+    row_j = work.dense(j, col0, 1, w)[0]
+    row_p = work.diag[:w] + (work.corner(j, col0) + jp * work.strides[1])
     a_p = work.flat.take(row_p)
     work.flat[row_p] = row_j
     row_j[...] = a_p
@@ -370,110 +396,107 @@ def scale_column_batched(abst: np.ndarray, m: int, kl: int, ku: int, j: int,
     Matches the scalar block's ``*= 1.0 / pivot`` exactly: the reciprocal
     is formed per problem in the array dtype and multiplied in, which is
     the identical per-element operation sequence.  ``active=None`` means
-    every lane scales.
+    every lane scales.  Runs under its caller's ``np.errstate``.
     """
     kv = kl + ku
     km = min(kl, m - j - 1)
     if km <= 0:
         return
-    jj = j - col0
-    col = abst[:, kv + 1:kv + km + 1, jj]
-    piv = abst[:, kv, jj]
-    with np.errstate(invalid="ignore", over="ignore"):
-        if active is None:
-            scal_batched(1.0 / piv, col)
-        else:
-            inv = 1.0 / np.where(active, piv, piv.dtype.type(1))
-            col[...] = np.where(active[:, None],
-                                stable_mul(col, inv[:, None]), col)
-
-
-def _bits(x: np.ndarray) -> tuple:
-    """Unsigned-integer views of ``x``'s bits (complex128 as two halves)."""
-    if x.dtype.itemsize == 16:
-        return x.real.view(np.uint64), x.imag.view(np.uint64)
-    return (x.view(f"u{x.dtype.itemsize}"),)
+    col = abst[:, kv + 1:kv + km + 1, j - col0]
+    piv = abst[:, kv, j - col0]
+    if active is not None:
+        piv = np.where(active, piv, piv.dtype.type(1))
+    prod = stable_mul(col, (1.0 / piv)[:, None])
+    col[...] = prod if active is None else np.where(active[:, None], prod, col)
 
 
 def rank_one_update_batched(abst: np.ndarray, m: int, kl: int, ku: int,
                             j: int, ju: np.ndarray, *, col0: int = 0,
-                            work: ColumnWork | None = None) -> None:
+                            work: ColumnWork | None = None,
+                            span: tuple | None = None) -> None:
     """Batched :func:`rank_one_update` with per-lane bounds.
 
     Lane ``k`` updates columns ``j+1 .. ju[k]`` (none when
-    ``ju[k] <= j``).  The products of every lane land in the workspace
+    ``ju[k] <= j``); ``span`` is ``(ju.min(), ju.max())`` when the caller
+    has it.  The products of every lane land in the workspace
     (``out=``).  A plain subtract covers the columns every lane updates;
     on the remaining tail columns each element takes its new or its old
-    bits through an XOR/AND select on unsigned views.
+    bits through an XOR/AND select on the workspace's unsigned views.
+    Non-finite lanes evaluate ``inf - inf`` and ``inf * 0`` here (and
+    may overflow); LAPACK raises no IEEE flags for them, and the block
+    runs under its caller's ``np.errstate``.
     """
-    kv = kl + ku
     km = min(kl, m - j - 1)
-    hi = int(ju.max())
+    lo, hi = (int(ju.min()), int(ju.max())) if span is None else span
     if km <= 0 or hi <= j:
         return
     if work is None:
         work = ColumnWork(abst, kl, ku)
-    sb, sr, sc = work.strides
-    batch = abst.shape[0]
     nc = hi - j
-    nh = min(max(int(ju.min()) - j, 0), nc)
-    # Dense (r, c) lives at band row kv + r - c, so one dense column right
-    # is ``sc - sr`` elements: the slab A[j+1:j+km+1, j+1:hi+1], the
-    # multipliers A[j+1:j+km+1, j] and U's row A[j, j+1:hi+1] are plain
-    # strided views of the stack, taken lane-last.
-    corner = kv * sr + (j + 1 - col0) * sc          # dense (j+1, j+1)
-    d = sc - sr
-    slab = work.view(corner, (km, nc, batch), (sr, d, sb))
-    l = work.view(corner + sr - sc, (km, 1, batch), (sr, 0, sb))
-    u = work.view(corner - sr, (1, nc, batch), (0, d, sb))
-    # Non-finite lanes evaluate inf - inf and inf * 0 here (and may
-    # overflow); LAPACK raises no IEEE flags for them, so neither do we.
-    with np.errstate(invalid="ignore", over="ignore"):
-        if np.iscomplexobj(abst):
-            prod = stable_mul(l, u)
-        else:
-            prod = np.multiply(l, u, out=work.prod[:km, :nc])
-        if nh:
-            head = slab[:, :nh]
-            np.subtract(head, prod[:, :nh], out=head)
-        if nh == nc:
-            return
-        old, new = slab[:, nh:], prod[:, nh:]
-        np.subtract(old, new, out=new)
-        keep = np.subtract(0, work.steps[nh + 1:nc + 1] <= ju - j,
-                           dtype=_bits(old)[0].dtype)   # all ones: update
-    for o, p in zip(_bits(old), _bits(new)):
-        np.bitwise_xor(p, o, out=p)
-        np.bitwise_and(p, keep, out=p)
-        np.bitwise_xor(o, p, out=o)
+    nh = min(max(lo - j, 0), nc)
+    # The slab A[j+1:j+km+1, j+1:hi+1], the multipliers A[j+1:j+km+1, j]
+    # and U's row A[j, j+1:hi+1], as views of one dense block.
+    block = work.dense(j, col0, km + 1, nc + 1)
+    slab, l, u = block[1:, 1:], block[1:, :1], block[:1, 1:]
+    prod = work.prod[:km, :nc]
+    (stable_mul if work.cplx else np.multiply)(l, u, out=prod)
+    if nh:
+        head = slab[:, :nh]
+        np.subtract(head, prod[:, :nh], out=head)
+    if nh == nc:
+        return
+    np.subtract(slab[:, nh:], prod[:, nh:], out=prod[:, nh:])
+    old = work.dense(j, col0, km + 1, nc + 1, bits=True)[1:, nh + 1:]
+    new = work.prod_bits[:km, nh:nc]
+    keep = np.subtract(0, (work.steps[nh + 1:nc + 1] <= ju - j)[..., None],
+                       dtype=old.dtype)             # all ones: update
+    np.bitwise_xor(new, old, out=new)
+    np.bitwise_and(new, keep, out=new)
+    np.bitwise_xor(old, new, out=old)
 
 
-def gbtf2_step_batched(abst: np.ndarray, m: int, n: int, kl: int, ku: int,
-                       j: int, ju: np.ndarray, ipiv: np.ndarray,
-                       info: np.ndarray, *, col0: int = 0,
-                       work: ColumnWork | None = None
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One column of the batched factorization, on every lane, in place.
+def gbtf2_pivot_batched(abst: np.ndarray, m: int, n: int, kl: int,
+                        ku: int, j: int, ju: np.ndarray, ipiv: np.ndarray,
+                        info: np.ndarray, *, col0: int = 0,
+                        work: ColumnWork | None = None) -> tuple:
+    """The column step up to its rank-one update, on every lane, in place.
 
-    Runs SET_FILLIN, IAMAX, GET_UPDATE_BOUND, SWAP, SCAL and
-    RANK_ONE_UPDATE for column ``j``, writes the pivot rows to
-    ``ipiv[:, j]`` and ``j + 1`` to ``info`` of lanes whose first zero
-    pivot this is.  ``ju`` is the carried per-lane update bound.  Returns
-    ``(ju, jp, active)``: the new bound, the pivot offsets and which
-    lanes had a nonzero pivot.
+    Runs SET_FILLIN, IAMAX, GET_UPDATE_BOUND, SWAP and SCAL for column
+    ``j``, writes the pivot rows to ``ipiv[:, j]`` and ``j + 1`` to
+    ``info`` of lanes whose first zero pivot this is.  ``ju`` is the
+    carried per-lane update bound.  Returns ``(ju, bound, jp, span)``:
+    the new carried bound, this step's bound for the rank-one update
+    (``j - 1`` on a zero-pivot lane), the pivot offsets and ``(bound.min(),
+    bound.max())``.  The reference design's pivot kernel runs it alone.
     """
     set_fillin_batched(abst, n, kl, ku, j, col0=col0)
     jp, active = pivot_search_batched(abst, m, kl, ku, j, col0=col0)
     ipiv[:, j] = jp + j
     lanes = None if active.all() else active
     ju, bound = update_bound_batched(n, kl, ku, j, jp, ju, lanes)
-    swap_right_batched(abst, kl, ku, j, jp, bound, col0=col0, work=work)
+    span = int(bound.min()), int(bound.max())
+    swap_right_batched(abst, kl, ku, j, jp, bound, col0=col0, work=work,
+                       span=span)
     scale_column_batched(abst, m, kl, ku, j, col0=col0, active=lanes)
-    rank_one_update_batched(abst, m, kl, ku, j, bound, col0=col0,
-                            work=work)
     if lanes is not None:
         info[(info == 0) & ~active] = j + 1
-    return ju, jp, active
+    return ju, bound, jp, span
+
+
+def gbtf2_step_batched(abst: np.ndarray, m: int, n: int, kl: int, ku: int,
+                       j: int, ju: np.ndarray, ipiv: np.ndarray,
+                       info: np.ndarray, *, col0: int = 0,
+                       work: ColumnWork | None = None
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """One column of the batched factorization, on every lane, in place:
+    :func:`gbtf2_pivot_batched`, then RANK_ONE_UPDATE.  Returns ``(ju,
+    jp)``: the new carried bound and the pivot offsets.
+    """
+    ju, bound, jp, span = gbtf2_pivot_batched(
+        abst, m, n, kl, ku, j, ju, ipiv, info, col0=col0, work=work)
+    rank_one_update_batched(abst, m, kl, ku, j, bound, col0=col0,
+                            work=work, span=span)
+    return ju, jp
 
 
 def gbtf2_batched(m: int, n: int, kl: int, ku: int, abst: np.ndarray,
@@ -496,6 +519,8 @@ def gbtf2_batched(m: int, n: int, kl: int, ku: int, abst: np.ndarray,
     -------
     (ipiv, info):
         Bit-for-bit identical to looping :func:`gbtf2` over the batch.
+
+    Enters the blocks' ``np.errstate`` once, for the whole factorization.
     """
     batch = abst.shape[0]
     mn = min(m, n)
@@ -508,7 +533,8 @@ def gbtf2_batched(m: int, n: int, kl: int, ku: int, abst: np.ndarray,
     init_fillin_batched(abst, n, kl, ku)
     ju = np.full(batch, -1, dtype=np.int64)
     work = ColumnWork(abst, kl, ku)
-    for j in range(mn):
-        ju, _, _ = gbtf2_step_batched(abst, m, n, kl, ku, j, ju, ipiv, info,
-                                      work=work)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for j in range(mn):
+            ju, _ = gbtf2_step_batched(abst, m, n, kl, ku, j, ju, ipiv,
+                                       info, work=work)
     return ipiv, info

@@ -22,15 +22,8 @@ from ..gpusim.device import DeviceSpec
 from ..gpusim import ahead
 from ..gpusim.kernel import Kernel, SharedMemory
 from .costs import reference_column_cost
-from .gbtf2 import (
-    init_fillin_batched,
-    pivot_search_batched,
-    rank_one_update_batched,
-    scale_column_batched,
-    set_fillin_batched,
-    swap_right_batched,
-    update_bound_batched,
-)
+from .gbtf2 import gbtf2_pivot_batched, init_fillin_batched, \
+    rank_one_update_batched
 
 __all__ = ["ColumnPivotKernel", "ColumnUpdateKernel", "FactorInitKernel",
            "gbtrf_reference_batch"]
@@ -114,18 +107,10 @@ class ColumnPivotKernel(ReferenceKernel):
 
     def run_batch_vectorized(self, hi: int, smem: SharedMemory, *,
                              lo: int = 0) -> None:
-        s, j = self.state, self.j
-        abst = s.mats[lo:hi]
-        set_fillin_batched(abst, s.n, s.kl, s.ku, j)
-        jp, active = pivot_search_batched(abst, s.m, s.kl, s.ku, j)
-        s.pivots[lo:hi, j] = jp + j
-        lanes = None if active.all() else active
-        s.ju[lo:hi], s.bound[lo:hi] = update_bound_batched(
-            s.n, s.kl, s.ku, j, jp, s.ju[lo:hi], lanes)
-        swap_right_batched(abst, s.kl, s.ku, j, jp, s.bound[lo:hi])
-        scale_column_batched(abst, s.m, s.kl, s.ku, j, active=lanes)
-        info = s.info[lo:hi]
-        info[(info == 0) & ~active] = j + 1
+        s = self.state
+        s.ju[lo:hi], s.bound[lo:hi], _, _ = gbtf2_pivot_batched(
+            s.mats[lo:hi], s.m, s.n, s.kl, s.ku, self.j, s.ju[lo:hi],
+            s.pivots[lo:hi], s.info[lo:hi])
 
 
 class ColumnUpdateKernel(ReferenceKernel):

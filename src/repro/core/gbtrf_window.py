@@ -70,7 +70,8 @@ def sliding_window_factor_batched(abst: np.ndarray, pivs: np.ndarray,
     window's layout, so its column steps run on the stack itself: no
     window store, stream-in, shift or write-back.  The model still
     charges the window's shared memory (``smem_bytes``); the host only
-    skips copies.
+    skips copies.  Like :func:`~repro.core.gbtf2.gbtf2_batched`, it
+    enters the column steps' ``np.errstate`` itself.
     """
     if is_column_interleaved(abst):
         gbtf2_batched(m, n, kl, ku, abst, pivs, info)
@@ -104,31 +105,32 @@ def sliding_window_factor_batched(abst: np.ndarray, pivs: np.ndarray,
     ju = np.full(batch, -1, dtype=np.int64)
     info[...] = 0
     j = 0
-    while j < mn:
-        jend = min(j + nb, mn)
-        for jj in range(j, jend):
-            ju, _, _ = gbtf2_step_batched(win, m, n, kl, ku, jj, ju, pivs,
-                                          info, col0=c0, work=work)
-        abst[:, :ldab, j:jend] = win[:, :, j - c0:jend - c0]
-        if jend >= mn:
-            # Trailing columns beyond min(m, n) (only when m < n) hold
-            # live updates and must be flushed too.
-            tail_hi = min(c0 + wcols, n)
-            if tail_hi > jend:
-                abst[:, :ldab, jend:tail_hi] = \
-                    win[:, :, jend - c0:tail_hi - c0]
-            break
-        # Shift the window left by the columns just retired and stream
-        # in the next ones; only the padding past column n is zeroed.
-        shift = jend - c0
-        keep = wcols - shift
-        store[:keep] = store[shift:]
-        lo = c0 + wcols
-        hi = max(min(lo + shift, n), lo)
-        _stream_in(store, abst, keep, lo, hi)
-        store[keep + (hi - lo):] = 0
-        c0 = jend
-        j = jend
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while j < mn:
+            jend = min(j + nb, mn)
+            for jj in range(j, jend):
+                ju, _ = gbtf2_step_batched(win, m, n, kl, ku, jj, ju, pivs,
+                                           info, col0=c0, work=work)
+            abst[:, :ldab, j:jend] = win[:, :, j - c0:jend - c0]
+            if jend >= mn:
+                # Trailing columns beyond min(m, n) (only when m < n) hold
+                # live updates and must be flushed too.
+                tail_hi = min(c0 + wcols, n)
+                if tail_hi > jend:
+                    abst[:, :ldab, jend:tail_hi] = \
+                        win[:, :, jend - c0:tail_hi - c0]
+                break
+            # Shift the window left by the columns just retired and stream
+            # in the next ones; only the padding past column n is zeroed.
+            shift = jend - c0
+            keep = wcols - shift
+            store[:keep] = store[shift:]
+            lo = c0 + wcols
+            hi = max(min(lo + shift, n), lo)
+            _stream_in(store, abst, keep, lo, hi)
+            store[keep + (hi - lo):] = 0
+            c0 = jend
+            j = jend
 
 
 class SlidingWindowGbtrfKernel(Kernel):

@@ -44,6 +44,7 @@ from .costs import gbtrs_backward_cost, gbtrs_forward_cost
 from .solve_blocks import (
     backward_step_batched,
     forward_swap_batched,
+    forward_swap_plane,
     forward_update_batched,
     transL_step_batched,
     transU_step_batched,
@@ -151,6 +152,8 @@ class BlockedForwardKernel(_BlockedSolveBase):
         abl, pivs, bt = self._lane_views(hi, lo)
         tiles = _FactorTiles(abl, kv + 1, kv + kl + 1, nb)
         rw = smem.alloc((nb + kl, self.nrhs, hi - lo), dtype=bt.dtype)
+        plane = forward_swap_plane(rw)
+        swaps = (pivs != np.arange(n)[:, None]).any(axis=1)
         cached = min(nb + kl, n)
         rw[:cached] = bt[:cached]
         jbeg = 0
@@ -158,7 +161,8 @@ class BlockedForwardKernel(_BlockedSolveBase):
             jend = min(jbeg + nb, n)
             lt = tiles.block(jbeg, jend)
             for j in range(jbeg, jend):
-                forward_swap_batched(rw, j, pivs[j], row0=jbeg)
+                if swaps[j]:
+                    forward_swap_batched(rw, j, pivs[j], plane, row0=jbeg)
                 forward_update_batched(lt[:, j - jbeg], n, j, rw, row0=jbeg)
             bt[jbeg:jend] = rw[:jend - jbeg]         # final rows out
             if jend >= n:
@@ -258,6 +262,7 @@ class BlockedTransLKernel(_BlockedSolveBase):
         conj = self.conj and np.iscomplexobj(abl)
         tiles = _FactorTiles(abl, kv + 1, kv + kl + 1, nb)
         rw = smem.alloc((nb + kl, self.nrhs, hi - lo), dtype=btl.dtype)
+        plane = forward_swap_plane(rw)
         # Each block's swaps can reach kl rows past its top (piv[j] <=
         # j + kl), touching rows finalised by the previous (later) block —
         # so the window covers [jbeg, jend + kl) and the overlap is
@@ -271,7 +276,7 @@ class BlockedTransLKernel(_BlockedSolveBase):
             lt = tiles.block(jbeg, jend)
             for j in range(jend - 1, jbeg - 1, -1):
                 transL_step_batched(lt[:, j - jbeg], n, j, pivs[j], rw,
-                                    conj=conj, row0=jbeg)
+                                    plane, conj=conj, row0=jbeg)
             btl[jbeg:r1] = rw[:r1 - jbeg]
             jend = jbeg
 

@@ -33,6 +33,7 @@ __all__ = [
     "backward_step",
     "transU_step",
     "transL_step",
+    "forward_swap_plane",
     "forward_swap_batched",
     "forward_update_batched",
     "backward_step_batched",
@@ -54,6 +55,13 @@ def _sub_mul(dst: np.ndarray, x, y) -> None:
             dst -= stable_mul(x, y)
         else:
             dst -= x * y
+
+
+def _sub_mul_lanes(dst: np.ndarray, x, y) -> None:
+    """:func:`_sub_mul` for the batched steps: no ``np.errstate`` of its
+    own (they run under their caller's), and the complex case read off
+    ``dst``, which a complex product must land in."""
+    dst -= stable_mul(x, y) if dst.dtype.kind == "c" else x * y
 
 
 def forward_swap(b: np.ndarray, j: int, piv: int) -> None:
@@ -154,28 +162,34 @@ def transL_step(ab: np.ndarray, n: int, kl: int, ku: int, j: int,
 # is then a run of adjacent lanes, the interleaved-batch layout of Gloster
 # et al. (arXiv:1909.04539).  ``l`` is a column's ``kl`` multipliers (band
 # rows ``kv+1 .. kv+kl``) and ``u`` its ``kv + 1`` rows of ``U`` (band rows
-# ``0 .. kv``, the diagonal last).
+# ``0 .. kv``, the diagonal last).  The steps run under their caller's
+# ``np.errstate`` (the kernel launcher's, or :func:`gbtrs_batched`'s):
+# non-finite lanes raise no IEEE warnings, as in LAPACK.
+
+
+def forward_swap_plane(rw: np.ndarray) -> np.ndarray:
+    """The ``(nrhs, batch)`` offsets of one row's elements in the window
+    ``rw``: the part of :func:`forward_swap_batched`'s index plane that
+    every step shares, built once per body."""
+    return np.arange(rw[0].size).reshape(rw.shape[1:])
 
 
 def forward_swap_batched(rw: np.ndarray, j: int, piv: np.ndarray,
-                         *, row0: int = 0) -> None:
+                         plane: np.ndarray, *, row0: int = 0) -> None:
     """Batched :func:`forward_swap` with a per-lane pivot-row vector.
 
     ``rw`` is a C-contiguous ``(rows, nrhs, batch)`` window; ``piv`` holds
     absolute pivot rows (``piv[k] == j`` means no swap for lane ``k``).
     The pivot rows are addressed through one flat index plane, as in
-    :func:`~repro.core.gbtf2.swap_right_batched`; a no-swap lane's plane
-    points back at row ``j`` and swaps it with itself, an exact bit copy,
-    and a step where no lane swaps is skipped.
+    :func:`~repro.core.gbtf2.swap_right_batched`, offset from the body's
+    :func:`forward_swap_plane`; a no-swap lane's plane points back at row
+    ``j`` and swaps it with itself, an exact bit copy.  A body that
+    knows its pivots skips the steps where no lane swaps.
     """
     if not rw.flags.c_contiguous:
         raise ValueError("forward_swap_batched needs a C-contiguous window")
-    if (piv == j).all():
-        return
-    _, nrhs, batch = rw.shape
     jj = j - row0
-    plane = ((piv - row0) * (nrhs * batch)
-             + np.arange(nrhs * batch).reshape(nrhs, batch))
+    plane = (piv - row0) * plane.size + plane
     flat = rw.reshape(-1)
     row_p = flat.take(plane)
     flat[plane] = rw[jj]
@@ -188,7 +202,7 @@ def forward_update_batched(l: np.ndarray, n: int, j: int, rw: np.ndarray,
     lm = min(l.shape[0], n - j - 1)
     if lm > 0:
         jj = j - row0
-        _sub_mul(rw[jj + 1:jj + lm + 1], l[:lm, None], rw[jj])
+        _sub_mul_lanes(rw[jj + 1:jj + lm + 1], l[:lm, None], rw[jj])
 
 
 def backward_step_batched(u: np.ndarray, j: int, rw: np.ndarray,
@@ -197,11 +211,10 @@ def backward_step_batched(u: np.ndarray, j: int, rw: np.ndarray,
     kv = u.shape[0] - 1
     jj = j - row0
     # Unguarded like LAPACK: zero pivots propagate inf/NaN silently.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        np.divide(rw[jj], u[kv], out=rw[jj])
+    np.divide(rw[jj], u[kv], out=rw[jj])
     lm = min(kv, j)
     if lm > 0:
-        _sub_mul(rw[jj - lm:jj], u[kv - lm:kv, None], rw[jj])
+        _sub_mul_lanes(rw[jj - lm:jj], u[kv - lm:kv, None], rw[jj])
 
 
 def transU_step_batched(u: np.ndarray, j: int, rw: np.ndarray, *,
@@ -213,10 +226,9 @@ def transU_step_batched(u: np.ndarray, j: int, rw: np.ndarray, *,
     if conj:
         u = np.conj(u)
     for t in range(min(kv, j), 0, -1):
-        _sub_mul(rw[jj], u[kv - t], rw[jj - t])
+        _sub_mul_lanes(rw[jj], u[kv - t], rw[jj - t])
     # Unguarded like LAPACK: zero pivots propagate inf/NaN silently.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        np.divide(rw[jj], u[kv], out=rw[jj])
+    np.divide(rw[jj], u[kv], out=rw[jj])
 
 
 def transL_update_batched(l: np.ndarray, n: int, j: int, rw: np.ndarray,
@@ -227,15 +239,16 @@ def transL_update_batched(l: np.ndarray, n: int, j: int, rw: np.ndarray,
     if conj:
         l = np.conj(l)
     for t in range(1, min(l.shape[0], n - j - 1) + 1):
-        _sub_mul(rw[jj], l[t - 1], rw[jj + t])
+        _sub_mul_lanes(rw[jj], l[t - 1], rw[jj + t])
 
 
 def transL_step_batched(l: np.ndarray, n: int, j: int, piv: np.ndarray,
-                        rw: np.ndarray, *, conj: bool = False,
-                        row0: int = 0) -> None:
-    """Batched :func:`transL_step` on the lane-last multipliers ``l``."""
+                        rw: np.ndarray, plane: np.ndarray, *,
+                        conj: bool = False, row0: int = 0) -> None:
+    """Batched :func:`transL_step` on the lane-last multipliers ``l``;
+    ``plane`` is the body's :func:`forward_swap_plane`."""
     transL_update_batched(l, n, j, rw, conj=conj, row0=row0)
-    forward_swap_batched(rw, j, piv, row0=row0)
+    forward_swap_batched(rw, j, piv, plane, row0=row0)
 
 
 def gbtrs_unblocked(trans: Trans | str, n: int, kl: int, ku: int,
@@ -285,26 +298,32 @@ def gbtrs_batched(trans: Trans | str, n: int, kl: int, ku: int,
     The right-hand sides are solved in a C-contiguous lane-last copy
     (``(n, nrhs, batch)``; a view when ``rhs`` already is one) and the
     factor columns are read lane-last from ``mats``.  Each lane's bits
-    equal :func:`gbtrs_unblocked` on it.
+    equal :func:`gbtrs_unblocked` on it.  Enters the steps'
+    ``np.errstate`` once, for the whole solve.
     """
     trans = Trans.from_any(trans)
     kv = kl + ku
     abl, piv = mats.transpose(1, 2, 0), pivots.T
     rw = np.ascontiguousarray(rhs.transpose(1, 2, 0))
-    if trans is Trans.NO_TRANS:
-        if kl > 0:
-            for j in range(n - 1):
-                forward_swap_batched(rw, j, piv[j])
-                forward_update_batched(abl[kv + 1:kv + kl + 1, j], n, j, rw)
-        for j in range(n - 1, -1, -1):
-            backward_step_batched(abl[:kv + 1, j], j, rw)
-    else:
-        conj = trans is Trans.CONJ_TRANS and np.iscomplexobj(mats)
-        for j in range(n):
-            transU_step_batched(abl[:kv + 1, j], j, rw, conj=conj)
-        if kl > 0:
-            for j in range(n - 2, -1, -1):
-                transL_step_batched(abl[kv + 1:kv + kl + 1, j], n, j,
-                                    piv[j], rw, conj=conj)
+    plane = forward_swap_plane(rw)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if trans is Trans.NO_TRANS:
+            if kl > 0:
+                swaps = (piv != np.arange(n)[:, None]).any(axis=1)
+                for j in range(n - 1):
+                    if swaps[j]:
+                        forward_swap_batched(rw, j, piv[j], plane)
+                    forward_update_batched(abl[kv + 1:kv + kl + 1, j], n, j,
+                                           rw)
+            for j in range(n - 1, -1, -1):
+                backward_step_batched(abl[:kv + 1, j], j, rw)
+        else:
+            conj = trans is Trans.CONJ_TRANS and np.iscomplexobj(mats)
+            for j in range(n):
+                transU_step_batched(abl[:kv + 1, j], j, rw, conj=conj)
+            if kl > 0:
+                for j in range(n - 2, -1, -1):
+                    transL_step_batched(abl[kv + 1:kv + kl + 1, j], n, j,
+                                        piv[j], rw, plane, conj=conj)
     rhs[...] = rw.transpose(2, 0, 1)
     return rhs

@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 
 from ..band.layout import INTERLEAVED, LANE_MAJOR, copy_lanes, \
-    ldab_for_factor, normalize_layout
+    is_column_interleaved, ldab_for_factor, normalize_layout
 from ..errors import check_arg
 from ..gpusim import ahead
 from ..gpusim.device import H100_PCIE, DeviceSpec
@@ -309,15 +309,17 @@ class Operands:
         """Sub-batch over local lanes ``idx``.
 
         A ``range`` slices: every operand stays a view of the parent's.
-        Any other index gathers a copy of each operand's lanes, which
-        :meth:`put_back` scatters back.
+        Any other index gathers a copy of each operand's lanes, in the
+        operand's own layout (a column-interleaved stack into a
+        column-interleaved copy), which :meth:`put_back` scatters back.
         """
         idx = _lane_index(idx)
         lanes = (self.lanes[idx] if isinstance(idx, slice)
                  else [self.lanes[k] for k in idx])
-        return Operands(self.m, self.n, self.kl, self.ku, self.mats[idx],
-                        self.pivots[idx], self.info[idx], nrhs=self.nrhs,
-                        rhs=None if self.rhs is None else self.rhs[idx],
+        rhs = None if self.rhs is None else _gather(self.rhs, idx)
+        return Operands(self.m, self.n, self.kl, self.ku,
+                        _gather(self.mats, idx), self.pivots[idx],
+                        self.info[idx], nrhs=self.nrhs, rhs=rhs,
                         trans=self.trans, lanes=lanes, call=self.call)
 
     def put_back(self, idx, sub: "Operands", spec: "OpSpec") -> None:
@@ -359,6 +361,16 @@ class Snapshot(dict):
         """Narrow to lanes ``idx`` (without copying for a ``range``)."""
         idx = _lane_index(idx)
         return Snapshot({k: v[idx] for k, v in self.items()})
+
+
+def _gather(stack: np.ndarray, idx) -> np.ndarray:
+    """``stack[idx]``; a gather from a column-interleaved stack is made
+    column-interleaved too, so the kernels run on it in place
+    (``[vec+soa]``) as on the stack."""
+    sub = stack[idx]
+    if is_column_interleaved(stack) and not is_column_interleaved(sub):
+        return np.asfortranarray(sub)
+    return sub
 
 
 def _lane_index(idx):

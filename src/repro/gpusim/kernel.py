@@ -256,7 +256,9 @@ def _run_bodies(device: DeviceSpec, kernel: Kernel, timing: KernelTiming,
     returns the rung they take, ``None`` for the per-block path.
 
     The rung is decided once from the operands' shapes and strides; no
-    lane is walked.
+    lane is walked.  The bodies run under one ``np.errstate`` that
+    ignores the IEEE flags of non-finite lanes, as LAPACK raises none,
+    so their column steps need not enter it themselves.
     """
     grid = kernel.grid()
     limit = timing.occupancy.smem_per_block
@@ -264,11 +266,13 @@ def _run_bodies(device: DeviceSpec, kernel: Kernel, timing: KernelTiming,
     if not run:
         return rung
     ctx = dict(kernel=kernel.name, device=device.name)
-    if rung is not None:
-        kernel.run_batch_vectorized(grid, SharedMemory(limit * grid, **ctx))
-    else:
-        for bid in range(grid):
-            kernel.run_block(bid, SharedMemory(limit, **ctx))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if rung is not None:
+            kernel.run_batch_vectorized(grid,
+                                        SharedMemory(limit * grid, **ctx))
+        else:
+            for bid in range(grid):
+                kernel.run_block(bid, SharedMemory(limit, **ctx))
     return rung
 
 

@@ -21,6 +21,7 @@ The contracts under test (docs/LAYOUTS.md):
 
 from __future__ import annotations
 
+import importlib
 import sys
 import threading
 
@@ -55,9 +56,13 @@ from repro.core.batch_args import (
     stack_rung,
     stack_view,
 )
+from repro.core.gbtf2 import gbtf2
+from repro.core.solve_blocks import gbtrs_unblocked
 from repro.errors import ArgumentError, DeviceMemoryError
 from repro.gpusim import H100_PCIE, Stream
 from repro.gpusim.faults import FaultPlan, fault_injection
+
+stack_mod = importlib.import_module("repro.core.stack")
 
 DTYPES = [np.float32, np.float64, np.complex128]
 DTYPE_IDS = [np.dtype(d).name for d in DTYPES]
@@ -247,10 +252,8 @@ def test_gbsv_soa_bitwise(method, per_block):
 
 
 def test_gbsv_soa_singular_lanes(per_block):
-    """Singular lanes keep their RHS bits; the non-singular subset is a
-    scattered selection of interleaved lanes, which correctly falls back
-    to per-block execution (byte spans interleave with the skipped lanes,
-    so neither the SoA nor the pack gate admits it)."""
+    """Singular lanes keep their RHS bits; the non-singular subset is
+    gathered into an interleaved copy of those lanes and solved there."""
     batch, n, kl, ku = 8, 24, 2, 2
     a = random_band_batch(batch, n, kl, ku, seed=12)
     a[2, :, 5] = 0
@@ -266,6 +269,43 @@ def test_gbsv_soa_singular_lanes(per_block):
                            method="standard")
     _bytes_equal((_materialize(a_soa), a_ref), (_materialize(b_soa), b_ref),
                  (np.stack(piv), np.stack(piv_ref)), (info, info_ref))
+
+
+def test_gbsv_regular_lanes_gathered_interleaved(monkeypatch):
+    """A window ``gbsv`` with a singular lane solves its regular lanes on
+    a gather in the call's layout: ``[vec+soa]`` solves writing the
+    per-lane ``gbtf2`` + ``gbtrs_unblocked`` bytes, with the modeled time
+    of the same solves on a lane-major gather."""
+    batch, n, kl, ku, nrhs = 6, 72, 3, 2, 2
+    a = random_band_batch(batch, n, kl, ku, seed=20)
+    a[2, :, n // 2] = 0
+    b = random_rhs(n, nrhs, batch=batch, seed=21)
+    a_ref, b_ref = a.copy(), b.copy()
+    piv_ref = np.zeros((batch, n), dtype=np.int64)
+    info_ref = np.zeros(batch, dtype=np.int64)
+    for k in range(batch):
+        piv_ref[k], info_ref[k] = gbtf2(n, n, kl, ku, a_ref[k])
+        if info_ref[k] == 0:
+            gbtrs_unblocked("N", n, kl, ku, a_ref[k], piv_ref[k], b_ref[k])
+    assert list(info_ref != 0) == [k == 2 for k in range(batch)]
+    runs = {}
+    for gather in ("layout", "lane-major"):
+        if gather == "lane-major":
+            monkeypatch.setattr(stack_mod, "_gather",
+                                lambda stack, idx: stack[idx])
+        stream = Stream(H100_PCIE)
+        a1, b1 = a.copy(), b.copy()
+        piv, info = gbsv_batch(n, kl, ku, nrhs, a1, None, b1, stream=stream)
+        _bytes_equal((a1, a_ref), (b1, b_ref), (np.stack(piv), piv_ref),
+                     (info, info_ref))
+        runs[gather] = _launches(stream)
+    assert [r.display_name for r in runs["layout"]] == [
+        "gbtrf_window[vec+soa]", "gbtrs_fwd_blocked[vec+soa]",
+        "gbtrs_bwd_blocked[vec+soa]"]
+    assert [r.display_name for r in runs["lane-major"]][1:] == [
+        "gbtrs_fwd_blocked[vec]", "gbtrs_bwd_blocked[vec]"]
+    assert ([r.time for r in runs["layout"]]
+            == [r.time for r in runs["lane-major"]])
 
 
 def test_vbatch_soa_groups():
