@@ -14,7 +14,13 @@ block, at three shapes:
 
 The factor stacks are column-interleaved (the storage the window and the
 host net factor in place); the solve runs ``gbtrs_batched`` with one
-right-hand side.  Whole-step times run the entry points bare; the
+right-hand side.
+
+Narrow bodies run each lane on Python floats instead (``gbtf2_lanes``,
+``gbtrs_lanes``; ``scalar_lanes`` picks the engine).  The head tree's
+worker also times both engines, factor and ``'N'`` solve, at 1, 3 and 8
+lanes of n=64, kl=ku=3 and at 3 lanes of n=256, kl=ku=8, and records
+which one ``scalar_lanes`` picks there.  Whole-step times run the entry points bare; the
 per-block split wraps each block in a timer (the wrapper's own cost, a
 fraction of a microsecond, lands on both sides alike).
 
@@ -22,9 +28,10 @@ fraction of a microsecond, lands on both sides alike).
 directory (the parent commit's, say) in alternating worker processes and
 reports both sides with their ratio; the medians of ``--pairs`` pairs go
 to ``benchmarks/results/BENCH_column_step.json``.  ``--quick`` only
-asserts that the batched factorization and solve write the bytes of the
-scalar ``gbtf2`` and ``gbtrs_unblocked``, lane by lane, on small shapes
-with non-finite and singular lanes, in four dtypes.
+asserts that the batched factorization and solve, and in float64 the
+scalar engine's, write the bytes of ``gbtf2`` and ``gbtrs_unblocked``,
+lane by lane, on small shapes with non-finite and singular lanes and a
+zero ``U`` diagonal dividing ``0/0`` and ``x/0``, in four dtypes.
 
     python benchmarks/bench_column_step.py --quick
     python benchmarks/bench_column_step.py --base ../parent/src --pairs 5
@@ -53,6 +60,12 @@ SHAPES = {  # name: (batch, n, kl, ku)
     "3 lanes n=64 kl=ku=3": (3, 64, 3, 3),
     "1000 lanes n=32 kl=2 ku=3": (1000, 32, 2, 3),
     "1000 lanes n=256 kl=ku=8": (1000, 256, 8, 8),
+}
+ENGINE_SHAPES = {  # name: (lanes, n, kl, ku)
+    "1 lane n=64 kl=ku=3": (1, 64, 3, 3),
+    "3 lanes n=64 kl=ku=3": (3, 64, 3, 3),
+    "8 lanes n=64 kl=ku=3": (8, 64, 3, 3),
+    "3 lanes n=256 kl=ku=8": (3, 256, 8, 8),
 }
 FACTOR_BLOCKS = ("set_fillin_batched", "pivot_search_batched",
                  "update_bound_batched", "swap_right_batched",
@@ -133,27 +146,82 @@ def _measure(batch, n, kl, ku, reps):
     return out
 
 
+def _engines(lanes, n, kl, ku, reps):
+    """Median microseconds per column of the factorization and the
+    ``'N'`` solve on each engine, and the engine ``scalar_lanes`` picks
+    for each."""
+    g = importlib.import_module("repro.core.gbtf2")
+    sb = importlib.import_module("repro.core.solve_blocks")
+    a0, b0 = _problem(lanes, n, kl, ku)
+    fac = a0.copy(order="A")
+    piv, _ = g.gbtf2_batched(n, n, kl, ku, fac)
+    info = np.zeros(lanes, dtype=np.int64)
+    runs = {
+        "factor_batched": lambda: g.gbtf2_batched(
+            n, n, kl, ku, a0.copy(order="A"), piv.copy(), info),
+        "factor_scalar": lambda: g.gbtf2_lanes(
+            n, n, kl, ku, a0.copy(order="A"), piv.copy(), info),
+        "solve_batched": lambda: sb.gbtrs_batched(
+            "N", n, kl, ku, fac, piv, b0.copy()),
+        "solve_scalar": lambda: sb.gbtrs_lanes(n, kl, ku, fac, piv,
+                                               b0.copy()),
+    }
+    out = {}
+    for name, run in runs.items():
+        run()                                   # warm-up
+        times = []
+        for _ in range(reps):
+            t0 = perf_counter_ns()
+            run()
+            times.append(perf_counter_ns() - t0)
+        out[name] = statistics.median(times) / n / 1e3
+    work = {"factor": g.factor_work(kl, ku),
+            "solve": sb.solve_work(kl, ku, 1)}
+    for step, w in work.items():
+        out[f"{step}_picks"] = ("scalar" if g.scalar_lanes(w, a0)
+                                else "batched")
+    return out
+
+
 def _worker(reps):
     res = {label: _measure(*shape, reps) for label, shape in SHAPES.items()}
+    if hasattr(importlib.import_module("repro.core.gbtf2"), "gbtf2_lanes"):
+        res["engines"] = {label: _engines(*shape, reps)
+                          for label, shape in ENGINE_SHAPES.items()}
     print(json.dumps(res))
 
 
 # -- quick mode: bytes of the scalar references ------------------------------
 
 def check_identity():
-    """Batched factor and solve against per-lane ``gbtf2`` and
-    ``gbtrs_unblocked``, under ``warnings`` errors, byte for byte."""
+    """Batched factor and solve, and the scalar engine's in float64,
+    against per-lane ``gbtf2`` and ``gbtrs_unblocked``, under
+    ``warnings`` errors, byte for byte."""
     from repro.band.generate import random_band_batch, random_rhs
     from repro.band.layout import to_interleaved
-    from repro.core.gbtf2 import gbtf2, gbtf2_batched
-    from repro.core.solve_blocks import gbtrs_batched, gbtrs_unblocked
+    from repro.core.gbtf2 import gbtf2, gbtf2_batched, gbtf2_lanes
+    from repro.core.solve_blocks import gbtrs_batched, gbtrs_lanes, \
+        gbtrs_unblocked
+
+    def batched(n, kl, ku, stack, b):
+        piv, _ = gbtf2_batched(n, n, kl, ku, stack)
+        return piv, gbtrs_batched("N", n, kl, ku, stack, piv, b)
+
+    def scalar(n, kl, ku, stack, b):
+        piv = np.zeros((len(stack), n), dtype=np.int64)
+        gbtf2_lanes(n, n, kl, ku, stack, piv, np.zeros(len(stack), int))
+        return piv, gbtrs_lanes(n, kl, ku, stack, piv, b)
+
     for dtype in (np.float32, np.float64, np.complex64, np.complex128):
+        engines = (batched, scalar) if dtype == np.float64 else (batched,)
         for batch, n, kl, ku in ((5, 24, 2, 3), (4, 20, 3, 0),
                                  (4, 20, 0, 2)):
             a = random_band_batch(batch, n, kl, ku, dtype=dtype, seed=9)
             a[1, :, n // 2] = 0                         # singular lane
             a[2, kl + ku, n // 3] = np.inf              # non-finite lane
+            a[3, :, n // 2] = 0                         # and 0/0 in U:
             b = random_rhs(n, 2, batch=batch, dtype=dtype, seed=10)
+            b[3] = 0                                    # a zero RHS
             ref, bref = a.copy(), b.copy()
             pref = np.zeros((batch, n), dtype=np.int64)
             with np.errstate(all="ignore"):
@@ -161,17 +229,19 @@ def check_identity():
                     pref[k], _ = gbtf2(n, n, kl, ku, ref[k])
                     gbtrs_unblocked("N", n, kl, ku, ref[k], pref[k],
                                     bref[k])
-            for stack in (a.copy(), to_interleaved(a)):
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    piv, _ = gbtf2_batched(n, n, kl, ku, stack)
-                    x = gbtrs_batched("N", n, kl, ku, stack, piv, b.copy())
-                for got, want in ((stack, ref), (piv, pref), (x, bref)):
-                    assert (np.ascontiguousarray(got).tobytes()
-                            == np.ascontiguousarray(want).tobytes()), (
-                        f"batched step differs from the scalar reference "
-                        f"({np.dtype(dtype).name}, n={n}, kl={kl}, "
-                        f"ku={ku})")
+            for engine in engines:
+                for stack in (a.copy(), to_interleaved(a)):
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        piv, x = engine(n, kl, ku, stack, b.copy())
+                    for got, want in ((stack, ref), (piv, pref),
+                                      (x, bref)):
+                        assert (np.ascontiguousarray(got).tobytes()
+                                == np.ascontiguousarray(want).tobytes()), (
+                            f"{engine.__name__} engine differs from the "
+                            f"scalar reference ({np.dtype(dtype).name}, "
+                            f"n={n}, kl={kl}, ku={ku})")
+    assert np.isnan(bref[3]).any()          # the 0/0 lane divided 0/0
 
 
 # -- driver ------------------------------------------------------------------
@@ -196,10 +266,19 @@ def compare(base, pairs, reps):
                           for m in runs[0][label]}
                   for label in SHAPES}
            for side, runs in sides.items()}
+    engines = {label: {m: (statistics.median(r["engines"][label][m]
+                                             for r in sides["head"])
+                           if m.endswith(("_batched", "_scalar"))
+                           else sides["head"][0]["engines"][label][m])
+                       for m in sides["head"][0]["engines"][label]}
+               for label in ENGINE_SHAPES}
     return {"pairs": pairs, "reps": reps, "unit": "us per column",
             "shapes": {label: dict(zip(("batch", "n", "kl", "ku"), s))
                        for label, s in SHAPES.items()},
-            "base": med["base"], "head": med["head"]}
+            "base": med["base"], "head": med["head"],
+            "engine_shapes": {label: dict(zip(("lanes", "n", "kl", "ku"), s))
+                              for label, s in ENGINE_SHAPES.items()},
+            "engines": engines}
 
 
 def render(res):
@@ -213,6 +292,14 @@ def render(res):
             ratio = base[m] / head[m] if head[m] else float("nan")
             lines.append(f"    {m:<26}{base[m]:9.1f}{head[m]:9.1f}"
                          f"{ratio:8.2f}x")
+    lines += ["", "Head engines, us per column (batched -> scalar; the "
+              "engine scalar_lanes picks)"]
+    for label in ENGINE_SHAPES:
+        e = res["engines"][label]
+        lines.append(f"  {label:<24}" + "".join(
+            f"  {step} {e[step + '_batched']:7.1f} -> "
+            f"{e[step + '_scalar']:7.1f} ({e[step + '_picks']})"
+            for step in ("factor", "solve")))
     return "\n".join(lines)
 
 
@@ -235,7 +322,8 @@ def main(argv=None):
         return
     sys.path.insert(0, str(SRC))
     check_identity()
-    print("batched column steps match gbtf2/gbtrs_unblocked byte for byte")
+    print("batched and scalar engines match gbtf2/gbtrs_unblocked byte "
+          "for byte")
     if args.quick:
         return
     if args.base is None:

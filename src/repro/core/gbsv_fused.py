@@ -32,13 +32,16 @@ from ..band.layout import BandLayout
 from ..gpusim.costmodel import BlockCost
 from ..gpusim.kernel import Kernel, SharedMemory
 from .costs import gbsv_fused_cost
-from .gbtf2 import ColumnWork, gbtf2_step_batched, init_fillin_batched
+from .gbtf2 import ColumnWork, factor_work, gbtf2_lanes, \
+    gbtf2_step_batched, init_fillin_batched, scalar_lanes
 from .gbtrf_fused import default_fused_threads
 from .solve_blocks import (
     backward_step_batched,
     forward_swap_batched,
     forward_swap_plane,
     forward_update_batched,
+    gbtrs_lanes,
+    solve_work,
 )
 
 __all__ = ["FusedGbsvKernel"]
@@ -85,6 +88,20 @@ class FusedGbsvKernel(Kernel):
         nblocks = hi - lo
         abst = self.mats[lo:hi, :ldab]
         btst = self.rhs[lo:hi]
+        pivs = self.pivots[lo:hi]
+        if scalar_lanes(factor_work(kl, ku) + solve_work(kl, ku, self.nrhs),
+                        abst, btst):
+            # A few lanes: factor, then solve the regular ones, each on
+            # Python floats; a singular lane's B is left untouched.
+            info = self.info[lo:hi]
+            gbtf2_lanes(n, n, kl, ku, abst, pivs, info)
+            ok = info == 0
+            if ok.all():
+                gbtrs_lanes(n, kl, ku, abst, pivs, btst)
+            elif ok.any():
+                x = btst[ok]
+                btst[ok] = gbtrs_lanes(n, kl, ku, abst[ok], pivs[ok], x)
+            return
         # Column-major, lane-last shared tiles: one column's band rows are
         # adjacent runs of lanes, and the RHS tile is the lane-last window
         # the solve steps take.  Band LU runs on the augmented [A|B]:
@@ -97,7 +114,6 @@ class FusedGbsvKernel(Kernel):
         rw[...] = btst.transpose(1, 2, 0)
 
         kv = kl + ku
-        pivs = self.pivots[lo:hi]
         info = np.zeros(nblocks, dtype=np.int64)
         init_fillin_batched(tiles, n, kl, ku)
         ju = np.full(nblocks, -1, dtype=np.int64)

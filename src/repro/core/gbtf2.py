@@ -20,9 +20,10 @@ first maximal entry, as in ``IDAMAX``); the factors agree with a compiled
 LAPACK to rounding, not bit for bit (see :mod:`repro.cpu.lapack_like`).
 
 The per-problem blocks work on a whole matrix.  Through :func:`gbtf2`
-they are the scalar reference every design is tested against, the
-single-matrix driver and the one-lane path of the fully fused kernel
-(paper Section 5.2, :mod:`repro.core.gbtrf_fused`).
+they are the scalar reference every design is tested against and the
+single-matrix driver.  :func:`gbtf2_lanes` runs the same operations on
+Python floats, one lane at a time: the engine of narrow kernel bodies
+(see "Scalar lanes" below).
 
 **Batch-interleaved variants.**  Each building block also has a
 ``*_batched`` form operating on a ``(batch, ldab, ncols)`` stack that
@@ -70,6 +71,10 @@ __all__ = [
     "gbtf2_pivot_batched",
     "gbtf2_step_batched",
     "gbtf2_batched",
+    "SCALAR_WORK",
+    "factor_work",
+    "scalar_lanes",
+    "gbtf2_lanes",
 ]
 
 
@@ -320,17 +325,19 @@ def pivot_search_batched(abst: np.ndarray, m: int, kl: int, ku: int, j: int,
 
     Returns ``(jp, active)``: the ``(batch,)`` pivot offsets (IAMAX
     semantics: ``|real| + |imag|``, first maximal entry) and whether each
-    lane's pivot is nonzero.  The pivot is zero exactly when the largest
-    magnitude is (and the offset then ``0``); a NaN magnitude selects a
-    NaN pivot, which is nonzero.  Runs under its caller's ``np.errstate``
-    (signaling-NaN entries).
+    lane's pivot is nonzero, read off the one reduction: a pivot below
+    the diagonal has a larger magnitude than the diagonal's (or is the
+    first NaN), so it is nonzero, and at offset ``0`` the pivot is the
+    diagonal entry itself.  A zero pivot therefore has offset ``0``.
+    Runs under its caller's ``np.errstate`` (signaling-NaN entries).
     """
     kv = kl + ku
     km = min(kl, m - j - 1)
     x = abst[:, kv:kv + km + 1, j - col0].T
     mag = (np.abs(x.real) + np.abs(x.imag) if np.iscomplexobj(x)
            else np.abs(x))
-    return mag.argmax(axis=0), mag.max(axis=0) != 0
+    jp = mag.argmax(axis=0)
+    return jp, (jp != 0) | (x[0] != 0)
 
 
 def update_bound_batched(n: int, kl: int, ku: int, j: int, jp: np.ndarray,
@@ -538,3 +545,119 @@ def gbtf2_batched(m: int, n: int, kl: int, ku: int, abst: np.ndarray,
             ju, _ = gbtf2_step_batched(abst, m, n, kl, ku, j, ju, ipiv,
                                        info, work=work)
     return ipiv, info
+
+
+# --- Scalar lanes -------------------------------------------------------------
+#
+# A batched block pays its numpy call overhead once per column whatever
+# the lane count, about 40 us per factor column on a 2-core host, so a
+# body over a handful of lanes is all fixed cost.  There each lane runs
+# alone on Python floats instead: it comes in with one ``tolist()``, its
+# column steps apply the scalar blocks' operations in their order
+# (IEEE-754 double arithmetic, one rounding per operation, as numpy's
+# elementwise loops), and it goes back with one write.  The bits are
+# :func:`gbtf2`'s.  ``scalar_lanes`` picks the engine.
+
+#: Largest ``lanes * work`` a kernel body runs on Python floats, where
+#: ``work`` is one column's multiply-subtracts per lane
+#: (:func:`factor_work`, :func:`repro.core.solve_blocks.solve_work`).
+#: Derived from the measured crossovers in docs/PERFORMANCE.md.
+SCALAR_WORK = 128
+
+
+def factor_work(kl: int, ku: int) -> int:
+    """One factor column's rank-one update per lane, ``kl * (kl + ku +
+    1)``; a band with no sub-diagonals still counts one row, since its
+    columns cost a pivot test and a bound update each."""
+    return max(kl, 1) * (kl + ku + 1)
+
+
+def scalar_lanes(work: int, *stacks: np.ndarray) -> bool:
+    """Whether a kernel body over ``stacks`` (``(batch, ...)`` operands)
+    with ``work`` per column and lane runs the scalar engine: every
+    stack native float64 and ``batch * work`` at most
+    :data:`SCALAR_WORK`."""
+    return (len(stacks[0]) * work <= SCALAR_WORK
+            and all(s.dtype == np.float64 for s in stacks))
+
+
+def _factor_lane(m: int, n: int, kl: int, ku: int, ldab: int,
+                 a: list) -> tuple[list, int]:
+    """:func:`gbtf2` on one lane held as a flat column-major list: band
+    entry ``(r, c)`` is ``a[c * ldab + r]``.  Returns ``(ipiv, info)``."""
+    kv = kl + ku
+    st = ldab - 1                   # one dense column right along a row
+    zeros = [0.0] * kl
+    for c in range(ku + 1, min(kv, n)):
+        a[c * ldab + kv - c:c * ldab + kl] = zeros[:kl - kv + c]
+    ipiv = []
+    info = 0
+    ju = -1
+    for j in range(min(m, n)):
+        if j + kv < n:
+            f = (j + kv) * ldab
+            a[f:f + kl] = zeros
+        km = kl if kl < m - j - 1 else m - j - 1
+        d = j * ldab + kv           # dense (j, j)
+        # IAMAX: the first maximal magnitude wins, and a NaN (which no
+        # comparison selects) wins at its first occurrence, as argmax.
+        jp = 0
+        best = abs(a[d])
+        if best == best:
+            for i in range(1, km + 1):
+                v = abs(a[d + i])
+                if v > best:
+                    best, jp = v, i
+                elif v != v:
+                    jp = i
+                    break
+        ipiv.append(j + jp)
+        p = a[d + jp]
+        if p == 0:
+            if not info:
+                info = j + 1
+            continue
+        hi = j + ku + jp
+        if hi > n - 1:
+            hi = n - 1
+        if hi > ju:
+            ju = hi
+        e = d + (ju - j) * st + 1   # one past dense (j, ju)
+        if jp:
+            a[d:e:st], a[d + jp:e + jp:st] = a[d + jp:e + jp:st], a[d:e:st]
+        if km <= 0:
+            continue
+        inv = 1.0 / p
+        lcol = [x * inv for x in a[d + 1:d + km + 1]]
+        a[d + 1:d + km + 1] = lcol
+        for b in range(d + st, e, st):  # U's row j, columns j+1..ju
+            u = a[b]
+            i = b
+            for li in lcol:
+                i += 1
+                a[i] -= li * u
+    return ipiv, info
+
+
+def gbtf2_lanes(m: int, n: int, kl: int, ku: int, abst: np.ndarray,
+                ipiv: np.ndarray, info: np.ndarray) -> None:
+    """:func:`gbtf2` on each lane of a ``(batch, ldab, n)`` float64
+    stack of any strides, in place, on Python floats.
+
+    The stack comes in with one ``tolist()`` and goes back with one
+    write; ``ipiv`` ``(batch, min(m, n))`` and ``info`` ``(batch,)``
+    are written too.  The bits equal :func:`gbtf2`'s on every lane (NaN
+    payloads aside where a lane mixes several NaNs: which operand's
+    payload a product keeps is up to the compiled loop).
+    """
+    batch, ldab, _ = abst.shape
+    cols = abst.transpose(0, 2, 1)
+    lanes = cols.reshape(batch, n * ldab).tolist()
+    pivs, infos = [], []
+    for a in lanes:
+        p, i = _factor_lane(m, n, kl, ku, ldab, a)
+        pivs.append(p)
+        infos.append(i)
+    cols[...] = np.reshape(lanes, cols.shape)
+    ipiv[...] = np.reshape(pivs, ipiv.shape)
+    info[...] = infos

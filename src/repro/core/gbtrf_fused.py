@@ -18,7 +18,7 @@ from ..band.layout import BandLayout
 from ..gpusim.costmodel import BlockCost
 from ..gpusim.kernel import Kernel, SharedMemory
 from .costs import gbtrf_fused_cost
-from .gbtf2 import gbtf2, gbtf2_batched
+from .gbtf2 import factor_work, gbtf2_batched, gbtf2_lanes, scalar_lanes
 
 __all__ = ["FusedGbtrfKernel", "default_fused_threads"]
 
@@ -69,20 +69,6 @@ class FusedGbtrfKernel(Kernel):
         return gbtrf_fused_cost(self.m, self.n, self.kl, self.ku,
                                 self.nthreads, self.itemsize)
 
-    def run_block(self, block_id: int, smem: SharedMemory) -> None:
-        # The one override of Kernel.run_block: a tile around the scalar
-        # gbtf2 rather than the batch-of-one body.  Every one-lane launch
-        # (grid == 1) runs it, and the request service makes many; there
-        # it takes 1.66 ms against 2.71 ms (n=64, kl=ku=3, best of 200).
-        ab = self.mats[block_id]
-        ldab = self.layout.ldab_factor
-        tile = smem.alloc((ldab, self.n), dtype=ab.dtype)
-        tile[...] = ab[:ldab, :]                      # global -> shared
-        _, info = gbtf2(self.m, self.n, self.kl, self.ku, tile,
-                        self.pivots[block_id])
-        ab[:ldab, :] = tile                           # shared -> global
-        self.info[block_id] = info
-
     def pack_operands(self) -> tuple:
         return (self.mats,)
 
@@ -90,6 +76,12 @@ class FusedGbtrfKernel(Kernel):
                              lo: int = 0) -> None:
         ldab = self.layout.ldab_factor
         abst = self.mats[lo:hi, :ldab]
+        if scalar_lanes(factor_work(self.kl, self.ku), abst):
+            # A few lanes: each runs alone on Python floats, whose
+            # lists stand in for the tile.
+            gbtf2_lanes(self.m, self.n, self.kl, self.ku, abst,
+                        self.pivots[lo:hi], self.info[lo:hi])
+            return
         # The shared tile is column-major and lane-last, like the window's:
         # one column's band rows are adjacent runs of lanes.
         tiles = smem.alloc((self.n, ldab, hi - lo),

@@ -41,11 +41,14 @@ import numpy as np
 from ..gpusim.costmodel import BlockCost
 from ..gpusim.kernel import Kernel, SharedMemory
 from .costs import gbtrs_backward_cost, gbtrs_forward_cost
+from .gbtf2 import scalar_lanes
 from .solve_blocks import (
     backward_step_batched,
     forward_swap_batched,
     forward_swap_plane,
     forward_update_batched,
+    gbtrs_lanes,
+    solve_work,
     transL_step_batched,
     transU_step_batched,
 )
@@ -130,6 +133,19 @@ class _BlockedSolveBase(Kernel):
     def pack_operands(self) -> tuple:
         return (self.mats, self.rhs)
 
+    def _scalar(self, hi: int, lo: int, *, forward: bool) -> bool:
+        """Run one half of the ``'N'`` solve of lanes ``lo..hi-1`` on
+        Python floats when they are few enough (see
+        :func:`repro.core.gbtf2.scalar_lanes`); returns whether it ran."""
+        mats, rhs = self.mats[lo:hi], self.rhs[lo:hi]
+        if not scalar_lanes(solve_work(self.kl, self.ku, self.nrhs), mats,
+                            rhs):
+            return False
+        pivs = self.pivots[lo:hi] if forward else None
+        gbtrs_lanes(self.n, self.kl, self.ku, mats, pivs, rhs,
+                    forward=forward, backward=not forward)
+        return True
+
 
 class BlockedForwardKernel(_BlockedSolveBase):
     """Forward solve: progressive pivoting + rank-1 updates on a RHS window."""
@@ -146,8 +162,8 @@ class BlockedForwardKernel(_BlockedSolveBase):
     def run_batch_vectorized(self, hi: int, smem: SharedMemory, *,
                              lo: int = 0) -> None:
         n, kl, ku, nb = self.n, self.kl, self.ku, self.nb
-        if kl == 0:
-            return  # L is the identity: nothing to do
+        if kl == 0 or self._scalar(hi, lo, forward=True):
+            return  # kl == 0: L is the identity, nothing to do
         kv = kl + ku
         abl, pivs, bt = self._lane_views(hi, lo)
         tiles = _FactorTiles(abl, kv + 1, kv + kl + 1, nb)
@@ -295,6 +311,8 @@ class BlockedBackwardKernel(_BlockedSolveBase):
 
     def run_batch_vectorized(self, hi: int, smem: SharedMemory, *,
                              lo: int = 0) -> None:
+        if self._scalar(hi, lo, forward=False):
+            return
         n, kl, ku, nb = self.n, self.kl, self.ku, self.nb
         kv = kl + ku
         abl, _, bt = self._lane_views(hi, lo)

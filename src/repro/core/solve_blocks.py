@@ -41,6 +41,8 @@ __all__ = [
     "transL_step_batched",
     "gbtrs_unblocked",
     "gbtrs_batched",
+    "solve_work",
+    "gbtrs_lanes",
 ]
 
 
@@ -326,4 +328,84 @@ def gbtrs_batched(trans: Trans | str, n: int, kl: int, ku: int,
                     transL_step_batched(abl[kv + 1:kv + kl + 1, j], n, j,
                                         piv[j], rw, plane, conj=conj)
     rhs[...] = rw.transpose(2, 0, 1)
+    return rhs
+
+
+# --- Scalar lanes -------------------------------------------------------------
+#
+# The ``'N'`` solve of a narrow body, one lane at a time on Python
+# floats (see the scalar lanes of :mod:`repro.core.gbtf2`): each
+# operand comes in with one ``tolist()`` and the right-hand sides go
+# back with one write.  The steps apply :func:`forward_step` and
+# :func:`backward_step`'s operations in their order, so the bits are
+# :func:`gbtrs_unblocked`'s.
+
+
+def solve_work(kl: int, ku: int, nrhs: int) -> int:
+    """One solve column's multiply-subtracts per lane, ``nrhs * (kl +
+    ku + 1)``, for :func:`repro.core.gbtf2.scalar_lanes`."""
+    return nrhs * (kl + ku + 1)
+
+
+def _forward_lane(n: int, kl: int, l: list, piv: list, x: list) -> None:
+    """The forward steps on one right-hand side ``x`` of one lane:
+    ``l[j * kl + t]`` is multiplier ``t`` of column ``j``."""
+    for j in range(n - 1):
+        p = piv[j]
+        if p != j:
+            x[j], x[p] = x[p], x[j]
+        y = x[j]
+        i = j
+        for li in l[j * kl:j * kl + (kl if kl < n - j - 1 else n - j - 1)]:
+            i += 1
+            x[i] -= li * y
+
+
+def _backward_lane(n: int, kv: int, u: list, x: list) -> None:
+    """The backward steps on one right-hand side ``x`` of one lane:
+    ``u[j * (kv + 1) + t]`` is band row ``t`` of column ``j`` (the
+    diagonal at ``t == kv``)."""
+    for j in range(n - 1, -1, -1):
+        c = j * (kv + 1) + kv
+        dj = u[c]
+        if dj == 0:
+            # Unguarded like LAPACK: numpy's division gives the signed
+            # infinities and default NaN where Python's would raise.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                y = x[j] = float(np.float64(x[j]) / dj)
+        else:
+            y = x[j] = x[j] / dj
+        i = j - (kv if kv < j else j)
+        for ut in u[c - j + i:c]:
+            x[i] -= ut * y
+            i += 1
+
+
+def gbtrs_lanes(n: int, kl: int, ku: int, mats: np.ndarray,
+                pivots: np.ndarray | None, rhs: np.ndarray, *,
+                forward: bool = True, backward: bool = True) -> np.ndarray:
+    """The ``'N'`` :func:`gbtrs_unblocked` on each lane of a float64
+    batch, in place on ``rhs``, on Python floats.
+
+    ``mats`` is the ``(batch, ldab, n)`` factor stack, ``pivots`` the
+    ``(batch, n)`` pivot rows (unused without ``forward``) and ``rhs``
+    the ``(batch, n, nrhs)`` stack, any strides.  ``forward`` and
+    ``backward`` pick the halves (the blocked kernels run one each).
+    """
+    batch, _, nrhs = rhs.shape
+    kv = kl + ku
+    cols = rhs.transpose(0, 2, 1)
+    xs = cols.reshape(batch * nrhs, n).tolist()
+    if forward and kl:
+        ls = mats[:, kv + 1:kv + kl + 1].transpose(0, 2, 1).reshape(
+            batch, n * kl).tolist()
+        ps = pivots.tolist()
+        for k, x in enumerate(xs):
+            _forward_lane(n, kl, ls[k // nrhs], ps[k // nrhs], x)
+    if backward:
+        us = mats[:, :kv + 1].transpose(0, 2, 1).reshape(
+            batch, n * (kv + 1)).tolist()
+        for k, x in enumerate(xs):
+            _backward_lane(n, kv, us[k // nrhs], x)
+    cols[...] = np.reshape(xs, cols.shape)
     return rhs

@@ -5,7 +5,8 @@ in CUDA/HIP: it declares a grid size (one block per matrix for the batched
 band kernels), a block size, and a shared-memory footprint, and provides
 the *functional* behaviour of its thread blocks.  Every kernel writes
 that behaviour once, as ``run_batch_vectorized`` over a block range;
-``run_block`` runs the same body on a single block.
+``run_block`` runs the same body on a single block, and no kernel
+overrides it.
 
 The body receives a :class:`SharedMemory` allocator that enforces the declared
 footprint: a kernel that touches more shared memory than it asked for
@@ -98,10 +99,10 @@ class Kernel(abc.ABC):
     body slices them in place; the batches' shapes and strides are all
     :func:`launch` needs to pick the rung (soa, direct or per-block, see
     :func:`repro.core.batch_args.stack_rung`).  A kernel that declares
-    none (the BLAS and ``gbmv`` kernels) runs on the per-block rung.  The
-    one override of :meth:`run_block` is the fused ``gbtrf``'s, a tile
-    around the scalar ``gbtf2`` that is faster on a one-lane launch.  The
-    same object serves
+    none (the BLAS and ``gbmv`` kernels) runs on the per-block rung.  No
+    kernel overrides :meth:`run_block`; a body over a few lanes picks
+    its own engine (:func:`repro.core.gbtf2.scalar_lanes`).  The same
+    object serves
     double duty: ``launch`` runs the functional body, while the benchmark
     harness asks only for the resource declarations to time large batches
     without executing them.
