@@ -17,10 +17,11 @@ host net factor in place); the solve runs ``gbtrs_batched`` with one
 right-hand side.
 
 Narrow bodies run each lane on Python floats instead (``gbtf2_lanes``,
-``gbtrs_lanes``; ``scalar_lanes`` picks the engine).  The head tree's
-worker also times both engines, factor and ``'N'`` solve, at 1, 3 and 8
-lanes of n=64, kl=ku=3 and at 3 lanes of n=256, kl=ku=8, and records
-which one ``scalar_lanes`` picks there.  Whole-step times run the entry points bare; the
+``gbtrs_lanes``; ``is_narrow_factor`` and ``is_narrow_solve`` pick the
+engine).  The head tree's worker also times both engines, factor and
+``'N'`` solve, at 1, 3 and 8 lanes of n=64, kl=ku=3 and at 3 lanes of
+n=256, kl=ku=8, and records which one is picked there.  Whole-step times
+run the entry points bare; the
 per-block split wraps each block in a timer (the wrapper's own cost, a
 fraction of a microsecond, lands on both sides alike).
 
@@ -148,8 +149,7 @@ def _measure(batch, n, kl, ku, reps):
 
 def _engines(lanes, n, kl, ku, reps):
     """Median microseconds per column of the factorization and the
-    ``'N'`` solve on each engine, and the engine ``scalar_lanes`` picks
-    for each."""
+    ``'N'`` solve on each engine, and the engine picked for each."""
     g = importlib.import_module("repro.core.gbtf2")
     sb = importlib.import_module("repro.core.solve_blocks")
     a0, b0 = _problem(lanes, n, kl, ku)
@@ -175,11 +175,10 @@ def _engines(lanes, n, kl, ku, reps):
             run()
             times.append(perf_counter_ns() - t0)
         out[name] = statistics.median(times) / n / 1e3
-    work = {"factor": g.factor_work(kl, ku),
-            "solve": sb.solve_work(kl, ku, 1)}
-    for step, w in work.items():
-        out[f"{step}_picks"] = ("scalar" if g.scalar_lanes(w, a0)
-                                else "batched")
+    narrow = {"factor": g.is_narrow_factor(kl, ku, a0),
+              "solve": sb.is_narrow_solve(kl, ku, fac, b0)}
+    for step, scalar in narrow.items():
+        out[f"{step}_picks"] = "scalar" if scalar else "batched"
     return out
 
 
@@ -293,7 +292,7 @@ def render(res):
             lines.append(f"    {m:<26}{base[m]:9.1f}{head[m]:9.1f}"
                          f"{ratio:8.2f}x")
     lines += ["", "Head engines, us per column (batched -> scalar; the "
-              "engine scalar_lanes picks)"]
+              "engine picked)"]
     for label in ENGINE_SHAPES:
         e = res["engines"][label]
         lines.append(f"  {label:<24}" + "".join(

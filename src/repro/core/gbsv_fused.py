@@ -32,8 +32,8 @@ from ..band.layout import BandLayout
 from ..gpusim.costmodel import BlockCost
 from ..gpusim.kernel import Kernel, SharedMemory
 from .costs import gbsv_fused_cost
-from .gbtf2 import ColumnWork, factor_work, gbtf2_lanes, \
-    gbtf2_step_batched, init_fillin_batched, scalar_lanes
+from .gbtf2 import ColumnWork, gbtf2_lanes, gbtf2_step_batched, \
+    init_fillin_batched, is_narrow_factor
 from .gbtrf_fused import default_fused_threads
 from .solve_blocks import (
     backward_step_batched,
@@ -41,7 +41,6 @@ from .solve_blocks import (
     forward_swap_plane,
     forward_update_batched,
     gbtrs_lanes,
-    solve_work,
 )
 
 __all__ = ["FusedGbsvKernel"]
@@ -89,8 +88,7 @@ class FusedGbsvKernel(Kernel):
         abst = self.mats[lo:hi, :ldab]
         btst = self.rhs[lo:hi]
         pivs = self.pivots[lo:hi]
-        if scalar_lanes(factor_work(kl, ku) + solve_work(kl, ku, self.nrhs),
-                        abst, btst):
+        if is_narrow_factor(kl, ku, abst, btst):
             # A few lanes: factor, then solve the regular ones, each on
             # Python floats; a singular lane's B is left untouched.
             info = self.info[lo:hi]

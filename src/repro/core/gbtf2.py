@@ -50,6 +50,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..blas.level1 import iamax, stable_mul
+from .solve_blocks import solve_cost
 
 __all__ = [
     "pivot_search",
@@ -71,9 +72,9 @@ __all__ = [
     "gbtf2_pivot_batched",
     "gbtf2_step_batched",
     "gbtf2_batched",
-    "SCALAR_WORK",
-    "factor_work",
-    "scalar_lanes",
+    "FACTOR_SCALAR_WORK",
+    "is_narrow_factor",
+    "factor_if_narrow",
     "gbtf2_lanes",
 ]
 
@@ -325,19 +326,17 @@ def pivot_search_batched(abst: np.ndarray, m: int, kl: int, ku: int, j: int,
 
     Returns ``(jp, active)``: the ``(batch,)`` pivot offsets (IAMAX
     semantics: ``|real| + |imag|``, first maximal entry) and whether each
-    lane's pivot is nonzero, read off the one reduction: a pivot below
-    the diagonal has a larger magnitude than the diagonal's (or is the
-    first NaN), so it is nonzero, and at offset ``0`` the pivot is the
-    diagonal entry itself.  A zero pivot therefore has offset ``0``.
-    Runs under its caller's ``np.errstate`` (signaling-NaN entries).
+    lane's pivot is nonzero.  The pivot is zero exactly when the largest
+    magnitude is (and the offset then ``0``); a NaN magnitude selects a
+    NaN pivot, which is nonzero.  Runs under its caller's ``np.errstate``
+    (signaling-NaN entries).
     """
     kv = kl + ku
     km = min(kl, m - j - 1)
     x = abst[:, kv:kv + km + 1, j - col0].T
     mag = (np.abs(x.real) + np.abs(x.imag) if np.iscomplexobj(x)
            else np.abs(x))
-    jp = mag.argmax(axis=0)
-    return jp, (jp != 0) | (x[0] != 0)
+    return mag.argmax(axis=0), mag.max(axis=0) != 0
 
 
 def update_bound_batched(n: int, kl: int, ku: int, j: int, jp: np.ndarray,
@@ -556,29 +555,49 @@ def gbtf2_batched(m: int, n: int, kl: int, ku: int, abst: np.ndarray,
 # column steps apply the scalar blocks' operations in their order
 # (IEEE-754 double arithmetic, one rounding per operation, as numpy's
 # elementwise loops), and it goes back with one write.  The bits are
-# :func:`gbtf2`'s.  ``scalar_lanes`` picks the engine.
+# :func:`gbtf2`'s.  :func:`factor_if_narrow` picks the engine for every
+# body that factors, :func:`repro.core.solve_blocks.solve_if_narrow` for
+# every ``'N'`` solve body.
 
-#: Largest ``lanes * work`` a kernel body runs on Python floats, where
-#: ``work`` is one column's multiply-subtracts per lane
-#: (:func:`factor_work`, :func:`repro.core.solve_blocks.solve_work`).
-#: Derived from the measured crossovers in docs/PERFORMANCE.md.
-SCALAR_WORK = 128
+#: The scalar engine's cost of one factor column on one lane, in
+#: multiply-subtracts, is the rank-one update's ``kl * (kl + ku + 1)``
+#: plus about ``FACTOR_STEP_WORK`` for the pivot search, swap, scaling
+#: and loop; a body factors on Python floats while ``lanes`` times that
+#: is at most ``FACTOR_SCALAR_WORK``, the numpy blocks' fixed cost per
+#: column in the same unit.  Both are fitted to the crossovers measured
+#: in docs/PERFORMANCE.md ("Narrow launches").
+FACTOR_STEP_WORK = 50
+FACTOR_SCALAR_WORK = 960
 
 
-def factor_work(kl: int, ku: int) -> int:
-    """One factor column's rank-one update per lane, ``kl * (kl + ku +
-    1)``; a band with no sub-diagonals still counts one row, since its
-    columns cost a pivot test and a bound update each."""
-    return max(kl, 1) * (kl + ku + 1)
+def is_narrow_factor(kl: int, ku: int, abst: np.ndarray,
+                     rhs: np.ndarray | None = None) -> bool:
+    """Whether a body factoring the ``(batch, ldab, n)`` stack ``abst``
+    runs the scalar engine: native float64 and ``batch * (kl * (kl + ku
+    + 1) + FACTOR_STEP_WORK)`` at most :data:`FACTOR_SCALAR_WORK`.
+
+    ``rhs`` are the ``(batch, n, nrhs)`` right-hand sides a fused
+    ``gbsv`` body solves in the same pass: they must be float64 too, and
+    their :func:`repro.core.solve_blocks.solve_cost` adds to each lane's.
+    """
+    cost = kl * (kl + ku + 1) + FACTOR_STEP_WORK
+    if rhs is not None:
+        if rhs.dtype != np.float64:
+            return False
+        cost += solve_cost(kl, ku, rhs.shape[-1])
+    return len(abst) * cost <= FACTOR_SCALAR_WORK and \
+        abst.dtype == np.float64
 
 
-def scalar_lanes(work: int, *stacks: np.ndarray) -> bool:
-    """Whether a kernel body over ``stacks`` (``(batch, ...)`` operands)
-    with ``work`` per column and lane runs the scalar engine: every
-    stack native float64 and ``batch * work`` at most
-    :data:`SCALAR_WORK`."""
-    return (len(stacks[0]) * work <= SCALAR_WORK
-            and all(s.dtype == np.float64 for s in stacks))
+def factor_if_narrow(m: int, n: int, kl: int, ku: int, abst: np.ndarray,
+                     ipiv: np.ndarray, info: np.ndarray) -> bool:
+    """Factor a narrow body's lanes with :func:`gbtf2_lanes` and return
+    ``True``; return ``False``, touching nothing, when the body is wide
+    enough for the numpy blocks (:func:`is_narrow_factor`)."""
+    if not is_narrow_factor(kl, ku, abst):
+        return False
+    gbtf2_lanes(m, n, kl, ku, abst, ipiv, info)
+    return True
 
 
 def _factor_lane(m: int, n: int, kl: int, ku: int, ldab: int,

@@ -25,8 +25,7 @@ from ..gpusim import ahead
 from ..tuning.defaults import FUSED_CUTOFF, window_params
 from .batch_args import as_matrix_list, check_gb_args, ensure_info, \
     ensure_pivots
-from .gbtf2 import factor_work, gbtf2, gbtf2_batched, gbtf2_lanes, \
-    scalar_lanes
+from .gbtf2 import factor_if_narrow, gbtf2, gbtf2_batched
 from .gbtrf_fused import FusedGbtrfKernel
 from .gbtrf_reference import gbtrf_reference_batch
 from .gbtrf_window import SlidingWindowGbtrfKernel
@@ -245,14 +244,14 @@ def _dispatch(method, cfg, ops):
 
 def _host(ops):
     """Host reference, bit-identical to ``gbtf2`` per lane: the scalar
-    engine on a narrow float64 batch (``scalar_lanes``), else
+    engine on a narrow float64 batch (``factor_if_narrow``), else
     ``gbtf2_batched`` over every lane.  That runs on a column-interleaved
     stack itself; any other stack's factor rows are staged into such a
     copy, as the fused kernel's tile is: one column's band rows are
     adjacent runs of lanes."""
     a = ops.mats[:, :ldab_for_factor(ops.kl, ops.ku)]
-    if scalar_lanes(factor_work(ops.kl, ops.ku), a):
-        gbtf2_lanes(ops.m, ops.n, ops.kl, ops.ku, a, ops.pivots, ops.info)
+    if factor_if_narrow(ops.m, ops.n, ops.kl, ops.ku, a, ops.pivots,
+                        ops.info):
         return
     if is_column_interleaved(a):
         gbtf2_batched(ops.m, ops.n, ops.kl, ops.ku, a, ops.pivots, ops.info)

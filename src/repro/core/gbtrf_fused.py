@@ -18,7 +18,7 @@ from ..band.layout import BandLayout
 from ..gpusim.costmodel import BlockCost
 from ..gpusim.kernel import Kernel, SharedMemory
 from .costs import gbtrf_fused_cost
-from .gbtf2 import factor_work, gbtf2_batched, gbtf2_lanes, scalar_lanes
+from .gbtf2 import factor_if_narrow, gbtf2_batched
 
 __all__ = ["FusedGbtrfKernel", "default_fused_threads"]
 
@@ -76,12 +76,9 @@ class FusedGbtrfKernel(Kernel):
                              lo: int = 0) -> None:
         ldab = self.layout.ldab_factor
         abst = self.mats[lo:hi, :ldab]
-        if scalar_lanes(factor_work(self.kl, self.ku), abst):
-            # A few lanes: each runs alone on Python floats, whose
-            # lists stand in for the tile.
-            gbtf2_lanes(self.m, self.n, self.kl, self.ku, abst,
-                        self.pivots[lo:hi], self.info[lo:hi])
-            return
+        if factor_if_narrow(self.m, self.n, self.kl, self.ku, abst,
+                            self.pivots[lo:hi], self.info[lo:hi]):
+            return  # a few lanes, on Python floats: lists are the tile
         # The shared tile is column-major and lane-last, like the window's:
         # one column's band rows are adjacent runs of lanes.
         tiles = smem.alloc((self.n, ldab, hi - lo),

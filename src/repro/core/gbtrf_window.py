@@ -24,8 +24,8 @@ from ..band.layout import BandLayout, is_column_interleaved
 from ..gpusim.costmodel import BlockCost
 from ..gpusim.kernel import Kernel, SharedMemory
 from .costs import gbtrf_window_cost
-from .gbtf2 import ColumnWork, factor_work, gbtf2_batched, gbtf2_lanes, \
-    gbtf2_step_batched, init_fillin_batched, scalar_lanes
+from .gbtf2 import ColumnWork, factor_if_narrow, gbtf2_batched, \
+    gbtf2_step_batched, init_fillin_batched
 
 __all__ = ["SlidingWindowGbtrfKernel", "window_factor_steps",
            "sliding_window_factor_batched"]
@@ -74,9 +74,8 @@ def sliding_window_factor_batched(abst: np.ndarray, pivs: np.ndarray,
     enters the column steps' ``np.errstate`` itself.
     """
     if is_column_interleaved(abst):
-        factor = (gbtf2_lanes if scalar_lanes(factor_work(kl, ku), abst)
-                  else gbtf2_batched)
-        factor(m, n, kl, ku, abst, pivs, info)
+        if not factor_if_narrow(m, n, kl, ku, abst, pivs, info):
+            gbtf2_batched(m, n, kl, ku, abst, pivs, info)
         return
     batch = abst.shape[0]
     mn = min(m, n)

@@ -30,9 +30,7 @@ from .gbtrs_blocked import (
     BlockedTransUKernel,
 )
 from .gbtrs_reference import gbtrs_reference_batch
-from .gbtf2 import scalar_lanes
-from .solve_blocks import gbtrs_batched, gbtrs_lanes, gbtrs_unblocked, \
-    solve_work
+from .solve_blocks import gbtrs_batched, gbtrs_unblocked, solve_if_narrow
 from .stack import IN, INOUT, OUT, ExecConfig, Operands, OpSpec, \
     check_execution, run
 from .verify import as_verify_policy, gate_gbtrs, score_gbtrs
@@ -188,11 +186,10 @@ def _dispatch(method, cfg, ops):
 
 def _host(ops):
     """Host reference, bit-identical to ``gbtrs_unblocked`` per lane: the
-    scalar engine on a narrow float64 ``'N'`` batch (``scalar_lanes``),
-    else ``gbtrs_batched`` over every lane."""
-    if ops.trans is Trans.NO_TRANS and scalar_lanes(
-            solve_work(ops.kl, ops.ku, ops.nrhs), ops.mats, ops.rhs):
-        gbtrs_lanes(ops.n, ops.kl, ops.ku, ops.mats, ops.pivots, ops.rhs)
+    scalar engine on a narrow float64 ``'N'`` batch
+    (``solve_if_narrow``), else ``gbtrs_batched`` over every lane."""
+    if ops.trans is Trans.NO_TRANS and solve_if_narrow(
+            ops.n, ops.kl, ops.ku, ops.mats, ops.pivots, ops.rhs):
         return
     gbtrs_batched(ops.trans, ops.n, ops.kl, ops.ku, ops.mats, ops.pivots,
                   ops.rhs)

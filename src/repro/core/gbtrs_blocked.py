@@ -41,14 +41,12 @@ import numpy as np
 from ..gpusim.costmodel import BlockCost
 from ..gpusim.kernel import Kernel, SharedMemory
 from .costs import gbtrs_backward_cost, gbtrs_forward_cost
-from .gbtf2 import scalar_lanes
 from .solve_blocks import (
     backward_step_batched,
     forward_swap_batched,
     forward_swap_plane,
     forward_update_batched,
-    gbtrs_lanes,
-    solve_work,
+    solve_if_narrow,
     transL_step_batched,
     transU_step_batched,
 )
@@ -133,18 +131,15 @@ class _BlockedSolveBase(Kernel):
     def pack_operands(self) -> tuple:
         return (self.mats, self.rhs)
 
-    def _scalar(self, hi: int, lo: int, *, forward: bool) -> bool:
+    def _narrow(self, hi: int, lo: int, *, forward: bool) -> bool:
         """Run one half of the ``'N'`` solve of lanes ``lo..hi-1`` on
-        Python floats when they are few enough (see
-        :func:`repro.core.gbtf2.scalar_lanes`); returns whether it ran."""
-        mats, rhs = self.mats[lo:hi], self.rhs[lo:hi]
-        if not scalar_lanes(solve_work(self.kl, self.ku, self.nrhs), mats,
-                            rhs):
-            return False
-        pivs = self.pivots[lo:hi] if forward else None
-        gbtrs_lanes(self.n, self.kl, self.ku, mats, pivs, rhs,
-                    forward=forward, backward=not forward)
-        return True
+        Python floats when they are few enough
+        (:func:`repro.core.solve_blocks.solve_if_narrow`); returns
+        whether it ran."""
+        return solve_if_narrow(
+            self.n, self.kl, self.ku, self.mats[lo:hi],
+            self.pivots[lo:hi] if forward else None, self.rhs[lo:hi],
+            forward=forward, backward=not forward)
 
 
 class BlockedForwardKernel(_BlockedSolveBase):
@@ -162,7 +157,7 @@ class BlockedForwardKernel(_BlockedSolveBase):
     def run_batch_vectorized(self, hi: int, smem: SharedMemory, *,
                              lo: int = 0) -> None:
         n, kl, ku, nb = self.n, self.kl, self.ku, self.nb
-        if kl == 0 or self._scalar(hi, lo, forward=True):
+        if kl == 0 or self._narrow(hi, lo, forward=True):
             return  # kl == 0: L is the identity, nothing to do
         kv = kl + ku
         abl, pivs, bt = self._lane_views(hi, lo)
@@ -311,7 +306,7 @@ class BlockedBackwardKernel(_BlockedSolveBase):
 
     def run_batch_vectorized(self, hi: int, smem: SharedMemory, *,
                              lo: int = 0) -> None:
-        if self._scalar(hi, lo, forward=False):
+        if self._narrow(hi, lo, forward=False):
             return
         n, kl, ku, nb = self.n, self.kl, self.ku, self.nb
         kv = kl + ku

@@ -41,7 +41,11 @@ __all__ = [
     "transL_step_batched",
     "gbtrs_unblocked",
     "gbtrs_batched",
-    "solve_work",
+    "SOLVE_SCALAR_WORK",
+    "SOLVE_STEP_WORK",
+    "solve_cost",
+    "is_narrow_solve",
+    "solve_if_narrow",
     "gbtrs_lanes",
 ]
 
@@ -341,10 +345,46 @@ def gbtrs_batched(trans: Trans | str, n: int, kl: int, ku: int,
 # :func:`gbtrs_unblocked`'s.
 
 
-def solve_work(kl: int, ku: int, nrhs: int) -> int:
-    """One solve column's multiply-subtracts per lane, ``nrhs * (kl +
-    ku + 1)``, for :func:`repro.core.gbtf2.scalar_lanes`."""
-    return nrhs * (kl + ku + 1)
+#: The solve's counterparts of :data:`repro.core.gbtf2.FACTOR_STEP_WORK`
+#: and ``FACTOR_SCALAR_WORK``: the scalar engine runs one right-hand
+#: side of one lane at a time, so a solve column costs it ``nrhs * (kl +
+#: ku + 1 + SOLVE_STEP_WORK)`` (the multiply-subtracts plus the swap,
+#: division and loop), and the numpy steps' fixed cost per column is
+#: lower than the factorization's.  Fitted to the crossovers in
+#: docs/PERFORMANCE.md ("Narrow launches").
+SOLVE_STEP_WORK = 15
+SOLVE_SCALAR_WORK = 160
+
+
+def solve_cost(kl: int, ku: int, nrhs: int) -> int:
+    """The scalar engine's cost of one ``'N'`` solve column on one lane,
+    in multiply-subtracts."""
+    return nrhs * (kl + ku + 1 + SOLVE_STEP_WORK)
+
+
+def is_narrow_solve(kl: int, ku: int, mats: np.ndarray,
+                    rhs: np.ndarray) -> bool:
+    """Whether an ``'N'`` solve body over the ``(batch, ldab, n)``
+    factors ``mats`` and the ``(batch, n, nrhs)`` right-hand sides
+    ``rhs`` runs the scalar engine: both native float64 and ``batch *``
+    :func:`solve_cost` at most :data:`SOLVE_SCALAR_WORK`."""
+    return (len(rhs) * solve_cost(kl, ku, rhs.shape[-1])
+            <= SOLVE_SCALAR_WORK and mats.dtype == np.float64
+            and rhs.dtype == np.float64)
+
+
+def solve_if_narrow(n: int, kl: int, ku: int, mats: np.ndarray,
+                    pivots: np.ndarray | None, rhs: np.ndarray, *,
+                    forward: bool = True, backward: bool = True) -> bool:
+    """Run the ``'N'`` solve halves of a narrow body with
+    :func:`gbtrs_lanes` and return ``True``; return ``False``, touching
+    nothing, when the body is wide enough for the numpy steps
+    (:func:`is_narrow_solve`)."""
+    if not is_narrow_solve(kl, ku, mats, rhs):
+        return False
+    gbtrs_lanes(n, kl, ku, mats, pivots, rhs, forward=forward,
+                backward=backward)
+    return True
 
 
 def _forward_lane(n: int, kl: int, l: list, piv: list, x: list) -> None:

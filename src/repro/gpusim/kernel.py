@@ -101,7 +101,8 @@ class Kernel(abc.ABC):
     :func:`repro.core.batch_args.stack_rung`).  A kernel that declares
     none (the BLAS and ``gbmv`` kernels) runs on the per-block rung.  No
     kernel overrides :meth:`run_block`; a body over a few lanes picks
-    its own engine (:func:`repro.core.gbtf2.scalar_lanes`).  The same
+    its own engine (:func:`repro.core.gbtf2.factor_if_narrow`,
+    :func:`repro.core.solve_blocks.solve_if_narrow`).  The same
     object serves
     double duty: ``launch`` runs the functional body, while the benchmark
     harness asks only for the resource declarations to time large batches

@@ -29,7 +29,7 @@ from repro.band.layout import (
     to_interleaved,
 )
 from repro.core import gbsv_batch, gbtrf_batch, gbtrs_batch
-from repro.core.gbtf2 import gbtf2
+from repro.core.gbtf2 import gbtf2, is_narrow_factor
 from repro.core.gbtrf import GBTRF
 from repro.core.gbtrf_window import SlidingWindowGbtrfKernel
 from repro.core.stack import Operands
@@ -158,8 +158,9 @@ def test_host_net_in_place(dtype, monkeypatch):
     """The host net factors a column-interleaved stack itself and any
     other stack through a staged tile, with the same bytes."""
     m = n = 40
-    kl, ku, batch = 3, 2, 9
+    kl, ku, batch = 3, 2, 24
     a = _batch(batch, m, n, kl, ku, dtype)
+    assert not is_narrow_factor(kl, ku, a)     # the numpy blocks run
     ref, piv_ref, info_ref = _reference(a, m, n, kl, ku)
     ran_on = []
     inner = gbtrf_mod.gbtf2_batched

@@ -10,10 +10,13 @@ contracts under test:
   ``test_vectorized`` (``multinan`` up to NaN payload), non-square and
   one-sided bands, ``n == 1``, several right-hand sides, and a zero
   ``U`` diagonal dividing ``0/0`` and ``x/±0``;
-* ``scalar_lanes`` picks the scalar engine exactly when every operand
-  is native float64 and ``lanes * work`` is at most ``SCALAR_WORK``, and
-  each body it guards follows it; float32, complex, byte-swapped and
-  transposed solves never take it.
+* ``is_narrow_factor`` and ``is_narrow_solve`` pick the scalar engine
+  exactly when every operand is native float64 and ``lanes`` times the
+  per-lane cost of a column is at most ``FACTOR_SCALAR_WORK`` or
+  ``SOLVE_SCALAR_WORK``; each body follows them through
+  ``factor_if_narrow``, ``solve_if_narrow`` or (the fused ``gbsv``)
+  ``is_narrow_factor`` with its right-hand sides; float32, complex,
+  byte-swapped and transposed solves never take the scalar engine.
 """
 
 from __future__ import annotations
@@ -27,11 +30,11 @@ import pytest
 from repro.band.layout import to_interleaved
 from repro.core.gbsv_fused import FusedGbsvKernel
 from repro.core.gbtf2 import (
-    SCALAR_WORK,
-    factor_work,
+    FACTOR_SCALAR_WORK,
+    FACTOR_STEP_WORK,
     gbtf2,
     gbtf2_lanes,
-    scalar_lanes,
+    is_narrow_factor,
 )
 from repro.core.gbtrf import GBTRF
 from repro.core.gbtrf_fused import FusedGbtrfKernel
@@ -43,7 +46,13 @@ from repro.core.gbtrs_blocked import (
     BlockedTransLKernel,
     BlockedTransUKernel,
 )
-from repro.core.solve_blocks import gbtrs_lanes, gbtrs_unblocked, solve_work
+from repro.core.solve_blocks import (
+    SOLVE_SCALAR_WORK,
+    gbtrs_lanes,
+    gbtrs_unblocked,
+    is_narrow_solve,
+    solve_cost,
+)
 from repro.core.stack import Operands
 from repro.gpusim import H100_PCIE
 from repro.gpusim.kernel import launch
@@ -165,53 +174,98 @@ def test_zero_diagonal_divides_like_numpy():
 # The engine choice
 # ---------------------------------------------------------------------------
 
-def _stack(lanes, dtype=np.float64):
-    return np.zeros((lanes, 4, 8), dtype=dtype)
+def _stack(lanes, dtype=np.float64, cols=8):
+    return np.zeros((lanes, 4, cols), dtype=dtype)
 
 
-def test_scalar_lanes_boundary():
-    """Each engine on its side of ``SCALAR_WORK``; only native float64
-    operands take the scalar one."""
-    for work in (factor_work(3, 3), solve_work(3, 3, 1),
-                 factor_work(2, 3) + solve_work(2, 3, 1)):
-        lanes = SCALAR_WORK // work
+def _factor_cost(kl, ku):
+    return kl * (kl + ku + 1) + FACTOR_STEP_WORK
+
+
+OTHER_DTYPES = (np.float32, np.complex64, np.complex128, ">f8")
+
+
+@pytest.mark.parametrize("kl,ku", [(3, 3), (8, 8), (2, 3), (0, 2), (16, 16)])
+def test_factor_boundary(kl, ku):
+    """Each engine on its side of ``FACTOR_SCALAR_WORK``, alone and with
+    a fused ``gbsv``'s right-hand sides; only native float64 operands
+    take the scalar one."""
+    lanes = FACTOR_SCALAR_WORK // _factor_cost(kl, ku)
+    assert lanes >= 1
+    assert is_narrow_factor(kl, ku, _stack(lanes))
+    assert not is_narrow_factor(kl, ku, _stack(lanes + 1))
+    for dtype in OTHER_DTYPES:
+        assert not is_narrow_factor(kl, ku, _stack(1, dtype))
+    for nrhs in (1, 3):
+        lanes = FACTOR_SCALAR_WORK // (_factor_cost(kl, ku)
+                                       + solve_cost(kl, ku, nrhs))
+        rhs = np.zeros((lanes, 8, nrhs))
         assert lanes >= 1
-        assert scalar_lanes(work, _stack(lanes))
-        assert not scalar_lanes(work, _stack(lanes + 1))
-        assert scalar_lanes(work, _stack(lanes), _stack(lanes))
-        for dtype in (np.float32, np.complex64, np.complex128, ">f8"):
-            assert not scalar_lanes(work, _stack(1, dtype))
-            assert not scalar_lanes(work, _stack(1), _stack(1, dtype))
-    assert scalar_lanes(SCALAR_WORK, _stack(1))
-    assert not scalar_lanes(SCALAR_WORK + 1, _stack(1))
-    # The benchmark's batch bodies (1,000 lanes, 500 per shard) are wide.
-    assert not scalar_lanes(factor_work(8, 8), _stack(500))
-    assert not scalar_lanes(solve_work(8, 8, 1), _stack(500))
-    assert not scalar_lanes(factor_work(2, 3) + solve_work(2, 3, 1),
-                            _stack(1000))
-    # A band with no sub-diagonals still costs each column a step.
-    assert factor_work(0, 5) == 6
+        assert is_narrow_factor(kl, ku, _stack(lanes), rhs)
+        assert not is_narrow_factor(kl, ku, _stack(lanes + 1),
+                                    np.zeros((lanes + 1, 8, nrhs)))
+        for dtype in OTHER_DTYPES:
+            assert not is_narrow_factor(kl, ku, _stack(lanes),
+                                        rhs.astype(dtype))
+
+
+@pytest.mark.parametrize("kl,ku,nrhs", [(3, 3, 1), (3, 3, 4), (8, 8, 1),
+                                        (1, 1, 1), (0, 2, 2)])
+def test_solve_boundary(kl, ku, nrhs):
+    """Each engine on its side of ``SOLVE_SCALAR_WORK``; each right-hand
+    side counts, and only native float64 operands take the scalar
+    engine."""
+    lanes = SOLVE_SCALAR_WORK // solve_cost(kl, ku, nrhs)
+    assert lanes >= 1
+    mats = _stack(lanes + 1)
+
+    def rhs(k, dtype=np.float64):
+        return np.zeros((k, 8, nrhs), dtype=dtype)
+
+    assert is_narrow_solve(kl, ku, mats[:lanes], rhs(lanes))
+    assert not is_narrow_solve(kl, ku, mats, rhs(lanes + 1))
+    for dtype in OTHER_DTYPES:
+        assert not is_narrow_solve(kl, ku, mats[:1], rhs(1, dtype))
+        assert not is_narrow_solve(kl, ku, mats[:1].astype(dtype), rhs(1))
+
+
+def test_wide_bodies_stay_batched():
+    """A very wide band stays on the numpy blocks even on one lane, and
+    the batch bodies of the stack benchmark (1,000 lanes, 500 per
+    shard) are wide."""
+    assert not is_narrow_factor(32, 32, _stack(1))
+    for lanes in (500, 1000):
+        for kl, ku in ((8, 8), (2, 3)):
+            assert not is_narrow_factor(kl, ku, _stack(lanes))
+            assert not is_narrow_factor(kl, ku, _stack(lanes),
+                                        np.zeros((lanes, 8, 1)))
+            assert not is_narrow_solve(kl, ku, _stack(lanes),
+                                       np.zeros((lanes, 8, 1)))
 
 
 N, KL, KU, NRHS = 16, 3, 2, 1
-FACTOR_LANES = SCALAR_WORK // factor_work(KL, KU)
-SOLVE_LANES = SCALAR_WORK // solve_work(KL, KU, NRHS)
-GBSV_LANES = SCALAR_WORK // (factor_work(KL, KU) + solve_work(KL, KU, NRHS))
+FACTOR_LANES = FACTOR_SCALAR_WORK // _factor_cost(KL, KU)
+SOLVE_LANES = SOLVE_SCALAR_WORK // solve_cost(KL, KU, NRHS)
+GBSV_LANES = FACTOR_SCALAR_WORK // (_factor_cost(KL, KU)
+                                    + solve_cost(KL, KU, NRHS))
 
 
 @pytest.fixture
 def engines(monkeypatch):
     """Count the calls each kernel module makes to either engine."""
     calls = []
-    spies = {"gbtrf_fused": ("gbtf2_lanes", "gbtf2_batched"),
-             "gbsv_fused": ("gbtf2_lanes", "gbtf2_step_batched"),
-             "gbtrf_window": ("gbtf2_lanes", "gbtf2_batched"),
-             "gbtrf": ("gbtf2_lanes", "gbtf2_batched"),
-             "gbtrs_blocked": ("gbtrs_lanes", "forward_update_batched",
+    spies = {"gbtf2": ("gbtf2_lanes",),
+             "solve_blocks": ("gbtrs_lanes",),
+             "gbtrf_fused": ("gbtf2_batched",),
+             "gbsv_fused": ("gbtf2_lanes", "gbtrs_lanes",
+                            "gbtf2_step_batched"),
+             "gbtrf_window": ("gbtf2_batched",),
+             "gbtrf": ("gbtf2_batched",),
+             "gbtrs_blocked": ("forward_update_batched",
                                "backward_step_batched",
                                "transU_step_batched",
                                "transL_step_batched"),
-             "gbtrs": ("gbtrs_lanes", "gbtrs_batched")}
+             "gbtrs": ("gbtrs_batched",)}
     for mod, names in spies.items():
         mod = importlib.import_module(f"repro.core.{mod}")
         for name in names:
@@ -252,7 +306,7 @@ def _factor_run(body, lanes, dtype):
 @pytest.mark.parametrize("body,lanes", [
     ("fused", FACTOR_LANES), ("window", FACTOR_LANES),
     ("host", FACTOR_LANES), ("gbsv", GBSV_LANES)])
-def test_factor_bodies_follow_the_helper(body, lanes, dtype, engines):
+def test_factor_bodies_follow_the_choice(body, lanes, dtype, engines):
     for count, scalar in ((1, True), (lanes, True), (lanes + 1, False)):
         engines.clear()
         _factor_run(body, count, dtype)
@@ -264,7 +318,7 @@ def test_factor_bodies_follow_the_helper(body, lanes, dtype, engines):
                          ids=["float64", "float32", "complex128"])
 @pytest.mark.parametrize("body", ["blocked", "host"])
 @pytest.mark.parametrize("trans", ["N", "T", "C"])
-def test_solve_bodies_follow_the_helper(trans, body, dtype, engines):
+def test_solve_bodies_follow_the_choice(trans, body, dtype, engines):
     a = _random_batch(N, N, KL, KU, seed=57, dtype=dtype)
     fac, piv, _ = _reference(a, N, N, KL, KU)
     for count, scalar in ((1, True), (SOLVE_LANES, True),
