@@ -74,7 +74,7 @@ class BlockCost:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KernelTiming:
     """Breakdown of one estimated kernel execution."""
 

@@ -186,7 +186,7 @@ class Kernel(abc.ABC):
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LaunchRecord:
     """One completed (or timed-only) kernel launch."""
 

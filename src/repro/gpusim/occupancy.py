@@ -21,7 +21,7 @@ __all__ = ["Occupancy", "occupancy", "waves_for_grid",
            "suggest_block_size"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Occupancy:
     """Result of an occupancy computation for one kernel configuration.
 

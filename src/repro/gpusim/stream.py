@@ -42,7 +42,7 @@ class Event:
         return self.time - earlier.time
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimelineEntry:
     """One record placed on a stream's absolute timeline."""
 

@@ -173,18 +173,21 @@ class SolveHandle:
 class _Pending:
     """Internal per-request record (snapshot + routing state)."""
 
-    __slots__ = ("seq", "n", "kl", "ku", "nrhs", "ab", "b", "b_was_1d",
+    __slots__ = ("seq", "n", "kl", "ku", "nrhs", "ab", "b", "x",
                  "key", "handle", "factors", "pivots", "finfo", "lane_bytes")
 
-    def __init__(self, seq, n, kl, ku, nrhs, ab, b, b_was_1d, key, handle):
+    def __init__(self, seq, n, kl, ku, nrhs, ab, x, key, handle):
         self.seq = seq
         self.n = n
         self.kl = kl
         self.ku = ku
         self.nrhs = nrhs
         self.ab = ab                  # service-owned copy (factor layout)
-        self.b = b                    # service-owned (n, nrhs) copy
-        self.b_was_1d = b_was_1d
+        # The service-owned copy of the right-hand sides in the caller's
+        # shape, which the handle returns, and its (n, nrhs) view, which
+        # the solve overwrites.  Only ``x`` outlives the flush.
+        self.x = x
+        self.b = b = x[:, None] if x.ndim == 1 else x
         self.key = key
         self.handle = handle
         self.factors = None
@@ -352,10 +355,7 @@ class SolverService:
                   f"ldab={ab.shape[0]} < 2*kl+ku+1={2 * kl + ku + 1} "
                   f"(factor layout required)")
         b = np.asarray(b)
-        b_was_1d = b.ndim == 1
-        if b_was_1d:
-            b = b[:, None]
-        check_arg(b.ndim == 2 and b.shape[0] == n, 4,
+        check_arg(b.ndim in (1, 2) and b.shape[0] == n, 4,
                   f"b must be (n,) or (n, nrhs) with n={n}, "
                   f"got shape {b.shape}")
         check_arg(b.dtype == ab.dtype, 4,
@@ -368,8 +368,9 @@ class SolverService:
             handle = SolveHandle(
                 self, self._seq, now, priority=priority,
                 deadline_at=None if deadline is None else now + deadline)
-            req = _Pending(self._seq, n, int(kl), int(ku), b.shape[1],
-                           ab, b, b_was_1d, key, handle)
+            req = _Pending(self._seq, n, int(kl), int(ku),
+                           b.shape[1] if b.ndim == 2 else 1, ab, b, key,
+                           handle)
             self._seq += 1
             self._admit_locked(req)
             self._pending.append(req)
@@ -636,7 +637,6 @@ class SolverService:
         # 4. Complete every handle, in submission order.
         now = self._clock()
         for req in pending:
-            x = req.b[:, 0] if req.b_was_1d else req.b
             if req.finfo == 0:
                 self._report.solved += 1
             else:
@@ -644,7 +644,7 @@ class SolverService:
             dl = req.handle.deadline_at
             if dl is not None and now > dl:
                 self._report.deadlines_missed += 1
-            req.handle._complete(x, req.finfo, now, self._completions)
+            req.handle._complete(req.x, req.finfo, now, self._completions)
             self._completions += 1
         self._report.dispatched_lanes += len(pending)
         self._sync_cache_counters()

@@ -342,3 +342,60 @@ def test_solve_bodies_follow_the_choice(trans, body, dtype, engines):
         want = ("scalar" if scalar and dtype == np.float64 and trans == "N"
                 else "batched")
         assert _engine(engines) == want, (count, trans)
+
+
+# ---------------------------------------------------------------------------
+# Either engine through the kernel bodies
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(params=["scalar", "numpy"])
+def engine(request, monkeypatch):
+    """The bodies' own choice (``scalar``: ``BATCH`` lanes are narrow), or
+    the numpy blocks forced however few the lanes."""
+    if request.param == "numpy":
+        for mod, name in (("gbtf2", "is_narrow_factor"),
+                          ("gbsv_fused", "is_narrow_factor"),
+                          ("solve_blocks", "is_narrow_solve")):
+            monkeypatch.setattr(importlib.import_module(f"repro.core.{mod}"),
+                                name, lambda *args: False)
+    return request.param
+
+
+@pytest.mark.parametrize("case", (None,) + HARD)
+def test_float64_bodies_match_on_either_engine(case, engine, engines):
+    """Fused ``gbtrf``, the in-place window, fused ``gbsv`` and the
+    blocked ``'N'`` solves on a few float64 lanes write the references'
+    bytes on the engine they pick and on the numpy blocks."""
+    a = _harden(_random_batch(N, N, KL, KU, seed=58), case, N, KL, KU)
+    assert is_narrow_factor(KL, KU, a)
+    ref, piv_ref, info_ref = _reference(a, N, N, KL, KU)
+    b = np.random.default_rng(59).standard_normal((BATCH, N, NRHS))
+    assert is_narrow_solve(KL, KU, ref, b)
+    x_ref = b.copy()
+    ok = info_ref == 0
+    x_ref[ok] = _solve_reference(N, KL, KU, ref[ok], piv_ref[ok], b[ok])
+    want = "scalar" if engine == "scalar" else "batched"
+    for body in ("fused", "window", "gbsv"):
+        engines.clear()
+        stack = to_interleaved(a) if body == "window" else a.copy()
+        piv = np.full_like(piv_ref, -1)
+        info = np.full_like(info_ref, -1)
+        x = b.copy()
+        if body == "fused":
+            kernel = FusedGbtrfKernel(N, N, KL, KU, stack, piv, info)
+        elif body == "window":
+            kernel = SlidingWindowGbtrfKernel(N, N, KL, KU, stack, piv, info,
+                                              nb=4, threads=KL + 1)
+        else:
+            kernel = FusedGbsvKernel(N, KL, KU, NRHS, stack, piv, x, info)
+        _strict(lambda: launch(H100_PCIE, kernel))
+        _compare(case, (np.ascontiguousarray(stack), ref), (piv, piv_ref),
+                 (info, info_ref), (x, x_ref if body == "gbsv" else b))
+        assert _engine(engines) == want, body
+    engines.clear()
+    x = b.copy()
+    for cls in (BlockedForwardKernel, BlockedBackwardKernel):
+        _strict(lambda: launch(H100_PCIE, cls(N, KL, KU, NRHS, ref.copy(),
+                                              piv_ref, x)))
+    assert _engine(engines) == want
+    _compare(case, (x, _solve_reference(N, KL, KU, ref, piv_ref, b)))
