@@ -32,15 +32,14 @@ from ..band.layout import BandLayout
 from ..gpusim.costmodel import BlockCost
 from ..gpusim.kernel import Kernel, SharedMemory
 from .costs import gbsv_fused_cost
-from .gbtf2 import ColumnWork, gbtf2_lanes, gbtf2_step_batched, \
-    init_fillin_batched, is_narrow_factor
+from .gbtf2 import ColumnWork, factor_if_narrow, gbtf2_step_batched, \
+    init_fillin_batched
 from .gbtrf_fused import default_fused_threads
 from .solve_blocks import (
     backward_step_batched,
     forward_swap_batched,
     forward_swap_plane,
     forward_update_batched,
-    gbtrs_lanes,
 )
 
 __all__ = ["FusedGbsvKernel"]
@@ -88,18 +87,9 @@ class FusedGbsvKernel(Kernel):
         abst = self.mats[lo:hi, :ldab]
         btst = self.rhs[lo:hi]
         pivs = self.pivots[lo:hi]
-        if is_narrow_factor(kl, ku, abst, btst):
-            # A few lanes: factor, then solve the regular ones, each on
-            # Python floats; a singular lane's B is left untouched.
-            info = self.info[lo:hi]
-            gbtf2_lanes(n, n, kl, ku, abst, pivs, info)
-            ok = info == 0
-            if ok.all():
-                gbtrs_lanes(n, kl, ku, abst, pivs, btst)
-            elif ok.any():
-                x = btst[ok]
-                btst[ok] = gbtrs_lanes(n, kl, ku, abst[ok], pivs[ok], x)
-            return
+        if factor_if_narrow(n, n, kl, ku, abst, pivs, self.info[lo:hi],
+                            btst):
+            return  # a few lanes, factored and solved on Python floats
         # Column-major, lane-last shared tiles: one column's band rows are
         # adjacent runs of lanes, and the RHS tile is the lane-last window
         # the solve steps take.  Band LU runs on the augmented [A|B]:

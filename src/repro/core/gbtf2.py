@@ -50,7 +50,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..blas.level1 import iamax, stable_mul
-from .solve_blocks import solve_cost
+from .solve_blocks import gbtrs_lanes, solve_cost
 
 __all__ = [
     "pivot_search",
@@ -590,13 +590,35 @@ def is_narrow_factor(kl: int, ku: int, abst: np.ndarray,
 
 
 def factor_if_narrow(m: int, n: int, kl: int, ku: int, abst: np.ndarray,
-                     ipiv: np.ndarray, info: np.ndarray) -> bool:
-    """Factor a narrow body's lanes with :func:`gbtf2_lanes` and return
+                     ipiv: np.ndarray, info: np.ndarray,
+                     rhs: np.ndarray | None = None) -> bool:
+    """Factor a narrow body's lanes off the batched blocks and return
     ``True``; return ``False``, touching nothing, when the body is wide
-    enough for the numpy blocks (:func:`is_narrow_factor`)."""
-    if not is_narrow_factor(kl, ku, abst):
+    enough for them.
+
+    A body :func:`is_narrow_factor` accepts runs :func:`gbtf2_lanes`.
+    With ``rhs``, the ``(batch, n, nrhs)`` right-hand sides of a fused
+    ``gbsv`` body, it then solves each regular lane's in place with
+    :func:`repro.core.solve_blocks.gbtrs_lanes`; a singular lane's are
+    left untouched, as LAPACK's GBSV does.  Otherwise a lone lane whose
+    update ``kl * (kl + ku + 1)`` is at most ``FACTOR_SCALAR_WORK`` (a
+    float32 or complex lane, say) runs :func:`gbtf2` itself: on one lane
+    the per-lane blocks beat the batched ones up to about kl = ku = 21.
+    """
+    if is_narrow_factor(kl, ku, abst, rhs):
+        gbtf2_lanes(m, n, kl, ku, abst, ipiv, info)
+        if rhs is not None:
+            ok = info == 0
+            if ok.all():
+                gbtrs_lanes(n, kl, ku, abst, ipiv, rhs)
+            elif ok.any():
+                rhs[ok] = gbtrs_lanes(n, kl, ku, abst[ok], ipiv[ok], rhs[ok])
+        return True
+    if rhs is not None or len(abst) != 1 \
+            or kl * (kl + ku + 1) > FACTOR_SCALAR_WORK:
         return False
-    gbtf2_lanes(m, n, kl, ku, abst, ipiv, info)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        _, info[0] = gbtf2(m, n, kl, ku, abst[0], ipiv[0])
     return True
 
 

@@ -14,9 +14,11 @@ contracts under test:
   exactly when every operand is native float64 and ``lanes`` times the
   per-lane cost of a column is at most ``FACTOR_SCALAR_WORK`` or
   ``SOLVE_SCALAR_WORK``; each body follows them through
-  ``factor_if_narrow``, ``solve_if_narrow`` or (the fused ``gbsv``)
-  ``is_narrow_factor`` with its right-hand sides; float32, complex,
-  byte-swapped and transposed solves never take the scalar engine.
+  ``factor_if_narrow`` (the fused ``gbsv`` with its right-hand sides)
+  or ``solve_if_narrow``; float32, complex, byte-swapped and transposed
+  solves never take the scalar engine;
+* a lone lane the scalar engine does not take runs ``gbtf2`` itself in
+  the factor bodies while its band is narrow, with its bytes.
 """
 
 from __future__ import annotations
@@ -254,11 +256,10 @@ GBSV_LANES = FACTOR_SCALAR_WORK // (_factor_cost(KL, KU)
 def engines(monkeypatch):
     """Count the calls each kernel module makes to either engine."""
     calls = []
-    spies = {"gbtf2": ("gbtf2_lanes",),
+    spies = {"gbtf2": ("gbtf2_lanes", "gbtf2"),
              "solve_blocks": ("gbtrs_lanes",),
              "gbtrf_fused": ("gbtf2_batched",),
-             "gbsv_fused": ("gbtf2_lanes", "gbtrs_lanes",
-                            "gbtf2_step_batched"),
+             "gbsv_fused": ("gbtf2_step_batched",),
              "gbtrf_window": ("gbtf2_batched",),
              "gbtrf": ("gbtf2_batched",),
              "gbtrs_blocked": ("forward_update_batched",
@@ -277,10 +278,12 @@ def engines(monkeypatch):
 
 
 def _engine(calls):
-    scalar = {c for c in calls if c.endswith("_lanes")}
-    batched = {c for c in calls if not c.endswith("_lanes")}
-    assert bool(scalar) != bool(batched), calls
-    return "scalar" if scalar else "batched"
+    """The one engine ``calls`` reached: ``scalar`` (Python floats),
+    ``lone`` (``gbtf2`` on a lone lane) or ``batched``."""
+    kinds = {"scalar" if c.endswith("_lanes") else
+             "lone" if c == "gbtf2" else "batched" for c in calls}
+    assert len(kinds) == 1, calls
+    return kinds.pop()
 
 
 def _factor_run(body, lanes, dtype):
@@ -307,11 +310,64 @@ def _factor_run(body, lanes, dtype):
     ("fused", FACTOR_LANES), ("window", FACTOR_LANES),
     ("host", FACTOR_LANES), ("gbsv", GBSV_LANES)])
 def test_factor_bodies_follow_the_choice(body, lanes, dtype, engines):
+    """Float64 lanes up to the constant take the scalar engine; a lone
+    lane of another dtype takes ``gbtf2`` except in the fused ``gbsv``."""
     for count, scalar in ((1, True), (lanes, True), (lanes + 1, False)):
         engines.clear()
         _factor_run(body, count, dtype)
-        want = "scalar" if scalar and dtype == np.float64 else "batched"
+        want = ("scalar" if scalar and dtype == np.float64 else
+                "lone" if count == 1 and body != "gbsv" else "batched")
         assert _engine(engines) == want, (body, count)
+
+
+@pytest.mark.parametrize("body", ["fused", "window", "host"])
+@pytest.mark.parametrize("dtype,kl,ku", [
+    (np.float32, KL, KU), (np.complex128, KL, KU), (np.float64, 21, 22),
+    (np.float32, 21, 21)])
+@pytest.mark.parametrize("case", (None,) + HARD)
+def test_lone_lane_runs_gbtf2(case, dtype, kl, ku, body, engines):
+    """Each lane of a batch factored as a one-lane launch on ``gbtf2``
+    writes the reference's bytes; float64 gets there only with a band
+    too wide for the scalar engine."""
+    n = 32 if kl > KL else N
+    a = _harden(_random_batch(n, n, kl, ku, seed=60, dtype=dtype), case,
+                n, kl, ku)
+    ref, piv_ref, info_ref = _reference(a, n, n, kl, ku)
+    assert not is_narrow_factor(kl, ku, a[:1])
+    for k in range(BATCH):
+        engines.clear()
+        stack = to_interleaved(a[k:k + 1]) if body == "window" \
+            else a[k:k + 1].copy()
+        piv = np.full_like(piv_ref[:1], -1)
+        info = np.full_like(info_ref[:1], -1)
+        if body == "fused":
+            run = lambda: launch(H100_PCIE, FusedGbtrfKernel(  # noqa: E731
+                n, n, kl, ku, stack, piv, info))
+        elif body == "window":
+            run = lambda: launch(H100_PCIE, SlidingWindowGbtrfKernel(  # noqa
+                n, n, kl, ku, stack, piv, info, nb=4, threads=kl + 1))
+        else:
+            run = lambda: GBTRF.host(Operands(  # noqa: E731
+                n, n, kl, ku, stack, piv, info))
+        _strict(run)
+        assert _engine(engines) == "lone", (body, k)
+        _compare(case, (np.ascontiguousarray(stack), ref[k:k + 1]),
+                 (piv, piv_ref[k:k + 1]), (info, info_ref[k:k + 1]))
+
+
+def test_lone_lane_of_a_very_wide_band_stays_batched(engines):
+    """Past ``kl * (kl + ku + 1) == FACTOR_SCALAR_WORK`` the batched
+    blocks are the faster on one lane too."""
+    kl = ku = 24
+    assert kl * (kl + ku + 1) > FACTOR_SCALAR_WORK
+    for dtype in (np.float64, np.float32):
+        engines.clear()
+        a = np.random.default_rng(61).standard_normal(
+            (1, 2 * kl + ku + 1, 48)).astype(dtype)
+        piv = np.zeros((1, 48), dtype=np.int64)
+        info = np.zeros(1, dtype=np.int64)
+        launch(H100_PCIE, FusedGbtrfKernel(48, 48, kl, ku, a, piv, info))
+        assert _engine(engines) == "batched"
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.complex128],
@@ -354,7 +410,6 @@ def engine(request, monkeypatch):
     the numpy blocks forced however few the lanes."""
     if request.param == "numpy":
         for mod, name in (("gbtf2", "is_narrow_factor"),
-                          ("gbsv_fused", "is_narrow_factor"),
                           ("solve_blocks", "is_narrow_solve")):
             monkeypatch.setattr(importlib.import_module(f"repro.core.{mod}"),
                                 name, lambda *args: False)
