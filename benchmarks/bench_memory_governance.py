@@ -6,9 +6,10 @@ pool, one lease/release pair, and — only when chunking actually happens —
 staging transfers.  For a batch that fits comfortably this must be
 bookkeeping, not work.  This benchmark times a paper-scale ``gbsv_batch``
 workload (batch 1000, n=256, kl=ku=8, fp64) on the governed path versus
-the same operands run through the layers below governance directly
-(``repro.core.stack.heal``), checks that the two produce
-bit-identical factors/solutions, and asserts the overhead stays under 5%.
+the same operands dispatched directly in the design their call plan names
+(``repro.core.stack.plan_call``, then ``OpSpec.dispatch``, with no layer
+around it), checks that the two produce bit-identical factors/solutions,
+and asserts the overhead stays under 5%.
 
 Runnable standalone (``python benchmarks/bench_memory_governance.py
 [--quick]``) for the CI memory-pressure job; ``--quick`` shrinks the
@@ -28,7 +29,7 @@ from repro.band.generate import random_band_batch, random_rhs
 from repro.core import gbsv_batch
 from repro.core.batch_args import as_rhs_list
 from repro.core.gbsv import GBSV
-from repro.core.stack import ExecConfig, Operands, heal
+from repro.core.stack import ExecConfig, Operands, plan_call
 from repro.gpusim.memory import reset_memory_pools
 
 from _util import emit, run_once
@@ -51,9 +52,11 @@ def _run(governed, a, b, n, kl, ku, batch):
     else:
         piv = np.zeros((batch, n), dtype=np.int64)
         info = np.zeros(batch, dtype=np.int64)
-        heal(GBSV, ExecConfig(), Operands(
-            n, n, kl, ku, mats, piv, info, nrhs=NRHS,
-            rhs=as_rhs_list(rhs, batch, n, NRHS, arg_pos=7)))
+        cfg = ExecConfig()
+        ops = Operands(n, n, kl, ku, mats, piv, info, nrhs=NRHS,
+                       rhs=as_rhs_list(rhs, batch, n, NRHS, arg_pos=7))
+        ops.call.plan = plan_call(GBSV, cfg, ops)
+        GBSV.dispatch(ops.call.plan.design(cfg.device), cfg, ops)
     dt = perf_counter() - t0
     assert (np.asarray(info) == 0).all()
     return dt, mats, rhs, piv

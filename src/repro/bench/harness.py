@@ -27,7 +27,6 @@ from ..core.gbtrf import GBTRF, gbtrf_batch
 from ..core.gbtrs import gbtrs_batch
 from ..core.stack import ExecConfig, Operands
 from ..cpu.costmodel import XEON_6140, CpuSpec, cpu_gbsv_time, cpu_gbtrf_time, cpu_gbtrs_time
-from ..errors import SharedMemoryError
 from ..gpusim.device import H100_PCIE, DeviceSpec
 from ..gpusim.kernel import launch
 from ..gpusim.stream import Stream
@@ -122,7 +121,8 @@ def _factor_stack(device, method, m, n, kl, ku, mats, vectorize) -> None:
     ops = Operands(m, n, kl, ku, mats,
                    np.zeros((batch, min(m, n)), dtype=np.int64),
                    np.zeros(batch, dtype=np.int64))
-    kernels = GBTRF.kernels(device, method, ExecConfig(device=device), ops)
+    design = GBTRF.resolve(device, ops) if method == "auto" else method
+    kernels = GBTRF.kernels(device, design, ExecConfig(device=device), ops)
     if kernels is None:
         raise ValueError(f"method {method!r} has no kernels to launch")
     for kernel in kernels:

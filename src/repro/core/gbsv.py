@@ -17,7 +17,6 @@ import numpy as np
 
 from ..errors import check_arg
 from ..gpusim.device import H100_PCIE, DeviceSpec
-from ..gpusim import ahead
 from ..tuning.defaults import FUSED_GBSV_CUTOFF
 from ..types import Trans
 from .batch_args import (
@@ -33,7 +32,7 @@ from .gbtrf import GBTRF
 from .gbtrs import GBTRS
 from .solve_blocks import gbtrs_unblocked
 from .stack import INOUT, OUT, ExecConfig, Operands, OpSpec, \
-    check_execution, run
+    check_execution, launch_kernels, run
 from .verify import as_verify_policy, gate_gbsv, score_gbsv
 
 __all__ = ["gbsv", "gbsv_batch", "run_gbsv", "select_gbsv_method", "GBSV"]
@@ -157,31 +156,25 @@ def _resolve(device, ops):
                               ops.mats[0].dtype.itemsize)
 
 
-def _fused(method, device, ops) -> bool:
-    if method == "auto":
-        method = _resolve(device, ops)
-    return method == "fused" and ops.nrhs >= 1
-
-
 def _kernels(device, method, cfg, ops):
-    """The fused kernel, or the factor + solve stages' kernels."""
-    if _fused(method, device, ops):
+    """The fused kernel, or the factor + solve stages' kernels (the
+    factorization's design is the call plan's stage design)."""
+    if method == "fused":
         return [FusedGbsvKernel(ops.n, ops.kl, ops.ku, ops.nrhs, ops.mats,
                                 ops.pivots, ops.rhs, ops.info)]
-    kernels = GBTRF.kernels(device, "auto", cfg, ops) or []
+    kernels = GBTRF.kernels(device, ops.call.plan.stage(device), cfg,
+                            ops) or []
     if ops.nrhs:
-        kernels += GBTRS.kernels(device, "auto", cfg, ops)
+        kernels += GBTRS.kernels(device, "blocked", cfg, ops)
     return kernels
 
 
 def _dispatch(method, cfg, ops):
-    if _fused(method, cfg.device, ops):
-        fused, = _kernels(cfg.device, "fused", cfg, ops)
-        ahead.launcher()(cfg.device, fused, stream=cfg.stream,
-                         execute=cfg.execute, conversion=ops.call.conversion)
+    if method == "fused":
+        launch_kernels(cfg, ops, _kernels(cfg.device, method, cfg, ops))
         return
-    GBTRF.dispatch("auto", cfg, ops)
-    _solve_regular(ops, lambda sub: GBTRS.dispatch("auto", cfg, sub))
+    GBTRF.dispatch(ops.call.plan.stage(cfg.device), cfg, ops)
+    _solve_regular(ops, lambda sub: GBTRS.dispatch("blocked", cfg, sub))
 
 
 def _solve_regular(ops, solve) -> None:

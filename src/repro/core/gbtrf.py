@@ -21,7 +21,6 @@ import numpy as np
 from ..band.layout import is_column_interleaved, ldab_for_factor
 from ..errors import check_arg
 from ..gpusim.device import H100_PCIE, DeviceSpec
-from ..gpusim import ahead
 from ..tuning.defaults import FUSED_CUTOFF, window_params
 from .batch_args import as_matrix_list, check_gb_args, ensure_info, \
     ensure_pivots
@@ -30,7 +29,7 @@ from .gbtrf_fused import FusedGbtrfKernel
 from .gbtrf_reference import gbtrf_reference_batch
 from .gbtrf_window import SlidingWindowGbtrfKernel
 from .stack import INOUT, OUT, ExecConfig, Operands, OpSpec, \
-    check_execution, run
+    check_execution, launch_kernels, run
 from .verify import as_verify_policy, gate_gbtrf, score_gbtrf
 
 __all__ = ["gbtrf", "gbtrf_batch", "run_gbtrf", "select_gbtrf_method",
@@ -214,8 +213,6 @@ def _resolve(device, ops):
 def _kernels(device, method, cfg, ops):
     """The kernels of one factorization design (``None``: fork-join)."""
     m, n, kl, ku = ops.m, ops.n, ops.kl, ops.ku
-    if method == "auto":
-        method = _resolve(device, ops)
     if method == "fused":
         return [FusedGbtrfKernel(m, n, kl, ku, ops.mats, ops.pivots,
                                  ops.info, threads=cfg.threads)]
@@ -235,11 +232,8 @@ def _dispatch(method, cfg, ops):
                               ops.pivots, ops.info, cfg.device, cfg.stream,
                               execute=cfg.execute,
                               conversion=ops.call.conversion)
-        return
-    run = ahead.launcher()
-    for kernel in kernels:
-        run(cfg.device, kernel, stream=cfg.stream, execute=cfg.execute,
-            conversion=ops.call.conversion)
+    else:
+        launch_kernels(cfg, ops, kernels)
 
 
 def _host(ops):

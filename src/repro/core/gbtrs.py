@@ -14,7 +14,6 @@ import numpy as np
 
 from ..errors import check_arg
 from ..gpusim.device import H100_PCIE, DeviceSpec
-from ..gpusim import ahead
 from ..types import Trans
 from .batch_args import (
     as_matrix_list,
@@ -32,7 +31,7 @@ from .gbtrs_blocked import (
 from .gbtrs_reference import gbtrs_reference_batch
 from .solve_blocks import gbtrs_batched, gbtrs_unblocked, solve_if_narrow
 from .stack import IN, INOUT, OUT, ExecConfig, Operands, OpSpec, \
-    check_execution, run
+    check_execution, launch_kernels, run
 from .verify import as_verify_policy, gate_gbtrs, score_gbtrs
 
 __all__ = ["gbtrs", "gbtrs_batch", "run_gbtrs", "GBTRS"]
@@ -177,11 +176,8 @@ def _dispatch(method, cfg, ops):
                               ops.mats, ops.pivots, ops.rhs, cfg.device,
                               cfg.stream, execute=cfg.execute,
                               conversion=ops.call.conversion)
-        return
-    run = ahead.launcher()
-    for kernel in kernels:
-        run(cfg.device, kernel, stream=cfg.stream, execute=cfg.execute,
-            conversion=ops.call.conversion)
+    else:
+        launch_kernels(cfg, ops, kernels)
 
 
 def _host(ops):

@@ -23,8 +23,9 @@ cannot assume that.  This module makes every batched driver OOM-safe:
   :attr:`~repro.core.resilience.BatchReport.chunk_events`.
 
 Governance applies only to outermost functional calls: timing-only
-(``execute=False``) and graph-capturing calls are exempt, and a chunk is
-never re-chunked: each chunk runs the layers below governance directly.
+(``execute=False``) and graph-capturing calls are exempt (the call's
+:class:`~repro.core.stack.CallPlan` says which), and a chunk is never
+re-chunked: each chunk runs the layers below governance directly.
 
 Fault-injection semantics: allocation faults strike at chunk boundaries
 (the lease points), and the executor opens a
@@ -49,7 +50,6 @@ __all__ = [
     "estimate_vbatch_footprint",
     "lane_footprint",
     "plan_batch",
-    "governance_active",
     "run_governed",
 ]
 
@@ -57,16 +57,6 @@ __all__ = [
 POINTER_BYTES = 8
 #: Bytes of one ``info`` entry resident on the device.
 INFO_BYTES = 8
-
-
-def governance_active(*, execute: bool = True, stream=None) -> bool:
-    """Should a driver call entering now take the governed path?
-
-    False for timing-only calls, and while a stream is capturing a graph
-    (replay must not re-plan).  (A chunk is never re-chunked: the
-    governance layer calls the layers below it directly.)
-    """
-    return execute and not getattr(stream, "_capturing", False)
 
 
 # --- footprint estimation --------------------------------------------------
@@ -210,17 +200,18 @@ def _plan_admitted(cfg, device: DeviceSpec, batch: int, lane_bytes: int,
 def run_governed(spec, cfg, ops):
     """Lease, chunk and stream one batch; returns its report when resilient.
 
-    Each chunk runs the layers below (:func:`repro.core.stack.heal`) on
-    its lane range, on the caller's device and stream — or, with
-    ``streams``/``devices``, on a shard's device and compute stream under
-    the pipelined executor (:mod:`repro.core.pipeline`).  Same contract
-    as an ungoverned call: ``resilient`` chunk reports merge into one.
+    Each chunk runs the layers below (the resilience layer when the plan
+    says so, else one dispatch) on its lane range, on the caller's device
+    and stream — or, for a pipelined plan, on a shard's device and
+    compute stream under the pipelined executor
+    (:mod:`repro.core.pipeline`).  Same contract as an ungoverned call:
+    ``resilient`` chunk reports merge into one.
     """
     from . import pipeline
     batch = ops.batch
     lane_bytes = spec.lane_bytes(ops)
     presult = None
-    if pipeline.pipeline_requested(streams=cfg.streams, devices=cfg.devices):
+    if ops.call.plan.pipelined:
         out, budget, presult = pipeline.execute_pipelined(spec, cfg, ops,
                                                           lane_bytes)
     else:
@@ -229,7 +220,7 @@ def run_governed(spec, cfg, ops):
         out = pipeline._settle(ops, pipeline._run_shard(
             spec, cfg, ops, cfg.device, [(0, batch)], plan))
         budget = plan.budget
-    if not cfg.resilient:
+    if not ops.call.plan.resilient:
         return None
     report = merge_reports(spec.name, batch, out.parts)
     report.method_requested, report.info = cfg.method, ops.info

@@ -77,7 +77,6 @@ import threading
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from numbers import Integral
 
 import numpy as np
 
@@ -94,28 +93,17 @@ from ..gpusim.memory import _POOLS, memory_pool
 from ..gpusim.multidevice import (
     CircuitBreaker,
     DevicePartition,
-    replicate_device,
     split_batch,
     throughput_weights,
 )
 from ..gpusim.stream import Stream
 from ..gpusim.transfer import TransferRecord, stage_chunk
 from .memory_plan import _plan_admitted
-from .resilience import HOST_FALLBACK, BatchReport, ResiliencePolicy
-from .stack import Operands, Snapshot, heal, lane_runs
+from .resilience import HOST_FALLBACK, BatchReport, ResiliencePolicy, \
+    run_resilient
+from .stack import Snapshot, lane_runs
 
-__all__ = ["PipelineResult", "pipeline_requested", "execute_pipelined",
-           "last_pipeline_result"]
-
-
-def pipeline_requested(*, streams=None, devices=None) -> bool:
-    """Do these knob values ask for the pipelined executor?
-
-    ``streams=1`` alone keeps the sequential chunked path; any
-    multi-stream or explicit ``devices`` request routes through the
-    pipeline.
-    """
-    return devices is not None or (streams is not None and streams > 1)
+__all__ = ["PipelineResult", "execute_pipelined", "last_pipeline_result"]
 
 
 @dataclass(frozen=True)
@@ -245,26 +233,6 @@ def last_pipeline_result() -> PipelineResult | None:
     return getattr(_LAST, "result", None)
 
 
-def _resolve_devices(device, devices) -> list:
-    """The ``devices=`` knob (validated by ``check_execution``) as a list
-    of uniquely-named specs."""
-    if devices is None or devices == 1:
-        return [device]
-    if isinstance(devices, Integral):
-        return replicate_device(device, devices)
-    return list(devices)
-
-
-def _buffers(cfg) -> int:
-    """Streams (= live chunk buffers) per shard of a pipelined call.
-
-    ``streams`` unset gets the full h2d/compute/d2h triple.  More than
-    three streams buys nothing in this model (there are only three
-    engines to keep busy), so the count is capped there.
-    """
-    return min(cfg.streams or 3, 3)
-
-
 def _shard_streams(cfg, device, nbuf: int) -> tuple:
     """(h2d, compute, d2h) streams for one shard; aliased when shared.
 
@@ -375,13 +343,14 @@ def _computes_ahead(chunk: int, lanes: int, dev) -> bool:
 
 
 def _compute_ahead(spec, cfg, ops, ranges) -> None:
-    """Run ``cfg``'s design over lane ``ranges`` in one host pass, its
-    bodies only (:func:`repro.gpusim.ahead.computing`): no device state
-    is touched.  Every design gives the same bits, so the chunks' first
-    dispatches need only account for them."""
+    """Run the planned design of ``cfg.device`` over lane ``ranges`` in
+    one host pass, its bodies only (:func:`repro.gpusim.ahead.computing`):
+    no device state is touched.  Every design gives the same bits, so the
+    chunks' first dispatches need only account for them."""
+    design = ops.call.plan.design(cfg.device)
     with ahead.computing():
         for start, stop in ranges:
-            spec.dispatch(cfg.method, cfg, ops.take(range(start, stop)))
+            spec.dispatch(design, cfg, ops.take(range(start, stop)))
 
 
 def _rewind(spec, ops, ranges) -> None:
@@ -395,7 +364,10 @@ def _rewind(spec, ops, ranges) -> None:
 def _dispatch_chunk(spec, cfg, ops, triple, start, stop, nbytes, staged,
                     computed=False):
     """Stage one chunk in, run the layers below on the compute stream
-    (``cfg`` already targets the shard), stage it out.
+    (``cfg`` already targets the shard), stage it out.  The layers below
+    are the resilience layer when the call's plan is resilient (returning
+    the chunk's report), else one dispatch of the shard device's planned
+    design (which returns none).
 
     The fault injector's lane window opens at the chunk's global start, so
     fault placement cannot depend on chunking or sharding.  ``computed``:
@@ -412,7 +384,9 @@ def _dispatch_chunk(spec, cfg, ops, triple, start, stop, nbytes, staged,
     with (injector.lane_window(start) if injector is not None
           else nullcontext()), \
             (ahead.accounting() if computed else nullcontext()):
-        rep = heal(spec, cfg, ops.take(range(start, stop)))
+        sub = ops.take(range(start, stop))
+        rep = (run_resilient(spec, cfg, sub) if sub.call.plan.resilient
+               else spec.dispatch(sub.call.plan.design(dev), cfg, sub))
     if staged:
         if s_d2h is not s_cmp:
             s_d2h.wait_event(s_cmp.record_event())
@@ -426,14 +400,14 @@ def _run_shard(spec, cfg, ops, dev, ranges, plan, role="full"):
     The shard first prepares its lanes (the call's
     :class:`~repro.core.stack.Staging` fills: pristine snapshot, layout
     working copies, shared mirrors) unless an earlier round did.  Every
-    chunk then runs :func:`repro.core.stack.heal` on its global lane
-    range, and its lanes are scored once they are final (``out.done``,
-    which the calling process writes back: :func:`_settle`).  A
-    pipelined call (``cfg.streams``/``cfg.devices``) stages chunks
-    through the shard's own double-buffered stream triple; the
-    sequential governed executor is this runner with one buffer on the
-    caller's stream, and its chunk events carry no device and lane-range
-    keys.
+    chunk then runs the layers below on its global lane range
+    (:func:`_dispatch_chunk`), and its lanes are scored once they are
+    final (``out.done``, which the calling process writes back:
+    :func:`_settle`).  A pipelined call (``ops.call.plan.pipelined``)
+    stages chunks through the shard's own stream triple, with
+    ``ops.call.plan.buffers`` chunk buffers live; the sequential governed
+    executor is this runner with one buffer on the caller's stream, and
+    its chunk events carry no device and lane-range keys.
 
     A mid-run allocation failure walks the OOM ladder under
     ``cfg.resilient``: halve the chunk with the policy's capped backoff,
@@ -469,8 +443,7 @@ def _run_shard(spec, cfg, ops, dev, ranges, plan, role="full"):
     """
     out = _ShardOutcome()
     pool = memory_pool(dev)
-    pipelined = pipeline_requested(streams=cfg.streams, devices=cfg.devices)
-    nbuf = _buffers(cfg) if pipelined else 1
+    pipelined, nbuf = ops.call.plan.pipelined, ops.call.plan.buffers
     triple = (_shard_streams(cfg, dev, nbuf) if pipelined
               else (cfg.stream,) * 3)
     s_cmp = triple[1]
@@ -635,7 +608,7 @@ def _run_hedge(spec, cfg, ops, dev, span):
     lanes = ops.take(range(start, stop))
     out_snap = _lease_copy(spec, lanes)
     pool = memory_pool(dev)
-    triple = _shard_streams(cfg, dev, _buffers(cfg))
+    triple = _shard_streams(cfg, dev, ops.call.plan.buffers)
     label = f"{spec.name}-hedge@{dev.name}"
     try:
         pool.alloc(nbytes, label=label)
@@ -728,13 +701,8 @@ class _Shared:
             fill(lo, hi)
         staging.add(fill, back)
         self._back = back
-        mirrors = {name: mirror for name, (_, mirror) in pairs.items()}
-        self.ops = Operands(ops.m, ops.n, ops.kl, ops.ku,
-                            mirrors.get("mats", ops.mats),
-                            mirrors.get("pivots", ops.pivots),
-                            mirrors.get("info", ops.info), nrhs=ops.nrhs,
-                            rhs=mirrors.get("rhs", ops.rhs), trans=ops.trans,
-                            lanes=ops.lanes, call=ops.call)
+        self.ops = ops.relayout(**{name: mirror for name, (_, mirror)
+                                   in pairs.items()})
         self.staged = True
         return self.ops
 
@@ -950,8 +918,8 @@ def execute_pipelined(spec, cfg, ops, lane_bytes):
 
     Execution is a sequence of dispatch rounds governed by a per-device
     :class:`~repro.gpusim.multidevice.CircuitBreaker`; a healthy call is a
-    single round.  Each round shards the pending lanes across the devices
-    the breaker lets through, weighted by modeled throughput
+    single round.  Each round shards the pending lanes across the plan's
+    devices the breaker lets through, weighted by modeled throughput
     (``spec.probe_stages``).  When ``cfg.resilient`` and more than one
     device is in play, the **device fault domain** arms under
     ``policy.breaker`` (or a fresh one): chunks orphaned by a device
@@ -976,8 +944,7 @@ def _execute(spec, cfg, shared, lane_bytes):
     """:func:`execute_pipelined` on operands a forked round may stage."""
     ops = shared.ops
     batch = ops.batch
-    devs = _resolve_devices(cfg.device, cfg.devices)
-    nbuf = _buffers(cfg)
+    devs, nbuf = ops.call.plan.devices, ops.call.plan.buffers
     policy = cfg.policy or ResiliencePolicy()
     failover = cfg.resilient and len(devs) > 1
     hedge_ratio = policy.hedge_ratio if failover else None

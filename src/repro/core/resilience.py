@@ -46,7 +46,6 @@ re-raises the last device error.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields as _dataclass_fields
 
 import numpy as np
@@ -61,7 +60,7 @@ from ..errors import (
 )
 from ..gpusim.faults import active_injector
 from .gbrfs import gbrfs
-from .stack import IN
+from .stack import IN, empty_report
 
 __all__ = [
     "ResiliencePolicy",
@@ -439,12 +438,10 @@ def _run_ladder(report, spec, cfg, ops, snap, policy, rungs,
     """
     stage = stage or spec.name
     if spec.stages:
-        rungs = rungs if ops.nrhs else rungs[-1:]   # fused needs a rhs
-
         def net():
             factor, solve = spec.stages
             _run_ladder(report, factor, cfg, ops, snap, policy,
-                        factor.ladder("auto", cfg.device, ops))
+                        factor.ladder(ops.call.plan.stage(cfg.device)))
             if not ops.nrhs:
                 return None
             finite = ops.finite_factors()
@@ -502,12 +499,6 @@ def _run_ladder(report, spec, cfg, ops, snap, policy, rungs,
     return net()
 
 
-def _rerun_reference(report, spec, cfg, ops, snap, policy) -> None:
-    """Re-run quarantined lanes through the reference design (or host)."""
-    _run_ladder(report, spec, cfg, ops, snap, policy, ("reference",),
-                stage=f"quarantine:{spec.name}")
-
-
 def _quarantine(report, spec, cfg, ops, snap, policy,
                 factors=None) -> None:
     """Pull singular and corrupted lanes off the fast path and re-run them.
@@ -538,7 +529,8 @@ def _quarantine(report, spec, cfg, ops, snap, policy,
     recovered, unrecovered = bad, []
     if factor.roles["pivots"] != IN:       # a pure solve factors nothing
         sub = ops.take(bad)
-        _rerun_reference(report, factor, cfg, sub, snap.take(bad), policy)
+        _run_ladder(report, factor, cfg, sub, snap.take(bad), policy,
+                    ("reference",), stage="quarantine:" + factor.name)
         ops.put_back(bad, sub, factor)
         factored = ops.finite_factors()
         live = [k for k in bad if info[k] == 0]
@@ -546,8 +538,8 @@ def _quarantine(report, spec, cfg, ops, snap, policy,
         recovered = [k for k in live if factored[k]]
     if ops.rhs is not None and ops.nrhs and recovered:
         sub = ops.take(recovered)
-        _rerun_reference(report, solve, cfg, sub, snap.take(recovered),
-                         policy)
+        _run_ladder(report, solve, cfg, sub, snap.take(recovered), policy,
+                    ("reference",), stage="quarantine:" + solve.name)
         ops.put_back(recovered, sub, solve)
         solved = ops.finite_solution()
         unrecovered += [k for k in recovered if not solved[k]]
@@ -588,10 +580,9 @@ def run_resilient(spec, cfg, ops) -> BatchReport:
     ``info > 0``, ``B`` left unchanged.
     """
     policy = cfg.policy or ResiliencePolicy()
-    report = BatchReport(spec.name, ops.batch, method_requested=cfg.method,
-                         info=ops.info)
+    report = empty_report(spec, cfg, ops)
     snap = ops.call.pristine.take(ops.lanes)
     factors = _run_ladder(report, spec, cfg, ops, snap, policy,
-                          spec.ladder(cfg.method, cfg.device, ops))
+                          spec.ladder(ops.call.plan.design(cfg.device)))
     _quarantine(report, spec, cfg, ops, snap, policy, factors)
     return report

@@ -4,30 +4,42 @@ Every batched driver (``gbtrf_batch``, ``gbtrs_batch``, ``gbsv_batch`` and
 the two vbatch drivers) validates its arguments once, packs its knobs into
 an :class:`ExecConfig` and its operands into :class:`Operands`, and hands
 both to :func:`run` together with the operation's :class:`OpSpec`.
-:func:`run` walks the layers in a fixed order, each written once over
-``OpSpec`` and living in the module named for it:
+:func:`run` makes each operand one array, then plans the call:
+:func:`plan_call` makes every route decision once, before any lane
+moves, into a frozen :class:`CallPlan` that lives on the call
+(``ops.call.plan``).  The plan names the quick return, each planned
+device's design, the layout target, whether the call is governed and
+pipelined (on which devices, with how many buffers), and whether verify
+and resilience run.  Then only the layers the plan makes active are
+entered, in a fixed order, each written once over ``OpSpec`` and living
+in the module named for it:
 
 1. **verify** (:func:`repro.core.verify.run_verified`) — residual gates and
    the recompute rungs, outside everything else;
 2. **layout** (:func:`convert_layout`, here) — the one batch-boundary
-   storage conversion;
-3. **govern** (:func:`repro.core.memory_plan.run_governed`) — admission
-   control, chunking and the pipelined multi-device executor;
-4. **heal** (:func:`repro.core.resilience.run_resilient`) — the retry /
-   design-ladder / quarantine dispatch;
-5. **dispatch** (``OpSpec.dispatch``) — the kernel launches of one design.
+   storage conversion, when the plan names a target;
+3. **govern** (:func:`govern`, then
+   :func:`repro.core.memory_plan.run_governed` for a governed call) —
+   admission control, chunking and the pipelined multi-device executor;
+4. **resilience** (:func:`repro.core.resilience.run_resilient`) — the
+   retry / design-ladder / quarantine dispatch;
+5. **dispatch** (``OpSpec.dispatch``) — the kernel launches of the
+   plan's design.
 
-A layer calls the next one directly (:func:`convert_layout`,
-:func:`govern`, :func:`heal`); no layer re-enters a public driver, so
-arguments are validated once and nothing needs a re-entrancy guard.
+No layer below :func:`run` resolves ``method='auto'`` or re-derives a
+decision from the :class:`ExecConfig`; each reads it from the plan.  A
+layer calls the next one directly; no layer re-enters a public driver,
+so arguments are validated once and nothing needs a re-entrancy guard.
 Layers return the call's :class:`~repro.core.resilience.BatchReport`
 when ``resilient=True`` (``None`` otherwise); the drivers shape it into
-their LAPACK-style return values.
+their LAPACK-style return values.  What stays decided at run time is
+what depends on the live state: the launch rung, the narrow engine, the
+chunk size against the live pool, the fork count, failover and hedging.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Integral
 from typing import Callable
 
@@ -39,13 +51,15 @@ from ..errors import check_arg
 from ..gpusim import ahead
 from ..gpusim.device import H100_PCIE, DeviceSpec
 from ..gpusim.kernel import ConversionCharge
+from ..gpusim.multidevice import replicate_device
 from ..types import Trans
 from .arena import Leases
-from .batch_args import convert_batch_layout, lane_stack, stack_layouts
+from .batch_args import convert_batch_layout, is_interleaved_stack, \
+    lane_stack, stack_layouts
 
-__all__ = ["ExecConfig", "Operands", "OpSpec", "Snapshot", "Staging",
-           "check_execution", "run", "convert_layout", "govern", "heal",
-           "lane_runs"]
+__all__ = ["ExecConfig", "CallPlan", "Operands", "OpSpec", "Snapshot",
+           "Staging", "check_execution", "plan_call", "plan_devices", "run",
+           "convert_layout", "govern", "launch_kernels", "lane_runs"]
 
 IN, OUT, INOUT = "in", "out", "inout"
 
@@ -115,12 +129,57 @@ def check_execution(cfg: ExecConfig, pos: int) -> None:
               f"key on them), got {names}")
 
 
+@dataclass(frozen=True)
+class CallPlan:
+    """Every route decision of one driver call (see :func:`plan_call`).
+
+    ``designs`` maps each planned device's name to the op's design there,
+    and ``stage_designs`` to a composed op's factor-stage design (empty
+    for a single-stage op).  ``layout`` is the layout the layout layer
+    converts the batch to (``None``: the layer is not entered).
+    ``devices`` are the devices the call's lanes run on (``cfg.device``
+    alone unless ``pipelined``) and ``buffers`` the chunk buffers each
+    shard keeps live.
+    """
+
+    empty: bool = False
+    designs: dict = field(default_factory=dict)
+    stage_designs: dict = field(default_factory=dict)
+    layout: str | None = None
+    governed: bool = False
+    pipelined: bool = False
+    devices: tuple = ()
+    buffers: int = 1
+    verify: bool = False
+    resilient: bool = False
+
+    def design(self, device: DeviceSpec) -> str:
+        """The op's design on ``device``."""
+        return self.designs[device.name]
+
+    def stage(self, device: DeviceSpec) -> str:
+        """A composed op's factor-stage design on ``device``."""
+        return self.stage_designs[device.name]
+
+
+def plan_devices(cfg: ExecConfig) -> tuple:
+    """The devices a pipelined call shards across: ``cfg.device`` alone,
+    that many renamed replicas of it for an int ``devices=``, else the
+    given specs (validated by :func:`check_execution`)."""
+    if isinstance(cfg.devices, Integral) and cfg.devices > 1:
+        return tuple(replicate_device(cfg.device, cfg.devices))
+    return (cfg.device,) if cfg.devices in (None, 1) else tuple(cfg.devices)
+
+
 class _Call:
     """Per-call state shared by every sub-batch of one driver call."""
 
-    __slots__ = ("conversion", "pristine", "escalate", "leases", "staging")
+    __slots__ = ("plan", "conversion", "pristine", "escalate", "leases",
+                 "staging")
 
     def __init__(self):
+        #: The call's :class:`CallPlan` (set by :func:`run`).
+        self.plan = None
         #: Layout-conversion bytes awaiting the call's first launch.
         self.conversion = ConversionCharge()
         #: :class:`Snapshot` of the pristine operands over the root lanes
@@ -216,6 +275,15 @@ class Staging:
             arr = np.empty(shape, dtype)
         return arr
 
+    def like(self, src: np.ndarray) -> np.ndarray:
+        """An unfilled array laid out as ``src`` (its strides, so its
+        memory order), in the call's arena leases, else private."""
+        arr = self.leases.like(src)
+        if arr is None:
+            self.shared = False
+            arr = np.empty_like(src)
+        return arr
+
     def add(self, fill, back=None) -> None:
         """Add a per-range fill (and the write-back that undoes it)."""
         self.fills.append(fill)
@@ -224,10 +292,12 @@ class Staging:
 
     def snapshot(self, spec: "OpSpec", ops: "Operands") -> Snapshot:
         """A :class:`Snapshot` of every operand of ``spec`` as ``ops``
-        holds it before any lane is touched, filled per range."""
+        holds it before any lane is touched, filled per range.  Each copy
+        keeps its operand's memory order, so filling it and restoring
+        from it are straight copies (a column-interleaved stack is not
+        transposed)."""
         named = ops.named()
-        snap = Snapshot({name: self.empty(named[name].shape,
-                                          named[name].dtype)
+        snap = Snapshot({name: self.like(named[name])
                          for name in spec._names(inputs=True)})
 
         def fill(lo, hi):
@@ -248,7 +318,7 @@ class Staging:
         """Score finished lanes ``ranges`` of ``ops`` (the call's root
         lanes, as the layers below the layout layer hold them)."""
         if self.scorer is not None and self.caller_mats is not None:
-            ops = ops.relayout(self.caller_mats, ops.rhs)
+            ops = ops.relayout(mats=self.caller_mats)
         for lo, hi in ranges:
             if self.scorer is not None:
                 self.scorer(ops, lo, hi)
@@ -331,11 +401,15 @@ class Operands:
         for name in spec._names(inputs=False):
             mine[name][idx] = theirs[name]
 
-    def relayout(self, a, b) -> "Operands":
-        """The same lanes with matrices/right-hand sides from ``a``/``b``."""
-        return Operands(self.m, self.n, self.kl, self.ku, a, self.pivots,
-                        self.info, nrhs=self.nrhs, rhs=b, trans=self.trans,
-                        lanes=self.lanes, call=self.call)
+    def relayout(self, **arrays) -> "Operands":
+        """The same lanes with the operand arrays named in ``arrays``
+        (``mats``, ``rhs``, ``pivots``, ``info``) replaced."""
+        new = Operands(self.m, self.n, self.kl, self.ku, self.mats,
+                       self.pivots, self.info, nrhs=self.nrhs, rhs=self.rhs,
+                       trans=self.trans, lanes=self.lanes, call=self.call)
+        for name, arr in arrays.items():
+            setattr(new, name, arr)
+        return new
 
     def finite_factors(self) -> np.ndarray:
         """Per-lane mask: the lane's band rows are all finite.
@@ -387,10 +461,11 @@ class OpSpec:
     ``roles`` maps operand names to :data:`IN`/:data:`OUT`/:data:`INOUT`;
     snapshots, restores, lane footprints and layout write-backs follow
     from it.  ``designs`` is the degradation ladder, ``resolve`` picks
-    the design ``'auto'`` means on a device, ``kernels`` builds a design's
-    kernels (for dispatch and the multi-device throughput probes),
-    ``dispatch(method, cfg, ops)`` runs one design's launches (the
-    launcher picks each launch's execution rung from the operands;
+    the design ``'auto'`` means on a device (only :func:`plan_call` asks
+    it), ``kernels`` builds a design's kernels (for dispatch and the
+    multi-device throughput probes), ``dispatch(design, cfg, ops)`` runs
+    one design's launches (the launcher picks each launch's execution
+    rung from the operands;
     :func:`repro.gpusim.ahead.launcher` gives the one in use), ``host``
     is the host reference over every lane, and ``score`` and ``gate``
     are the operation's parts of the verify layer's residual gate: ``score`` the per-lane-range part
@@ -415,19 +490,18 @@ class OpSpec:
 
     # -- designs --------------------------------------------------------
 
-    def ladder(self, method: str, device, ops) -> tuple:
-        """Design ladder from ``method`` (``'auto'`` resolved on device)."""
-        if method == "auto":
-            method = self.resolve(device, ops)
-        return self.designs[self.designs.index(method):]
+    def ladder(self, design: str) -> tuple:
+        """Design ladder from ``design`` down."""
+        return self.designs[self.designs.index(design):]
 
     def probe_stages(self, device, cfg, ops) -> list:
-        """One-lane cost triples of the design ``cfg.method`` picks on
+        """One-lane cost triples of the call's planned design on
         ``device`` (empty for the reference design, which has no single
         representative kernel)."""
         one = ops.take(range(0, 1))
+        design = ops.call.plan.design(device)
         return [(k.block_cost(), k.threads(), k.smem_bytes())
-                for k in self.kernels(device, cfg.method, cfg, one) or ()]
+                for k in self.kernels(device, design, cfg, one) or ()]
 
     # -- operands -------------------------------------------------------
 
@@ -460,13 +534,80 @@ class OpSpec:
                                 (ops.mats[0], ops.pivots[0], rhs)
                                 if x is not None))
 
-    def empty(self, ops) -> bool:
-        """Nothing to compute: LAPACK quick return."""
-        if ops.batch == 0 or min(ops.m, ops.n) == 0:
-            return True
-        # A pure solve with no right-hand sides has nothing to do; a
-        # factor-and-solve still factors.
-        return self.roles["a"] == IN and ops.nrhs == 0
+
+# --- the plan ----------------------------------------------------------------
+
+def plan_call(spec: OpSpec, cfg: ExecConfig, ops: Operands) -> CallPlan:
+    """Make every route decision of one call, once, before any lane moves.
+
+    A pure function of the op, the operands' shapes, dtypes and layouts,
+    and the configuration:
+
+    * an empty call (LAPACK quick return) decides nothing else;
+    * a call is governed when it executes now: not ``execute=False`` and
+      not on a capturing stream (a replay must not re-plan);
+    * a governed call is pipelined when ``streams`` > 1 or ``devices`` is
+      set: it shards across :func:`plan_devices`, each shard keeping up
+      to ``streams`` chunk buffers live (three unset; more buys nothing,
+      there are three engines to keep busy); any other call runs on
+      ``cfg.device``;
+    * on each planned device, the op's design (``method``, or the
+      device's choice for ``'auto'``; a composed op with no right-hand
+      side runs its stages) and a composed op's factor-stage design, each
+      resolver asked once per device;
+    * the layout target: ``layout`` when given, else the interleaved
+      layout for a governed lane-major batch factored by the sliding
+      window (its column steps then run in place, which saves more host
+      time than the conversion costs; docs/LAYOUTS.md); none when every
+      operand already runs in it;
+    * verify runs when asked and there is a result to check, resilience
+      when asked.
+
+    A captured composed op that runs its stages on right-hand sides is
+    refused (:class:`~repro.errors.ArgumentError`) before any operand
+    changes: the lanes its solve skips depend on the factorization's
+    ``info``, which capture cannot know, so a replay would solve the
+    singular lanes too.  A captured fused ``gbsv`` is one kernel and
+    replays faithfully.
+    """
+    # A pure solve with no right-hand side has nothing to do; a
+    # factor-and-solve still factors.
+    if (ops.batch == 0 or min(ops.m, ops.n) == 0
+            or spec.roles["a"] == IN and not ops.nrhs):
+        return CallPlan(empty=True)
+    capturing = getattr(cfg.stream, "_capturing", False)
+    governed = cfg.execute and not capturing
+    pipelined = governed and (cfg.devices is not None
+                              or (cfg.streams or 1) > 1)
+    devices = plan_devices(cfg) if pipelined else (cfg.device,)
+    designs, stages = {}, {}
+    for dev in devices:
+        design = spec.resolve(dev, ops) if cfg.method == "auto" else cfg.method
+        if spec.stages:
+            stages[dev.name] = spec.stages[0].resolve(dev, ops)
+            if not ops.nrhs:    # the single kernel needs a right-hand side
+                design = spec.designs[-1]
+        designs[dev.name] = design
+    lead = devices[0].name       # the caller's device when capturing
+    staged = spec.stages and designs[lead] == spec.designs[-1]
+    check_arg(not (capturing and staged and ops.nrhs), 11,    # the stream
+              f"a captured {spec.name} cannot replay its stages faithfully "
+              f"(its solve skips singular lanes); capture them one by one")
+    factor = stages[lead] if staged else designs[lead]
+    target = None if cfg.layout is None else normalize_layout(cfg.layout)
+    if (target is None and governed and factor == "window"
+            and stack_layouts(ops.mats) == {LANE_MAJOR}):
+        target = INTERLEAVED
+    if target is not None and all(
+            x is None or is_interleaved_stack(x) == (target == INTERLEAVED)
+            for x in (ops.mats, ops.rhs)):
+        target = None           # nothing to convert
+    return CallPlan(
+        designs=designs, stage_designs=stages, layout=target,
+        governed=governed, pipelined=pipelined, devices=devices,
+        buffers=min(cfg.streams or 3, 3) if pipelined else 1,
+        verify=cfg.verify is not None and (ops.rhs is None or ops.nrhs > 0),
+        resilient=cfg.resilient)
 
 
 # --- the layers --------------------------------------------------------------
@@ -477,8 +618,10 @@ def run(spec: OpSpec, cfg: ExecConfig, ops: Operands):
     Each pointer-array operand becomes one array here, once, for every
     layer below (:func:`~repro.core.batch_args.lane_stack`); a gathered
     operand the call writes goes back into the caller's lanes when the
-    call returns or raises.  The call's arena leases go back when it
-    ends, either way.
+    call returns or raises.  Then :func:`plan_call` plans the call, and
+    only the layers the plan makes active run: an empty call returns at
+    once (with an empty report when the driver reports).  The call's
+    arena leases go back when it ends, either way.
     """
     def stacked(operand, name):
         return lane_stack(operand, write_back=cfg.execute
@@ -488,86 +631,51 @@ def run(spec: OpSpec, cfg: ExecConfig, ops: Operands):
         with stacked(ops.mats, "a") as ops.mats, \
                 stacked(ops.rhs, "b") as ops.rhs, \
                 stacked(ops.pivots, "pivots") as ops.pivots:
-            if cfg.verify is not None:
-                from .verify import run_verified
-                return run_verified(spec, cfg, ops)
-            return convert_layout(spec, cfg, ops)
+            from .verify import run_verified
+            plan = ops.call.plan = plan_call(spec, cfg, ops)
+            layers = run_verified if plan.verify else run_layers
+            report = None if plan.empty else layers(spec, cfg, ops)
+            if cfg.reports:
+                report = report or empty_report(spec, cfg, ops)
+                report.verify_mode = cfg.verify.mode if cfg.verify else ""
+            return report
     finally:
         ops.call.leases.release()
+
+
+def empty_report(spec: OpSpec, cfg: ExecConfig, ops: Operands):
+    """A :class:`~repro.core.resilience.BatchReport` of nothing yet."""
+    from .resilience import BatchReport
+    return BatchReport(spec.name, ops.batch, method_requested=cfg.method,
+                       info=ops.info)
+
+
+def run_layers(spec: OpSpec, cfg: ExecConfig, ops: Operands):
+    """The layers below verify: the layout layer when the plan names a
+    target, else govern directly; then every lane no shard finished is
+    prepared, written back and scored (:meth:`_Call.finish`)."""
+    layer = convert_layout if ops.call.plan.layout is not None else govern
+    report = layer(spec, cfg, ops)
+    ops.call.finish(ops)
+    return report
 
 
 def convert_layout(spec: OpSpec, cfg: ExecConfig, ops: Operands):
     """The layout layer: convert once at the batch boundary, then govern.
 
-    Quick-return calls stop here (with an empty report when resilient).
-    If the layers below raise, every lane already copied into the working
+    Entered only when the plan names a layout some operand is not in.  If
+    the layers below raise, every lane already copied into the working
     copies goes back into the caller's storage, as a gathered pointer
     array's lanes do (:func:`~repro.core.batch_args.lane_stack`).
     """
-    if spec.empty(ops):
-        if not cfg.resilient:
-            return None
-        from .resilience import BatchReport
-        return BatchReport(spec.name, ops.batch,
-                           method_requested=cfg.method, info=ops.info)
-    inner, writeback = ops, None
-    target = _layout_target(spec, cfg, ops)
-    if target is not None:
-        conv = convert_batch_layout(
-            target, (ops.mats, ops.rhs), batch=ops.batch,
-            outputs=(spec.roles["a"] != IN, True),
-            leases=ops.call.leases)
-        if conv is not None:
-            (a, b), writeback, moved = conv
-            ops.call.conversion.add(moved)
-            inner = ops.relayout(a, b)
-            _stage_layout(ops.call.staged(ops.batch), spec, ops, inner,
-                          writeback)
-    try:
-        report = govern(spec, cfg, inner)
-    except BaseException:
-        if writeback is not None:
-            for lo, hi in lane_runs(ops.call.staging.prepared,
-                                    [(0, ops.batch)]):
-                writeback(lo, hi)
-        raise
-    ops.call.finish(ops)
-    return report
-
-
-def _layout_target(spec: OpSpec, cfg: ExecConfig, ops: Operands):
-    """The layout the call runs in, ``None`` for the one it arrives in.
-
-    ``layout=None`` converts a lane-major batch to the interleaved
-    layout when its factorization runs the sliding window and executes
-    now (not ``execute=False``, not on a capturing stream): on the
-    column-interleaved stack the window's column steps run in place, and
-    that saves more host time than the conversion costs
-    (docs/LAYOUTS.md).
-    """
-    if cfg.layout is not None:
-        return normalize_layout(cfg.layout)
-    from .memory_plan import governance_active
-    if (governance_active(execute=cfg.execute, stream=cfg.stream)
-            and _factor_design(spec, cfg, ops) == "window"
-            and stack_layouts(ops.mats) == {LANE_MAJOR}):
-        return INTERLEAVED
-    return None
-
-
-def _factor_design(spec: OpSpec, cfg: ExecConfig, ops: Operands):
-    """The design that factors the call's batch (``None`` for a solve)."""
-    if spec.roles["a"] == IN:
-        return None
-    design = spec.ladder(cfg.method, cfg.device, ops)[0]
-    if design == "standard":            # gbsv's gbtrf stage
-        return spec.stages[0].ladder("auto", cfg.device, ops)[0]
-    return design
-
-
-def _stage_layout(staging, spec, ops, inner, writeback) -> None:
-    """Fill the working copies of ``inner`` from ``ops`` per lane range,
-    and write them back the same way."""
+    (a, b), writeback, moved = convert_batch_layout(
+        ops.call.plan.layout, (ops.mats, ops.rhs), batch=ops.batch,
+        outputs=(spec.roles["a"] != IN, True), leases=ops.call.leases)
+    ops.call.conversion.add(moved)
+    inner = ops.relayout(mats=a, rhs=b)
+    # The working copies are filled from the caller's operands per lane
+    # range, and written back the same way.
+    staging = ops.call.staged(ops.batch)
     pairs = [(src, work) for src, work in ((ops.mats, inner.mats),
                                            (ops.rhs, inner.rhs))
              if work is not src]
@@ -581,30 +689,44 @@ def _stage_layout(staging, spec, ops, inner, writeback) -> None:
             copy_lanes(work, src, lo, hi)
 
     staging.add(fill, writeback)
+    try:
+        return govern(spec, cfg, inner)
+    except BaseException:
+        for lo, hi in lane_runs(staging.prepared, [(0, ops.batch)]):
+            writeback(lo, hi)
+        raise
+
+
+def launch_kernels(cfg: ExecConfig, ops: Operands, kernels) -> None:
+    """Launch ``kernels`` in turn on ``cfg``'s device and stream, through
+    the launcher in use (:func:`repro.gpusim.ahead.launcher`); the first
+    launch takes the call's layout-conversion charge."""
+    run = ahead.launcher()
+    for kernel in kernels:
+        run(cfg.device, kernel, stream=cfg.stream, execute=cfg.execute,
+            conversion=ops.call.conversion)
 
 
 def govern(spec: OpSpec, cfg: ExecConfig, ops: Operands):
-    """The governance layer, for outermost functional calls only.
+    """The governance layer: a governed call is leased, chunked and
+    pipelined (:func:`repro.core.memory_plan.run_governed`); any other
+    runs its whole batch at once, through the resilience layer when the
+    plan says so, else as one dispatch of the plan's design.
 
     A resilient call's pristine snapshot (which its retries, quarantine
     and failover rewind from) is registered here unless the verify layer
     already did, and is filled per lane range like every other
     :class:`Staging` step.
     """
-    from . import memory_plan
-    if cfg.resilient and ops.call.pristine is None:
+    plan = ops.call.plan
+    if plan.resilient and ops.call.pristine is None:
         ops.call.pristine = ops.call.staged(ops.batch).snapshot(spec, ops)
-    if memory_plan.governance_active(execute=cfg.execute, stream=cfg.stream):
-        return memory_plan.run_governed(spec, cfg, ops)
+    if plan.governed:
+        from .memory_plan import run_governed
+        return run_governed(spec, cfg, ops)
     if ops.call.staging is not None:
         ops.call.staging.prepare([(0, ops.batch)])
-    return heal(spec, cfg, ops)
-
-
-def heal(spec: OpSpec, cfg: ExecConfig, ops: Operands):
-    """The resilience layer when asked for, else a plain dispatch."""
-    if cfg.resilient:
+    if plan.resilient:
         from .resilience import run_resilient
         return run_resilient(spec, cfg, ops)
-    spec.dispatch(cfg.method, cfg, ops)
-    return None
+    return spec.dispatch(plan.design(cfg.device), cfg, ops)     # no report

@@ -61,9 +61,9 @@ from .gbcon import gbcon
 from .gbequ import gbequ, laqgb
 from .gbrfs import gbrfs
 from .gbtf2 import gbtf2
-from .resilience import BatchReport
 from .solve_blocks import gbtrs_unblocked
-from .stack import IN, ExecConfig, convert_layout, govern
+from .stack import IN, ExecConfig, empty_report, govern, plan_call, \
+    run_layers
 
 __all__ = [
     "VerifyPolicy",
@@ -358,7 +358,8 @@ def _recompute(report, spec, ops, snap, run):
 # --- the verify layer --------------------------------------------------------
 
 def run_verified(spec, cfg, ops):
-    """Run the layers below behind ``spec``'s residual gate.
+    """Run the layers below behind ``spec``'s residual gate (entered when
+    the call's plan verifies).
 
     Sets up the pristine snapshot once (the resilience quarantine and the
     pipeline failover reuse the same copy) and the per-lane score, both
@@ -369,24 +370,16 @@ def run_verified(spec, cfg, ops):
     escalates every lane whose score fails the gate.  Healthy lanes are
     bit-identical to an unverified call.  Returns the call's report.
     """
-    vp = cfg.verify
-    active = not spec.empty(ops) and (ops.rhs is None or ops.nrhs > 0)
-    if active:
-        staging = ops.call.staged(ops.batch)
-        snap = ops.call.pristine = staging.snapshot(spec, ops)
-        scores = tuple(staging.empty(ops.batch, dtype)
-                       for dtype in (np.float64, np.float64, bool))
-        staging.scorer = _scorer(spec, cfg, snap, scores)
-    report = convert_layout(spec, cfg, ops)
-    if report is None:
-        report = BatchReport(spec.name, ops.batch,
-                             method_requested=cfg.method, info=ops.info)
-    report.verify_mode = vp.mode
-    if active:
-        # Non-finite lanes (singular factors, poisoned results) are what
-        # the gate exists to classify, not floating-point accidents.
-        with np.errstate(invalid="ignore", over="ignore"):
-            _gate(spec, report, cfg, ops, snap, scores)
+    staging = ops.call.staged(ops.batch)
+    snap = ops.call.pristine = staging.snapshot(spec, ops)
+    scores = tuple(staging.empty(ops.batch, dtype)
+                   for dtype in (np.float64, np.float64, bool))
+    staging.scorer = _scorer(spec, cfg, snap, scores)
+    report = run_layers(spec, cfg, ops) or empty_report(spec, cfg, ops)
+    # Non-finite lanes (singular factors, poisoned results) are what the
+    # gate exists to classify, not floating-point accidents.
+    with np.errstate(invalid="ignore", over="ignore"):
+        _gate(spec, report, cfg, ops, snap, scores)
     return report
 
 
@@ -442,6 +435,8 @@ def _gate(spec, report, cfg, ops, snap, scores) -> None:
     _add_lanes(report, "sdc_detected", failing)
     plain = ExecConfig(device=cfg.device, stream=cfg.stream,
                        method=cfg.method)
+    # The plain rung's own plan (the call's is spent) rides on the call.
+    ops.call.plan = plan_call(spec, plain, ops)
     still = failing
     for rung in (_recompute(report, spec, ops, snap,
                             lambda sub: govern(spec, plain, sub)),

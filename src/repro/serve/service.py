@@ -1,7 +1,7 @@
 """Solver-as-a-service ingress: request coalescing over the batched drivers.
 
-The execution stack below this module (verify -> layout ->
-govern/chunk/pipeline -> heal -> dispatch, in the order of
+The execution stack below this module (plan -> verify -> layout ->
+govern/chunk/pipeline -> resilience -> dispatch, in the order of
 :mod:`repro.core.stack`) is batch-in, batch-out; production traffic is
 millions of *independent* single-system solve requests.  :class:`SolverService` is
 the ingress layer between the two:
@@ -45,7 +45,7 @@ import numpy as np
 from ..core.batched import run_gbtrf_vbatch
 from ..core.gbtrs import run_gbtrs
 from ..core.memory_plan import lane_footprint
-from ..core.stack import ExecConfig, check_execution
+from ..core.stack import ExecConfig, check_execution, plan_devices
 from ..core.verify import as_verify_policy
 from ..errors import (
     DeviceMemoryError,
@@ -497,9 +497,8 @@ class SolverService:
         breaker = getattr(self._cfg.policy, "breaker", None)
         if breaker is None:
             return 1.0
-        from ..core.pipeline import _resolve_devices
         return breaker.healthy_fraction(
-            [d.name for d in _resolve_devices(self.device, self._cfg.devices)])
+            [d.name for d in plan_devices(self._cfg)])
 
     def _shed_one(self, req: _Pending, reason: str, now: float) -> None:
         self._report.shed += 1

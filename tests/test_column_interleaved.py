@@ -318,15 +318,13 @@ def test_default_keeps_captured_calls_in_place(monkeypatch):
     """A call captured into a graph is replayed on the caller's arrays, so
     it is never converted."""
     converted = _no_conversion(monkeypatch)
-    # A captured gbsv solves every lane, so no lane may be singular.
-    a = random_band_batch(BATCH, N, KL, KU, seed=22)
-    b = random_rhs(N, NRHS, batch=BATCH, seed=23)
-    a_ref, b_ref = a.copy(), b.copy()
-    gbsv_batch(N, KL, KU, NRHS, a_ref, None, b_ref)
+    a, _ = _problem()
+    a_ref = a.copy()
+    piv_ref, info_ref = gbtrf_batch(N, N, KL, KU, a_ref)
     assert converted == ["interleaved"]
     converted.clear()
     with capture_graph(H100_PCIE) as g:
-        gbsv_batch(N, KL, KU, NRHS, a, None, b, stream=g.stream)
+        piv, info = gbtrf_batch(N, N, KL, KU, a, stream=g.stream)
     g.graph.launch()
     assert converted == []
-    _bytes_equal((a, a_ref), (b, b_ref))
+    _bytes_equal((a, a_ref), (piv, piv_ref), (info, info_ref))

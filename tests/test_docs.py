@@ -1,8 +1,8 @@
 """The markdown docs' code samples must run (tools/check_docs.py).
 
-CI runs the checker as a dedicated step; this test keeps the same
-guarantee inside the plain pytest suite, so a doc sample cannot rot
-between CI configurations.
+CI has no step of its own for the checker: it runs here, inside the
+plain pytest suite of every CI job, so a doc sample cannot rot between
+CI configurations.
 """
 
 import os

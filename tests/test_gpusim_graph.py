@@ -7,6 +7,7 @@ from repro.band.generate import random_band_batch, random_rhs
 from repro.core.gbsv import gbsv_batch
 from repro.core.gbtf2 import gbtf2
 from repro.core.gbtrf import gbtrf_batch
+from repro.core.gbtrs import gbtrs_batch
 from repro.errors import DeviceError
 from repro.gpusim import H100_PCIE, Stream, capture_graph
 
@@ -116,14 +117,16 @@ class TestReplay:
             g.graph.launch()
 
     def test_gbsv_pipeline_capture(self):
-        """A multi-kernel pipeline (factor+solves) captures and replays."""
+        """A multi-kernel pipeline (factor, then solves) captures and
+        replays."""
         n, kl, ku = 96, 2, 3
         a = random_band_batch(2, n, kl, ku, seed=8)
         b = random_rhs(n, 1, batch=2, seed=9)
         a_ref, b_ref = a.copy(), b.copy()
         gbsv_batch(n, kl, ku, 1, a_ref, None, b_ref)
         with capture_graph(H100_PCIE) as g:
-            gbsv_batch(n, kl, ku, 1, a, None, b, stream=g.stream)
+            piv, _ = gbtrf_batch(n, n, kl, ku, a, stream=g.stream)
+            gbtrs_batch("N", n, kl, ku, 1, a, piv, b, stream=g.stream)
         assert g.graph.num_nodes == 3     # gbtrf + fwd + bwd
         g.graph.launch()
         np.testing.assert_allclose(b, b_ref, atol=0)

@@ -33,7 +33,6 @@ from repro.core import (
     gbtrs_batch,
     plan_batch,
 )
-from repro.core.memory_plan import governance_active
 from repro.core.resilience import BatchReport
 from repro.errors import ArgumentError, DeviceMemoryError
 from repro.gpusim import (
@@ -109,13 +108,6 @@ class TestPlanner:
             plan_batch(4, 100, device=H100_PCIE, max_resident_bytes=0)
         with pytest.raises(ArgumentError):
             plan_batch(4, 100, device=H100_PCIE, chunk_hint=-1)
-
-    def test_governance_exemptions(self):
-        assert governance_active()
-        assert not governance_active(execute=False)
-        stream = Stream(H100_PCIE)
-        stream._capturing = True
-        assert not governance_active(stream=stream)
 
 
 # --- chunked execution is bit-identical ------------------------------------

@@ -33,9 +33,10 @@ from repro.core.batched import gbsv_vbatch
 from repro.core.gbsv import GBSV, gbsv_batch
 from repro.core.gbtrf import GBTRF, gbtrf_batch
 from repro.core.gbtrs import GBTRS, gbtrs_batch
-from repro.core.pipeline import last_pipeline_result, pipeline_requested
+from repro.core.pipeline import last_pipeline_result
 from repro.core.resilience import ResiliencePolicy
-from repro.core.stack import ExecConfig, Operands, Staging, lane_runs
+from repro.core.stack import ExecConfig, Operands, Staging, lane_runs, \
+    plan_call
 from repro.core.verify import VerifyPolicy
 from repro.errors import (
     ArgumentError,
@@ -114,15 +115,6 @@ class TestStreamScheduler:
 
 
 class TestKnobs:
-    def test_pipeline_requested(self):
-        assert not pipeline_requested()
-        assert not pipeline_requested(streams=1)
-        assert not pipeline_requested(streams=None, devices=None)
-        assert pipeline_requested(streams=2)
-        assert pipeline_requested(streams=3)
-        assert pipeline_requested(devices=1)
-        assert pipeline_requested(devices=[H100_PCIE, MI250X_GCD])
-
     def test_healthy_call_is_one_round(self):
         """A healthy call runs the rounds loop once: one round, one
         makespan entry, equal to the slowest shard's."""
@@ -1238,7 +1230,10 @@ class TestStaging:
         unfilled = ops(np.full_like(a, np.nan), np.full_like(b, np.nan))
         for spec in (GBSV, GBTRF, GBTRS):
             for method in spec.designs:
-                cfg = ExecConfig(method=method)
+                cfg = ExecConfig(method=method,
+                                 devices=[H100_PCIE, MI250X_GCD])
+                for o in (filled, unfilled):
+                    o.call.plan = plan_call(spec, cfg, o)
                 for dev in (H100_PCIE, MI250X_GCD):
                     assert (spec.probe_stages(dev, cfg, filled)
                             == spec.probe_stages(dev, cfg, unfilled))
